@@ -11,7 +11,7 @@
 //	           [-platform system1|system1-cpu|hikey970] [-split 0.52,0.24,0.24]
 //	           [-max-locations 100] [-selector dp|coral] [-prefilter off|gatekeeper] [-out out.sam]
 //	           [-trace trace.json] [-metrics-out metrics.prom]
-//	           [-batch 4096 [-lenient] [-checkpoint run.ckpt [-resume]]]
+//	           [-batch 4096] [-lenient] [-checkpoint run.ckpt [-resume]]
 //
 // `index build` writes a versioned container (magic, format version,
 // SHA-256 section checksums, shard table) wrapping one FM-index per
@@ -22,10 +22,11 @@
 // broadcasting every read batch to all shards and merging candidates in
 // global coordinates.
 //
-// With -batch N the reads stream through the mapper in batches of N
-// (bounded memory); -checkpoint makes the run crash-safe and -resume
-// continues an interrupted one, bit-identically. -lenient skips
-// malformed records instead of aborting.
+// Reads always stream from the FASTQ file through one checkpointable
+// loop: -batch N maps them in batches of N (bounded memory; 0, the
+// default, is one whole-input batch), -checkpoint makes the run
+// crash-safe and -resume continues an interrupted one, bit-identically.
+// -lenient skips malformed records instead of aborting.
 package main
 
 import (
@@ -268,10 +269,10 @@ func runMap(args []string) error {
 	outPath := fs.String("out", "", "SAM output path (default stdout)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event file of the simulated run (chrome://tracing, Perfetto)")
 	metricsPath := fs.String("metrics-out", "", "write the run's metric snapshot here (.prom suffix = Prometheus text exposition, else JSON)")
-	batchFlag := fs.Int("batch", 0, "streaming mode: map reads in batches of this size (0 = load everything in memory)")
-	ckptFlag := fs.String("checkpoint", "", "streaming mode: persist a resumable checkpoint here at every batch boundary")
+	batchFlag := fs.Int("batch", 0, "map reads in batches of this size, holding one batch in memory (0 = the whole input as one batch)")
+	ckptFlag := fs.String("checkpoint", "", "persist a resumable checkpoint here at every batch boundary (needs -out)")
 	resumeFlag := fs.Bool("resume", false, "continue an interrupted run from -checkpoint")
-	lenientFlag := fs.Bool("lenient", false, "streaming mode: skip malformed/unmappable records instead of aborting")
+	lenientFlag := fs.Bool("lenient", false, "skip malformed/unmappable records instead of aborting")
 	fs.Parse(args)
 	if (*indexPath == "") == (*refPath == "") {
 		return fmt.Errorf("map: exactly one of -index and -ref is required")
@@ -279,21 +280,17 @@ func runMap(args []string) error {
 	if *readsPath == "" {
 		return fmt.Errorf("map: -reads is required")
 	}
-	streaming := *batchFlag > 0
-	if *ckptFlag != "" && !streaming {
-		return fmt.Errorf("map: -checkpoint requires -batch > 0 (checkpoints are written at batch boundaries)")
+	if *batchFlag < 0 {
+		return fmt.Errorf("map: -batch must be ≥ 0")
 	}
 	if *resumeFlag && *ckptFlag == "" {
 		return fmt.Errorf("map: -resume requires -checkpoint")
 	}
-	if *lenientFlag && !streaming {
-		return fmt.Errorf("map: -lenient requires -batch > 0 (lenient parsing is a streaming-ingest mode)")
+	if *ckptFlag != "" && *outPath == "" {
+		return fmt.Errorf("map: -checkpoint requires -out (a resume truncates and appends the SAM file; stdout cannot)")
 	}
-	if streaming && *reads2Path != "" {
-		return fmt.Errorf("map: -batch is not supported in paired mode")
-	}
-	if streaming && *outPath == "" {
-		return fmt.Errorf("map: -batch requires -out (streamed SAM cannot go to stdout)")
+	if *reads2Path != "" && (*batchFlag > 0 || *ckptFlag != "" || *lenientFlag) {
+		return fmt.Errorf("map: -batch, -checkpoint and -lenient are not supported in paired mode")
 	}
 
 	devices, err := platformDevices(*platform)
@@ -337,57 +334,35 @@ func runMap(args []string) error {
 	}
 
 	// Reference index: either a verified on-disk artifact (-index) or an
-	// in-memory rebuild from FASTA (-ref). The artifact path additionally
-	// yields the container digest, the O(1) checkpoint fingerprint.
+	// in-memory rebuild from FASTA (-ref).
 	var (
-		p          *core.Pipeline
-		g          *genome.Genome
-		ix         *fmindex.Index // set only on the -ref rebuild path
-		fpDigest   [32]byte
-		haveDigest bool
+		p  *core.Pipeline
+		g  *genome.Genome
+		f  *index.File    // set only on the -index path
+		ix *fmindex.Index // set only on the -ref rebuild path
 	)
 	if *indexPath != "" {
-		f, err := index.LoadFile(*indexPath)
-		if err != nil {
+		if f, err = index.LoadFile(*indexPath); err != nil {
 			return fmt.Errorf("%w (rebuild with `repute index build`)", err)
 		}
 		// Coordinate-only genome: SAM emission needs contig boundaries, not
 		// the reference text (that lives in the shard indexes).
-		g, err = genome.FromContigs(f.Meta.Contigs)
-		if err != nil {
+		if g, err = genome.FromContigs(f.Meta.Contigs); err != nil {
 			return err
 		}
-		if f.Meta.Sharded() {
-			if split != nil {
-				return fmt.Errorf("map: -split does not apply to a sharded index (shard dispatch assigns one reference slice per device)")
-			}
-			shards := make([]core.Shard, len(f.Indexes))
-			for i, s := range f.Meta.Shards {
-				shards[i] = core.Shard{
-					Index:      f.Indexes[i],
-					OwnStart:   s.OwnStart,
-					OwnEnd:     s.OwnEnd,
-					SliceStart: s.SliceStart,
-					SliceEnd:   s.SliceEnd,
-				}
-			}
-			p, err = core.NewSharded(shards, f.Meta.Overlap, devices, cfg)
-		} else {
-			p, err = core.NewFromIndex(f.Indexes[0], devices, cfg)
+		if split != nil && f.Meta.Sharded() {
+			return fmt.Errorf("map: -split does not apply to a sharded index (shard dispatch assigns one reference slice per device)")
 		}
-		if err != nil {
-			return err
-		}
-		fpDigest, haveDigest = f.Digest(), true
+		p, err = serve.NewPipeline(f, devices, cfg)
 	} else {
-		g, err = loadReference(*refPath)
-		if err != nil {
+		if g, err = loadReference(*refPath); err != nil {
 			return err
 		}
 		ix = fmindex.Build(g.Text(), fmindex.Options{SASampleRate: *saRate})
-		if p, err = core.NewFromIndex(ix, devices, cfg); err != nil {
-			return err
-		}
+		p, err = core.NewFromIndex(ix, devices, cfg)
+	}
+	if err != nil {
+		return err
 	}
 	opt := mapper.Options{
 		MaxErrors:    *errorsFlag,
@@ -396,117 +371,43 @@ func runMap(args []string) error {
 		Prefilter:    *prefilterFlag,
 	}
 
-	if streaming {
-		if *ckptFlag != "" {
-			// Fail on an unusable checkpoint directory now, before any
-			// mapping work, instead of at the first batch-boundary Save.
-			if err := checkpoint.CheckDir(filepath.Dir(*ckptFlag)); err != nil {
-				return err
-			}
+	if *reads2Path != "" {
+		if err := runMapPaired(p, g, *readsPath, *reads2Path, mapper.PairOptions{
+			Options: opt, MinInsert: int32(*minInsert), MaxInsert: int32(*maxInsert),
+		}, *outPath); err != nil {
+			return err
 		}
+		return finish()
+	}
+
+	run := serve.Stream{
+		Pipeline: p, Genome: g, Devices: devices, Opt: opt,
+		Cigar: *cigarFlag, Lenient: *lenientFlag, Batch: *batchFlag,
+		ReadsPath: *readsPath, ReadsName: *readsPath, SAMPath: *outPath, CkptPath: *ckptFlag,
+		Tracer: cfg.Tracer,
+	}
+	if *ckptFlag != "" {
+		// Fail on an unusable checkpoint directory now, before any
+		// mapping work, instead of at the first batch-boundary Save.
+		if err := checkpoint.CheckDir(filepath.Dir(*ckptFlag)); err != nil {
+			return err
+		}
+		// The fingerprint binds checkpoints to the index + options
+		// combination: the artifact digest is O(1), the -ref rebuild path
+		// hashes the in-memory index.
 		extras := []string{
 			fmt.Sprintf("batch=%d", *batchFlag), fmt.Sprintf("lenient=%t", *lenientFlag),
 			fmt.Sprintf("cigar=%t", *cigarFlag), "selector=" + *selector,
 			"platform=" + *platform, "split=" + *splitFlag,
 		}
-		var fingerprint string
-		if haveDigest {
-			fingerprint = checkpoint.FingerprintDigest(fpDigest, opt, extras...)
-		} else {
-			if fingerprint, err = checkpoint.Fingerprint(ix, opt, extras...); err != nil {
-				return err
-			}
-		}
-		if err := runMapStream(p, g, streamConfig{
-			readsPath:   *readsPath,
-			outPath:     *outPath,
-			ckptPath:    *ckptFlag,
-			resume:      *resumeFlag,
-			lenient:     *lenientFlag,
-			batch:       *batchFlag,
-			cigar:       *cigarFlag,
-			opt:         opt,
-			fingerprint: fingerprint,
-			devices:     devices,
-			tracer:      cfg.Tracer,
-		}); err != nil {
-			return err
-		}
-		return finish()
-	}
-
-	rf, err := os.Open(*readsPath)
-	if err != nil {
-		return err
-	}
-	recs, err := fastx.ReadFastq(rf)
-	rf.Close()
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(0))
-	reads := make([][]byte, len(recs))
-	for i, rec := range recs {
-		if reads[i], err = fastx.CodesOf(rec, rng); err != nil {
+		if f != nil {
+			run.Fingerprint = checkpoint.FingerprintDigest(f.Digest(), opt, extras...)
+		} else if run.Fingerprint, err = checkpoint.Fingerprint(ix, opt, extras...); err != nil {
 			return err
 		}
 	}
-
-	if *reads2Path != "" {
-		if err := runMapPaired(p, g, recs, reads, *reads2Path, *errorsFlag, *sminFlag,
-			*maxLoc, int32(*minInsert), int32(*maxInsert), *outPath); err != nil {
-			return err
-		}
-		return finish()
-	}
-
-	wallStart := time.Now()
-	res, err := p.Map(reads, opt)
-	if err != nil {
+	if err := runMapStream(run, *resumeFlag); err != nil {
 		return err
-	}
-	wall := time.Since(wallStart)
-
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	refs := make([]sam.RefSeq, len(g.Contigs()))
-	for i, c := range g.Contigs() {
-		refs[i] = sam.RefSeq{Name: c.Name, Length: c.Length}
-	}
-	sw, err := sam.NewMultiWriter(out, refs)
-	if err != nil {
-		return err
-	}
-	dropped := 0
-	for i, rec := range recs {
-		n, err := serve.WriteReadAlignments(sw, g, p, rec.Name, reads[i], res.Mappings[i],
-			*cigarFlag, *errorsFlag)
-		if err != nil {
-			return err
-		}
-		dropped += n
-	}
-	if err := sw.Flush(); err != nil {
-		return err
-	}
-	if dropped > 0 {
-		fmt.Fprintf(os.Stderr, "dropped %d boundary-spanning alignment(s)\n", dropped)
-	}
-
-	fmt.Fprintf(os.Stderr,
-		"mapped %d reads: %d with locations, %d total locations\n"+
-			"simulated mapping time %.3f s, marginal energy %.2f J (host wall %s)\n",
-		len(reads), res.MappedReads(), res.TotalLocations(),
-		res.SimSeconds, res.EnergyJ, wall.Round(time.Millisecond))
-	for dev, sec := range res.DeviceSeconds {
-		fmt.Fprintf(os.Stderr, "  %-32s %.3f s busy\n", dev, sec)
 	}
 	return finish()
 }
@@ -562,16 +463,37 @@ func writeMetrics(rec *trace.Recorder, path string) error {
 	return nil
 }
 
+// loadReads reads a whole FASTQ file into memory (paired mode pairs mates
+// by index, so both files must be resident).
+func loadReads(path string) ([]fastx.Record, [][]byte, error) {
+	rf, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	recs, err := fastx.ReadFastq(rf)
+	rf.Close()
+	if err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(0))
+	reads := make([][]byte, len(recs))
+	for i, rec := range recs {
+		if reads[i], err = fastx.CodesOf(rec, rng); err != nil {
+			return nil, nil, err
+		}
+	}
+	return recs, reads, nil
+}
+
 // runMapPaired maps mate pairs and writes properly-paired SAM records for
 // concordant fragments, single-end records otherwise.
-func runMapPaired(p *core.Pipeline, g *genome.Genome, recs1 []fastx.Record, reads1 [][]byte,
-	reads2Path string, errors, smin, maxLoc int, minInsert, maxInsert int32, outPath string) error {
-	rf, err := os.Open(reads2Path)
+func runMapPaired(p *core.Pipeline, g *genome.Genome, reads1Path, reads2Path string,
+	opt mapper.PairOptions, outPath string) error {
+	recs1, reads1, err := loadReads(reads1Path)
 	if err != nil {
 		return err
 	}
-	recs2, err := fastx.ReadFastq(rf)
-	rf.Close()
+	recs2, reads2, err := loadReads(reads2Path)
 	if err != nil {
 		return err
 	}
@@ -579,19 +501,7 @@ func runMapPaired(p *core.Pipeline, g *genome.Genome, recs1 []fastx.Record, read
 		return fmt.Errorf("paired input mismatch: %d mate-1 reads, %d mate-2 reads",
 			len(recs1), len(recs2))
 	}
-	rng := rand.New(rand.NewSource(0))
-	reads2 := make([][]byte, len(recs2))
-	for i, rec := range recs2 {
-		if reads2[i], err = fastx.CodesOf(rec, rng); err != nil {
-			return err
-		}
-	}
-
-	res, err := p.MapPairs(reads1, reads2, mapper.PairOptions{
-		Options:   mapper.Options{MaxErrors: errors, MaxLocations: maxLoc, MinSeedLen: smin},
-		MinInsert: minInsert,
-		MaxInsert: maxInsert,
-	})
+	res, err := p.MapPairs(reads1, reads2, opt)
 	if err != nil {
 		return err
 	}
@@ -655,25 +565,8 @@ func runMapPaired(p *core.Pipeline, g *genome.Genome, recs1 []fastx.Record, read
 			if mate == 1 {
 				reads = reads2
 			}
-			var alns []sam.Alignment
-			for _, m := range ms {
-				if g.SpansBoundary(int(m.Pos), len(reads[i])) {
-					continue
-				}
-				contig, off, err := g.Locate(int(m.Pos))
-				if err != nil {
-					return err
-				}
-				aln := sam.Alignment{
-					RName: contig.Name, Pos: int32(off), Strand: m.Strand, Dist: m.Dist,
-				}
-				if len(alns) == 0 {
-					aln.MAPQ = mapper.EstimateMAPQ(ms)
-				}
-				alns = append(alns, aln)
-			}
 			mateName := fmt.Sprintf("%s/%d", name, mate+1)
-			if err := sw.WriteAlignments(mateName, []byte(dna.Decode(reads[i])), alns); err != nil {
+			if _, err := serve.WriteReadAlignments(sw, g, p, mateName, reads[i], ms, false, 0); err != nil {
 				return err
 			}
 		}

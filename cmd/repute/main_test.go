@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -172,19 +173,105 @@ func readFile(t *testing.T, path string) []byte {
 	return b
 }
 
-// TestStreamedMatchesInMemory: the streamed SAM equals the in-memory SAM.
+// TestStreamedMatchesInMemory is the runner-parity check: every form of
+// `repute map` is the same stream runner, so the default whole-input
+// batch (-batch 0, to a file and to stdout), -batch 7, and -batch 7
+// -checkpoint killed and resumed all write byte-identical SAM, for a
+// whole-reference and a 4-shard artifact alike.
 func TestStreamedMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
-	mem := filepath.Join(dir, "mem.sam")
-	stream := filepath.Join(dir, "stream.sam")
-	if out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", readsPath, "-out", mem); err != nil {
-		t.Fatalf("in-memory map: %v\n%s", err, out)
+	sharded := filepath.Join(dir, "sharded4.ridx")
+	if out, err := runRepute(t, nil, "index", "build", "-ref", refPath, "-out", sharded,
+		"-shards", "4", "-overlap", "256"); err != nil {
+		t.Fatalf("index build -shards 4: %v\n%s", err, out)
 	}
-	if out, err := runRepute(t, nil, mapArgs(stream)...); err != nil {
-		t.Fatalf("streamed map: %v\n%s", err, out)
+	var want []byte // the whole-index default-batch SAM: the reference for every other run
+	for _, ix := range []struct{ name, path string }{{"whole", indexPath}, {"4shards", sharded}} {
+		base := []string{"map", "-index", ix.path, "-reads", readsPath}
+		whole := filepath.Join(dir, ix.name+"-whole.sam")
+		if out, err := runRepute(t, nil, append(base, "-out", whole)...); err != nil {
+			t.Fatalf("%s default batch: %v\n%s", ix.name, err, out)
+		}
+		if want == nil {
+			want = readFile(t, whole)
+		}
+		if !bytes.Equal(want, readFile(t, whole)) {
+			t.Errorf("%s: default-batch SAM differs from the whole-index one", ix.name)
+		}
+
+		// No -out: the same bytes on stdout, the summary on stderr.
+		cmd := exec.Command(binPath, base...)
+		cmd.Env = cleanEnv()
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s stdout run: %v\n%s", ix.name, err, stderr.String())
+		}
+		if !bytes.Equal(want, stdout.Bytes()) {
+			t.Errorf("%s: stdout SAM differs from the -out file", ix.name)
+		}
+		if !strings.Contains(stderr.String(), "in 1 batch(es)") {
+			t.Errorf("%s: default run is not one whole-input batch:\n%s", ix.name, stderr.String())
+		}
+
+		batched := filepath.Join(dir, ix.name+"-b7.sam")
+		if out, err := runRepute(t, nil, append(base, "-batch", "7", "-out", batched)...); err != nil {
+			t.Fatalf("%s -batch 7: %v\n%s", ix.name, err, out)
+		}
+		if !bytes.Equal(want, readFile(t, batched)) {
+			t.Errorf("%s: -batch 7 SAM differs from the default-batch SAM", ix.name)
+		}
+
+		resumed := filepath.Join(dir, ix.name+"-resumed.sam")
+		ckpt := filepath.Join(dir, ix.name+".ckpt")
+		ckptArgs := append(base, "-batch", "7", "-out", resumed, "-checkpoint", ckpt)
+		if out, err := runRepute(t, []string{"REPUTE_KILL_AFTER_BATCH=4"}, ckptArgs...); err == nil {
+			t.Fatalf("%s: process survived its kill hook\n%s", ix.name, out)
+		}
+		if out, err := runRepute(t, nil, append(ckptArgs, "-resume")...); err != nil {
+			t.Fatalf("%s resume: %v\n%s", ix.name, err, out)
+		}
+		if !bytes.Equal(want, readFile(t, resumed)) {
+			t.Errorf("%s: killed-and-resumed SAM differs from the default-batch SAM", ix.name)
+		}
 	}
-	if !bytes.Equal(readFile(t, mem), readFile(t, stream)) {
-		t.Error("streamed SAM differs from in-memory SAM")
+
+	// One summary for every run: per-device busy lines in name order.
+	out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", readsPath,
+		"-platform", "system1", "-split", "1,1,1", "-out", filepath.Join(dir, "split.sam"))
+	if err != nil {
+		t.Fatalf("3-device map: %v\n%s", err, out)
+	}
+	var busy []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, "s busy") {
+			busy = append(busy, line)
+		}
+	}
+	if len(busy) != 3 || !sort.StringsAreSorted(busy) {
+		t.Errorf("want 3 sorted per-device busy lines, got %q", busy)
+	}
+}
+
+// TestStreamedChaosHonoursDevice: a device=K fault directive targets only
+// the Kth pipeline device on every path. Losing device 2 of 3 must
+// recover by failover and leave the SAM untouched — batched runs used to
+// arm the plan on every device and lose them all.
+func TestStreamedChaosHonoursDevice(t *testing.T) {
+	dir := t.TempDir()
+	args := func(out string) []string {
+		return mapArgs(out, "-platform", "system1", "-split", "1,1,1")
+	}
+	clean := filepath.Join(dir, "clean.sam")
+	if out, err := runRepute(t, nil, args(clean)...); err != nil {
+		t.Fatalf("fault-free map: %v\n%s", err, out)
+	}
+	chaos := filepath.Join(dir, "chaos.sam")
+	if out, err := runRepute(t, []string{"REPUTE_CL_FAULTS=device=2,enq1=lost"}, args(chaos)...); err != nil {
+		t.Fatalf("device=2 chaos map: %v\n%s", err, out)
+	}
+	if !bytes.Equal(readFile(t, clean), readFile(t, chaos)) {
+		t.Error("SAM under a lost device 2 differs from the fault-free SAM")
 	}
 }
 

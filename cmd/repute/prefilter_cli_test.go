@@ -2,20 +2,25 @@ package main
 
 // CLI-level accuracy-regression gate for the pre-alignment filter:
 // -prefilter gatekeeper must produce byte-identical SAM to -prefilter
-// off across the in-memory path, the streaming path, an armed chaos
-// plan, and kill/resume — and a checkpoint taken under one filter
+// off across the whole-input and batched runs, an armed chaos plan,
+// paired mode, and kill/resume — and a checkpoint taken under one filter
 // configuration must refuse to resume under another.
 
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/dna"
+	"repro/internal/simulate"
 )
 
 // TestPrefilterCLIEquivalence: filtered and unfiltered runs emit the
-// same SAM bytes, in-memory and streamed, with and without chaos.
+// same SAM bytes, whole-input and batched, with and without chaos, single-
+// and paired-end.
 func TestPrefilterCLIEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	off := filepath.Join(dir, "off.sam")
@@ -28,7 +33,7 @@ func TestPrefilterCLIEquivalence(t *testing.T) {
 		t.Fatalf("filtered map: %v\n%s", err, out)
 	}
 	if !bytes.Equal(readFile(t, off), readFile(t, on)) {
-		t.Error("filtered SAM differs from unfiltered SAM (in-memory path)")
+		t.Error("filtered SAM differs from unfiltered SAM (whole-input batch)")
 	}
 
 	onStream := filepath.Join(dir, "on-stream.sam")
@@ -48,6 +53,46 @@ func TestPrefilterCLIEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(readFile(t, off), readFile(t, onChaos)) {
 		t.Error("filtered chaos SAM differs from unfiltered SAM")
+	}
+
+	// Paired mode takes the same options: the filter's kernel pair must
+	// run (its per-kernel gauges appear) and change no record.
+	ref := simulate.Reference(simulate.Chr21Like(60_000, 11)) // TestMain's reference
+	ps, err := simulate.PairedReads(ref, 20, simulate.ERR012100, 300, 30, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mates := [2]string{filepath.Join(dir, "m1.fq"), filepath.Join(dir, "m2.fq")}
+	for m, reads := range [][][]byte{ps.Reads1, ps.Reads2} {
+		var fq bytes.Buffer
+		for i, r := range reads {
+			fmt.Fprintf(&fq, "@frag%02d/%d\n%s\n+\n%s\n", i, m+1, dna.Decode(r), strings.Repeat("I", len(r)))
+		}
+		if err := os.WriteFile(mates[m], fq.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paired := func(prefilter string) (sam []byte, metrics string) {
+		out := filepath.Join(dir, "paired-"+prefilter+".sam")
+		prom := filepath.Join(dir, "paired-"+prefilter+".prom")
+		if msg, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", mates[0], "-reads2", mates[1],
+			"-prefilter", prefilter, "-metrics-out", prom, "-out", out); err != nil {
+			t.Fatalf("paired map -prefilter %s: %v\n%s", prefilter, err, msg)
+		}
+		return readFile(t, out), string(readFile(t, prom))
+	}
+	offSAM, offMetrics := paired("off")
+	onSAM, onMetrics := paired("gatekeeper")
+	if !bytes.Equal(offSAM, onSAM) {
+		t.Error("filtered paired SAM differs from unfiltered paired SAM")
+	}
+	if !strings.Contains(offMetrics, "REPUTE-map") || strings.Contains(offMetrics, "REPUTE-prefilter") {
+		t.Errorf("unfiltered paired run should launch only the fused kernel:\n%s", offMetrics)
+	}
+	for _, kernel := range []string{"REPUTE-prefilter", "REPUTE-verify"} {
+		if !strings.Contains(onMetrics, kernel) {
+			t.Errorf("paired -prefilter gatekeeper shows no %s kernel gauge (prefilter dropped?)", kernel)
+		}
 	}
 }
 

@@ -66,8 +66,8 @@ type FaultPlan struct {
 	// only the Kth device (1-based) of the group. The injector itself
 	// ignores the field — it is addressing metadata for the installer
 	// (serve arms a job's plan only on the selected member of the job's
-	// partition; core's env chaos hook arms only the Kth pipeline
-	// device), which is what lets a multi-device chaos run lose one
+	// partition; ArmEnvFaults arms only the Kth device of its group),
+	// which is what lets a multi-device chaos run lose one
 	// device while its partition partners stay healthy.
 	Device int
 }
@@ -286,12 +286,9 @@ func parseFaultCode(s string) (Code, error) {
 }
 
 // EnvFaultPlan returns the fault plan named by the REPUTE_CL_FAULTS
-// environment variable, or nil when it is unset. core.Pipeline.Map arms
-// the plan on every device without an explicit one, so setting the
-// variable turns any pipeline run into a chaos run — CI uses it to drive
-// the whole core test suite through the recovery paths under -race. A
-// malformed value panics: a chaos run that silently injects nothing
-// would be worse than no chaos run.
+// environment variable, or nil when it is unset. A malformed value
+// panics: a chaos run that silently injects nothing would be worse than
+// no chaos run.
 func EnvFaultPlan() *FaultPlan {
 	s := os.Getenv("REPUTE_CL_FAULTS")
 	if s == "" {
@@ -302,4 +299,27 @@ func EnvFaultPlan() *FaultPlan {
 		panic("cl: REPUTE_CL_FAULTS: " + err.Error())
 	}
 	return p
+}
+
+// ArmEnvFaults is the chaos hook: it arms EnvFaultPlan on every device of
+// the group that has no plan of its own — only on the Kth when the plan
+// says device=K — so setting the variable turns any run over those
+// devices into a fault-recovery run (CI drives the whole core suite
+// through the recovery paths this way). Already-armed devices keep their
+// plan and their ordinals, which makes the call idempotent: whoever arms
+// first — a checkpointed runner that must seat resumed ordinals before
+// the first enqueue, or Pipeline.Map itself — wins.
+func ArmEnvFaults(devices []*Device) {
+	plan := EnvFaultPlan()
+	if plan == nil {
+		return
+	}
+	for i, d := range devices {
+		if plan.Device > 0 && plan.Device != i+1 {
+			continue
+		}
+		if !d.FaultsInstalled() {
+			d.InstallFaults(plan)
+		}
+	}
 }

@@ -80,22 +80,18 @@ type Shard struct {
 }
 
 // Pipeline is a REPUTE-style mapper bound to a reference and devices.
-// It dispatches in one of two geometries:
-//
-//   - read-split (ix != nil): every device holds the whole index and the
-//     read set is split across devices by the configured shares;
-//   - shard (shards != nil): the reference is partitioned, each device
-//     holds its own shards' FM-index buffers, every read is broadcast to
-//     every shard, and per-shard candidates merge in global coordinates.
-//
-// Both geometries ride the same fault-tolerant round engine: work is
-// tracked as (shard, read-span) units, and a failed device's units —
-// including its reference shards — re-dispatch to the survivors.
+// The reference is always a list of shards: a whole index is the single
+// shard that owns and slices [0, n). Work is tracked as (shard,
+// read-span) units on one fault-tolerant round engine, and a failed
+// device's units — its reference shards included — re-dispatch to the
+// survivors. The shard count only picks the initial assignment: one
+// shard splits the reads across devices by the configured shares; K > 1
+// shards broadcast every read to every shard, deal the shards round-robin
+// onto devices, and merge per-shard mappings in global coordinates.
 type Pipeline struct {
 	name      string
-	ix        *fmindex.Index // read-split geometry (nil when sharded)
-	shards    []Shard        // shard geometry (nil when read-split)
-	overlap   int            // shard slice overlap in bases
+	shards    []Shard
+	overlap   int // shard slice overlap in bases
 	devices   []*cl.Device
 	split     []float64
 	selector  seed.Selector
@@ -122,28 +118,25 @@ func New(ref []byte, devices []*cl.Device, cfg Config) (*Pipeline, error) {
 	return NewFromIndex(ix, devices, cfg)
 }
 
-// NewFromIndex wraps an existing index (e.g. loaded from disk).
+// NewFromIndex wraps an existing whole-reference index (e.g. loaded from
+// disk) as the one shard that owns every position.
 func NewFromIndex(ix *fmindex.Index, devices []*cl.Device, cfg Config) (*Pipeline, error) {
-	p, err := newPipeline(devices, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.ix = ix
-	return p, nil
+	n := int64(ix.Len())
+	return NewSharded([]Shard{{Index: ix, OwnEnd: n, SliceEnd: n}}, 0, devices, cfg)
 }
 
-// NewSharded builds a shard-dispatch pipeline: each shard's FM-index
-// covers one overlapping reference slice (normally loaded from a sharded
-// index artifact), reads broadcast to every shard, and mappings merge in
-// global coordinates. overlap is the slice overlap the shards were built
-// with; Map validates it against the read length so boundary-straddling
-// alignments cannot be silently lost. Config.Split does not apply —
-// shard dispatch assigns whole shards to devices round-robin.
+// NewSharded builds a pipeline over reference shards: each shard's
+// FM-index covers one overlapping reference slice (normally loaded from a
+// sharded index artifact). overlap is the slice overlap the shards were
+// built with; Map validates it against the read length so
+// boundary-straddling alignments cannot be silently lost. Config.Split
+// applies only to a single shard — several shards are dealt whole onto
+// devices round-robin.
 func NewSharded(shards []Shard, overlap int, devices []*cl.Device, cfg Config) (*Pipeline, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("core: no shards")
 	}
-	if cfg.Split != nil {
+	if cfg.Split != nil && len(shards) > 1 {
 		return nil, fmt.Errorf("core: read-split shares do not apply to shard dispatch")
 	}
 	prev := int64(0)
@@ -161,39 +154,25 @@ func NewSharded(shards []Shard, overlap int, devices []*cl.Device, cfg Config) (
 		}
 		prev = s.OwnEnd
 	}
-	p, err := newPipeline(devices, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.shards = shards
-	p.overlap = overlap
-	return p, nil
-}
-
-// newPipeline applies the geometry-independent configuration.
-func newPipeline(devices []*cl.Device, cfg Config) (*Pipeline, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("core: no devices")
 	}
-	sel := cfg.Selector
-	if sel == nil {
-		sel = seed.REPUTE{}
-	}
-	name := cfg.Name
-	if name == "" {
-		name = "REPUTE"
-	}
-	split := cfg.Split
-	if split != nil && len(split) != len(devices) {
+	if cfg.Split != nil && len(cfg.Split) != len(devices) {
 		return nil, fmt.Errorf("core: split has %d entries for %d devices",
-			len(split), len(devices))
+			len(cfg.Split), len(devices))
 	}
 	if cfg.Deadlines != nil && len(cfg.Deadlines) != len(devices) {
 		return nil, fmt.Errorf("core: deadlines has %d entries for %d devices",
 			len(cfg.Deadlines), len(devices))
 	}
-	p := &Pipeline{name: name, devices: devices, split: split,
-		selector: sel, exec: cfg.Exec, deadlines: cfg.Deadlines}
+	p := &Pipeline{name: cfg.Name, shards: shards, overlap: overlap, devices: devices,
+		split: cfg.Split, selector: cfg.Selector, exec: cfg.Exec, deadlines: cfg.Deadlines}
+	if p.selector == nil {
+		p.selector = seed.REPUTE{}
+	}
+	if p.name == "" {
+		p.name = "REPUTE"
+	}
 	if !trace.IsNoop(cfg.Tracer) {
 		p.tracer = cfg.Tracer
 		if h, ok := cfg.Tracer.(interface{ ItemOpsHistogram() *trace.Histogram }); ok {
@@ -203,15 +182,21 @@ func newPipeline(devices []*cl.Device, cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Sharded reports whether the pipeline uses shard dispatch.
-func (p *Pipeline) Sharded() bool { return p.shards != nil }
+// Sharded reports whether the reference is partitioned into several
+// shards (shard dispatch) rather than held as one whole index.
+func (p *Pipeline) Sharded() bool { return len(p.shards) > 1 }
 
 // Name implements mapper.Mapper.
 func (p *Pipeline) Name() string { return p.name }
 
-// Index exposes the pipeline's FM-index (examples inspect it). It is nil
-// for shard-dispatch pipelines, which hold per-shard indexes instead.
-func (p *Pipeline) Index() *fmindex.Index { return p.ix }
+// Index exposes the whole-reference FM-index (examples inspect it). It is
+// nil for shard-dispatch pipelines, which hold per-slice indexes instead.
+func (p *Pipeline) Index() *fmindex.Index {
+	if p.Sharded() {
+		return nil
+	}
+	return p.shards[0].Index
+}
 
 // shardOwning returns the shard whose ownership range contains the
 // global position, or nil.
@@ -227,31 +212,21 @@ func (p *Pipeline) shardOwning(pos int64) *Shard {
 // CigarFor recovers the CIGAR string of a reported mapping by re-aligning
 // the read against the mapped reference window — the SAM-output feature
 // the paper's §IV defers to future versions. Cost is paid only for
-// mappings actually written out. In shard dispatch the window comes from
-// the owning shard's slice; mappings sit at least one read length from
+// mappings actually written out. The window comes from the owning shard's
+// slice; with several shards, mappings sit at least one read length from
 // the slice edge (the overlap Map validates), so the window never clips.
 func (p *Pipeline) CigarFor(read []byte, m mapper.Mapping, maxErrors int) (align.Cigar, error) {
 	pattern := read
 	if m.Strand == mapper.Reverse {
 		pattern = dna.ReverseComplement(read)
 	}
-	var text dna.PackedSeq
-	base := 0
-	if p.Sharded() {
-		sh := p.shardOwning(int64(m.Pos))
-		if sh == nil {
-			return nil, fmt.Errorf("core: mapping position %d owned by no shard", m.Pos)
-		}
-		text = sh.Index.Text()
-		base = int(sh.SliceStart)
-	} else {
-		text = p.ix.Text()
-	}
-	lo := int(m.Pos) - base
-	hi := lo + len(pattern) + maxErrors
-	if lo < 0 || lo >= text.Len() {
+	sh := p.shardOwning(int64(m.Pos))
+	if sh == nil {
 		return nil, fmt.Errorf("core: mapping position %d out of range", m.Pos)
 	}
+	text := sh.Index.Text()
+	lo := int(int64(m.Pos) - sh.SliceStart) // inside the slice: owned ⊂ sliced
+	hi := lo + len(pattern) + maxErrors
 	if hi > text.Len() {
 		hi = text.Len()
 	}
@@ -296,37 +271,44 @@ func DefaultMinSeedLen(readLen, errors int) int {
 	return smin
 }
 
-// shares normalises the configured split into per-device read counts.
+// shares is the one-shard initial assignment: reads by the configured
+// split, everything on the first device when there is none.
 func (p *Pipeline) shares(total int) []int {
-	counts := make([]int, len(p.devices))
-	if p.split == nil {
-		counts[0] = total
+	if counts := apportion(total, p.split); counts != nil {
 		return counts
 	}
+	counts := make([]int, len(p.devices))
+	counts[0] = total
+	return counts
+}
+
+// apportion splits total into per-device counts proportional to the
+// positive weights. The rounding remainder goes to the device with the
+// largest weight — never to one whose weight is zero or negative.
+// Returns nil when no weight is positive.
+func apportion(total int, weights []float64) []int {
 	sum := 0.0
-	for _, s := range p.split {
-		if s > 0 {
-			sum += s
+	for _, w := range weights {
+		if w > 0 {
+			sum += w
 		}
 	}
 	if sum == 0 {
-		counts[0] = total
-		return counts
+		return nil
 	}
+	counts := make([]int, len(weights))
 	assigned := 0
-	largest, largestShare := 0, 0.0
-	for i, s := range p.split {
-		if s < 0 {
-			s = 0
+	largest, largestWeight := 0, 0.0
+	for i, w := range weights {
+		if w <= 0 {
+			continue
 		}
-		if s > largestShare {
-			largest, largestShare = i, s
+		if w > largestWeight {
+			largest, largestWeight = i, w
 		}
-		counts[i] = int(float64(total) * s / sum)
+		counts[i] = int(float64(total) * w / sum)
 		assigned += counts[i]
 	}
-	// The rounding remainder goes to the device with the largest share —
-	// never to a device whose configured share is zero.
 	counts[largest] += total - assigned
 	return counts
 }
@@ -336,22 +318,11 @@ func (p *Pipeline) shares(total int) []int {
 // reads, so redistribution stays O(devices) per round.
 type pending struct{ start, end int }
 
-// spanReads counts the reads covered by spans.
-func spanReads(spans []pending) int {
-	n := 0
-	for _, sp := range spans {
-		n += sp.end - sp.start
-	}
-	return n
-}
-
 // unit is the engine's work quantum: a span of reads to map against one
-// shard's index (shard == -1 means the whole read-split index). In
-// read-split dispatch every unit has shard -1 and spans partition the
-// read set; in shard dispatch each shard broadcasts the full read range,
-// so the same read index appears in one unit per shard. Failover moves
-// units, which is what re-homes a lost device's reference slice onto
-// the survivors.
+// shard's index. With one shard the spans partition the read set; with
+// several each shard broadcasts the full read range, so the same read
+// index appears in one unit per shard. Failover moves units, which is
+// what re-homes a lost device's reference slice onto the survivors.
 type unit struct {
 	shard int
 	span  pending
@@ -403,24 +374,14 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 	if err := p.validateOverlap(reads, opt); err != nil {
 		return nil, err
 	}
-	// Chaos hook: REPUTE_CL_FAULTS arms its plan on every device that has
-	// no explicit one, turning any pipeline run into a fault-recovery run.
-	if plan := cl.EnvFaultPlan(); plan != nil {
-		for i, dev := range p.devices {
-			if plan.Device > 0 && plan.Device != i+1 {
-				continue // device=K targets only the Kth pipeline device
-			}
-			if !dev.FaultsInstalled() {
-				dev.InstallFaults(plan)
-			}
-		}
-	}
+	// Chaos hook: REPUTE_CL_FAULTS turns any pipeline run into a
+	// fault-recovery run.
+	cl.ArmEnvFaults(p.devices)
 	res := &mapper.Result{
 		Mappings:      make([][]mapper.Mapping, len(reads)),
 		DeviceSeconds: map[string]float64{},
 	}
 	ctx := cl.NewContext()
-	queues := make([]*cl.Queue, len(p.devices))
 	// traceBase is where this run starts on the pipeline's traced
 	// timeline: fresh queues count busy time from zero, so the origin
 	// shifts their spans past everything already recorded (a second Map
@@ -431,17 +392,7 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 		traceBase = p.traceSec
 		p.traceMu.Unlock()
 		ctx.SetTracer(p.tracer)
-	}
-	for i, dev := range p.devices {
-		queues[i] = cl.NewQueue(dev)
-		queues[i].SetExecMode(p.exec)
-		if p.tracer != nil {
-			queues[i].SetTracer(p.tracer)
-			queues[i].SetTraceOrigin(traceBase)
-		}
-	}
-	if t := p.tracer; t != nil {
-		id := t.Begin("host", "map", traceBase,
+		id := p.tracer.Begin("host", "map", traceBase,
 			trace.I64("reads", int64(len(reads))),
 			trace.I64("devices", int64(len(p.devices))),
 			trace.Str("mapper", p.name))
@@ -449,31 +400,30 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 			p.traceMu.Lock()
 			p.traceSec = traceBase + res.SimSeconds
 			p.traceMu.Unlock()
-			t.End(id, traceBase+res.SimSeconds,
+			p.tracer.End(id, traceBase+res.SimSeconds,
 				trace.F64("sim_seconds", res.SimSeconds),
 				trace.F64("energy_j", res.EnergyJ))
 		}()
 	}
-
-	// Output destinations: read-split units write straight into
-	// res.Mappings; shard units write per-shard partials that merge in
-	// global coordinates once every round has completed.
-	outFor := func(shard int) [][]mapper.Mapping { return res.Mappings }
-	var partials [][][]mapper.Mapping
-	if p.Sharded() {
-		partials = make([][][]mapper.Mapping, len(p.shards))
-		for s := range partials {
-			partials[s] = make([][]mapper.Mapping, len(reads))
-		}
-		outFor = func(shard int) [][]mapper.Mapping { return partials[shard] }
+	queues := make([]*cl.Queue, len(p.devices))
+	for i, dev := range p.devices {
+		queues[i] = cl.NewQueue(dev)
+		queues[i].SetExecMode(p.exec)
+		queues[i].SetTracer(p.tracer)
+		queues[i].SetTraceOrigin(traceBase)
 	}
 
-	// Initial assignment. Read-split: the configured split, as contiguous
-	// spans of the whole-index unit. Shard: every read goes to every
-	// shard, shards deal round-robin onto devices.
+	// Output destinations and initial assignment. One shard: units write
+	// straight into res.Mappings and the reads split by the configured
+	// shares. Several: every read goes to every shard, shards deal
+	// round-robin onto devices, and each writes a per-shard partial that
+	// merges in global coordinates once every round has completed.
+	outs := [][][]mapper.Mapping{res.Mappings}
 	assign := make([][]unit, len(p.devices))
 	if p.Sharded() {
+		outs = make([][][]mapper.Mapping, len(p.shards))
 		for s := range p.shards {
+			outs[s] = make([][]mapper.Mapping, len(reads))
 			di := s % len(p.devices)
 			assign[di] = append(assign[di], unit{shard: s, span: pending{0, len(reads)}})
 		}
@@ -481,7 +431,7 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 		offset := 0
 		for di, n := range p.shares(len(reads)) {
 			if n > 0 {
-				assign[di] = []unit{{shard: -1, span: pending{offset, offset + n}}}
+				assign[di] = []unit{{span: pending{offset, offset + n}}}
 				offset += n
 			}
 		}
@@ -489,12 +439,12 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 
 	// Health-aware eligibility: a device whose circuit breaker is open is
 	// quarantined — it starts ineligible and its initial assignment
-	// redistributes to the healthy devices before the first round, in
-	// both geometries. Passing over an open breaker ticks its cooldown
-	// (Skipped), so a long-quarantined device eventually goes half-open
-	// and the next Map call admits it for a canary. Half-open devices are
-	// eligible: their first batch is the canary, and a canary failure
-	// reopens the breaker and fails the device over mid-run.
+	// redistributes to the healthy devices before the first round.
+	// Passing over an open breaker ticks its cooldown (Skipped), so a
+	// long-quarantined device eventually goes half-open and the next Map
+	// call admits it for a canary. Half-open devices are eligible: their
+	// first batch is the canary, and a canary failure reopens the breaker
+	// and fails the device over mid-run.
 	eligible := make([]bool, len(p.devices))
 	var quarantined []unit
 	for i, dev := range p.devices {
@@ -504,16 +454,13 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 			continue
 		}
 		if st, changed := brk.Skipped(); changed && st == cl.BreakerHalfOpen {
-			if t := p.tracer; t != nil {
-				t.Instant(dev.Name, "breaker-half-open")
-			}
+			p.instant(dev.Name, "breaker-half-open", nil)
 			continue
 		}
 		eligible[i] = false
-		if t := p.tracer; t != nil {
-			t.Instant(dev.Name, "quarantine-skip",
-				trace.I64("unmapped_reads", int64(unitReads(assign[i]))))
-		}
+		p.instant(dev.Name, "quarantine-skip", func() []trace.Attr {
+			return []trace.Attr{trace.I64("unmapped_reads", int64(unitReads(assign[i])))}
+		})
 		quarantined = append(quarantined, assign[i]...)
 		assign[i] = nil
 	}
@@ -529,7 +476,7 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 	ran := make([]bool, len(p.devices))
 	var devErrs []error
 	for round := 1; ; round++ {
-		outs := make([]outcome, len(p.devices))
+		outcomes := make([]outcome, len(p.devices))
 		busyBefore := make([]float64, len(p.devices))
 		var wg sync.WaitGroup
 		for di := range p.devices {
@@ -541,7 +488,7 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 			wg.Add(1)
 			go func(di int) {
 				defer wg.Done()
-				outs[di] = p.mapOnDevice(ctx, queues[di], assign[di], reads, outFor, opt, p.deadlineFor(di))
+				outcomes[di] = p.mapOnDevice(ctx, queues[di], assign[di], reads, outs, opt, p.deadlineFor(di))
 			}(di)
 		}
 		wg.Wait()
@@ -558,11 +505,9 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 				roundMax = d
 			}
 		}
-		if t := p.tracer; t != nil {
-			t.Span("host", fmt.Sprintf("round %d", round),
-				traceBase+res.SimSeconds, roundMax,
-				trace.F64("makespan_sec", roundMax))
-		}
+		p.span("host", traceBase+res.SimSeconds, roundMax, func() (string, []trace.Attr) {
+			return fmt.Sprintf("round %d", round), []trace.Attr{trace.F64("makespan_sec", roundMax)}
+		})
 		res.SimSeconds += roundMax
 
 		// Collect outcomes in device order so stats and error lists are
@@ -572,7 +517,7 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 			if len(assign[di]) == 0 {
 				continue
 			}
-			o := &outs[di]
+			o := &outcomes[di]
 			res.Faults.Add(o.stats)
 			assign[di] = nil
 			switch {
@@ -581,35 +526,33 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 				res.Faults.FailedDevices = append(res.Faults.FailedDevices, dev.Name)
 				devErrs = append(devErrs, fmt.Errorf("device %s: %w", dev.Name, o.err))
 				failUnits = append(failUnits, o.unmapped...)
-				if t := p.tracer; t != nil {
-					t.Instant(dev.Name, "device-failed",
-						trace.Str("error", o.err.Error()),
-						trace.I64("unmapped_reads", int64(unitReads(o.unmapped))))
-				}
+				p.instant(dev.Name, "device-failed", func() []trace.Attr {
+					return []trace.Attr{trace.Str("error", o.err.Error()),
+						trace.I64("unmapped_reads", int64(unitReads(o.unmapped)))}
+				})
 			case o.deadline:
 				eligible[di] = false
 				devErrs = append(devErrs, fmt.Errorf(
 					"device %s: simulated deadline %gs exceeded", dev.Name, p.deadlineFor(di)))
 				lateUnits = append(lateUnits, o.unmapped...)
-				if t := p.tracer; t != nil {
-					t.Instant(dev.Name, "deadline-exceeded",
-						trace.F64("deadline_sec", p.deadlineFor(di)),
-						trace.I64("unmapped_reads", int64(unitReads(o.unmapped))))
-				}
+				p.instant(dev.Name, "deadline-exceeded", func() []trace.Attr {
+					return []trace.Attr{trace.F64("deadline_sec", p.deadlineFor(di)),
+						trace.I64("unmapped_reads", int64(unitReads(o.unmapped)))}
+				})
 			}
 		}
-		if t := p.tracer; t != nil {
-			if n := unitReads(failUnits); n > 0 {
-				t.Instant("host", "failover", trace.I64("reads", int64(n)),
-					trace.I64("round", int64(round)))
-			}
-			if n := unitReads(lateUnits); n > 0 {
-				t.Instant("host", "deadline-migrate", trace.I64("reads", int64(n)),
-					trace.I64("round", int64(round)))
-			}
+		if n := unitReads(failUnits); n > 0 {
+			res.Faults.FailoverReads += n
+			p.instant("host", "failover", func() []trace.Attr {
+				return []trace.Attr{trace.I64("reads", int64(n)), trace.I64("round", int64(round))}
+			})
 		}
-		res.Faults.FailoverReads += unitReads(failUnits)
-		res.Faults.DeadlineReads += unitReads(lateUnits)
+		if n := unitReads(lateUnits); n > 0 {
+			res.Faults.DeadlineReads += n
+			p.instant("host", "deadline-migrate", func() []trace.Attr {
+				return []trace.Attr{trace.I64("reads", int64(n)), trace.I64("round", int64(round))}
+			})
+		}
 		redo := append(failUnits, lateUnits...)
 		if len(redo) == 0 {
 			break
@@ -632,21 +575,45 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 		res.Cost.Add(cost)
 	}
 
-	// Shard dispatch: merge the per-shard partials per read. Shards
+	// Several shards: merge the per-shard partials per read. Shards
 	// already globalized positions and filtered to their ownership
 	// ranges, so the merge is a deterministic re-finalize over disjoint
 	// position sets — independent of device count, scheduling and
 	// failover history.
 	if p.Sharded() {
-		parts := make([][]mapper.Mapping, len(partials))
+		parts := make([][]mapper.Mapping, len(outs))
 		for r := range reads {
-			for s := range partials {
-				parts[s] = partials[s][r]
+			for s := range outs {
+				parts[s] = outs[s][r]
 			}
 			res.Mappings[r] = mapper.MergeShards(parts, opt.Best, opt.MaxLocations)
 		}
 	}
 	return res, nil
+}
+
+// instant emits a trace instant when tracing is on. attrs is a thunk
+// (nil for none) so that a run without a tracer builds no Attr and
+// renders no error string.
+func (p *Pipeline) instant(lane, name string, attrs func() []trace.Attr) {
+	if p.tracer == nil {
+		return
+	}
+	var as []trace.Attr
+	if attrs != nil {
+		as = attrs()
+	}
+	p.tracer.Instant(lane, name, as...)
+}
+
+// span is instant's counterpart for a completed span; the thunk also
+// supplies the name, which callers format.
+func (p *Pipeline) span(lane string, start, dur float64, ev func() (string, []trace.Attr)) {
+	if p.tracer == nil {
+		return
+	}
+	name, attrs := ev()
+	p.tracer.Span(lane, name, start, dur, attrs...)
 }
 
 // validateOverlap rejects shard-dispatch runs whose reads are too long
@@ -656,7 +623,7 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 // margin must be at least L+2δ. Failing loudly here is what makes the
 // shard-vs-whole equivalence guarantee honest.
 func (p *Pipeline) validateOverlap(reads [][]byte, opt mapper.Options) error {
-	if !p.Sharded() || len(p.shards) < 2 {
+	if !p.Sharded() {
 		return nil
 	}
 	maxLen := 0
@@ -693,7 +660,7 @@ func (p *Pipeline) redistribute(redo []unit, eligible []bool) [][]unit {
 		for _, u := range redo[lo:hi] {
 			spans = append(spans, u.span)
 		}
-		counts := p.sharesAmong(spanReads(spans), eligible)
+		counts := p.sharesAmong(unitReads(redo[lo:hi]), eligible)
 		if counts == nil {
 			return nil
 		}
@@ -721,43 +688,20 @@ func (p *Pipeline) deadlineFor(di int) float64 {
 // reads spread evenly. Returns nil when no device is eligible.
 func (p *Pipeline) sharesAmong(total int, eligible []bool) []int {
 	weights := make([]float64, len(p.devices))
-	sum, any := 0.0, false
+	even := make([]float64, len(p.devices))
 	for i, ok := range eligible {
 		if !ok {
 			continue
 		}
-		any = true
-		if p.split != nil && p.split[i] > 0 {
+		even[i] = 1
+		if p.split != nil {
 			weights[i] = p.split[i]
-			sum += weights[i]
 		}
 	}
-	if !any {
-		return nil
+	if counts := apportion(total, weights); counts != nil {
+		return counts
 	}
-	if sum == 0 {
-		for i, ok := range eligible {
-			if ok {
-				weights[i] = 1
-				sum++
-			}
-		}
-	}
-	counts := make([]int, len(p.devices))
-	assigned := 0
-	largest, largestShare := 0, 0.0
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if w > largestShare {
-			largest, largestShare = i, w
-		}
-		counts[i] = int(float64(total) * w / sum)
-		assigned += counts[i]
-	}
-	counts[largest] += total - assigned
-	return counts
+	return apportion(total, even)
 }
 
 // partitionSpans deals the sorted spans out by per-device read counts,
@@ -790,26 +734,6 @@ func partitionSpans(spans []pending, counts []int) [][]pending {
 	return out
 }
 
-// shardRef resolves a unit's shard id to the index it searches and the
-// coordinate transform its kernel applies: read-split units (-1) search
-// the whole index with no transform; shard units search the slice index,
-// shift positions by the slice origin, and keep only owned positions.
-type shardRef struct {
-	ix               *fmindex.Index
-	sliceStart       int64
-	ownStart, ownEnd int64
-	filter           bool
-}
-
-func (p *Pipeline) shardRef(shard int) shardRef {
-	if shard < 0 {
-		return shardRef{ix: p.ix}
-	}
-	s := p.shards[shard]
-	return shardRef{ix: s.Index, sliceStart: s.SliceStart,
-		ownStart: s.OwnStart, ownEnd: s.OwnEnd, filter: true}
-}
-
 // mapOnDevice runs one device's assigned units on its queue, batching
 // reads so the static buffers respect CL_DEVICE_MAX_MEM_ALLOC_SIZE. The
 // device holds one shard's index buffer at a time — freed when the next
@@ -819,34 +743,41 @@ func (p *Pipeline) shardRef(shard int) shardRef {
 // same device with doubling simulated backoff, allocation failures halve
 // the batch, and anything permanent stops the device and reports the
 // unfinished units for failover.
-func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, reads [][]byte, outFor func(int) [][]mapper.Mapping, opt mapper.Options, deadlineSec float64) (o outcome) {
+func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, reads [][]byte, outs [][][]mapper.Mapping, opt mapper.Options, deadlineSec float64) (o outcome) {
 	dev := queue.Device()
-	var ixBuf *cl.Buffer
-	curShard := -2 // no buffer resident yet
+	var ixBuf *cl.Buffer // the resident shard's index, nil before the first unit
+	resident := 0
 	defer func() {
 		if ixBuf != nil {
 			ixBuf.Free()
 		}
 	}()
+	retry := retrier{p: p, queue: queue, opt: opt, stats: &o.stats}
 
 	for ui, u := range units {
-		ref := p.shardRef(u.shard)
-		if u.shard != curShard {
+		sh := &p.shards[u.shard]
+		if ixBuf == nil || u.shard != resident {
 			if ixBuf != nil {
 				ixBuf.Free()
 				ixBuf = nil
 			}
-			buf, err := p.allocWithRetry(ctx, queue, ref.ix.SizeBytes(), opt, &o)
+			// Injected transient allocation failures retry like kernel
+			// launches; a buffer that genuinely does not fit repeats
+			// identically and fails the device at once.
+			retry.reset()
+			buf, err := ctx.AllocBuffer(dev, sh.Index.SizeBytes())
+			for err != nil && retry.transient(err) {
+				buf, err = ctx.AllocBuffer(dev, sh.Index.SizeBytes())
+			}
 			if err != nil {
 				o.failed = true
 				o.err = fmt.Errorf("index does not fit: %w", err)
 				o.unmapped = append([]unit{}, units[ui:]...)
 				return o
 			}
-			ixBuf = buf
-			curShard = u.shard
+			ixBuf, resident = buf, u.shard
 		}
-		out := outFor(u.shard)
+		out := outs[u.shard]
 		sp := u.span
 		readLen := len(reads[sp.start])
 		outPerRead := int64(opt.MaxLocations) * locationBytes
@@ -865,8 +796,7 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 			return o
 		}
 		start := sp.start
-		attempts := 0
-		backoff := opt.RetryBackoffSimSec
+		retry.reset()
 		for start < sp.end {
 			if deadlineSec > 0 {
 				if busy, _ := queue.Finish(); busy >= deadlineSec {
@@ -879,11 +809,10 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 			if end > sp.end {
 				end = sp.end
 			}
-			err := p.runBatch(ctx, queue, ref, reads[start:end], out[start:end], opt)
+			err := p.runBatch(ctx, queue, sh, reads[start:end], out[start:end], opt)
 			if err == nil {
 				start = end
-				attempts = 0
-				backoff = opt.RetryBackoffSimSec
+				retry.reset()
 				continue
 			}
 			if cl.IsWatchdogTimeout(err) {
@@ -895,23 +824,10 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 				// around degraded rather than give the device up.
 				batch = (end - start + 1) / 2
 				o.stats.DegradedBatches++
-				if t := p.tracer; t != nil {
-					t.Instant(dev.Name, "batch-halved",
-						trace.I64("batch", int64(batch)), trace.Str("error", err.Error()))
-				}
-			// In-place retries are pointless once the device's breaker has
-			// opened (a failed half-open canary, or the failure score
-			// crossing the threshold): the work fails over instead.
-			case cl.IsTransient(err) && attempts < opt.Retries && dev.BreakerState() != cl.BreakerOpen:
-				attempts++
-				queue.ChargePenalty(backoff)
-				o.stats.Retries++
-				o.stats.BackoffSimSec += backoff
-				backoff *= 2
-				if t := p.tracer; t != nil {
-					t.Instant(dev.Name, "retry",
-						trace.I64("attempt", int64(attempts)), trace.Str("error", err.Error()))
-				}
+				p.instant(dev.Name, "batch-halved", func() []trace.Attr {
+					return []trace.Attr{trace.I64("batch", int64(batch)), trace.Str("error", err.Error())}
+				})
+			case retry.transient(err):
 			default:
 				o.failed = true
 				o.err = err
@@ -923,58 +839,40 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 	return o
 }
 
-// allocWithRetry allocates size bytes on the queue's device, retrying
-// injected transient failures with the same bounded, charged backoff as
-// kernel launches. Structural failures — the buffer genuinely does not
-// fit — repeat identically and are returned at once.
-func (p *Pipeline) allocWithRetry(ctx *cl.Context, queue *cl.Queue, size int64, opt mapper.Options, o *outcome) (*cl.Buffer, error) {
-	backoff := opt.RetryBackoffSimSec
-	for attempts := 0; ; attempts++ {
-		buf, err := ctx.AllocBuffer(queue.Device(), size)
-		if err == nil {
-			return buf, nil
-		}
-		if !cl.IsTransient(err) || attempts >= opt.Retries ||
-			queue.Device().BreakerState() == cl.BreakerOpen {
-			return nil, err
-		}
-		queue.ChargePenalty(backoff)
-		o.stats.Retries++
-		o.stats.BackoffSimSec += backoff
-		backoff *= 2
-		if t := p.tracer; t != nil {
-			t.Instant(queue.Device().Name, "retry",
-				trace.I64("attempt", int64(attempts+1)), trace.Str("error", err.Error()))
-		}
-	}
+// retrier is the bookkeeping of the in-place recovery tier for one
+// operation at a time: a bounded number of attempts with doubling
+// simulated backoff, charged to the device's busy time and tallied in
+// the device's fault stats.
+type retrier struct {
+	p        *Pipeline
+	queue    *cl.Queue
+	opt      mapper.Options
+	stats    *mapper.FaultStats
+	attempts int
+	backoff  float64
 }
 
-// runBatch allocates the batch buffers and enqueues the mapping kernel.
-func (p *Pipeline) runBatch(ctx *cl.Context, queue *cl.Queue, ref shardRef, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) error {
-	dev := queue.Device()
-	readLen := len(reads[0])
-	inBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64((readLen+3)/4))
-	if err != nil {
-		return fmt.Errorf("read buffer: %w", err)
-	}
-	defer inBuf.Free()
-	outBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64(opt.MaxLocations)*locationBytes)
-	if err != nil {
-		return fmt.Errorf("output buffer: %w", err)
-	}
-	defer outBuf.Free()
+// reset starts a fresh operation (or acknowledges a success).
+func (r *retrier) reset() { r.attempts, r.backoff = 0, r.opt.RetryBackoffSimSec }
 
-	if opt.Prefilter == mapper.PrefilterGateKeeper {
-		return p.runBatchPrefilter(ctx, queue, ref, reads, out, opt, inBuf.Size(), outBuf.Size())
+// transient reports whether err is worth another attempt on this device,
+// charging the backoff when it is. In-place retries are pointless once
+// the device's breaker has opened (a failed half-open canary, or the
+// failure score crossing the threshold): the work fails over instead.
+func (r *retrier) transient(err error) bool {
+	dev := r.queue.Device()
+	if !cl.IsTransient(err) || r.attempts >= r.opt.Retries || dev.BreakerState() == cl.BreakerOpen {
+		return false
 	}
-	kern := p.kernel(ref, reads, out, opt, inBuf.Size()+outBuf.Size())
-	if p.itemHist != nil {
-		kern = instrumentKernel(kern, p.itemHist)
-	}
-	if _, err := queue.EnqueueNDRange(kern, len(reads)); err != nil {
-		return err
-	}
-	return nil
+	r.attempts++
+	r.queue.ChargePenalty(r.backoff)
+	r.stats.Retries++
+	r.stats.BackoffSimSec += r.backoff
+	r.backoff *= 2
+	r.p.instant(dev.Name, "retry", func() []trace.Attr {
+		return []trace.Attr{trace.I64("attempt", int64(r.attempts)), trace.Str("error", err.Error())}
+	})
+	return true
 }
 
 // candidateBytes is the device-side size of one candidate slot in the
@@ -982,42 +880,44 @@ func (p *Pipeline) runBatch(ctx *cl.Context, queue *cl.Queue, ref shardRef, read
 // (pos int32 + strand, padded).
 const candidateBytes = 8
 
-// runBatchPrefilter is runBatch's two-kernel variant for the optional
-// pre-alignment filter stage: a seed+filter kernel writes the
-// candidates that survive the shifted-Hamming test into fixed per-read
-// slots of a device-resident intermediate buffer, then a verification
-// kernel scans only the survivors. The intermediate buffer counts
-// against the device allocation limit like every other static buffer
-// (an oversized batch fails allocation and is halved by mapOnDevice),
-// but charges no host-transfer bytes — it never crosses the bus. A
-// faulted verification launch retries the whole batch; the prefilter
-// kernel is deterministic and idempotent over its slots, so the retry
-// recomputes identical survivors.
-func (p *Pipeline) runBatchPrefilter(ctx *cl.Context, queue *cl.Queue, ref shardRef, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options, inBytes, outBytes int64) error {
+// runBatch allocates the batch's static buffers and enqueues its kernels
+// in order: the fused seed+verify kernel, or — with the pre-alignment
+// filter on — a seed+filter kernel that writes the surviving candidates
+// into fixed per-read slots of a device-resident intermediate buffer,
+// then a verification kernel that scans only the survivors. The
+// intermediate buffer counts against the device allocation limit like
+// every other static buffer (an oversized batch fails allocation and is
+// halved by mapOnDevice) but never crosses the bus, so it charges no
+// host-transfer bytes. A faulted verification launch retries the whole
+// batch; the filter kernel is deterministic and idempotent over its
+// slots, so the retry recomputes identical survivors.
+func (p *Pipeline) runBatch(ctx *cl.Context, queue *cl.Queue, sh *Shard, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) error {
 	dev := queue.Device()
-	// Dedup can only shrink the candidate set, so 2 strands × maxCand
-	// located candidates bound the survivors per read.
-	slotCap := 4 * opt.MaxLocations
-	candBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64(slotCap)*candidateBytes)
+	b := newBatch(p, sh, reads, out, opt)
+	inBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*b.inBytes)
 	if err != nil {
-		return fmt.Errorf("candidate buffer: %w", err)
+		return fmt.Errorf("read buffer: %w", err)
 	}
-	defer candBuf.Free()
-	backing := make([]mapper.Candidate, len(reads)*slotCap)
-	candOut := make([][]mapper.Candidate, len(reads))
-	for i := range candOut {
-		candOut[i] = backing[i*slotCap : i*slotCap : (i+1)*slotCap]
+	defer inBuf.Free()
+	outBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*b.outBytes)
+	if err != nil {
+		return fmt.Errorf("output buffer: %w", err)
 	}
-	pre, ver := p.prefilterKernels(ref, reads, candOut, out, opt, inBytes, outBytes)
-	if p.itemHist != nil {
-		pre = instrumentKernel(pre, p.itemHist)
-		ver = instrumentKernel(ver, p.itemHist)
+	defer outBuf.Free()
+	if opt.Prefilter == mapper.PrefilterGateKeeper {
+		candBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64(b.slotCap())*candidateBytes)
+		if err != nil {
+			return fmt.Errorf("candidate buffer: %w", err)
+		}
+		defer candBuf.Free()
 	}
-	if _, err := queue.EnqueueNDRange(pre, len(reads)); err != nil {
-		return err
-	}
-	if _, err := queue.EnqueueNDRange(ver, len(reads)); err != nil {
-		return err
+	for _, kern := range b.kernels() {
+		if p.itemHist != nil {
+			kern = instrumentKernel(kern, p.itemHist)
+		}
+		if _, err := queue.EnqueueNDRange(kern, len(reads)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -1053,15 +953,105 @@ type kernelState struct {
 	fs    filter.State // prefilter shifted-Hamming scratch
 }
 
-// gather runs seed selection and candidate location for both strands of
-// read, appending candidates into st.cands (which the caller resets)
-// and charging the selection and locate work to itemCost. On return
-// st.rev holds the read's reverse complement. This is the shared first
-// half of the combined kernel and the standalone prefilter kernel; it
-// allocates only into kernel-state scratch, per the clvet contract its
-// callers are held to.
-func (st *kernelState) gather(selector seed.Selector, ref shardRef, read []byte,
-	params seed.Params, maxCand int, locSteps float64, itemCost *cl.Cost) {
+// batch is the kernel builder for one batch of reads against one shard.
+// It fixes the per-batch constants once and exposes a work item's life
+// as stages — seed (select, locate, dedup) → [filter] → verify (Myers,
+// owner-filter, finalize) — that kernels() cuts into launches: one fused
+// kernel, or a seed+filter | verify pair when the pre-alignment filter is
+// on. The filter accepts a superset of the verifiable windows, so the
+// mappings are byte-identical wherever the launch boundary falls; the
+// equivalence and oracle tests pin exactly that. Stages allocate only
+// into kernel-state scratch, per the clvet contract the bodies are held
+// to.
+type batch struct {
+	p        *Pipeline
+	sh       *Shard
+	text     dna.PackedSeq
+	reads    [][]byte
+	out      [][]mapper.Mapping
+	opt      mapper.Options
+	params   seed.Params
+	maxCand  int     // located candidates per strand (first-n policy: the verification slots are static)
+	locSteps float64 // FM steps per located position
+	// Per-read sizes of the static read and output buffers, which are also
+	// the host-transfer bytes per work item: reads travel in with the
+	// first launch, mapping slots travel back with the last.
+	inBytes, outBytes int64
+}
+
+func newBatch(p *Pipeline, sh *Shard, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) *batch {
+	params := seed.Params{
+		Errors:      opt.MaxErrors,
+		MinSeedLen:  opt.MinSeedLen,
+		MaxSeedFreq: opt.MaxSeedFreq,
+	}
+	if params.MinSeedLen <= 0 {
+		params.MinSeedLen = DefaultMinSeedLen(len(reads[0]), opt.MaxErrors)
+	}
+	return &batch{p: p, sh: sh, text: sh.Index.Text(), reads: reads, out: out, opt: opt,
+		params: params, maxCand: 2 * opt.MaxLocations, locSteps: sh.Index.LocateSteps(),
+		inBytes:  int64((len(reads[0]) + 3) / 4),
+		outBytes: int64(opt.MaxLocations) * locationBytes,
+	}
+}
+
+// slotCap is the per-read capacity of the filter's candidate slots:
+// dedup can only shrink the candidate set, so 2 strands × maxCand located
+// candidates bound the survivors.
+func (b *batch) slotCap() int { return 2 * b.maxCand }
+
+// kernels returns the batch's launches in enqueue order.
+func (b *batch) kernels() []*cl.Kernel {
+	readLen := len(b.reads[0])
+	seedKernel := func(name string, body func(*cl.WorkItem, any)) *cl.Kernel {
+		return &cl.Kernel{
+			Name:                b.p.name + name,
+			PrivateBytesPerItem: int64(seed.DPPeakMem(readLen, b.opt.MaxErrors, b.params.MinSeedLen, b.p.selector)),
+			NewState:            func() any { return &kernelState{rev: make([]byte, readLen)} },
+			Body:                body,
+		}
+	}
+	if b.opt.Prefilter != mapper.PrefilterGateKeeper {
+		return []*cl.Kernel{seedKernel("-map", func(wi *cl.WorkItem, state any) {
+			st := state.(*kernelState)
+			read := b.reads[wi.Global]
+			cost := cl.Cost{Items: 1, Bytes: b.inBytes + b.outBytes}
+			b.out[wi.Global] = b.verify(st, read, b.seed(st, read, &cost), &cost)
+			wi.Charge(cost)
+		})}
+	}
+	slotCap := b.slotCap()
+	backing := make([]mapper.Candidate, len(b.reads)*slotCap)
+	survivors := make([][]mapper.Candidate, len(b.reads))
+	return []*cl.Kernel{
+		seedKernel("-prefilter", func(wi *cl.WorkItem, state any) {
+			st := state.(*kernelState)
+			read := b.reads[wi.Global]
+			cost := cl.Cost{Items: 1, Bytes: b.inBytes}
+			slot := backing[wi.Global*slotCap : (wi.Global+1)*slotCap]
+			survivors[wi.Global] = b.filter(st, read, b.seed(st, read, &cost), slot, &cost)
+			wi.Charge(cost)
+		}),
+		{
+			Name:                b.p.name + "-verify",
+			PrivateBytesPerItem: int64(8 * readLen),
+			NewState:            func() any { return &kernelState{} },
+			Body: func(wi *cl.WorkItem, state any) {
+				st := state.(*kernelState)
+				cost := cl.Cost{Items: 1, Bytes: b.outBytes}
+				b.out[wi.Global] = b.verify(st, b.reads[wi.Global], survivors[wi.Global], &cost)
+				wi.Charge(cost)
+			},
+		},
+	}
+}
+
+// seed runs seed selection and candidate location for both strands of
+// read and dedups the result, charging the selection and locate work. On
+// return st.rev holds the read's reverse complement.
+func (b *batch) seed(st *kernelState, read []byte, cost *cl.Cost) []mapper.Candidate {
+	ix := b.sh.Index
+	st.cands = st.cands[:0]
 	for _, strand := range []byte{mapper.Forward, mapper.Reverse} {
 		pattern := read
 		if strand == mapper.Reverse {
@@ -1072,15 +1062,15 @@ func (st *kernelState) gather(selector seed.Selector, ref shardRef, read []byte,
 			dna.ReverseComplementInto(st.rev, read)
 			pattern = st.rev
 		}
-		sel, err := selector.Select(ref.ix, pattern, params)
+		sel, err := b.p.selector.Select(ix, pattern, b.params)
 		if err != nil {
 			// Static kernels cannot recover; surface as a launch
 			// failure like a real kernel fault would.
 			panic(err)
 		}
-		itemCost.FMSteps += int64(sel.FMSteps)
-		itemCost.DPCells += int64(sel.DPCells)
-		remaining := maxCand
+		cost.FMSteps += int64(sel.FMSteps)
+		cost.DPCells += int64(sel.DPCells)
+		remaining := b.maxCand
 		for _, s := range sel.Seeds {
 			if remaining <= 0 {
 				break
@@ -1092,8 +1082,8 @@ func (st *kernelState) gather(selector seed.Selector, ref shardRef, read []byte,
 			if c > remaining {
 				c = remaining
 			}
-			st.locs = ref.ix.Locate(s.Lo, s.Lo+c, 0, st.locs[:0])
-			itemCost.LocateSteps += int64(float64(c) * (1 + locSteps))
+			st.locs = ix.Locate(s.Lo, s.Lo+c, 0, st.locs[:0])
+			cost.LocateSteps += int64(float64(c) * (1 + b.locSteps))
 			for _, pos := range st.locs {
 				st.cands = append(st.cands, mapper.Candidate{
 					Pos:    pos - int32(s.Start),
@@ -1103,200 +1093,85 @@ func (st *kernelState) gather(selector seed.Selector, ref shardRef, read []byte,
 			remaining -= c
 		}
 	}
+	dd := mapper.DedupCandidates(st.cands, int32(b.opt.MaxErrors))
+	cost.Candidates = int64(len(dd))
+	return dd
 }
 
-// kernel builds the combined filtration+verification kernel over a batch
-// against one shard's (or the whole) index. Each work item maps one read
-// on both strands. Shard kernels verify in slice-local coordinates, then
-// shift positions by the slice origin and drop mappings outside the
-// shard's ownership range in place — the merge step only ever sees
+// filter runs the GateKeeper-style shifted-Hamming test
+// (internal/filter) over each candidate's verification window and
+// compacts the survivors into the read's fixed slot.
+func (b *batch) filter(st *kernelState, read []byte, cands, slot []mapper.Candidate, cost *cl.Cost) []mapper.Candidate {
+	n, maxErr := len(read), b.opt.MaxErrors
+	kept := 0
+	prepared := byte(0xFF) // no pattern prepared yet
+	for _, c := range cands {
+		// The window is exactly the one verification would scan;
+		// windows too short to hold any match are dropped here the
+		// way Verify itself would skip them.
+		lo := int(c.Pos) - maxErr
+		hi := int(c.Pos) + n + maxErr
+		if lo < 0 {
+			lo = 0
+		}
+		if hi > b.text.Len() {
+			hi = b.text.Len()
+		}
+		if hi-lo < n-maxErr {
+			cost.Filtered++
+			continue
+		}
+		if c.Strand != prepared {
+			// Candidates arrive sorted by strand, so each strand's
+			// pattern bitvectors build at most once per read.
+			pattern := read
+			if c.Strand == mapper.Reverse {
+				pattern = st.rev
+			}
+			cost.FilterWords += st.fs.Prepare(pattern, maxErr)
+			prepared = c.Strand
+		}
+		if cap(st.win) < hi-lo {
+			st.win = make([]byte, hi-lo)
+		}
+		ok, fw := st.fs.Accept(b.text.SliceInto(st.win, lo, hi))
+		cost.FilterWords += fw
+		if !ok {
+			cost.Filtered++
+			continue
+		}
+		slot[kept] = c
+		kept++
+	}
+	return slot[:kept]
+}
+
+// verify Myers-scans the candidates in slice-local coordinates, shifts
+// the matches by the slice origin, drops those outside the shard's
+// ownership range, and finalizes — so a merge only ever sees
 // globally-coordinated, owner-filtered mappings.
-func (p *Pipeline) kernel(ref shardRef, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options, transferBytes int64) *cl.Kernel {
-	maxErr := opt.MaxErrors
-	params := seed.Params{
-		Errors:      maxErr,
-		MinSeedLen:  opt.MinSeedLen,
-		MaxSeedFreq: opt.MaxSeedFreq,
+func (b *batch) verify(st *kernelState, read []byte, cands []mapper.Candidate, cost *cl.Cost) []mapper.Mapping {
+	ms, vc := st.vs.Verify(b.text, read, cands, b.opt.MaxErrors, b.opt.MaxLocations)
+	// Globalize and owner-filter in place: positions shift by a constant
+	// so the sorted order Verify established survives, and compaction
+	// writes only into slots already held.
+	w := 0
+	for _, m := range ms {
+		g := int64(m.Pos) + b.sh.SliceStart
+		if g < b.sh.OwnStart || g >= b.sh.OwnEnd {
+			continue
+		}
+		m.Pos = int32(g)
+		ms[w] = m
+		w++
 	}
-	if params.MinSeedLen <= 0 {
-		params.MinSeedLen = DefaultMinSeedLen(len(reads[0]), maxErr)
+	ms = ms[:w]
+	cost.VerifyWords += vc.VerifyWords
+	cost.Verified = int64(len(ms))
+	if b.opt.Prefilter == mapper.PrefilterGateKeeper {
+		// Every slot candidate passed the filter and owns a full window,
+		// so the ones Myers rejects are the filter's false accepts.
+		cost.FalseAccepts = int64(len(cands)) - vc.Matched
 	}
-	// Cap on located candidates per strand: the verification slots are
-	// static, so a read cannot fan out indefinitely (first-n policy).
-	maxCand := 2 * opt.MaxLocations
-	locSteps := ref.ix.LocateSteps()
-	perItemBytes := transferBytes / int64(len(reads))
-
-	return &cl.Kernel{
-		Name:                p.name + "-map",
-		PrivateBytesPerItem: int64(seed.DPPeakMem(len(reads[0]), maxErr, params.MinSeedLen, p.selector)),
-		NewState: func() any {
-			return &kernelState{rev: make([]byte, len(reads[0]))}
-		},
-		Body: func(wi *cl.WorkItem, state any) {
-			st := state.(*kernelState)
-			read := reads[wi.Global]
-			st.cands = st.cands[:0]
-			var itemCost cl.Cost
-			st.gather(p.selector, ref, read, params, maxCand, locSteps, &itemCost)
-			dd := mapper.DedupCandidates(st.cands, int32(maxErr))
-			ms, vc := st.vs.Verify(ref.ix.Text(), read, dd, maxErr, opt.MaxLocations)
-			if ref.filter {
-				// Globalize and owner-filter in place: positions shift by a
-				// constant so the sorted order Verify established survives,
-				// and compaction writes only into slots already held.
-				w := 0
-				for _, m := range ms {
-					g := int64(m.Pos) + ref.sliceStart
-					if g < ref.ownStart || g >= ref.ownEnd {
-						continue
-					}
-					m.Pos = int32(g)
-					ms[w] = m
-					w++
-				}
-				ms = ms[:w]
-			}
-			itemCost.VerifyWords += vc.VerifyWords
-			itemCost.Items = 1
-			itemCost.Bytes = perItemBytes
-			itemCost.Candidates = int64(len(dd))
-			itemCost.Verified = int64(len(ms))
-			wi.Charge(itemCost)
-			out[wi.Global] = mapper.Finalize(ms, opt.Best, opt.MaxLocations)
-		},
-	}
-}
-
-// prefilterKernels builds the two-kernel pre-alignment pipeline over a
-// batch: the prefilter kernel repeats the combined kernel's seed
-// selection, location and dedup, then runs the GateKeeper-style
-// shifted-Hamming filter (internal/filter) over each candidate's
-// verification window and writes the survivors into the read's fixed
-// candidate slot; the verification kernel Myers-scans only the
-// survivors. The filter accepts a superset of the verifiable windows,
-// so the final mappings are byte-identical to the single-kernel path —
-// the equivalence and oracle tests pin exactly that. Host-transfer
-// bytes split across the pair: reads travel with the prefilter launch,
-// mapping slots travel back with verification.
-func (p *Pipeline) prefilterKernels(ref shardRef, reads [][]byte, candOut [][]mapper.Candidate, out [][]mapper.Mapping, opt mapper.Options, inBytes, outBytes int64) (pre, ver *cl.Kernel) {
-	maxErr := opt.MaxErrors
-	params := seed.Params{
-		Errors:      maxErr,
-		MinSeedLen:  opt.MinSeedLen,
-		MaxSeedFreq: opt.MaxSeedFreq,
-	}
-	if params.MinSeedLen <= 0 {
-		params.MinSeedLen = DefaultMinSeedLen(len(reads[0]), maxErr)
-	}
-	maxCand := 2 * opt.MaxLocations
-	locSteps := ref.ix.LocateSteps()
-	inPerItem := inBytes / int64(len(reads))
-	outPerItem := outBytes / int64(len(reads))
-	text := ref.ix.Text()
-
-	pre = &cl.Kernel{
-		Name:                p.name + "-prefilter",
-		PrivateBytesPerItem: int64(seed.DPPeakMem(len(reads[0]), maxErr, params.MinSeedLen, p.selector)),
-		NewState: func() any {
-			return &kernelState{rev: make([]byte, len(reads[0]))}
-		},
-		Body: func(wi *cl.WorkItem, state any) {
-			st := state.(*kernelState)
-			read := reads[wi.Global]
-			st.cands = st.cands[:0]
-			var itemCost cl.Cost
-			st.gather(p.selector, ref, read, params, maxCand, locSteps, &itemCost)
-			dd := mapper.DedupCandidates(st.cands, int32(maxErr))
-			n := len(read)
-			slot := candOut[wi.Global][:cap(candOut[wi.Global])]
-			kept := 0
-			prepared := byte(0xFF) // no pattern prepared yet
-			for _, c := range dd {
-				// The window is exactly the one verification would scan;
-				// windows too short to hold any match are dropped here the
-				// way Verify itself would skip them.
-				lo := int(c.Pos) - maxErr
-				hi := int(c.Pos) + n + maxErr
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > text.Len() {
-					hi = text.Len()
-				}
-				if hi-lo < n-maxErr {
-					itemCost.Filtered++
-					continue
-				}
-				if c.Strand != prepared {
-					// Candidates arrive sorted by strand, so each strand's
-					// pattern bitvectors build at most once per read.
-					pattern := read
-					if c.Strand == mapper.Reverse {
-						pattern = st.rev
-					}
-					itemCost.FilterWords += st.fs.Prepare(pattern, maxErr)
-					prepared = c.Strand
-				}
-				if cap(st.win) < hi-lo {
-					st.win = make([]byte, hi-lo)
-				}
-				win := text.SliceInto(st.win, lo, hi)
-				ok, fw := st.fs.Accept(win)
-				itemCost.FilterWords += fw
-				if !ok {
-					itemCost.Filtered++
-					continue
-				}
-				slot[kept] = c
-				kept++
-			}
-			candOut[wi.Global] = slot[:kept]
-			itemCost.Items = 1
-			itemCost.Bytes = inPerItem
-			itemCost.Candidates = int64(len(dd))
-			wi.Charge(itemCost)
-		},
-	}
-
-	ver = &cl.Kernel{
-		Name:                p.name + "-verify",
-		PrivateBytesPerItem: int64(8 * len(reads[0])),
-		NewState: func() any {
-			return &kernelState{}
-		},
-		Body: func(wi *cl.WorkItem, state any) {
-			st := state.(*kernelState)
-			read := reads[wi.Global]
-			cands := candOut[wi.Global]
-			var itemCost cl.Cost
-			ms, vc := st.vs.Verify(text, read, cands, maxErr, opt.MaxLocations)
-			if ref.filter {
-				// Globalize and owner-filter in place, as in the combined
-				// kernel: a constant shift preserves Verify's sort order.
-				w := 0
-				for _, m := range ms {
-					g := int64(m.Pos) + ref.sliceStart
-					if g < ref.ownStart || g >= ref.ownEnd {
-						continue
-					}
-					m.Pos = int32(g)
-					ms[w] = m
-					w++
-				}
-				ms = ms[:w]
-			}
-			itemCost.VerifyWords += vc.VerifyWords
-			itemCost.Items = 1
-			itemCost.Bytes = outPerItem
-			itemCost.Verified = int64(len(ms))
-			// Every slot candidate passed the filter and owns a full
-			// window, so the ones Myers rejects are the filter's false
-			// accepts.
-			itemCost.FalseAccepts = int64(len(cands)) - vc.Matched
-			wi.Charge(itemCost)
-			out[wi.Global] = mapper.Finalize(ms, opt.Best, opt.MaxLocations)
-		},
-	}
-	return pre, ver
+	return mapper.Finalize(ms, b.opt.Best, b.opt.MaxLocations)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,6 +37,83 @@ func makeShards(ref []byte, k, overlap, rate int) []Shard {
 		}
 	}
 	return shards
+}
+
+// TestGeometryEquivalence is the one-geometry property as a single table:
+// a whole index is just the one shard that owns [0, n), so NewFromIndex
+// and NewSharded over that single shard are the same pipeline — mappings,
+// Cost, SimSeconds, EnergyJ and DeviceSeconds equal bit for bit, Split
+// included — and K = 3 shards report the same mappings, across the
+// pre-alignment filter, device counts and host execution modes.
+func TestGeometryEquivalence(t *testing.T) {
+	t.Setenv("REPUTE_CL_FAULTS", "")
+	ref, set := testWorld(t, 20_000, 40, simulate.ERR012100)
+	ix := fmindex.Build(ref, fmindex.Options{})
+	n := int64(len(ref))
+	three := makeShards(ref, 3, 256, 0)
+	constructors := []struct {
+		name     string
+		oneShard bool
+		build    func([]*cl.Device, Config) (*Pipeline, error)
+	}{
+		{"NewFromIndex", true, func(d []*cl.Device, c Config) (*Pipeline, error) { return NewFromIndex(ix, d, c) }},
+		{"NewSharded-1", true, func(d []*cl.Device, c Config) (*Pipeline, error) {
+			return NewSharded([]Shard{{Index: ix, OwnEnd: n, SliceEnd: n}}, 0, d, c)
+		}},
+		{"NewSharded-3", false, func(d []*cl.Device, c Config) (*Pipeline, error) { return NewSharded(three, 256, d, c) }},
+	}
+	off, on := prefilterOpt(4, 50)
+
+	var want [][]mapper.Mapping // the table's first cell; every other cell must match it
+	for _, opt := range []mapper.Options{off, on} {
+		for _, devices := range []int{1, 3} {
+			for _, exec := range []cl.ExecMode{cl.Serial, cl.Auto} {
+				var first *mapper.Result // the first one-shard constructor's result for this cell
+				for _, c := range constructors {
+					devs := []*cl.Device{cl.SystemOneCPU()}
+					cfg := Config{Exec: exec}
+					if devices == 3 {
+						devs = cl.SystemOne().Devices
+						if c.oneShard {
+							cfg.Split = []float64{0.5, 0.25, 0.25}
+						}
+					}
+					p, err := c.build(devs, cfg)
+					if err != nil {
+						t.Fatalf("%s prefilter=%s devices=%d: %v", c.name, opt.Prefilter, devices, err)
+					}
+					if p.Sharded() == c.oneShard || (p.Index() == ix) != c.oneShard {
+						t.Errorf("%s misreports its geometry", c.name)
+					}
+					got, err := p.Map(set.Reads, opt)
+					if err != nil {
+						t.Fatalf("%s prefilter=%s devices=%d exec=%v: %v", c.name, opt.Prefilter, devices, exec, err)
+					}
+					if want == nil {
+						want = got.Mappings
+					}
+					sameMappings(t, want, got.Mappings)
+					if got.SimSeconds <= 0 || got.EnergyJ <= 0 {
+						t.Errorf("%s: accounting empty: %v s, %v J", c.name, got.SimSeconds, got.EnergyJ)
+					}
+					if !c.oneShard {
+						continue
+					}
+					if first == nil {
+						first = got
+						continue
+					}
+					if got.Cost != first.Cost || got.SimSeconds != first.SimSeconds || got.EnergyJ != first.EnergyJ ||
+						!reflect.DeepEqual(got.DeviceSeconds, first.DeviceSeconds) {
+						t.Errorf("prefilter=%s devices=%d exec=%v: one-shard constructors disagree:\n%+v %v s %v J %v\n%+v %v s %v J %v",
+							opt.Prefilter, devices, exec,
+							first.Cost, first.SimSeconds, first.EnergyJ, first.DeviceSeconds,
+							got.Cost, got.SimSeconds, got.EnergyJ, got.DeviceSeconds)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestShardedMatchesSingle is the shard-vs-whole equivalence property:

@@ -170,12 +170,10 @@ func (p *Pipeline) MapStream(ctx context.Context, src func() (StreamBatch, error
 		skipped, reasons := sr.Faults.SkippedRecords, sr.Faults.SkipReasons
 		sr.Faults.Add(res.Faults)
 		sr.Faults.SkippedRecords, sr.Faults.SkipReasons = skipped, reasons
-		if t := p.tracer; t != nil {
-			t.Instant("host", "stream-batch",
-				trace.I64("batch", int64(b.Index)),
-				trace.I64("start", int64(b.Start)),
-				trace.I64("reads", int64(len(b.Reads))))
-		}
+		p.instant("host", "stream-batch", func() []trace.Attr {
+			return []trace.Attr{trace.I64("batch", int64(b.Index)),
+				trace.I64("start", int64(b.Start)), trace.I64("reads", int64(len(b.Reads)))}
+		})
 		if emit != nil {
 			if err := emit(b, res); err != nil {
 				return sr, err

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -30,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fastx"
 	"repro/internal/mapper"
-	"repro/internal/sam"
 	"repro/internal/seed"
 	"repro/internal/trace"
 )
@@ -179,14 +177,27 @@ func (s *Server) runJob(job Job, devs []*cl.Device) {
 // that don't parse), which classify as "input" rather than "internal".
 var errBadInput = errors.New("serve: bad input")
 
-// runAttempt runs one MapStream pass over the job's spooled reads,
-// resuming from the job's checkpoint when one exists. It is the service
-// counterpart of the CLI's streaming loop and shares its invariants:
-// SAM truncated to the checkpointed prefix, scanner seeked to the
-// checkpointed offset, codec fast-forwarded, fault ordinals restored —
-// so a resumed job is bit-identical to an uninterrupted one.
+// runAttempt runs one stream-runner pass (RunStream) over the job's
+// spooled reads, resuming from the job's checkpoint when one exists. It
+// supplies the service's side of the run: the per-job fingerprint and
+// fault plan, the deadline, and the progress/drain hook.
 func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) error {
-	p, err := s.newPipeline(rec, devs)
+	cfg := core.Config{Name: "REPUTE", Selector: seed.REPUTE{}, Tracer: rec}
+	if len(devs) > 1 && !s.file.Meta.Sharded() {
+		// A nil split sends every read of a whole-reference index to the
+		// first device; a multi-device partition wants the whole partition
+		// busy. The pool is homogeneous, so even shares are the
+		// deterministic choice. (Several shards already spread the work
+		// round-robin and reject a split.)
+		cfg.Split = make([]float64, len(devs))
+		for i := range cfg.Split {
+			cfg.Split[i] = 1
+		}
+	}
+	// The pipeline is cheap scaffolding — the FM-indexes are shared and
+	// the devices belong to the job for its lifetime; only the tracer
+	// hookup is per job.
+	p, err := NewPipeline(s.file, devs, cfg)
 	if err != nil {
 		return err
 	}
@@ -194,40 +205,31 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		MaxErrors: s.cfg.MaxErrors, MaxLocations: s.cfg.MaxLocations,
 		Prefilter: job.Prefilter,
 	}
-	fingerprint := checkpoint.FingerprintDigest(s.digest, opt,
-		fmt.Sprintf("batch=%d", job.Batch),
-		fmt.Sprintf("cigar=%t", job.Cigar),
-		fmt.Sprintf("devices=%d", job.Devices),
-		"faults="+job.Faults,
-	)
-
-	ckptPath := s.store.ckptPath(job.ID)
-	st := &checkpoint.State{
-		Version:       checkpoint.Version,
-		Fingerprint:   fingerprint,
-		BatchSize:     job.Batch,
-		DeviceSeconds: map[string]float64{},
+	run := Stream{
+		Pipeline: p, Genome: s.g, Devices: devs, Opt: opt, Cigar: job.Cigar, Batch: job.Batch,
+		ReadsPath: s.store.readsPath(job.ID), ReadsName: job.ID + "/reads.fq",
+		SAMPath: s.store.samPath(job.ID), CkptPath: s.store.ckptPath(job.ID),
+		Fingerprint: checkpoint.FingerprintDigest(s.digest, opt,
+			fmt.Sprintf("batch=%d", job.Batch),
+			fmt.Sprintf("cigar=%t", job.Cigar),
+			fmt.Sprintf("devices=%d", job.Devices),
+			"faults="+job.Faults,
+		),
+		Tracer: rec,
 	}
-	resume := false
-	if _, serr := os.Stat(ckptPath); serr == nil {
-		loaded, lerr := checkpoint.Load(ckptPath)
-		if lerr != nil {
-			return lerr
+	if _, serr := os.Stat(run.CkptPath); serr == nil {
+		if run.Resume, err = checkpoint.Load(run.CkptPath); err != nil {
+			return err
 		}
-		if verr := loaded.Verify(fingerprint); verr != nil {
-			return verr
+		if err := run.Resume.Verify(run.Fingerprint); err != nil {
+			return err
 		}
-		st = loaded
-		if st.DeviceSeconds == nil {
-			st.DeviceSeconds = map[string]float64{}
-		}
-		resume = true
 		s.reg.Counter(metricJobsResumed).Add(1)
 	}
 
 	// Per-job chaos: install the job's fault plan with fresh ordinals
-	// (or the checkpointed ones on resume) on the job's own partition
-	// only — a device=K directive narrows it further to the Kth
+	// (RunStream seats the checkpointed ones on resume) on the job's own
+	// partition only — a device=K directive narrows it further to the Kth
 	// partition member, which is how a chaos run loses one device while
 	// its partition partners stay healthy. Always disarm afterwards: an
 	// injected fault plan must never outlive the job that carried it.
@@ -248,9 +250,6 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		}
 		for _, d := range armed {
 			d.InstallFaults(plan)
-			if o, ok := st.FaultOrdinals[d.Name]; resume && ok {
-				d.RestoreFaultOrdinals(o)
-			}
 		}
 	}
 	defer func() {
@@ -259,110 +258,13 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		}
 	}()
 
-	// Output SAM: fresh attempts write a headered file; resumes truncate
-	// to the checkpointed prefix and append.
-	refs := make([]sam.RefSeq, len(s.g.Contigs()))
-	for i, c := range s.g.Contigs() {
-		refs[i] = sam.RefSeq{Name: c.Name, Length: c.Length}
-	}
-	samPath := s.store.samPath(job.ID)
-	var (
-		out *os.File
-		sw  *sam.Writer
-	)
-	if resume {
-		out, err = os.OpenFile(samPath, os.O_RDWR, 0o644)
-		if err != nil {
-			return err
-		}
-		if err := out.Truncate(st.SAMBytes); err != nil {
-			out.Close()
-			return err
-		}
-		if _, err := out.Seek(st.SAMBytes, io.SeekStart); err != nil {
-			out.Close()
-			return err
-		}
-		sw = sam.NewAppendWriter(out, refs[0].Name)
-	} else {
-		out, err = os.Create(samPath)
-		if err != nil {
-			return err
-		}
-		if sw, err = sam.NewMultiWriter(out, refs); err != nil {
-			out.Close()
-			return err
-		}
-	}
-	defer out.Close()
-
-	rf, err := os.Open(s.store.readsPath(job.ID))
-	if err != nil {
-		return err
-	}
-	defer rf.Close()
-	if _, err := rf.Seek(st.Offset, io.SeekStart); err != nil {
-		return err
-	}
-	sc := fastx.NewScanner(rf, fastx.ScanOptions{
-		Format:     fastx.FormatFASTQ,
-		Name:       job.ID + "/reads.fq",
-		Tracer:     rec,
-		BaseOffset: st.Offset,
-		BaseLine:   st.Line,
-	})
-	codec := fastx.NewCodec(0)
-	codec.FastForward(st.RNGDraws)
-	src := core.NewScanSource(sc, codec, job.Batch, false, opt.MaxErrors, st.Reads)
-
 	ctx := context.Background()
 	if job.DeadlineMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(job.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-
-	emit := func(b core.StreamBatch, res *mapper.Result) error {
-		for i, name := range b.Names {
-			dropped, werr := WriteReadAlignments(sw, s.g, p, name, b.Reads[i],
-				res.Mappings[i], job.Cigar, opt.MaxErrors)
-			if werr != nil {
-				return werr
-			}
-			st.Dropped += dropped
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-		pos, err := out.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return err
-		}
-
-		st.Batches++
-		st.Reads = b.Start + len(b.Reads)
-		for _, ms := range res.Mappings {
-			if len(ms) > 0 {
-				st.Mapped++
-			}
-			st.Locations += len(ms)
-		}
-		st.SimSeconds += res.SimSeconds
-		st.EnergyJ += res.EnergyJ
-		for dev, sec := range res.DeviceSeconds {
-			st.DeviceSeconds[dev] += sec
-		}
-		st.Cost.Add(res.Cost)
-		st.Faults.Add(res.Faults)
-		st.Offset = b.Token.Offset
-		st.Line = b.Token.Line
-		st.RNGDraws = b.Token.RNGDraws
-		st.SAMBytes = pos
-		st.FaultOrdinals = snapshotOrdinals(devs)
-
-		if err := checkpoint.Save(ckptPath, st); err != nil {
-			return err
-		}
+	run.AfterBatch = func(st *checkpoint.State) error {
 		s.store.update(job.ID, func(j *Job) { //nolint:errcheck
 			j.Reads = st.Reads
 			j.Mapped = st.Mapped
@@ -378,68 +280,10 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		}
 		return nil
 	}
-
-	_, err = p.MapStream(ctx, src, opt, emit)
-	if err != nil {
-		var pe *fastx.ParseError
-		if errors.As(err, &pe) {
-			return fmt.Errorf("%w: %w", errBadInput, err)
-		}
-		return err
+	_, err = RunStream(ctx, run)
+	var pe *fastx.ParseError
+	if errors.As(err, &pe) {
+		return fmt.Errorf("%w: %w", errBadInput, err)
 	}
-	if err := sw.Flush(); err != nil {
-		return err
-	}
-	if pos, perr := out.Seek(0, io.SeekCurrent); perr == nil {
-		st.SAMBytes = pos
-	}
-	return checkpoint.Save(ckptPath, st)
-}
-
-// newPipeline wires a per-job pipeline over the shared index and the
-// job's device partition. The pipeline itself is cheap scaffolding —
-// the FM-indexes are shared and the devices belong to the job for its
-// lifetime; only the tracer hookup is per job.
-func (s *Server) newPipeline(rec *trace.Recorder, devs []*cl.Device) (*core.Pipeline, error) {
-	cfg := core.Config{Name: "REPUTE", Selector: seed.REPUTE{}, Tracer: rec}
-	if s.file.Meta.Sharded() {
-		shards := make([]core.Shard, len(s.file.Indexes))
-		for i, sh := range s.file.Meta.Shards {
-			shards[i] = core.Shard{
-				Index:      s.file.Indexes[i],
-				OwnStart:   sh.OwnStart,
-				OwnEnd:     sh.OwnEnd,
-				SliceStart: sh.SliceStart,
-				SliceEnd:   sh.SliceEnd,
-			}
-		}
-		return core.NewSharded(shards, s.file.Meta.Overlap, devs, cfg)
-	}
-	if len(devs) > 1 {
-		// Read-split with a nil split sends every read to the first
-		// device; a multi-device partition wants the whole partition busy.
-		// The pool is homogeneous, so even shares are the deterministic
-		// choice. (Sharded dispatch rejects Split — shards already spread
-		// the work round-robin.)
-		cfg.Split = make([]float64, len(devs))
-		for i := range cfg.Split {
-			cfg.Split[i] = 1
-		}
-	}
-	return core.NewFromIndex(s.file.Indexes[0], devs, cfg)
-}
-
-// snapshotOrdinals captures every armed device's fault ordinals for the
-// checkpoint, mirroring the CLI's streaming loop.
-func snapshotOrdinals(devices []*cl.Device) map[string]cl.FaultOrdinals {
-	var m map[string]cl.FaultOrdinals
-	for _, d := range devices {
-		if o, ok := d.FaultOrdinals(); ok {
-			if m == nil {
-				m = map[string]cl.FaultOrdinals{}
-			}
-			m[d.Name] = o
-		}
-	}
-	return m
+	return err
 }
