@@ -1,5 +1,6 @@
 // Package fmindex implements an FM-index (Ferragina & Manzini, FOCS 2000)
-// over 2-bit DNA texts: checkpointed Occ ranks on the packed BWT, backward
+// over 2-bit DNA texts: word-parallel popcount ranks over one interleaved
+// BWT/checkpoint block per 128 rows (DESIGN.md §4), backward
 // search, single-character left extension (the primitive the filtration DP
 // walks), and locate via either the full suffix array or a sampled suffix
 // array in the style of Bowtie 2 — the space/time trade-off the paper's
@@ -7,7 +8,9 @@
 package fmindex
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/bwt"
@@ -15,9 +18,27 @@ import (
 	"repro/internal/suffix"
 )
 
-// occCheckpoint is the number of BWT positions covered by one Occ
-// checkpoint. 128 keeps the scan within 32 packed bytes.
-const occCheckpoint = 128
+const (
+	// occCheckpoint is the number of BWT rows covered by one rank block:
+	// 128 two-bit rows are four 64-bit words, which with the four
+	// checkpoint counts fill one 64-byte cache line.
+	occCheckpoint = 128
+	// wordRows is the number of two-bit rows per 64-bit BWT word.
+	wordRows = 32
+	// lowBits has the low bit of every two-bit lane set.
+	lowBits = 0x5555555555555555
+)
+
+// rankBlock is everything a rank over rows [j*occCheckpoint,
+// (j+1)*occCheckpoint) reads, in one cache line: occ[b] is the number of
+// occurrences of base b in bwt[0 : j*occCheckpoint) with the sentinel
+// placeholder excluded, and bwt holds the block's rows two bits each,
+// row r in bits 2*(r%wordRows).. of word r/wordRows — the packed BWT
+// bytes read as little-endian words, zero-padded past row n.
+type rankBlock struct {
+	occ [4]uint64
+	bwt [occCheckpoint / wordRows]uint64
+}
 
 // Options configure index construction.
 type Options struct {
@@ -30,16 +51,17 @@ type Options struct {
 
 // Index is an immutable FM-index over a DNA reference.
 type Index struct {
-	n           int    // text length
-	counts      [4]int // per-base symbol counts
-	cArr        [5]int // cArr[b] = rows before the first suffix starting with base b
-	bwt         dna.PackedSeq
+	n      int    // text length
+	counts [4]int // per-base symbol counts
+	cArr   [5]int // cArr[b] = rows before the first suffix starting with base b
+	// rank holds the BWT and its Occ checkpoints, one block per
+	// occCheckpoint rows of the n+1, plus one: (n+1)/occCheckpoint + 1.
+	rank        []rankBlock
 	sentinelRow int
-	// occ holds cumulative per-base counts at every checkpoint:
-	// occ[4*j+b] = occurrences of base b in bwt[0 : j*occCheckpoint),
-	// sentinel placeholder excluded.
-	occ  []int32
-	text dna.PackedSeq
+	// sentinelBase is the placeholder code stored at sentinelRow. Build
+	// writes 0 there; a deserialized index keeps whatever the file held.
+	sentinelBase byte
+	text         dna.PackedSeq
 
 	// Locate support: exactly one of sa or (samples, sampled) is set.
 	sa         []int32
@@ -60,7 +82,6 @@ func buildFromSA(text []byte, sa []int32, opts Options) *Index {
 	bw, sentinelRow := bwt.Transform(text, sa)
 	ix := &Index{
 		n:           n,
-		bwt:         dna.Pack(bw),
 		sentinelRow: sentinelRow,
 		text:        dna.Pack(text),
 	}
@@ -74,7 +95,7 @@ func buildFromSA(text []byte, sa []int32, opts Options) *Index {
 	}
 	ix.cArr[4] = sum
 
-	ix.buildOcc(bw)
+	ix.buildRank(dna.Pack(bw).Bytes())
 
 	if opts.SASampleRate <= 0 {
 		ix.sa = sa
@@ -85,22 +106,31 @@ func buildFromSA(text []byte, sa []int32, opts Options) *Index {
 	return ix
 }
 
-func (ix *Index) buildOcc(bw []byte) {
-	m := len(bw) // n+1
-	nCheckpoints := m/occCheckpoint + 1
-	ix.occ = make([]int32, 4*nCheckpoints)
-	var running [4]int32
-	for i, c := range bw {
-		if i%occCheckpoint == 0 {
-			copy(ix.occ[4*(i/occCheckpoint):], running[:])
+// buildRank interleaves the packed BWT (n+1 two-bit rows, four per byte)
+// with its Occ checkpoints, counting every checkpoint from the words
+// themselves. It needs n and sentinelRow set.
+func (ix *Index) buildRank(packed []byte) {
+	ix.rank = make([]rankBlock, (ix.n+1)/occCheckpoint+1)
+	ix.sentinelBase = packed[ix.sentinelRow/4] >> (ix.sentinelRow % 4 * 2) & 3
+	var running [4]uint64
+	var last [occCheckpoint / 4]byte
+	for j := range ix.rank {
+		blk := &ix.rank[j]
+		blk.occ = running
+		src := packed[j*occCheckpoint/4:]
+		if len(src) < len(last) { // final block: zero-pad to whole words
+			copy(last[:], src)
+			src = last[:]
 		}
-		if i == ix.sentinelRow {
-			continue
+		for w := range blk.bwt {
+			blk.bwt[w] = binary.LittleEndian.Uint64(src[8*w:])
+			for b := range running {
+				running[b] += uint64(matchCount(blk.bwt[w], byte(b), lowBits))
+			}
 		}
-		running[c]++
-	}
-	if m%occCheckpoint == 0 {
-		copy(ix.occ[4*(m/occCheckpoint):], running[:])
+		if ix.sentinelRow/occCheckpoint == j {
+			running[ix.sentinelBase]--
+		}
 	}
 }
 
@@ -130,18 +160,34 @@ func (ix *Index) Text() dna.PackedSeq { return ix.text }
 // Start returns the backward-search interval covering all rows.
 func (ix *Index) Start() (lo, hi int) { return 0, ix.n + 1 }
 
+// matchCount counts the two-bit lanes of word that equal base b among
+// the lanes whose low bit is set in lanes. XOR against b replicated into
+// every lane zeroes exactly the equal lanes; complementing and ANDing
+// each lane's two bits leaves one set bit per equal lane — the GateKeeper
+// fold of internal/filter, on BWT words.
+func matchCount(word uint64, b byte, lanes uint64) int {
+	x := ^(word ^ uint64(b)*lowBits)
+	return bits.OnesCount64(x & (x >> 1) & lanes)
+}
+
 // occAt returns the number of occurrences of base b in bwt[0:i),
 // excluding the sentinel placeholder.
+//
+//repute:hotpath
 func (ix *Index) occAt(b byte, i int) int {
-	cp := i / occCheckpoint
-	cnt := int(ix.occ[4*cp+int(b)])
-	for p := cp * occCheckpoint; p < i; p++ {
-		if p == ix.sentinelRow {
-			continue
-		}
-		if ix.bwt.At(p) == b {
-			cnt++
-		}
+	blk := &ix.rank[i/occCheckpoint]
+	r := uint(i) % occCheckpoint // rows of this block below i
+	cnt := int(blk.occ[b])
+	w := r / wordRows
+	for k := uint(0); k < w; k++ {
+		cnt += matchCount(blk.bwt[k], b, lowBits)
+	}
+	cnt += matchCount(blk.bwt[w], b, lowBits&(1<<(r%wordRows*2)-1))
+	// The placeholder was counted as an ordinary base if it sits among
+	// those rows: with d = sentinelRow - blockStart, 0 <= d < r as one
+	// unsigned compare.
+	if d := uint(ix.sentinelRow-i) + r; b == ix.sentinelBase && d < r {
+		cnt--
 	}
 	return cnt
 }
@@ -150,6 +196,8 @@ func (ix *Index) occAt(b byte, i int) int {
 // for cP. An empty result (lo >= hi) means cP does not occur.
 // This is a single FM-index backward-search step and is the unit of
 // filtration work the mappers account.
+//
+//repute:hotpath
 func (ix *Index) ExtendLeft(c byte, lo, hi int) (int, int) {
 	return ix.cArr[c] + ix.occAt(c, lo), ix.cArr[c] + ix.occAt(c, hi)
 }
@@ -174,11 +222,15 @@ func (ix *Index) Count(p []byte) int {
 }
 
 // lf maps a BWT row to the row of the suffix one text position earlier.
+// The row's base and its rank come out of the same block.
+//
+//repute:hotpath
 func (ix *Index) lf(row int) int {
 	if row == ix.sentinelRow {
 		return 0
 	}
-	c := ix.bwt.At(row)
+	r := row % occCheckpoint
+	c := byte(ix.rank[row/occCheckpoint].bwt[r/wordRows] >> (r % wordRows * 2) & 3)
 	return ix.cArr[c] + ix.occAt(c, row)
 }
 
@@ -226,11 +278,13 @@ func (ix *Index) LocateSteps() float64 {
 	return float64(ix.sampleRate-1) / 2
 }
 
-// SizeBytes reports the approximate memory footprint of the index
-// structures (bwt + occ + locate support + retained text). The simulated
-// OpenCL devices check this against their allocation limits.
+// SizeBytes reports the device footprint of the index structures (packed
+// bwt + int32 occ checkpoints + locate support + retained text) — the
+// sections WriteTo emits, sized from n, not the host's interleaved rank
+// blocks. The simulated OpenCL devices check this against their
+// allocation limits.
 func (ix *Index) SizeBytes() int64 {
-	size := int64(len(ix.bwt.Bytes())) + int64(len(ix.occ))*4 + int64(len(ix.text.Bytes()))
+	size := int64(expectedBWTBytes(ix.n)) + int64(expectedOccLen(ix.n))*4 + int64(len(ix.text.Bytes()))
 	if ix.sa != nil {
 		size += int64(len(ix.sa)) * 4
 	} else {

@@ -293,17 +293,6 @@ func TestTextRetained(t *testing.T) {
 	}
 }
 
-func BenchmarkCount20(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	text := randomText(rng, 1_000_000)
-	ix := Build(text, Options{})
-	p := text[500000:500020]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Count(p)
-	}
-}
-
 func BenchmarkLocateSampled32(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	text := randomText(rng, 1_000_000)

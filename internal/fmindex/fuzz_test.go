@@ -37,7 +37,9 @@ func fuzzSeedBlobs(tb testing.TB) [][]byte {
 // panic and no huge allocation regardless of input; every data-shaped
 // failure wraps ErrCorrupt (never a bare success on garbage); and any
 // input that does parse must re-serialize to exactly the bytes consumed —
-// i.e. accepted inputs are precisely the image of WriteTo.
+// i.e. accepted inputs are precisely the image of WriteTo — and must rank
+// like a byte-at-a-time scan of its own BWT section, whatever placeholder
+// and padding bits the mutation left there.
 func FuzzIndexReadFrom(f *testing.F) {
 	for _, blob := range fuzzSeedBlobs(f) {
 		f.Add(blob)
@@ -83,6 +85,7 @@ func FuzzIndexReadFrom(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
 			t.Fatalf("accepted index does not round-trip to its input prefix")
 		}
+		checkOccAt(t, ix, bwtCodes(ix))
 	})
 }
 

@@ -62,9 +62,10 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		writeU64(uint64(len(s)))
 		binary.Write(cw, binary.LittleEndian, s)
 	}
-	writeBytes(ix.bwt.Bytes())
+	bwtBytes, occ := ix.rankSections()
+	writeBytes(bwtBytes)
 	writeBytes(ix.text.Bytes())
-	writeInt32s(ix.occ)
+	writeInt32s(occ)
 	if ix.sa != nil {
 		writeU32(0) // locate mode: full SA
 		writeInt32s(ix.sa)
@@ -82,6 +83,26 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	return cw.n, nil
+}
+
+// rankSections de-interleaves the rank blocks back into the format's two
+// sections, the packed BWT bytes and the int32 checkpoint array
+// (occ[4*j+b] = block j's count of base b): the file keeps the layout it
+// had before the blocks existed, so artifacts and their digests do not
+// depend on how the host arranges rank in memory.
+func (ix *Index) rankSections() (bwtBytes []byte, occ []int32) {
+	bwtBytes = make([]byte, len(ix.rank)*occCheckpoint/4)
+	occ = make([]int32, 0, expectedOccLen(ix.n))
+	for j := range ix.rank {
+		blk := &ix.rank[j]
+		for w, word := range blk.bwt {
+			binary.LittleEndian.PutUint64(bwtBytes[j*occCheckpoint/4+8*w:], word)
+		}
+		for _, c := range blk.occ {
+			occ = append(occ, int32(c))
+		}
+	}
+	return bwtBytes[:expectedBWTBytes(ix.n)], occ
 }
 
 // Expected section lengths for a text of n bases. They mirror the build
@@ -205,14 +226,31 @@ func ReadFrom(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.bwt = packedFromBytes(bwtBytes, ix.n+1)
 	textBytes, err := readBytes("text", expectedTextBytes(ix.n))
 	if err != nil {
 		return nil, err
 	}
-	ix.text = packedFromBytes(textBytes, ix.n)
-	if ix.occ, err = readInt32s("occ", expectedOccLen(ix.n)); err != nil {
+	ix.text = dna.FromPacked(textBytes, ix.n)
+	occ, err := readInt32s("occ", expectedOccLen(ix.n))
+	if err != nil {
 		return nil, err
+	}
+	// Interleaving recounts every checkpoint from the BWT words, so a
+	// stream whose lengths agree but whose checkpoints are wrong is
+	// refused here and cannot answer with wrong intervals.
+	ix.buildRank(bwtBytes)
+	for j := range ix.rank {
+		for b, c := range ix.rank[j].occ {
+			if occ[4*j+b] != int32(c) {
+				return nil, corruptf("occ checkpoint %d holds %d for base %d, the bwt counts %d",
+					j, occ[4*j+b], b, c)
+			}
+		}
+	}
+	for b, c := range ix.counts {
+		if got := ix.occAt(byte(b), ix.n+1); got != c {
+			return nil, corruptf("header counts %d of base %d, the bwt holds %d", c, b, got)
+		}
 	}
 	mode, err := readU32()
 	if err != nil {
@@ -273,11 +311,6 @@ func ReadFrom(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("%w: %w", err, ErrCorrupt)
 	}
 	return ix, nil
-}
-
-// packedFromBytes wraps already-packed data in a PackedSeq of n bases.
-func packedFromBytes(data []byte, n int) dna.PackedSeq {
-	return dna.FromPacked(data, n)
 }
 
 type countingWriter struct {

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -144,6 +145,32 @@ func TestRoundTripSharded(t *testing.T) {
 	}
 	if _, err := got.Genome(); err == nil {
 		t.Fatalf("sharded artifact should not reconstruct a contiguous genome")
+	}
+}
+
+// TestDigestGolden pins the artifact digest — the index fingerprint in
+// every checkpoint — to the values recorded before rank moved to
+// interleaved blocks: a checkpoint taken by an older build must resume.
+func TestDigestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		shards, rate, size int
+		digest             string
+	}{
+		{1, 0, 14302, "a205aaa1ac508da2bbcadf0f2eaadd653762541bc7a880ce6d731106072db298"},
+		{3, 8, 4968, "d0610c445901d8125439c7195d1dac8395f0ee6bf36a5e3cf0f921fc235fd7e1"},
+	} {
+		f, err := Build(testGenome(t, 3000, 7), tc.shards, 64, fmindex.Options{SASampleRate: tc.rate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := f.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", f.Digest()); buf.Len() != tc.size || got != tc.digest {
+			t.Errorf("%d shard(s), rate %d: %d bytes, digest %s; want %d bytes, %s",
+				tc.shards, tc.rate, buf.Len(), got, tc.size, tc.digest)
+		}
 	}
 }
 

@@ -103,6 +103,7 @@ type store struct {
 	mu            sync.Mutex
 	jobs          map[string]*Job // guarded by mu
 	queue         []string        // guarded by mu; FIFO of queued job IDs
+	reserved      int             // guarded by mu; jobs admitted and still spooling, not yet in jobs or queue
 	inflightBytes int64           // guarded by mu; upload bytes admitted but not yet terminal
 	nextSeq       int             // guarded by mu
 }
@@ -176,8 +177,9 @@ func newStore(dir string) (*store, error) {
 	return s, nil
 }
 
-// persist writes a job's metadata atomically (tmp + rename). It takes a
-// snapshot, not store state, so it needs no lock of its own.
+// persist writes a job's metadata atomically (tmp + rename). Callers hold
+// s.mu: every writer of one job shares the one job.json.tmp, and the
+// lock is what makes the file's history follow the job's state machine.
 func (s *store) persist(j *Job) error {
 	b, err := json.MarshalIndent(j, "", "  ")
 	if err != nil {
@@ -196,21 +198,27 @@ func (s *store) persist(j *Job) error {
 	return nil
 }
 
-// depth reports the queued-job count and in-flight upload bytes.
+// depth reports how many jobs hold a queue slot (queued, or admitted
+// and still spooling) and the in-flight upload bytes.
 func (s *store) depth() (n int, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue), s.inflightBytes
+	return len(s.queue) + s.reserved, s.inflightBytes
 }
 
-// admit creates a new queued job if the queue has room for it,
-// returning the job copy and true, or the current queue depth and false
-// when admission control rejects it. size is the spooled upload size.
+// admit is the first half of admission: if the queue has room it
+// reserves an id, a queue slot and size bytes of the in-flight budget,
+// returning the job copy and true, or the current depth and false when
+// admission control rejects it. The job is not in the table yet — no
+// status request, peek or dequeue can see it — so the caller is free to
+// create its spool directory and move the upload in, and then hands it
+// to enqueue, or to release if spooling failed.
 func (s *store) admit(template Job, size int64, maxQueue int, maxBytes int64) (Job, int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.queue) >= maxQueue || s.inflightBytes+size > maxBytes {
-		return Job{}, len(s.queue), false
+	depth := len(s.queue) + s.reserved
+	if depth >= maxQueue || s.inflightBytes+size > maxBytes {
+		return Job{}, depth, false
 	}
 	j := template
 	j.Seq = s.nextSeq
@@ -218,28 +226,35 @@ func (s *store) admit(template Job, size int64, maxQueue int, maxBytes int64) (J
 	j.ID = fmt.Sprintf("job-%06d", j.Seq)
 	j.State = StateQueued
 	j.Bytes = size
-	s.jobs[j.ID] = &j
-	s.queue = append(s.queue, j.ID)
+	s.reserved++
 	s.inflightBytes += size
-	return j, len(s.queue), true
+	return j, depth + 1, true
 }
 
-// forget removes a job that failed spooling after admit, releasing its
-// queue slot.
-func (s *store) forget(id string) {
+// enqueue is the second half: with the job's directory and reads.fq in
+// place it writes the first job.json and only then makes the job
+// visible to the dispatcher, so nothing can run, re-persist or fail a
+// job whose spool entry is still being built. On error the reservation
+// is released and the job was never visible.
+func (s *store) enqueue(j Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return
+	s.reserved--
+	if err := s.persist(&j); err != nil {
+		s.inflightBytes -= j.Bytes
+		return err
 	}
-	delete(s.jobs, id)
-	for i, qid := range s.queue {
-		if qid == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			break
-		}
-	}
+	s.jobs[j.ID] = &j
+	s.queue = append(s.queue, j.ID)
+	return nil
+}
+
+// release returns the slot and bytes of an admitted job whose spooling
+// failed before enqueue.
+func (s *store) release(j Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reserved--
 	s.inflightBytes -= j.Bytes
 }
 

@@ -436,15 +436,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rejectOverload(w, depth)
 		return
 	}
-	if err := os.MkdirAll(s.store.jobDir(admitted.ID), 0o755); err == nil {
+	// The job becomes visible to the dispatcher only at enqueue, after
+	// its directory, reads.fq and first job.json exist (DESIGN.md §14).
+	err = os.MkdirAll(s.store.jobDir(admitted.ID), 0o755)
+	if err == nil {
 		err = os.Rename(tmpName, s.store.readsPath(admitted.ID))
 	}
-	if err == nil {
-		err = s.store.persist(&admitted)
+	if err != nil {
+		s.store.release(admitted)
+	} else {
+		err = s.store.enqueue(admitted)
 	}
 	if err != nil {
 		os.Remove(tmpName)
-		s.store.forget(admitted.ID)
 		os.RemoveAll(s.store.jobDir(admitted.ID))
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return

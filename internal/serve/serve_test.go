@@ -130,30 +130,36 @@ func newServer(t *testing.T, fx *fixture, spool string, mod func(*Config)) (*Ser
 	return s, ts
 }
 
-// submit uploads a FASTQ as a multipart job, returning the response.
-func submit(t *testing.T, url string, fastq []byte, query string, headers map[string]string) *http.Response {
-	t.Helper()
+// postJob uploads a FASTQ as a multipart job. Failures come back as an
+// error, so client goroutines may call it.
+func postJob(url string, fastq []byte, query string, headers map[string]string) (*http.Response, error) {
 	var body bytes.Buffer
 	mw := multipart.NewWriter(&body)
 	fw, err := mw.CreateFormFile("reads", "reads.fq")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if _, err := fw.Write(fastq); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if err := mw.Close(); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	req, err := http.NewRequest("POST", url+"/jobs"+query, &body)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	req.Header.Set("Content-Type", mw.FormDataContentType())
 	for k, v := range headers {
 		req.Header.Set(k, v)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	return http.DefaultClient.Do(req)
+}
+
+// submit is postJob for the test's own goroutine.
+func submit(t *testing.T, url string, fastq []byte, query string, headers map[string]string) *http.Response {
+	t.Helper()
+	resp, err := postJob(url, fastq, query, headers)
 	if err != nil {
 		t.Fatal(err)
 	}
