@@ -1,8 +1,8 @@
-// Command clvet is the unified multichecker for the repro analyzer
-// suites: the kernel-contract checks of internal/analysis/clvet and the
-// whole-pipeline checks of internal/analysis/pipevet (determinism,
-// lock-guard annotations, error taxonomy, trace discipline, hot-path
-// allocation).
+// Command clvet runs the repository's static-analysis suite
+// (internal/analysis/clvet): the simulated-OpenCL kernel contract, the
+// whole-pipeline checks (determinism, lock-guard annotations, error
+// taxonomy, trace discipline), the one hot-path allocation rule and the
+// directive grammar.
 //
 // Usage:
 //
@@ -26,13 +26,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/clvet"
-	"repro/internal/analysis/pipevet"
 )
-
-// analyzers returns the combined suite, clvet first.
-func analyzers() []*analysis.Analyzer {
-	return append(clvet.Analyzers(), pipevet.Analyzers()...)
-}
 
 // finding is the -json shape of one diagnostic.
 type finding struct {
@@ -50,7 +44,7 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: clvet [-tests] [-json] [packages]\n\nAnalyzers:\n")
-		for _, a := range analyzers() {
+		for _, a := range clvet.Analyzers() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-18s %s\n", a.Name, a.Doc)
 		}
 		flag.PrintDefaults()
@@ -58,7 +52,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, a := range analyzers() {
+		for _, a := range clvet.Analyzers() {
 			fmt.Printf("%s: %s\n", a.Name, a.Doc)
 		}
 		return
@@ -78,7 +72,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	diags, err := analysis.Run(analyzers(), pkgs)
+	diags, err := analysis.Run(clvet.Analyzers(), pkgs)
 	if err != nil {
 		fatal(err)
 	}

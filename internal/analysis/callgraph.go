@@ -17,6 +17,7 @@ import (
 
 // CallGraph is the package-local static call graph of one pass.
 type CallGraph struct {
+	pass    *Pass
 	decls   map[*types.Func]*ast.FuncDecl
 	callees map[*types.Func][]*types.Func
 }
@@ -26,29 +27,38 @@ type CallGraph struct {
 // matching how the work is actually reached at run time.
 func NewCallGraph(pass *Pass) *CallGraph {
 	g := &CallGraph{
+		pass:    pass,
 		decls:   FuncDecls(pass),
 		callees: map[*types.Func][]*types.Func{},
 	}
 	for fn, fd := range g.decls {
-		if fd.Body == nil {
-			continue
+		if fd.Body != nil {
+			g.callees[fn] = g.CalleesIn(fd.Body)
 		}
-		seen := map[*types.Func]bool{}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := CalleeFunc(pass.TypesInfo, call)
-			if callee == nil || callee.Pkg() != pass.Pkg || seen[callee] {
-				return true
-			}
-			seen[callee] = true
-			g.callees[fn] = append(g.callees[fn], callee)
-			return true
-		})
 	}
 	return g
+}
+
+// CalleesIn returns the distinct same-package functions called directly
+// inside n — how a function literal that is a root of its own (a kernel
+// body) joins the graph.
+func (g *CallGraph) CalleesIn(n ast.Node) []*types.Func {
+	var out []*types.Func
+	seen := map[*types.Func]bool{}
+	ast.Inspect(n, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := CalleeFunc(g.pass.TypesInfo, call)
+		if callee == nil || callee.Pkg() != g.pass.Pkg || seen[callee] {
+			return true
+		}
+		seen[callee] = true
+		out = append(out, callee)
+		return true
+	})
+	return out
 }
 
 // Decls returns the function-object → declaration map.

@@ -1,28 +1,56 @@
-// Package clvet statically enforces the simulated-OpenCL kernel
-// contract of internal/cl. The paper's design leans on OpenCL 1.2
-// kernel restrictions — no dynamic allocation inside kernels, private
-// scratch per work item, work items writing only their own output slot
-// — and PR 1 turned them into a social contract on cl.Kernel
-// (NewState-owned scratch, wi.Global-indexed outputs). The analyzers
-// here turn that contract into a compile gate:
+// Package clvet is the repository's one static-analysis suite, run by
+// cmd/clvet. It turns two social contracts into a compile gate.
+//
+// The simulated-OpenCL kernel contract of internal/cl (the paper's design
+// leans on OpenCL 1.2 kernel restrictions — no dynamic allocation inside
+// kernels, private scratch per work item, work items writing only their
+// own output slot):
 //
 //   - kernelcapture: a kernel body must not mutate variables captured
 //     from its enclosing scope; captured slices may only be written at
 //     index wi.Global (disjoint output slots).
-//   - kernelalloc: no make/new/append outside kernel-state scratch, no
-//     maps, no fmt calls inside a body — the OpenCL 1.2 "fixed output
-//     slots" rule.
 //   - kerneldeterminism: no wall clocks, randomness, map iteration,
 //     channel operations or goroutines inside bodies or NewState; the
 //     serial/parallel bit-identity tests depend on this.
 //   - costcharge: a body whose (package-local) call graph never reaches
-//     (*cl.WorkItem).Charge is a hole in the performance model, unless
-//     annotated //clvet:stateless.
+//     (*cl.WorkItem).Charge is a hole in the performance model.
+//
+// And whole-pipeline discipline — the invariants the reproduction's
+// guarantees rest on but that no fixed-seed test reliably exercises:
+//
+//   - pipedeterminism: pipeline packages (core, cl, checkpoint, fastx,
+//     trace, index, sam) must not read wall clocks, draw from the global
+//     math/rand source, or let map iteration order reach outputs or
+//     serialized state — the serial/parallel and kill-and-resume
+//     bit-identity guarantees depend on it.
+//   - lockguard: struct fields annotated "guarded by <mu>" may only be
+//     accessed while the named mutex is held.
+//   - errwrap: every error constructed in internal/cl must be a typed
+//     *cl.Error / Code sentinel, or wrap one with %w — a bare
+//     fmt.Errorf starves the fault-recovery classification
+//     (IsTransient / IsAllocFailure / IsDeviceLost).
+//   - tracedisc: every trace span Begin is Ended on all paths
+//     (including error returns), and metric names at registry call
+//     sites follow the conventions (snake_case segments, counters end
+//     in _total).
+//   - hotalloc: the one allocation rule. Kernel bodies and functions
+//     annotated //repute:hotpath — and everything they transitively
+//     call in the same package — must not allocate outside owned
+//     scratch (a body's state parameter, a function's receiver and
+//     parameters), use maps or call fmt; error-path constructions are
+//     exempt.
+//   - directive: the annotation grammar itself — unknown //repute:
+//     verbs and the retired clvet/pipevet directive prefixes.
+//
+// Suppressions use //repute:allow <analyzer> -- <reason> on the
+// offending line or the line above; the reason is mandatory
+// (internal/analysis/directives.go). DESIGN.md §8 documents each
+// analyzer's contract.
 //
 // Kernel bodies are found wherever they flow into the runtime: cl.Kernel
 // composite literals, assignments to a Kernel's Body/NewState fields,
-// and calls passing a func(*cl.WorkItem, any) argument (the
-// mapper.RunOnDevice path). A body bound to a local variable first
+// and calls passing a func(*cl.WorkItem, any) argument (the kernel
+// builder's launch helper). A body bound to a local variable first
 // (body := func(...)...) is traced through the binding.
 package clvet
 
@@ -35,21 +63,74 @@ import (
 	"repro/internal/analysis"
 )
 
-// Analyzers returns the full clvet suite in reporting order.
+// Analyzers returns the suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		KernelCapture,
-		KernelAlloc,
 		KernelDeterminism,
 		CostCharge,
+		PipeDeterminism,
+		LockGuard,
+		ErrWrap,
+		TraceDisc,
+		HotAlloc,
+		Directive,
 	}
+}
+
+// Directive checks the annotation grammar: a directive-shaped comment
+// outside it would otherwise be ignored silently — a stale
+// pipeline-package marker opting a package out of pipedeterminism, a
+// misspelt allow suppressing nothing.
+var Directive = &analysis.Analyzer{
+	Name: "directive",
+	Doc: "check that //repute: comments use a known verb (hotpath, allow, pipeline-package) " +
+		"and that no directive with a retired clvet or pipevet prefix is left",
+	Run: func(pass *analysis.Pass) error {
+		for _, c := range analysis.NewDirectives(pass).Malformed() {
+			pass.Reportf(c.Pos(), "unknown directive %q; the grammar is //repute:hotpath, "+
+				"//repute:allow <analyzer> -- <reason> and //repute:pipeline-package", c.Text)
+		}
+		return nil
+	},
+}
+
+// pipelineDirs are the internal packages under the determinism
+// contract: everything between reading a record and writing a mapping,
+// plus the state that round-trips through checkpoints and traces.
+var pipelineDirs = map[string]bool{
+	"core": true, "cl": true, "checkpoint": true, "fastx": true,
+	"trace": true, "index": true, "sam": true,
+}
+
+// isPipelinePackage reports whether the pass's package is in
+// pipedeterminism scope: one of the named internal packages, or any
+// package carrying the //repute:pipeline-package marker.
+func isPipelinePackage(pass *analysis.Pass, dirs *analysis.Directives) bool {
+	path := pass.Pkg.Path()
+	base := path
+	if i := strings.LastIndex(path, "/"); i >= 0 {
+		base = path[i+1:]
+	}
+	if pipelineDirs[base] && strings.Contains(path, "internal/") {
+		return true
+	}
+	return dirs.PipelinePackage()
+}
+
+// isTestFile reports whether the AST file is an in-package _test.go
+// file. The pipeline analyzers check production discipline; tests may
+// fake clocks, leave spans open around failure assertions and allocate
+// freely, so they skip them.
+func isTestFile(pass *analysis.Pass, f interface{ Pos() token.Pos }) bool {
+	return strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
 }
 
 // kernelSite is one place a kernel is constructed: the syntax that binds
 // a body (and possibly a NewState) to the cl runtime.
 type kernelSite struct {
 	// node is the construction site — composite literal, field
-	// assignment or call — used for positions and opt-out comments.
+	// assignment or call — used for positions and allow comments.
 	node ast.Node
 	// body is the resolved body function literal; nil when the body
 	// expression could not be traced to a literal in this package.
@@ -91,16 +172,6 @@ func isBodyFuncType(t types.Type) bool {
 		return false
 	}
 	iface, ok := sig.Params().At(1).Type().Underlying().(*types.Interface)
-	return ok && iface.Empty()
-}
-
-// isNewStateFuncType reports whether t is func() any.
-func isNewStateFuncType(t types.Type) bool {
-	sig, ok := t.Underlying().(*types.Signature)
-	if !ok || sig.Params().Len() != 0 || sig.Results().Len() != 1 {
-		return false
-	}
-	iface, ok := sig.Results().At(0).Type().Underlying().(*types.Interface)
 	return ok && iface.Empty()
 }
 
@@ -181,28 +252,18 @@ func sitesFromAssign(pass *analysis.Pass, as *ast.AssignStmt) []kernelSite {
 }
 
 // siteFromCall recognises helper calls that accept a kernel body — any
-// parameter of type func(*cl.WorkItem, any), like mapper.RunOnDevice —
-// and pairs it with a func() any parameter named "newState" if present.
+// parameter of type func(*cl.WorkItem, any).
 func siteFromCall(pass *analysis.Pass, call *ast.CallExpr) (kernelSite, bool) {
 	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
 	if !ok || sig.Variadic() {
 		return kernelSite{}, false
 	}
-	s := kernelSite{node: call}
-	found := false
 	for i := 0; i < sig.Params().Len() && i < len(call.Args); i++ {
-		p := sig.Params().At(i)
-		switch {
-		case isBodyFuncType(p.Type()):
-			s.bodyExpr = call.Args[i]
-			found = true
-		case p.Name() == "newState" && isNewStateFuncType(p.Type()):
-			if fl := resolveFuncLit(pass, call.Args[i]); fl != nil {
-				s.newState = fl
-			}
+		if isBodyFuncType(sig.Params().At(i).Type()) {
+			return kernelSite{node: call, bodyExpr: call.Args[i]}, true
 		}
 	}
-	return s, found
+	return kernelSite{}, false
 }
 
 // resolveSite traces the body expression to its literal and records the
@@ -298,40 +359,4 @@ func funcLitBoundTo(pass *analysis.Pass, obj types.Object) *ast.FuncLit {
 // (and parameters) from captured ones.
 func declaredWithin(obj types.Object, n ast.Node) bool {
 	return obj.Pos() != token.NoPos && n.Pos() <= obj.Pos() && obj.Pos() < n.End()
-}
-
-// hasOptOut reports whether a //clvet:<name> comment opts the site out:
-// the marker must sit on, or on the line directly above, the kernel
-// construction site or its body literal.
-func hasOptOut(pass *analysis.Pass, s kernelSite, name string) bool {
-	marker := "clvet:" + name
-	lines := map[int]bool{}
-	note := func(n ast.Node) {
-		if n == nil {
-			return
-		}
-		l := pass.Fset.Position(n.Pos()).Line
-		lines[l] = true
-		lines[l-1] = true
-	}
-	note(s.node)
-	if s.body != nil {
-		note(s.body)
-	}
-	for _, f := range pass.Files {
-		if s.node.Pos() < f.Pos() || s.node.Pos() >= f.End() {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.Contains(c.Text, marker) {
-					continue
-				}
-				if lines[pass.Fset.Position(c.Pos()).Line] {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

@@ -12,38 +12,31 @@ import (
 // clock never sees, silently skewing every cross-device comparison the
 // reproduction exists to make. The reachability search covers the body
 // literal and every same-package function or method it calls
-// (transitively); a genuinely cost-free kernel opts out with a
-// //clvet:stateless comment on the construction site.
+// (transitively); a genuinely cost-free kernel carries a justified
+// //repute:allow costcharge on its construction site or body literal.
 var CostCharge = &analysis.Analyzer{
 	Name: "costcharge",
-	Doc: "check that every kernel body charges simulated cost via (*cl.WorkItem).Charge " +
-		"or is annotated //clvet:stateless",
-	Run: runCostCharge,
+	Doc:  "check that every kernel body charges simulated cost via (*cl.WorkItem).Charge",
+	Run:  runCostCharge,
 }
 
 func runCostCharge(pass *analysis.Pass) error {
-	decls := packageFuncDecls(pass)
+	dirs := analysis.NewDirectives(pass)
+	decls := analysis.FuncDecls(pass)
 	for _, site := range kernelSites(pass) {
-		if site.body == nil {
-			continue
-		}
-		if hasOptOut(pass, site, "stateless") {
+		if site.body == nil || dirs.Allowed("costcharge", site.node.Pos()) ||
+			dirs.Allowed("costcharge", site.body.Pos()) {
 			continue
 		}
 		if !reachesCharge(pass, site.body.Body, decls, map[*types.Func]bool{}) {
 			pass.Reportf(site.body.Pos(),
 				"kernel body never reaches (*cl.WorkItem).Charge: its work is invisible "+
 					"to the cost model; charge the operations performed or annotate the "+
-					"kernel //clvet:stateless")
+					"kernel //repute:allow costcharge -- <reason>")
 		}
 	}
+	dirs.ReportUnjustified(pass, "costcharge")
 	return nil
-}
-
-// packageFuncDecls maps this package's function and method objects to
-// their declarations, the reachable part of the call graph.
-func packageFuncDecls(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
-	return analysis.FuncDecls(pass)
 }
 
 // reachesCharge walks one function body looking for a Charge call,
@@ -72,7 +65,7 @@ func reachesCharge(pass *analysis.Pass, body ast.Node,
 			found = true
 			return false
 		}
-		fn := calleeFunc(pass, call)
+		fn := analysis.CalleeFunc(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() != pass.Pkg || visited[fn] {
 			return true
 		}

@@ -1,4 +1,4 @@
-package pipevet
+package clvet
 
 import (
 	"go/ast"
@@ -8,22 +8,26 @@ import (
 	"repro/internal/analysis"
 )
 
-// HotAlloc is the static half of the ROADMAP's allocation-discipline
-// pass: functions annotated //repute:hotpath — the per-item and
-// per-record loops where GC pressure compounds at service QPS — and
-// everything they transitively call in the same package must not
-// allocate outside caller-owned scratch.
+// HotAlloc is the one allocation rule. Its roots are the simulated-OpenCL
+// kernel bodies — OpenCL 1.2 kernels cannot allocate at all: outputs live
+// in fixed slots prepared by the host — and the functions annotated
+// //repute:hotpath, the per-item and per-record loops where GC pressure
+// compounds at service QPS. A root and everything it transitively calls
+// in the same package (a kernel's stage functions and candidate
+// generator included) must not allocate outside owned scratch.
 //
-// Owned scratch generalises clvet's NewState rule to host code: an
-// allocation is fine when its result lands in storage rooted at the
-// receiver or a parameter (vs.window = make(...), s.buf = append(s.buf,
-// chunk...)), including locals aliased from them (dedup := ms[:1];
-// dedup = append(dedup, m) compacts in place within the caller's
-// capacity). Everything else is flagged:
+// Owned scratch is storage rooted at a kernel body's state parameter
+// (the value cl.Kernel.NewState built for the worker) or, in a function,
+// at the receiver or a parameter (vs.window = make(...), s.buf =
+// append(s.buf, chunk...)), including locals aliased from them (dedup :=
+// ms[:1]; dedup = append(dedup, m) compacts in place within the caller's
+// capacity; st := state.(*kernelState)). Everything else is flagged:
 //
 //   - make / new / append into locals or discarded
-//   - map literals and &T{} pointer literals (value composites are
-//     assumed stack-allocated and left to escape analysis)
+//   - maps entirely — literals, make, writes, delete, clear — and
+//     channels: kernels have neither
+//   - &T{} pointer literals (value composites are assumed
+//     stack-allocated and left to escape analysis)
 //   - fmt calls, which allocate and reflect on every invocation
 //   - sort.Slice / sort.SliceStable / sort.Sort / sort.Stable, which box
 //     their arguments per call — slices.SortFunc sorts without boxing
@@ -34,17 +38,18 @@ import (
 // Error construction is exempt everywhere: expressions whose type —
 // or whose enclosing composite's type — implements error are failure
 // paths, and failure paths are not hot. Amortised allocations that are
-// genuinely per-batch, not per-item, carry a justified //pipevet:allow
-// hotalloc; the runtime half of the contract is the AllocsPerRun test
-// over the enqueue path (internal/cl/alloc_test.go).
+// genuinely per-batch, not per-item, carry a justified //repute:allow
+// hotalloc; the runtime half of the contract is the AllocsPerRun tests
+// over the enqueue path and over each mapper's generator.
 //
 // The closure is package-local: a hot function calling into another
-// package is trusted at the boundary — annotate the callee in its own
-// package to extend coverage.
+// package — or through a function value, as the kernel builder calls a
+// mapper's generator — is trusted at the boundary; annotate the callee
+// where it is declared to extend coverage.
 var HotAlloc = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc: "check that //repute:hotpath functions and their same-package callees " +
-		"do not allocate outside caller-owned scratch",
+	Doc: "check that kernel bodies, //repute:hotpath functions and their same-package " +
+		"callees do not allocate outside owned scratch, use maps or call fmt",
 	Run: runHotAlloc,
 }
 
@@ -57,23 +62,28 @@ func runHotAlloc(pass *analysis.Pass) error {
 			roots = append(roots, fn)
 		}
 	}
-	if len(roots) == 0 {
-		dirs.ReportUnjustified(pass, "hotalloc")
-		return nil
+	for _, site := range kernelSites(pass) {
+		if site.body == nil || isTestFile(pass, site.body) {
+			continue
+		}
+		checkHotFunc(pass, dirs, nil, site.body.Type, site.body.Body)
+		roots = append(roots, cg.CalleesIn(site.body)...)
 	}
 	for fn := range cg.Reachable(roots...) {
 		fd := cg.DeclOf(fn)
 		if fd == nil || fd.Body == nil || isTestFile(pass, fd) {
 			continue
 		}
-		checkHotFunc(pass, dirs, fd)
+		checkHotFunc(pass, dirs, fd.Recv, fd.Type, fd.Body)
 	}
 	dirs.ReportUnjustified(pass, "hotalloc")
 	return nil
 }
 
-func checkHotFunc(pass *analysis.Pass, dirs *analysis.Directives, fd *ast.FuncDecl) {
-	owned := ownedObjects(pass, fd)
+// checkHotFunc checks one function — a declaration or a kernel body
+// literal — whose owned scratch is rooted at recv and the parameters.
+func checkHotFunc(pass *analysis.Pass, dirs *analysis.Directives, recv *ast.FieldList, typ *ast.FuncType, body *ast.BlockStmt) {
+	owned := ownedObjects(pass, recv, typ, body)
 
 	// ownedTarget reports whether an assignment target is rooted at the
 	// receiver, a parameter, or an alias of one.
@@ -109,14 +119,24 @@ func checkHotFunc(pass *analysis.Pass, dirs *analysis.Directives, fd *ast.FuncDe
 			pass.Reportf(pos.Pos(), format, args...)
 		}
 	}
+	mapWrite := func(pos ast.Node, target ast.Expr) {
+		if ix, ok := ast.Unparen(target).(*ast.IndexExpr); ok && analysis.IsMapType(pass.TypesInfo, ix.X) {
+			report(pos, "hot path writes a map; kernels have no maps — use fixed slots or owned slices")
+		}
+	}
 
-	analysis.WalkParents(fd.Body, func(n ast.Node, parents []ast.Node) {
+	analysis.WalkParents(body, func(n ast.Node, parents []ast.Node) {
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				mapWrite(n, lhs)
+			}
+		case *ast.IncDecStmt:
+			mapWrite(n, n.X)
 		case *ast.CallExpr:
 			checkHotCall(pass, n, parents, ownedTarget, ownedAssigned, report)
 		case *ast.CompositeLit:
-			if analysis.IsMapType(pass.TypesInfo, n) &&
-				!inErrorConstruction(pass, n, parents) && !ownedAssigned(n, parents) {
+			if analysis.IsMapType(pass.TypesInfo, n) && !inErrorConstruction(pass, n, parents) {
 				report(n, "hot path allocates a map literal; use caller-owned scratch")
 			}
 		case *ast.UnaryExpr:
@@ -140,6 +160,14 @@ func checkHotCall(pass *analysis.Pass, call *ast.CallExpr, parents []ast.Node,
 		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make", "new":
+				switch pass.TypesInfo.TypeOf(call).Underlying().(type) {
+				case *types.Map:
+					report(call, "hot path allocates a map; kernels have no maps")
+					return
+				case *types.Chan:
+					report(call, "hot path allocates a channel; kernels cannot synchronise")
+					return
+				}
 				if !ownedAssigned(call, parents) && !inErrorConstruction(pass, call, parents) {
 					report(call, "hot path allocates with %s outside caller-owned scratch; "+
 						"reuse a receiver- or parameter-owned buffer", b.Name())
@@ -152,6 +180,12 @@ func checkHotCall(pass *analysis.Pass, call *ast.CallExpr, parents []ast.Node,
 					!inErrorConstruction(pass, call, parents) {
 					report(call, "hot path appends outside caller-owned scratch; grow a "+
 						"receiver- or parameter-owned slice instead")
+				}
+			case "delete":
+				report(call, "hot path writes a map; kernels have no maps — use fixed slots or owned slices")
+			case "clear":
+				if len(call.Args) == 1 && analysis.IsMapType(pass.TypesInfo, call.Args[0]) {
+					report(call, "hot path writes a map; kernels have no maps — use fixed slots or owned slices")
 				}
 			}
 			return
@@ -214,11 +248,11 @@ func checkHotUnary(pass *analysis.Pass, n *ast.UnaryExpr, parents []ast.Node,
 // ownedObjects seeds the owned set with the receiver and parameters,
 // then adds locals aliased from them through ident-rooted expressions
 // (slices, type assertions, field chains) in a source-order pass.
-func ownedObjects(pass *analysis.Pass, fd *ast.FuncDecl) map[types.Object]bool {
+func ownedObjects(pass *analysis.Pass, recv *ast.FieldList, typ *ast.FuncType, body *ast.BlockStmt) map[types.Object]bool {
 	owned := map[types.Object]bool{}
-	addField := func(fields *ast.FieldList) {
+	for _, fields := range []*ast.FieldList{recv, typ.Params} {
 		if fields == nil {
-			return
+			continue
 		}
 		for _, f := range fields.List {
 			for _, name := range f.Names {
@@ -228,10 +262,8 @@ func ownedObjects(pass *analysis.Pass, fd *ast.FuncDecl) map[types.Object]bool {
 			}
 		}
 	}
-	addField(fd.Recv)
-	addField(fd.Type.Params)
 
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true

@@ -56,7 +56,7 @@ func checkDeterminism(pass *analysis.Pass, fn *ast.FuncLit, what string) {
 			pass.Reportf(n.Pos(),
 				"kernel %s uses select; kernels must not synchronise with the host", what)
 		case *ast.RangeStmt:
-			if isMapType(pass, n.X) {
+			if analysis.IsMapType(pass.TypesInfo, n.X) {
 				pass.Reportf(n.Pos(),
 					"kernel %s iterates a map; iteration order is nondeterministic across runs", what)
 			}
@@ -68,7 +68,7 @@ func checkDeterminism(pass *analysis.Pass, fn *ast.FuncLit, what string) {
 }
 
 func checkDeterminismCall(pass *analysis.Pass, call *ast.CallExpr, what string) {
-	fn := calleeFunc(pass, call)
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}

@@ -1,4 +1,4 @@
-package pipevet
+package clvet
 
 import (
 	"go/ast"
@@ -25,7 +25,7 @@ import (
 // the matching lock expression — the access base plus the guard path,
 // compared textually — to be held at that point in source order.
 // Branch-sensitive flows (conditionally acquired locks, goroutine
-// handoffs) are beyond the sweep; a justified //pipevet:allow documents
+// handoffs) are beyond the sweep; a justified //repute:allow documents
 // those sites.
 //
 // Constructors are naturally exempt: composite literals name fields
@@ -194,7 +194,7 @@ func checkGuardedAccesses(pass *analysis.Pass, dirs *analysis.Directives,
 			if !held[ev.key] && !dirs.Allowed("lockguard", ev.pos) {
 				pass.Reportf(ev.pos,
 					"field %s is guarded by %s, which is not held here; lock %s first "+
-						"(or //pipevet:allow lockguard -- <reason> for single-owner phases)",
+						"(or //repute:allow lockguard -- <reason> for single-owner phases)",
 					ev.field, ev.guard, ev.key)
 			}
 		}

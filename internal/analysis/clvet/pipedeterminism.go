@@ -1,4 +1,4 @@
-package pipevet
+package clvet
 
 import (
 	"go/ast"
@@ -17,12 +17,12 @@ import (
 //
 // Three sources of nondeterminism are flagged in pipeline packages
 // (non-test files of core, cl, checkpoint, fastx, trace, index, sam, or
-// any package marked //pipevet:pipeline-package):
+// any package marked //repute:pipeline-package):
 //
 //   - wall-clock calls (time.Now, Since, Until, Sleep, After, Tick,
 //     NewTimer, NewTicker): simulated time comes from the cost model;
 //     code that genuinely needs the host clock takes an injected clock
-//     and the call site carries a justified //pipevet:allow.
+//     and the call site carries a justified //repute:allow.
 //   - global math/rand (package-level functions of math/rand and
 //     math/rand/v2): randomness must come from a seeded *rand.Rand
 //     threaded through the pipeline (fastx.Codec is the model).
@@ -82,7 +82,7 @@ func checkNondetCall(pass *analysis.Pass, dirs *analysis.Directives, call *ast.C
 			if !dirs.Allowed("pipedeterminism", call.Pos()) {
 				pass.Reportf(call.Pos(),
 					"wall-clock call time.%s in a pipeline package: simulated time comes "+
-						"from the cost model; inject a clock (and //pipevet:allow the site) "+
+						"from the cost model; inject a clock (and //repute:allow the site) "+
 						"if host time is genuinely needed", fn.Name())
 			}
 		}

@@ -89,7 +89,7 @@ func (a *allocator) release(i int) {
 // construct documents the single-owner escape hatch.
 func construct(n int) *allocator {
 	a := &allocator{}
-	//pipevet:allow lockguard -- a is not shared until returned
+	//repute:allow lockguard -- a is not shared until returned
 	a.busy = make([]bool, n)
 	return a
 }

@@ -1,6 +1,6 @@
 // Testdata for the costcharge analyzer: every kernel body must reach
 // (*cl.WorkItem).Charge — directly or through same-package helpers — or
-// carry an explicit //clvet:stateless opt-out; otherwise its work is
+// carry a justified //repute:allow costcharge; otherwise its work is
 // invisible to the simulated clock.
 package costcharge
 
@@ -40,7 +40,7 @@ func transitive(out []int) *cl.Kernel {
 
 // optout declares itself cost-free: ok because of the annotation.
 func optout(out []int) *cl.Kernel {
-	//clvet:stateless
+	//repute:allow costcharge -- marks a slot, does no work worth modelling
 	return &cl.Kernel{
 		Name: "optout",
 		Body: func(wi *cl.WorkItem, _ any) {
@@ -73,7 +73,7 @@ func wrap(k *cl.Kernel, observe func(int64)) *cl.Kernel {
 	return &out
 }
 
-// enqueue mimics mapper.RunOnDevice's shape.
+// enqueue mimics a kernel-builder helper that takes the body as an argument.
 func enqueue(n int, newState func() any, body func(*cl.WorkItem, any)) {
 	_ = n
 	_ = newState

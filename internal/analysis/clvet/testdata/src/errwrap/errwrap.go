@@ -47,6 +47,6 @@ func localNew() error {
 
 // allowedBare documents a deliberate exception.
 func allowedBare() error {
-	//pipevet:allow errwrap -- parse-time config error, never reaches recovery
+	//repute:allow errwrap -- parse-time config error, never reaches recovery
 	return fmt.Errorf("cl: bad config")
 }

@@ -96,7 +96,7 @@ func validate(reads [][]byte) error {
 //
 //repute:hotpath
 func amortised(reads [][]byte) []int {
-	//pipevet:allow hotalloc -- output slice retained by the caller, one per batch
+	//repute:allow hotalloc -- output slice retained by the caller, one per batch
 	res := make([]int, 0, len(reads))
 	for _, g := range reads {
 		res = append(res, len(g)) // want `hot path appends outside caller-owned scratch`

@@ -1,4 +1,4 @@
-// Testdata for the kernelalloc analyzer: OpenCL 1.2 kernels cannot
+// Testdata for the hotalloc analyzer on kernel bodies: OpenCL 1.2 kernels cannot
 // allocate; the only sanctioned growth is amortised kernel-state
 // scratch, outputs are fixed slots, and maps do not exist.
 package kernelalloc
@@ -37,13 +37,13 @@ func bad(out [][]int) *cl.Kernel {
 	return &cl.Kernel{
 		Name: "bad",
 		Body: func(wi *cl.WorkItem, _ any) {
-			tmp := make([]int, 4)       // want `allocates with make outside kernel state`
-			tmp = append(tmp, 1)        // want `appends outside kernel state`
-			p := new(int)               // want `allocates with new outside kernel state`
+			tmp := make([]int, 4)       // want `allocates with make outside caller-owned scratch`
+			tmp = append(tmp, 1)        // want `appends outside caller-owned scratch`
+			p := new(int)               // want `allocates with new outside caller-owned scratch`
 			seen := map[int]bool{}      // want `allocates a map literal`
-			seen[wi.Global] = true      // want `kernel body writes a map`
-			delete(seen, 0)             // want `kernel body writes a map`
-			counts := make(map[int]int) // want `kernel body allocates a map`
+			seen[wi.Global] = true      // want `hot path writes a map`
+			delete(seen, 0)             // want `hot path writes a map`
+			counts := make(map[int]int) // want `hot path allocates a map;`
 			_ = counts
 			ch := make(chan int, 1) // want `allocates a channel`
 			_ = ch

@@ -74,7 +74,7 @@ func assigned(out []int) *cl.Kernel {
 	return &k
 }
 
-// enqueue mimics mapper.RunOnDevice: any parameter of the kernel body
+// enqueue mimics a kernel-builder helper: any parameter of the kernel body
 // type marks its argument as a kernel body.
 func enqueue(n int, newState func() any, body func(*cl.WorkItem, any)) {
 	_ = n

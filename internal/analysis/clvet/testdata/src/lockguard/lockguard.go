@@ -93,6 +93,6 @@ func (w *wrapper) hopUnlocked() int {
 
 // singleOwner documents a construction-phase access.
 func singleOwner(c *counter) {
-	//pipevet:allow lockguard -- c is not shared until returned
+	//repute:allow lockguard -- c is not shared until returned
 	c.n = 0
 }

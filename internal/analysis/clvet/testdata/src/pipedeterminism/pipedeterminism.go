@@ -2,7 +2,7 @@
 // not let wall clocks, global math/rand, or map iteration order reach
 // outputs or serialized state.
 //
-//pipevet:pipeline-package
+//repute:pipeline-package
 package pipedeterminism
 
 import (
@@ -22,13 +22,13 @@ func clocks() time.Duration {
 
 // allowedClock carries a justified suppression and is clean.
 func allowedClock() time.Time {
-	//pipevet:allow pipedeterminism -- ingest heartbeat uses host time by design
+	//repute:allow pipedeterminism -- ingest heartbeat uses host time by design
 	return time.Now()
 }
 
 // unjustifiedAllow is not honored: both the directive and the call fire.
 func unjustifiedAllow() time.Time {
-	/* want `without a justification` */ //pipevet:allow pipedeterminism
+	/* want `without a justification` */ //repute:allow pipedeterminism
 	return time.Now()                    // want `wall-clock call time\.Now`
 }
 
@@ -107,7 +107,7 @@ func floatSums(m map[string]float64) (float64, int) {
 // allowedRange suppresses the whole range statement.
 func allowedRange(m map[string]int) []string {
 	var keys []string
-	//pipevet:allow pipedeterminism -- debug dump, order-insensitive consumer
+	//repute:allow pipedeterminism -- debug dump, order-insensitive consumer
 	for k := range m {
 		keys = append(keys, k)
 	}

@@ -1,4 +1,4 @@
-// Testdata for the kernelalloc analyzer against pre-alignment filter
+// Testdata for the hotalloc analyzer against pre-alignment filter
 // kernels: the filter's bit masks, window registers and survivor lists
 // are amortised kernel-state scratch; a kernel that builds them fresh
 // per work item allocates on-device, which OpenCL 1.2 forbids.
@@ -42,10 +42,10 @@ func bad(reads [][]byte, candOut [][]int) *cl.Kernel {
 		Name: "bad-prefilter",
 		Body: func(wi *cl.WorkItem, _ any) {
 			words := (len(reads[wi.Global]) + 63) / 64
-			peq := make([]uint64, words) // want `allocates with make outside kernel state`
-			acc := make([]uint64, words) // want `allocates with make outside kernel state`
+			peq := make([]uint64, words) // want `allocates with make outside caller-owned scratch`
+			acc := make([]uint64, words) // want `allocates with make outside caller-owned scratch`
 			var keep []int
-			keep = append(keep, wi.Global) // want `appends outside kernel state`
+			keep = append(keep, wi.Global) // want `appends outside caller-owned scratch`
 			seen := map[int]bool{}         // want `allocates a map literal`
 			_ = seen
 			_ = peq

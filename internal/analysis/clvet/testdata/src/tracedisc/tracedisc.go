@@ -55,7 +55,7 @@ func earlyReturn(r *trace.Recorder, t float64) error {
 
 // allowedBegin defers ending to a helper the analyzer cannot see.
 func allowedBegin(r *trace.Recorder, t float64) trace.SpanID {
-	//pipevet:allow tracedisc -- span handed to the caller, ended there
+	//repute:allow tracedisc -- span handed to the caller, ended there
 	return r.Begin("device0", "enqueue", t)
 }
 

@@ -1,4 +1,4 @@
-package pipevet
+package clvet
 
 import (
 	"go/ast"

@@ -1,8 +1,8 @@
 package analysis
 
-// Directive comments shared across analyzer suites. pipevet (and any
-// future suite) reads three source-level annotations through this
-// parser, so every analyzer agrees on syntax and placement rules:
+// Directive comments: the one source-level annotation grammar every
+// analyzer reads through this parser, so all agree on syntax and
+// placement rules:
 //
 //	//repute:hotpath
 //	    on a function declaration's doc comment — marks the function a
@@ -14,17 +14,21 @@ package analysis
 //	    field may only be accessed while the named mutex is held. The
 //	    path is resolved against sibling fields ("mu", "ctx.mu").
 //
-//	//pipevet:allow <analyzer> -- <reason>
+//	//repute:allow <analyzer> -- <reason>
 //	    on the offending line, or the line directly above — suppresses
 //	    one analyzer's diagnostics on that line. The reason is
 //	    mandatory: an allow without one is itself reported by the named
 //	    analyzer and is NOT honored, so suppressions always carry their
 //	    justification in the source.
 //
-//	//pipevet:pipeline-package
+//	//repute:pipeline-package
 //	    anywhere in a package — opts the package into the pipeline
 //	    scope used by pipedeterminism (testdata and future packages
 //	    outside the built-in internal/ set).
+//
+// Any other //repute: verb, and the retired clvet and pipevet
+// prefixes, are collected as malformed (a misspelt or stale marker would
+// otherwise be silently ignored) and reported by the directive analyzer.
 
 import (
 	"go/ast"
@@ -35,8 +39,9 @@ import (
 )
 
 var (
-	allowRe = regexp.MustCompile(`^//\s*pipevet:allow\s+([a-z][a-z0-9_,]*)\s*(?:--\s*(.*))?$`)
-	guardRe = regexp.MustCompile(`guarded by\s+([A-Za-z_][A-Za-z0-9_.]*)`)
+	directiveRe = regexp.MustCompile(`^//(repute|clvet|pipevet):(\S*)\s*(.*)$`)
+	allowRe     = regexp.MustCompile(`^([a-z][a-z0-9_,]*)\s*(?:--\s*(.*))?$`)
+	guardRe     = regexp.MustCompile(`guarded by\s+([A-Za-z_][A-Za-z0-9_.]*)`)
 )
 
 // GuardAnnotation is one parsed "guarded by" field annotation, before
@@ -67,6 +72,8 @@ type Directives struct {
 	missing map[string][]token.Pos // analyzer -> unjustified allow positions
 	guards  []GuardAnnotation
 	marker  bool
+	// malformed are the directive-shaped comments outside the grammar.
+	malformed []*ast.Comment
 }
 
 // NewDirectives parses every directive comment in the pass's files.
@@ -88,23 +95,31 @@ func NewDirectives(pass *Pass) *Directives {
 }
 
 func (d *Directives) parseComment(c *ast.Comment) {
-	text := strings.TrimSpace(c.Text)
-	if text == "//pipevet:pipeline-package" {
-		d.marker = true
-		return
-	}
-	m := allowRe.FindStringSubmatch(text)
+	m := directiveRe.FindStringSubmatch(strings.TrimSpace(c.Text))
 	if m == nil {
 		return
 	}
-	reason := strings.TrimSpace(m[2])
-	pos := d.fset.Position(c.Pos())
-	for _, analyzer := range strings.Split(m[1], ",") {
-		if reason == "" {
-			d.missing[analyzer] = append(d.missing[analyzer], c.Pos())
-			continue
+	prefix, verb, rest := m[1], m[2], m[3]
+	allow := allowRe.FindStringSubmatch(rest)
+	switch {
+	case prefix != "repute":
+		d.malformed = append(d.malformed, c)
+	case verb == "hotpath" && rest == "":
+		// Read off the declaration's doc comment by HotpathRoot.
+	case verb == "pipeline-package" && rest == "":
+		d.marker = true
+	case verb == "allow" && allow != nil:
+		reason := strings.TrimSpace(allow[2])
+		pos := d.fset.Position(c.Pos())
+		for _, analyzer := range strings.Split(allow[1], ",") {
+			if reason == "" {
+				d.missing[analyzer] = append(d.missing[analyzer], c.Pos())
+				continue
+			}
+			d.allows[allowKey{analyzer, pos.Filename, pos.Line}] = true
 		}
-		d.allows[allowKey{analyzer, pos.Filename, pos.Line}] = true
+	default:
+		d.malformed = append(d.malformed, c)
 	}
 }
 
@@ -153,7 +168,7 @@ func guardOf(field *ast.Field) ([]string, token.Pos) {
 }
 
 // Allowed reports whether a diagnostic of the named analyzer at pos is
-// suppressed by a justified //pipevet:allow on the same line or the
+// suppressed by a justified //repute:allow on the same line or the
 // line directly above.
 func (d *Directives) Allowed(analyzer string, pos token.Pos) bool {
 	p := d.fset.Position(pos)
@@ -161,13 +176,13 @@ func (d *Directives) Allowed(analyzer string, pos token.Pos) bool {
 		d.allows[allowKey{analyzer, p.Filename, p.Line - 1}]
 }
 
-// ReportUnjustified reports every //pipevet:allow naming the analyzer
+// ReportUnjustified reports every //repute:allow naming the analyzer
 // that carries no "-- <reason>" justification. Unjustified allows are
 // not honored, so the diagnostic they meant to suppress also fires.
 func (d *Directives) ReportUnjustified(pass *Pass, analyzer string) {
 	for _, pos := range d.missing[analyzer] {
-		pass.Reportf(pos, "//pipevet:allow %s without a justification; "+
-			"write //pipevet:allow %s -- <reason> (the suppression is not honored)",
+		pass.Reportf(pos, "//repute:allow %s without a justification; "+
+			"write //repute:allow %s -- <reason> (the suppression is not honored)",
 			analyzer, analyzer)
 	}
 }
@@ -175,8 +190,12 @@ func (d *Directives) ReportUnjustified(pass *Pass, analyzer string) {
 // GuardAnnotations returns the parsed "guarded by" field annotations.
 func (d *Directives) GuardAnnotations() []GuardAnnotation { return d.guards }
 
+// Malformed returns the directive-shaped comments outside the grammar:
+// unknown //repute: verbs and the retired clvet and pipevet prefixes.
+func (d *Directives) Malformed() []*ast.Comment { return d.malformed }
+
 // PipelinePackage reports whether the package carries the
-// //pipevet:pipeline-package scope marker.
+// //repute:pipeline-package scope marker.
 func (d *Directives) PipelinePackage() bool { return d.marker }
 
 // HotpathRoot reports whether fd's doc comment carries the

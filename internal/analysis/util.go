@@ -1,10 +1,8 @@
 package analysis
 
-// Shared AST/type utilities used by every analyzer suite. These grew up
-// inside clvet (PR 2) and moved here when pipevet needed the same
-// primitives; they are deliberately tiny and positional — the framework
-// has no Fact or Inspector machinery, so analyzers lean on parent
-// stacks and direct type lookups instead.
+// Shared AST/type utilities of the analyzers. They are deliberately tiny
+// and positional — the framework has no Fact or Inspector machinery, so
+// analyzers lean on parent stacks and direct type lookups instead.
 
 import (
 	"go/ast"

@@ -1,6 +1,6 @@
 package cl
 
-// Runtime half of the hotalloc contract (internal/analysis/pipevet):
+// Runtime half of the hotalloc contract (internal/analysis/clvet):
 // the static analyzer proves the enqueue path does not allocate outside
 // caller-owned scratch, and these tests pin the measured consequence —
 // enqueue cost is constant in the number of work items. The per-item

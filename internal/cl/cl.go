@@ -511,7 +511,7 @@ func (q *Queue) EnqueueNDRange(k *Kernel, globalSize int) (Event, error) {
 					ev.SimSeconds, wk, budget/wk),
 			}
 			if t := q.tracer; t != nil {
-				//pipevet:allow hotalloc -- tracing-enabled path only, one instant per watchdog kill
+				//repute:allow hotalloc -- tracing-enabled path only, one instant per watchdog kill
 				t.Instant(q.dev.Name, "watchdog-fired",
 					trace.Str("kernel", k.Name),
 					trace.F64("budget_sec", budget),
@@ -527,7 +527,7 @@ func (q *Queue) EnqueueNDRange(k *Kernel, globalSize int) (Event, error) {
 	q.busyTotal += ev.SimSeconds
 	q.costTotal.Add(ev.Cost)
 	if t := q.tracer; t != nil {
-		//pipevet:allow hotalloc -- tracing-enabled path only; the zero-cost contract is tracer-off
+		//repute:allow hotalloc -- tracing-enabled path only; the zero-cost contract is tracer-off
 		attrs := []trace.Attr{
 			trace.I64("global_size", int64(globalSize)),
 			trace.F64("energy_j", ev.SimSeconds*q.dev.PowerW),
@@ -540,11 +540,11 @@ func (q *Queue) EnqueueNDRange(k *Kernel, globalSize int) (Event, error) {
 			trace.I64("verified", total.Verified),
 		}
 		if throttle != 1 {
-			//pipevet:allow hotalloc -- tracing-enabled path only, one append per throttled enqueue
+			//repute:allow hotalloc -- tracing-enabled path only, one append per throttled enqueue
 			attrs = append(attrs, trace.F64("throttle", throttle))
 		}
 		if total.FilterWords > 0 || total.Filtered > 0 || total.FalseAccepts > 0 {
-			//pipevet:allow hotalloc -- tracing-enabled path only, appended only by prefilter-stage kernels
+			//repute:allow hotalloc -- tracing-enabled path only, appended only by prefilter-stage kernels
 			attrs = append(attrs, trace.I64("filter_words", total.FilterWords),
 				trace.I64("filtered", total.Filtered),
 				trace.I64("false_accepts", total.FalseAccepts))

@@ -140,11 +140,11 @@ func runParallel(k *Kernel, globalSize, workers, groups int) (Cost, error) {
 		wg    sync.WaitGroup
 		fault atomic.Pointer[error]
 	)
-	//pipevet:allow hotalloc -- per-enqueue pool setup, amortised over the whole ND-range
+	//repute:allow hotalloc -- per-enqueue pool setup, amortised over the whole ND-range
 	costs := make([]Cost, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//pipevet:allow hotalloc -- one worker closure per pool slot, not per work item
+		//repute:allow hotalloc -- one worker closure per pool slot, not per work item
 		go func(w int) {
 			defer wg.Done()
 			defer func() {

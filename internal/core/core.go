@@ -22,7 +22,6 @@ import (
 	"repro/internal/align"
 	"repro/internal/cl"
 	"repro/internal/dna"
-	"repro/internal/filter"
 	"repro/internal/fmindex"
 	"repro/internal/mapper"
 	"repro/internal/seed"
@@ -893,25 +892,25 @@ const candidateBytes = 8
 // slots, so the retry recomputes identical survivors.
 func (p *Pipeline) runBatch(ctx *cl.Context, queue *cl.Queue, sh *Shard, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) error {
 	dev := queue.Device()
-	b := newBatch(p, sh, reads, out, opt)
-	inBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*b.inBytes)
+	b := p.newBatch(sh, reads, out, opt)
+	inBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*b.InBytes)
 	if err != nil {
 		return fmt.Errorf("read buffer: %w", err)
 	}
 	defer inBuf.Free()
-	outBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*b.outBytes)
+	outBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*b.OutBytes)
 	if err != nil {
 		return fmt.Errorf("output buffer: %w", err)
 	}
 	defer outBuf.Free()
 	if opt.Prefilter == mapper.PrefilterGateKeeper {
-		candBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64(b.slotCap())*candidateBytes)
+		candBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64(b.SlotCap)*candidateBytes)
 		if err != nil {
 			return fmt.Errorf("candidate buffer: %w", err)
 		}
 		defer candBuf.Free()
 	}
-	for _, kern := range b.kernels() {
+	for _, kern := range b.Kernels() {
 		if p.itemHist != nil {
 			kern = instrumentKernel(kern, p.itemHist)
 		}
@@ -938,240 +937,60 @@ func instrumentKernel(k *cl.Kernel, h *trace.Histogram) *cl.Kernel {
 	return &out
 }
 
-// kernelState is one host worker's private memory for the mapping
-// kernels: the reverse-complement buffer, the candidate and locate
-// scratch slices, the verifier state and the pre-alignment filter
-// scratch. Keeping them here — not captured by the kernel closure — is
-// what lets the work-group scheduler run work items on several workers
-// at once.
-type kernelState struct {
-	vs    mapper.VerifyState
-	rev   []byte
-	cands []mapper.Candidate
-	locs  []int32
-	win   []byte       // prefilter window scratch
-	fs    filter.State // prefilter shifted-Hamming scratch
-}
-
-// batch is the kernel builder for one batch of reads against one shard.
-// It fixes the per-batch constants once and exposes a work item's life
-// as stages — seed (select, locate, dedup) → [filter] → verify (Myers,
-// owner-filter, finalize) — that kernels() cuts into launches: one fused
-// kernel, or a seed+filter | verify pair when the pre-alignment filter is
-// on. The filter accepts a superset of the verifiable windows, so the
-// mappings are byte-identical wherever the launch boundary falls; the
-// equivalence and oracle tests pin exactly that. Stages allocate only
-// into kernel-state scratch, per the clvet contract the bodies are held
-// to.
-type batch struct {
-	p        *Pipeline
-	sh       *Shard
-	text     dna.PackedSeq
-	reads    [][]byte
-	out      [][]mapper.Mapping
-	opt      mapper.Options
+// generator is REPUTE's candidate generator (mapper.Generator): the
+// configured selector places the seeds of one strand, and their
+// occurrences are located up to the strand's candidate budget.
+type generator struct {
+	ix       *fmindex.Index
+	selector seed.Selector
 	params   seed.Params
-	maxCand  int     // located candidates per strand (first-n policy: the verification slots are static)
-	locSteps float64 // FM steps per located position
-	// Per-read sizes of the static read and output buffers, which are also
-	// the host-transfer bytes per work item: reads travel in with the
-	// first launch, mapping slots travel back with the last.
-	inBytes, outBytes int64
+	maxCand  int // located candidates per strand (first-n policy: the verification slots are static)
 }
 
-func newBatch(p *Pipeline, sh *Shard, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) *batch {
+//repute:hotpath
+func (g *generator) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
+	sel, err := g.selector.Select(g.ix, pattern, g.params)
+	if err != nil {
+		// Static kernels cannot recover; surface as a launch
+		// failure like a real kernel fault would.
+		panic(err)
+	}
+	cost.FMSteps += int64(sel.FMSteps)
+	cost.DPCells += int64(sel.DPCells)
+	remaining := g.maxCand
+	for _, s := range sel.Seeds {
+		remaining -= st.Locate(g.ix, s.Lo, s.Hi, remaining, s.Start, strand, cost)
+	}
+}
+
+// newBatch describes one batch of reads against one shard to the shared
+// kernel builder: the selector-driven generator, the shard's slice and
+// ownership geometry, the static buffer sizes, and REPUTE's first-n
+// report policy.
+func (p *Pipeline) newBatch(sh *Shard, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) *mapper.Batch {
+	readLen := len(reads[0])
 	params := seed.Params{
 		Errors:      opt.MaxErrors,
 		MinSeedLen:  opt.MinSeedLen,
 		MaxSeedFreq: opt.MaxSeedFreq,
 	}
 	if params.MinSeedLen <= 0 {
-		params.MinSeedLen = DefaultMinSeedLen(len(reads[0]), opt.MaxErrors)
+		params.MinSeedLen = DefaultMinSeedLen(readLen, opt.MaxErrors)
 	}
-	return &batch{p: p, sh: sh, text: sh.Index.Text(), reads: reads, out: out, opt: opt,
-		params: params, maxCand: 2 * opt.MaxLocations, locSteps: sh.Index.LocateSteps(),
-		inBytes:  int64((len(reads[0]) + 3) / 4),
-		outBytes: int64(opt.MaxLocations) * locationBytes,
+	gen := &generator{ix: sh.Index, selector: p.selector, params: params, maxCand: 2 * opt.MaxLocations}
+	return &mapper.Batch{
+		Name:         p.name,
+		PrivateBytes: int64(seed.DPPeakMem(readLen, opt.MaxErrors, params.MinSeedLen, p.selector)),
+		Generate:     gen.generate,
+		Text:         sh.Index.Text(),
+		SliceStart:   sh.SliceStart, OwnStart: sh.OwnStart, OwnEnd: sh.OwnEnd,
+		Reads: reads, Out: out,
+		MaxErrors: opt.MaxErrors, Prefilter: opt.Prefilter,
+		Policy:   mapper.Policy{VerifyCap: opt.MaxLocations, BestOnly: opt.Best, MaxLoc: opt.MaxLocations},
+		InBytes:  int64((readLen + 3) / 4),
+		OutBytes: int64(opt.MaxLocations) * locationBytes,
+		// Dedup can only shrink the candidate set, so 2 strands × maxCand
+		// located candidates bound the survivors.
+		SlotCap: 2 * gen.maxCand,
 	}
-}
-
-// slotCap is the per-read capacity of the filter's candidate slots:
-// dedup can only shrink the candidate set, so 2 strands × maxCand located
-// candidates bound the survivors.
-func (b *batch) slotCap() int { return 2 * b.maxCand }
-
-// kernels returns the batch's launches in enqueue order.
-func (b *batch) kernels() []*cl.Kernel {
-	readLen := len(b.reads[0])
-	seedKernel := func(name string, body func(*cl.WorkItem, any)) *cl.Kernel {
-		return &cl.Kernel{
-			Name:                b.p.name + name,
-			PrivateBytesPerItem: int64(seed.DPPeakMem(readLen, b.opt.MaxErrors, b.params.MinSeedLen, b.p.selector)),
-			NewState:            func() any { return &kernelState{rev: make([]byte, readLen)} },
-			Body:                body,
-		}
-	}
-	if b.opt.Prefilter != mapper.PrefilterGateKeeper {
-		return []*cl.Kernel{seedKernel("-map", func(wi *cl.WorkItem, state any) {
-			st := state.(*kernelState)
-			read := b.reads[wi.Global]
-			cost := cl.Cost{Items: 1, Bytes: b.inBytes + b.outBytes}
-			b.out[wi.Global] = b.verify(st, read, b.seed(st, read, &cost), &cost)
-			wi.Charge(cost)
-		})}
-	}
-	slotCap := b.slotCap()
-	backing := make([]mapper.Candidate, len(b.reads)*slotCap)
-	survivors := make([][]mapper.Candidate, len(b.reads))
-	return []*cl.Kernel{
-		seedKernel("-prefilter", func(wi *cl.WorkItem, state any) {
-			st := state.(*kernelState)
-			read := b.reads[wi.Global]
-			cost := cl.Cost{Items: 1, Bytes: b.inBytes}
-			slot := backing[wi.Global*slotCap : (wi.Global+1)*slotCap]
-			survivors[wi.Global] = b.filter(st, read, b.seed(st, read, &cost), slot, &cost)
-			wi.Charge(cost)
-		}),
-		{
-			Name:                b.p.name + "-verify",
-			PrivateBytesPerItem: int64(8 * readLen),
-			NewState:            func() any { return &kernelState{} },
-			Body: func(wi *cl.WorkItem, state any) {
-				st := state.(*kernelState)
-				cost := cl.Cost{Items: 1, Bytes: b.outBytes}
-				b.out[wi.Global] = b.verify(st, b.reads[wi.Global], survivors[wi.Global], &cost)
-				wi.Charge(cost)
-			},
-		},
-	}
-}
-
-// seed runs seed selection and candidate location for both strands of
-// read and dedups the result, charging the selection and locate work. On
-// return st.rev holds the read's reverse complement.
-func (b *batch) seed(st *kernelState, read []byte, cost *cl.Cost) []mapper.Candidate {
-	ix := b.sh.Index
-	st.cands = st.cands[:0]
-	for _, strand := range []byte{mapper.Forward, mapper.Reverse} {
-		pattern := read
-		if strand == mapper.Reverse {
-			if cap(st.rev) < len(read) {
-				st.rev = make([]byte, len(read))
-			}
-			st.rev = st.rev[:len(read)]
-			dna.ReverseComplementInto(st.rev, read)
-			pattern = st.rev
-		}
-		sel, err := b.p.selector.Select(ix, pattern, b.params)
-		if err != nil {
-			// Static kernels cannot recover; surface as a launch
-			// failure like a real kernel fault would.
-			panic(err)
-		}
-		cost.FMSteps += int64(sel.FMSteps)
-		cost.DPCells += int64(sel.DPCells)
-		remaining := b.maxCand
-		for _, s := range sel.Seeds {
-			if remaining <= 0 {
-				break
-			}
-			c := s.Count()
-			if c == 0 {
-				continue
-			}
-			if c > remaining {
-				c = remaining
-			}
-			st.locs = ix.Locate(s.Lo, s.Lo+c, 0, st.locs[:0])
-			cost.LocateSteps += int64(float64(c) * (1 + b.locSteps))
-			for _, pos := range st.locs {
-				st.cands = append(st.cands, mapper.Candidate{
-					Pos:    pos - int32(s.Start),
-					Strand: strand,
-				})
-			}
-			remaining -= c
-		}
-	}
-	dd := mapper.DedupCandidates(st.cands, int32(b.opt.MaxErrors))
-	cost.Candidates = int64(len(dd))
-	return dd
-}
-
-// filter runs the GateKeeper-style shifted-Hamming test
-// (internal/filter) over each candidate's verification window and
-// compacts the survivors into the read's fixed slot.
-func (b *batch) filter(st *kernelState, read []byte, cands, slot []mapper.Candidate, cost *cl.Cost) []mapper.Candidate {
-	n, maxErr := len(read), b.opt.MaxErrors
-	kept := 0
-	prepared := byte(0xFF) // no pattern prepared yet
-	for _, c := range cands {
-		// The window is exactly the one verification would scan;
-		// windows too short to hold any match are dropped here the
-		// way Verify itself would skip them.
-		lo := int(c.Pos) - maxErr
-		hi := int(c.Pos) + n + maxErr
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > b.text.Len() {
-			hi = b.text.Len()
-		}
-		if hi-lo < n-maxErr {
-			cost.Filtered++
-			continue
-		}
-		if c.Strand != prepared {
-			// Candidates arrive sorted by strand, so each strand's
-			// pattern bitvectors build at most once per read.
-			pattern := read
-			if c.Strand == mapper.Reverse {
-				pattern = st.rev
-			}
-			cost.FilterWords += st.fs.Prepare(pattern, maxErr)
-			prepared = c.Strand
-		}
-		if cap(st.win) < hi-lo {
-			st.win = make([]byte, hi-lo)
-		}
-		ok, fw := st.fs.Accept(b.text.SliceInto(st.win, lo, hi))
-		cost.FilterWords += fw
-		if !ok {
-			cost.Filtered++
-			continue
-		}
-		slot[kept] = c
-		kept++
-	}
-	return slot[:kept]
-}
-
-// verify Myers-scans the candidates in slice-local coordinates, shifts
-// the matches by the slice origin, drops those outside the shard's
-// ownership range, and finalizes — so a merge only ever sees
-// globally-coordinated, owner-filtered mappings.
-func (b *batch) verify(st *kernelState, read []byte, cands []mapper.Candidate, cost *cl.Cost) []mapper.Mapping {
-	ms, vc := st.vs.Verify(b.text, read, cands, b.opt.MaxErrors, b.opt.MaxLocations)
-	// Globalize and owner-filter in place: positions shift by a constant
-	// so the sorted order Verify established survives, and compaction
-	// writes only into slots already held.
-	w := 0
-	for _, m := range ms {
-		g := int64(m.Pos) + b.sh.SliceStart
-		if g < b.sh.OwnStart || g >= b.sh.OwnEnd {
-			continue
-		}
-		m.Pos = int32(g)
-		ms[w] = m
-		w++
-	}
-	ms = ms[:w]
-	cost.VerifyWords += vc.VerifyWords
-	cost.Verified = int64(len(ms))
-	if b.opt.Prefilter == mapper.PrefilterGateKeeper {
-		// Every slot candidate passed the filter and owns a full window,
-		// so the ones Myers rejects are the filter's false accepts.
-		cost.FalseAccepts = int64(len(cands)) - vc.Matched
-	}
-	return mapper.Finalize(ms, b.opt.Best, b.opt.MaxLocations)
 }

@@ -9,11 +9,10 @@ package bwamem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/align"
 	"repro/internal/cl"
-	"repro/internal/dna"
 	"repro/internal/fmindex"
 	"repro/internal/mapper"
 )
@@ -47,10 +46,9 @@ func New(ref []byte, dev *cl.Device) (*Mapper, error) {
 func (m *Mapper) Name() string { return "BWA-MEM" }
 
 // seedsOf finds maximal exact matches by backward extension from anchor
-// end positions spread over the read.
-func (m *Mapper) seedsOf(pattern []byte, anchors int, itemCost *cl.Cost) []memSeed {
+// end positions spread over the read, appending them to seeds.
+func (m *Mapper) seedsOf(seeds []memSeed, pattern []byte, anchors int, itemCost *cl.Cost) []memSeed {
 	n := len(pattern)
-	var seeds []memSeed
 	step := n / anchors
 	if step < 1 {
 		step = 1
@@ -81,123 +79,96 @@ type memSeed struct {
 	lo, hi     int
 }
 
+// scratch is the work item's worker-private memory.
+type scratch struct {
+	seeds  []memSeed
+	window []byte
+	// seen holds the sorted diagonal-bucket keys already extended for
+	// the current strand — the chain dedup, kept as a slice because the
+	// kernel contract has no maps.
+	seen []int32
+}
+
+// generate is the MEM seeding (mapper.Generator): the occurrences of
+// every sufficiently rare maximal exact match, in seed order.
+//
+//repute:hotpath
+func (m *Mapper) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
+	sc := st.Scratch.(*scratch)
+	// BWA-MEM re-seeds roughly every ~20 bp along the read.
+	sc.seeds = m.seedsOf(sc.seeds[:0], pattern, len(pattern)/20+1, cost)
+	for _, sd := range sc.seeds {
+		if c := sd.hi - sd.lo; c <= maxHitsPerSeed {
+			st.Locate(m.ix, sd.lo, sd.hi, c, sd.start, strand, cost)
+		}
+	}
+}
+
+// extender is BWA-MEM's own work item. Unlike the Myers-verifying
+// mappers it does not dedup and verify a candidate set: it extends chains
+// with banded DP in arrival order and keeps the first best, so its
+// tie-breaking depends on that order and it shares only the generator
+// plumbing with them.
+type extender struct {
+	m      *Mapper
+	maxErr int
+}
+
+//repute:hotpath
+func (e extender) mapRead(st *mapper.State, read []byte, cost *cl.Cost) []mapper.Mapping {
+	sc := st.Scratch.(*scratch)
+	text, n := e.m.ix.Text(), len(read)
+	best := mapper.Mapping{Dist: uint8(e.maxErr) + 1}
+	strand := byte(0)
+	for _, cand := range st.Generate(e.m.generate, read, cost) {
+		if cand.Strand != strand {
+			strand = cand.Strand
+			sc.seen = sc.seen[:0]
+		}
+		key := cand.Pos / int32(e.maxErr+1)
+		at, dup := slices.BinarySearch(sc.seen, key)
+		if dup {
+			continue
+		}
+		sc.seen = slices.Insert(sc.seen, at, key)
+		lo := max(int(cand.Pos)-e.maxErr, 0)
+		hi := min(int(cand.Pos)+n+e.maxErr, text.Len())
+		if hi-lo < n-e.maxErr {
+			continue
+		}
+		if cap(sc.window) < hi-lo {
+			sc.window = make([]byte, hi-lo)
+		}
+		win := text.SliceInto(sc.window, lo, hi)
+		pattern := st.Pattern(read, strand)
+		// Full-bandwidth banded SW extension per chain.
+		cost.DPCells += int64((2*bandWidth + 1) * n)
+		end, dist := align.BandedDistance(pattern, win, e.maxErr)
+		if end < 0 || uint8(dist) >= best.Dist {
+			continue
+		}
+		// Recover the start with a Myers reverse pass.
+		cost.VerifyWords += int64(align.WordCost(n) * end)
+		match, ok := align.Verify(pattern, win[:end], dist)
+		if !ok {
+			continue
+		}
+		best = mapper.Mapping{Pos: int32(lo + match.Start), Strand: strand, Dist: uint8(match.Dist)}
+	}
+	if int(best.Dist) > e.maxErr {
+		return nil
+	}
+	return []mapper.Mapping{best}
+}
+
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	opt = opt.WithDefaults()
-	if err := mapper.ValidateReads(reads, opt); err != nil {
-		return nil, err
-	}
-	res := &mapper.Result{
-		Mappings:      make([][]mapper.Mapping, len(reads)),
-		DeviceSeconds: map[string]float64{},
-	}
-	if len(reads) == 0 {
-		return res, nil
-	}
-	locSteps := m.ix.LocateSteps()
-	text := m.ix.Text()
-
-	// Per-worker private scratch (cl.Kernel.NewState contract): nothing
-	// mutable is captured by the kernel closure.
-	type kernelState struct {
-		rev    []byte
-		locs   []int32
-		window []byte
-		// seen holds the sorted diagonal-bucket keys already extended for
-		// the current strand — the chain dedup that used to be a per-item
-		// map, which the kernel contract forbids (kernelalloc).
-		seen []int32
-	}
-	newState := func() any { return &kernelState{rev: make([]byte, len(reads[0]))} }
-	body := func(wi *cl.WorkItem, state any) {
-		st := state.(*kernelState)
-		read := reads[wi.Global]
-		n := len(read)
-		var itemCost cl.Cost
-		best := mapper.Mapping{Dist: uint8(opt.MaxErrors) + 1}
-		haveBest := false
-		for _, strand := range []byte{mapper.Forward, mapper.Reverse} {
-			pattern := read
-			if strand == mapper.Reverse {
-				if cap(st.rev) < n {
-					st.rev = make([]byte, n)
-				}
-				st.rev = st.rev[:n]
-				dna.ReverseComplementInto(st.rev, read)
-				pattern = st.rev
-			}
-			// BWA-MEM re-seeds roughly every ~20 bp along the read.
-			seeds := m.seedsOf(pattern, n/20+1, &itemCost)
-			st.seen = st.seen[:0]
-			for _, sd := range seeds {
-				c := sd.hi - sd.lo
-				if c > maxHitsPerSeed {
-					continue
-				}
-				st.locs = m.ix.Locate(sd.lo, sd.hi, 0, st.locs[:0])
-				itemCost.LocateSteps += int64(float64(c) * (1 + locSteps))
-				for _, p := range st.locs {
-					cand := p - int32(sd.start)
-					key := cand / int32(opt.MaxErrors+1)
-					at := sort.Search(len(st.seen), func(i int) bool { return st.seen[i] >= key })
-					if at < len(st.seen) && st.seen[at] == key {
-						continue
-					}
-					st.seen = append(st.seen, 0)
-					copy(st.seen[at+1:], st.seen[at:])
-					st.seen[at] = key
-					lo := int(cand) - opt.MaxErrors
-					hi := int(cand) + n + opt.MaxErrors
-					if lo < 0 {
-						lo = 0
-					}
-					if hi > text.Len() {
-						hi = text.Len()
-					}
-					if hi-lo < n-opt.MaxErrors {
-						continue
-					}
-					if cap(st.window) < hi-lo {
-						st.window = make([]byte, hi-lo)
-					}
-					win := text.SliceInto(st.window, lo, hi)
-					// Full-bandwidth banded SW extension per chain.
-					itemCost.DPCells += int64((2*bandWidth + 1) * n)
-					end, dist := align.BandedDistance(pattern, win, opt.MaxErrors)
-					if end < 0 {
-						continue
-					}
-					if uint8(dist) < best.Dist {
-						// Recover the start with a Myers reverse pass.
-						itemCost.VerifyWords += int64(align.WordCost(n) * end)
-						match, ok := align.Verify(pattern, win[:end], dist)
-						if !ok {
-							continue
-						}
-						best = mapper.Mapping{
-							Pos:    int32(lo + match.Start),
-							Strand: strand,
-							Dist:   uint8(match.Dist),
-						}
-						haveBest = true
-					}
-				}
-			}
+	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+		if b.Prefilter != mapper.PrefilterOff {
+			return nil, fmt.Errorf("bwamem: prefilter %q is not supported: chain extension has no Myers verification stage to filter for", b.Prefilter)
 		}
-		itemCost.Items = 1
-		wi.Charge(itemCost)
-		if haveBest {
-			res.Mappings[wi.Global] = []mapper.Mapping{best}
-		}
-	}
-
-	busy, energy, cost, err := mapper.RunOnDevice(m.dev, "bwamem-map", len(reads), 2048, newState, body)
-	if err != nil {
-		return nil, err
-	}
-	res.SimSeconds = busy
-	res.EnergyJ = energy
-	res.Cost = cost
-	res.DeviceSeconds[m.dev.Name] = busy
-	return res, nil
+		b.Name, b.PrivateBytes = "bwamem", 2048
+		b.NewScratch = func() any { return new(scratch) }
+		return []*cl.Kernel{b.Fused(extender{m: m, maxErr: b.MaxErrors}.mapRead)}, nil
+	})
 }

@@ -87,7 +87,7 @@ func TestSeedsOfProducesMaximalMatches(t *testing.T) {
 	}
 	pattern := ref[5000:5100]
 	var cost cl.Cost
-	seeds := m.seedsOf(pattern, 6, &cost)
+	seeds := m.seedsOf(nil, pattern, 6, &cost)
 	if len(seeds) == 0 {
 		t.Fatal("no seeds for an exact substring")
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/cl"
-	"repro/internal/dna"
 	"repro/internal/fmindex"
 	"repro/internal/mapper"
 )
@@ -50,10 +49,9 @@ type region struct {
 }
 
 // regionsOf cuts the pattern into adaptive regions right-to-left (the
-// FM index extends leftwards): each region grows until its interval is
-// at most regionThreshold or empties.
-func (m *Mapper) regionsOf(pattern []byte, itemCost *cl.Cost) []region {
-	var regs []region
+// FM index extends leftwards), appending them to regs: each region grows
+// until its interval is at most regionThreshold or empties.
+func (m *Mapper) regionsOf(regs []region, pattern []byte, itemCost *cl.Cost) []region {
 	end := len(pattern)
 	for end > 0 {
 		lo, hi := m.ix.Start()
@@ -79,85 +77,37 @@ func (m *Mapper) regionsOf(pattern []byte, itemCost *cl.Cost) []region {
 	return regs
 }
 
+// generator is the adaptive-region filter (mapper.Generator).
+type generator struct {
+	m       *Mapper
+	maxCand int // located candidates per strand
+}
+
+// scratch is the generator's worker-private memory.
+type scratch struct{ regs []region }
+
+//repute:hotpath
+func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
+	sc := st.Scratch.(*scratch)
+	sc.regs = g.m.regionsOf(sc.regs[:0], pattern, cost)
+	remaining := g.maxCand
+	for _, r := range sc.regs {
+		if r.hi-r.lo > regionMaxHits {
+			continue
+		}
+		remaining -= st.Locate(g.m.ix, r.lo, r.hi, remaining, r.start, strand, cost)
+	}
+}
+
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	opt = opt.WithDefaults()
-	if err := mapper.ValidateReads(reads, opt); err != nil {
-		return nil, err
-	}
-	res := &mapper.Result{
-		Mappings:      make([][]mapper.Mapping, len(reads)),
-		DeviceSeconds: map[string]float64{},
-	}
-	if len(reads) == 0 {
-		return res, nil
-	}
-	locSteps := m.ix.LocateSteps()
-	maxCand := 2 * opt.MaxLocations
-
-	// Per-worker private scratch (cl.Kernel.NewState contract): nothing
-	// mutable is captured by the kernel closure.
-	type kernelState struct {
-		vs    mapper.VerifyState
-		rev   []byte
-		cands []mapper.Candidate
-		locs  []int32
-	}
-	newState := func() any { return &kernelState{rev: make([]byte, len(reads[0]))} }
-	body := func(wi *cl.WorkItem, state any) {
-		st := state.(*kernelState)
-		read := reads[wi.Global]
-		var itemCost cl.Cost
-		st.cands = st.cands[:0]
-		for _, strand := range []byte{mapper.Forward, mapper.Reverse} {
-			pattern := read
-			if strand == mapper.Reverse {
-				if cap(st.rev) < len(read) {
-					st.rev = make([]byte, len(read))
-				}
-				st.rev = st.rev[:len(read)]
-				dna.ReverseComplementInto(st.rev, read)
-				pattern = st.rev
-			}
-			regs := m.regionsOf(pattern, &itemCost)
-			remaining := maxCand
-			for _, r := range regs {
-				c := r.hi - r.lo
-				if c <= 0 || c > regionMaxHits || remaining <= 0 {
-					continue
-				}
-				if c > remaining {
-					c = remaining
-				}
-				st.locs = m.ix.Locate(r.lo, r.lo+c, 0, st.locs[:0])
-				itemCost.LocateSteps += int64(float64(c) * (1 + locSteps))
-				for _, p := range st.locs {
-					st.cands = append(st.cands, mapper.Candidate{Pos: p - int32(r.start), Strand: strand})
-				}
-				remaining -= c
-			}
-		}
-		dd := mapper.DedupCandidates(st.cands, int32(opt.MaxErrors))
-		ms, vc := st.vs.Verify(m.ix.Text(), read, dd, opt.MaxErrors, 0)
-		itemCost.VerifyWords += vc.VerifyWords
-		itemCost.Items = 1
-		wi.Charge(itemCost)
-		// GEM reports the best stratum, capped like the real tool's
-		// best+subdominant output.
-		maxLoc := opt.MaxLocations
-		if maxLoc > bestStratumCap {
-			maxLoc = bestStratumCap
-		}
-		res.Mappings[wi.Global] = mapper.Finalize(ms, true, maxLoc)
-	}
-
-	busy, energy, cost, err := mapper.RunOnDevice(m.dev, "gem-map", len(reads), 512, newState, body)
-	if err != nil {
-		return nil, err
-	}
-	res.SimSeconds = busy
-	res.EnergyJ = energy
-	res.Cost = cost
-	res.DeviceSeconds[m.dev.Name] = busy
-	return res, nil
+	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+		b.Name, b.PrivateBytes = "gem", 512
+		b.NewScratch = func() any { return new(scratch) }
+		b.Generate = generator{m: m, maxCand: 2 * b.Policy.MaxLoc}.generate
+		// GEM verifies every candidate and reports the best stratum,
+		// capped like the real tool's best+subdominant output.
+		b.Policy = mapper.Policy{BestOnly: true, MaxLoc: min(b.Policy.MaxLoc, bestStratumCap)}
+		return b.Kernels(), nil
+	})
 }

@@ -26,7 +26,7 @@ func TestRegionsPartitionTheRead(t *testing.T) {
 	}
 	pattern := ref[8000:8100]
 	var cost cl.Cost
-	regs := m.regionsOf(pattern, &cost)
+	regs := m.regionsOf(nil, pattern, &cost)
 	if len(regs) == 0 {
 		t.Fatal("no regions")
 	}
@@ -64,8 +64,8 @@ func TestAdaptiveRegionsShorterInUniqueSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cost cl.Cost
-	uniqueRegs := m.regionsOf(ref[len(ref)-5_000:len(ref)-4_900], &cost)
-	repeatRegs := m.regionsOf(motif[:100], &cost)
+	uniqueRegs := m.regionsOf(nil, ref[len(ref)-5_000:len(ref)-4_900], &cost)
+	repeatRegs := m.regionsOf(nil, motif[:100], &cost)
 	avgLen := func(rs []region) float64 {
 		total := 0
 		for _, r := range rs {

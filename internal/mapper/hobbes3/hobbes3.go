@@ -17,11 +17,9 @@ import (
 
 // Mapper is a Hobbes3-style all-mapper bound to a reference.
 type Mapper struct {
-	ref     []byte
-	text    dna.PackedSeq
-	dev     *cl.Device
-	maxQ    int
-	indexes map[int]*qgram.Index
+	text  dna.PackedSeq
+	dev   *cl.Device
+	grams *qgram.Cache
 }
 
 // New creates the mapper on a host device. maxQ caps gram length (0 = 11).
@@ -29,19 +27,7 @@ func New(ref []byte, dev *cl.Device, maxQ int) (*Mapper, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("hobbes3: empty reference")
 	}
-	if maxQ <= 0 {
-		maxQ = 11
-	}
-	if maxQ > qgram.MaxQ {
-		maxQ = qgram.MaxQ
-	}
-	return &Mapper{
-		ref:     ref,
-		text:    dna.Pack(ref),
-		dev:     dev,
-		maxQ:    maxQ,
-		indexes: map[int]*qgram.Index{},
-	}, nil
+	return &Mapper{text: dna.Pack(ref), dev: dev, grams: qgram.NewCache(ref, maxQ)}, nil
 }
 
 // Name implements mapper.Mapper.
@@ -52,42 +38,35 @@ func (m *Mapper) Name() string { return "Hobbes3" }
 // trades gram selectivity for its cheap signature DP, so its candidate
 // lists run longer than a DP-placed long seed's (the REPUTE gap at low δ).
 func (m *Mapper) chooseQ(readLen, errors int) int {
-	q := readLen / (errors + 1)
-	if q > m.maxQ-2 {
-		q = m.maxQ - 2
-	}
-	if q < 1 {
-		q = 1
-	}
-	return q
+	return max(min(readLen/(errors+1), m.grams.MaxQ()-2), 1)
 }
 
-func (m *Mapper) index(q int) (*qgram.Index, error) {
-	if ix, ok := m.indexes[q]; ok {
-		return ix, nil
-	}
-	ix, err := qgram.Build(m.ref, q)
-	if err != nil {
-		return nil, err
-	}
-	m.indexes[q] = ix
-	return ix, nil
+// scratch is the generator's worker-private memory: the gram
+// frequencies, the signature DP's k × (n+1) tables (row-major) and the
+// chosen positions.
+type scratch struct {
+	freqs  []int32
+	best   []int64
+	choice []int32
+	pos    []int
 }
 
 // selectSignatures runs the Hobbes DP: choose k = errors+1 positions
 // p_1 < p_2 < ... with p_{j+1} >= p_j + q minimising total frequency.
 // freqs[i] is the index frequency of the gram starting at i.
-// It returns the chosen positions and the DP cell count.
-func selectSignatures(freqs []int32, k, q int) ([]int, int) {
+// It returns the chosen positions (in sc) and the DP cell count.
+func selectSignatures(sc *scratch, freqs []int32, k, q int) ([]int, int) {
 	n := len(freqs) // number of gram start positions
 	const inf = int64(1) << 62
-	// best[j][i]: min cost choosing j+1 signatures from grams [i:].
-	best := make([][]int64, k)
-	choice := make([][]int32, k)
-	for j := range best {
-		best[j] = make([]int64, n+1)
-		choice[j] = make([]int32, n+1)
+	// best[j*w+i]: min cost choosing j+1 signatures from grams [i:]. The
+	// fill below writes every cell before reading it, so reused tables
+	// need no clearing.
+	w := n + 1
+	if cap(sc.best) < k*w {
+		sc.best = make([]int64, k*w)
+		sc.choice = make([]int32, k*w)
 	}
+	best, choice := sc.best[:k*w], sc.choice[:k*w]
 	cells := 0
 	for j := 0; j < k; j++ {
 		for i := n; i >= 0; i-- {
@@ -95,13 +74,13 @@ func selectSignatures(freqs []int32, k, q int) ([]int, int) {
 			b, c := inf, int32(-1)
 			if i < n {
 				// Option: skip position i.
-				b, c = best[j][i+1], choice[j][i+1]
+				b, c = best[j*w+i+1], choice[j*w+i+1]
 				// Option: place signature j at i.
 				var rest int64
 				if j == 0 {
 					rest = 0
 				} else if i+q <= n {
-					rest = best[j-1][i+q]
+					rest = best[(j-1)*w+i+q]
 				} else {
 					rest = inf
 				}
@@ -111,106 +90,68 @@ func selectSignatures(freqs []int32, k, q int) ([]int, int) {
 					}
 				}
 			}
-			best[j][i], choice[j][i] = b, c
+			best[j*w+i], choice[j*w+i] = b, c
 		}
 	}
-	if best[k-1][0] >= inf {
+	if best[(k-1)*w] >= inf {
 		return nil, cells
 	}
-	// Recover positions: choice[j][i] is where the first of the j+1
+	// Recover positions: choice[j*w+i] is where the first of the j+1
 	// remaining signatures lands in the optimum for state (j, i).
-	pos := make([]int, 0, k)
+	sc.pos = sc.pos[:0]
 	i := 0
 	for j := k - 1; j >= 0; j-- {
-		p := int(choice[j][i])
+		p := int(choice[j*w+i])
 		if p < i {
 			return nil, cells // infeasible state; cannot happen when best is finite
 		}
-		pos = append(pos, p)
+		sc.pos = append(sc.pos, p)
 		i = p + q
 	}
-	return pos, cells
+	return sc.pos, cells
+}
+
+// generator is the signature filter (mapper.Generator): the hits of the
+// k least frequent non-overlapping q-grams of the strand.
+type generator struct {
+	ix   *qgram.Index
+	q, k int
+}
+
+//repute:hotpath
+func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
+	sc := st.Scratch.(*scratch)
+	nGrams := len(pattern) - g.q + 1
+	if cap(sc.freqs) < nGrams {
+		sc.freqs = make([]int32, nGrams)
+	}
+	sc.freqs = sc.freqs[:nGrams]
+	for i := range sc.freqs {
+		sc.freqs[i] = int32(g.ix.Count(qgram.Hash(pattern[i : i+g.q])))
+	}
+	cost.HashProbes += int64(nGrams)
+	sigs, cells := selectSignatures(sc, sc.freqs, g.k, g.q)
+	cost.DPCells += int64(cells)
+	for _, p := range sigs {
+		hits := g.ix.Positions(qgram.Hash(pattern[p : p+g.q]))
+		cost.HashProbes += 1 + int64(len(hits))
+		for _, hp := range hits {
+			st.Cands = append(st.Cands, mapper.Candidate{Pos: hp - int32(p), Strand: strand})
+		}
+	}
 }
 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	opt = opt.WithDefaults()
-	if err := mapper.ValidateReads(reads, opt); err != nil {
-		return nil, err
-	}
-	res := &mapper.Result{
-		Mappings:      make([][]mapper.Mapping, len(reads)),
-		DeviceSeconds: map[string]float64{},
-	}
-	if len(reads) == 0 {
-		return res, nil
-	}
-	q := m.chooseQ(len(reads[0]), opt.MaxErrors)
-	ix, err := m.index(q)
-	if err != nil {
-		return nil, err
-	}
-	k := opt.MaxErrors + 1
-
-	// Per-worker private scratch (cl.Kernel.NewState contract): nothing
-	// mutable is captured by the kernel closure.
-	type kernelState struct {
-		vs    mapper.VerifyState
-		rev   []byte
-		freqs []int32
-		cands []mapper.Candidate
-	}
-	newState := func() any { return &kernelState{rev: make([]byte, len(reads[0]))} }
-	body := func(wi *cl.WorkItem, state any) {
-		st := state.(*kernelState)
-		read := reads[wi.Global]
-		n := len(read)
-		var itemCost cl.Cost
-		st.cands = st.cands[:0]
-		for _, strand := range []byte{mapper.Forward, mapper.Reverse} {
-			pattern := read
-			if strand == mapper.Reverse {
-				if cap(st.rev) < n {
-					st.rev = make([]byte, n)
-				}
-				st.rev = st.rev[:n]
-				dna.ReverseComplementInto(st.rev, read)
-				pattern = st.rev
-			}
-			nGrams := n - q + 1
-			if cap(st.freqs) < nGrams {
-				st.freqs = make([]int32, nGrams)
-			}
-			st.freqs = st.freqs[:nGrams]
-			for i := 0; i < nGrams; i++ {
-				st.freqs[i] = int32(ix.Count(qgram.Hash(pattern[i : i+q])))
-			}
-			itemCost.HashProbes += int64(nGrams)
-			sigs, cells := selectSignatures(st.freqs, k, q)
-			itemCost.DPCells += int64(cells)
-			for _, p := range sigs {
-				hits := ix.Positions(qgram.Hash(pattern[p : p+q]))
-				itemCost.HashProbes += 1 + int64(len(hits))
-				for _, hp := range hits {
-					st.cands = append(st.cands, mapper.Candidate{Pos: hp - int32(p), Strand: strand})
-				}
-			}
+	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+		q := m.chooseQ(len(b.Reads[0]), b.MaxErrors)
+		ix, err := m.grams.Get(q)
+		if err != nil {
+			return nil, err
 		}
-		dd := mapper.DedupCandidates(st.cands, int32(opt.MaxErrors))
-		ms, vc := st.vs.Verify(m.text, read, dd, opt.MaxErrors, opt.MaxLocations)
-		itemCost.VerifyWords += vc.VerifyWords
-		itemCost.Items = 1
-		wi.Charge(itemCost)
-		res.Mappings[wi.Global] = mapper.Finalize(ms, opt.Best, opt.MaxLocations)
-	}
-
-	busy, energy, cost, err := mapper.RunOnDevice(m.dev, "hobbes3-map", len(reads), 1024, newState, body)
-	if err != nil {
-		return nil, err
-	}
-	res.SimSeconds = busy
-	res.EnergyJ = energy
-	res.Cost = cost
-	res.DeviceSeconds[m.dev.Name] = busy
-	return res, nil
+		b.Name, b.PrivateBytes = "hobbes3", 1024
+		b.NewScratch = func() any { return new(scratch) }
+		b.Generate = generator{ix: ix, q: q, k: b.MaxErrors + 1}.generate
+		return b.Kernels(), nil
+	})
 }

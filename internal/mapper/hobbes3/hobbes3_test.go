@@ -20,7 +20,7 @@ func randText(rng *rand.Rand, n int) []byte {
 func TestSelectSignaturesMinimisesFrequency(t *testing.T) {
 	// freqs crafted so the optimum is unambiguous.
 	freqs := []int32{9, 1, 9, 9, 9, 2, 9, 9, 9, 3, 9, 9}
-	pos, cells := selectSignatures(freqs, 3, 4)
+	pos, cells := selectSignatures(&scratch{}, freqs, 3, 4)
 	if cells <= 0 {
 		t.Fatal("no DP cells accounted")
 	}
@@ -48,7 +48,7 @@ func TestSelectSignaturesRespectsSpacing(t *testing.T) {
 		for i := range freqs {
 			freqs[i] = int32(rng.Intn(100))
 		}
-		pos, _ := selectSignatures(freqs, k, q)
+		pos, _ := selectSignatures(&scratch{}, freqs, k, q)
 		if len(pos) != k {
 			t.Fatalf("trial %d: %d positions want %d", trial, len(pos), k)
 		}

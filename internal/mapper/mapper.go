@@ -288,7 +288,7 @@ func (vs *VerifyState) Verify(text dna.PackedSeq, read []byte, cands []Candidate
 			continue
 		}
 		cost.Matched++
-		//pipevet:allow hotalloc -- verified mappings are the output, retained by the caller
+		//repute:allow hotalloc -- verified mappings are the output, retained by the caller
 		out = append(out, Mapping{
 			Pos:    int32(lo + m.Start),
 			Strand: c.Strand,

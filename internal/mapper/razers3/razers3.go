@@ -9,7 +9,7 @@ package razers3
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cl"
 	"repro/internal/dna"
@@ -19,11 +19,9 @@ import (
 
 // Mapper is a RazerS3-style all-mapper bound to a reference.
 type Mapper struct {
-	ref     []byte
-	text    dna.PackedSeq
-	dev     *cl.Device
-	maxQ    int
-	indexes map[int]*qgram.Index // per gram length, built on demand
+	text  dna.PackedSeq
+	dev   *cl.Device
+	grams *qgram.Cache // per gram length, built on demand
 }
 
 // New creates the mapper on a host device. maxQ caps the gram length
@@ -33,19 +31,7 @@ func New(ref []byte, dev *cl.Device, maxQ int) (*Mapper, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("razers3: empty reference")
 	}
-	if maxQ <= 0 {
-		maxQ = 11
-	}
-	if maxQ > qgram.MaxQ {
-		maxQ = qgram.MaxQ
-	}
-	return &Mapper{
-		ref:     ref,
-		text:    dna.Pack(ref),
-		dev:     dev,
-		maxQ:    maxQ,
-		indexes: map[int]*qgram.Index{},
-	}, nil
+	return &Mapper{text: dna.Pack(ref), dev: dev, grams: qgram.NewCache(ref, maxQ)}, nil
 }
 
 // Name implements mapper.Mapper.
@@ -54,7 +40,7 @@ func (m *Mapper) Name() string { return "RazerS3" }
 // chooseQ picks the largest usable gram length for (n, δ): the q-gram
 // lemma threshold t = n+1-(δ+1)q must stay comfortably positive.
 func (m *Mapper) chooseQ(readLen, errors int) (q, t int) {
-	q = m.maxQ
+	q = m.grams.MaxQ()
 	for q > 1 {
 		t = readLen + 1 - (errors+1)*q
 		if t >= 2 {
@@ -65,102 +51,56 @@ func (m *Mapper) chooseQ(readLen, errors int) (q, t int) {
 	return 1, readLen - errors // degenerate but still sound
 }
 
-func (m *Mapper) index(q int) (*qgram.Index, error) {
-	if ix, ok := m.indexes[q]; ok {
-		return ix, nil
+// generator is the SWIFT-style counting filter (mapper.Generator): a
+// diagonal is a candidate when at least t of the read's q-grams hit
+// within maxErr diagonals of it.
+type generator struct {
+	ix           *qgram.Index
+	q, t, maxErr int
+}
+
+// scratch is the generator's worker-private memory.
+type scratch struct{ diags []int32 }
+
+//repute:hotpath
+func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
+	sc := st.Scratch.(*scratch)
+	sc.diags = sc.diags[:0]
+	// Probe every read q-gram; collect hit diagonals.
+	for i := 0; i+g.q <= len(pattern); i++ {
+		ps := g.ix.Positions(qgram.Hash(pattern[i : i+g.q]))
+		cost.HashProbes += 1 + int64(len(ps))
+		for _, p := range ps {
+			sc.diags = append(sc.diags, p-int32(i))
+		}
 	}
-	ix, err := qgram.Build(m.ref, q)
-	if err != nil {
-		return nil, err
+	diags := sc.diags
+	slices.Sort(diags)
+	cost.DPCells += int64(len(diags)) // sort/merge work proxy
+	// Sliding window over sorted diagonals: an alignment with
+	// <= δ edits keeps >= t grams whose diagonals span <= δ.
+	lo := 0
+	for hi := range diags {
+		for diags[hi]-diags[lo] > int32(g.maxErr) {
+			lo++
+		}
+		if hi-lo+1 >= g.t {
+			st.Cands = append(st.Cands, mapper.Candidate{Pos: diags[lo], Strand: strand})
+		}
 	}
-	m.indexes[q] = ix
-	return ix, nil
 }
 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	opt = opt.WithDefaults()
-	if err := mapper.ValidateReads(reads, opt); err != nil {
-		return nil, err
-	}
-	res := &mapper.Result{
-		Mappings:      make([][]mapper.Mapping, len(reads)),
-		DeviceSeconds: map[string]float64{},
-	}
-	if len(reads) == 0 {
-		return res, nil
-	}
-	q, t := m.chooseQ(len(reads[0]), opt.MaxErrors)
-	ix, err := m.index(q)
-	if err != nil {
-		return nil, err
-	}
-
-	// Per-worker private scratch: the kernel may run on several host
-	// workers at once, so no mutable buffer is captured by the closure.
-	type kernelState struct {
-		vs    mapper.VerifyState
-		rev   []byte
-		diags []int32
-		cands []mapper.Candidate
-	}
-	newState := func() any { return &kernelState{rev: make([]byte, len(reads[0]))} }
-	body := func(wi *cl.WorkItem, state any) {
-		st := state.(*kernelState)
-		read := reads[wi.Global]
-		n := len(read)
-		var itemCost cl.Cost
-		st.cands = st.cands[:0]
-		for _, strand := range []byte{mapper.Forward, mapper.Reverse} {
-			pattern := read
-			if strand == mapper.Reverse {
-				if cap(st.rev) < n {
-					st.rev = make([]byte, n)
-				}
-				st.rev = st.rev[:n]
-				dna.ReverseComplementInto(st.rev, read)
-				pattern = st.rev
-			}
-			st.diags = st.diags[:0]
-			// Probe every read q-gram; collect hit diagonals.
-			for i := 0; i+q <= n; i++ {
-				h := qgram.Hash(pattern[i : i+q])
-				ps := ix.Positions(h)
-				itemCost.HashProbes += 1 + int64(len(ps))
-				for _, p := range ps {
-					st.diags = append(st.diags, p-int32(i))
-				}
-			}
-			diags := st.diags
-			sort.Slice(diags, func(a, b int) bool { return diags[a] < diags[b] })
-			itemCost.DPCells += int64(len(diags)) // sort/merge work proxy
-			// Sliding window over sorted diagonals: an alignment with
-			// <= δ edits keeps >= t grams whose diagonals span <= δ.
-			lo := 0
-			for hi := 0; hi < len(diags); hi++ {
-				for diags[hi]-diags[lo] > int32(opt.MaxErrors) {
-					lo++
-				}
-				if hi-lo+1 >= t {
-					st.cands = append(st.cands, mapper.Candidate{Pos: diags[lo], Strand: strand})
-				}
-			}
+	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+		q, t := m.chooseQ(len(b.Reads[0]), b.MaxErrors)
+		ix, err := m.grams.Get(q)
+		if err != nil {
+			return nil, err
 		}
-		dd := mapper.DedupCandidates(st.cands, int32(opt.MaxErrors))
-		ms, vc := st.vs.Verify(m.text, read, dd, opt.MaxErrors, opt.MaxLocations)
-		itemCost.VerifyWords += vc.VerifyWords
-		itemCost.Items = 1
-		wi.Charge(itemCost)
-		res.Mappings[wi.Global] = mapper.Finalize(ms, opt.Best, opt.MaxLocations)
-	}
-
-	busy, energy, cost, err := mapper.RunOnDevice(m.dev, "razers3-map", len(reads), 512, newState, body)
-	if err != nil {
-		return nil, err
-	}
-	res.SimSeconds = busy
-	res.EnergyJ = energy
-	res.Cost = cost
-	res.DeviceSeconds[m.dev.Name] = busy
-	return res, nil
+		b.Name, b.PrivateBytes = "razers3", 512
+		b.NewScratch = func() any { return new(scratch) }
+		b.Generate = generator{ix: ix, q: q, t: t, maxErr: b.MaxErrors}.generate
+		return b.Kernels(), nil
+	})
 }

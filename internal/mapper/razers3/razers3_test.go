@@ -41,8 +41,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.maxQ > 12 {
-		t.Errorf("maxQ %d not clamped", m.maxQ)
+	if m.grams.MaxQ() > 12 {
+		t.Errorf("maxQ %d not clamped", m.grams.MaxQ())
 	}
 }
 

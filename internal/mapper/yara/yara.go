@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/cl"
-	"repro/internal/dna"
 	"repro/internal/fmindex"
 	"repro/internal/mapper"
 )
@@ -41,102 +40,50 @@ func New(ref []byte, dev *cl.Device, best bool) (*Mapper, error) {
 // Name implements mapper.Mapper.
 func (m *Mapper) Name() string { return "Yara" }
 
+// nSeeds is the fixed number of pieces a read is cut into. Each is
+// searched in the FM-index allowing seedErr substitutions, with seedErr
+// chosen so the pigeonhole guarantee holds: δ errors over s pieces leave
+// one piece with ≤ floor(δ/s) errors. At δ ≥ 2s the per-seed budget
+// reaches 2 and the backtracking search explodes — Table I's n=150
+// column where Yara runs 38 → 321 s and REPUTE's 13× headline comes from.
+const nSeeds = 3
+
+// generator is the approximate-seed filter (mapper.Generator).
+type generator struct {
+	ix      *fmindex.Index
+	seedErr int
+	// maxCand is the per-strand candidate budget. Yara enumerates every
+	// approximate-seed occurrence (it reports all strata), so it is
+	// generous — this is what blows its time up at high δ on repetitive
+	// references.
+	maxCand int
+}
+
+//repute:hotpath
+func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
+	n := len(pattern)
+	remaining, start := g.maxCand, 0
+	locate := func(h fmindex.ApproxHit) {
+		remaining -= st.Locate(g.ix, h.Lo, h.Hi, remaining, start, strand, cost)
+	}
+	for si := 0; si < nSeeds && remaining > 0; si++ {
+		start = si * n / nSeeds
+		cost.FMSteps += int64(g.ix.RangeApprox(pattern[start:(si+1)*n/nSeeds], g.seedErr, locate))
+	}
+}
+
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	opt = opt.WithDefaults()
-	if err := mapper.ValidateReads(reads, opt); err != nil {
-		return nil, err
-	}
-	res := &mapper.Result{
-		Mappings:      make([][]mapper.Mapping, len(reads)),
-		DeviceSeconds: map[string]float64{},
-	}
-	if len(reads) == 0 {
-		return res, nil
-	}
-	// Yara's filtration searches *approximate* seeds: the read is cut
-	// into a fixed small number of pieces and each is searched in the
-	// FM-index allowing seedErr substitutions, with seedErr chosen so the
-	// pigeonhole guarantee holds: δ errors over s pieces leave one piece
-	// with ≤ floor(δ/s) errors. At δ ≥ 2s the per-seed budget reaches 2
-	// and the backtracking search explodes — Table I's n=150 column where
-	// Yara runs 38 → 321 s and REPUTE's 13× headline comes from.
-	const nSeeds = 3
-	seedErr := opt.MaxErrors / nSeeds
-	locSteps := m.ix.LocateSteps()
-	// Yara enumerates every approximate-seed occurrence (it reports all
-	// strata), so its candidate budget is generous — this is what blows
-	// its time up at high δ on repetitive references.
-	maxCand := 8 * opt.MaxLocations
-
-	// Per-worker private scratch (cl.Kernel.NewState contract): nothing
-	// mutable is captured by the kernel closure.
-	type kernelState struct {
-		vs    mapper.VerifyState
-		rev   []byte
-		cands []mapper.Candidate
-		locs  []int32
-	}
-	newState := func() any { return &kernelState{rev: make([]byte, len(reads[0]))} }
-	body := func(wi *cl.WorkItem, state any) {
-		st := state.(*kernelState)
-		read := reads[wi.Global]
-		n := len(read)
-		var itemCost cl.Cost
-		st.cands = st.cands[:0]
-		for _, strand := range []byte{mapper.Forward, mapper.Reverse} {
-			pattern := read
-			if strand == mapper.Reverse {
-				if cap(st.rev) < n {
-					st.rev = make([]byte, n)
-				}
-				st.rev = st.rev[:n]
-				dna.ReverseComplementInto(st.rev, read)
-				pattern = st.rev
-			}
-			remaining := maxCand
-			for si := 0; si < nSeeds && remaining > 0; si++ {
-				start := si * n / nSeeds
-				end := (si + 1) * n / nSeeds
-				steps := m.ix.RangeApprox(pattern[start:end], seedErr, func(h fmindex.ApproxHit) {
-					if remaining <= 0 {
-						return
-					}
-					c := h.Hi - h.Lo
-					if c > remaining {
-						c = remaining
-					}
-					st.locs = m.ix.Locate(h.Lo, h.Lo+c, 0, st.locs[:0])
-					itemCost.LocateSteps += int64(float64(c) * (1 + locSteps))
-					for _, p := range st.locs {
-						st.cands = append(st.cands, mapper.Candidate{Pos: p - int32(start), Strand: strand})
-					}
-					remaining -= c
-				})
-				itemCost.FMSteps += int64(steps)
-			}
+	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+		b.Name, b.PrivateBytes = "yara", 512
+		b.Generate = generator{ix: m.ix, seedErr: b.MaxErrors / nSeeds, maxCand: 8 * b.Policy.MaxLoc}.generate
+		// Every stratum is verified; best mode then reports only the
+		// lowest one, capped like the real tool's strata limits.
+		b.Policy.VerifyCap = 0
+		if m.best || b.Policy.BestOnly {
+			b.Policy.BestOnly = true
+			b.Policy.MaxLoc = min(b.Policy.MaxLoc, bestStratumCap)
 		}
-		dd := mapper.DedupCandidates(st.cands, int32(opt.MaxErrors))
-		ms, vc := st.vs.Verify(m.ix.Text(), read, dd, opt.MaxErrors, 0)
-		itemCost.VerifyWords += vc.VerifyWords
-		itemCost.Items = 1
-		wi.Charge(itemCost)
-		maxLoc := opt.MaxLocations
-		if m.best || opt.Best {
-			if maxLoc > bestStratumCap {
-				maxLoc = bestStratumCap
-			}
-		}
-		res.Mappings[wi.Global] = mapper.Finalize(ms, m.best || opt.Best, maxLoc)
-	}
-
-	busy, energy, cost, err := mapper.RunOnDevice(m.dev, "yara-map", len(reads), 512, newState, body)
-	if err != nil {
-		return nil, err
-	}
-	res.SimSeconds = busy
-	res.EnergyJ = energy
-	res.Cost = cost
-	res.DeviceSeconds[m.dev.Name] = busy
-	return res, nil
+		return b.Kernels(), nil
+	})
 }

@@ -5,7 +5,10 @@
 // selection), which the paper contrasts with the FM-index mappers.
 package qgram
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // MaxQ bounds the gram length so the bucket directory stays addressable
 // (4^q int32 entries).
@@ -88,4 +91,43 @@ func (ix *Index) Count(h uint32) int {
 // SizeBytes reports the index memory footprint for device accounting.
 func (ix *Index) SizeBytes() int64 {
 	return int64(len(ix.starts)+len(ix.pos)) * 4
+}
+
+// Cache builds the q-gram indexes of one text on demand, one per gram
+// length, and shares them between concurrent callers.
+type Cache struct {
+	text []byte
+	maxQ int
+
+	mu      sync.Mutex
+	indexes map[int]*Index // guarded by mu
+}
+
+// NewCache returns an empty cache over text. maxQ caps the gram length a
+// mapper should ask for: 0 means 11, a chromosome-scale default, and
+// larger values clamp to MaxQ.
+func NewCache(text []byte, maxQ int) *Cache {
+	if maxQ <= 0 {
+		maxQ = 11
+	}
+	return &Cache{text: text, maxQ: min(maxQ, MaxQ), indexes: map[int]*Index{}}
+}
+
+// MaxQ returns the gram-length cap.
+func (c *Cache) MaxQ() int { return c.maxQ }
+
+// Get returns the index for gram length q, building it on first use.
+// Builders are serialised, so a gram length is built once.
+func (c *Cache) Get(q int) (*Index, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ix, ok := c.indexes[q]; ok {
+		return ix, nil
+	}
+	ix, err := Build(c.text, q)
+	if err != nil {
+		return nil, err
+	}
+	c.indexes[q] = ix
+	return ix, nil
 }
