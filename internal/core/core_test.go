@@ -454,3 +454,57 @@ func TestSharesRemainderGoesToLargestShare(t *testing.T) {
 		}
 	}
 }
+
+// cannedSelector replays one recorded selection per strand, so the
+// generator's own work — budgeted locate-and-append — is measured
+// without seed.Selector's per-call DP tables (ROADMAP item 1).
+type cannedSelector struct {
+	byFirstBase [4]seed.Selection
+}
+
+func (cannedSelector) Name() string { return "canned" }
+
+func (c cannedSelector) Select(_ *Index, read []byte, _ seed.Params) (seed.Selection, error) {
+	return c.byFirstBase[read[0]], nil
+}
+
+// TestGeneratorAllocFree is the runtime half of the hotalloc contract
+// for REPUTE's generator: after warm-up one work item's candidate
+// generation (both strands) allocates nothing beyond what the selector
+// itself does.
+func TestGeneratorAllocFree(t *testing.T) {
+	ref, set := testWorld(t, 40_000, 20, simulate.ERR012100)
+	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := p.Index()
+	params := seed.Params{Errors: 4, MinSeedLen: DefaultMinSeedLen(100, 4)}
+	// A read whose strands start with different bases tells them apart.
+	var read []byte
+	for _, r := range set.Reads {
+		if rc := dna.ReverseComplement(r); rc[0] != r[0] {
+			read = r
+			break
+		}
+	}
+	var canned cannedSelector
+	for _, pattern := range [][]byte{read, dna.ReverseComplement(read)} {
+		sel, err := seed.REPUTE{}.Select(ix, pattern, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canned.byFirstBase[pattern[0]] = sel
+	}
+	gen := &generator{ix: ix, selector: canned, params: params, maxCand: 200}
+	st := &mapper.State{}
+	var cost cl.Cost
+	item := func() { st.Generate(gen.generate, read, &cost) }
+	item()
+	if len(st.Cands) == 0 {
+		t.Fatal("generator found no candidates; the check is vacuous")
+	}
+	if n := testing.AllocsPerRun(50, item); n != 0 {
+		t.Errorf("generator allocates %v times per work item", n)
+	}
+}

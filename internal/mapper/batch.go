@@ -38,6 +38,10 @@ type State struct {
 	// Batch.NewScratch.
 	Scratch any
 
+	// cost is the current work item's charge. It lives here because a
+	// pointer to it reaches the generator through a function value, which
+	// would move a kernel-body local to the heap once per work item.
+	cost cl.Cost
 	vs   VerifyState
 	rev  []byte
 	locs []int32
@@ -152,9 +156,10 @@ func (b *Batch) launch(suffix string, privateBytes int64, body func(*cl.WorkItem
 // work to cost; the fixed per-item overhead and transfer are charged here.
 func (b *Batch) Fused(item func(st *State, read []byte, cost *cl.Cost) []Mapping) *cl.Kernel {
 	return b.launch("-map", b.PrivateBytes, func(wi *cl.WorkItem, state any) {
-		cost := cl.Cost{Items: 1, Bytes: b.InBytes + b.OutBytes}
-		b.Out[wi.Global] = item(state.(*State), b.Reads[wi.Global], &cost)
-		wi.Charge(cost)
+		st := state.(*State)
+		st.cost = cl.Cost{Items: 1, Bytes: b.InBytes + b.OutBytes}
+		b.Out[wi.Global] = item(st, b.Reads[wi.Global], &st.cost)
+		wi.Charge(st.cost)
 	})
 }
 
@@ -172,10 +177,10 @@ func (b *Batch) Kernels() []*cl.Kernel {
 		b.launch("-prefilter", b.PrivateBytes, func(wi *cl.WorkItem, state any) {
 			st := state.(*State)
 			read := b.Reads[wi.Global]
-			cost := cl.Cost{Items: 1, Bytes: b.InBytes}
+			st.cost = cl.Cost{Items: 1, Bytes: b.InBytes}
 			slot := backing[wi.Global*slotCap : (wi.Global+1)*slotCap]
-			survivors[wi.Global] = b.filter(st, read, b.seed(st, read, &cost), slot, &cost)
-			wi.Charge(cost)
+			survivors[wi.Global] = b.filter(st, read, b.seed(st, read, &st.cost), slot, &st.cost)
+			wi.Charge(st.cost)
 		}),
 		b.launch("-verify", int64(8*len(b.Reads[0])), func(wi *cl.WorkItem, state any) {
 			cost := cl.Cost{Items: 1, Bytes: b.OutBytes}

@@ -131,3 +131,27 @@ func TestNewValidation(t *testing.T) {
 		t.Error("empty reference accepted")
 	}
 }
+
+// TestGeneratorAllocFree is the runtime half of the hotalloc contract
+// for adaptive-region filtration: after warm-up one work item's
+// candidate generation (both strands) allocates nothing.
+func TestGeneratorAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ref := randText(rng, 20_000)
+	m, err := New(ref, cl.SystemOneHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := ref[4000:4100]
+	gen := generator{m: m, maxCand: 200}.generate
+	st := &mapper.State{Scratch: new(scratch)}
+	var cost cl.Cost
+	item := func() { st.Generate(gen, read, &cost) }
+	item()
+	if len(st.Cands) == 0 {
+		t.Fatal("generator found no candidates; the check is vacuous")
+	}
+	if n := testing.AllocsPerRun(50, item); n != 0 {
+		t.Errorf("generator allocates %v times per work item", n)
+	}
+}

@@ -305,3 +305,57 @@ func TestBestMapperModes(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefilterHonouredByEveryMapper: Options.Prefilter is validated for
+// every mapper, so every mapper must honour it or refuse it. The six
+// Myers-verifying mappers run the shared stage list, where the filter
+// only ever drops candidates verification would reject: mappings are
+// identical with it on, the weighted FilterWords show it ran, and the
+// filtration tallies account for every candidate. BWA-MEM has no such
+// stage and returns an error rather than dropping the option.
+func TestPrefilterHonouredByEveryMapper(t *testing.T) {
+	w := buildWorld(t, 30_000, 60, simulate.ERR012100)
+	for name, m := range w.mappers {
+		t.Run(name, func(t *testing.T) {
+			opt := mapper.Options{MaxErrors: 4, MaxLocations: 100}
+			off, err := m.Map(w.set.Reads, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Prefilter = mapper.PrefilterGateKeeper
+			on, err := m.Map(w.set.Reads, opt)
+			if name == "BWA-MEM" {
+				if err == nil {
+					t.Fatal("gatekeeper prefilter accepted and silently ignored")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eval.PrefilterGate(off.Mappings, on.Mappings); err != nil {
+				t.Error(err)
+			}
+			c, c0 := on.Cost, off.Cost
+			if c.FilterWords <= 0 || c0.FilterWords != 0 {
+				t.Errorf("FilterWords on %d, off %d", c.FilterWords, c0.FilterWords)
+			}
+			if c.Candidates != c0.Candidates || c.Verified != c0.Verified || c.Candidates == 0 {
+				t.Errorf("candidates/verified on %d/%d, off %d/%d", c.Candidates, c.Verified, c0.Candidates, c0.Verified)
+			}
+			// Filtered + FalseAccepts + matched = Candidates, where matched
+			// (candidates whose window verified) is at least the distinct
+			// positions reported.
+			if matched := c.Candidates - c.Filtered - c.FalseAccepts; matched < c.Verified || c.Filtered < 0 || c.FalseAccepts < 0 {
+				t.Errorf("tallies do not add up: %d candidates, %d filtered, %d false accepts, %d verified",
+					c.Candidates, c.Filtered, c.FalseAccepts, c.Verified)
+			}
+			if c.Filtered > 0 && c.VerifyWords >= c0.VerifyWords {
+				t.Errorf("%d candidates filtered but VerifyWords %d >= unfiltered %d", c.Filtered, c.VerifyWords, c0.VerifyWords)
+			}
+			if c.Filtered == 0 && c.VerifyWords != c0.VerifyWords {
+				t.Errorf("nothing filtered but VerifyWords %d != unfiltered %d", c.VerifyWords, c0.VerifyWords)
+			}
+		})
+	}
+}

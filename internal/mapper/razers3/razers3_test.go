@@ -2,6 +2,7 @@ package razers3
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/cl"
@@ -174,5 +175,65 @@ func TestEmptyReadSet(t *testing.T) {
 	}
 	if len(res.Mappings) != 0 {
 		t.Errorf("empty set produced %d mapping lists", len(res.Mappings))
+	}
+}
+
+// TestGeneratorAllocFree is the runtime half of the hotalloc contract
+// for the counting filter: after warm-up one work item's candidate
+// generation (both strands) allocates nothing.
+func TestGeneratorAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ref := randText(rng, 20_000)
+	m, err := New(ref, cl.SystemOneHost(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := mutateK(rng, ref[4000:4100], 3)
+	q, thr := m.chooseQ(len(read), 4)
+	ix, err := m.grams.Get(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := generator{ix: ix, q: q, t: thr, maxErr: 4}.generate
+	st := &mapper.State{Scratch: new(scratch)}
+	var cost cl.Cost
+	item := func() { st.Generate(gen, read, &cost) }
+	item()
+	if len(st.Cands) == 0 {
+		t.Fatal("generator found no candidates; the check is vacuous")
+	}
+	if n := testing.AllocsPerRun(50, item); n != 0 {
+		t.Errorf("generator allocates %v times per work item", n)
+	}
+}
+
+// TestConcurrentMapSharesIndexCache maps from two goroutines on one
+// mapper, both needing the same unbuilt q-gram index (run under -race).
+func TestConcurrentMapSharesIndexCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	ref := randText(rng, 20_000)
+	m, err := New(ref, cl.SystemOneHost(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := [][]byte{ref[100:200], ref[5000:5100]}
+	results := make([]*mapper.Result, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g], errs[g] = m.Map(reads, mapper.Options{MaxErrors: 2 * g})
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[g].MappedReads() != len(reads) {
+			t.Errorf("goroutine %d mapped %d of %d exact reads", g, results[g].MappedReads(), len(reads))
+		}
 	}
 }

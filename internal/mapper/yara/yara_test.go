@@ -163,3 +163,28 @@ func TestNewValidation(t *testing.T) {
 		t.Error("empty reference accepted")
 	}
 }
+
+// TestGeneratorAllocFree is the runtime half of the hotalloc contract
+// for the approximate-seed filter: after warm-up one work item's
+// candidate generation (both strands, one substitution per seed)
+// allocates nothing.
+func TestGeneratorAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ref := randText(rng, 20_000)
+	m, err := New(ref, cl.SystemOneHost(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := ref[4000:4100]
+	gen := generator{ix: m.ix, seedErr: 1, maxCand: 800}.generate
+	st := &mapper.State{}
+	var cost cl.Cost
+	item := func() { st.Generate(gen, read, &cost) }
+	item()
+	if len(st.Cands) == 0 {
+		t.Fatal("generator found no candidates; the check is vacuous")
+	}
+	if n := testing.AllocsPerRun(50, item); n != 0 {
+		t.Errorf("generator allocates %v times per work item", n)
+	}
+}

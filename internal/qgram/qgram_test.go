@@ -133,3 +133,27 @@ func BenchmarkBuildQ11(b *testing.B) {
 	}
 	b.SetBytes(int64(len(text)))
 }
+
+func TestCacheClampsAndBuildsOnce(t *testing.T) {
+	text := []byte{0, 1, 2, 3, 0, 1, 2, 3, 1, 1}
+	if got := NewCache(text, 0).MaxQ(); got != 11 {
+		t.Errorf("default maxQ = %d, want 11", got)
+	}
+	c := NewCache(text, 99)
+	if c.MaxQ() != MaxQ {
+		t.Errorf("maxQ %d not clamped to %d", c.MaxQ(), MaxQ)
+	}
+	a, err := c.Get(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := c.Get(3); a != b {
+		t.Error("second Get rebuilt the index")
+	}
+	if a.Q() != 3 || a.Len() != len(text) {
+		t.Errorf("Get(3) built q=%d over %d bases", a.Q(), a.Len())
+	}
+	if _, err := c.Get(MaxQ + 1); err == nil {
+		t.Error("out-of-range gram length accepted")
+	}
+}
