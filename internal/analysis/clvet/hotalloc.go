@@ -121,7 +121,7 @@ func checkHotFunc(pass *analysis.Pass, dirs *analysis.Directives, recv *ast.Fiel
 	}
 	mapWrite := func(pos ast.Node, target ast.Expr) {
 		if ix, ok := ast.Unparen(target).(*ast.IndexExpr); ok && analysis.IsMapType(pass.TypesInfo, ix.X) {
-			report(pos, "hot path writes a map; kernels have no maps — use fixed slots or owned slices")
+			report(pos, mapWriteMsg)
 		}
 	}
 
@@ -149,6 +149,8 @@ func checkHotFunc(pass *analysis.Pass, dirs *analysis.Directives, recv *ast.Fiel
 		}
 	})
 }
+
+const mapWriteMsg = "hot path writes a map; kernels have no maps — use fixed slots or owned slices"
 
 type reportFunc func(pos interface{ Pos() token.Pos }, format string, args ...any)
 
@@ -182,10 +184,10 @@ func checkHotCall(pass *analysis.Pass, call *ast.CallExpr, parents []ast.Node,
 						"receiver- or parameter-owned slice instead")
 				}
 			case "delete":
-				report(call, "hot path writes a map; kernels have no maps — use fixed slots or owned slices")
+				report(call, mapWriteMsg)
 			case "clear":
 				if len(call.Args) == 1 && analysis.IsMapType(pass.TypesInfo, call.Args[0]) {
-					report(call, "hot path writes a map; kernels have no maps — use fixed slots or owned slices")
+					report(call, mapWriteMsg)
 				}
 			}
 			return

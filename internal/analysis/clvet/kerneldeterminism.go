@@ -18,8 +18,10 @@ var KernelDeterminism = &analysis.Analyzer{
 	Run: runKernelDeterminism,
 }
 
-// timeDenylist names the time package functions that leak host timing
-// into a kernel. (time.After/Tick also create channels, doubly banned.)
+// timeDenylist names the package-level time functions that leak the host
+// clock or host scheduling into a kernel or, for pipedeterminism, into
+// pipeline state. (time.After/Tick also create channels, doubly banned
+// in kernels.)
 var timeDenylist = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,

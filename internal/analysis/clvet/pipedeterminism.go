@@ -20,7 +20,7 @@ import (
 // any package marked //repute:pipeline-package):
 //
 //   - wall-clock calls (time.Now, Since, Until, Sleep, After, Tick,
-//     NewTimer, NewTicker): simulated time comes from the cost model;
+//     NewTimer, NewTicker, AfterFunc): simulated time comes from the cost model;
 //     code that genuinely needs the host clock takes an injected clock
 //     and the call site carries a justified //repute:allow.
 //   - global math/rand (package-level functions of math/rand and
@@ -37,13 +37,6 @@ var PipeDeterminism = &analysis.Analyzer{
 	Doc: "check that pipeline packages avoid wall clocks, global math/rand and " +
 		"map-iteration order reaching outputs or serialized state",
 	Run: runPipeDeterminism,
-}
-
-// forbiddenTimeFuncs are the package-level time functions that leak the
-// host clock or host scheduling into pipeline state.
-var forbiddenTimeFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
 }
 
 func runPipeDeterminism(pass *analysis.Pass) error {
@@ -78,7 +71,7 @@ func checkNondetCall(pass *analysis.Pass, dirs *analysis.Directives, call *ast.C
 	sig, _ := fn.Type().(*types.Signature)
 	switch fn.Pkg().Path() {
 	case "time":
-		if forbiddenTimeFuncs[fn.Name()] && (sig == nil || sig.Recv() == nil) {
+		if timeDenylist[fn.Name()] && (sig == nil || sig.Recv() == nil) {
 			if !dirs.Allowed("pipedeterminism", call.Pos()) {
 				pass.Reportf(call.Pos(),
 					"wall-clock call time.%s in a pipeline package: simulated time comes "+
@@ -152,7 +145,7 @@ func checkMapRangeAssign(pass *analysis.Pass, dirs *analysis.Directives,
 					continue
 				}
 				obj := analysis.ObjectOf(pass.TypesInfo, target)
-				if obj == nil || declaredInside(obj, rng) {
+				if obj == nil || declaredWithin(obj, rng) {
 					continue
 				}
 				if sortedAfter(pass, encFunc, rng, obj) {
@@ -214,11 +207,6 @@ func enclosingFunc(parents []ast.Node) ast.Node {
 		}
 	}
 	return nil
-}
-
-// declaredInside reports whether obj is declared within n's range.
-func declaredInside(obj types.Object, n ast.Node) bool {
-	return obj.Pos() != token.NoPos && n.Pos() <= obj.Pos() && obj.Pos() < n.End()
 }
 
 // sortedAfter reports whether a sort.* / slices.Sort* call with obj as

@@ -133,21 +133,20 @@ type Batch struct {
 	SlotCap int
 }
 
-// NewState builds one worker's private memory.
-func (b *Batch) NewState() *State {
-	st := &State{}
-	if b.NewScratch != nil {
-		st.Scratch = b.NewScratch()
-	}
-	return st
-}
-
+// launch builds one kernel of the batch; every launch gives a worker the
+// same private memory, generator scratch included.
 func (b *Batch) launch(suffix string, privateBytes int64, body func(*cl.WorkItem, any)) *cl.Kernel {
 	return &cl.Kernel{
 		Name:                b.Name + suffix,
 		PrivateBytesPerItem: privateBytes,
-		NewState:            func() any { return b.NewState() },
-		Body:                body,
+		NewState: func() any {
+			st := &State{}
+			if b.NewScratch != nil {
+				st.Scratch = b.NewScratch()
+			}
+			return st
+		},
+		Body: body,
 	}
 }
 
