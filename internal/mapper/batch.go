@@ -150,16 +150,17 @@ func (b *Batch) launch(suffix string, privateBytes int64, body func(*cl.WorkItem
 	}
 }
 
-// Fused returns the single launch that runs item over every read and
-// stores what it returns in the read's output slot. item charges its own
-// work to cost; the fixed per-item overhead and transfer are charged here.
-func (b *Batch) Fused(item func(st *State, read []byte, cost *cl.Cost) []Mapping) *cl.Kernel {
-	return b.launch("-map", b.PrivateBytes, func(wi *cl.WorkItem, state any) {
+// Fused returns the batch as a single launch that runs item over every
+// read and stores what it returns in the read's output slot. item charges
+// its own work to cost; the fixed per-item overhead and transfer are
+// charged here.
+func (b *Batch) Fused(item func(st *State, read []byte, cost *cl.Cost) []Mapping) []*cl.Kernel {
+	return []*cl.Kernel{b.launch("-map", b.PrivateBytes, func(wi *cl.WorkItem, state any) {
 		st := state.(*State)
 		st.cost = cl.Cost{Items: 1, Bytes: b.InBytes + b.OutBytes}
 		b.Out[wi.Global] = item(st, b.Reads[wi.Global], &st.cost)
 		wi.Charge(st.cost)
-	})
+	})}
 }
 
 // Kernels returns the batch's launches in enqueue order: the fused
@@ -167,7 +168,7 @@ func (b *Batch) Fused(item func(st *State, read []byte, cost *cl.Cost) []Mapping
 // hand survivors over in — a seed+filter | verify pair.
 func (b *Batch) Kernels() []*cl.Kernel {
 	if b.Prefilter != PrefilterGateKeeper || b.SlotCap == 0 {
-		return []*cl.Kernel{b.Fused(b.mapRead)}
+		return b.Fused(b.mapRead)
 	}
 	slotCap := b.SlotCap
 	backing := make([]Candidate, len(b.Reads)*slotCap)

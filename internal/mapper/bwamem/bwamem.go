@@ -169,6 +169,6 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 		}
 		b.Name, b.PrivateBytes = "bwamem", 2048
 		b.NewScratch = func() any { return new(scratch) }
-		return []*cl.Kernel{b.Fused(extender{m: m, maxErr: b.MaxErrors}.mapRead)}, nil
+		return b.Fused(extender{m: m, maxErr: b.MaxErrors}.mapRead), nil
 	})
 }
