@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -265,23 +266,30 @@ func TestPopcountWords(t *testing.T) {
 	}
 }
 
-func BenchmarkMyers100x110(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	p := randSeq(rng, 100)
-	w := append(append(randSeq(rng, 5), mutate(rng, p, 3)...), randSeq(rng, 5)...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Distance(p, w, 5)
-	}
-}
+// verifierSink keeps the benchmark's calls from being optimised away.
+var verifierSink Match
 
-func BenchmarkMyers150x170(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	p := randSeq(rng, 150)
-	w := append(append(randSeq(rng, 10), mutate(rng, p, 5)...), randSeq(rng, 10)...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Distance(p, w, 7)
+// BenchmarkVerifier measures the per-window cost a mapper pays: one
+// Verifier reset per read, then a pipeline-shaped mix of windows — five
+// junk for every planted hit (verified_ratio is 0.16 on map-verify).
+func BenchmarkVerifier(b *testing.B) {
+	for _, tc := range []struct{ m, k int }{{100, 5}, {150, 7}} {
+		b.Run(fmt.Sprint(tc.m, "bp"), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(tc.m)))
+			p := randSeq(rng, tc.m)
+			var wins [6][]byte
+			for i := range wins {
+				wins[i] = randSeq(rng, tc.m+2*tc.k)
+			}
+			wins[3] = append(append(randSeq(rng, tc.k), mutate(rng, p, 3)...), randSeq(rng, tc.k)...)
+			var v Verifier
+			v.Reset(p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				verifierSink, _ = v.Verify(wins[i%len(wins)], tc.k)
+			}
+		})
 	}
 }
 

@@ -18,117 +18,146 @@ type Match struct {
 	Start, End, Dist int
 }
 
-// myersState holds the per-pattern preprocessing for the block algorithm.
-// One state can verify the same pattern against many windows.
-type myersState struct {
-	m     int
-	words int
-	peq   [4][]uint64
-	// lastMask has the bit for pattern row m-1 within the last word.
-	lastMask uint64
+// Verifier is the Myers block scan bound to one pattern. Reset
+// preprocesses a pattern into verifier-owned tables; after that any
+// number of windows are checked against it without allocating, so a
+// mapper holds one per strand and resets it once per read. The zero value
+// is ready to use (it holds the empty pattern); a Verifier must not be
+// shared between goroutines.
+//
+// The pattern's m rows fill the top of its ⌈m/64⌉ 64-row blocks: row i is
+// bit i+pad, pad = 64·blocks − m, so the last row is always bit 63 of the
+// last block and the bottom-row score changes by that block's carry-out.
+// The pad rows below row 0 match every base and start with zero vertical
+// delta, which keeps them at distance 0 in every column — the free start
+// of semi-global alignment, pad rows deep.
+type Verifier struct {
+	m, words int
+	// top is block 0's initial +1 vertical deltas: every row but the pad.
+	top uint64
+	// peq and rpeq are the match masks of the pattern and of the reversed
+	// pattern: block b's mask for base c is at [4b+c]. They hold at least
+	// two blocks, so that a scan can address the first two as an array.
+	peq, rpeq []uint64
+	// pv and mv are the vertical delta vectors of the blocks past the
+	// second; the first two are locals of the scan.
+	pv, mv []uint64
 }
 
-// newMyersState preprocesses pattern (base codes) for repeated searches.
-func newMyersState(pattern []byte) *myersState {
+// Reset binds the verifier to pattern, building the forward and the
+// reversed match masks. Pattern and window bytes are base codes: only
+// their low two bits are read. pattern is not retained.
+//
+//repute:hotpath
+func (v *Verifier) Reset(pattern []byte) {
 	m := len(pattern)
 	w := (m + 63) / 64
-	st := &myersState{m: m, words: w}
+	pad := 64*w - m
+	v.m, v.words, v.top = m, w, ^uint64(0)<<uint(pad)
+	size := 4 * max(w, 2)
+	if cap(v.peq) < size {
+		v.peq = make([]uint64, size)
+		v.rpeq = make([]uint64, size)
+		v.pv = make([]uint64, max(w-2, 0))
+		v.mv = make([]uint64, max(w-2, 0))
+	}
+	v.peq, v.rpeq = v.peq[:size], v.rpeq[:size]
+	clear(v.peq)
+	clear(v.rpeq)
 	for c := 0; c < 4; c++ {
-		st.peq[c] = make([]uint64, w)
+		v.peq[c], v.rpeq[c] = ^v.top, ^v.top
 	}
 	for i, c := range pattern {
-		st.peq[c][i/64] |= 1 << uint(i%64)
+		f, r := pad+i, pad+m-1-i
+		v.peq[f>>6<<2|int(c&3)] |= 1 << (uint(f) & 63)
+		v.rpeq[r>>6<<2|int(c&3)] |= 1 << (uint(r) & 63)
 	}
-	st.lastMask = 1 << uint((m-1)%64)
-	return st
 }
 
-// advanceBlock performs one column step on a single 64-row block.
-// hin is the horizontal delta entering the block bottom (-1, 0 or +1);
-// the returned hout leaves at the block top.
-func advanceBlock(pv, mv, eq uint64, hin int) (pvOut, mvOut uint64, hout int) {
+// step advances one 64-row block by one text column. eq is the block's
+// match mask for the column's base; hp and hm are the horizontal +1 / -1
+// deltas entering below the block's first row, as 0 or 1. It returns the
+// new vertical vectors and the deltas leaving above its last row.
+func step(pv, mv, eq, hp, hm uint64) (pvOut, mvOut, hpOut, hmOut uint64) {
 	xv := eq | mv
-	if hin < 0 {
-		eq |= 1
-	}
+	eq |= hm
 	xh := (((eq & pv) + pv) ^ pv) | eq
 	ph := mv | ^(xh | pv)
 	mh := pv & xh
-	hout = 0
-	if ph&(1<<63) != 0 {
-		hout = 1
-	} else if mh&(1<<63) != 0 {
-		hout = -1
-	}
-	ph <<= 1
-	mh <<= 1
-	switch {
-	case hin < 0:
-		mh |= 1
-	case hin > 0:
-		ph |= 1
-	}
-	pvOut = mh | ^(xv | ph)
-	mvOut = ph & xv
-	return pvOut, mvOut, hout
+	phs := ph<<1 | hp
+	mhs := mh<<1 | hm
+	return mhs | ^(xv | phs), phs & xv, ph >> 63, mh >> 63
 }
 
-// search runs the semi-global scan of the pattern over text, invoking fn
-// with (endExclusive, dist) for every column whose score is <= maxDist.
-// It returns the best (lowest, earliest) column.
-func (st *myersState) search(text []byte, maxDist int, fn func(end, dist int)) (bestEnd, bestDist int) {
-	w := st.words
-	pv := make([]uint64, w)
-	mv := make([]uint64, w)
-	for i := range pv {
-		pv[i] = ^uint64(0)
+// tail advances the blocks past the second by one column; eq is the match
+// masks from block 2's entry for the column's base on. It is kept out of
+// line so that scan's loop, which every pattern of up to 128 rows never
+// leaves, has no slice state to keep live.
+//
+//go:noinline
+func (v *Verifier) tail(eq []uint64, hp, hm uint64) (hpOut, hmOut uint64) {
+	pv, mv := v.pv[:v.words-2], v.mv[:v.words-2]
+	for b := range pv {
+		pv[b], mv[b], hp, hm = step(pv[b], mv[b], eq[4*b], hp, hm)
 	}
-	score := st.m
+	return hp, hm
+}
+
+// scan runs the semi-global scan of the pattern whose masks are peq over
+// the columns text[first], text[first+stride], … (stride ±1, len(text)
+// columns in all), invoking fn with (columns consumed, score) for every
+// column whose score is <= maxDist. It returns the earliest column of the
+// lowest score, or (-1, -1) when none is within maxDist.
+//
+// The bottom-row score falls by at most one per column, so the scan stops
+// as soon as the score exceeds maxDist by more than the columns left: no
+// later column can be reported.
+//
+//repute:hotpath
+func (v *Verifier) scan(peq []uint64, text []byte, first, stride, maxDist int, fn func(end, dist int)) (bestEnd, bestDist int) {
+	w, n := v.words, len(text)
+	lead := (*[8]uint64)(peq)
+	pv0, pv1 := v.top, ^uint64(0)
+	var mv0, mv1 uint64
+	if w > 2 {
+		for b := range v.pv[:w-2] {
+			v.pv[b], v.mv[b] = ^uint64(0), 0
+		}
+	}
+	score := v.m
 	bestEnd, bestDist = -1, maxDist+1
-	for j, c := range text {
-		hin := 0
-		for b := 0; b < w; b++ {
-			var hout int
-			if b == w-1 {
-				// Track the score at pattern row m-1, which may sit
-				// below bit 63 of the last word.
-				pvb, mvb := pv[b], mv[b]
-				eq := st.peq[c][b]
-				xv := eq | mvb
-				if hin < 0 {
-					eq |= 1
+	j, i := 0, first
+scan:
+	for j < n {
+		// The inner loop runs to the next reported column. The first two
+		// blocks' vectors — all there is for a pattern of up to 128 rows —
+		// are scalars, so on that path the loop indexes no slice but the
+		// text and makes no call.
+		for {
+			c := int(text[i] & 3)
+			i += stride
+			j++
+			var hp, hm uint64
+			pv0, mv0, hp, hm = step(pv0, mv0, lead[c], 0, 0)
+			if w > 1 {
+				pv1, mv1, hp, hm = step(pv1, mv1, lead[4+c], hp, hm)
+				if w > 2 {
+					hp, hm = v.tail(peq[8+c:], hp, hm)
 				}
-				xh := (((eq & pvb) + pvb) ^ pvb) | eq
-				ph := mvb | ^(xh | pvb)
-				mh := pvb & xh
-				if ph&st.lastMask != 0 {
-					score++
-				} else if mh&st.lastMask != 0 {
-					score--
-				}
-				ph <<= 1
-				mh <<= 1
-				switch {
-				case hin < 0:
-					mh |= 1
-				case hin > 0:
-					ph |= 1
-				}
-				pv[b] = mh | ^(xv | ph)
-				mv[b] = ph & xv
-				hout = 0 // unused past the last block
-				_ = hout
-			} else {
-				pv[b], mv[b], hin = advanceBlock(pv[b], mv[b], st.peq[c][b], hin)
+			}
+			score += int(hp) - int(hm)
+			if score <= maxDist {
+				break
+			}
+			if score-(n-j) > maxDist {
+				break scan // hopeless, or the last column
 			}
 		}
-		if score <= maxDist {
-			if fn != nil {
-				fn(j+1, score)
-			}
-			if score < bestDist {
-				bestDist, bestEnd = score, j+1
-			}
+		if fn != nil {
+			fn(j, score)
+		}
+		if score < bestDist {
+			bestEnd, bestDist = j, score
 		}
 	}
 	if bestEnd < 0 {
@@ -137,66 +166,68 @@ func (st *myersState) search(text []byte, maxDist int, fn func(end, dist int)) (
 	return bestEnd, bestDist
 }
 
-// Distance returns the minimum semi-global edit distance of pattern
+// Distance returns the minimum semi-global edit distance of the pattern
 // against any substring of text, together with the end (exclusive) of the
 // earliest best match. If no alignment has distance <= maxDist it returns
 // (-1, -1).
-func Distance(pattern, text []byte, maxDist int) (end, dist int) {
-	if len(pattern) == 0 {
+func (v *Verifier) Distance(text []byte, maxDist int) (end, dist int) {
+	if v.m == 0 {
 		return 0, 0
 	}
-	if maxDist >= len(pattern) {
-		// The whole pattern can be deleted; any position matches.
-		maxDist = len(pattern) - 1
-		if maxDist < 0 {
-			return 0, 0
-		}
-	}
-	st := newMyersState(pattern)
-	return st.search(text, maxDist, nil)
+	// Deleting the whole pattern matches anywhere at distance m, which
+	// says nothing about the window: only distances below m are reported.
+	maxDist = min(maxDist, v.m-1)
+	return v.scan(v.peq, text, 0, 1, maxDist, nil)
 }
 
 // Occurrences invokes fn(end, dist) for every text column where the
 // pattern matches with distance <= maxDist. Ends are exclusive.
-func Occurrences(pattern, text []byte, maxDist int, fn func(end, dist int)) {
-	if len(pattern) == 0 {
+func (v *Verifier) Occurrences(text []byte, maxDist int, fn func(end, dist int)) {
+	if v.m == 0 {
 		return
 	}
-	st := newMyersState(pattern)
-	st.search(text, maxDist, fn)
+	v.scan(v.peq, text, 0, 1, maxDist, fn)
 }
 
-// Verify checks whether pattern aligns in window with distance <= maxDist
-// and, when it does, recovers the full match coordinates: the forward pass
-// finds the best end and a reverse pass over reversed strings finds the
-// matching start.
-func Verify(pattern, window []byte, maxDist int) (Match, bool) {
-	if len(pattern) == 0 {
+// Verify checks whether the pattern aligns in window with distance <=
+// maxDist and, when it does, recovers the full match coordinates: the
+// forward scan finds the earliest best end, and a scan of the reversed
+// pattern leftwards from that end finds the matching start. The match
+// the forward scan found lies inside window[:end], so the reverse scan
+// always reaches its distance.
+//
+//repute:hotpath
+func (v *Verifier) Verify(window []byte, maxDist int) (Match, bool) {
+	if v.m == 0 {
 		return Match{}, true
 	}
-	end, dist := Distance(pattern, window, maxDist)
+	end, dist := v.Distance(window, maxDist)
 	if end < 0 {
 		return Match{}, false
 	}
-	// Reverse both strings up to the found end; the best end of the
-	// reverse problem is the distance from `end` back to the start.
-	rp := reverse(pattern)
-	rw := reverse(window[:end])
-	rend, rdist := Distance(rp, rw, dist)
-	if rend < 0 {
-		// The reverse search is over the prefix that produced dist, so
-		// this cannot happen; guard anyway.
-		return Match{Start: 0, End: end, Dist: dist}, true
-	}
+	rend, rdist := v.scan(v.rpeq, window[:end], end-1, -1, dist, nil)
 	return Match{Start: end - rend, End: end, Dist: rdist}, true
 }
 
-func reverse(s []byte) []byte {
-	out := make([]byte, len(s))
-	for i, c := range s {
-		out[len(s)-1-i] = c
-	}
-	return out
+// Distance is Verifier.Distance for a pattern used once.
+func Distance(pattern, text []byte, maxDist int) (end, dist int) {
+	var v Verifier
+	v.Reset(pattern)
+	return v.Distance(text, maxDist)
+}
+
+// Occurrences is Verifier.Occurrences for a pattern used once.
+func Occurrences(pattern, text []byte, maxDist int, fn func(end, dist int)) {
+	var v Verifier
+	v.Reset(pattern)
+	v.Occurrences(text, maxDist, fn)
+}
+
+// Verify is Verifier.Verify for a pattern used once.
+func Verify(pattern, window []byte, maxDist int) (Match, bool) {
+	var v Verifier
+	v.Reset(pattern)
+	return v.Verify(window, maxDist)
 }
 
 // WordCost reports the number of 64-bit block updates one column costs

@@ -152,36 +152,35 @@ func (p PackedSeq) At(i int) byte {
 func (p PackedSeq) Bytes() []byte { return p.data }
 
 // Unpack expands the packed sequence back to a fresh slice of base codes.
-func (p PackedSeq) Unpack() []byte {
-	out := make([]byte, p.n)
-	for i := range out {
-		out[i] = p.At(i)
-	}
-	return out
-}
+func (p PackedSeq) Unpack() []byte { return p.Slice(0, p.n) }
 
 // Slice unpacks the half-open range [lo, hi) into a fresh code slice.
 func (p PackedSeq) Slice(lo, hi int) []byte {
 	if lo < 0 || hi > p.n || lo > hi {
 		panic(fmt.Sprintf("dna: Slice[%d:%d) out of range 0..%d", lo, hi, p.n))
 	}
-	out := make([]byte, hi-lo)
-	for i := range out {
-		out[i] = p.At(lo + i)
-	}
-	return out
+	return p.SliceInto(make([]byte, hi-lo), lo, hi)
 }
 
 // SliceInto unpacks [lo, hi) into dst (which must be at least hi-lo long)
 // and returns the filled prefix. It avoids allocation on verification hot
-// paths.
+// paths, and unpacks a whole packed byte — four bases — per step between
+// the unaligned ends.
 func (p PackedSeq) SliceInto(dst []byte, lo, hi int) []byte {
 	if lo < 0 || hi > p.n || lo > hi {
 		panic(fmt.Sprintf("dna: SliceInto[%d:%d) out of range 0..%d", lo, hi, p.n))
 	}
 	dst = dst[:hi-lo]
-	for i := range dst {
-		dst[i] = p.At(lo + i)
+	i := 0
+	for ; lo&3 != 0 && i < len(dst); i, lo = i+1, lo+1 {
+		dst[i] = p.At(lo)
+	}
+	for ; i+4 <= len(dst); i, lo = i+4, lo+4 {
+		b, d := p.data[lo>>2], dst[i:i+4]
+		d[0], d[1], d[2], d[3] = b&3, b>>2&3, b>>4&3, b>>6
+	}
+	for ; i < len(dst); i, lo = i+1, lo+1 {
+		dst[i] = p.At(lo)
 	}
 	return dst
 }

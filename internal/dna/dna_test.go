@@ -1,6 +1,7 @@
 package dna
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -159,6 +160,37 @@ func TestPackedSlice(t *testing.T) {
 	buf := make([]byte, 12)
 	if got := Decode(p.SliceInto(buf, 4, 9)); got != "ACGTA" {
 		t.Errorf("SliceInto(4,9) = %q want ACGTA", got)
+	}
+}
+
+// TestSliceIntoMatchesAt checks the byte-at-a-time unpacking against At
+// for every alignment of both ends within a packed byte, for empty and
+// full ranges, and that it stays allocation-free.
+func TestSliceIntoMatchesAt(t *testing.T) {
+	codes := make([]byte, 43)
+	for i := range codes {
+		codes[i] = byte(i*7+i/3) & 3
+	}
+	p := Pack(codes)
+	buf := make([]byte, len(codes))
+	for lo := 0; lo <= len(codes); lo++ {
+		for hi := lo; hi <= len(codes); hi++ {
+			got := p.SliceInto(buf, lo, hi)
+			if len(got) != hi-lo {
+				t.Fatalf("SliceInto(%d,%d) has %d bases", lo, hi, len(got))
+			}
+			for i, c := range got {
+				if c != p.At(lo+i) {
+					t.Fatalf("SliceInto(%d,%d)[%d] = %d, At(%d) = %d", lo, hi, i, c, lo+i, p.At(lo+i))
+				}
+			}
+		}
+	}
+	if got := p.Unpack(); !bytes.Equal(got, codes) {
+		t.Errorf("Unpack = %v want %v", got, codes)
+	}
+	if n := testing.AllocsPerRun(20, func() { p.SliceInto(buf, 3, 40) }); n != 0 {
+		t.Errorf("SliceInto allocates %v times per run", n)
 	}
 }
 

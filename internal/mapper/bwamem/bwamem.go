@@ -87,6 +87,9 @@ type scratch struct {
 	// the current strand — the chain dedup, kept as a slice because the
 	// kernel contract has no maps.
 	seen []int32
+	// ver recovers match starts; bound to the strand's pattern by the
+	// first chain of the strand that needs it.
+	ver align.Verifier
 }
 
 // generate is the MEM seeding (mapper.Generator): the occurrences of
@@ -119,7 +122,7 @@ func (e extender) mapRead(st *mapper.State, read []byte, cost *cl.Cost) []mapper
 	sc := st.Scratch.(*scratch)
 	text, n := e.m.ix.Text(), len(read)
 	best := mapper.Mapping{Dist: uint8(e.maxErr) + 1}
-	strand := byte(0)
+	strand, verStrand := byte(0), byte(0)
 	for _, cand := range st.Generate(e.m.generate, read, cost) {
 		if cand.Strand != strand {
 			strand = cand.Strand
@@ -149,7 +152,11 @@ func (e extender) mapRead(st *mapper.State, read []byte, cost *cl.Cost) []mapper
 		}
 		// Recover the start with a Myers reverse pass.
 		cost.VerifyWords += int64(align.WordCost(n) * end)
-		match, ok := align.Verify(pattern, win[:end], dist)
+		if verStrand != strand {
+			sc.ver.Reset(pattern)
+			verStrand = strand
+		}
+		match, ok := sc.ver.Verify(win[:end], dist)
 		if !ok {
 			continue
 		}

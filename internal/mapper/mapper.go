@@ -229,10 +229,13 @@ func DedupCandidates(cands []Candidate, tol int32) []Candidate {
 	return out
 }
 
-// VerifyState carries reusable buffers across per-read verifications.
+// VerifyState carries what verification reuses across reads: the window
+// and reverse-complement buffers and one Myers verifier per strand.
 type VerifyState struct {
 	window  []byte
 	revComp []byte
+	fwd     align.Verifier
+	rev     align.Verifier
 }
 
 // VerifyCost tallies the work a verification performed so kernels can
@@ -256,16 +259,11 @@ func (vs *VerifyState) Verify(text dna.PackedSeq, read []byte, cands []Candidate
 	var out []Mapping
 	var cost VerifyCost
 	n := len(read)
+	// Each strand's verifier is bound to this read by the first candidate
+	// that needs it, so a read pays for a strand's match masks (and for
+	// the reverse complement) once however many candidates it has.
+	fwdReady, revReady := false, false
 	for _, c := range cands {
-		pattern := read
-		if c.Strand == Reverse {
-			if cap(vs.revComp) < n {
-				vs.revComp = make([]byte, n)
-			}
-			vs.revComp = vs.revComp[:n]
-			dna.ReverseComplementInto(vs.revComp, read)
-			pattern = vs.revComp
-		}
 		lo := int(c.Pos) - maxDist
 		hi := int(c.Pos) + n + maxDist
 		if lo < 0 {
@@ -277,13 +275,29 @@ func (vs *VerifyState) Verify(text dna.PackedSeq, read []byte, cands []Candidate
 		if hi-lo < n-maxDist {
 			continue
 		}
+		ver := &vs.fwd
+		if c.Strand == Reverse {
+			ver = &vs.rev
+			if !revReady {
+				if cap(vs.revComp) < n {
+					vs.revComp = make([]byte, n)
+				}
+				vs.revComp = vs.revComp[:n]
+				dna.ReverseComplementInto(vs.revComp, read)
+				ver.Reset(vs.revComp)
+				revReady = true
+			}
+		} else if !fwdReady {
+			ver.Reset(read)
+			fwdReady = true
+		}
 		if cap(vs.window) < hi-lo {
 			vs.window = make([]byte, hi-lo)
 		}
 		win := text.SliceInto(vs.window, lo, hi)
 		cost.Windows++
 		cost.VerifyWords += int64(align.WordCost(n) * len(win))
-		m, ok := align.Verify(pattern, win, maxDist)
+		m, ok := ver.Verify(win, maxDist)
 		if !ok {
 			continue
 		}

@@ -1,6 +1,8 @@
 package mapper
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dna"
@@ -106,6 +108,57 @@ func TestVerifyStateRejectsAndClamps(t *testing.T) {
 	ms, _ = vs.Verify(text, read, []Candidate{{Pos: 100, Strand: Forward}}, 1, 10)
 	if len(ms) != 0 {
 		t.Errorf("out-of-range candidate verified: %+v", ms)
+	}
+}
+
+// TestVerifyStateReuse runs one VerifyState over reads of different
+// lengths whose candidates mix both strands in no particular order — the
+// per-strand verifiers are bound once per read, whatever the order — and
+// requires the mappings a fresh state gives. Once warm it may allocate
+// only the mappings it returns.
+func TestVerifyStateReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ref := make([]byte, 4000)
+	for i := range ref {
+		ref[i] = byte(rng.Intn(4))
+	}
+	type query struct {
+		read  []byte
+		cands []Candidate
+		hits  int
+	}
+	var queries []query
+	for _, n := range []int{150, 40, 100, 129, 64} {
+		fwdAt, revAt := int32(rng.Intn(1500)), int32(2000+rng.Intn(1500))
+		read := append([]byte(nil), ref[fwdAt:int(fwdAt)+n]...)
+		read[n/2] ^= 1
+		// The same read also matches, reverse-complemented, at revAt.
+		copy(ref[revAt:], dna.ReverseComplement(read))
+		queries = append(queries, query{read: read, hits: 2, cands: []Candidate{
+			{Pos: revAt + 2, Strand: Reverse}, {Pos: 700, Strand: Forward},
+			{Pos: 1900, Strand: Reverse}, {Pos: fwdAt - 1, Strand: Forward},
+		}})
+	}
+	text := dna.Pack(ref)
+	var shared VerifyState
+	for i, q := range queries {
+		got, gotCost := shared.Verify(text, q.read, q.cands, 3, 10)
+		want, wantCost := new(VerifyState).Verify(text, q.read, q.cands, 3, 10)
+		if !slices.Equal(got, want) || gotCost != wantCost {
+			t.Errorf("query %d: reused state %+v %+v, fresh state %+v %+v", i, got, gotCost, want, wantCost)
+		}
+		if len(got) != q.hits {
+			t.Errorf("query %d: %d mappings want %d: %+v", i, len(got), q.hits, got)
+		}
+	}
+	q := queries[0]
+	junk := []Candidate{{Pos: 700, Strand: Forward}, {Pos: 1900, Strand: Reverse}}
+	if n := testing.AllocsPerRun(20, func() { shared.Verify(text, q.read, junk, 3, 10) }); n != 0 {
+		t.Errorf("Verify with nothing to report allocates %v times per run", n)
+	}
+	// Two mappings appended to a nil slice grow it twice.
+	if n := testing.AllocsPerRun(20, func() { shared.Verify(text, q.read, q.cands, 3, 10) }); n > 2 {
+		t.Errorf("Verify reporting 2 mappings allocates %v times per run, want <= 2", n)
 	}
 }
 

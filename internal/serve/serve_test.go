@@ -15,6 +15,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,19 @@ import (
 	"repro/internal/simulate"
 	"repro/internal/trace"
 )
+
+// TestMain drops every inherited REPUTE_* hook, as cmd/repute's cleanEnv
+// does for the binary: jobs here get the fault plan their test gives
+// them, so an exported chaos plan (CI's REPUTE_CL_FAULTS) must not arm the
+// devices of jobs that are meant to run clean.
+func TestMain(m *testing.M) {
+	for _, kv := range os.Environ() {
+		if name, _, _ := strings.Cut(kv, "="); strings.HasPrefix(name, "REPUTE_") {
+			os.Unsetenv(name)
+		}
+	}
+	os.Exit(m.Run())
+}
 
 // fixture bundles one reference world shared by a test: the index
 // artifact, the FASTQ upload body, and the expected SAM.
