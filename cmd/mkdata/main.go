@@ -38,6 +38,12 @@ func run(refPath string, refLen int, seed int64, readsPath string, nReads, readL
 	if refPath == "" {
 		return fmt.Errorf("-ref is required")
 	}
+	if refLen <= 0 {
+		return fmt.Errorf("-len must be positive, got %d", refLen)
+	}
+	if nReads <= 0 {
+		return fmt.Errorf("-n must be positive, got %d", nReads)
+	}
 	ref := simulate.Reference(simulate.Chr21Like(refLen, seed))
 	f, err := os.Create(refPath)
 	if err != nil {

@@ -1,8 +1,11 @@
-// Package bench is the experiment harness: it rebuilds every table and
-// figure of the paper's evaluation section on synthetic workloads at a
-// configurable scale, using the simulated OpenCL platforms from
-// internal/cl. cmd/experiments is its CLI; bench_test.go at the module
-// root exposes each experiment as a Go benchmark.
+// Package bench is the paper reproduction: it rebuilds Tables I-IV and
+// Figs 3/4 of the paper's evaluation section on synthetic workloads at a
+// configurable scale, on the simulated OpenCL platforms from internal/cl,
+// checks the paper's qualitative claims against them (CheckShapes) and
+// renders the paper-vs-measured report; the pre-alignment filter's
+// selector×δ sweep rides along because it, too, is all simulated clock.
+// cmd/experiments is its CLI. Wall-clock and per-layer measurement is not
+// done here: that is the benchmark/ harness at the module root.
 package bench
 
 import (
@@ -22,7 +25,7 @@ type Scale struct {
 
 // Predefined scales.
 var (
-	// Tiny is for unit tests and Go benchmarks.
+	// Tiny is for unit tests and smoke runs.
 	Tiny = Scale{Name: "tiny", RefLen: 200_000, ReadsPerSet: 400}
 	// Small is the cmd/experiments default.
 	Small = Scale{Name: "small", RefLen: 1_000_000, ReadsPerSet: 2000}

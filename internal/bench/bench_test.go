@@ -185,53 +185,6 @@ func TestCheckShapesHandlesNil(t *testing.T) {
 	}
 }
 
-func TestAblationsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation run in -short mode")
-	}
-	ds := tinyDS(t)
-	a, err := RunAblations(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Filtration) != 4 || len(a.Locate) != 3 || len(a.Verify) != 3 {
-		t.Fatalf("ablation shape: %d/%d/%d", len(a.Filtration), len(a.Locate), len(a.Verify))
-	}
-	byName := map[string]FiltrationRow{}
-	for _, r := range a.Filtration {
-		if r.CandPerRead <= 0 || r.FMPerRead <= 0 {
-			t.Errorf("%s: empty measurements %+v", r.Name, r)
-		}
-		byName[r.Name] = r
-	}
-	// Quality ladder: OSS <= REPUTE <= uniform candidates; REPUTE uses
-	// less memory than OSS.
-	if byName["oss-full"].CandPerRead > byName["repute-dp"].CandPerRead {
-		t.Errorf("OSS (%v) worse than REPUTE (%v)",
-			byName["oss-full"].CandPerRead, byName["repute-dp"].CandPerRead)
-	}
-	if byName["repute-dp"].CandPerRead > byName["uniform"].CandPerRead {
-		t.Errorf("REPUTE (%v) worse than uniform (%v)",
-			byName["repute-dp"].CandPerRead, byName["uniform"].CandPerRead)
-	}
-	if byName["repute-dp"].PeakMemBytes >= byName["oss-full"].PeakMemBytes {
-		t.Errorf("REPUTE memory %d not below OSS %d",
-			byName["repute-dp"].PeakMemBytes, byName["oss-full"].PeakMemBytes)
-	}
-	// Locate: sampling shrinks the index and costs locate time.
-	if a.Locate[1].IndexBytes >= a.Locate[0].IndexBytes {
-		t.Error("sampling did not shrink the index")
-	}
-	if a.Locate[2].SimSeconds < a.Locate[0].SimSeconds {
-		t.Error("aggressive sampling did not cost locate time")
-	}
-	// Verification: the bit-vector must beat plain DP by a wide margin.
-	if a.Verify[0].NsPerWin*3 > a.Verify[2].NsPerWin {
-		t.Errorf("Myers (%v ns) not well below full DP (%v ns)",
-			a.Verify[0].NsPerWin, a.Verify[2].NsPerWin)
-	}
-}
-
 func TestFig4Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweep in -short mode")

@@ -75,8 +75,8 @@ func Table4(ds *Dataset) (*EnergyTable, error) {
 }
 
 // ShapeCheck is one qualitative claim of the paper checked against the
-// measured results. EXPERIMENTS.md records these: the reproduction's goal
-// is the shape (who wins, by what rough factor), not absolute seconds.
+// measured results. The markdown report records these: the reproduction's
+// goal is the shape (who wins, by what rough factor), not absolute seconds.
 type ShapeCheck struct {
 	Name   string
 	Detail string

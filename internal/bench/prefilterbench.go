@@ -7,7 +7,8 @@ package bench
 // set with the filter off and on across several error budgets and
 // reports filtered fraction, false-accept rate, the (required-zero)
 // false-reject count, and the simulated-time speedup.
-// BENCH_prefilter.json at the repository root is a committed run of it.
+// testdata/prefilter_small.json is the committed run at Small/seed 1 that
+// TestPrefilterSweepGolden holds it to.
 
 import (
 	"encoding/json"
@@ -185,7 +186,7 @@ func (b *PrefilterBench) Render(w io.Writer) {
 	}
 }
 
-// WriteJSON writes the measurements as indented JSON (BENCH_prefilter.json).
+// WriteJSON writes the measurements as indented JSON.
 func (b *PrefilterBench) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

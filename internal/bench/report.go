@@ -6,7 +6,9 @@ import (
 	"time"
 )
 
-// Report bundles one full experiment run for rendering.
+// Report bundles one experiment run for rendering. cmd/experiments fills
+// the experiments its -run list selects; the rest stay nil and are left
+// out of the rendering.
 type Report struct {
 	Scale    Scale
 	Seed     int64
@@ -16,36 +18,6 @@ type Report struct {
 	T3       *Comparison
 	T4       *EnergyTable
 	F3, F4   *Series
-}
-
-// RunAll executes every experiment at the given scale.
-func RunAll(sc Scale, seed int64) (*Report, error) {
-	start := time.Now()
-	ds, err := BuildDataset(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	r := &Report{Scale: sc, Seed: seed, Started: start}
-	if r.T1, err = Table1(ds); err != nil {
-		return nil, fmt.Errorf("table 1: %w", err)
-	}
-	if r.T2, err = Table2(ds); err != nil {
-		return nil, fmt.Errorf("table 2: %w", err)
-	}
-	if r.T3, err = Table3(ds); err != nil {
-		return nil, fmt.Errorf("table 3: %w", err)
-	}
-	if r.T4, err = Table4(ds); err != nil {
-		return nil, fmt.Errorf("table 4: %w", err)
-	}
-	if r.F3, err = RunFig3(ds); err != nil {
-		return nil, fmt.Errorf("fig 3: %w", err)
-	}
-	if r.F4, err = RunFig4(ds); err != nil {
-		return nil, fmt.Errorf("fig 4: %w", err)
-	}
-	r.Duration = time.Since(start)
-	return r, nil
 }
 
 // markdownComparison renders measured vs paper cells side by side.
@@ -119,7 +91,8 @@ func markdownSeries(w io.Writer, s *Series) {
 	}
 }
 
-// WriteMarkdown renders the full report in EXPERIMENTS.md form.
+// WriteMarkdown renders the report, paper vs measured, with the shape
+// checks over whatever ran (the file cmd/experiments -out writes).
 func (r *Report) WriteMarkdown(w io.Writer) {
 	fmt.Fprintf(w, "# EXPERIMENTS — paper vs measured\n\n")
 	fmt.Fprintf(w, "Run: scale `%s` (reference %d bp, %d reads per set), seed %d, wall time %s.\n\n",
@@ -129,14 +102,26 @@ func (r *Report) WriteMarkdown(w io.Writer) {
 		"the paper's numbers are measured on its physical testbed with 1M reads per set "+
 		"against chr21, so absolute values differ by scale. The object of comparison is the "+
 		"shape: orderings, rough factors and crossovers, checked explicitly below.\n")
-	markdownComparison(w, r.T1, &PaperTable1)
-	markdownComparison(w, r.T2, &PaperTable2)
-	markdownComparison(w, r.T3, &PaperTable3)
-	markdownEnergy(w, r.T4)
-	markdownSeries(w, r.F3)
-	fmt.Fprintf(w, "\nPaper Fig. 3 shape: time falls as reads move to the GPUs, then flattens/rises as a GPU becomes the bottleneck.\n")
-	markdownSeries(w, r.F4)
-	fmt.Fprintf(w, "\nPaper Fig. 4 shape: U-curve — small Smin pays in DP filtration time, large Smin pays in candidate verification.\n")
+	if r.T1 != nil {
+		markdownComparison(w, r.T1, &PaperTable1)
+	}
+	if r.T2 != nil {
+		markdownComparison(w, r.T2, &PaperTable2)
+	}
+	if r.T3 != nil {
+		markdownComparison(w, r.T3, &PaperTable3)
+	}
+	if r.T4 != nil {
+		markdownEnergy(w, r.T4)
+	}
+	if r.F3 != nil {
+		markdownSeries(w, r.F3)
+		fmt.Fprintf(w, "\nPaper Fig. 3 shape: time falls as reads move to the GPUs, then flattens/rises as a GPU becomes the bottleneck.\n")
+	}
+	if r.F4 != nil {
+		markdownSeries(w, r.F4)
+		fmt.Fprintf(w, "\nPaper Fig. 4 shape: U-curve — small Smin pays in DP filtration time, large Smin pays in candidate verification.\n")
+	}
 
 	fmt.Fprintf(w, "\n## Shape checks\n\n")
 	checks := CheckShapes(r.T1, r.T2, r.T3, r.T4, r.F3, r.F4)

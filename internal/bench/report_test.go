@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -97,34 +96,6 @@ func TestShapeChecksOnFabricatedReport(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteJSONStructure(t *testing.T) {
-	r := fabricate()
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := jsonUnmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	tables, ok := decoded["tables"].([]any)
-	if !ok || len(tables) != 3 {
-		t.Fatalf("tables = %v", decoded["tables"])
-	}
-	if decoded["energy"] == nil {
-		t.Error("energy section missing")
-	}
-	figs, ok := decoded["figures"].([]any)
-	if !ok || len(figs) != 2 {
-		t.Errorf("figures = %v", decoded["figures"])
-	}
-	if checks, ok := decoded["shape_checks"].([]any); !ok || len(checks) < 10 {
-		t.Errorf("shape_checks = %v", decoded["shape_checks"])
-	}
-}
-
-func jsonUnmarshal(b []byte, v any) error { return json.Unmarshal(b, v) }
 
 func min(a, b int) int {
 	if a < b {

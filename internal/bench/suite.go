@@ -12,7 +12,6 @@ import (
 	"repro/internal/mapper/hobbes3"
 	"repro/internal/mapper/razers3"
 	"repro/internal/mapper/yara"
-	"repro/internal/seed"
 )
 
 // Spec names a mapper variant and how to build and configure it.
@@ -185,13 +184,5 @@ func baseOptions(col Column) mapper.Options {
 		MaxErrors:    col.Errors,
 		MaxLocations: 1000,
 		MinSeedLen:   0, // mappers pick their defaults
-	}
-}
-
-// reputeSeedParams mirrors core.DefaultMinSeedLen for reporting.
-func reputeSeedParams(col Column) seed.Params {
-	return seed.Params{
-		Errors:     col.Errors,
-		MinSeedLen: core.DefaultMinSeedLen(col.ReadLen, col.Errors),
 	}
 }
