@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -244,6 +245,9 @@ func parseSplit(s string, n int) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad split entry %q: %v", p, err)
 		}
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad split entry %q: want a finite share >= 0", p)
+		}
 		out[i] = v
 	}
 	return out, nil
@@ -289,8 +293,8 @@ func runMap(args []string) error {
 	if *ckptFlag != "" && *outPath == "" {
 		return fmt.Errorf("map: -checkpoint requires -out (a resume truncates and appends the SAM file; stdout cannot)")
 	}
-	if *reads2Path != "" && (*batchFlag > 0 || *ckptFlag != "" || *lenientFlag) {
-		return fmt.Errorf("map: -batch, -checkpoint and -lenient are not supported in paired mode")
+	if *reads2Path != "" && (*batchFlag > 0 || *ckptFlag != "" || *lenientFlag || *cigarFlag) {
+		return fmt.Errorf("map: -batch, -checkpoint, -lenient and -cigar are not supported in paired mode")
 	}
 
 	devices, err := platformDevices(*platform)

@@ -44,8 +44,8 @@ func TestPrefilterCLIEquivalence(t *testing.T) {
 		t.Error("filtered streamed SAM differs from unfiltered SAM")
 	}
 
-	// Chaos: recovery replays through the split prefilter/verify kernel
-	// pair must not change what anything maps to.
+	// Chaos: recovery replays of the filtered kernel must not change what
+	// anything maps to.
 	faults := "REPUTE_CL_FAULTS=enq2=oor,alloc40=alloc,throttle4-6=0.5"
 	onChaos := filepath.Join(dir, "on-chaos.sam")
 	if out, err := runRepute(t, []string{faults}, mapArgs(onChaos, "-prefilter", "gatekeeper")...); err != nil {
@@ -55,8 +55,9 @@ func TestPrefilterCLIEquivalence(t *testing.T) {
 		t.Error("filtered chaos SAM differs from unfiltered SAM")
 	}
 
-	// Paired mode takes the same options: the filter's kernel pair must
-	// run (its per-kernel gauges appear) and change no record.
+	// Paired mode takes the same options: the filter must run (its
+	// rejection counter appears) inside the one map kernel and change no
+	// record.
 	ref := simulate.Reference(simulate.Chr21Like(60_000, 11)) // TestMain's reference
 	ps, err := simulate.PairedReads(ref, 20, simulate.ERR012100, 300, 30, 5)
 	if err != nil {
@@ -86,13 +87,16 @@ func TestPrefilterCLIEquivalence(t *testing.T) {
 	if !bytes.Equal(offSAM, onSAM) {
 		t.Error("filtered paired SAM differs from unfiltered paired SAM")
 	}
-	if !strings.Contains(offMetrics, "REPUTE-map") || strings.Contains(offMetrics, "REPUTE-prefilter") {
-		t.Errorf("unfiltered paired run should launch only the fused kernel:\n%s", offMetrics)
-	}
-	for _, kernel := range []string{"REPUTE-prefilter", "REPUTE-verify"} {
-		if !strings.Contains(onMetrics, kernel) {
-			t.Errorf("paired -prefilter gatekeeper shows no %s kernel gauge (prefilter dropped?)", kernel)
+	for prefilter, metrics := range map[string]string{"off": offMetrics, "gatekeeper": onMetrics} {
+		if !strings.Contains(metrics, "REPUTE-map") || strings.Contains(metrics, "REPUTE-prefilter") {
+			t.Errorf("paired -prefilter %s should launch only the map kernel:\n%s", prefilter, metrics)
 		}
+	}
+	if strings.Contains(offMetrics, "prefilter_rejected_total") {
+		t.Errorf("unfiltered paired run reports filter work:\n%s", offMetrics)
+	}
+	if !strings.Contains(onMetrics, "prefilter_rejected_total") {
+		t.Error("paired -prefilter gatekeeper shows no prefilter_rejected_total (prefilter dropped?)")
 	}
 }
 

@@ -186,3 +186,27 @@ func TestMapRequiresOneIndexSource(t *testing.T) {
 		t.Fatalf("map with both -index and -ref succeeded\n%s", out)
 	}
 }
+
+// TestMapRejectsUnusableFlags: option values that would silently lose
+// reads or output are refused before any read is mapped — a -split share
+// that is negative or not finite (NaN used to leave half the read range
+// unassigned), and -cigar in paired mode (which wrote * in every record).
+func TestMapRejectsUnusableFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-platform", "system1", "-split", "NaN,1,1"}, "bad split entry"},
+		{[]string{"-platform", "system1", "-split", "-1,2,0"}, "bad split entry"},
+		{[]string{"-platform", "system1", "-split", "1,+Inf,1"}, "bad split entry"},
+		{[]string{"-reads2", readsPath, "-cigar"}, "-cigar"},
+	} {
+		out, err := runRepute(t, nil, append([]string{"map", "-index", indexPath, "-reads", readsPath,
+			"-out", filepath.Join(t.TempDir(), "never.sam")}, tc.args...)...)
+		if err == nil {
+			t.Errorf("map %v succeeded\n%s", tc.args, out)
+		} else if !strings.Contains(out, tc.want) {
+			t.Errorf("map %v: error does not mention %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}

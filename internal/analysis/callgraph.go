@@ -68,9 +68,6 @@ func (g *CallGraph) Decls() map[*types.Func]*ast.FuncDecl { return g.decls }
 // this package.
 func (g *CallGraph) DeclOf(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
 
-// Callees returns fn's direct same-package callees.
-func (g *CallGraph) Callees(fn *types.Func) []*types.Func { return g.callees[fn] }
-
 // Reachable returns the transitive same-package closure of roots,
 // including the roots themselves.
 func (g *CallGraph) Reachable(roots ...*types.Func) map[*types.Func]bool {

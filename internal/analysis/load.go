@@ -93,9 +93,6 @@ func findModule(dir string) (modDir, modPath string, err error) {
 	}
 }
 
-// ModuleDir returns the root directory of the loaded module.
-func (l *Loader) ModuleDir() string { return l.modDir }
-
 // Load resolves patterns — "./..." trees, "./pkg" directories or
 // module-rooted import paths — and returns the matching packages,
 // type-checked and sorted by import path.

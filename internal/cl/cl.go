@@ -544,7 +544,7 @@ func (q *Queue) EnqueueNDRange(k *Kernel, globalSize int) (Event, error) {
 			attrs = append(attrs, trace.F64("throttle", throttle))
 		}
 		if total.FilterWords > 0 || total.Filtered > 0 || total.FalseAccepts > 0 {
-			//repute:allow hotalloc -- tracing-enabled path only, appended only by prefilter-stage kernels
+			//repute:allow hotalloc -- tracing-enabled path only, one append per enqueue of a kernel that ran the filter
 			attrs = append(attrs, trace.I64("filter_words", total.FilterWords),
 				trace.I64("filtered", total.Filtered),
 				trace.I64("false_accepts", total.FalseAccepts))

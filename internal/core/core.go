@@ -16,6 +16,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -159,6 +160,11 @@ func NewSharded(shards []Shard, overlap int, devices []*cl.Device, cfg Config) (
 	if cfg.Split != nil && len(cfg.Split) != len(devices) {
 		return nil, fmt.Errorf("core: split has %d entries for %d devices",
 			len(cfg.Split), len(devices))
+	}
+	for i, w := range cfg.Split {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("core: split entry %d is %v, want a finite share >= 0", i, w)
+		}
 	}
 	if cfg.Deadlines != nil && len(cfg.Deadlines) != len(devices) {
 		return nil, fmt.Errorf("core: deadlines has %d entries for %d devices",
@@ -874,22 +880,11 @@ func (r *retrier) transient(err error) bool {
 	return true
 }
 
-// candidateBytes is the device-side size of one candidate slot in the
-// intermediate buffer between the prefilter and verification kernels
-// (pos int32 + strand, padded).
-const candidateBytes = 8
-
-// runBatch allocates the batch's static buffers and enqueues its kernels
-// in order: the fused seed+verify kernel, or — with the pre-alignment
-// filter on — a seed+filter kernel that writes the surviving candidates
-// into fixed per-read slots of a device-resident intermediate buffer,
-// then a verification kernel that scans only the survivors. The
-// intermediate buffer counts against the device allocation limit like
-// every other static buffer (an oversized batch fails allocation and is
-// halved by mapOnDevice) but never crosses the bus, so it charges no
-// host-transfer bytes. A faulted verification launch retries the whole
-// batch; the filter kernel is deterministic and idempotent over its
-// slots, so the retry recomputes identical survivors.
+// runBatch allocates the batch's static read and output buffers and
+// enqueues its one kernel — seed, optional pre-alignment filter and
+// verification are stages of the same work item, so the filter changes
+// what an item does, never what a batch allocates or launches. An
+// oversized batch fails allocation and is halved by mapOnDevice.
 func (p *Pipeline) runBatch(ctx *cl.Context, queue *cl.Queue, sh *Shard, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) error {
 	dev := queue.Device()
 	b := p.newBatch(sh, reads, out, opt)
@@ -903,22 +898,12 @@ func (p *Pipeline) runBatch(ctx *cl.Context, queue *cl.Queue, sh *Shard, reads [
 		return fmt.Errorf("output buffer: %w", err)
 	}
 	defer outBuf.Free()
-	if opt.Prefilter == mapper.PrefilterGateKeeper {
-		candBuf, err := ctx.AllocBuffer(dev, int64(len(reads))*int64(b.SlotCap)*candidateBytes)
-		if err != nil {
-			return fmt.Errorf("candidate buffer: %w", err)
-		}
-		defer candBuf.Free()
+	kern := b.Kernel()
+	if p.itemHist != nil {
+		kern = instrumentKernel(kern, p.itemHist)
 	}
-	for _, kern := range b.Kernels() {
-		if p.itemHist != nil {
-			kern = instrumentKernel(kern, p.itemHist)
-		}
-		if _, err := queue.EnqueueNDRange(kern, len(reads)); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = queue.EnqueueNDRange(kern, len(reads))
+	return err
 }
 
 // instrumentKernel wraps a kernel so each work item's total charged op
@@ -989,8 +974,5 @@ func (p *Pipeline) newBatch(sh *Shard, reads [][]byte, out [][]mapper.Mapping, o
 		Policy:   mapper.Policy{VerifyCap: opt.MaxLocations, BestOnly: opt.Best, MaxLoc: opt.MaxLocations},
 		InBytes:  int64((readLen + 3) / 4),
 		OutBytes: int64(opt.MaxLocations) * locationBytes,
-		// Dedup can only shrink the candidate set, so 2 strands × maxCand
-		// located candidates bound the survivors.
-		SlotCap: 2 * gen.maxCand,
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -269,6 +270,11 @@ func TestPipelineValidatesInputs(t *testing.T) {
 	if _, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Split: []float64{1, 2}}); err == nil {
 		t.Error("mismatched split accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		if _, err := New(ref, cl.SystemOne().Devices[:2], Config{Split: []float64{bad, 1}}); err == nil {
+			t.Errorf("split share %v accepted", bad)
+		}
+	}
 	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -435,8 +441,6 @@ func TestSharesRemainderGoesToLargestShare(t *testing.T) {
 		// belongs to the largest share, not unconditionally to device 0.
 		{[]float64{0, 1, 0}, 7, []int{0, 7, 0}},
 		{[]float64{0, 0.5, 0.5}, 5, []int{0, 3, 2}},
-		// Negative shares are clamped and never absorb the remainder.
-		{[]float64{-1, 1, 0}, 3, []int{0, 3, 0}},
 		// Largest-share device takes the rounding leftovers.
 		{[]float64{0.2, 0.6, 0.2}, 7, []int{1, 5, 1}},
 		{[]float64{1, 0, 0}, 4, []int{4, 0, 0}},

@@ -13,7 +13,7 @@ import (
 // mappings in Single1/Single2, as real mappers report discordant mates.
 //
 // Pairing also rescues ambiguity: a mate that multi-maps inside a repeat
-// is pinned by its uniquely-mapping partner — see examples/pairedend.
+// is pinned by its uniquely-mapping partner.
 func (p *Pipeline) MapPairs(reads1, reads2 [][]byte, opt mapper.PairOptions) (*mapper.PairResult, error) {
 	if len(reads1) != len(reads2) {
 		return nil, fmt.Errorf("core: %d first mates vs %d second mates", len(reads1), len(reads2))

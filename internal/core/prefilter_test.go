@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,27 +63,70 @@ func TestPrefilterEquivalenceSingleDevice(t *testing.T) {
 	}
 }
 
-// TestPrefilterMetricsAndSpans checks the observability contract: a
-// filtered run surfaces the prefilter counters and the per-kernel time
-// split through the trace-derived metrics registry, and the rejected
-// fraction is a real number in (0, 1].
+// TestPrefilterMetricsAndSpans checks the observability contract: the
+// filter is a stage of the one map kernel, so a filtered run enqueues the
+// same kernels and allocates the same buffers as an unfiltered one, its
+// enqueue spans carry the filter's counters next to verify_words, the
+// trace-derived metrics registry surfaces them, and the rejected fraction
+// is a real number in (0, 1].
 func TestPrefilterMetricsAndSpans(t *testing.T) {
 	t.Setenv("REPUTE_CL_FAULTS", "")
 	ref, set := testWorld(t, 60_000, 120, simulate.ERR012100)
-	_, onOpt := prefilterOpt(3, 100)
+	offOpt, onOpt := prefilterOpt(3, 100)
 
-	rec := trace.NewRecorder()
-	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial, Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
+	// run maps under opt and returns the metrics plus, in lane order, the
+	// attribute keys of every enqueue span and the size of every buffer.
+	run := func(opt mapper.Options) (m trace.Snapshot, enqueues []map[string]bool, allocs []int64) {
+		t.Helper()
+		rec := trace.NewRecorder()
+		p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial, Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Map(set.Reads, opt); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range rec.Events() {
+			switch {
+			case strings.HasPrefix(ev.Name, "enqueue:"):
+				if ev.Name != "enqueue:REPUTE-map" {
+					t.Errorf("prefilter %q launched %s, want only enqueue:REPUTE-map", opt.Prefilter, ev.Name)
+				}
+				keys := map[string]bool{}
+				for _, a := range ev.Attrs {
+					keys[a.Key] = true
+				}
+				enqueues = append(enqueues, keys)
+			case ev.Name == "alloc":
+				for _, a := range ev.Attrs {
+					if a.Key == "bytes" {
+						allocs = append(allocs, a.Value().(int64))
+					}
+				}
+			}
+		}
+		return rec.Metrics(), enqueues, allocs
 	}
-	if _, err := p.Map(set.Reads, onOpt); err != nil {
-		t.Fatal(err)
+	m, onEnq, onAllocs := run(onOpt)
+	m2, offEnq, offAllocs := run(offOpt)
+
+	if len(onEnq) == 0 || len(onEnq) != len(offEnq) {
+		t.Errorf("filtered run enqueued %d kernels, unfiltered %d; want the same, nonzero", len(onEnq), len(offEnq))
 	}
-	if err := rec.Validate(); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(onAllocs, offAllocs) {
+		t.Errorf("filtered run allocated %v, unfiltered %v; the filter must add no buffer", onAllocs, offAllocs)
 	}
-	m := rec.Metrics()
+	for i, keys := range onEnq {
+		for _, k := range []string{"verify_words", "filter_words", "filtered", "false_accepts"} {
+			if !keys[k] {
+				t.Errorf("filtered enqueue %d carries no %s attribute", i, k)
+			}
+		}
+	}
+
 	rejected, ok := m.Counters["prefilter_rejected_total"]
 	if !ok {
 		t.Fatal("prefilter_rejected_total missing from filtered run")
@@ -97,30 +141,8 @@ func TestPrefilterMetricsAndSpans(t *testing.T) {
 	if !ok || frac <= 0 || frac > 1 {
 		t.Errorf("prefilter_filtered_fraction = %g (present=%t), want in (0,1]", frac, ok)
 	}
-	var preSec, verSec float64
-	for k, v := range m.Gauges {
-		switch {
-		case strings.HasPrefix(k, "kernel_seconds/") && strings.HasSuffix(k, "-prefilter"):
-			preSec += v
-		case strings.HasPrefix(k, "kernel_seconds/") && strings.HasSuffix(k, "-verify"):
-			verSec += v
-		}
-	}
-	if preSec <= 0 || verSec <= 0 {
-		t.Errorf("per-kernel time split missing: prefilter=%g verify=%g", preSec, verSec)
-	}
 
 	// The unfiltered pipeline must not leak any prefilter metric.
-	rec2 := trace.NewRecorder()
-	p2, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial, Tracer: rec2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offOpt, _ := prefilterOpt(3, 100)
-	if _, err := p2.Map(set.Reads, offOpt); err != nil {
-		t.Fatal(err)
-	}
-	m2 := rec2.Metrics()
 	if _, ok := m2.Counters["prefilter_rejected_total"]; ok {
 		t.Error("prefilter_rejected_total present in unfiltered run")
 	}
@@ -158,8 +180,8 @@ func TestPrefilterEquivalenceSharded(t *testing.T) {
 
 // TestPrefilterEquivalenceUnderFaults arms a fault plan (transient launch
 // failure, allocation failure forcing a batch halving, permanent device
-// loss) against the filtered pipeline: recovery replays and resliced
-// candidate slots must not change what anything maps to.
+// loss) against the filtered pipeline: recovery replays and halved
+// batches must not change what anything maps to.
 func TestPrefilterEquivalenceUnderFaults(t *testing.T) {
 	t.Setenv("REPUTE_CL_FAULTS", "")
 	ref, set, mkDevs, maxLoc := faultWorld(t, 120)

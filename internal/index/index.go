@@ -94,9 +94,6 @@ type ShardGeom struct {
 	SliceEnd   int64 `json:"slice_end"`
 }
 
-// Owns reports whether the shard reports mappings at global position pos.
-func (s ShardGeom) Owns(pos int64) bool { return pos >= s.OwnStart && pos < s.OwnEnd }
-
 // Meta is the self-describing header of an index artifact, serialized as
 // deterministic JSON in the container's first section.
 type Meta struct {

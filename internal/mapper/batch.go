@@ -93,17 +93,16 @@ func (st *State) Locate(ix *fmindex.Index, lo, hi, budget, off int, strand byte,
 }
 
 // Batch is the kernel builder for one batch of reads against one
-// reference text: a mapper described as data plus one Generator. A work
-// item's life is the stages seed (generate per strand, dedup) → [filter]
-// → verify (Myers, ownership filter, finalize); Kernels cuts them into
-// launches. The filter accepts a superset of the verifiable windows, so
-// mappings are byte-identical wherever the cut falls and whether or not
-// the filter runs; the equivalence and oracle tests pin exactly that.
+// reference text: a mapper described as data plus one Generator. One batch
+// is one kernel, and a work item's life is the stages seed (generate per
+// strand, dedup) → [filter] → verify (Myers, ownership filter, finalize).
+// The filter accepts a superset of the verifiable windows, so mappings are
+// byte-identical whether or not it runs; the equivalence and oracle tests
+// pin exactly that.
 type Batch struct {
-	// Name is the kernel name stem: launches are Name-map, or
-	// Name-prefilter and Name-verify.
+	// Name is the kernel name stem: the launch is Name-map.
 	Name string
-	// PrivateBytes is PrivateBytesPerItem of the seeding launch.
+	// PrivateBytes is the kernel's PrivateBytesPerItem.
 	PrivateBytes int64
 	// NewScratch builds State.Scratch for one worker; nil for none.
 	NewScratch func() any
@@ -123,22 +122,18 @@ type Batch struct {
 
 	// InBytes and OutBytes are the per-read sizes of the static read and
 	// output buffers, which are also the host-transfer bytes per work
-	// item (reads travel in with the first launch, mapping slots travel
-	// back with the last); a host mapper has neither.
+	// item; a host mapper has neither.
 	InBytes, OutBytes int64
-	// SlotCap is the per-read capacity of the device-resident candidate
-	// slots between the prefilter and verify launches, an upper bound on
-	// the deduplicated candidates. 0 means there is no such buffer: the
-	// filter compacts in worker scratch inside the one fused launch.
-	SlotCap int
 }
 
-// launch builds one kernel of the batch; every launch gives a worker the
-// same private memory, generator scratch included.
-func (b *Batch) launch(suffix string, privateBytes int64, body func(*cl.WorkItem, any)) *cl.Kernel {
+// Fused returns the batch's kernel with item as the work item: it runs
+// over every read and what it returns is stored in the read's output
+// slot. item charges its own work to cost; the fixed per-item overhead and
+// transfer are charged here.
+func (b *Batch) Fused(item func(st *State, read []byte, cost *cl.Cost) []Mapping) *cl.Kernel {
 	return &cl.Kernel{
-		Name:                b.Name + suffix,
-		PrivateBytesPerItem: privateBytes,
+		Name:                b.Name + "-map",
+		PrivateBytesPerItem: b.PrivateBytes,
 		NewState: func() any {
 			st := &State{}
 			if b.NewScratch != nil {
@@ -146,58 +141,25 @@ func (b *Batch) launch(suffix string, privateBytes int64, body func(*cl.WorkItem
 			}
 			return st
 		},
-		Body: body,
-	}
-}
-
-// Fused returns the batch as a single launch that runs item over every
-// read and stores what it returns in the read's output slot. item charges
-// its own work to cost; the fixed per-item overhead and transfer are
-// charged here.
-func (b *Batch) Fused(item func(st *State, read []byte, cost *cl.Cost) []Mapping) []*cl.Kernel {
-	return []*cl.Kernel{b.launch("-map", b.PrivateBytes, func(wi *cl.WorkItem, state any) {
-		st := state.(*State)
-		st.cost = cl.Cost{Items: 1, Bytes: b.InBytes + b.OutBytes}
-		b.Out[wi.Global] = item(st, b.Reads[wi.Global], &st.cost)
-		wi.Charge(st.cost)
-	})}
-}
-
-// Kernels returns the batch's launches in enqueue order: the fused
-// kernel, or — with the pre-alignment filter on and candidate slots to
-// hand survivors over in — a seed+filter | verify pair.
-func (b *Batch) Kernels() []*cl.Kernel {
-	if b.Prefilter != PrefilterGateKeeper || b.SlotCap == 0 {
-		return b.Fused(b.mapRead)
-	}
-	slotCap := b.SlotCap
-	backing := make([]Candidate, len(b.Reads)*slotCap)
-	survivors := make([][]Candidate, len(b.Reads))
-	return []*cl.Kernel{
-		b.launch("-prefilter", b.PrivateBytes, func(wi *cl.WorkItem, state any) {
+		Body: func(wi *cl.WorkItem, state any) {
 			st := state.(*State)
-			read := b.Reads[wi.Global]
-			st.cost = cl.Cost{Items: 1, Bytes: b.InBytes}
-			slot := backing[wi.Global*slotCap : (wi.Global+1)*slotCap]
-			survivors[wi.Global] = b.filter(st, read, b.seed(st, read, &st.cost), slot, &st.cost)
+			st.cost = cl.Cost{Items: 1, Bytes: b.InBytes + b.OutBytes}
+			b.Out[wi.Global] = item(st, b.Reads[wi.Global], &st.cost)
 			wi.Charge(st.cost)
-		}),
-		b.launch("-verify", int64(8*len(b.Reads[0])), func(wi *cl.WorkItem, state any) {
-			cost := cl.Cost{Items: 1, Bytes: b.OutBytes}
-			b.Out[wi.Global] = b.verify(state.(*State), b.Reads[wi.Global], survivors[wi.Global], &cost)
-			wi.Charge(cost)
-		}),
+		},
 	}
 }
 
-// mapRead is the fused work item: every stage back to back, the filter
-// compacting the candidates in place.
+// Kernel returns the batch's kernel running the shared stages.
+func (b *Batch) Kernel() *cl.Kernel { return b.Fused(b.mapRead) }
+
+// mapRead is the shared work item: every stage back to back.
 //
 //repute:hotpath
 func (b *Batch) mapRead(st *State, read []byte, cost *cl.Cost) []Mapping {
 	cands := b.seed(st, read, cost)
 	if b.Prefilter == PrefilterGateKeeper {
-		cands = b.filter(st, read, cands, cands, cost)
+		cands = b.filter(st, read, cands, cost)
 	}
 	return b.verify(st, read, cands, cost)
 }
@@ -212,8 +174,8 @@ func (b *Batch) seed(st *State, read []byte, cost *cl.Cost) []Candidate {
 
 // filter runs the GateKeeper-style shifted-Hamming test
 // (internal/filter) over each candidate's verification window and
-// compacts the survivors into slot (which may be cands itself).
-func (b *Batch) filter(st *State, read []byte, cands, slot []Candidate, cost *cl.Cost) []Candidate {
+// compacts the survivors in place.
+func (b *Batch) filter(st *State, read []byte, cands []Candidate, cost *cl.Cost) []Candidate {
 	n, maxErr := len(read), b.MaxErrors
 	kept := 0
 	prepared := byte(0xFF) // no pattern prepared yet
@@ -242,10 +204,10 @@ func (b *Batch) filter(st *State, read []byte, cands, slot []Candidate, cost *cl
 			cost.Filtered++
 			continue
 		}
-		slot[kept] = c
+		cands[kept] = c
 		kept++
 	}
-	return slot[:kept]
+	return cands[:kept]
 }
 
 // verify Myers-scans the candidates in slice-local coordinates, shifts
@@ -285,8 +247,8 @@ func (b *Batch) verify(st *State, read []byte, cands []Candidate, cost *cl.Cost)
 // defaults, read validation, the empty read set, the result — and hands
 // build a Batch already describing the reads, the whole-text geometry and
 // the default report policy (the all-mapper first-n); build fills in the
-// mapper and returns the launches.
-func Run(dev *cl.Device, text dna.PackedSeq, reads [][]byte, opt Options, build func(*Batch) ([]*cl.Kernel, error)) (*Result, error) {
+// mapper and returns the kernel.
+func Run(dev *cl.Device, text dna.PackedSeq, reads [][]byte, opt Options, build func(*Batch) (*cl.Kernel, error)) (*Result, error) {
 	opt = opt.WithDefaults()
 	if err := ValidateReads(reads, opt); err != nil {
 		return nil, err
@@ -298,7 +260,7 @@ func Run(dev *cl.Device, text dna.PackedSeq, reads [][]byte, opt Options, build 
 	if len(reads) == 0 {
 		return res, nil
 	}
-	kernels, err := build(&Batch{
+	kernel, err := build(&Batch{
 		Text: text, OwnEnd: int64(text.Len()),
 		Reads: reads, Out: res.Mappings,
 		MaxErrors: opt.MaxErrors, Prefilter: opt.Prefilter,
@@ -308,10 +270,8 @@ func Run(dev *cl.Device, text dna.PackedSeq, reads [][]byte, opt Options, build 
 		return nil, err
 	}
 	q := cl.NewQueue(dev)
-	for _, k := range kernels {
-		if _, err := q.EnqueueNDRange(k, len(reads)); err != nil {
-			return nil, err
-		}
+	if _, err := q.EnqueueNDRange(kernel, len(reads)); err != nil {
+		return nil, err
 	}
 	res.SimSeconds, res.Cost = q.Finish()
 	res.EnergyJ = q.EnergyJ()

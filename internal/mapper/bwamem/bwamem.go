@@ -170,7 +170,7 @@ func (e extender) mapRead(st *mapper.State, read []byte, cost *cl.Cost) []mapper
 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
 		if b.Prefilter != mapper.PrefilterOff {
 			return nil, fmt.Errorf("bwamem: prefilter %q is not supported: chain extension has no Myers verification stage to filter for", b.Prefilter)
 		}

@@ -101,13 +101,13 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
 		b.Name, b.PrivateBytes = "gem", 512
 		b.NewScratch = func() any { return new(scratch) }
 		b.Generate = generator{m: m, maxCand: 2 * b.Policy.MaxLoc}.generate
 		// GEM verifies every candidate and reports the best stratum,
 		// capped like the real tool's best+subdominant output.
 		b.Policy = mapper.Policy{BestOnly: true, MaxLoc: min(b.Policy.MaxLoc, bestStratumCap)}
-		return b.Kernels(), nil
+		return b.Kernel(), nil
 	})
 }

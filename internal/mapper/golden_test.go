@@ -9,12 +9,26 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cl"
 	"repro/internal/mapper"
 	"repro/internal/simulate"
 )
+
+// TestMain drops every inherited REPUTE_* hook, as internal/serve's does:
+// the REPUTE and CORAL rows of the golden table go through core.Map, which
+// arms an exported chaos plan (CI's REPUTE_CL_FAULTS), and a retry's
+// backoff would land in the pinned SimSeconds.
+func TestMain(m *testing.M) {
+	for _, kv := range os.Environ() {
+		if name, _, _ := strings.Cut(kv, "="); strings.HasPrefix(name, "REPUTE_") {
+			os.Unsetenv(name)
+		}
+	}
+	os.Exit(m.Run())
+}
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_mappers.json from the current code")
 

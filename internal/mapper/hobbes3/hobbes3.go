@@ -143,7 +143,7 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
 		q := m.chooseQ(len(b.Reads[0]), b.MaxErrors)
 		ix, err := m.grams.Get(q)
 		if err != nil {
@@ -152,6 +152,6 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 		b.Name, b.PrivateBytes = "hobbes3", 1024
 		b.NewScratch = func() any { return new(scratch) }
 		b.Generate = generator{ix: ix, q: q, k: b.MaxErrors + 1}.generate
-		return b.Kernels(), nil
+		return b.Kernel(), nil
 	})
 }

@@ -130,14 +130,3 @@ type PairResult struct {
 	// Faults accumulates both mates' recovery accounting.
 	Faults FaultStats
 }
-
-// ConcordantFragments counts fragments with at least one concordant pair.
-func (r *PairResult) ConcordantFragments() int {
-	n := 0
-	for _, ps := range r.Pairs {
-		if len(ps) > 0 {
-			n++
-		}
-	}
-	return n
-}

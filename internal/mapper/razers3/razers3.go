@@ -92,7 +92,7 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
 		q, t := m.chooseQ(len(b.Reads[0]), b.MaxErrors)
 		ix, err := m.grams.Get(q)
 		if err != nil {
@@ -101,6 +101,6 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 		b.Name, b.PrivateBytes = "razers3", 512
 		b.NewScratch = func() any { return new(scratch) }
 		b.Generate = generator{ix: ix, q: q, t: t, maxErr: b.MaxErrors}.generate
-		return b.Kernels(), nil
+		return b.Kernel(), nil
 	})
 }

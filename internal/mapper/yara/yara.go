@@ -74,7 +74,7 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
-	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) ([]*cl.Kernel, error) {
+	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
 		b.Name, b.PrivateBytes = "yara", 512
 		b.Generate = generator{ix: m.ix, seedErr: b.MaxErrors / nSeeds, maxCand: 8 * b.Policy.MaxLoc}.generate
 		// Every stratum is verified; best mode then reports only the
@@ -84,6 +84,6 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 			b.Policy.BestOnly = true
 			b.Policy.MaxLoc = min(b.Policy.MaxLoc, bestStratumCap)
 		}
-		return b.Kernels(), nil
+		return b.Kernel(), nil
 	})
 }

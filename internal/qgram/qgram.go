@@ -70,9 +70,6 @@ func Build(text []byte, q int) (*Index, error) {
 	return ix, nil
 }
 
-// Q returns the gram length.
-func (ix *Index) Q() int { return ix.q }
-
 // Len returns the indexed text length.
 func (ix *Index) Len() int { return ix.n }
 

@@ -114,8 +114,8 @@ func TestSizeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.SizeBytes() <= 0 || ix.Q() != 3 || ix.Len() != 10 {
-		t.Errorf("metadata wrong: size %d q %d len %d", ix.SizeBytes(), ix.Q(), ix.Len())
+	if ix.SizeBytes() <= 0 || ix.q != 3 || ix.Len() != 10 {
+		t.Errorf("metadata wrong: size %d q %d len %d", ix.SizeBytes(), ix.q, ix.Len())
 	}
 }
 
@@ -150,8 +150,8 @@ func TestCacheClampsAndBuildsOnce(t *testing.T) {
 	if b, _ := c.Get(3); a != b {
 		t.Error("second Get rebuilt the index")
 	}
-	if a.Q() != 3 || a.Len() != len(text) {
-		t.Errorf("Get(3) built q=%d over %d bases", a.Q(), a.Len())
+	if a.q != 3 || a.Len() != len(text) {
+		t.Errorf("Get(3) built q=%d over %d bases", a.q, a.Len())
 	}
 	if _, err := c.Get(MaxQ + 1); err == nil {
 		t.Error("out-of-range gram length accepted")

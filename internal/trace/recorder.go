@@ -262,7 +262,7 @@ func (r *Recorder) Metrics() Snapshot {
 				}
 			}
 			// The filtered fraction's denominator counts only candidates
-			// on prefilter-stage events, where both attributes ride the
+			// of kernels that ran the filter: both attributes ride the
 			// same span.
 			if evFiltered {
 				prefCands += evCands

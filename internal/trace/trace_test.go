@@ -258,9 +258,9 @@ func TestRecorderMetricsDerivation(t *testing.T) {
 
 func TestRecorderMetricsPrefilterDerivation(t *testing.T) {
 	r := NewRecorder()
-	// Two prefilter-stage spans and one verify-stage span, mirroring how
-	// EnqueueNDRange attaches the attributes: candidates + filtered ride
-	// the prefilter span, false_accepts rides the verify span.
+	// Two spans of kernels that ran the filter and one of a kernel that
+	// did not: the derivation goes by which attributes a span carries,
+	// whatever the kernel is called.
 	r.Span("cpu-0", "enqueue:map-prefilter", 0, 1,
 		I64("candidates", 40), I64("filtered", 25), I64("filter_words", 900))
 	r.Span("cpu-0", "enqueue:map-prefilter", 1, 1,
