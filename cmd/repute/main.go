@@ -16,11 +16,11 @@
 // `index build` writes a versioned container (magic, format version,
 // SHA-256 section checksums, shard table) wrapping one FM-index per
 // shard; `map -index` verifies and loads it instead of rebuilding the
-// suffix array every run, and `map -ref` keeps the rebuild-every-run
-// path for comparison. A -shards K artifact partitions the reference
-// into K overlapping slices and `map` dispatches one slice per device,
-// broadcasting every read batch to all shards and merging candidates in
-// global coordinates.
+// suffix array every run, and `map -ref` builds the same single-shard
+// artifact in memory and maps through the same path. A -shards K artifact
+// partitions the reference into K overlapping slices and `map` dispatches
+// one slice per device, broadcasting every read batch to all shards and
+// merging candidates in global coordinates.
 //
 // Reads always stream from the FASTQ file through one checkpointable
 // loop: -batch N maps them in batches of N (bounded memory; 0, the
@@ -337,34 +337,32 @@ func runMap(args []string) error {
 		return writeMetrics(rec, *metricsPath)
 	}
 
-	// Reference index: either a verified on-disk artifact (-index) or an
-	// in-memory rebuild from FASTA (-ref).
-	var (
-		p  *core.Pipeline
-		g  *genome.Genome
-		f  *index.File    // set only on the -index path
-		ix *fmindex.Index // set only on the -ref rebuild path
-	)
+	// Reference index: a verified on-disk artifact (-index), or the same
+	// single-shard artifact built in memory from FASTA (-ref).
+	var f *index.File
 	if *indexPath != "" {
 		if f, err = index.LoadFile(*indexPath); err != nil {
 			return fmt.Errorf("%w (rebuild with `repute index build`)", err)
 		}
-		// Coordinate-only genome: SAM emission needs contig boundaries, not
-		// the reference text (that lives in the shard indexes).
-		if g, err = genome.FromContigs(f.Meta.Contigs); err != nil {
-			return err
-		}
-		if split != nil && f.Meta.Sharded() {
-			return fmt.Errorf("map: -split does not apply to a sharded index (shard dispatch assigns one reference slice per device)")
-		}
-		p, err = serve.NewPipeline(f, devices, cfg)
 	} else {
-		if g, err = loadReference(*refPath); err != nil {
+		ref, err := loadReference(*refPath)
+		if err != nil {
 			return err
 		}
-		ix = fmindex.Build(g.Text(), fmindex.Options{SASampleRate: *saRate})
-		p, err = core.NewFromIndex(ix, devices, cfg)
+		if f, err = index.Build(ref, 1, 0, fmindex.Options{SASampleRate: *saRate}); err != nil {
+			return err
+		}
 	}
+	// Coordinate-only genome: SAM emission needs contig boundaries, not
+	// the reference text (that lives in the shard indexes).
+	g, err := genome.FromContigs(f.Meta.Contigs)
+	if err != nil {
+		return err
+	}
+	if split != nil && f.Meta.Sharded() {
+		return fmt.Errorf("map: -split does not apply to a sharded index (shard dispatch assigns one reference slice per device)")
+	}
+	p, err := serve.NewPipeline(f, devices, cfg)
 	if err != nil {
 		return err
 	}
@@ -397,18 +395,17 @@ func runMap(args []string) error {
 			return err
 		}
 		// The fingerprint binds checkpoints to the index + options
-		// combination: the artifact digest is O(1), the -ref rebuild path
-		// hashes the in-memory index.
-		extras := []string{
+		// combination. A loaded artifact carries its digest; one built in
+		// memory gets it from a serialization pass, paid only here.
+		if *refPath != "" {
+			if _, err := f.WriteTo(io.Discard); err != nil {
+				return err
+			}
+		}
+		run.Fingerprint = checkpoint.FingerprintDigest(f.Digest(), opt,
 			fmt.Sprintf("batch=%d", *batchFlag), fmt.Sprintf("lenient=%t", *lenientFlag),
-			fmt.Sprintf("cigar=%t", *cigarFlag), "selector=" + *selector,
-			"platform=" + *platform, "split=" + *splitFlag,
-		}
-		if f != nil {
-			run.Fingerprint = checkpoint.FingerprintDigest(f.Digest(), opt, extras...)
-		} else if run.Fingerprint, err = checkpoint.Fingerprint(ix, opt, extras...); err != nil {
-			return err
-		}
+			fmt.Sprintf("cigar=%t", *cigarFlag), "selector="+*selector,
+			"platform="+*platform, "split="+*splitFlag)
 	}
 	if err := runMapStream(run, *resumeFlag); err != nil {
 		return err

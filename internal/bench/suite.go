@@ -70,7 +70,7 @@ func SystemOneSpecs(includeAll bool) []Spec {
 		{
 			Label: "Yara",
 			Build: func(ds *Dataset) (mapper.Mapper, error) {
-				return yara.New(ds.Ref, cl.SystemOneHost(), true)
+				return yara.New(ds.Ref, cl.SystemOneHost())
 			},
 		},
 		{

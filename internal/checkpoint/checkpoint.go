@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/cl"
-	"repro/internal/fmindex"
 	"repro/internal/mapper"
 )
 
@@ -93,40 +92,18 @@ func (st *State) Verify(fingerprint string) error {
 	return nil
 }
 
-// Fingerprint hashes the reference index, the mapping options, and any
-// extra run parameters that determine batch boundaries (selector, batch
-// size, lenient flag, ...). Equal inputs hash to equal strings; the JSON
-// struct-field order makes the encoding — and therefore the checkpoint
-// file bytes — deterministic.
-func Fingerprint(ix *fmindex.Index, opt mapper.Options, extra ...string) (string, error) {
-	h := sha256.New()
-	if _, err := ix.WriteTo(h); err != nil {
-		return "", fmt.Errorf("checkpoint: fingerprint: %w", err)
-	}
-	o := opt.WithDefaults()
-	fmt.Fprintf(h, "|e=%d|loc=%d|best=%t|smin=%d|freq=%d|retries=%d|backoff=%g|prefilter=%s",
-		o.MaxErrors, o.MaxLocations, o.Best, o.MinSeedLen, o.MaxSeedFreq,
-		o.Retries, o.RetryBackoffSimSec, o.Prefilter)
-	for _, e := range extra {
-		fmt.Fprintf(h, "|%s", e)
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), nil
-}
-
-// FingerprintDigest is Fingerprint for runs mapping against a persistent
-// index artifact: instead of re-serializing the in-memory index (linear
-// in the reference on every resume), it hashes the artifact's container
-// digest — already computed from the section checksums during load — with
-// the same option and extra-parameter encoding. The artifact digest
-// pins the exact index bytes, so the resume-safety guarantee is
-// unchanged; only the fingerprint cost drops to O(1).
+// FingerprintDigest hashes the index artifact's container digest (which
+// pins the exact index bytes in O(1)), the mapping options, and any extra
+// run parameters that determine batch boundaries (selector, batch size,
+// lenient flag, ...). Equal inputs hash to equal strings. The retries= and
+// backoff= literals are the only values those two former options ever
+// took; they stay in the hashed text so checkpoints written then resume.
 func FingerprintDigest(digest [32]byte, opt mapper.Options, extra ...string) string {
 	h := sha256.New()
 	h.Write(digest[:])
 	o := opt.WithDefaults()
-	fmt.Fprintf(h, "|e=%d|loc=%d|best=%t|smin=%d|freq=%d|retries=%d|backoff=%g|prefilter=%s",
-		o.MaxErrors, o.MaxLocations, o.Best, o.MinSeedLen, o.MaxSeedFreq,
-		o.Retries, o.RetryBackoffSimSec, o.Prefilter)
+	fmt.Fprintf(h, "|e=%d|loc=%d|best=%t|smin=%d|freq=%d|retries=3|backoff=0.001|prefilter=%s",
+		o.MaxErrors, o.MaxLocations, o.Best, o.MinSeedLen, o.MaxSeedFreq, o.Prefilter)
 	for _, e := range extra {
 		fmt.Fprintf(h, "|%s", e)
 	}

@@ -2,20 +2,15 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/cl"
-	"repro/internal/fmindex"
 	"repro/internal/mapper"
 )
-
-func testIndex(t *testing.T, text []byte) *fmindex.Index {
-	t.Helper()
-	return fmindex.Build(text, fmindex.Options{})
-}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -94,52 +89,46 @@ func TestVerifyMismatchIsTyped(t *testing.T) {
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	text := bytes.Repeat([]byte{0, 1, 2, 3, 2, 1}, 400)
-	ix := testIndex(t, text)
+	digest := sha256.Sum256([]byte("index"))
 	opt := mapper.Options{MaxErrors: 4, MaxLocations: 100}
 
-	base, err := Fingerprint(ix, opt, "selector=dp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, err := Fingerprint(ix, opt, "selector=dp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != same {
+	base := FingerprintDigest(digest, opt, "selector=dp")
+	if base != FingerprintDigest(digest, opt, "selector=dp") {
 		t.Error("fingerprint is not deterministic")
 	}
 	// Defaulted and explicit-default options must hash identically: a
 	// resume that spells out the defaults is not a different run.
-	expl, err := Fingerprint(ix, opt.WithDefaults(), "selector=dp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expl != base {
+	if FingerprintDigest(digest, opt.WithDefaults(), "selector=dp") != base {
 		t.Error("explicit default options changed the fingerprint")
 	}
 
-	for name, fp := range map[string]func() (string, error){
-		"options": func() (string, error) {
-			o := opt
-			o.MaxErrors = 5
-			return Fingerprint(ix, o, "selector=dp")
-		},
-		"extras": func() (string, error) {
-			return Fingerprint(ix, opt, "selector=coral")
-		},
-		"index": func() (string, error) {
-			text2 := append(append([]byte(nil), text...), 0, 1, 2)
-			return Fingerprint(testIndex(t, text2), opt, "selector=dp")
-		},
+	o := opt
+	o.MaxErrors = 5
+	for name, got := range map[string]string{
+		"options": FingerprintDigest(digest, o, "selector=dp"),
+		"extras":  FingerprintDigest(digest, opt, "selector=coral"),
+		"index":   FingerprintDigest(sha256.Sum256([]byte("index2")), opt, "selector=dp"),
 	} {
-		got, err := fp()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if got == base {
 			t.Errorf("changing %s did not change the fingerprint", name)
 		}
+	}
+}
+
+// TestFingerprintGolden pins the fingerprint to the strings the last
+// binary with configurable retries computed (commit 8bdaa10), so a
+// checkpoint it wrote against an index artifact still resumes.
+func TestFingerprintGolden(t *testing.T) {
+	var digest [32]byte
+	for i := range digest {
+		digest[i] = byte(i)
+	}
+	if got, want := FingerprintDigest(digest, mapper.Options{}), "854082a359baa8713a0b94ba91c286e2"; got != want {
+		t.Errorf("default options: fingerprint %s, want %s", got, want)
+	}
+	opt := mapper.Options{MaxErrors: 4, Prefilter: mapper.PrefilterGateKeeper}
+	if got, want := FingerprintDigest(digest, opt, "selector=repute-dp", "batch=256"), "b661197acd14654f515364c9931c8687"; got != want {
+		t.Errorf("options and extras: fingerprint %s, want %s", got, want)
 	}
 }
 

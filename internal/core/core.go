@@ -34,10 +34,6 @@ import (
 // output policy.
 const locationBytes = 8
 
-// Index aliases the FM-index type so wrappers (e.g. the CORAL package)
-// need not import internal/fmindex directly.
-type Index = fmindex.Index
-
 // Config tunes a Pipeline.
 type Config struct {
 	// Name labels the mapper in results ("REPUTE-cpu", "REPUTE-all", ...).
@@ -47,24 +43,16 @@ type Config struct {
 	// Split gives each device's share of the reads; nil or all-zero
 	// means everything on the first device. Shares are normalised.
 	Split []float64
-	// SASampleRate is passed to the FM-index build (0 = full SA).
-	SASampleRate int
 	// Exec pins the host execution mode of the pipeline's queues;
 	// cl.Auto (the zero value) uses the package default. Simulated
 	// results are identical either way — cl.Serial exists for debugging
 	// and for determinism regression tests.
 	Exec cl.ExecMode
-	// Deadlines, when non-nil, gives each device a simulated-seconds
-	// budget (one entry per device, 0 = unlimited): once a device's
-	// accumulated busy time crosses its deadline, its remaining batches
-	// migrate to the other devices — the recovery path for a device that
-	// is alive but too slow (thermal throttling, a contended lane).
-	Deadlines []float64
 	// Tracer receives spans and instants for every enqueue, penalty,
-	// buffer event, round, retry, failover and deadline decision, keyed
-	// on simulated time (DESIGN.md §10). nil or trace.Noop disables
-	// tracing with zero overhead on the hot path. Installing a
-	// *trace.Recorder additionally feeds its per-item op histogram.
+	// buffer event, round, retry and failover, keyed on simulated time
+	// (DESIGN.md §10). nil or trace.Noop disables tracing with zero
+	// overhead on the hot path. Installing a *trace.Recorder additionally
+	// feeds its per-item op histogram.
 	Tracer trace.Tracer
 }
 
@@ -84,19 +72,18 @@ type Shard struct {
 // shard that owns and slices [0, n). Work is tracked as (shard,
 // read-span) units on one fault-tolerant round engine, and a failed
 // device's units — its reference shards included — re-dispatch to the
-// survivors. The shard count only picks the initial assignment: one
-// shard splits the reads across devices by the configured shares; K > 1
-// shards broadcast every read to every shard, deal the shards round-robin
-// onto devices, and merge per-shard mappings in global coordinates.
+// survivors. Every read goes to every shard: shard s's read range splits
+// across devices by the configured shares, or lands whole on device
+// s mod D when no share is positive (always so for K > 1 shards, which
+// take no Split), and per-shard mappings merge in global coordinates.
 type Pipeline struct {
-	name      string
-	shards    []Shard
-	overlap   int // shard slice overlap in bases
-	devices   []*cl.Device
-	split     []float64
-	selector  seed.Selector
-	exec      cl.ExecMode
-	deadlines []float64
+	name     string
+	shards   []Shard
+	overlap  int // shard slice overlap in bases
+	devices  []*cl.Device
+	split    []float64
+	selector seed.Selector
+	exec     cl.ExecMode
 
 	// tracer is the normalised Config.Tracer (nil when off); itemHist is
 	// the tracer's per-item op histogram when it offers one. traceSec is
@@ -109,13 +96,12 @@ type Pipeline struct {
 	traceSec float64 // guarded by traceMu
 }
 
-// New builds the index from ref and returns the pipeline.
+// New builds the full-suffix-array index of ref and returns the pipeline.
 func New(ref []byte, devices []*cl.Device, cfg Config) (*Pipeline, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("core: empty reference")
 	}
-	ix := fmindex.Build(ref, fmindex.Options{SASampleRate: cfg.SASampleRate})
-	return NewFromIndex(ix, devices, cfg)
+	return NewFromIndex(fmindex.Build(ref, fmindex.Options{}), devices, cfg)
 }
 
 // NewFromIndex wraps an existing whole-reference index (e.g. loaded from
@@ -166,12 +152,8 @@ func NewSharded(shards []Shard, overlap int, devices []*cl.Device, cfg Config) (
 			return nil, fmt.Errorf("core: split entry %d is %v, want a finite share >= 0", i, w)
 		}
 	}
-	if cfg.Deadlines != nil && len(cfg.Deadlines) != len(devices) {
-		return nil, fmt.Errorf("core: deadlines has %d entries for %d devices",
-			len(cfg.Deadlines), len(devices))
-	}
 	p := &Pipeline{name: cfg.Name, shards: shards, overlap: overlap, devices: devices,
-		split: cfg.Split, selector: cfg.Selector, exec: cfg.Exec, deadlines: cfg.Deadlines}
+		split: cfg.Split, selector: cfg.Selector, exec: cfg.Exec}
 	if p.selector == nil {
 		p.selector = seed.REPUTE{}
 	}
@@ -276,17 +258,6 @@ func DefaultMinSeedLen(readLen, errors int) int {
 	return smin
 }
 
-// shares is the one-shard initial assignment: reads by the configured
-// split, everything on the first device when there is none.
-func (p *Pipeline) shares(total int) []int {
-	if counts := apportion(total, p.split); counts != nil {
-		return counts
-	}
-	counts := make([]int, len(p.devices))
-	counts[0] = total
-	return counts
-}
-
 // apportion splits total into per-device counts proportional to the
 // positive weights. The rounding remainder goes to the device with the
 // largest weight — never to one whose weight is zero or negative.
@@ -342,12 +313,11 @@ func unitReads(units []unit) int {
 	return n
 }
 
-// outcome is one device's report at a round barrier: which units it did
-// not finish, why it stopped, and the recovery work it performed.
+// outcome is one device's report at a round barrier: the units it did
+// not finish, the permanent failure that stopped it (nil when it finished
+// them all), and the recovery work it performed.
 type outcome struct {
 	unmapped []unit
-	failed   bool // permanent device failure — fail the units over
-	deadline bool // simulated-seconds budget exceeded — migrate the units
 	err      error
 	stats    mapper.FaultStats
 }
@@ -358,11 +328,10 @@ type outcome struct {
 //
 // The barrier is also the recovery point: a device that fails permanently
 // (CL_DEVICE_NOT_AVAILABLE, a deterministic kernel fault, an infeasible
-// allocation) or exceeds its simulated-seconds deadline reports its
-// unfinished spans, and Map redistributes them across the surviving
-// devices in another round. Transient faults never reach the barrier —
-// mapOnDevice retries them in place. Map fails only when no device can
-// finish the workload.
+// allocation) reports its unfinished spans, and Map redistributes them
+// across the surviving devices in another round. Transient faults never
+// reach the barrier — mapOnDevice retries them in place. Map fails only
+// when no device can finish the workload.
 //
 // Recovery changes where and when work runs, never what it computes:
 // mappings and Cost are identical to a fault-free run (the determinism
@@ -418,25 +387,31 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 		queues[i].SetTraceOrigin(traceBase)
 	}
 
-	// Output destinations and initial assignment. One shard: units write
-	// straight into res.Mappings and the reads split by the configured
-	// shares. Several: every read goes to every shard, shards deal
-	// round-robin onto devices, and each writes a per-shard partial that
-	// merges in global coordinates once every round has completed.
+	// Output destinations: one shard writes straight into res.Mappings;
+	// several each write a per-shard partial that merges in global
+	// coordinates once every round has completed.
 	outs := [][][]mapper.Mapping{res.Mappings}
-	assign := make([][]unit, len(p.devices))
 	if p.Sharded() {
 		outs = make([][][]mapper.Mapping, len(p.shards))
-		for s := range p.shards {
+		for s := range outs {
 			outs[s] = make([][]mapper.Mapping, len(reads))
-			di := s % len(p.devices)
-			assign[di] = append(assign[di], unit{shard: s, span: pending{0, len(reads)}})
 		}
-	} else {
+	}
+	// Initial assignment: shard s's read range splits by the configured
+	// shares, or lands whole on device s mod D when no share is positive.
+	// An empty span is never assigned, so an empty read set runs nothing.
+	assign := make([][]unit, len(p.devices))
+	shares := apportion(len(reads), p.split)
+	for s := range p.shards {
+		counts := shares
+		if counts == nil {
+			counts = make([]int, len(p.devices))
+			counts[s%len(p.devices)] = len(reads)
+		}
 		offset := 0
-		for di, n := range p.shares(len(reads)) {
+		for di, n := range counts {
 			if n > 0 {
-				assign[di] = []unit{{span: pending{offset, offset + n}}}
+				assign[di] = append(assign[di], unit{shard: s, span: pending{offset, offset + n}})
 				offset += n
 			}
 		}
@@ -493,7 +468,7 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 			wg.Add(1)
 			go func(di int) {
 				defer wg.Done()
-				outcomes[di] = p.mapOnDevice(ctx, queues[di], assign[di], reads, outs, opt, p.deadlineFor(di))
+				outcomes[di] = p.mapOnDevice(ctx, queues[di], assign[di], reads, outs, opt)
 			}(di)
 		}
 		wg.Wait()
@@ -517,7 +492,7 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 
 		// Collect outcomes in device order so stats and error lists are
 		// deterministic.
-		var failUnits, lateUnits []unit
+		var redo []unit
 		for di, dev := range p.devices {
 			if len(assign[di]) == 0 {
 				continue
@@ -525,43 +500,26 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 			o := &outcomes[di]
 			res.Faults.Add(o.stats)
 			assign[di] = nil
-			switch {
-			case o.failed:
-				eligible[di] = false
-				res.Faults.FailedDevices = append(res.Faults.FailedDevices, dev.Name)
-				devErrs = append(devErrs, fmt.Errorf("device %s: %w", dev.Name, o.err))
-				failUnits = append(failUnits, o.unmapped...)
-				p.instant(dev.Name, "device-failed", func() []trace.Attr {
-					return []trace.Attr{trace.Str("error", o.err.Error()),
-						trace.I64("unmapped_reads", int64(unitReads(o.unmapped)))}
-				})
-			case o.deadline:
-				eligible[di] = false
-				devErrs = append(devErrs, fmt.Errorf(
-					"device %s: simulated deadline %gs exceeded", dev.Name, p.deadlineFor(di)))
-				lateUnits = append(lateUnits, o.unmapped...)
-				p.instant(dev.Name, "deadline-exceeded", func() []trace.Attr {
-					return []trace.Attr{trace.F64("deadline_sec", p.deadlineFor(di)),
-						trace.I64("unmapped_reads", int64(unitReads(o.unmapped)))}
-				})
+			if o.err == nil {
+				continue
 			}
-		}
-		if n := unitReads(failUnits); n > 0 {
-			res.Faults.FailoverReads += n
-			p.instant("host", "failover", func() []trace.Attr {
-				return []trace.Attr{trace.I64("reads", int64(n)), trace.I64("round", int64(round))}
+			eligible[di] = false
+			res.Faults.FailedDevices = append(res.Faults.FailedDevices, dev.Name)
+			devErrs = append(devErrs, fmt.Errorf("device %s: %w", dev.Name, o.err))
+			redo = append(redo, o.unmapped...)
+			p.instant(dev.Name, "device-failed", func() []trace.Attr {
+				return []trace.Attr{trace.Str("error", o.err.Error()),
+					trace.I64("unmapped_reads", int64(unitReads(o.unmapped)))}
 			})
 		}
-		if n := unitReads(lateUnits); n > 0 {
-			res.Faults.DeadlineReads += n
-			p.instant("host", "deadline-migrate", func() []trace.Attr {
-				return []trace.Attr{trace.I64("reads", int64(n)), trace.I64("round", int64(round))}
-			})
-		}
-		redo := append(failUnits, lateUnits...)
 		if len(redo) == 0 {
 			break
 		}
+		n := unitReads(redo)
+		res.Faults.FailoverReads += n
+		p.instant("host", "failover", func() []trace.Attr {
+			return []trace.Attr{trace.I64("reads", int64(n)), trace.I64("round", int64(round))}
+		})
 		assign = p.redistribute(redo, eligible)
 		if assign == nil {
 			return nil, fmt.Errorf("core: no device completed the workload: %w",
@@ -679,14 +637,6 @@ func (p *Pipeline) redistribute(redo []unit, eligible []bool) [][]unit {
 	return assign
 }
 
-// deadlineFor returns device di's simulated-seconds budget (0 = none).
-func (p *Pipeline) deadlineFor(di int) float64 {
-	if p.deadlines == nil {
-		return 0
-	}
-	return p.deadlines[di]
-}
-
 // sharesAmong splits total reads across the devices still eligible,
 // reusing the configured split weights. When the survivors' configured
 // shares sum to zero (nil split, or only zero-share devices survive) the
@@ -748,7 +698,7 @@ func partitionSpans(spans []pending, counts []int) [][]pending {
 // same device with doubling simulated backoff, allocation failures halve
 // the batch, and anything permanent stops the device and reports the
 // unfinished units for failover.
-func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, reads [][]byte, outs [][][]mapper.Mapping, opt mapper.Options, deadlineSec float64) (o outcome) {
+func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, reads [][]byte, outs [][][]mapper.Mapping, opt mapper.Options) (o outcome) {
 	dev := queue.Device()
 	var ixBuf *cl.Buffer // the resident shard's index, nil before the first unit
 	resident := 0
@@ -757,7 +707,7 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 			ixBuf.Free()
 		}
 	}()
-	retry := retrier{p: p, queue: queue, opt: opt, stats: &o.stats}
+	retry := retrier{p: p, queue: queue, stats: &o.stats}
 
 	for ui, u := range units {
 		sh := &p.shards[u.shard]
@@ -775,7 +725,6 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 				buf, err = ctx.AllocBuffer(dev, sh.Index.SizeBytes())
 			}
 			if err != nil {
-				o.failed = true
 				o.err = fmt.Errorf("index does not fit: %w", err)
 				o.unmapped = append([]unit{}, units[ui:]...)
 				return o
@@ -795,7 +744,6 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 			batch = int(limit)
 		}
 		if batch < 1 {
-			o.failed = true
 			o.err = fmt.Errorf("a single read's buffers exceed the allocation limit")
 			o.unmapped = append([]unit{u}, units[ui+1:]...)
 			return o
@@ -803,13 +751,6 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 		start := sp.start
 		retry.reset()
 		for start < sp.end {
-			if deadlineSec > 0 {
-				if busy, _ := queue.Finish(); busy >= deadlineSec {
-					o.deadline = true
-					o.unmapped = append([]unit{{u.shard, pending{start, sp.end}}}, units[ui+1:]...)
-					return o
-				}
-			}
 			end := start + batch
 			if end > sp.end {
 				end = sp.end
@@ -834,7 +775,6 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 				})
 			case retry.transient(err):
 			default:
-				o.failed = true
 				o.err = err
 				o.unmapped = append([]unit{{u.shard, pending{start, sp.end}}}, units[ui+1:]...)
 				return o
@@ -844,6 +784,14 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 	return o
 }
 
+// The first rung of the recovery ladder (retry → halve the batch → fail
+// over): a transient fault re-runs in place at most maxRetries times, the
+// first after firstBackoffSimSec of simulated backoff, doubling per attempt.
+const (
+	maxRetries         = 3
+	firstBackoffSimSec = 1e-3
+)
+
 // retrier is the bookkeeping of the in-place recovery tier for one
 // operation at a time: a bounded number of attempts with doubling
 // simulated backoff, charged to the device's busy time and tallied in
@@ -851,14 +799,13 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 type retrier struct {
 	p        *Pipeline
 	queue    *cl.Queue
-	opt      mapper.Options
 	stats    *mapper.FaultStats
 	attempts int
 	backoff  float64
 }
 
 // reset starts a fresh operation (or acknowledges a success).
-func (r *retrier) reset() { r.attempts, r.backoff = 0, r.opt.RetryBackoffSimSec }
+func (r *retrier) reset() { r.attempts, r.backoff = 0, firstBackoffSimSec }
 
 // transient reports whether err is worth another attempt on this device,
 // charging the backoff when it is. In-place retries are pointless once
@@ -866,7 +813,7 @@ func (r *retrier) reset() { r.attempts, r.backoff = 0, r.opt.RetryBackoffSimSec 
 // failure score crossing the threshold): the work fails over instead.
 func (r *retrier) transient(err error) bool {
 	dev := r.queue.Device()
-	if !cl.IsTransient(err) || r.attempts >= r.opt.Retries || dev.BreakerState() == cl.BreakerOpen {
+	if !cl.IsTransient(err) || r.attempts >= maxRetries || dev.BreakerState() == cl.BreakerOpen {
 		return false
 	}
 	r.attempts++

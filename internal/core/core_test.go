@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cl"
 	"repro/internal/dna"
+	"repro/internal/fmindex"
 	"repro/internal/mapper"
 	"repro/internal/seed"
 	"repro/internal/simulate"
@@ -326,7 +327,8 @@ func TestSampledIndexMapsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{SASampleRate: 32})
+	sampled, err := NewFromIndex(fmindex.Build(ref, fmindex.Options{SASampleRate: 32}),
+		[]*cl.Device{cl.SystemOneCPU()}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,14 +410,8 @@ func TestDefaultMinSeedLen(t *testing.T) {
 }
 
 func TestSharesSumToTotal(t *testing.T) {
-	ref, _ := testWorld(t, 20_000, 1, simulate.ERR012100)
-	sys := cl.SystemOne()
-	p, err := New(ref, sys.Devices, Config{Split: []float64{0.82, 0.09, 0.09}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, total := range []int{0, 1, 7, 1000, 999_999} {
-		counts := p.shares(total)
+		counts := apportion(total, []float64{0.82, 0.09, 0.09})
 		sum := 0
 		for _, c := range counts {
 			if c < 0 {
@@ -430,8 +426,6 @@ func TestSharesSumToTotal(t *testing.T) {
 }
 
 func TestSharesRemainderGoesToLargestShare(t *testing.T) {
-	ref, _ := testWorld(t, 20_000, 1, simulate.ERR012100)
-	sys := cl.SystemOne()
 	for _, tc := range []struct {
 		split []float64
 		total int
@@ -445,11 +439,7 @@ func TestSharesRemainderGoesToLargestShare(t *testing.T) {
 		{[]float64{0.2, 0.6, 0.2}, 7, []int{1, 5, 1}},
 		{[]float64{1, 0, 0}, 4, []int{4, 0, 0}},
 	} {
-		p, err := New(ref, sys.Devices, Config{Split: tc.split})
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts := p.shares(tc.total)
+		counts := apportion(tc.total, tc.split)
 		for i := range counts {
 			if counts[i] != tc.want[i] {
 				t.Errorf("shares(%v, %d) = %v want %v", tc.split, tc.total, counts, tc.want)
@@ -468,7 +458,7 @@ type cannedSelector struct {
 
 func (cannedSelector) Name() string { return "canned" }
 
-func (c cannedSelector) Select(_ *Index, read []byte, _ seed.Params) (seed.Selection, error) {
+func (c cannedSelector) Select(_ *fmindex.Index, read []byte, _ seed.Params) (seed.Selection, error) {
 	return c.byFirstBase[read[0]], nil
 }
 

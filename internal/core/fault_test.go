@@ -218,47 +218,6 @@ func TestFailoverMapsAllReads(t *testing.T) {
 	}
 }
 
-// TestDeadlineMigratesWork gives the first device a simulated-seconds
-// budget it exceeds after one batch; the rest of its share must migrate
-// to the second device with no effect on the mappings.
-func TestDeadlineMigratesWork(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	ref, set, mkDevs, maxLoc := faultWorld(t, 80)
-	opt := mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}
-
-	baselineP, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := baselineP.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	devs := mkDevs()
-	// nil split: everything starts on device A; its deadline trips before
-	// the second batch.
-	p, err := New(ref, devs, Config{Exec: cl.Serial, Deadlines: []float64{1e-12, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMappings(t, baseline.Mappings, res.Mappings)
-	if res.Faults.DeadlineReads < 1 {
-		t.Errorf("DeadlineReads = %d, want > 0", res.Faults.DeadlineReads)
-	}
-	if len(res.Faults.FailedDevices) != 0 {
-		t.Errorf("deadline migration recorded as device failure: %v",
-			res.Faults.FailedDevices)
-	}
-	if res.DeviceSeconds["CPU-B"] <= 0 {
-		t.Errorf("migrated work never ran on CPU-B: %v", res.DeviceSeconds)
-	}
-}
-
 // TestAllDevicesFailedSurfacesError: when every device is lost the error
 // names the devices and their causes instead of hanging or mis-mapping.
 func TestAllDevicesFailedSurfacesError(t *testing.T) {
@@ -305,13 +264,5 @@ func TestEnvFaultPlanAutoInstall(t *testing.T) {
 	}
 	if res.Faults.Retries < 1 {
 		t.Errorf("injected enq1=oor was not retried: %+v", res.Faults)
-	}
-}
-
-func TestDeadlinesLengthValidated(t *testing.T) {
-	ref, _ := testWorld(t, 10_000, 1, simulate.ERR012100)
-	_, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Deadlines: []float64{1, 2}})
-	if err == nil || !strings.Contains(err.Error(), "deadlines") {
-		t.Fatalf("mismatched Deadlines accepted: %v", err)
 	}
 }

@@ -44,7 +44,7 @@ func (p *Pipeline) MapPairs(reads1, reads2 [][]byte, opt mapper.PairOptions) (*m
 		out.Pairs[i] = mapper.PairUp(
 			res1.Mappings[i], res2.Mappings[i],
 			len(reads1[i]), len(reads2[i]),
-			opt.MinInsert, opt.MaxInsert, opt.MaxPairs)
+			opt.MinInsert, opt.MaxInsert, opt.MaxLocations)
 	}
 	return out, nil
 }

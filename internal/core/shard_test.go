@@ -355,3 +355,23 @@ func TestNewShardedValidation(t *testing.T) {
 		t.Error("slice/index length mismatch accepted")
 	}
 }
+
+// TestEmptyReadSet: no reads is a valid input for any shard count — the
+// result is empty and nothing runs, on a device goroutine or otherwise.
+func TestEmptyReadSet(t *testing.T) {
+	t.Setenv("REPUTE_CL_FAULTS", "")
+	ref, _ := testWorld(t, 6_000, 1, simulate.ERR012100)
+	for _, k := range []int{1, 3} {
+		p, err := NewSharded(makeShards(ref, k, 256, 0), 256, cl.SystemOne().Devices, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Map(nil, mapper.Options{MaxErrors: 3})
+		if err != nil {
+			t.Fatalf("%d shard(s): %v", k, err)
+		}
+		if len(res.Mappings) != 0 || res.SimSeconds != 0 || res.Cost != (cl.Cost{}) || len(res.DeviceSeconds) != 0 {
+			t.Errorf("%d shard(s): empty read set produced %+v", k, res)
+		}
+	}
+}

@@ -8,9 +8,7 @@
 package genome
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 
@@ -116,68 +114,6 @@ func (g *Genome) Global(name string, off int) (int, error) {
 	return 0, fmt.Errorf("genome: unknown contig %q", name)
 }
 
-// WriteTo serializes the contig table (not the sequence — that lives in
-// the FM-index). Implements io.WriterTo.
-func (g *Genome) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	n, err := fmt.Fprintf(w, "GENOME\t%d\n", len(g.contigs))
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	for _, c := range g.contigs {
-		n, err := fmt.Fprintf(w, "%s\t%d\t%d\n", c.Name, c.Offset, c.Length)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// ReadContigs deserializes just the contig table written by WriteTo;
-// FromParts attaches it to a text afterwards (the text usually follows
-// the table in the same file, inside the FM-index blob).
-func ReadContigs(r *bufio.Reader) ([]Contig, error) {
-	var count int
-	if _, err := fmt.Fscanf(r, "GENOME\t%d\n", &count); err != nil {
-		return nil, fmt.Errorf("genome: bad table header: %w", err)
-	}
-	if count <= 0 || count > 1<<20 {
-		return nil, fmt.Errorf("genome: implausible contig count %d", count)
-	}
-	var contigs []Contig
-	total := 0
-	for i := 0; i < count; i++ {
-		var c Contig
-		if _, err := fmt.Fscanf(r, "%s\t%d\t%d\n", &c.Name, &c.Offset, &c.Length); err != nil {
-			return nil, fmt.Errorf("genome: contig %d: %w", i, err)
-		}
-		if c.Offset != total || c.Length <= 0 {
-			return nil, fmt.Errorf("genome: contig %q has inconsistent layout", c.Name)
-		}
-		total += c.Length
-		contigs = append(contigs, c)
-	}
-	return contigs, nil
-}
-
-// FromParts builds a genome from an already-validated contig table and
-// its concatenated text, verifying they agree on total length.
-func FromParts(contigs []Contig, text []byte) (*Genome, error) {
-	if len(contigs) == 0 {
-		return nil, fmt.Errorf("genome: no contigs")
-	}
-	total := 0
-	for _, c := range contigs {
-		total += c.Length
-	}
-	if total != len(text) {
-		return nil, fmt.Errorf("genome: contigs cover %d bases, text has %d", total, len(text))
-	}
-	return &Genome{contigs: contigs, text: text, textLen: total}, nil
-}
-
 // FromContigs builds a coordinate-only genome from a validated contig
 // table: Locate, Global and SpansBoundary work, Text returns nil. Used
 // when the reference text lives elsewhere (e.g. sharded index artifacts
@@ -194,16 +130,6 @@ func FromContigs(contigs []Contig) (*Genome, error) {
 		total += c.Length
 	}
 	return &Genome{contigs: contigs, textLen: total}, nil
-}
-
-// ReadTable deserializes a contig table written by WriteTo and attaches
-// it to the given concatenated text (typically Index.Text().Unpack()).
-func ReadTable(r *bufio.Reader, text []byte) (*Genome, error) {
-	contigs, err := ReadContigs(r)
-	if err != nil {
-		return nil, err
-	}
-	return FromParts(contigs, text)
 }
 
 // SpansBoundary reports whether the interval [pos, pos+length) crosses a

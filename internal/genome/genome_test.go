@@ -1,8 +1,6 @@
 package genome
 
 import (
-	"bufio"
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -128,34 +126,6 @@ func TestSpansBoundary(t *testing.T) {
 		if got := g.SpansBoundary(tc.pos, tc.length); got != tc.want {
 			t.Errorf("SpansBoundary(%d,%d) = %v want %v", tc.pos, tc.length, got, tc.want)
 		}
-	}
-}
-
-func TestTableRoundTrip(t *testing.T) {
-	g := mustNew(t)
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTable(bufio.NewReader(&buf), g.Text())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Contigs()) != 3 || got.Contigs()[1] != g.Contigs()[1] {
-		t.Errorf("contigs = %+v want %+v", got.Contigs(), g.Contigs())
-	}
-}
-
-func TestReadTableRejectsCorruption(t *testing.T) {
-	g := mustNew(t)
-	var buf bytes.Buffer
-	g.WriteTo(&buf)
-	// Text of the wrong length must be rejected.
-	if _, err := ReadTable(bufio.NewReader(bytes.NewReader(buf.Bytes())), g.Text()[:10]); err == nil {
-		t.Error("short text accepted")
-	}
-	if _, err := ReadTable(bufio.NewReader(bytes.NewReader([]byte("junk"))), g.Text()); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 

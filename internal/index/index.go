@@ -152,24 +152,15 @@ func Partition(n int64, k, overlap int) []ShardGeom {
 	return shards
 }
 
-// Build constructs an in-memory artifact for a genome: one FM-index when
-// shards <= 1, otherwise `shards` overlapping per-shard indexes. overlap
-// <= 0 selects DefaultOverlap (ignored for a single shard).
+// Build constructs an in-memory artifact for a genome: `shards`
+// overlapping per-shard indexes, one whole-reference index with no
+// overlap when shards <= 1. overlap <= 0 selects DefaultOverlap.
 func Build(g *genome.Genome, shards, overlap int, opts fmindex.Options) (*File, error) {
 	n := int64(g.Len())
-	if shards <= 1 {
-		f := &File{
-			Meta: Meta{
-				RefBases:     n,
-				SASampleRate: opts.SASampleRate,
-				Contigs:      g.Contigs(),
-				Shards:       Partition(n, 1, 0),
-			},
-			Indexes: []*fmindex.Index{fmindex.Build(g.Text(), opts)},
-		}
-		return f, nil
-	}
-	if overlap <= 0 {
+	switch {
+	case shards <= 1:
+		shards, overlap = 1, 0
+	case overlap <= 0:
 		overlap = DefaultOverlap
 	}
 	if int64(shards) > n {
@@ -580,19 +571,6 @@ func ReadInfoFile(path string) (*Info, error) {
 		return nil, fmt.Errorf("reading index %s: %w", path, err)
 	}
 	return info, nil
-}
-
-// Genome reconstructs the reference genome tables from the artifact. For
-// a single-shard file the full text is available from the index; sharded
-// files return a genome bound to shard 0's slice only when it covers the
-// whole reference, otherwise the contig table with a nil text is not
-// representable by genome.Genome — callers needing coordinates only
-// should use Meta.Contigs with genome.FromContigs.
-func (f *File) Genome() (*genome.Genome, error) {
-	if f.Meta.Sharded() {
-		return nil, fmt.Errorf("index: sharded artifact holds no contiguous reference text")
-	}
-	return genome.FromParts(f.Meta.Contigs, f.Indexes[0].Text().Unpack())
 }
 
 type countingWriter struct {

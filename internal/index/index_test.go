@@ -94,12 +94,8 @@ func TestRoundTripSingle(t *testing.T) {
 	if got.Meta.Sharded() {
 		t.Fatalf("single-shard artifact reports sharded")
 	}
-	lg, err := got.Genome()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lg.Text(), g.Text()) {
-		t.Fatalf("reconstructed genome text differs")
+	if !bytes.Equal(got.Indexes[0].Text().Unpack(), g.Text()) {
+		t.Fatalf("loaded index text differs")
 	}
 	// The loaded index must answer queries identically.
 	text := g.Text()
@@ -142,9 +138,6 @@ func TestRoundTripSharded(t *testing.T) {
 		if got.Indexes[i].Count(p) == 0 {
 			t.Fatalf("shard %d cannot find its own substring", i)
 		}
-	}
-	if _, err := got.Genome(); err == nil {
-		t.Fatalf("sharded artifact should not reconstruct a contiguous genome")
 	}
 }
 

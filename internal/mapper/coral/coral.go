@@ -23,15 +23,3 @@ func New(ref []byte, devices []*cl.Device, split []float64, name string) (*core.
 		Split:    split,
 	})
 }
-
-// NewFromIndex is New over a prebuilt index.
-func NewFromIndex(ix *core.Index, devices []*cl.Device, split []float64, name string) (*core.Pipeline, error) {
-	if name == "" {
-		name = "CORAL"
-	}
-	return core.NewFromIndex(ix, devices, core.Config{
-		Name:     name,
-		Selector: seed.CORAL{},
-		Split:    split,
-	})
-}

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/cl"
+	"repro/internal/core"
 	"repro/internal/mapper"
+	"repro/internal/seed"
 	"repro/internal/simulate"
 )
 
@@ -81,7 +83,8 @@ func TestNewFromIndexShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := NewFromIndex(base.Index(), []*cl.Device{cl.SystemOneCPU()}, nil, "CORAL-shared")
+	m2, err := core.NewFromIndex(base.Index(), []*cl.Device{cl.SystemOneCPU()},
+		core.Config{Name: "CORAL-shared", Selector: seed.CORAL{}})
 	if err != nil {
 		t.Fatal(err)
 	}

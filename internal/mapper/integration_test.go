@@ -49,7 +49,7 @@ func buildWorld(t *testing.T, refLen, nReads int, prof simulate.ReadProfile) *wo
 		t.Fatal(err)
 	}
 	w.mappers["Hobbes3"] = hb
-	ya, err := yara.New(ref, host, true)
+	ya, err := yara.New(ref, host)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,15 +45,6 @@ type Options struct {
 	MinSeedLen int
 	// MaxSeedFreq is the CORAL growth threshold (0 = default).
 	MaxSeedFreq int
-	// Retries caps in-place re-enqueue attempts after a transient device
-	// fault (cl.IsTransient) before the work fails over to another
-	// device. 0 means the default of 3; negative disables retries.
-	Retries int
-	// RetryBackoffSimSec is the simulated backoff charged to the device
-	// for the first retry of a batch, doubling per attempt; it lands in
-	// the device's busy time and therefore in SimSeconds and EnergyJ.
-	// 0 means the default of 1 ms.
-	RetryBackoffSimSec float64
 	// Prefilter selects the optional pre-alignment filter stage between
 	// seed location and verification: PrefilterOff (the default) or
 	// PrefilterGateKeeper (bit-parallel shifted-Hamming rejection, see
@@ -75,14 +66,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.MaxErrors < 0 {
 		o.MaxErrors = 0
-	}
-	if o.Retries == 0 {
-		o.Retries = 3
-	} else if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.RetryBackoffSimSec <= 0 {
-		o.RetryBackoffSimSec = 1e-3
 	}
 	if o.Prefilter == "" {
 		o.Prefilter = PrefilterOff
@@ -112,7 +95,7 @@ type Result struct {
 // FaultStats accounts the fault-recovery work of a mapping run: how many
 // transient faults were retried in place, how much simulated backoff
 // those retries cost, how many batches were halved after allocation
-// failures, and how many reads migrated off failed or slow devices. The
+// failures, and how many reads migrated off failed devices. The
 // mappings themselves are unaffected by recovery — that is the
 // fault-tolerance contract the determinism suite asserts — so these
 // counters are the only place the turbulence shows.
@@ -126,9 +109,6 @@ type FaultStats struct {
 	// FailoverReads counts reads redistributed off permanently failed
 	// devices.
 	FailoverReads int
-	// DeadlineReads counts reads migrated off devices that exceeded
-	// their simulated-seconds deadline.
-	DeadlineReads int
 	// WatchdogFires counts enqueues the hang watchdog terminated
 	// (cl.CommandTerminated) before recovery re-ran them.
 	WatchdogFires int
@@ -145,8 +125,7 @@ type FaultStats struct {
 // Any reports whether any recovery action was taken.
 func (f FaultStats) Any() bool {
 	return f.Retries != 0 || f.DegradedBatches != 0 || f.FailoverReads != 0 ||
-		f.DeadlineReads != 0 || f.WatchdogFires != 0 || len(f.FailedDevices) != 0 ||
-		f.SkippedRecords != 0
+		f.WatchdogFires != 0 || len(f.FailedDevices) != 0 || f.SkippedRecords != 0
 }
 
 // Add accumulates o into f (used when a run spans several Map calls,
@@ -156,7 +135,6 @@ func (f *FaultStats) Add(o FaultStats) {
 	f.BackoffSimSec += o.BackoffSimSec
 	f.DegradedBatches += o.DegradedBatches
 	f.FailoverReads += o.FailoverReads
-	f.DeadlineReads += o.DeadlineReads
 	f.WatchdogFires += o.WatchdogFires
 	f.FailedDevices = append(f.FailedDevices, o.FailedDevices...)
 	f.SkippedRecords += o.SkippedRecords

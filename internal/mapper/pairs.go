@@ -98,8 +98,6 @@ type PairOptions struct {
 	Options
 	// MinInsert/MaxInsert bound the accepted fragment length.
 	MinInsert, MaxInsert int32
-	// MaxPairs caps reported pairs per fragment (0 = MaxLocations).
-	MaxPairs int
 }
 
 // WithDefaults fills unset fields (insert band defaults to 100..1000).
@@ -110,9 +108,6 @@ func (o PairOptions) WithDefaults() PairOptions {
 	}
 	if o.MinInsert == 0 {
 		o.MinInsert = 100
-	}
-	if o.MaxPairs <= 0 {
-		o.MaxPairs = o.MaxLocations
 	}
 	return o
 }

@@ -14,8 +14,7 @@ import (
 	"repro/internal/mapper"
 )
 
-// bestStratumCap models Yara's strata-count output limit: in best mode at
-// most this many co-optimal locations are emitted per read, as the real
+// bestStratumCap models Yara's strata-count output limit: at most this many co-optimal locations are emitted per read, as the real
 // tool's stratum limits do. Multi-mapping reads therefore cover only a
 // sliver of the gold standard's (up to 100) locations — the §III-A
 // behaviour Table I shows.
@@ -23,18 +22,16 @@ const bestStratumCap = 5
 
 // Mapper is a Yara-style mapper bound to a reference.
 type Mapper struct {
-	ix   *fmindex.Index
-	dev  *cl.Device
-	best bool
+	ix  *fmindex.Index
+	dev *cl.Device
 }
 
-// New creates the mapper. best selects the paper's best-mapper
-// configuration; pass false to make Yara report every stratum.
-func New(ref []byte, dev *cl.Device, best bool) (*Mapper, error) {
+// New creates the mapper in the paper's best-mapper configuration.
+func New(ref []byte, dev *cl.Device) (*Mapper, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("yara: empty reference")
 	}
-	return &Mapper{ix: fmindex.Build(ref, fmindex.Options{}), dev: dev, best: best}, nil
+	return &Mapper{ix: fmindex.Build(ref, fmindex.Options{}), dev: dev}, nil
 }
 
 // Name implements mapper.Mapper.
@@ -77,13 +74,11 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
 		b.Name, b.PrivateBytes = "yara", 512
 		b.Generate = generator{ix: m.ix, seedErr: b.MaxErrors / nSeeds, maxCand: 8 * b.Policy.MaxLoc}.generate
-		// Every stratum is verified; best mode then reports only the
-		// lowest one, capped like the real tool's strata limits.
+		// Every stratum is verified; only the lowest one is reported,
+		// capped like the real tool's strata limits.
 		b.Policy.VerifyCap = 0
-		if m.best || b.Policy.BestOnly {
-			b.Policy.BestOnly = true
-			b.Policy.MaxLoc = min(b.Policy.MaxLoc, bestStratumCap)
-		}
+		b.Policy.BestOnly = true
+		b.Policy.MaxLoc = min(b.Policy.MaxLoc, bestStratumCap)
 		return b.Kernel(), nil
 	})
 }

@@ -20,7 +20,7 @@ func randText(rng *rand.Rand, n int) []byte {
 func TestBestModeReportsOnlyBestStratum(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ref := randText(rng, 20_000)
-	m, err := New(ref, cl.SystemOneHost(), true)
+	m, err := New(ref, cl.SystemOneHost())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBestStratumCapApplied(t *testing.T) {
 		ref = append(ref, motif...)
 		ref = append(ref, randText(rng, 40)...)
 	}
-	m, err := New(ref, cl.SystemOneHost(), true)
+	m, err := New(ref, cl.SystemOneHost())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestApproximateSeedsFindHighErrorReads(t *testing.T) {
 	// fail, but 1-error approximate seeds must succeed (pigeonhole).
 	rng := rand.New(rand.NewSource(3))
 	ref := randText(rng, 30_000)
-	m, err := New(ref, cl.SystemOneHost(), true)
+	m, err := New(ref, cl.SystemOneHost())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCostGrowsWithErrors(t *testing.T) {
 	// δ (the Table I trend REPUTE's 13x claim rests on).
 	rng := rand.New(rand.NewSource(4))
 	ref := randText(rng, 40_000)
-	m, err := New(ref, cl.SystemOneHost(), true)
+	m, err := New(ref, cl.SystemOneHost())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCostGrowsWithErrors(t *testing.T) {
 func TestReverseStrand(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ref := randText(rng, 10_000)
-	m, err := New(ref, cl.SystemOneHost(), true)
+	m, err := New(ref, cl.SystemOneHost())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestReverseStrand(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, cl.SystemOneHost(), true); err == nil {
+	if _, err := New(nil, cl.SystemOneHost()); err == nil {
 		t.Error("empty reference accepted")
 	}
 }
@@ -171,7 +171,7 @@ func TestNewValidation(t *testing.T) {
 func TestGeneratorAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ref := randText(rng, 20_000)
-	m, err := New(ref, cl.SystemOneHost(), true)
+	m, err := New(ref, cl.SystemOneHost())
 	if err != nil {
 		t.Fatal(err)
 	}

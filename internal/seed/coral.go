@@ -35,13 +35,8 @@ func (CORAL) Select(ix *fmindex.Index, read []byte, p Params) (Selection, error)
 	if maxFreq <= 0 {
 		maxFreq = DefaultMaxSeedFreq
 	}
-	maxLen := p.MaxSeedLen
-	if maxLen <= 0 {
-		maxLen = 2 * smin
-	}
-	if maxLen < smin {
-		maxLen = smin
-	}
+	// The real tool selects k-mer lengths from a bounded range.
+	maxLen := 2 * smin
 	parts := p.Errors + 1
 	if n < parts*smin {
 		// Degrade gracefully: shrink the minimum so the partition exists.

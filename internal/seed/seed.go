@@ -61,11 +61,6 @@ type Params struct {
 	// MaxSeedFreq is CORAL's stop-growing threshold: a seed stops
 	// extending once its candidate count is at or below this value.
 	MaxSeedFreq int
-	// MaxSeedLen bounds CORAL's variable k-mer length (the real tool
-	// selects lengths from a bounded range); 0 means 2×MinSeedLen.
-	// The DP selectors ignore it — their lengths are bounded by the
-	// exploration window instead.
-	MaxSeedLen int
 }
 
 func (p Params) validate(readLen int) error {

@@ -198,7 +198,7 @@ func (r *Recorder) Validate() error {
 //	faults_total                 counter: *-fault instants
 //	retries_total                counter: retry instants
 //	batch_halvings_total         counter: batch-halved instants
-//	failovers_total              counter: failover + deadline-migrate instants
+//	failovers_total              counter: failover instants
 //	records_skipped_total        counter: record-skipped instants (lenient ingest)
 //	records_skipped_total/<reason>  counter: same, broken down by reason attr
 //	watchdog_fired_total         counter: watchdog-fired instants (hang kills)
@@ -273,7 +273,7 @@ func (r *Recorder) Metrics() Snapshot {
 				reg.Counter("retries_total").Add(1)
 			case "batch-halved":
 				reg.Counter("batch_halvings_total").Add(1)
-			case "failover", "deadline-migrate":
+			case "failover":
 				reg.Counter("failovers_total").Add(1)
 			case "watchdog-fired":
 				reg.Counter("watchdog_fired_total").Add(1)
