@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/fmindex"
@@ -230,20 +231,20 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	for i, ix := range f.Indexes {
-		// First pass: measure and hash the blob without retaining it.
+		// First pass: hash the blob, which also measures it, retaining nothing.
 		ph := sha256.New()
-		pc := &countingWriter{w: ph}
-		if _, err := ix.WriteTo(pc); err != nil {
+		hashed, err := ix.WriteTo(ph)
+		if err != nil {
 			return cw.n, fmt.Errorf("index: hashing shard %d: %w", i, err)
 		}
 		var sum [32]byte
 		ph.Sum(sum[:0])
-		err = writeSection(kindShard, uint64(pc.n), sum, func(w io.Writer) error {
+		err = writeSection(kindShard, uint64(hashed), sum, func(w io.Writer) error {
 			// Second pass: WriteTo is deterministic, so this emits the
 			// exact bytes hashed above.
 			n, err := ix.WriteTo(w)
-			if err == nil && n != pc.n {
-				return fmt.Errorf("index: shard %d wrote %d bytes after hashing %d", i, n, pc.n)
+			if err == nil && n != hashed {
+				return fmt.Errorf("index: shard %d wrote %d bytes after hashing %d", i, n, hashed)
 			}
 			return err
 		})
@@ -290,30 +291,29 @@ func dirOf(path string) string {
 
 // sectionReader walks the container structure shared by Load and
 // ReadInfo: header, then per-section headers with payload handling
-// delegated to the caller.
+// delegated to the caller. It reads r directly and never past the bytes
+// the container declares.
 type sectionReader struct {
-	br    *bufio.Reader
-	limit int64 // remaining input bytes, bounds every allocation
+	r     io.Reader
+	limit int64 // remaining input bytes, bounds every allocation; < 0 when unknown
 	hdr   hash.Hash
+	bufs  [2][]byte // chunk buffers of the shard payload pipeline, made on first use
 }
 
 func newSectionReader(r io.Reader, size int64) (*sectionReader, int, error) {
-	sr := &sectionReader{br: bufio.NewReaderSize(r, 1<<20), limit: size, hdr: sha256.New()}
-	var magic, version, nsect uint32
-	if err := sr.readHeaderInto(&magic); err != nil {
+	sr := &sectionReader{r: r, limit: size, hdr: sha256.New()}
+	var head [12]byte
+	if err := sr.readHeader(head[:]); err != nil {
 		return nil, 0, fmt.Errorf("index: reading magic: %w", err)
 	}
+	magic := binary.LittleEndian.Uint32(head[0:])
+	version := binary.LittleEndian.Uint32(head[4:])
+	nsect := binary.LittleEndian.Uint32(head[8:])
 	if magic != containerMagic {
 		return nil, 0, fmt.Errorf("index: bad magic %#x: %w", magic, ErrFormat)
 	}
-	if err := sr.readHeaderInto(&version); err != nil {
-		return nil, 0, err
-	}
 	if version != containerVersion {
 		return nil, 0, fmt.Errorf("index: unsupported container version %d: %w", version, ErrFormat)
-	}
-	if err := sr.readHeaderInto(&nsect); err != nil {
-		return nil, 0, err
 	}
 	if nsect < 2 || nsect > maxSections {
 		return nil, 0, fmt.Errorf("index: implausible section count %d: %w", nsect, ErrFormat)
@@ -321,34 +321,59 @@ func newSectionReader(r io.Reader, size int64) (*sectionReader, int, error) {
 	return sr, int(nsect), nil
 }
 
-// readHeaderInto reads a fixed-width header field, feeding the digest.
-func (sr *sectionReader) readHeaderInto(v any) error {
-	before := sr.limit
-	err := binary.Read(io.TeeReader(sr.br, sr.hdr), binary.LittleEndian, v)
-	if err == nil {
-		sr.limit = before - int64(binary.Size(v))
+// readHeader fills b with header bytes, feeding the digest.
+func (sr *sectionReader) readHeader(b []byte) error {
+	if _, err := io.ReadFull(sr.r, b); err != nil {
+		if endsEarly(err) {
+			err = fmt.Errorf("index: input ends inside a header: %w: %w", err, ErrFormat)
+		}
+		return err
 	}
-	return err
+	sr.hdr.Write(b)
+	sr.limit -= int64(len(b))
+	return nil
 }
 
 // nextSection reads one section header and validates the length against
 // the remaining input.
 func (sr *sectionReader) nextSection() (kind uint32, length uint64, sum [32]byte, err error) {
-	if err = sr.readHeaderInto(&kind); err != nil {
+	var head [4 + 8 + 32]byte
+	if err = sr.readHeader(head[:]); err != nil {
 		return
 	}
-	if err = sr.readHeaderInto(&length); err != nil {
-		return
-	}
-	if err = sr.readHeaderInto(&sum); err != nil {
-		return
-	}
-	if sr.limit >= 0 && length > uint64(sr.limit) {
+	kind = binary.LittleEndian.Uint32(head[0:])
+	length = binary.LittleEndian.Uint64(head[4:])
+	copy(sum[:], head[12:])
+	switch {
+	case sr.limit >= 0 && length > uint64(sr.limit):
 		err = fmt.Errorf("index: section declares %d bytes with %d remaining: %w",
 			length, sr.limit, ErrFormat)
-		return
+	case length > math.MaxInt64: // size unknown: still more than any stream holds
+		err = fmt.Errorf("index: section declares %d bytes: %w", length, ErrFormat)
 	}
 	return
+}
+
+// end refuses input that continues after the last section: with the size
+// known nothing may remain of it, otherwise the stream must be at EOF.
+func (sr *sectionReader) end() error {
+	if sr.limit > 0 {
+		return fmt.Errorf("index: %d bytes after the last section: %w", sr.limit, ErrFormat)
+	}
+	if sr.limit < 0 {
+		var one [1]byte
+		if n, err := io.ReadFull(sr.r, one[:]); n > 0 {
+			return fmt.Errorf("index: bytes after the last section: %w", ErrFormat)
+		} else if err != io.EOF {
+			return err
+		}
+	}
+	return nil
+}
+
+// endsEarly reports a read that met the end of its input too soon.
+func endsEarly(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 func (sr *sectionReader) digest() (d [32]byte) {
@@ -370,7 +395,7 @@ func (sr *sectionReader) readMeta() (*Meta, error) {
 		return nil, fmt.Errorf("index: meta section of %d bytes: %w", length, ErrFormat)
 	}
 	buf := make([]byte, length)
-	if _, err := io.ReadFull(sr.br, buf); err != nil {
+	if _, err := io.ReadFull(sr.r, buf); err != nil {
 		return nil, err
 	}
 	sr.limit -= int64(length)
@@ -446,31 +471,28 @@ func Load(r io.Reader, size int64) (*File, error) {
 		if kind != kindShard {
 			return nil, fmt.Errorf("index: section %d has kind %d, want shard: %w", 1+i, kind, ErrFormat)
 		}
-		// Verify the checksum over exactly the declared payload while the
-		// FM-index deserializer consumes it.
-		ph := sha256.New()
-		lr := io.LimitReader(sr.br, int64(length))
-		ix, err := fmindex.ReadFrom(io.TeeReader(lr, ph))
-		if err != nil {
-			// Checksum first: a flipped byte usually surfaces as an fmindex
-			// parse error, but the actionable diagnosis is the corruption.
-			if _, derr := io.Copy(ph, lr); derr == nil {
-				var got [32]byte
-				ph.Sum(got[:0])
-				if got != sum {
-					return nil, &ChecksumError{Section: 1 + i, Kind: kindShard, Want: sum, Got: got}
-				}
-			}
-			return nil, fmt.Errorf("index: shard %d: %w", i, err)
-		}
-		if _, err := io.Copy(ph, lr); err != nil { // drain any trailing bytes
-			return nil, err
-		}
+		// The checksum runs over exactly the declared payload, on its own
+		// goroutine, while the FM-index deserializer decodes the same chunks.
+		p := sr.payload(int64(length))
 		sr.limit -= int64(length)
-		var got [32]byte
-		ph.Sum(got[:0])
-		if got != sum {
+		ix, perr := fmindex.ReadFrom(p)
+		got, err := p.finish() // the rest of the payload, then the hasher's digest
+		// Checksum first: a flipped byte usually surfaces as an fmindex
+		// parse error, but the actionable diagnosis is the corruption.
+		if got != sum && (err == nil || err == io.ErrUnexpectedEOF) {
 			return nil, &ChecksumError{Section: 1 + i, Kind: kindShard, Want: sum, Got: got}
+		}
+		if perr != nil {
+			if endsEarly(perr) { // the payload is intact and still too short
+				perr = fmt.Errorf("section ends inside the index: %w: %w", perr, ErrFormat)
+			}
+			return nil, fmt.Errorf("index: shard %d: %w", i, perr)
+		}
+		if err != nil {
+			if err == io.ErrUnexpectedEOF { // a length past the end of the input, over an intact payload
+				err = fmt.Errorf("index: input ends inside section %d: %w: %w", 1+i, err, ErrFormat)
+			}
+			return nil, err
 		}
 		want := m.Shards[i].SliceEnd - m.Shards[i].SliceStart
 		if int64(ix.Len()) != want {
@@ -479,8 +501,148 @@ func Load(r io.Reader, size int64) (*File, error) {
 		}
 		f.Indexes[i] = ix
 	}
+	if err := sr.end(); err != nil {
+		return nil, err
+	}
 	f.digest = sr.digest()
 	return f, nil
+}
+
+const (
+	// chunkSize is the unit in which a shard payload is read, hashed and
+	// decoded.
+	chunkSize = 1 << 20
+	// chunkCarry is the room kept in front of a chunk for the undecoded
+	// tail of the chunk before it, so a field that straddles two chunks is
+	// still peeked in one piece. fmindex peeks 8 bytes at most.
+	chunkCarry = 16
+)
+
+// payloadReader is the load pipeline for one shard section. The calling
+// goroutine reads the payload chunk by chunk into two alternating
+// buffers; each chunk goes, read-only from then on, to one hashing
+// goroutine, while the caller decodes the same bytes through Peek and
+// Discard (it is the buffered source fmindex.ReadFrom reads in place).
+// A buffer comes back on free once hashed, and the caller takes the next
+// one only when it has consumed the chunk before, so no buffer is
+// overwritten while either side still reads it.
+type payloadReader struct {
+	r      io.Reader
+	remain int64  // payload bytes not yet read from r
+	cur    []byte // read and not yet consumed
+	err    error  // why reading stopped; io.ErrUnexpectedEOF for a short payload
+	// work and free each have one slot per buffer, so neither goroutine
+	// ever waits to hand a buffer over. free is closed by the hasher once
+	// work is closed and sum is set.
+	work chan []byte
+	free chan []byte
+	sum  [32]byte
+}
+
+// payload starts the pipeline over the next length bytes of input.
+func (sr *sectionReader) payload(length int64) *payloadReader {
+	p := &payloadReader{r: sr.r, remain: length,
+		work: make(chan []byte, len(sr.bufs)), free: make(chan []byte, len(sr.bufs))}
+	for i := range sr.bufs {
+		if sr.bufs[i] == nil {
+			n := int64(chunkSize)
+			if sr.limit >= 0 {
+				// The two buffers of a small file hold it between them.
+				n = min(n, sr.limit/2+1)
+			}
+			sr.bufs[i] = make([]byte, chunkCarry+n)
+		}
+		p.free <- sr.bufs[i]
+	}
+	go func() {
+		h := sha256.New()
+		for buf := range p.work {
+			h.Write(buf[chunkCarry:])
+			p.free <- buf[:cap(buf)]
+		}
+		h.Sum(p.sum[:0])
+		close(p.free)
+	}()
+	return p
+}
+
+// next reads the following chunk behind what is left of the current one
+// (at most chunkCarry bytes) and hands it to the hasher.
+func (p *payloadReader) next() error {
+	if p.err != nil {
+		return p.err
+	}
+	if p.remain == 0 {
+		return io.EOF
+	}
+	buf := <-p.free
+	n := min(int64(len(buf)-chunkCarry), p.remain)
+	k, err := io.ReadFull(p.r, buf[chunkCarry:chunkCarry+int(n)])
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	p.err = err
+	p.remain -= int64(k)
+	start := chunkCarry - copy(buf[chunkCarry-len(p.cur):chunkCarry], p.cur)
+	p.cur = buf[start : chunkCarry+k]
+	p.work <- buf[:chunkCarry+k]
+	if k == 0 {
+		return err
+	}
+	return nil
+}
+
+// Peek returns the next n bytes without consuming them, or what is left
+// of the payload and why there are no more.
+func (p *payloadReader) Peek(n int) ([]byte, error) {
+	for len(p.cur) < n {
+		if n > chunkCarry {
+			return p.cur, bufio.ErrBufferFull
+		}
+		if err := p.next(); err != nil {
+			return p.cur, err
+		}
+	}
+	return p.cur[:n], nil
+}
+
+// Discard consumes n bytes that a Peek has returned.
+func (p *payloadReader) Discard(n int) (int, error) {
+	p.cur = p.cur[n:]
+	return n, nil
+}
+
+// Buffered is how many bytes Peek can return without reading.
+func (p *payloadReader) Buffered() int { return len(p.cur) }
+
+// Len is how many bytes of the payload are not consumed yet; fmindex
+// refuses a section that claims more before it allocates for it.
+func (p *payloadReader) Len() int {
+	return len(p.cur) + int(min(p.remain, int64(math.MaxInt-len(p.cur))))
+}
+
+// Read lets the payload pass as an io.Reader; fmindex uses Peek instead.
+func (p *payloadReader) Read(b []byte) (int, error) {
+	if _, err := p.Peek(1); err != nil {
+		return 0, err
+	}
+	n := copy(b, p.cur)
+	p.cur = p.cur[n:]
+	return n, nil
+}
+
+// finish reads and hashes whatever the decoder left of the payload, waits
+// for the hasher to exit and returns the digest of the bytes that were
+// there, with io.ErrUnexpectedEOF if they were fewer than declared.
+func (p *payloadReader) finish() ([32]byte, error) {
+	for p.err == nil && p.remain > 0 {
+		p.cur = nil
+		_ = p.next() // what stops it stays in p.err
+	}
+	close(p.work)
+	for range p.free {
+	}
+	return p.sum, p.err
 }
 
 // LoadFile opens and fully verifies the artifact at path.
@@ -541,11 +703,14 @@ func ReadInfo(r io.Reader, size int64) (*Info, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := io.CopyN(io.Discard, sr.br, int64(length)); err != nil {
+		if _, err := io.CopyN(io.Discard, sr.r, int64(length)); err != nil {
 			return nil, err
 		}
 		sr.limit -= int64(length)
 		info.Sections = append(info.Sections, SectionInfo{Kind: kind, Length: length, SHA256: sum})
+	}
+	if err := sr.end(); err != nil {
+		return nil, err
 	}
 	info.Digest = sr.digest()
 	for _, s := range info.Sections {

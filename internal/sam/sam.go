@@ -34,6 +34,7 @@ const (
 type Writer struct {
 	bw      *bufio.Writer
 	refName string
+	line    []byte // the record being built, reused from one to the next
 }
 
 // RefSeq names one reference sequence for the header.
@@ -91,37 +92,86 @@ type Alignment struct {
 	MAPQ uint8
 }
 
+// record is the variable part of one alignment line. RNEXT is "=" for a
+// mate, otherwise "*" with PNEXT and TLEN 0; QUAL is always "*".
+type record struct {
+	name  string
+	flag  int
+	rname string // "" means "*"
+	pos   int32  // 1-based, 0 when unmapped
+	mapq  uint8
+	cigar string // "" means "*"
+	mate  bool
+	pnext int32
+	tlen  int32
+	seq   []byte // empty means "*"
+	nm    int    // NM:i tag, left out when negative
+}
+
+// unmapped is the record of a read with no alignment.
+func unmapped(name string, seq []byte) record {
+	return record{name: name, flag: FlagUnmapped, seq: seq, nm: -1}
+}
+
+// write formats one record into the writer's line buffer and hands the
+// line to the buffered output.
+//
+//repute:hotpath
+func (w *Writer) write(r record) error {
+	b := w.line[:0]
+	b = append(b, r.name...)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.flag), 10)
+	b = orStar(append(b, '\t'), r.rname)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.pos), 10)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.mapq), 10)
+	b = orStar(append(b, '\t'), r.cigar)
+	if r.mate {
+		b = append(b, "\t=\t"...)
+	} else {
+		b = append(b, "\t*\t"...)
+	}
+	b = strconv.AppendInt(b, int64(r.pnext), 10)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.tlen), 10)
+	b = append(b, '\t')
+	if len(r.seq) > 0 {
+		b = append(b, r.seq...)
+	} else {
+		b = append(b, '*')
+	}
+	b = append(b, "\t*"...)
+	if r.nm >= 0 {
+		b = strconv.AppendInt(append(b, "\tNM:i:"...), int64(r.nm), 10)
+	}
+	w.line = append(b, '\n')
+	_, err := w.bw.Write(w.line)
+	return err
+}
+
+// orStar appends field, or "*" for an empty one.
+func orStar(b []byte, field string) []byte {
+	if field == "" {
+		return append(b, '*')
+	}
+	return append(b, field...)
+}
+
 // WriteAlignments emits the read's alignment lines with explicit contig
 // names (the first is primary), or an unmapped record when alns is empty.
 func (w *Writer) WriteAlignments(name string, seq []byte, alns []Alignment) error {
-	seqField := "*"
-	if len(seq) > 0 {
-		seqField = string(seq)
-	}
 	if len(alns) == 0 {
-		_, err := fmt.Fprintf(w.bw, "%s\t%d\t*\t0\t0\t*\t*\t0\t0\t%s\t*\n",
-			name, FlagUnmapped, seqField)
-		return err
+		return w.write(unmapped(name, seq))
 	}
 	for i, a := range alns {
-		flag := 0
+		r := record{name: name, rname: a.RName, pos: a.Pos + 1, mapq: a.MAPQ,
+			cigar: a.Cigar, seq: seq, nm: int(a.Dist)}
 		if a.Strand == mapper.Reverse {
-			flag |= FlagReverse
+			r.flag |= FlagReverse
 		}
 		if i > 0 {
-			flag |= FlagSecondary
+			r.flag |= FlagSecondary
+			r.seq = nil // secondary records omit the sequence
 		}
-		sf := seqField
-		if i > 0 {
-			sf = "*"
-		}
-		cig := a.Cigar
-		if cig == "" {
-			cig = "*"
-		}
-		_, err := fmt.Fprintf(w.bw, "%s\t%d\t%s\t%d\t%d\t%s\t*\t0\t0\t%s\t*\tNM:i:%d\n",
-			name, flag, a.RName, a.Pos+1, a.MAPQ, cig, sf, a.Dist)
-		if err != nil {
+		if err := w.write(r); err != nil {
 			return err
 		}
 	}
@@ -139,34 +189,22 @@ func (w *Writer) WriteRead(name string, seq []byte, ms []mapper.Mapping) error {
 // align.Cigar.String() or any SAM-valid value). cigars may be nil or
 // shorter than ms; missing entries are written as "*".
 func (w *Writer) WriteReadCigars(name string, seq []byte, ms []mapper.Mapping, cigars []string) error {
-	seqField := "*"
-	if len(seq) > 0 {
-		seqField = string(seq)
-	}
 	if len(ms) == 0 {
-		_, err := fmt.Fprintf(w.bw, "%s\t%d\t*\t0\t0\t*\t*\t0\t0\t%s\t*\n",
-			name, FlagUnmapped, seqField)
-		return err
+		return w.write(unmapped(name, seq))
 	}
 	for i, m := range ms {
-		flag := 0
+		r := record{name: name, rname: w.refName, pos: m.Pos + 1, mapq: 255, seq: seq, nm: int(m.Dist)}
 		if m.Strand == mapper.Reverse {
-			flag |= FlagReverse
+			r.flag |= FlagReverse
 		}
 		if i > 0 {
-			flag |= FlagSecondary
+			r.flag |= FlagSecondary
+			r.seq = nil // secondary records omit the sequence
 		}
-		sf := seqField
-		if i > 0 {
-			sf = "*" // secondary records omit the sequence
+		if i < len(cigars) {
+			r.cigar = cigars[i]
 		}
-		cig := "*"
-		if i < len(cigars) && cigars[i] != "" {
-			cig = cigars[i]
-		}
-		_, err := fmt.Fprintf(w.bw, "%s\t%d\t%s\t%d\t255\t%s\t*\t0\t0\t%s\t*\tNM:i:%d\n",
-			name, flag, w.refName, m.Pos+1, cig, sf, m.Dist)
-		if err != nil {
+		if err := w.write(r); err != nil {
 			return err
 		}
 	}
@@ -192,13 +230,8 @@ func (w *Writer) WritePair(name string, seq1, seq2 []byte, p mapper.Pair, rname 
 		} else {
 			flag |= FlagSecondInPair
 		}
-		sf := "*"
-		if len(seq) > 0 {
-			sf = string(seq)
-		}
-		_, err := fmt.Fprintf(w.bw, "%s\t%d\t%s\t%d\t255\t*\t=\t%d\t%d\t%s\t*\tNM:i:%d\n",
-			name, flag, rname, self.Pos+1, mate.Pos+1, tlen, sf, self.Dist)
-		return err
+		return w.write(record{name: name, flag: flag, rname: rname, pos: self.Pos + 1, mapq: 255,
+			mate: true, pnext: mate.Pos + 1, tlen: tlen, seq: seq, nm: int(self.Dist)})
 	}
 	// TLEN sign convention: positive for the leftmost mate.
 	t1, t2 := p.Insert, -p.Insert

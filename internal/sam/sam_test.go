@@ -3,6 +3,7 @@ package sam
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -241,5 +242,40 @@ func TestAppendWriterContinuesFile(t *testing.T) {
 	if !bytes.Equal(whole.Bytes(), split.Bytes()) {
 		t.Errorf("append-continued file differs from single-pass file:\nwhole:\n%s\nsplit:\n%s",
 			whole.String(), split.String())
+	}
+}
+
+// TestWriteRecordsDoesNotAllocate is the runtime half of the record
+// writer's //repute:hotpath contract: once the line buffer has grown to
+// the longest record, mapped, secondary, unmapped and mate records are
+// all formatted without a heap allocation.
+func TestWriteRecordsDoesNotAllocate(t *testing.T) {
+	w, err := NewWriter(io.Discard, "chr21", 46_709_983)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := bytes.Repeat([]byte("ACGT"), 25)
+	alns := []Alignment{
+		{RName: "chr21", Pos: 12_345_678, Strand: mapper.Reverse, Dist: 3, MAPQ: 40, Cigar: "100M"},
+		{RName: "chr21", Pos: 99, Strand: mapper.Forward, Dist: 5},
+	}
+	pair := mapper.Pair{
+		First:  mapper.Mapping{Pos: 1000, Strand: mapper.Forward, Dist: 1},
+		Second: mapper.Mapping{Pos: 1300, Strand: mapper.Reverse, Dist: 2},
+		Insert: 400,
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := w.WriteAlignments("read/1", seq, alns); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteAlignments("read/2", seq, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WritePair("read/3", seq, seq, pair, ""); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("writing records allocates %.1f times per run, want 0", allocs)
 	}
 }

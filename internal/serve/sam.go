@@ -22,7 +22,11 @@ import (
 func WriteReadAlignments(sw *sam.Writer, g *genome.Genome, p *core.Pipeline,
 	name string, read []byte, ms []mapper.Mapping, cigar bool, maxErrors int) (int, error) {
 	dropped := 0
-	var alns []sam.Alignment
+	// Both scratch slices start on the stack, so a read of ordinary length
+	// with a handful of alignments is written without a heap allocation.
+	var alnBuf [8]sam.Alignment
+	var seqBuf [256]byte
+	alns, seq := alnBuf[:0], seqBuf[:0]
 	for _, m := range ms {
 		if g.SpansBoundary(int(m.Pos), len(read)) {
 			dropped++
@@ -50,7 +54,10 @@ func WriteReadAlignments(sw *sam.Writer, g *genome.Genome, p *core.Pipeline,
 		}
 		alns = append(alns, aln)
 	}
-	if err := sw.WriteAlignments(name, []byte(dna.Decode(read)), alns); err != nil {
+	for _, c := range read {
+		seq = append(seq, dna.ASCIIOf(c))
+	}
+	if err := sw.WriteAlignments(name, seq, alns); err != nil {
 		return dropped, err
 	}
 	return dropped, nil
