@@ -258,6 +258,15 @@ func DefaultMinSeedLen(readLen, errors int) int {
 	return smin
 }
 
+// minSeedLen is the Smin a read of readLen bases is seeded with: the
+// explicit one when set, else the default for that read's own length.
+func minSeedLen(explicit, readLen, errors int) int {
+	if explicit > 0 {
+		return explicit
+	}
+	return DefaultMinSeedLen(readLen, errors)
+}
+
 // apportion splits total into per-device counts proportional to the
 // positive weights. The rounding remainder goes to the device with the
 // largest weight — never to one whose weight is zero or negative.
@@ -345,7 +354,7 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 	if err := mapper.ValidateReads(reads, opt); err != nil {
 		return nil, err
 	}
-	if err := p.validateOverlap(reads, opt); err != nil {
+	if err := p.validateLengths(reads, opt); err != nil {
 		return nil, err
 	}
 	// Chaos hook: REPUTE_CL_FAULTS turns any pipeline run into a
@@ -579,21 +588,28 @@ func (p *Pipeline) span(lane string, start, dur float64, ev func() (string, []tr
 	p.tracer.Span(lane, name, start, dur, attrs...)
 }
 
-// validateOverlap rejects shard-dispatch runs whose reads are too long
-// for the overlap the shards were built with: a read of length L mapping
-// with up to δ edits needs every candidate window of length L+2δ around
-// an owned position to be inside the owning shard's slice, so the slice
-// margin must be at least L+2δ. Failing loudly here is what makes the
-// shard-vs-whole equivalence guarantee honest.
-func (p *Pipeline) validateOverlap(reads [][]byte, opt mapper.Options) error {
+// validateLengths refuses, before anything launches, reads the run cannot
+// seed or place. The DP selector needs δ+1 seeds of Smin in every read,
+// so an explicit MinSeedLen longer reads could host is refused naming the
+// first read that cannot (the default Smin is chosen per read and always
+// fits). And a read of length L mapping with up to δ edits under shard
+// dispatch needs every candidate window of length L+2δ around an owned
+// position inside the owning shard's slice, so the slice margin must be
+// at least L+2δ; failing loudly here is what makes the shard-vs-whole
+// equivalence guarantee honest.
+func (p *Pipeline) validateLengths(reads [][]byte, opt mapper.Options) error {
+	_, dp := p.selector.(seed.REPUTE)
+	parts := opt.MaxErrors + 1
+	maxLen := 0
+	for i, r := range reads {
+		if dp && opt.MinSeedLen > 0 && len(r) < parts*opt.MinSeedLen {
+			return fmt.Errorf("core: read %d of length %d cannot host %d seeds of MinSeedLen %d",
+				i, len(r), parts, opt.MinSeedLen)
+		}
+		maxLen = max(maxLen, len(r))
+	}
 	if !p.Sharded() {
 		return nil
-	}
-	maxLen := 0
-	for _, r := range reads {
-		if len(r) > maxLen {
-			maxLen = len(r)
-		}
 	}
 	if need := maxLen + 2*opt.MaxErrors; p.overlap < need {
 		return fmt.Errorf("core: shard overlap %d is too small for %d-base reads with %d errors (need >= %d); rebuild the index with a larger overlap",
@@ -875,13 +891,15 @@ func instrumentKernel(k *cl.Kernel, h *trace.Histogram) *cl.Kernel {
 type generator struct {
 	ix       *fmindex.Index
 	selector seed.Selector
-	params   seed.Params
-	maxCand  int // located candidates per strand (first-n policy: the verification slots are static)
+	params   seed.Params // MinSeedLen 0: each pattern's own default
+	maxCand  int         // located candidates per strand (first-n policy: the verification slots are static)
 }
 
 //repute:hotpath
 func (g *generator) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
-	sel, err := g.selector.Select(g.ix, pattern, g.params)
+	params := g.params
+	params.MinSeedLen = minSeedLen(params.MinSeedLen, len(pattern), params.Errors)
+	sel, err := g.selector.Select(g.ix, pattern, params)
 	if err != nil {
 		// Static kernels cannot recover; surface as a launch
 		// failure like a real kernel fault would.
@@ -900,19 +918,23 @@ func (g *generator) generate(st *mapper.State, pattern []byte, strand byte, cost
 // ownership geometry, the static buffer sizes, and REPUTE's first-n
 // report policy.
 func (p *Pipeline) newBatch(sh *Shard, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) *mapper.Batch {
-	readLen := len(reads[0])
 	params := seed.Params{
 		Errors:      opt.MaxErrors,
 		MinSeedLen:  opt.MinSeedLen,
 		MaxSeedFreq: opt.MaxSeedFreq,
 	}
-	if params.MinSeedLen <= 0 {
-		params.MinSeedLen = DefaultMinSeedLen(readLen, opt.MaxErrors)
+	// A static kernel declares its worst work item: the longest read's
+	// transfer and the largest DP any read's own Smin implies.
+	readLen, private := 0, 0
+	for _, r := range reads {
+		readLen = max(readLen, len(r))
+		smin := minSeedLen(opt.MinSeedLen, len(r), opt.MaxErrors)
+		private = max(private, seed.DPPeakMem(len(r), opt.MaxErrors, smin, p.selector))
 	}
 	gen := &generator{ix: sh.Index, selector: p.selector, params: params, maxCand: 2 * opt.MaxLocations}
 	return &mapper.Batch{
 		Name:         p.name,
-		PrivateBytes: int64(seed.DPPeakMem(readLen, opt.MaxErrors, params.MinSeedLen, p.selector)),
+		PrivateBytes: int64(private),
 		Generate:     gen.generate,
 		Text:         sh.Index.Text(),
 		SliceStart:   sh.SliceStart, OwnStart: sh.OwnStart, OwnEnd: sh.OwnEnd,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -253,10 +254,73 @@ func TestPipelineInfeasibleSminSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Smin 30 with 4 seeds needs 120 bases; reads are 100.
+	// Smin 30 with 4 seeds needs 120 bases; reads are 100. The refusal
+	// comes before launch and names the read.
 	_, err = p.Map(set.Reads, mapper.Options{MaxErrors: 3, MinSeedLen: 30})
-	if err == nil {
-		t.Error("infeasible Smin accepted")
+	if err == nil || !strings.Contains(err.Error(), "read 0 of length 100 cannot host 4 seeds") {
+		t.Errorf("infeasible Smin: got %v", err)
+	}
+	// Only the DP selector needs the seeds to fit; CORAL shrinks them.
+	coral, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Selector: seed.CORAL{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coral.Map(set.Reads, mapper.Options{MaxErrors: 3, MinSeedLen: 30}); err != nil {
+		t.Errorf("CORAL refused Smin 30: %v", err)
+	}
+}
+
+// TestMixedLengthBatchMapsEachReadAsAlone: Smin and the kernel's private
+// bytes are per read, not reads[0]'s. At δ = 5, [100 bp, 40 bp] used to
+// fail the whole call — the 40 bp read cannot host 6 seeds of the 100 bp
+// read's Smin 9 — and [40 bp, 100 bp] seeded the 100 bp read with the
+// 40 bp read's Smin 6. Both orders must map, and seed, every read as it
+// is mapped and seeded alone.
+func TestMixedLengthBatchMapsEachReadAsAlone(t *testing.T) {
+	ref, _ := testWorld(t, 50_000, 1, simulate.ERR012100)
+	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := append([]byte(nil), ref[12_000:12_100]...)
+	long[30], long[70] = (long[30]+1)%4, (long[70]+2)%4
+	short := append([]byte(nil), ref[31_000:31_040]...)
+	short[20] = (short[20] + 1) % 4
+	opt := mapper.Options{MaxErrors: 5, MaxLocations: 100}
+	alone := map[int]*mapper.Result{}
+	for _, r := range [][]byte{long, short} {
+		res, err := p.Map([][]byte{r}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Mappings[0]) == 0 {
+			t.Fatalf("%d bp read maps nowhere alone; the check is vacuous", len(r))
+		}
+		alone[len(r)] = res
+	}
+	for _, reads := range [][][]byte{{long, short}, {short, long}} {
+		res, err := p.Map(reads, opt)
+		if err != nil {
+			t.Errorf("[%d bp, %d bp]: %v", len(reads[0]), len(reads[1]), err)
+			continue
+		}
+		for i, r := range reads {
+			if !reflect.DeepEqual(res.Mappings[i], alone[len(r)].Mappings[0]) {
+				t.Errorf("[%d bp, %d bp]: read %d maps to %v, alone to %v",
+					len(reads[0]), len(reads[1]), i, res.Mappings[i], alone[len(r)].Mappings[0])
+			}
+		}
+		for _, f := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"FMSteps", res.Cost.FMSteps, alone[100].Cost.FMSteps + alone[40].Cost.FMSteps},
+			{"DPCells", res.Cost.DPCells, alone[100].Cost.DPCells + alone[40].Cost.DPCells},
+		} {
+			if f.got != f.want {
+				t.Errorf("[%d bp, %d bp]: %s %d, the reads alone %d", len(reads[0]), len(reads[1]), f.name, f.got, f.want)
+			}
+		}
 	}
 }
 

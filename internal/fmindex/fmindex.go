@@ -62,6 +62,11 @@ type Index struct {
 	// writes 0 there; a deserialized index keeps whatever the file held.
 	sentinelBase byte
 	text         dna.PackedSeq
+	// kmers is the host-only k-mer table (kmer.go): the interval of every
+	// pattern of length 0..depth, filled from rank at build and load. It
+	// is no file section and no part of SizeBytes.
+	kmers []kmerRange
+	depth int
 
 	// Locate support: exactly one of sa or (samples, sampled) is set.
 	sa         []int32
@@ -96,6 +101,7 @@ func buildFromSA(text []byte, sa []int32, opts Options) *Index {
 	ix.cArr[4] = sum
 
 	ix.buildRank(dna.Pack(bw).Bytes())
+	ix.buildKmers()
 
 	if opts.SASampleRate <= 0 {
 		ix.sa = sa
@@ -281,8 +287,8 @@ func (ix *Index) LocateSteps() float64 {
 // SizeBytes reports the device footprint of the index structures (packed
 // bwt + int32 occ checkpoints + locate support + retained text) — the
 // sections WriteTo emits, sized from n, not the host's interleaved rank
-// blocks. The simulated OpenCL devices check this against their
-// allocation limits.
+// blocks, and not the host-only k-mer table. The simulated OpenCL devices
+// check this against their allocation limits.
 func (ix *Index) SizeBytes() int64 {
 	size := int64(expectedBWTBytes(ix.n)) + int64(expectedOccLen(ix.n))*4 + int64(len(ix.text.Bytes()))
 	if ix.sa != nil {

@@ -39,7 +39,7 @@ func fuzzSeedBlobs(tb testing.TB) [][]byte {
 // input that does parse must re-serialize to exactly the bytes consumed —
 // i.e. accepted inputs are precisely the image of WriteTo — and must rank
 // like a byte-at-a-time scan of its own BWT section, whatever placeholder
-// and padding bits the mutation left there.
+// and padding bits the mutation left there, and answer Lookup as Range.
 func FuzzIndexReadFrom(f *testing.F) {
 	for _, blob := range fuzzSeedBlobs(f) {
 		f.Add(blob)
@@ -86,6 +86,7 @@ func FuzzIndexReadFrom(f *testing.F) {
 			t.Fatalf("accepted index does not round-trip to its input prefix")
 		}
 		checkOccAt(t, ix, bwtCodes(ix))
+		checkLookup(t, ix)
 	})
 }
 

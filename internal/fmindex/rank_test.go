@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -146,11 +147,13 @@ func TestReadFromRejectsWrongCheckpoints(t *testing.T) {
 	}
 	occOffset := bwtSectionOffset + int(expectedBWTBytes(700)) + 8 + int(expectedTextBytes(700)) + 8
 	for _, entry := range []int{0, 5, int(expectedOccLen(700)) - 1} {
-		data := bytes.Clone(buf.Bytes())
 		off := occOffset + 4*entry
-		binary.LittleEndian.PutUint32(data[off:], binary.LittleEndian.Uint32(data[off:])+1)
-		if _, err := ReadFrom(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("occ entry %d off by one: err = %v, want ErrCorrupt", entry, err)
+		for _, bad := range []uint32{binary.LittleEndian.Uint32(buf.Bytes()[off:]) + 1, math.MaxUint32} {
+			data := bytes.Clone(buf.Bytes())
+			binary.LittleEndian.PutUint32(data[off:], bad)
+			if _, err := ReadFrom(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("occ entry %d set to %d: err = %v, want ErrCorrupt", entry, bad, err)
+			}
 		}
 	}
 }

@@ -305,6 +305,31 @@ func (d *decoder) int32s(name string, want uint64, limit, step int) ([]int32, er
 	return out, nil
 }
 
+// occ reads the checkpoint section against the rank blocks buildRank
+// counted from the BWT words, where it lies and without a copy: a stream
+// whose lengths agree but whose checkpoints are wrong is refused here and
+// cannot answer with wrong intervals.
+func (d *decoder) occ(rank []rankBlock) error {
+	want := 4 * len(rank)
+	if err := d.length("occ", "entries", uint64(want), 4); err != nil {
+		return err
+	}
+	for i := 0; i < want; {
+		b, err := d.window(4, 4*(want-i))
+		if err != nil {
+			return err
+		}
+		for k := 0; k < len(b); k, i = k+4, i+1 {
+			j, base := i/4, i%4
+			if got, c := binary.LittleEndian.Uint32(b[k:]), rank[j].occ[base]; uint64(got) != c {
+				return corruptf("occ checkpoint %d holds %d for base %d, the bwt counts %d", j, int32(got), base, c)
+			}
+		}
+		d.skip(len(b))
+	}
+	return nil
+}
+
 func (d *decoder) uint64s(name string, want uint64) ([]uint64, error) {
 	if err := d.length(name, "words", want, 8); err != nil {
 		return nil, err
@@ -398,27 +423,25 @@ func ReadFrom(r io.Reader) (*Index, error) {
 		return nil, err
 	}
 	ix.text = dna.FromPacked(textBytes, ix.n)
-	occ, err := d.int32s("occ", expectedOccLen(ix.n), ix.n+1, 1)
-	if err != nil {
-		return nil, err
-	}
-	// Interleaving recounts every checkpoint from the BWT words, so a
-	// stream whose lengths agree but whose checkpoints are wrong is
-	// refused here and cannot answer with wrong intervals.
 	ix.buildRank(bwtBytes)
-	for j := range ix.rank {
-		for b, c := range ix.rank[j].occ {
-			if occ[4*j+b] != int32(c) {
-				return nil, corruptf("occ checkpoint %d holds %d for base %d, the bwt counts %d",
-					j, occ[4*j+b], b, c)
-			}
-		}
+	if err := d.occ(ix.rank); err != nil {
+		return nil, err
 	}
 	for b, c := range ix.counts {
 		if got := ix.occAt(byte(b), ix.n+1); got != c {
 			return nil, corruptf("header counts %d of base %d, the bwt holds %d", c, b, got)
 		}
 	}
+	sum := 1
+	for b := 0; b < 4; b++ {
+		ix.cArr[b] = sum
+		sum += ix.counts[b]
+	}
+	ix.cArr[4] = sum
+	// Rank and cArr are all the k-mer table reads, and both are final and
+	// verified here; internal/index's hashing goroutine works on the chunk
+	// it holds meanwhile (DESIGN.md §12).
+	ix.buildKmers()
 	mode, err := d.u32()
 	if err != nil {
 		return nil, err
@@ -451,12 +474,6 @@ func ReadFrom(r io.Reader) (*Index, error) {
 		return nil, corruptf("unknown locate mode %d", mode)
 	}
 
-	sum := 1
-	for b := 0; b < 4; b++ {
-		ix.cArr[b] = sum
-		sum += ix.counts[b]
-	}
-	ix.cArr[4] = sum
 	if err := ix.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", err, ErrCorrupt)
 	}

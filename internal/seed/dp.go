@@ -53,6 +53,13 @@ func (OSS) Select(ix *fmindex.Index, read []byte, p Params) (Selection, error) {
 // shared by every iteration that examines it — the OSS-style "efficient
 // use of FM-index backward search" §II-B mentions. Results are identical;
 // the walk count drops by about the iteration overlap factor.
+//
+// The divider scan and the walk take the Optimal Seed Solver's two cuts
+// (DESIGN.md §4 "Seed selection"): a row's divider u is scanned from v
+// down, shortest last seed first, and stops at the first u with
+// opt[j-1][u] > best — opt is non-increasing in v and a seed's count in
+// its length, so no divider further left can do better — and the walk
+// from e is extended only to the longest seed that scan reads.
 func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, error) {
 	p := Params{Errors: errors, MinSeedLen: smin}
 	n := len(read)
@@ -76,7 +83,6 @@ func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, erro
 	}
 
 	w := n - parts*smin // exploration window; offsets v, u are in [0, w]
-	walker := &freqWalker{ix: ix}
 	const inf = int32(1<<31 - 1)
 
 	// opt rows for j = 1..parts at stride w+1; bt rows for j = 2..parts.
@@ -85,7 +91,8 @@ func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, erro
 		opt[i] = inf
 	}
 	bt := make([]uint16, (parts-1)*(w+1))
-	counts := make([]int32, smin+w)
+	walker := &freqWalker{ix: ix, read: read, table: min(ix.Depth(), smin),
+		counts: make([]int32, smin+w)}
 	row := func(j int) []int32 { return opt[(j-1)*(w+1) : j*(w+1)] }
 
 	cells := 0
@@ -110,33 +117,26 @@ func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, erro
 			}
 		}
 		// One shared leftward walk covers every seed ending at e.
-		maxNeed := smin + w
-		if e < maxNeed {
-			maxNeed = e
-		}
-		walker.walk(read, e, maxNeed, counts[:maxNeed], nil, nil)
+		walker.reset(e)
 
 		for j := jLo; j <= jHi; j++ {
 			v := e - j*smin
 			if j == 1 {
 				// Single seed covering the whole prefix read[0:e].
-				f := int32(0)
-				if e <= maxNeed {
-					f = counts[e-1]
-				}
-				row(1)[v] = f
+				row(1)[v] = walker.count(e)
 				cells++
 				continue
 			}
 			prev := row(j - 1)
 			best, bestU := inf, 0
-			for u := 0; u <= v; u++ {
+			// Ties go to the smallest u, as a left-to-right scan keeping
+			// the first strict minimum would pick: hence <= below.
+			for u := v; u >= 0 && prev[u] <= best; u-- {
 				if prev[u] == inf {
-					continue
+					continue // inf + f overflows
 				}
 				// Seed read[(j-1)*smin+u : e] has length smin+v-u.
-				f := counts[smin+v-u-1]
-				if c := prev[u] + f; c < best {
+				if c := prev[u] + walker.count(smin+v-u); c <= best {
 					best, bestU = c, u
 				}
 				cells++
@@ -168,6 +168,6 @@ func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, erro
 	sel.TotalCandidates = totalOf(seeds)
 	sel.FMSteps = walker.fmSteps
 	sel.DPCells = cells
-	sel.PeakMemBytes = len(opt)*4 + len(bt)*2 + len(counts)*4
+	sel.PeakMemBytes = len(opt)*4 + len(bt)*2 + len(walker.counts)*4
 	return sel, nil
 }

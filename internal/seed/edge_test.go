@@ -139,6 +139,7 @@ func TestDPEdgeCasesAgainstOracle(t *testing.T) {
 				t.Errorf("dividers %v are not among the %d oracle optima",
 					seedEnds(sel), len(optima))
 			}
+			checkAgainstOracle(t, ix, tc.read, tc.errors, tc.smin)
 		})
 	}
 }

@@ -79,47 +79,82 @@ type Selector interface {
 	Select(ix *fmindex.Index, read []byte, p Params) (Selection, error)
 }
 
-// freqWalker computes candidate counts for seeds sharing an end position
-// by walking the FM index leftwards once. counts[k] is the count of
-// read[end-1-k : end], i.e. the seed of length k+1.
+// freqWalker is the leftward frequency walk from one end position of the
+// read, kept as resumable state — the interval of read[end-k:end] for the
+// length k reached so far and the count of every length on the way — so
+// that it is extended only as far as the DP asks. It charges one FM step
+// per extension until the interval is empty; every longer seed then has
+// no occurrence and costs nothing.
 type freqWalker struct {
-	ix      *fmindex.Index
+	ix   *fmindex.Index
+	read []byte
+	// table is how many bases the first lookup takes from the k-mer
+	// table, min(Depth(), Smin): the DP never asks for a shorter seed.
+	table   int
+	end, k  int
+	lo, hi  int
+	counts  []int32 // counts[l-1] is the count of read[end-l:end], table ≤ l ≤ k
 	fmSteps int
 }
 
-// walk fills counts for seed lengths 1..maxLen ending at end (exclusive).
-// Extensions stop charging FM steps once the interval is empty (all longer
-// seeds then have zero occurrences). It also records the SA interval per
-// length in los/his when those slices are non-nil.
-func (w *freqWalker) walk(read []byte, end, maxLen int, counts []int32, los, his []int32) {
-	lo, hi := w.ix.Start()
-	empty := false
-	for k := 0; k < maxLen; k++ {
-		if !empty {
-			lo, hi = w.ix.ExtendLeft(read[end-1-k], lo, hi)
-			w.fmSteps++
-			if lo >= hi {
-				empty = true
-			}
-		}
-		if empty {
-			counts[k] = 0
-			if los != nil {
-				los[k], his[k] = 0, 0
-			}
-		} else {
-			counts[k] = int32(hi - lo)
-			if los != nil {
-				los[k], his[k] = int32(lo), int32(hi)
-			}
+// reset starts the walk from end at the interval of its last `table`
+// bases, looked up and charged as the `table` FM steps that reach it
+// (DESIGN.md §4 "Seed selection"). When that k-mer does not occur it walks
+// from the full interval instead, so the steps charged are still the ones
+// the kernel's step-by-step walk takes before its interval empties.
+//
+//repute:hotpath
+func (w *freqWalker) reset(end int) {
+	w.end, w.k = end, 0
+	w.lo, w.hi = w.ix.Start()
+	if t := w.table; t > 0 {
+		if lo, hi := w.ix.Lookup(w.read[end-t : end]); lo < hi {
+			w.lo, w.hi, w.k = lo, hi, t
+			w.counts[t-1] = int32(hi - lo)
+			w.fmSteps += t
 		}
 	}
 }
 
-// searchSeed runs a plain backward search for read[start:end] and returns
-// the interval plus the number of FM steps spent.
+// count returns the candidate count of the seed read[end-l:end].
+//
+//repute:hotpath
+func (w *freqWalker) count(l int) int32 {
+	if l > w.k && !w.extend(l) {
+		return 0
+	}
+	return w.counts[l-1]
+}
+
+// extend walks on towards length l and reports whether it got there
+// before the interval emptied.
+//
+//repute:hotpath
+func (w *freqWalker) extend(l int) bool {
+	for w.k < l && w.lo < w.hi {
+		w.lo, w.hi = w.ix.ExtendLeft(w.read[w.end-1-w.k], w.lo, w.hi)
+		w.counts[w.k] = int32(max(w.hi-w.lo, 0))
+		w.k++
+		w.fmSteps++
+	}
+	return w.k >= l
+}
+
+// searchSeed runs a backward search for read[start:end] and returns the
+// interval plus the FM steps it charges. The last min(Depth(), length)
+// bases come from the k-mer table when they occur, charged as the steps
+// they stand for; the rest of the seed, or all of it when they do not
+// occur, is walked.
+//
+//repute:hotpath
 func searchSeed(ix *fmindex.Index, read []byte, start, end int) (lo, hi, steps int) {
 	lo, hi = ix.Start()
+	if t := min(ix.Depth(), end-start); t > 0 {
+		if tlo, thi := ix.Lookup(read[end-t : end]); tlo < thi {
+			lo, hi, steps = tlo, thi, t
+			end -= t
+		}
+	}
 	for i := end - 1; i >= start; i-- {
 		lo, hi = ix.ExtendLeft(read[i], lo, hi)
 		steps++

@@ -163,6 +163,7 @@ func TestREPUTEOptimalVsBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: seed %d shorter than Smin: %+v", trial, i, s)
 			}
 		}
+		checkAgainstOracle(t, ix, read, errors, smin)
 	}
 }
 
@@ -183,6 +184,7 @@ func TestOSSOptimalVsBruteForce(t *testing.T) {
 		if got.TotalCandidates != want {
 			t.Fatalf("trial %d: OSS total %d, brute force %d", trial, got.TotalCandidates, want)
 		}
+		checkAgainstOracle(t, ix, read, errors, 1)
 	}
 }
 
