@@ -102,3 +102,49 @@ func TestSmokeExactMetricsGolden(t *testing.T) {
 	}
 	checkGolden(t, "testdata/smoke_exact.golden", exact.Bytes())
 }
+
+// TestShapeChecksGolden pins the paper's conclusions as this
+// reproduction reaches them: the PASS/FAIL set and the detail lines of
+// CheckShapes over the six paper experiments at the tiny scale, seed 1
+// (`go run ./cmd/experiments -scale tiny -run all` prints the same
+// lines last). A change that flips a conclusion or moves a detail
+// regenerates the file with
+// go test ./internal/bench -run ShapeChecksGolden -update
+// and explains the move in DESIGN.md §5 and CHANGES.md.
+func TestShapeChecksGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper experiments in -short mode")
+	}
+	t.Setenv("REPUTE_CL_FAULTS", "")
+	ds, err := BuildDataset(Tiny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, err := Table1(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := Table2(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t3, err := Table3(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t4, err := Table4(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f3, err := RunFig3(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f4, err := RunFig4(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	RenderChecks(&buf, CheckShapes(t1, t2, t3, t4, f3, f4))
+	checkGolden(t, "testdata/shapes_tiny.golden", buf.Bytes())
+}
