@@ -171,27 +171,6 @@ func TestVerifyRejects(t *testing.T) {
 	}
 }
 
-func TestBandedVsDP(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 200; trial++ {
-		m := 20 + rng.Intn(100)
-		k := rng.Intn(6)
-		p := randSeq(rng, m)
-		// Verification-window shape: pattern plus 2k flanking positions.
-		mutated := mutate(rng, p, rng.Intn(k+1))
-		window := append(append(randSeq(rng, k), mutated...), randSeq(rng, k)...)
-		gotEnd, gotDist := BandedDistance(p, window, k)
-		wantEnd, wantDist := DistanceDP(p, window, k)
-		if gotDist != wantDist {
-			t.Fatalf("trial %d (m=%d k=%d): banded dist %d want %d",
-				trial, m, k, gotDist, wantDist)
-		}
-		if wantDist >= 0 && gotEnd != wantEnd {
-			t.Fatalf("trial %d: banded end %d want %d", trial, gotEnd, wantEnd)
-		}
-	}
-}
-
 func TestMyersProperty(t *testing.T) {
 	f := func(rawP, rawT []byte, kRaw uint8) bool {
 		if len(rawP) == 0 {
@@ -252,17 +231,23 @@ func TestDistanceEdgeCases(t *testing.T) {
 	}
 }
 
-func TestWordCost(t *testing.T) {
-	for _, tc := range []struct{ m, want int }{{1, 1}, {64, 1}, {65, 2}, {128, 2}, {150, 3}} {
-		if got := WordCost(tc.m); got != tc.want {
-			t.Errorf("WordCost(%d) = %d want %d", tc.m, got, tc.want)
+// TestBandWords pins the charge of the windows the mappers verify:
+// against the full scan's ⌈m/64⌉ words per column, the band keeps the
+// block-columns within maxDist of a diagonal a window can hold.
+func TestBandWords(t *testing.T) {
+	for _, tc := range []struct{ m, k, n, want int }{
+		{100, 5, 110, 131},  // full scan 220
+		{100, 2, 104, 113},  // 208
+		{100, 0, 100, 101},  // 200
+		{150, 7, 164, 222},  // 492
+		{64, 3, 70, 70},     // one block runs every column
+		{100, 5, 94, 0},     // too short for any match
+		{100, 200, 50, 100}, // a budget past m bands nothing
+		{0, 5, 10, 0},
+	} {
+		if got := BandWords(tc.m, tc.k, tc.n); got != tc.want {
+			t.Errorf("BandWords(%d, %d, %d) = %d want %d", tc.m, tc.k, tc.n, got, tc.want)
 		}
-	}
-}
-
-func TestPopcountWords(t *testing.T) {
-	if got := popcountWords([]uint64{0b1011, 1 << 63}); got != 4 {
-		t.Errorf("popcountWords = %d want 4", got)
 	}
 }
 

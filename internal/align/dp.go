@@ -64,83 +64,3 @@ func OccurrencesDP(pattern, text []byte, maxDist int, fn func(end, dist int)) {
 		}
 	}
 }
-
-// BandedDistance computes the semi-global distance restricted to a
-// diagonal band of half-width maxDist around the main diagonal, the
-// classic Ukkonen cut-off. It is exact whenever the true distance is
-// <= maxDist and the window length is within m+maxDist. Used by the
-// BWA-MEM-style extender and as the verification ablation baseline.
-func BandedDistance(pattern, text []byte, maxDist int) (end, dist int) {
-	m, n := len(pattern), len(text)
-	if m == 0 {
-		return 0, 0
-	}
-	const inf = 1 << 30
-	width := 2*maxDist + 1
-	// band[i] covers columns j in [i-maxDist, i+maxDist] shifted so the
-	// pattern aligns near the diagonal. Because the start is free we also
-	// allow j offsets up to n-m+maxDist; to keep the band exact for the
-	// pigeonhole windows (n ≈ m + 2δ) we widen by the length difference.
-	slack := n - m
-	if slack < 0 {
-		slack = 0
-	}
-	width += slack
-	prev := make([]int, width+2)
-	cur := make([]int, width+2)
-	lowOf := func(i int) int { return i - maxDist }
-	for k := range prev {
-		j := lowOf(0) + k
-		if j >= 0 {
-			prev[k] = 0 // D[0][j] = 0 (free start)
-		} else {
-			prev[k] = inf
-		}
-	}
-	bestEnd, bestDist := -1, maxDist+1
-	for i := 1; i <= m; i++ {
-		lo := lowOf(i)
-		for k := 0; k < width+2; k++ {
-			j := lo + k
-			if j < 0 || j > n {
-				cur[k] = inf
-				continue
-			}
-			if j == 0 {
-				cur[k] = i
-				continue
-			}
-			cost := 1
-			if pattern[i-1] == text[j-1] {
-				cost = 0
-			}
-			best := inf
-			// prev row, prev col: D[i-1][j-1] is at index k in prev
-			// (prev row's lo is lo-1, so j-1 sits at the same k).
-			if v := prev[k]; v < inf {
-				best = v + cost
-			}
-			// prev row, same col: D[i-1][j] at index k+1 in prev.
-			if k+1 < len(prev) && prev[k+1] < inf && prev[k+1]+1 < best {
-				best = prev[k+1] + 1
-			}
-			// same row, prev col: D[i][j-1] at index k-1.
-			if k-1 >= 0 && cur[k-1] < inf && cur[k-1]+1 < best {
-				best = cur[k-1] + 1
-			}
-			cur[k] = best
-		}
-		prev, cur = cur, prev
-	}
-	lo := lowOf(m)
-	for k := 0; k < width+2; k++ {
-		j := lo + k
-		if j >= 1 && j <= n && prev[k] < bestDist {
-			bestDist, bestEnd = prev[k], j
-		}
-	}
-	if bestEnd < 0 {
-		return -1, -1
-	}
-	return bestEnd, bestDist
-}

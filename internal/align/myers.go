@@ -1,15 +1,16 @@
 // Package align implements the verification-stage string matching used by
 // every mapper in this repository: Myers' bit-vector algorithm (Myers,
-// J. ACM 1999) in the multi-word block formulation of Hyyrö, a banded DP
-// variant, and plain dynamic-programming references that the fast paths
-// are tested against.
+// J. ACM 1999) in the multi-word block formulation of Hyyrö, banded by
+// block to the diagonals a bounded alignment can use (Ukkonen's cut-off),
+// and plain dynamic-programming references that the fast path is tested
+// against.
 //
 // All functions perform semi-global alignment: the whole pattern must
 // align, but it may start and end anywhere in the text window, which is
 // exactly the verification problem after pigeonhole filtration.
 package align
 
-import "math/bits"
+import "math"
 
 // Match describes one verified alignment inside a text window.
 // Start/End are window coordinates with the usual half-open convention;
@@ -42,6 +43,11 @@ type Verifier struct {
 	// pv and mv are the vertical delta vectors of the blocks past the
 	// second; the first two are locals of the scan.
 	pv, mv []uint64
+	// cols adds up the block-columns of every scan's band, counted per
+	// phase before it runs; noExit turns the hopeless exit off, so that
+	// the two agree. Both are for tests.
+	cols   int
+	noExit bool
 }
 
 // Reset binds the verifier to pattern, building the forward and the
@@ -89,14 +95,14 @@ func step(pv, mv, eq, hp, hm uint64) (pvOut, mvOut, hpOut, hmOut uint64) {
 	return mhs | ^(xv | phs), phs & xv, ph >> 63, mh >> 63
 }
 
-// tail advances the blocks past the second by one column; eq is the match
-// masks from block 2's entry for the column's base on. It is kept out of
-// line so that scan's loop, which every pattern of up to 128 rows never
-// leaves, has no slice state to keep live.
+// tail advances blocks from…to (from >= 2) by one column; eq is the match
+// masks from block from's entry for the column's base on. It is kept out
+// of line so that scan's loop, which every pattern of up to 128 rows
+// never leaves, has no slice state to keep live.
 //
 //go:noinline
-func (v *Verifier) tail(eq []uint64, hp, hm uint64) (hpOut, hmOut uint64) {
-	pv, mv := v.pv[:v.words-2], v.mv[:v.words-2]
+func (v *Verifier) tail(eq []uint64, from, to int, hp, hm uint64) (hpOut, hmOut uint64) {
+	pv, mv := v.pv[from-2:to-1], v.mv[from-2:to-1]
 	for b := range pv {
 		pv[b], mv[b], hp, hm = step(pv[b], mv[b], eq[4*b], hp, hm)
 	}
@@ -109,13 +115,29 @@ func (v *Verifier) tail(eq []uint64, hp, hm uint64) (hpOut, hmOut uint64) {
 // column whose score is <= maxDist. It returns the earliest column of the
 // lowest score, or (-1, -1) when none is within maxDist.
 //
-// The bottom-row score falls by at most one per column, so the scan stops
-// as soon as the score exceeds maxDist by more than the columns left: no
-// later column can be reported.
+// The scan is banded by block (Ukkonen's cut-off). An alignment of at
+// most maxDist edits starts in a column >= 0, so it is in row i (1..m) at
+// column j only if i <= j + maxDist; it ends in a column <= n, so only if
+// j − i <= n − m + maxDist. Block b, whose last row is m − 64(w−1−b),
+// therefore runs from column m − maxDist − 64(w−b), one column before
+// its first row can be in the band, to column n + maxDist − 64(w−1−b),
+// the last its last row can be. A block enters with the all-+1 vertical
+// deltas of column 0 under the block above; a block below one that has
+// left takes a +1 horizontal delta. Both can only overestimate, and only
+// off every path of at most maxDist edits, so each score <= maxDist is
+// exact and every other column stays above maxDist. BandWords counts the
+// block-columns.
+//
+// Once the last block runs, the scan stops as soon as the bottom-row
+// score exceeds maxDist by more than the columns left: it falls by at
+// most one per column, so no later column can be reported.
 //
 //repute:hotpath
 func (v *Verifier) scan(peq []uint64, text []byte, first, stride, maxDist int, fn func(end, dist int)) (bestEnd, bestDist int) {
 	w, n := v.words, len(text)
+	if n < v.m-maxDist {
+		return -1, -1 // too short to hold m − maxDist of the pattern's rows
+	}
 	lead := (*[8]uint64)(peq)
 	pv0, pv1 := v.top, ^uint64(0)
 	var mv0, mv1 uint64
@@ -124,40 +146,78 @@ func (v *Verifier) scan(peq []uint64, text []byte, first, stride, maxDist int, f
 			v.pv[b], v.mv[b] = ^uint64(0), 0
 		}
 	}
-	score := v.m
+	// Blocks lo…hi run; score is the last row of block hi. Block hi+1
+	// runs from column enter, block lo up to column leave.
+	lo, hi := 0, 0
+	score, enter, leave := v.m-64*(w-1), v.m-maxDist-64*(w-1), n+maxDist-64*(w-1)
+	for hi < w-1 && enter <= 1 {
+		hi, score, enter = hi+1, score+64, enter+64
+	}
 	bestEnd, bestDist = -1, maxDist+1
 	j, i := 0, first
 scan:
 	for j < n {
-		// The inner loop runs to the next reported column. The first two
-		// blocks' vectors — all there is for a pattern of up to 128 rows —
-		// are scalars, so on that path the loop indexes no slice but the
-		// text and makes no call.
-		for {
-			c := int(text[i] & 3)
-			i += stride
-			j++
-			var hp, hm uint64
-			pv0, mv0, hp, hm = step(pv0, mv0, lead[c], 0, 0)
-			if w > 1 {
-				pv1, mv1, hp, hm = step(pv1, mv1, lead[4+c], hp, hm)
-				if w > 2 {
-					hp, hm = v.tail(peq[8+c:], hp, hm)
+		// One phase: the columns over which lo and hi hold. Until the last
+		// block runs, no column is reportable and none is hopeless.
+		stop := n
+		if hi < w-1 {
+			stop = min(stop, enter-1)
+		}
+		if lo < hi {
+			stop = min(stop, leave)
+		}
+		v.cols += (stop - j) * (hi - lo + 1)
+		report, hopeless := -1, math.MaxInt
+		if hi == w-1 {
+			report = maxDist
+			if !v.noExit {
+				hopeless = maxDist
+			}
+		}
+		hin := uint64(min(lo, 1)) // +1 under a block that has left
+		run0, run1, runTail, from := lo == 0, lo <= 1 && hi >= 1, hi >= 2, max(lo, 2)
+		for j < stop {
+			// The inner loop runs to the next reported column or the
+			// phase's end. The first two blocks' vectors — all there is for
+			// a pattern of up to 128 rows — are scalars, so on that path the
+			// loop indexes no slice but the text and makes no call.
+			for {
+				c := int(text[i] & 3)
+				i += stride
+				j++
+				hp, hm := hin, uint64(0)
+				if run0 {
+					pv0, mv0, hp, hm = step(pv0, mv0, lead[c], 0, 0)
+				}
+				if run1 {
+					pv1, mv1, hp, hm = step(pv1, mv1, lead[4+c], hp, hm)
+				}
+				if runTail {
+					hp, hm = v.tail(peq[4*from+c:], from, hi, hp, hm)
+				}
+				score += int(hp) - int(hm)
+				if score <= report || j == stop {
+					break
+				}
+				if score-(n-j) > hopeless {
+					break scan
 				}
 			}
-			score += int(hp) - int(hm)
-			if score <= maxDist {
-				break
+			if score > report {
+				continue
 			}
-			if score-(n-j) > maxDist {
-				break scan // hopeless, or the last column
+			if fn != nil {
+				fn(j, score)
+			}
+			if score < bestDist {
+				bestEnd, bestDist = j, score
 			}
 		}
-		if fn != nil {
-			fn(j, score)
+		if hi < w-1 && j == enter-1 {
+			hi, score, enter = hi+1, score+64, enter+64
 		}
-		if score < bestDist {
-			bestEnd, bestDist = j, score
+		if lo < hi && j == leave {
+			lo, leave = lo+1, leave+64
 		}
 	}
 	if bestEnd < 0 {
@@ -230,16 +290,17 @@ func Verify(pattern, window []byte, maxDist int) (Match, bool) {
 	return v.Verify(window, maxDist)
 }
 
-// WordCost reports the number of 64-bit block updates one column costs
-// for a pattern of length m — the unit the simulated kernels account per
-// verified window column.
-func WordCost(m int) int { return (m + 63) / 64 }
-
-// popcountWords is exposed for whitebox testing of bit bookkeeping.
-func popcountWords(ws []uint64) int {
-	n := 0
-	for _, w := range ws {
-		n += bits.OnesCount64(w)
+// BandWords is the number of 64-bit block-columns the banded scan of a
+// pattern of m rows computes over a window of n columns at budget
+// maxDist when it runs to the last column — the words a work item
+// without data-dependent exits updates, and what a window costs.
+func BandWords(m, maxDist, n int) int {
+	if m == 0 || n < m-maxDist {
+		return 0
 	}
-	return n
+	w, words := (m+63)/64, 0
+	for b := range w {
+		words += min(n, n+maxDist-64*(w-1-b)) - max(1, m-maxDist-64*(w-b)) + 1
+	}
+	return words
 }

@@ -108,6 +108,55 @@ func TestVerifierVsDP(t *testing.T) {
 			}
 		}
 	}
+	// The band: for patterns across the 64- and 128-row block edges, every
+	// window length from m − k to m + 2k at every budget k up to 20 (a band
+	// wider than a block), each window holding an edited copy at a random
+	// offset, then long texts over which every block stays live.
+	for _, m := range []int{1, 20, 63, 64, 65, 100, 127, 128, 129, 150, 192, 193} {
+		p := randSeq(rng, m)
+		shared.Reset(p)
+		for k := 0; k <= 20; k++ {
+			for n := max(m-k, 0); n <= m+2*k; n++ {
+				checkAgainstDP(t, &shared, p, plant(rng, mutate(rng, p, rng.Intn(k+1)), n), k)
+			}
+		}
+		long := slices.Concat(randSeq(rng, 300), mutate(rng, p, 3), randSeq(rng, 150), mutate(rng, p, 12), randSeq(rng, 200))
+		for _, k := range []int{0, 3, 12, 20} {
+			checkAgainstDP(t, &shared, p, long, k)
+		}
+	}
+}
+
+// plant returns a window of n bases holding hit at a random offset, or a
+// random n-base piece of hit when it does not fit.
+func plant(rng *rand.Rand, hit []byte, n int) []byte {
+	if len(hit) > n {
+		at := rng.Intn(len(hit) - n + 1)
+		return hit[at : at+n]
+	}
+	at := rng.Intn(n - len(hit) + 1)
+	return slices.Concat(randSeq(rng, at), hit, randSeq(rng, n-at-len(hit)))
+}
+
+// TestBandWordsMatchesScan holds BandWords to the block-columns the scan
+// computes when the hopeless exit is off, so that it runs every window to
+// the last column.
+func TestBandWordsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	text := randSeq(rng, 400)
+	v := Verifier{noExit: true}
+	for m := 1; m <= 260; m += 1 + m/8 {
+		v.Reset(randSeq(rng, m))
+		for _, k := range []int{0, 1, 2, 5, 7, 13, 20, 63, 64, 65, m - 1, m, m + 3} {
+			for n := range min(m+2*k+70, len(text)) + 1 {
+				v.cols = 0
+				v.scan(v.peq, text[:n], 0, 1, k, nil)
+				if want := BandWords(m, k, n); v.cols != want {
+					t.Fatalf("m=%d k=%d n=%d: scan computed %d block-columns, BandWords %d", m, k, n, v.cols, want)
+				}
+			}
+		}
+	}
 }
 
 func TestVerifierEmptyPattern(t *testing.T) {
@@ -145,7 +194,8 @@ func TestVerifierDoesNotAllocate(t *testing.T) {
 }
 
 // FuzzVerifierVsDP feeds arbitrary patterns, windows and budgets to one
-// long-lived Verifier and holds it to the DP oracles.
+// long-lived Verifier and holds it to the DP oracles, then cuts the
+// window to every length from m − k to m + 2k at k mod 21.
 func FuzzVerifierVsDP(f *testing.F) {
 	f.Add([]byte("ACGTACGT"), []byte("TTACGAACGTTT"), uint8(2))
 	f.Add([]byte{0}, []byte{}, uint8(0))
@@ -165,5 +215,13 @@ func FuzzVerifierVsDP(f *testing.F) {
 		}
 		v.Reset(p)
 		checkAgainstDP(t, &v, p, w, int(k))
+		// Every window length the band distinguishes, the pattern's own
+		// copy at either end.
+		k %= 21
+		ext := slices.Concat(w, p, w)
+		for n := max(len(p)-int(k), 0); n <= min(len(p)+2*int(k), len(ext)); n++ {
+			checkAgainstDP(t, &v, p, ext[:n], int(k))
+			checkAgainstDP(t, &v, p, ext[len(ext)-n:], int(k))
+		}
 	})
 }

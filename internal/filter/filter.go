@@ -204,8 +204,8 @@ func (st *State) Accept(window []byte) (bool, int64) {
 		unmatched -= bits.OnesCount64(st.acc[w])
 	}
 	// Cost: one filter word per (shift, pattern word) lane plus the
-	// window register build, the same accounting granularity as
-	// align.WordCost for the Myers kernel.
+	// window register build: one 64-bit word per update, the unit
+	// align.BandWords counts for the Myers kernel.
 	words := int64(shifts*wp) + int64(dna.Alphabet*vw)
 	return unmatched <= Threshold(delta), words
 }

@@ -144,22 +144,19 @@ func (e extender) mapRead(st *mapper.State, read []byte, cost *cl.Cost) []mapper
 		}
 		win := text.SliceInto(sc.window, lo, hi)
 		pattern := st.Pattern(read, strand)
-		// Full-bandwidth banded SW extension per chain.
+		// Full-bandwidth banded SW extension per chain, computed as the
+		// banded Myers scan, whose band is the same cut-off.
 		cost.DPCells += int64((2*bandWidth + 1) * n)
-		end, dist := align.BandedDistance(pattern, win, e.maxErr)
-		if end < 0 || uint8(dist) >= best.Dist {
-			continue
-		}
-		// Recover the start with a Myers reverse pass.
-		cost.VerifyWords += int64(align.WordCost(n) * end)
 		if verStrand != strand {
 			sc.ver.Reset(pattern)
 			verStrand = strand
 		}
-		match, ok := sc.ver.Verify(win[:end], dist)
-		if !ok {
+		match, ok := sc.ver.Verify(win, e.maxErr)
+		if !ok || uint8(match.Dist) >= best.Dist {
 			continue
 		}
+		// Recover the start with a Myers reverse pass.
+		cost.VerifyWords += int64(align.BandWords(n, match.Dist, match.End))
 		best = mapper.Mapping{Pos: int32(lo + match.Start), Strand: strand, Dist: uint8(match.Dist)}
 	}
 	if int(best.Dist) > e.maxErr {

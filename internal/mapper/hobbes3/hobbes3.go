@@ -144,7 +144,7 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
 	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
-		q := m.chooseQ(len(b.Reads[0]), b.MaxErrors)
+		q := m.chooseQ(b.ShortestRead(), b.MaxErrors)
 		ix, err := m.grams.Get(q)
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/eval"
 	"repro/internal/sam"
@@ -357,5 +358,48 @@ func TestPrefilterHonouredByEveryMapper(t *testing.T) {
 				t.Errorf("nothing filtered but VerifyWords %d != unfiltered %d", c.VerifyWords, c0.VerifyWords)
 			}
 		})
+	}
+}
+
+// TestMixedLengthBatchMapsEachReadAsAlone: a mapper whose filter is sized
+// by read length sizes it for the batch's shortest read, and RazerS3's
+// q-gram threshold is per read. At δ = 8 a 60 bp read needs a shorter
+// gram than a 100 bp one in RazerS3 and Hobbes3, so sizing the batch by
+// its first read loses the 60 bp read behind a 100 bp one. In both
+// orders every read must map exactly as it does alone — in every mapper,
+// though only those two, lossless, are sure to place the 60 bp read.
+func TestMixedLengthBatchMapsEachReadAsAlone(t *testing.T) {
+	w := buildWorld(t, 50_000, 1, simulate.ERR012100)
+	long := append([]byte(nil), w.ref[12_000:12_100]...)
+	long[30], long[70] = (long[30]+1)%4, (long[70]+2)%4
+	short := append([]byte(nil), w.ref[31_000:31_060]...)
+	for _, at := range []int{6, 18, 30, 42, 54} {
+		short[at] = (short[at] + 1) % 4
+	}
+	opt := mapper.Options{MaxErrors: 8, MaxLocations: 100}
+	for name, m := range w.mappers {
+		alone := map[int][]mapper.Mapping{}
+		for _, r := range [][]byte{long, short} {
+			res, err := m.Map([][]byte{r}, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(res.Mappings[0]) == 0 && (name == "RazerS3" || name == "Hobbes3") {
+				t.Fatalf("%s: %d bp read maps nowhere alone; the check is vacuous", name, len(r))
+			}
+			alone[len(r)] = res.Mappings[0]
+		}
+		for _, reads := range [][][]byte{{long, short}, {short, long}} {
+			res, err := m.Map(reads, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, r := range reads {
+				if !slices.Equal(res.Mappings[i], alone[len(r)]) {
+					t.Errorf("%s [%d bp, %d bp]: read %d maps to %v, alone to %v",
+						name, len(reads[0]), len(reads[1]), i, res.Mappings[i], alone[len(r)])
+				}
+			}
+		}
 	}
 }

@@ -274,7 +274,7 @@ func (vs *VerifyState) Verify(text dna.PackedSeq, read []byte, cands []Candidate
 		}
 		win := text.SliceInto(vs.window, lo, hi)
 		cost.Windows++
-		cost.VerifyWords += int64(align.WordCost(n) * len(win))
+		cost.VerifyWords += int64(align.BandWords(n, maxDist, len(win)))
 		m, ok := ver.Verify(win, maxDist)
 		if !ok {
 			continue

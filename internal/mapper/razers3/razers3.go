@@ -37,26 +37,27 @@ func New(ref []byte, dev *cl.Device, maxQ int) (*Mapper, error) {
 // Name implements mapper.Mapper.
 func (m *Mapper) Name() string { return "RazerS3" }
 
-// chooseQ picks the largest usable gram length for (n, δ): the q-gram
-// lemma threshold t = n+1-(δ+1)q must stay comfortably positive.
-func (m *Mapper) chooseQ(readLen, errors int) (q, t int) {
-	q = m.grams.MaxQ()
-	for q > 1 {
-		t = readLen + 1 - (errors+1)*q
-		if t >= 2 {
-			return q, t
-		}
+// chooseQ picks the largest usable gram length for reads of at least
+// readLen bases: the q-gram lemma threshold must stay comfortably
+// positive (>= 2) for the shortest.
+func (m *Mapper) chooseQ(readLen, errors int) int {
+	q := m.grams.MaxQ()
+	for q > 1 && threshold(readLen, errors, q) < 2 {
 		q--
 	}
-	return 1, readLen - errors // degenerate but still sound
+	return q // at q = 1 degenerate but still sound
 }
 
+// threshold is the q-gram lemma's t = n+1-(δ+1)q: a read of n bases
+// within δ edits of a location shares at least t q-grams with it.
+func threshold(n, errors, q int) int { return n + 1 - (errors+1)*q }
+
 // generator is the SWIFT-style counting filter (mapper.Generator): a
-// diagonal is a candidate when at least t of the read's q-grams hit
-// within maxErr diagonals of it.
+// diagonal is a candidate when at least the pattern's threshold of its
+// q-grams hit within maxErr diagonals of it.
 type generator struct {
-	ix           *qgram.Index
-	q, t, maxErr int
+	ix        *qgram.Index
+	q, maxErr int
 }
 
 // scratch is the generator's worker-private memory.
@@ -74,7 +75,7 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 			sc.diags = append(sc.diags, p-int32(i))
 		}
 	}
-	diags := sc.diags
+	diags, t := sc.diags, threshold(len(pattern), g.maxErr, g.q)
 	slices.Sort(diags)
 	cost.DPCells += int64(len(diags)) // sort/merge work proxy
 	// Sliding window over sorted diagonals: an alignment with
@@ -84,7 +85,7 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 		for diags[hi]-diags[lo] > int32(g.maxErr) {
 			lo++
 		}
-		if hi-lo+1 >= g.t {
+		if hi-lo+1 >= t {
 			st.Cands = append(st.Cands, mapper.Candidate{Pos: diags[lo], Strand: strand})
 		}
 	}
@@ -93,14 +94,14 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
 	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
-		q, t := m.chooseQ(len(b.Reads[0]), b.MaxErrors)
+		q := m.chooseQ(b.ShortestRead(), b.MaxErrors)
 		ix, err := m.grams.Get(q)
 		if err != nil {
 			return nil, err
 		}
 		b.Name, b.PrivateBytes = "razers3", 512
 		b.NewScratch = func() any { return new(scratch) }
-		b.Generate = generator{ix: ix, q: q, t: t, maxErr: b.MaxErrors}.generate
+		b.Generate = generator{ix: ix, q: q, maxErr: b.MaxErrors}.generate
 		return b.Kernel(), nil
 	})
 }

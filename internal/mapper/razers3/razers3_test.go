@@ -52,14 +52,12 @@ func TestChooseQThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, thr := m.chooseQ(100, 3)
-	if q != 11 || thr != 100+1-4*11 {
-		t.Errorf("chooseQ(100,3) = %d,%d", q, thr)
+	if q := m.chooseQ(100, 3); q != 11 || threshold(100, 3, q) != 100+1-4*11 {
+		t.Errorf("chooseQ(100,3) = %d", q)
 	}
 	// Very high error loads force a smaller q so the threshold stays >= 2.
-	q, thr = m.chooseQ(100, 20)
-	if thr < 2 || q*(20+1) > 100-1 {
-		t.Errorf("chooseQ(100,20) = %d,%d violates the lemma bound", q, thr)
+	if q := m.chooseQ(100, 20); threshold(100, 20, q) < 2 || q*(20+1) > 100-1 {
+		t.Errorf("chooseQ(100,20) = %d violates the lemma bound", q)
 	}
 }
 
@@ -189,12 +187,12 @@ func TestGeneratorAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := mutateK(rng, ref[4000:4100], 3)
-	q, thr := m.chooseQ(len(read), 4)
+	q := m.chooseQ(len(read), 4)
 	ix, err := m.grams.Get(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := generator{ix: ix, q: q, t: thr, maxErr: 4}.generate
+	gen := generator{ix: ix, q: q, maxErr: 4}.generate
 	st := &mapper.State{Scratch: new(scratch)}
 	var cost cl.Cost
 	item := func() { st.Generate(gen, read, &cost) }
