@@ -53,14 +53,14 @@ func main() {
 	fmt.Printf("Fig. 2 — the DP runs δ=%d iterations over an exploration space of %d prefixes\n",
 		delta, n-smin*(delta+1)+1)
 	fmt.Printf("(window = n − Smin·(δ+1) + 1), then backtracks to recover all dividers.\n")
-	fmt.Printf("accounting: %d FM-index steps, %d DP cells, %d B peak kernel memory\n",
+	fmt.Printf("accounting: %d FM-index steps, %d DP cells, %d B selector working set\n",
 		rep.FMSteps, rep.DPCells, rep.PeakMemBytes)
 
 	oss, err := seed.OSS{}.Select(ix, read, seed.Params{Errors: delta})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nfull OSS for contrast: %d candidates, %d DP cells, %d B peak memory\n",
+	fmt.Printf("\nfull OSS for contrast: %d candidates, %d DP cells, %d B working set\n",
 		oss.TotalCandidates, oss.DPCells, oss.PeakMemBytes)
 	fmt.Printf("REPUTE keeps %.0f%% of the optimum at %.0f%% of the memory.\n",
 		100*ratio(oss.TotalCandidates, rep.TotalCandidates),
@@ -105,11 +105,4 @@ func ratio(a, b int) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -54,12 +54,17 @@ func (OSS) Select(ix *fmindex.Index, read []byte, p Params) (Selection, error) {
 // use of FM-index backward search" §II-B mentions. Results are identical;
 // the walk count drops by about the iteration overlap factor.
 //
-// The divider scan and the walk take the Optimal Seed Solver's two cuts
-// (DESIGN.md §4 "Seed selection"): a row's divider u is scanned from v
-// down, shortest last seed first, and stops at the first u with
-// opt[j-1][u] > best — opt is non-increasing in v and a seed's count in
-// its length, so no divider further left can do better — and the walk
-// from e is extended only to the longest seed that scan reads.
+// The divider scan and the walk take three of the Optimal Seed Solver's
+// cuts (DESIGN.md §4 "Seed selection"). Divider cascading: the smallest
+// optimal divider bt[j][v] never decreases in v (the counts obey the
+// quadrangle inequality), so for j < δ+1 and v > 0 the scan evaluates
+// lb = bt[j][v-1] first and searches only (lb, v]. Early termination: u
+// is scanned from v down, shortest last seed first, and stops once
+// opt[j-1][u] + count(lb) exceeds best, or equals it while best is lb's —
+// opt is non-increasing in v and a seed's count in its length, so no
+// divider in (lb, u] can do better (without a cascade, count(lb) is 0).
+// The pull walk: the walk from e is extended only to the longest seed the
+// scan reads.
 func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, error) {
 	p := Params{Errors: errors, MinSeedLen: smin}
 	n := len(read)
@@ -128,15 +133,26 @@ func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, erro
 				continue
 			}
 			prev := row(j - 1)
-			best, bestU := inf, 0
+			// Seed read[(j-1)*smin+u : e] has length smin+v-u.
+			best, bestU, lb := inf, 0, -1
+			var bound int32
+			if j < parts && v > 0 {
+				// Cascade: the divider at v is at least the one at v-1.
+				// Its seed is the longest the scan may need, so its count
+				// bounds every divider below the ones scanned.
+				lb = int(bt[(j-2)*(w+1)+v-1])
+				bound = walker.count(smin + v - lb)
+				best, bestU = prev[lb]+bound, lb
+				cells++
+			}
 			// Ties go to the smallest u, as a left-to-right scan keeping
-			// the first strict minimum would pick: hence <= below.
-			for u := v; u >= 0 && prev[u] <= best; u-- {
-				if prev[u] == inf {
-					continue // inf + f overflows
+			// the first strict minimum would pick: lb wins them outright,
+			// and between scanned dividers the later (smaller) one does.
+			for u := v; u > lb; u-- {
+				if b := prev[u] + bound; b > best || b == best && bestU == lb {
+					break
 				}
-				// Seed read[(j-1)*smin+u : e] has length smin+v-u.
-				if c := prev[u] + walker.count(smin+v-u); c <= best {
+				if c := prev[u] + walker.count(smin+v-u); c < best || c == best && bestU != lb {
 					best, bestU = c, u
 				}
 				cells++

@@ -10,21 +10,22 @@ import (
 	"repro/internal/fmindex"
 )
 
-// eagerSelect is dpSelect before the divider cut, the pull walk and the
-// k-mer table: every divider u = 0..v is scanned left to right keeping the
-// first strict minimum, every end's walk runs eagerly from the full
-// interval to min(Smin+W, e) bases, and every final seed is searched base
-// by base. It is the oracle the production selector must match seed for
+// eagerSelect is dpSelect before divider cascading, the divider cut, the
+// pull walk and the k-mer table: every divider u = 0..v is scanned left to
+// right keeping the first strict minimum, every end's walk runs eagerly
+// from the full interval to min(Smin+W, e) bases, and every final seed is
+// searched base by base. It is the oracle the production selector must match seed for
 // seed while charging no more FM steps and DP cells. It also returns its
-// opt rows (j = 1..δ+1 at stride W+1) for the monotonicity properties.
-func eagerSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, []int32, error) {
+// opt rows (j = 1..δ+1 at stride W+1) and its smallest-argmin divider rows
+// bt (j = 2..δ+1, same stride) for the monotonicity properties.
+func eagerSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, []int32, []uint16, error) {
 	n := len(read)
 	if err := (Params{Errors: errors, MinSeedLen: smin}).validate(n); err != nil {
-		return Selection{}, nil, err
+		return Selection{}, nil, nil, err
 	}
 	parts := errors + 1
 	if n < parts*smin {
-		return Selection{}, nil, fmt.Errorf(
+		return Selection{}, nil, nil, fmt.Errorf(
 			"seed: read length %d < %d seeds × Smin %d", n, parts, smin)
 	}
 	steps := 0
@@ -38,7 +39,7 @@ func eagerSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, [
 	}
 	if errors == 0 {
 		s := search(0, n)
-		return Selection{Seeds: []Seed{s}, TotalCandidates: s.Count(), FMSteps: steps, PeakMemBytes: 16}, nil, nil
+		return Selection{Seeds: []Seed{s}, TotalCandidates: s.Count(), FMSteps: steps, PeakMemBytes: 16}, nil, nil, nil
 	}
 
 	w := n - parts*smin
@@ -110,7 +111,7 @@ func eagerSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, [
 		FMSteps:         steps,
 		DPCells:         cells,
 		PeakMemBytes:    len(opt)*4 + len(bt)*2 + len(counts)*4,
-	}, opt, nil
+	}, opt, bt, nil
 }
 
 // checkAgainstOracle selects read with REPUTE (at smin) and OSS and holds
@@ -123,7 +124,7 @@ func checkAgainstOracle(t *testing.T, ix *fmindex.Index, read []byte, errors, sm
 		smin int
 	}{{REPUTE{}, smin}, {OSS{}, 1}} {
 		got, gerr := tc.sel.Select(ix, read, Params{Errors: errors, MinSeedLen: tc.smin})
-		want, _, werr := eagerSelect(ix, read, errors, tc.smin)
+		want, _, _, werr := eagerSelect(ix, read, errors, tc.smin)
 		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
 			t.Fatalf("%s n=%d δ=%d smin=%d: error %v, oracle %v", tc.sel.Name(), len(read), errors, tc.smin, gerr, werr)
 		}

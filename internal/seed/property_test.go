@@ -78,7 +78,7 @@ func TestDPRowNonIncreasing(t *testing.T) {
 		if (errors+1)*smin > n {
 			return true
 		}
-		_, opt, err := eagerSelect(ix, read, errors, smin)
+		_, opt, _, err := eagerSelect(ix, read, errors, smin)
 		if err != nil {
 			return false
 		}
@@ -125,6 +125,160 @@ func TestSeedCountNonIncreasingInLength(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCountQuadrangle is the fact divider cascading rests on: writing
+// F(x, y) for the count of read[x:y], F(a,c) + F(b,d) ≤ F(a,d) + F(b,c)
+// for every a ≤ b ≤ c ≤ d. The occurrences of read[a:c] and of read[b:d]
+// both embed in those of read[b:c], and read[a:d] occurs exactly where
+// both do, so |A ∩ B| ≥ |A| + |B| − |S|. Counts come from searchSeed, and
+// every count the walker returns from an end d, whatever its table
+// lookup, must equal them. Texts are random, periodic and repetitive,
+// sized for k-mer table depths 0 to 5; reads are up to 40 bases, with
+// and without substitutions.
+func TestCountQuadrangle(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	texts := []struct {
+		name  string
+		text  []byte
+		depth int
+	}{
+		{"random-400", randText(rng, 400), 0},
+		{"periodic-1k", periodicText(rng, 1_000, 5), 1},
+		{"repetitive-3k", repetitiveText(rng, 3_000), 2},
+		{"random-10k", randText(rng, 10_000), 3},
+		{"periodic-40k", periodicText(rng, 40_000, 7), 4},
+		{"repetitive-140k", repetitiveText(rng, 140_000), 5},
+	}
+	for _, tt := range texts {
+		t.Run(tt.name, func(t *testing.T) {
+			ix := fmindex.Build(tt.text, fmindex.Options{})
+			if ix.Depth() != tt.depth {
+				t.Fatalf("k-mer table depth %d, want %d", ix.Depth(), tt.depth)
+			}
+			for trial := 0; trial < 20; trial++ {
+				n := 1 + rng.Intn(40)
+				start := rng.Intn(len(tt.text) - n + 1)
+				read := append([]byte(nil), tt.text[start:start+n]...)
+				for k := trial % 2 * (1 + rng.Intn(3)); k > 0; k-- {
+					read[rng.Intn(n)] = byte(rng.Intn(4))
+				}
+				f := make([][]int, n+1) // f[x][y] = F(x, y), x ≤ y
+				for x := range f {
+					f[x] = make([]int, n+1)
+					for y := x; y <= n; y++ {
+						lo, hi, _ := searchSeed(ix, read, x, y)
+						f[x][y] = max(hi-lo, 0)
+					}
+				}
+				for d := 1; d <= n; d++ {
+					for tbl := 0; tbl <= min(ix.Depth(), d); tbl++ {
+						w := &freqWalker{ix: ix, read: read, table: tbl, counts: make([]int32, n)}
+						w.reset(d)
+						for l := max(tbl, 1); l <= d; l++ {
+							if got := int(w.count(l)); got != f[d-l][d] {
+								t.Fatalf("read %v: walker (table %d) count of [%d:%d] = %d, search %d", read, tbl, d-l, d, got, f[d-l][d])
+							}
+						}
+					}
+				}
+				for a := 0; a <= n; a++ {
+					for b := a; b <= n; b++ {
+						for c := b; c <= n; c++ {
+							for d := c; d <= n; d++ {
+								if f[a][c]+f[b][d] > f[a][d]+f[b][c] {
+									t.Fatalf("read %v: F(%d,%d)+F(%d,%d) = %d+%d > F(%d,%d)+F(%d,%d) = %d+%d",
+										read, a, c, b, d, f[a][c], f[b][d], a, d, b, c, f[a][d], f[b][c])
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDividerCascades is the cascade itself: on the eager oracle, whose
+// bt keeps the smallest argmin u of every opt[j][v], the divider of every
+// row j < δ+1 never decreases in v — so dpSelect may evaluate bt[j][v-1]
+// first and scan only the dividers above it. It follows from the
+// quadrangle inequality: were the smallest argmin u2 at v2 below the
+// smallest argmin u1 at v1 < v2, u2 would do at least as well as u1 at v1.
+// Reads come from a repetitive and a periodic text (long runs of ties),
+// with and without substitutions.
+func TestDividerCascades(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	repetitive := propIndex()
+	periodic := periodicText(rng, 6_000, 3)
+	for _, tt := range []struct {
+		name string
+		ix   *fmindex.Index
+		text []byte
+	}{
+		{"repetitive-20k", repetitive, sharedText},
+		{"periodic-6k", fmindex.Build(periodic, fmindex.Options{}), periodic},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			for trial := 0; trial < 300; trial++ {
+				n := 20 + rng.Intn(131)
+				start := rng.Intn(len(tt.text) - n + 1)
+				read := append([]byte(nil), tt.text[start:start+n]...)
+				for k := rng.Intn(4); k > 0; k-- {
+					read[rng.Intn(n)] = byte(rng.Intn(4))
+				}
+				errors, smin := 1+rng.Intn(7), 1+rng.Intn(16)
+				if (errors+1)*smin > n {
+					continue
+				}
+				_, _, bt, err := eagerSelect(tt.ix, read, errors, smin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := n - (errors+1)*smin
+				for j := 2; j <= errors; j++ { // row δ+1 holds only v = W
+					row := bt[(j-2)*(w+1) : (j-1)*(w+1)]
+					for v := 1; v <= w; v++ {
+						if row[v] < row[v-1] {
+							t.Fatalf("n=%d δ=%d smin=%d: bt[%d][%d]=%d < bt[%d][%d]=%d",
+								n, errors, smin, j, v, row[v], j, v-1, row[v-1])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDPPeakMemVsSelection pins the two memory figures of the REPUTE
+// selector against each other: DPPeakMem is the paper's two-live-row
+// kernel, the figure the device model charges, and Selection.PeakMemBytes
+// is dpSelect's own δ+1 opt rows, so for δ ≥ 1 the second exceeds the
+// first, less its 256 fixed bytes, by (δ−1)·(W+1)·4.
+func TestDPPeakMemVsSelection(t *testing.T) {
+	ix := propIndex()
+	for _, tc := range []struct{ n, errors, smin, kernel int }{
+		{100, 1, 14, 1330},
+		{100, 2, 14, 1252},
+		{100, 5, 14, 682},
+		{150, 7, 12, 1730},
+		{150, 4, 20, 1352},
+		{64, 3, 16, 334},
+	} {
+		w := tc.n - (tc.errors+1)*tc.smin
+		kernel := DPPeakMem(tc.n, tc.errors, tc.smin, REPUTE{})
+		if kernel != tc.kernel {
+			t.Errorf("n=%d δ=%d smin=%d: DPPeakMem %d, want %d", tc.n, tc.errors, tc.smin, kernel, tc.kernel)
+		}
+		sel, err := (REPUTE{}).Select(ix, sharedText[:tc.n], Params{Errors: tc.errors, MinSeedLen: tc.smin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sel.PeakMemBytes-(kernel-256), (tc.errors-1)*(w+1)*4; got != want {
+			t.Errorf("n=%d δ=%d smin=%d: PeakMemBytes %d − (DPPeakMem %d − 256) = %d, want (δ−1)·(W+1)·4 = %d",
+				tc.n, tc.errors, tc.smin, sel.PeakMemBytes, kernel, got, want)
+		}
 	}
 }
 

@@ -177,9 +177,14 @@ func totalOf(seeds []Seed) int {
 // DPPeakMem estimates the private working set (bytes per work item) a
 // selector's kernel needs for reads of length n — the figure a host must
 // declare before launching a static OpenCL 1.2 kernel, and the quantity
-// the paper's Smin trade-off controls. The REPUTE estimate mirrors
-// dpSelect's actual allocations; OSS is the same shape over the whole
-// read; the serial strategies carry only a few registers.
+// the paper's Smin trade-off controls. The REPUTE estimate is the paper's
+// kernel: two live opt rows of W+1 entries, the δ-row backtracking matrix
+// and the walk's counts. It is not dpSelect's own footprint, which
+// Selection.PeakMemBytes reports: dpSelect keeps all δ+1 opt rows, so that
+// figure is this one, less the fixed registers, plus (δ−1)·(W+1)·4 bytes
+// (TestDPPeakMemVsSelection). The device model charges this estimate. OSS
+// is the same shape over the whole read; the serial strategies carry only
+// a few registers.
 func DPPeakMem(n, errors, smin int, sel Selector) int {
 	const fixed = 256 // interval registers, verification window bookkeeping
 	if smin < 1 {
