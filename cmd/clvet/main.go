@@ -1,13 +1,12 @@
 // Command clvet runs the repository's static-analysis suite
-// (internal/analysis/clvet): the simulated-OpenCL kernel contract, the
-// whole-pipeline checks (determinism, lock-guard annotations, error
-// taxonomy, trace discipline), the one hot-path allocation rule and the
-// directive grammar.
+// (internal/analysis/clvet): pipeline determinism, lock-guard
+// annotations, the error taxonomy of internal/cl, the one hot-path
+// allocation rule and the directive grammar. Test files are not
+// analyzed.
 //
 // Usage:
 //
 //	go run ./cmd/clvet ./...
-//	go run ./cmd/clvet -tests ./internal/cl
 //	go run ./cmd/clvet -json ./... > findings.json
 //
 // Diagnostics print in go-vet style (file:line:col: message (analyzer))
@@ -38,25 +37,16 @@ type finding struct {
 }
 
 func main() {
-	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
-	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: clvet [-tests] [-json] [packages]\n\nAnalyzers:\n")
+			"usage: clvet [-json] [packages]\n\nAnalyzers:\n")
 		for _, a := range clvet.Analyzers() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-18s %s\n", a.Name, a.Doc)
 		}
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range clvet.Analyzers() {
-			fmt.Printf("%s: %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -67,7 +57,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	loader.IncludeTests = *tests
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fatal(err)

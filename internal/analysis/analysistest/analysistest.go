@@ -35,7 +35,7 @@ type expectation struct {
 // Run loads testdata/src/<pkg> for each named package, applies the
 // analyzer, and reports mismatches on t. The testdata directory must
 // live inside the module so that testdata sources may import real
-// module packages (the kernel contract types in internal/cl).
+// module packages.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	loader, err := analysis.NewLoader(testdata)

@@ -1,7 +1,6 @@
 package analysis
 
-// A package-local call graph built from source, generalising the
-// reachability walk clvet's costcharge introduced: nodes are this
+// A package-local call graph built from source: nodes are this
 // package's declared functions and methods, edges are direct calls
 // resolved through the type checker. Calls into other packages are not
 // followed — interprocedural checks that need a property to hold across
@@ -28,21 +27,20 @@ type CallGraph struct {
 func NewCallGraph(pass *Pass) *CallGraph {
 	g := &CallGraph{
 		pass:    pass,
-		decls:   FuncDecls(pass),
+		decls:   funcDecls(pass),
 		callees: map[*types.Func][]*types.Func{},
 	}
 	for fn, fd := range g.decls {
 		if fd.Body != nil {
-			g.callees[fn] = g.CalleesIn(fd.Body)
+			g.callees[fn] = g.calleesIn(fd.Body)
 		}
 	}
 	return g
 }
 
-// CalleesIn returns the distinct same-package functions called directly
-// inside n — how a function literal that is a root of its own (a kernel
-// body) joins the graph.
-func (g *CallGraph) CalleesIn(n ast.Node) []*types.Func {
+// calleesIn returns the distinct same-package functions called directly
+// inside n.
+func (g *CallGraph) calleesIn(n ast.Node) []*types.Func {
 	var out []*types.Func
 	seen := map[*types.Func]bool{}
 	ast.Inspect(n, func(n ast.Node) bool {

@@ -7,43 +7,6 @@ import (
 	"repro/internal/analysis/clvet"
 )
 
-func TestKernelCapture(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.KernelCapture, "kernelcapture")
-}
-
-func TestKernelCapturePrefilter(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.KernelCapture, "prefiltercapture")
-}
-
-// TestKernelAlloc and TestKernelAllocPrefilter hold the allocation rule
-// to everything the retired kernelalloc analyzer reported in kernel
-// bodies; TestHotAlloc* cover //repute:hotpath functions.
-func TestKernelAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.HotAlloc, "kernelalloc")
-}
-
-func TestKernelAllocPrefilter(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.HotAlloc, "prefilteralloc")
-}
-
-// TestKernelAllocReachesGenerator is the call-graph case: the per-call
-// make sits in a helper of a generator that only the kernel body calls.
-func TestKernelAllocReachesGenerator(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.HotAlloc, "generatoralloc")
-}
-
-func TestKernelDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.KernelDeterminism, "kerneldeterminism")
-}
-
-func TestCostCharge(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.CostCharge, "costcharge")
-}
-
-func TestCostChargePrefilter(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.CostCharge, "prefiltercost")
-}
-
 func TestPipeDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", clvet.PipeDeterminism, "pipedeterminism")
 }
@@ -60,10 +23,6 @@ func TestErrWrap(t *testing.T) {
 	analysistest.Run(t, "testdata", clvet.ErrWrap, "errwrap")
 }
 
-func TestTraceDisc(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.TraceDisc, "tracedisc")
-}
-
 func TestHotAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata", clvet.HotAlloc, "hotalloc")
 }
@@ -77,8 +36,7 @@ func TestDirective(t *testing.T) {
 }
 
 func TestAnalyzers(t *testing.T) {
-	want := []string{"kernelcapture", "kerneldeterminism", "costcharge", "pipedeterminism",
-		"lockguard", "errwrap", "tracedisc", "hotalloc", "directive"}
+	want := []string{"pipedeterminism", "lockguard", "errwrap", "hotalloc", "directive"}
 	var got []string
 	for _, a := range clvet.Analyzers() {
 		got = append(got, a.Name)

@@ -35,9 +35,6 @@ func runErrWrap(pass *analysis.Pass) error {
 	}
 	dirs := analysis.NewDirectives(pass)
 	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
-			continue
-		}
 		analysis.WalkParents(f, func(n ast.Node, parents []ast.Node) {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

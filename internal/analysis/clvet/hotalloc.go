@@ -8,20 +8,20 @@ import (
 	"repro/internal/analysis"
 )
 
-// HotAlloc is the one allocation rule. Its roots are the simulated-OpenCL
-// kernel bodies — OpenCL 1.2 kernels cannot allocate at all: outputs live
-// in fixed slots prepared by the host — and the functions annotated
-// //repute:hotpath, the per-item and per-record loops where GC pressure
-// compounds at service QPS. A root and everything it transitively calls
-// in the same package (a kernel's stage functions and candidate
-// generator included) must not allocate outside owned scratch.
+// HotAlloc is the one allocation rule. Its roots are the functions
+// annotated //repute:hotpath: the per-item and per-record loops, where
+// GC pressure compounds at service QPS, and the mapping kernel's
+// per-read work item — OpenCL 1.2 kernels cannot allocate at all;
+// outputs live in fixed slots prepared by the host. A root and
+// everything it transitively calls in the same package (its stage
+// functions and candidate generator included) must not allocate outside
+// owned scratch.
 //
-// Owned scratch is storage rooted at a kernel body's state parameter
-// (the value cl.Kernel.NewState built for the worker) or, in a function,
-// at the receiver or a parameter (vs.window = make(...), s.buf =
-// append(s.buf, chunk...)), including locals aliased from them (dedup :=
-// ms[:1]; dedup = append(dedup, m) compacts in place within the caller's
-// capacity; st := state.(*kernelState)). Everything else is flagged:
+// Owned scratch is storage rooted at the receiver or a parameter
+// (vs.window = make(...), s.buf = append(s.buf, chunk...)), including
+// locals aliased from them (dedup := ms[:1]; dedup = append(dedup, m)
+// compacts in place within the caller's capacity; st :=
+// state.(*kernelState)). Everything else is flagged:
 //
 //   - make / new / append into locals or discarded
 //   - maps entirely — literals, make, writes, delete, clear — and
@@ -44,12 +44,12 @@ import (
 //
 // The closure is package-local: a hot function calling into another
 // package — or through a function value, as the kernel builder calls a
-// mapper's generator — is trusted at the boundary; annotate the callee
-// where it is declared to extend coverage.
+// mapper's per-read function — is trusted at the boundary; annotate the
+// callee where it is declared to extend coverage.
 var HotAlloc = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc: "check that kernel bodies, //repute:hotpath functions and their same-package " +
-		"callees do not allocate outside owned scratch, use maps or call fmt",
+	Doc: "check that //repute:hotpath functions and their same-package callees do not " +
+		"allocate outside owned scratch, use maps or call fmt",
 	Run: runHotAlloc,
 }
 
@@ -62,28 +62,21 @@ func runHotAlloc(pass *analysis.Pass) error {
 			roots = append(roots, fn)
 		}
 	}
-	for _, site := range kernelSites(pass) {
-		if site.body == nil || isTestFile(pass, site.body) {
-			continue
-		}
-		checkHotFunc(pass, dirs, nil, site.body.Type, site.body.Body)
-		roots = append(roots, cg.CalleesIn(site.body)...)
-	}
 	for fn := range cg.Reachable(roots...) {
 		fd := cg.DeclOf(fn)
-		if fd == nil || fd.Body == nil || isTestFile(pass, fd) {
+		if fd == nil || fd.Body == nil {
 			continue
 		}
-		checkHotFunc(pass, dirs, fd.Recv, fd.Type, fd.Body)
+		checkHotFunc(pass, dirs, fd)
 	}
 	dirs.ReportUnjustified(pass, "hotalloc")
 	return nil
 }
 
-// checkHotFunc checks one function — a declaration or a kernel body
-// literal — whose owned scratch is rooted at recv and the parameters.
-func checkHotFunc(pass *analysis.Pass, dirs *analysis.Directives, recv *ast.FieldList, typ *ast.FuncType, body *ast.BlockStmt) {
-	owned := ownedObjects(pass, recv, typ, body)
+// checkHotFunc checks one function declaration, whose owned scratch is
+// rooted at its receiver and parameters.
+func checkHotFunc(pass *analysis.Pass, dirs *analysis.Directives, fd *ast.FuncDecl) {
+	owned := ownedObjects(pass, fd)
 
 	// ownedTarget reports whether an assignment target is rooted at the
 	// receiver, a parameter, or an alias of one.
@@ -125,7 +118,7 @@ func checkHotFunc(pass *analysis.Pass, dirs *analysis.Directives, recv *ast.Fiel
 		}
 	}
 
-	analysis.WalkParents(body, func(n ast.Node, parents []ast.Node) {
+	analysis.WalkParents(fd.Body, func(n ast.Node, parents []ast.Node) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
@@ -250,9 +243,9 @@ func checkHotUnary(pass *analysis.Pass, n *ast.UnaryExpr, parents []ast.Node,
 // ownedObjects seeds the owned set with the receiver and parameters,
 // then adds locals aliased from them through ident-rooted expressions
 // (slices, type assertions, field chains) in a source-order pass.
-func ownedObjects(pass *analysis.Pass, recv *ast.FieldList, typ *ast.FuncType, body *ast.BlockStmt) map[types.Object]bool {
+func ownedObjects(pass *analysis.Pass, fd *ast.FuncDecl) map[types.Object]bool {
 	owned := map[types.Object]bool{}
-	for _, fields := range []*ast.FieldList{recv, typ.Params} {
+	for _, fields := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
 		if fields == nil {
 			continue
 		}
@@ -265,7 +258,7 @@ func ownedObjects(pass *analysis.Pass, recv *ast.FieldList, typ *ast.FuncType, b
 		}
 	}
 
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true

@@ -57,9 +57,6 @@ func runLockGuard(pass *analysis.Pass) error {
 	}
 	if len(guards) > 0 {
 		for _, f := range pass.Files {
-			if isTestFile(pass, f) {
-				continue
-			}
 			for _, decl := range f.Decls {
 				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 					checkGuardedAccesses(pass, dirs, guards, fd)

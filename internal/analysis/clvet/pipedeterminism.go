@@ -16,8 +16,8 @@ import (
 // depends on wall clocks, ambient randomness or map iteration order.
 //
 // Three sources of nondeterminism are flagged in pipeline packages
-// (non-test files of core, cl, checkpoint, fastx, trace, index, sam, or
-// any package marked //repute:pipeline-package):
+// (core, cl, checkpoint, fastx, trace, index, sam, mapper, seed, align,
+// filter, fmindex, or any package marked //repute:pipeline-package):
 //
 //   - wall-clock calls (time.Now, Since, Until, Sleep, After, Tick,
 //     NewTimer, NewTicker, AfterFunc): simulated time comes from the cost model;
@@ -39,15 +39,20 @@ var PipeDeterminism = &analysis.Analyzer{
 	Run: runPipeDeterminism,
 }
 
+// timeDenylist names the package-level time functions that leak the
+// host clock or host scheduling into pipeline state.
+var timeDenylist = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
+	"AfterFunc": true,
+}
+
 func runPipeDeterminism(pass *analysis.Pass) error {
 	dirs := analysis.NewDirectives(pass)
 	if !isPipelinePackage(pass, dirs) {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
-			continue
-		}
 		analysis.WalkParents(f, func(n ast.Node, parents []ast.Node) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -240,6 +245,12 @@ func sortedAfter(pass *analysis.Pass, encFunc ast.Node, rng *ast.RangeStmt, obj 
 		return true
 	})
 	return found
+}
+
+// declaredWithin reports whether obj is declared inside the node's
+// source range — a variable local to the range body.
+func declaredWithin(obj types.Object, n ast.Node) bool {
+	return obj.Pos() != token.NoPos && n.Pos() <= obj.Pos() && obj.Pos() < n.End()
 }
 
 // isWriterCall reports whether a callee name is output-shaped.

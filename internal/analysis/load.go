@@ -22,8 +22,7 @@ type Package struct {
 	Dir  string
 	Fset *token.FileSet
 	// Files is the syntax under analysis: the package's build-selected
-	// GoFiles, plus in-package _test.go files when the loader's
-	// IncludeTests is set.
+	// GoFiles (never _test.go files).
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
@@ -39,10 +38,6 @@ type Package struct {
 // many analyzer testdata directories) shares one pass over the
 // dependency graph. A Loader is not safe for concurrent use.
 type Loader struct {
-	// IncludeTests adds in-package _test.go files to loaded targets.
-	// External test packages (package foo_test) are not loaded.
-	IncludeTests bool
-
 	Fset    *token.FileSet
 	modDir  string
 	modPath string
@@ -183,20 +178,14 @@ func (l *Loader) importPath(dir string) string {
 	return filepath.Base(dir)
 }
 
-// LoadDir loads the single package in dir under the given import path.
-// Unlike the import cache it honours IncludeTests, so analyzer targets
-// may include their in-package tests without polluting what importers
-// of the same package see.
+// LoadDir loads the single package in dir under the given import path,
+// with the full type information the analyzers read.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	names := append([]string{}, bp.GoFiles...)
-	if l.IncludeTests {
-		names = append(names, bp.TestGoFiles...)
-	}
-	files, err := l.parseFiles(dir, names)
+	files, err := l.parseFiles(dir, bp.GoFiles)
 	if err != nil {
 		return nil, err
 	}

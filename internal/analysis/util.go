@@ -50,9 +50,9 @@ func IsMapType(info *types.Info, e ast.Expr) bool {
 	return ok
 }
 
-// FuncDecls maps this package's function and method objects to their
+// funcDecls maps this package's function and method objects to their
 // declarations — the node set a package-local call graph walks.
-func FuncDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
+func funcDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
 	decls := map[*types.Func]*ast.FuncDecl{}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {

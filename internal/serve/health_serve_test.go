@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -35,7 +36,8 @@ func threeDevicePool() []*cl.Device {
 	return devs
 }
 
-// metricsSnapshot fetches /metrics as a decoded JSON snapshot.
+// metricsSnapshot fetches /metrics as a decoded JSON snapshot and holds
+// its names to the metric naming convention.
 func metricsSnapshot(t *testing.T, url string) trace.Snapshot {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
@@ -47,7 +49,38 @@ func metricsSnapshot(t *testing.T, url string) trace.Snapshot {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
+	checkMetricNames(t, snap)
 	return snap
+}
+
+// metricFamilyRe is the snake_case shape of a metric family, the part
+// of a name before the first "/".
+var metricFamilyRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+
+// checkMetricNames holds a snapshot to the naming convention
+// internal/trace's derivation tests hold the recorder to: every family
+// is snake_case, counter families end in _total, and gauge and
+// histogram families do not.
+func checkMetricNames(t *testing.T, snap trace.Snapshot) {
+	t.Helper()
+	check := func(kind, name string, counter bool) {
+		t.Helper()
+		family, _, _ := strings.Cut(name, "/")
+		if !metricFamilyRe.MatchString(family) {
+			t.Errorf("%s %q: family %q is not snake_case", kind, name, family)
+		} else if strings.HasSuffix(family, "_total") != counter {
+			t.Errorf("%s %q: only counter families end in _total", kind, name)
+		}
+	}
+	for name := range snap.Counters {
+		check("counter", name, true)
+	}
+	for name := range snap.Gauges {
+		check("gauge", name, false)
+	}
+	for name := range snap.Histograms {
+		check("histogram", name, false)
+	}
 }
 
 // TestServeConcurrentChaosPartitions is the end-to-end health story.

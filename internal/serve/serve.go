@@ -50,8 +50,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Metric names (tracedisc-checked: snake_case families, counters end
-// in _total before any "/" label segment).
+// Metric names (held by the /metrics tests: snake_case families,
+// counters end in _total before any "/" label segment).
 const (
 	metricJobsAdmitted    = "serve_jobs_admitted_total"
 	metricJobsRejected    = "serve_jobs_rejected_total" // + "/overload" | "/draining"

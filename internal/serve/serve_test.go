@@ -29,7 +29,6 @@ import (
 	"repro/internal/sam"
 	"repro/internal/seed"
 	"repro/internal/simulate"
-	"repro/internal/trace"
 )
 
 // TestMain drops every inherited REPUTE_* hook, as cmd/repute's cleanEnv
@@ -282,15 +281,7 @@ func TestServeLifecycle(t *testing.T) {
 
 	// Metrics: completed counter and sim-seconds histogram present,
 	// deterministic JSON.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap trace.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	snap := metricsSnapshot(t, ts.URL)
 	if snap.Counters["serve_jobs_admitted_total"] != 1 || snap.Counters["serve_jobs_completed_total"] != 1 {
 		t.Errorf("metrics counters = %v", snap.Counters)
 	}
@@ -299,7 +290,7 @@ func TestServeLifecycle(t *testing.T) {
 	}
 
 	// Trace export: a non-empty Chrome trace for the job, 404 for ghosts.
-	resp, err = http.Get(ts.URL + "/trace/" + j.ID)
+	resp, err := http.Get(ts.URL + "/trace/" + j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +340,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	awaitState(t, ts.URL, a.ID, StateDone)
 	awaitState(t, ts.URL, b.ID, StateDone)
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap trace.Snapshot
-	json.NewDecoder(resp.Body).Decode(&snap) //nolint:errcheck
-	resp.Body.Close()
+	snap := metricsSnapshot(t, ts.URL)
 	if snap.Counters["serve_jobs_rejected_total/overload"] == 0 {
 		t.Errorf("overload rejections not counted: %v", snap.Counters)
 	}
@@ -437,13 +422,7 @@ func TestServeDrainResume(t *testing.T) {
 		t.Errorf("resumed SAM differs from uninterrupted baseline (%d vs %d bytes)", len(got), len(want))
 	}
 
-	resp, err := http.Get(ts2.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap trace.Snapshot
-	json.NewDecoder(resp.Body).Decode(&snap) //nolint:errcheck
-	resp.Body.Close()
+	snap := metricsSnapshot(t, ts2.URL)
 	if snap.Counters["serve_jobs_resumed_total"] == 0 {
 		t.Errorf("resume not counted: %v", snap.Counters)
 	}
@@ -524,13 +503,7 @@ func TestServeRetryBudgetAndIsolation(t *testing.T) {
 		t.Fatalf("follow-up job failed after device-loss job: %+v", cleanDone.Error)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap trace.Snapshot
-	json.NewDecoder(resp.Body).Decode(&snap) //nolint:errcheck
-	resp.Body.Close()
+	snap := metricsSnapshot(t, ts.URL)
 	if snap.Counters["serve_jobs_retried_total"] != 1 || snap.Counters["serve_jobs_failed_total"] != 1 {
 		t.Errorf("retry/failure accounting = %v", snap.Counters)
 	}
@@ -606,15 +579,7 @@ func TestServePrefilter(t *testing.T) {
 		t.Errorf("filtered service SAM differs from unfiltered baseline (%d vs %d bytes)", len(got), len(want))
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap trace.Snapshot
-	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
+	snap := metricsSnapshot(t, ts.URL)
 	if _, ok := snap.Counters["prefilter_rejected_total"]; !ok {
 		t.Error("prefilter_rejected_total not folded into /metrics")
 	}

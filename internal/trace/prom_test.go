@@ -102,6 +102,7 @@ func TestMetricsDerivesHealthCounters(t *testing.T) {
 	rec.Instant("CPU-A", "breaker-open")
 	rec.Instant("CPU-A", "breaker-closed")
 	m := rec.Metrics()
+	checkMetricNames(t, m)
 	for name, want := range map[string]int64{
 		"watchdog_fired_total":     2,
 		"device_quarantined_total": 1,

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -212,6 +213,7 @@ func TestRecorderMetricsDerivation(t *testing.T) {
 	r.Instant("host", "failover", I64("reads", 9))
 	r.ItemOpsHistogram().Observe(100)
 	m := r.Metrics()
+	checkMetricNames(t, m)
 	checks := map[string]int64{
 		"enqueues_total/gpu-0": 2,
 		"candidates_total":     30,
@@ -268,6 +270,7 @@ func TestRecorderMetricsPrefilterDerivation(t *testing.T) {
 	r.Span("cpu-0", "enqueue:map-verify", 2, 1,
 		I64("candidates", 20), I64("verified", 17), I64("false_accepts", 3))
 	m := r.Metrics()
+	checkMetricNames(t, m)
 	if got := m.Counters["prefilter_rejected_total"]; got != 30 {
 		t.Errorf("prefilter_rejected_total = %d, want 30", got)
 	}
@@ -287,6 +290,36 @@ func TestRecorderMetricsPrefilterDerivation(t *testing.T) {
 	}
 	if got := m.Gauges["kernel_seconds/map-verify"]; got != 1 {
 		t.Errorf("kernel_seconds/map-verify = %g, want 1", got)
+	}
+}
+
+// metricFamilyRe is the snake_case shape of a metric family, the part
+// of a name before the first "/".
+var metricFamilyRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+
+// checkMetricNames holds a snapshot to the naming convention: every
+// family is snake_case, counter families end in _total, and gauge and
+// histogram families do not. internal/serve's /metrics tests apply the
+// same rule to the service registry.
+func checkMetricNames(t *testing.T, snap Snapshot) {
+	t.Helper()
+	check := func(kind, name string, counter bool) {
+		t.Helper()
+		family, _, _ := strings.Cut(name, "/")
+		if !metricFamilyRe.MatchString(family) {
+			t.Errorf("%s %q: family %q is not snake_case", kind, name, family)
+		} else if strings.HasSuffix(family, "_total") != counter {
+			t.Errorf("%s %q: only counter families end in _total", kind, name)
+		}
+	}
+	for name := range snap.Counters {
+		check("counter", name, true)
+	}
+	for name := range snap.Gauges {
+		check("gauge", name, false)
+	}
+	for name := range snap.Histograms {
+		check("histogram", name, false)
 	}
 }
 
