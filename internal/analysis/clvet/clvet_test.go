@@ -31,6 +31,21 @@ func TestHotAllocPrefilter(t *testing.T) {
 	analysistest.Run(t, "testdata", clvet.HotAlloc, "prefilterhot")
 }
 
+func TestKernelAlloc(t *testing.T) {
+	analysistest.Run(t, "testdata", clvet.HotAlloc, "kernelalloc")
+}
+
+func TestKernelAllocPrefilter(t *testing.T) {
+	analysistest.Run(t, "testdata", clvet.HotAlloc, "prefilteralloc")
+}
+
+// TestKernelAllocReachesGenerator is the call-graph case: the per-call
+// make sits in a helper of a generator two calls below the stage
+// function a hot-path root calls.
+func TestKernelAllocReachesGenerator(t *testing.T) {
+	analysistest.Run(t, "testdata", clvet.HotAlloc, "generatoralloc")
+}
+
 func TestDirective(t *testing.T) {
 	analysistest.Run(t, "testdata", clvet.Directive, "directive")
 }

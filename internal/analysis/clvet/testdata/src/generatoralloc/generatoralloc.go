@@ -1,35 +1,39 @@
-// Testdata for the hotalloc analyzer's reach: a kernel body is a
-// hot-path root, so the rule follows the package-local call graph from
-// the body literal into the stage function it calls, the candidate
-// generator behind that, and the generator's helper — where the per-call
-// make sits, two calls away from anything a literal-only check sees.
+// Testdata for the hotalloc analyzer's reach: the rule follows the
+// package-local call graph from a //repute:hotpath root into the stage
+// function it calls, the candidate generator behind that, and the
+// generator's helper — where the per-call make sits, two calls below
+// the stage function (mapRead → seed → generate → selectPositions).
 package generatoralloc
-
-import "repro/internal/cl"
 
 type state struct {
 	cands []int32
 	table []int64
 }
 
-// seed is the stage function the body calls.
-func seed(st *state, read []byte, cost *cl.Cost) []int32 {
+// mapRead is the per-read root.
+//
+//repute:hotpath
+func mapRead(st *state, read []byte) []int32 {
+	return seed(st, read)
+}
+
+// seed is the stage function the root calls.
+func seed(st *state, read []byte) []int32 {
 	st.cands = st.cands[:0]
-	generate(st, read, cost)
+	generate(st, read)
 	return st.cands
 }
 
 // generate is the candidate generator: clean itself, it appends only
 // into worker state.
-func generate(st *state, read []byte, cost *cl.Cost) {
+func generate(st *state, read []byte) {
 	for _, p := range selectPositions(st, len(read)) {
 		st.cands = append(st.cands, int32(p))
 	}
-	cost.DPCells += int64(len(read))
 }
 
-// selectPositions rebuilds its DP table on every call instead of reusing
-// st.table — the per-work-item allocation the gate exists to catch.
+// selectPositions rebuilds its table on every call instead of reusing
+// st.table — the per-read allocation the gate exists to catch.
 func selectPositions(st *state, n int) []int64 {
 	table := make([]int64, n) // want `hot path allocates with make outside caller-owned scratch`
 	for i := range table {
@@ -39,16 +43,4 @@ func selectPositions(st *state, n int) []int64 {
 		st.table = make([]int64, n)
 	}
 	return table
-}
-
-func kernel(reads [][]byte, out [][]int32) *cl.Kernel {
-	return &cl.Kernel{
-		Name:     "generator",
-		NewState: func() any { return &state{} },
-		Body: func(wi *cl.WorkItem, s any) {
-			cost := cl.Cost{Items: 1}
-			out[wi.Global] = seed(s.(*state), reads[wi.Global], &cost)
-			wi.Charge(cost)
-		},
-	}
 }

@@ -104,61 +104,6 @@ func amortised(reads [][]byte) []int {
 	return res
 }
 
-// tally holds the map and channel rules: kernels have neither, so even a
-// caller-owned map is flagged.
-//
-//repute:hotpath
-func tally(counts map[int]int, reads [][]byte) *int {
-	n := new(int)              // want `hot path allocates with new outside caller-owned scratch`
-	counts[len(reads)] = 1     // want `hot path writes a map`
-	delete(counts, 0)          // want `hot path writes a map`
-	fresh := make(map[int]int) // want `hot path allocates a map;`
-	_ = fresh
-	ch := make(chan int, 1) // want `hot path allocates a channel`
-	_ = ch
-	return n
-}
-
-type genState struct {
-	cands []int32
-	table []int64
-}
-
-// mapRead is the reach case: the per-call make sits in a helper two
-// calls below the stage function the root calls (mapRead → seed →
-// generate → selectPositions).
-//
-//repute:hotpath
-func mapRead(st *genState, read []byte) []int32 {
-	return seed(st, read)
-}
-
-func seed(st *genState, read []byte) []int32 {
-	st.cands = st.cands[:0]
-	generate(st, read)
-	return st.cands
-}
-
-// generate is clean itself: it appends only into worker state.
-func generate(st *genState, read []byte) {
-	for _, p := range selectPositions(st, len(read)) {
-		st.cands = append(st.cands, int32(p))
-	}
-}
-
-// selectPositions rebuilds its table on every call instead of reusing
-// st.table.
-func selectPositions(st *genState, n int) []int64 {
-	table := make([]int64, n) // want `hot path allocates with make outside caller-owned scratch`
-	for i := range table {
-		table[i] = int64(i)
-	}
-	if cap(st.table) < n {
-		st.table = make([]int64, n)
-	}
-	return table
-}
-
 // cold is not reachable from any hot root and may allocate freely.
 func cold() map[string][]int {
 	m := map[string][]int{}
