@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -26,12 +27,16 @@ import (
 )
 
 var (
-	binPath   string
-	refPath   string
-	indexPath string
-	readsPath string
-	dirtyPath string
+	binPath    string
+	refPath    string
+	indexPath  string
+	readsPath  string
+	dirtyPath  string
+	mates1Path string
+	mates2Path string
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/paired.sam from this binary's output")
 
 func TestMain(m *testing.M) {
 	os.Exit(testMain(m))
@@ -95,6 +100,30 @@ func testMain(m *testing.M) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
+	}
+
+	// mates1.fq/mates2.fq: 30 FR fragments over the same reference, named
+	// fragNN/1 and fragNN/2, with ambiguous bases in both files so both
+	// mates' codecs draw.
+	ps, err := simulate.PairedReads(ref, 30, simulate.ERR012100, 300, 30, 5)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	mates1Path, mates2Path = filepath.Join(dir, "mates1.fq"), filepath.Join(dir, "mates2.fq")
+	for m, reads := range [][][]byte{ps.Reads1, ps.Reads2} {
+		var fq bytes.Buffer
+		for i, r := range reads {
+			seq := []byte(dna.Decode(r))
+			if i%4 == m {
+				seq[5], seq[20] = 'N', 'N'
+			}
+			fmt.Fprintf(&fq, "@frag%02d/%d\n%s\n+\n%s\n", i, m+1, seq, strings.Repeat("I", len(seq)))
+		}
+		if err := os.WriteFile([]string{mates1Path, mates2Path}[m], fq.Bytes(), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
 	}
 
 	// dirty.fq: the same reads with a truncated quality line, a junk
@@ -233,6 +262,23 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 		}
 		if !bytes.Equal(want, readFile(t, resumed)) {
 			t.Errorf("%s: killed-and-resumed SAM differs from the default-batch SAM", ix.name)
+		}
+
+		// The paired row: the -reads2 SAM must equal the recorded golden.
+		// The narrow insert band leaves some fragments discordant.
+		golden := filepath.Join("testdata", "paired.sam")
+		paired := filepath.Join(dir, ix.name+"-paired.sam")
+		if out, err := runRepute(t, nil, "map", "-index", ix.path, "-reads", mates1Path,
+			"-reads2", mates2Path, "-max-insert", "330", "-out", paired); err != nil {
+			t.Fatalf("%s paired: %v\n%s", ix.name, err, out)
+		}
+		if *update && ix.path == indexPath {
+			if err := os.WriteFile(golden, readFile(t, paired), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(readFile(t, golden), readFile(t, paired)) {
+			t.Errorf("%s: paired SAM differs from %s", ix.name, golden)
 		}
 	}
 
