@@ -12,6 +12,7 @@
 //	           [-max-locations 100] [-selector dp|coral] [-prefilter off|gatekeeper] [-out out.sam]
 //	           [-trace trace.json] [-metrics-out metrics.prom]
 //	           [-batch 4096] [-lenient] [-checkpoint run.ckpt [-resume]]
+//	           [-reads2 r2.fq [-min-insert N -max-insert N]]
 //
 // `index build` writes a versioned container (magic, format version,
 // SHA-256 section checksums, shard table) wrapping one FM-index per
@@ -26,7 +27,9 @@
 // loop: -batch N maps them in batches of N (bounded memory; 0, the
 // default, is one whole-input batch), -checkpoint makes the run
 // crash-safe and -resume continues an interrupted one, bit-identically.
-// -lenient skips malformed records instead of aborting.
+// -lenient skips malformed records instead of aborting. -reads2 makes a
+// paired run on the same loop: a batch holds -batch fragments, each
+// fragment's two mates mapping side by side (-lenient does not apply).
 package main
 
 import (
@@ -44,13 +47,11 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cl"
 	"repro/internal/core"
-	"repro/internal/dna"
 	"repro/internal/fastx"
 	"repro/internal/fmindex"
 	"repro/internal/genome"
 	"repro/internal/index"
 	"repro/internal/mapper"
-	"repro/internal/sam"
 	"repro/internal/seed"
 	"repro/internal/serve"
 	"repro/internal/trace"
@@ -273,10 +274,10 @@ func runMap(args []string) error {
 	outPath := fs.String("out", "", "SAM output path (default stdout)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event file of the simulated run (chrome://tracing, Perfetto)")
 	metricsPath := fs.String("metrics-out", "", "write the run's metric snapshot here (.prom suffix = Prometheus text exposition, else JSON)")
-	batchFlag := fs.Int("batch", 0, "map reads in batches of this size, holding one batch in memory (0 = the whole input as one batch)")
+	batchFlag := fs.Int("batch", 0, "map reads (fragments in paired mode) in batches of this size, holding one batch in memory (0 = the whole input as one batch)")
 	ckptFlag := fs.String("checkpoint", "", "persist a resumable checkpoint here at every batch boundary (needs -out)")
 	resumeFlag := fs.Bool("resume", false, "continue an interrupted run from -checkpoint")
-	lenientFlag := fs.Bool("lenient", false, "skip malformed/unmappable records instead of aborting")
+	lenientFlag := fs.Bool("lenient", false, "skip malformed/unmappable records instead of aborting (not in paired mode)")
 	fs.Parse(args)
 	if (*indexPath == "") == (*refPath == "") {
 		return fmt.Errorf("map: exactly one of -index and -ref is required")
@@ -292,9 +293,6 @@ func runMap(args []string) error {
 	}
 	if *ckptFlag != "" && *outPath == "" {
 		return fmt.Errorf("map: -checkpoint requires -out (a resume truncates and appends the SAM file; stdout cannot)")
-	}
-	if *reads2Path != "" && (*batchFlag > 0 || *ckptFlag != "" || *lenientFlag || *cigarFlag) {
-		return fmt.Errorf("map: -batch, -checkpoint, -lenient and -cigar are not supported in paired mode")
 	}
 
 	devices, err := platformDevices(*platform)
@@ -372,21 +370,12 @@ func runMap(args []string) error {
 		MinSeedLen:   *sminFlag,
 		Prefilter:    *prefilterFlag,
 	}
-
-	if *reads2Path != "" {
-		if err := runMapPaired(p, g, *readsPath, *reads2Path, mapper.PairOptions{
-			Options: opt, MinInsert: int32(*minInsert), MaxInsert: int32(*maxInsert),
-		}, *outPath); err != nil {
-			return err
-		}
-		return finish()
-	}
-
 	run := serve.Stream{
-		Pipeline: p, Genome: g, Devices: devices, Opt: opt,
+		Pipeline: p, Genome: g, Opt: opt,
 		Cigar: *cigarFlag, Lenient: *lenientFlag, Batch: *batchFlag,
-		ReadsPath: *readsPath, ReadsName: *readsPath, SAMPath: *outPath, CkptPath: *ckptFlag,
-		Tracer: cfg.Tracer,
+		ReadsPath: *readsPath, ReadsName: *readsPath, Reads2Path: *reads2Path,
+		Pair:    mapper.PairOptions{MinInsert: int32(*minInsert), MaxInsert: int32(*maxInsert)},
+		SAMPath: *outPath, CkptPath: *ckptFlag,
 	}
 	if *ckptFlag != "" {
 		// Fail on an unusable checkpoint directory now, before any
@@ -402,10 +391,13 @@ func runMap(args []string) error {
 				return err
 			}
 		}
-		run.Fingerprint = checkpoint.FingerprintDigest(f.Digest(), opt,
-			fmt.Sprintf("batch=%d", *batchFlag), fmt.Sprintf("lenient=%t", *lenientFlag),
-			fmt.Sprintf("cigar=%t", *cigarFlag), "selector="+*selector,
-			"platform="+*platform, "split="+*splitFlag)
+		extra := []string{fmt.Sprintf("batch=%d", *batchFlag), fmt.Sprintf("lenient=%t", *lenientFlag),
+			fmt.Sprintf("cigar=%t", *cigarFlag), "selector=" + *selector,
+			"platform=" + *platform, "split=" + *splitFlag}
+		if *reads2Path != "" {
+			extra = append(extra, "reads2", fmt.Sprintf("insert=%d-%d", *minInsert, *maxInsert))
+		}
+		run.Fingerprint = checkpoint.FingerprintDigest(f.Digest(), opt, extra...)
 	}
 	if err := runMapStream(run, *resumeFlag); err != nil {
 		return err
@@ -461,122 +453,5 @@ func writeMetrics(rec *trace.Recorder, path string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote metric snapshot to %s\n", path)
-	return nil
-}
-
-// loadReads reads a whole FASTQ file into memory (paired mode pairs mates
-// by index, so both files must be resident).
-func loadReads(path string) ([]fastx.Record, [][]byte, error) {
-	rf, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	recs, err := fastx.ReadFastq(rf)
-	rf.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(0))
-	reads := make([][]byte, len(recs))
-	for i, rec := range recs {
-		if reads[i], err = fastx.CodesOf(rec, rng); err != nil {
-			return nil, nil, err
-		}
-	}
-	return recs, reads, nil
-}
-
-// runMapPaired maps mate pairs and writes properly-paired SAM records for
-// concordant fragments, single-end records otherwise.
-func runMapPaired(p *core.Pipeline, g *genome.Genome, reads1Path, reads2Path string,
-	opt mapper.PairOptions, outPath string) error {
-	recs1, reads1, err := loadReads(reads1Path)
-	if err != nil {
-		return err
-	}
-	recs2, reads2, err := loadReads(reads2Path)
-	if err != nil {
-		return err
-	}
-	if len(recs2) != len(recs1) {
-		return fmt.Errorf("paired input mismatch: %d mate-1 reads, %d mate-2 reads",
-			len(recs1), len(recs2))
-	}
-	res, err := p.MapPairs(reads1, reads2, opt)
-	if err != nil {
-		return err
-	}
-
-	var out io.Writer = os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	refs := make([]sam.RefSeq, len(g.Contigs()))
-	for i, c := range g.Contigs() {
-		refs[i] = sam.RefSeq{Name: c.Name, Length: c.Length}
-	}
-	sw, err := sam.NewMultiWriter(out, refs)
-	if err != nil {
-		return err
-	}
-	concordant := 0
-	for i := range reads1 {
-		name := strings.TrimSuffix(recs1[i].Name, "/1")
-		wrote := false
-		for _, pr := range res.Pairs[i] {
-			// Both mates must sit inside one contig.
-			if g.SpansBoundary(int(pr.First.Pos), len(reads1[i])) ||
-				g.SpansBoundary(int(pr.Second.Pos), len(reads2[i])) {
-				continue
-			}
-			c1, off1, err := g.Locate(int(pr.First.Pos))
-			if err != nil {
-				return err
-			}
-			c2, off2, err := g.Locate(int(pr.Second.Pos))
-			if err != nil {
-				return err
-			}
-			if c1.Name != c2.Name {
-				continue
-			}
-			local := pr
-			local.First.Pos = int32(off1)
-			local.Second.Pos = int32(off2)
-			if err := sw.WritePair(name,
-				[]byte(dna.Decode(reads1[i])), []byte(dna.Decode(reads2[i])),
-				local, c1.Name); err != nil {
-				return err
-			}
-			concordant++
-			wrote = true
-			break // primary pair only
-		}
-		if wrote {
-			continue
-		}
-		// Discordant fragment: fall back to single-end records per mate.
-		for mate, ms := range [][]mapper.Mapping{res.Single1[i], res.Single2[i]} {
-			reads := reads1
-			if mate == 1 {
-				reads = reads2
-			}
-			mateName := fmt.Sprintf("%s/%d", name, mate+1)
-			if _, err := serve.WriteReadAlignments(sw, g, p, mateName, reads[i], ms, false, 0); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr,
-		"paired mapping: %d/%d fragments concordant, simulated time %.3f s, energy %.2f J\n",
-		concordant, len(reads1), res.SimSeconds, res.EnergyJ)
 	return nil
 }

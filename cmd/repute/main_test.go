@@ -205,8 +205,11 @@ func readFile(t *testing.T, path string) []byte {
 // TestStreamedMatchesInMemory is the runner-parity check: every form of
 // `repute map` is the same stream runner, so the default whole-input
 // batch (-batch 0, to a file and to stdout), -batch 7, and -batch 7
-// -checkpoint killed and resumed all write byte-identical SAM, for a
-// whole-reference and a 4-shard artifact alike.
+// -checkpoint killed and resumed (with and without an armed fault plan)
+// all write byte-identical SAM, for a whole-reference and a 4-shard
+// artifact alike. The single-end row checks every run against the first;
+// the paired row checks them against testdata/paired.sam, recorded when
+// paired mode still mapped both files whole outside the runner.
 func TestStreamedMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
 	sharded := filepath.Join(dir, "sharded4.ridx")
@@ -214,71 +217,76 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 		"-shards", "4", "-overlap", "256"); err != nil {
 		t.Fatalf("index build -shards 4: %v\n%s", err, out)
 	}
-	var want []byte // the whole-index default-batch SAM: the reference for every other run
-	for _, ix := range []struct{ name, path string }{{"whole", indexPath}, {"4shards", sharded}} {
-		base := []string{"map", "-index", ix.path, "-reads", readsPath}
-		whole := filepath.Join(dir, ix.name+"-whole.sam")
-		if out, err := runRepute(t, nil, append(base, "-out", whole)...); err != nil {
-			t.Fatalf("%s default batch: %v\n%s", ix.name, err, out)
-		}
-		if want == nil {
-			want = readFile(t, whole)
-		}
-		if !bytes.Equal(want, readFile(t, whole)) {
-			t.Errorf("%s: default-batch SAM differs from the whole-index one", ix.name)
-		}
-
-		// No -out: the same bytes on stdout, the summary on stderr.
-		cmd := exec.Command(binPath, base...)
-		cmd.Env = cleanEnv()
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("%s stdout run: %v\n%s", ix.name, err, stderr.String())
-		}
-		if !bytes.Equal(want, stdout.Bytes()) {
-			t.Errorf("%s: stdout SAM differs from the -out file", ix.name)
-		}
-		if !strings.Contains(stderr.String(), "in 1 batch(es)") {
-			t.Errorf("%s: default run is not one whole-input batch:\n%s", ix.name, stderr.String())
-		}
-
-		batched := filepath.Join(dir, ix.name+"-b7.sam")
-		if out, err := runRepute(t, nil, append(base, "-batch", "7", "-out", batched)...); err != nil {
-			t.Fatalf("%s -batch 7: %v\n%s", ix.name, err, out)
-		}
-		if !bytes.Equal(want, readFile(t, batched)) {
-			t.Errorf("%s: -batch 7 SAM differs from the default-batch SAM", ix.name)
-		}
-
-		resumed := filepath.Join(dir, ix.name+"-resumed.sam")
-		ckpt := filepath.Join(dir, ix.name+".ckpt")
-		ckptArgs := append(base, "-batch", "7", "-out", resumed, "-checkpoint", ckpt)
-		if out, err := runRepute(t, []string{"REPUTE_KILL_AFTER_BATCH=4"}, ckptArgs...); err == nil {
-			t.Fatalf("%s: process survived its kill hook\n%s", ix.name, out)
-		}
-		if out, err := runRepute(t, nil, append(ckptArgs, "-resume")...); err != nil {
-			t.Fatalf("%s resume: %v\n%s", ix.name, err, out)
-		}
-		if !bytes.Equal(want, readFile(t, resumed)) {
-			t.Errorf("%s: killed-and-resumed SAM differs from the default-batch SAM", ix.name)
-		}
-
-		// The paired row: the -reads2 SAM must equal the recorded golden.
+	for _, row := range []struct {
+		name   string
+		reads  []string
+		golden string // "" compares with the row's first run
+		kill   string // a batch boundary inside the -batch 7 run
+	}{
+		{"single", []string{"-reads", readsPath}, "", "4"},
 		// The narrow insert band leaves some fragments discordant.
-		golden := filepath.Join("testdata", "paired.sam")
-		paired := filepath.Join(dir, ix.name+"-paired.sam")
-		if out, err := runRepute(t, nil, "map", "-index", ix.path, "-reads", mates1Path,
-			"-reads2", mates2Path, "-max-insert", "330", "-out", paired); err != nil {
-			t.Fatalf("%s paired: %v\n%s", ix.name, err, out)
+		{"paired", []string{"-reads", mates1Path, "-reads2", mates2Path, "-max-insert", "330"}, filepath.Join("testdata", "paired.sam"), "2"},
+	} {
+		var want []byte
+		if row.golden != "" && !*update {
+			want = readFile(t, row.golden)
 		}
-		if *update && ix.path == indexPath {
-			if err := os.WriteFile(golden, readFile(t, paired), 0o644); err != nil {
-				t.Fatal(err)
+		for _, ix := range []struct{ name, path string }{{"whole", indexPath}, {"4shards", sharded}} {
+			name := row.name + "-" + ix.name
+			base := append([]string{"map", "-index", ix.path}, row.reads...)
+			whole := filepath.Join(dir, name+"-whole.sam")
+			if out, err := runRepute(t, nil, append(base, "-out", whole)...); err != nil {
+				t.Fatalf("%s default batch: %v\n%s", name, err, out)
 			}
-		}
-		if !bytes.Equal(readFile(t, golden), readFile(t, paired)) {
-			t.Errorf("%s: paired SAM differs from %s", ix.name, golden)
+			if want == nil {
+				want = readFile(t, whole)
+				if row.golden != "" {
+					if err := os.WriteFile(row.golden, want, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if !bytes.Equal(want, readFile(t, whole)) {
+				t.Errorf("%s: default-batch SAM differs from the reference SAM", name)
+			}
+
+			// No -out: the same bytes on stdout, the summary on stderr.
+			cmd := exec.Command(binPath, base...)
+			cmd.Env = cleanEnv()
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("%s stdout run: %v\n%s", name, err, stderr.String())
+			}
+			if !bytes.Equal(want, stdout.Bytes()) {
+				t.Errorf("%s: stdout SAM differs from the reference SAM", name)
+			}
+			if !strings.Contains(stderr.String(), "in 1 batch(es)") {
+				t.Errorf("%s: default run is not one whole-input batch:\n%s", name, stderr.String())
+			}
+
+			batched := filepath.Join(dir, name+"-b7.sam")
+			if out, err := runRepute(t, nil, append(base, "-batch", "7", "-out", batched)...); err != nil {
+				t.Fatalf("%s -batch 7: %v\n%s", name, err, out)
+			}
+			if !bytes.Equal(want, readFile(t, batched)) {
+				t.Errorf("%s: -batch 7 SAM differs from the reference SAM", name)
+			}
+
+			for _, env := range [][]string{nil, {"REPUTE_CL_FAULTS=enq2=oor,alloc3=alloc,throttle4-6=0.5"}} {
+				resumed := filepath.Join(dir, name+"-resumed.sam")
+				ckpt := filepath.Join(dir, name+".ckpt")
+				ckptArgs := append(base, "-batch", "7", "-out", resumed, "-checkpoint", ckpt)
+				if out, err := runRepute(t, append(env, "REPUTE_KILL_AFTER_BATCH="+row.kill), ckptArgs...); err == nil {
+					t.Fatalf("%s %v: process survived its kill hook\n%s", name, env, out)
+				}
+				if out, err := runRepute(t, env, append(ckptArgs, "-resume")...); err != nil {
+					t.Fatalf("%s %v resume: %v\n%s", name, env, err, out)
+				}
+				if !bytes.Equal(want, readFile(t, resumed)) {
+					t.Errorf("%s %v: killed-and-resumed SAM differs from the reference SAM", name, env)
+				}
+			}
 		}
 	}
 
@@ -296,6 +304,36 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 	}
 	if len(busy) != 3 || !sort.StringsAreSorted(busy) {
 		t.Errorf("want 3 sorted per-device busy lines, got %q", busy)
+	}
+}
+
+// TestPairedMatesMustMatch: mates pair by name, not by position. A mate-2
+// file with two records swapped, or one record short, is refused with an
+// error naming the mate-2 file — the swap used to map, exit 0 and write
+// mate 2's alignments under the wrong fragment name.
+func TestPairedMatesMustMatch(t *testing.T) {
+	dir := t.TempDir()
+	lines := strings.SplitAfter(string(readFile(t, mates2Path)), "\n")
+	lines = lines[:len(lines)-1] // the empty tail after the last newline
+	for _, tc := range []struct {
+		name, want string
+		lines      []string
+	}{
+		{"swapped", "is not the mate of", append(append(append([]string{}, lines[4:8]...), lines[:4]...), lines[8:]...)},
+		{"short", "ends before", lines[:len(lines)-4]},
+	} {
+		mates2 := filepath.Join(dir, tc.name+".fq")
+		if err := os.WriteFile(mates2, []byte(strings.Join(tc.lines, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", mates1Path,
+			"-reads2", mates2, "-out", filepath.Join(dir, tc.name+".sam"))
+		if err == nil {
+			t.Fatalf("%s mate-2 file accepted\n%s", tc.name, out)
+		}
+		if !strings.Contains(out, tc.want) || !strings.Contains(out, mates2) {
+			t.Errorf("%s: error does not say %q of %s:\n%s", tc.name, tc.want, mates2, out)
+		}
 	}
 }
 

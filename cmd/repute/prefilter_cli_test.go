@@ -9,13 +9,9 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/dna"
-	"repro/internal/simulate"
 )
 
 // TestPrefilterCLIEquivalence: filtered and unfiltered runs emit the
@@ -58,25 +54,10 @@ func TestPrefilterCLIEquivalence(t *testing.T) {
 	// Paired mode takes the same options: the filter must run (its
 	// rejection counter appears) inside the one map kernel and change no
 	// record.
-	ref := simulate.Reference(simulate.Chr21Like(60_000, 11)) // TestMain's reference
-	ps, err := simulate.PairedReads(ref, 20, simulate.ERR012100, 300, 30, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mates := [2]string{filepath.Join(dir, "m1.fq"), filepath.Join(dir, "m2.fq")}
-	for m, reads := range [][][]byte{ps.Reads1, ps.Reads2} {
-		var fq bytes.Buffer
-		for i, r := range reads {
-			fmt.Fprintf(&fq, "@frag%02d/%d\n%s\n+\n%s\n", i, m+1, dna.Decode(r), strings.Repeat("I", len(r)))
-		}
-		if err := os.WriteFile(mates[m], fq.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	paired := func(prefilter string) (sam []byte, metrics string) {
 		out := filepath.Join(dir, "paired-"+prefilter+".sam")
 		prom := filepath.Join(dir, "paired-"+prefilter+".prom")
-		if msg, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", mates[0], "-reads2", mates[1],
+		if msg, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", mates1Path, "-reads2", mates2Path,
 			"-prefilter", prefilter, "-metrics-out", prom, "-out", out); err != nil {
 			t.Fatalf("paired map -prefilter %s: %v\n%s", prefilter, err, msg)
 		}

@@ -11,8 +11,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/sam"
 )
 
 // buildShardedIndex builds a 3-shard artifact for the shared test
@@ -190,8 +193,35 @@ func TestMapRequiresOneIndexSource(t *testing.T) {
 // TestMapRejectsUnusableFlags: option values that would silently lose
 // reads or output are refused before any read is mapped — a -split share
 // that is negative or not finite (NaN used to leave half the read range
-// unassigned), and -cigar in paired mode (which wrote * in every record).
+// unassigned), and -lenient in paired mode (a record skipped in one mate
+// file would put the mates out of step). -cigar in paired mode, refused
+// while it wrote * in every record, now recovers each mate's CIGAR.
 func TestMapRejectsUnusableFlags(t *testing.T) {
+	dir := t.TempDir()
+	paired := filepath.Join(dir, "paired-cigar.sam")
+	if out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", mates1Path,
+		"-reads2", mates2Path, "-cigar", "-out", paired); err != nil {
+		t.Fatalf("paired -cigar: %v\n%s", err, out)
+	}
+	proper := 0
+	for _, line := range strings.Split(string(readFile(t, paired)), "\n") {
+		if f := strings.Split(line, "\t"); len(f) > 5 && !strings.HasPrefix(line, "@") {
+			flag, err := strconv.Atoi(f[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flag&sam.FlagProperPair != 0 {
+				proper++
+				if f[5] == "*" {
+					t.Errorf("proper-pair record without a CIGAR: %s", line)
+				}
+			}
+		}
+	}
+	if proper == 0 {
+		t.Error("paired -cigar run wrote no proper-pair record")
+	}
+
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -199,10 +229,10 @@ func TestMapRejectsUnusableFlags(t *testing.T) {
 		{[]string{"-platform", "system1", "-split", "NaN,1,1"}, "bad split entry"},
 		{[]string{"-platform", "system1", "-split", "-1,2,0"}, "bad split entry"},
 		{[]string{"-platform", "system1", "-split", "1,+Inf,1"}, "bad split entry"},
-		{[]string{"-reads2", readsPath, "-cigar"}, "-cigar"},
+		{[]string{"-reads2", readsPath, "-lenient"}, "lenient"},
 	} {
 		out, err := runRepute(t, nil, append([]string{"map", "-index", indexPath, "-reads", readsPath,
-			"-out", filepath.Join(t.TempDir(), "never.sam")}, tc.args...)...)
+			"-out", filepath.Join(dir, "never.sam")}, tc.args...)...)
 		if err == nil {
 			t.Errorf("map %v succeeded\n%s", tc.args, out)
 		} else if !strings.Contains(out, tc.want) {

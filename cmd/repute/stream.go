@@ -91,6 +91,9 @@ func runMapStream(run serve.Stream, resume bool) error {
 	for _, dev := range devs {
 		fmt.Fprintf(os.Stderr, "  %-32s %.3f s busy\n", dev, st.DeviceSeconds[dev])
 	}
+	if run.Reads2Path != "" {
+		fmt.Fprintf(os.Stderr, "paired: %d/%d fragments concordant\n", st.Concordant, st.Reads/2)
+	}
 	if st.Faults.SkippedRecords > 0 {
 		fmt.Fprintf(os.Stderr, "skipped %d malformed/unmappable record(s): %s\n",
 			st.Faults.SkippedRecords, formatReasons(st.Faults.SkipReasons))

@@ -51,14 +51,21 @@ type State struct {
 	// RNGDraws counts the ambiguity substitutions drawn so far, so the
 	// resumed codec replays the same pseudo-random bases (fastx.Codec).
 	RNGDraws uint64 `json:"rng_draws,omitempty"`
+	// Offset2, Line2 and RNGDraws2 are the same resume point in the
+	// mate-2 file of a paired run.
+	Offset2   int64  `json:"offset2,omitempty"`
+	Line2     int    `json:"line2,omitempty"`
+	RNGDraws2 uint64 `json:"rng_draws2,omitempty"`
 	// SAMBytes is the size of the valid SAM prefix; resume truncates the
 	// output here before appending (a kill between the SAM flush and the
 	// checkpoint rename leaves a longer file, never a shorter one).
 	SAMBytes int64 `json:"sam_bytes"`
-	// Mapped, Locations and Dropped carry the cumulative summary tallies.
-	Mapped    int `json:"mapped"`
-	Locations int `json:"locations"`
-	Dropped   int `json:"dropped,omitempty"`
+	// Mapped, Locations, Dropped and Concordant (fragments written as a
+	// proper pair) carry the cumulative summary tallies.
+	Mapped     int `json:"mapped"`
+	Locations  int `json:"locations"`
+	Dropped    int `json:"dropped,omitempty"`
+	Concordant int `json:"concordant,omitempty"`
 	// SimSeconds, EnergyJ, DeviceSeconds and Cost accumulate the
 	// simulated accounting across every completed batch.
 	SimSeconds    float64            `json:"sim_seconds"`

@@ -414,8 +414,8 @@ type Queue struct {
 	// tracer receives enqueue/penalty spans on the device's lane; nil
 	// (the normalised form of trace.Noop) means tracing is off and the
 	// hot path pays one nil check. traceOrigin offsets the lane's
-	// timestamps so successive runs on fresh queues (MapPairs' two
-	// mates) extend one timeline instead of overlapping at zero.
+	// timestamps so successive runs on fresh queues (successive batches
+	// of one stream) extend one timeline instead of overlapping at zero.
 	tracer      trace.Tracer
 	traceOrigin float64
 }

@@ -125,7 +125,8 @@ func TestQueueTraceSpans(t *testing.T) {
 }
 
 // TestQueueTraceOrigin checks the origin offset that lets two fresh
-// queues on one device extend one timeline (MapPairs' two mates).
+// queues on one device extend one timeline (successive batches of one
+// stream).
 func TestQueueTraceOrigin(t *testing.T) {
 	rec := trace.NewRecorder()
 	dev := testDevice()

@@ -88,8 +88,8 @@ type Pipeline struct {
 	// tracer is the normalised Config.Tracer (nil when off); itemHist is
 	// the tracer's per-item op histogram when it offers one. traceSec is
 	// the simulated time already traced by earlier Map calls on this
-	// pipeline, so successive runs (MapPairs' two mates) extend one
-	// timeline; traceMu guards it across concurrent Map calls.
+	// pipeline, so successive runs (successive batches of one stream)
+	// extend one timeline; traceMu guards it across concurrent Map calls.
 	tracer   trace.Tracer
 	itemHist *trace.Histogram
 	traceMu  sync.Mutex
@@ -175,6 +175,12 @@ func (p *Pipeline) Sharded() bool { return len(p.shards) > 1 }
 
 // Name implements mapper.Mapper.
 func (p *Pipeline) Name() string { return p.name }
+
+// Devices returns the devices the pipeline maps on.
+func (p *Pipeline) Devices() []*cl.Device { return p.devices }
+
+// Tracer returns the pipeline's tracer, nil when tracing is off.
+func (p *Pipeline) Tracer() trace.Tracer { return p.tracer }
 
 // Index exposes the whole-reference FM-index (examples inspect it). It is
 // nil for shard-dispatch pipelines, which hold per-slice indexes instead.
@@ -368,7 +374,8 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 	// traceBase is where this run starts on the pipeline's traced
 	// timeline: fresh queues count busy time from zero, so the origin
 	// shifts their spans past everything already recorded (a second Map
-	// call — MapPairs' mate 2 — continues the timeline, not overlaps it).
+	// call — the next batch of one stream — continues the timeline, not
+	// overlaps it).
 	traceBase := 0.0
 	if p.tracer != nil {
 		p.traceMu.Lock()

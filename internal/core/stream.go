@@ -50,6 +50,9 @@ type StreamBatch struct {
 	Reads [][]byte
 	// Token is the ingest state captured when the batch was cut.
 	Token StreamToken
+	// Mate2 is the mate-2 file's ingest state in a paired stream, whose
+	// batches hold each fragment as two adjacent reads; zero otherwise.
+	Mate2 StreamToken
 }
 
 // StreamResult aggregates a MapStream run. The embedded Result carries

@@ -133,41 +133,3 @@ func TestNoopTracerZeroCostPipeline(t *testing.T) {
 	}
 	sameMappings(t, off.Mappings, noop.Mappings)
 }
-
-// TestMapPairsTraceTimeline: the two mates of a paired run share one
-// recorder; mate 2's spans must extend the timeline, not overlap mate
-// 1's (SetTraceOrigin), and the combined trace must validate.
-func TestMapPairsTraceTimeline(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	ref, _ := testWorld(t, 20_000, 1, simulate.ERR012100)
-	ps, err := simulate.PairedReads(ref, 20, simulate.ERR012100, 300, 30, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.NewRecorder()
-	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial, Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.MapPairs(ps.Reads1, ps.Reads2, mapper.PairOptions{
-		Options: mapper.Options{MaxErrors: 3, MaxLocations: 50},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var maps []trace.Event
-	for _, ev := range rec.Events() {
-		if ev.Lane == "host" && ev.Name == "map" {
-			maps = append(maps, ev)
-		}
-	}
-	if len(maps) != 2 {
-		t.Fatalf("host map spans = %d, want 2 (one per mate)", len(maps))
-	}
-	if maps[1].Start < maps[0].Start+maps[0].Dur {
-		t.Errorf("mate 2 span [%g, ...] overlaps mate 1 ending %g",
-			maps[1].Start, maps[0].Start+maps[0].Dur)
-	}
-}

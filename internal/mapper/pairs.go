@@ -1,10 +1,6 @@
 package mapper
 
-import (
-	"sort"
-
-	"repro/internal/cl"
-)
+import "sort"
 
 // Paired-end support. The paper maps the "_1" mates of paired NCBI runs
 // as single-end reads; a release-quality mapper must also pair mates.
@@ -93,16 +89,14 @@ func sliceRange(ms []Mapping, lo, hi int32) []Mapping {
 	return ms[i:j]
 }
 
-// PairOptions configure paired mapping.
+// PairOptions hold the insert band of a paired run.
 type PairOptions struct {
-	Options
 	// MinInsert/MaxInsert bound the accepted fragment length.
 	MinInsert, MaxInsert int32
 }
 
-// WithDefaults fills unset fields (insert band defaults to 100..1000).
+// WithDefaults fills an unset band bound (100..1000).
 func (o PairOptions) WithDefaults() PairOptions {
-	o.Options = o.Options.WithDefaults()
 	if o.MaxInsert == 0 {
 		o.MaxInsert = 1000
 	}
@@ -110,18 +104,4 @@ func (o PairOptions) WithDefaults() PairOptions {
 		o.MinInsert = 100
 	}
 	return o
-}
-
-// PairResult is the outcome of mapping a paired read set.
-type PairResult struct {
-	// Pairs[i] are fragment i's concordant pairs (may be empty).
-	Pairs [][]Pair
-	// Single1/Single2 hold the per-mate single-end mappings, for
-	// fragments whose mates must be reported individually.
-	Single1, Single2 [][]Mapping
-	SimSeconds       float64
-	EnergyJ          float64
-	Cost             cl.Cost
-	// Faults accumulates both mates' recovery accounting.
-	Faults FaultStats
 }

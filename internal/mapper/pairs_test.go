@@ -113,7 +113,7 @@ func TestPairUpPropertyInsertBand(t *testing.T) {
 
 func TestPairOptionsDefaults(t *testing.T) {
 	o := PairOptions{}.WithDefaults()
-	if o.MinInsert != 100 || o.MaxInsert != 1000 || o.MaxLocations != 1000 {
+	if o.MinInsert != 100 || o.MaxInsert != 1000 {
 		t.Errorf("defaults = %+v", o)
 	}
 }

@@ -212,12 +212,13 @@ func (w *Writer) WriteReadCigars(name string, seq []byte, ms []mapper.Mapping, c
 }
 
 // WritePair emits one concordant pair as two properly-paired records with
-// mate fields (RNEXT "=", PNEXT, signed TLEN). seq1/seq2 may be nil.
-func (w *Writer) WritePair(name string, seq1, seq2 []byte, p mapper.Pair, rname string) error {
+// mate fields (RNEXT "=", PNEXT, signed TLEN). seq1/seq2 may be nil;
+// cigar1/cigar2 are the mates' CIGAR strings, empty meaning "*".
+func (w *Writer) WritePair(name string, seq1, seq2 []byte, p mapper.Pair, rname, cigar1, cigar2 string) error {
 	if rname == "" {
 		rname = w.refName
 	}
-	write := func(self, mate mapper.Mapping, selfFirst bool, seq []byte, tlen int32) error {
+	write := func(self, mate mapper.Mapping, selfFirst bool, seq []byte, cigar string, tlen int32) error {
 		flag := FlagPaired | FlagProperPair
 		if self.Strand == mapper.Reverse {
 			flag |= FlagReverse
@@ -231,17 +232,17 @@ func (w *Writer) WritePair(name string, seq1, seq2 []byte, p mapper.Pair, rname 
 			flag |= FlagSecondInPair
 		}
 		return w.write(record{name: name, flag: flag, rname: rname, pos: self.Pos + 1, mapq: 255,
-			mate: true, pnext: mate.Pos + 1, tlen: tlen, seq: seq, nm: int(self.Dist)})
+			cigar: cigar, mate: true, pnext: mate.Pos + 1, tlen: tlen, seq: seq, nm: int(self.Dist)})
 	}
 	// TLEN sign convention: positive for the leftmost mate.
 	t1, t2 := p.Insert, -p.Insert
 	if p.First.Pos > p.Second.Pos {
 		t1, t2 = -p.Insert, p.Insert
 	}
-	if err := write(p.First, p.Second, true, seq1, t1); err != nil {
+	if err := write(p.First, p.Second, true, seq1, cigar1, t1); err != nil {
 		return err
 	}
-	return write(p.Second, p.First, false, seq2, t2)
+	return write(p.Second, p.First, false, seq2, cigar2, t2)
 }
 
 // Flush flushes buffered output.

@@ -150,7 +150,10 @@ func TestWritePair(t *testing.T) {
 		Insert:     400,
 		Concordant: true,
 	}
-	if err := w.WritePair("frag1", []byte("ACGT"), []byte("TTTT"), p, ""); err != nil {
+	if err := w.WritePair("frag1", []byte("ACGT"), []byte("TTTT"), p, "", "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WritePair("frag2", []byte("ACGT"), []byte("TTTT"), p, "", "4M", "2M1I1M"); err != nil {
 		t.Fatal(err)
 	}
 	w.Flush()
@@ -158,8 +161,8 @@ func TestWritePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("records = %d want 2", len(recs))
+	if len(recs) != 4 {
+		t.Fatalf("records = %d want 4", len(recs))
 	}
 	r1, r2 := recs[0], recs[1]
 	if r1.Flag&FlagPaired == 0 || r1.Flag&FlagProperPair == 0 || r1.Flag&FlagFirstInPair == 0 {
@@ -177,6 +180,13 @@ func TestWritePair(t *testing.T) {
 	// TLEN: +insert on the leftmost record, -insert on the rightmost.
 	if !strings.Contains(buf.String(), "\t400\t") || !strings.Contains(buf.String(), "\t-400\t") {
 		t.Errorf("TLEN signs missing:\n%s", buf.String())
+	}
+	// CIGAR: "*" when none is given, else each mate's own string.
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	for i, want := range []string{"*", "*", "4M", "2M1I1M"} {
+		if got := strings.Split(lines[len(lines)-4+i], "\t")[5]; got != want {
+			t.Errorf("record %d CIGAR = %q, want %q", i, got, want)
+		}
 	}
 }
 
@@ -271,7 +281,7 @@ func TestWriteRecordsDoesNotAllocate(t *testing.T) {
 		if err := w.WriteAlignments("read/2", seq, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WritePair("read/3", seq, seq, pair, ""); err != nil {
+		if err := w.WritePair("read/3", seq, seq, pair, "", "100M", "100M"); err != nil {
 			t.Fatal(err)
 		}
 	})

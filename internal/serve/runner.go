@@ -206,7 +206,7 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		Prefilter: job.Prefilter,
 	}
 	run := Stream{
-		Pipeline: p, Genome: s.g, Devices: devs, Opt: opt, Cigar: job.Cigar, Batch: job.Batch,
+		Pipeline: p, Genome: s.g, Opt: opt, Cigar: job.Cigar, Batch: job.Batch,
 		ReadsPath: s.store.readsPath(job.ID), ReadsName: job.ID + "/reads.fq",
 		SAMPath: s.store.samPath(job.ID), CkptPath: s.store.ckptPath(job.ID),
 		Fingerprint: checkpoint.FingerprintDigest(s.digest, opt,
@@ -215,7 +215,6 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 			fmt.Sprintf("devices=%d", job.Devices),
 			"faults="+job.Faults,
 		),
-		Tracer: rec,
 	}
 	if _, serr := os.Stat(run.CkptPath); serr == nil {
 		if run.Resume, err = checkpoint.Load(run.CkptPath); err != nil {

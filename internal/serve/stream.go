@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cl"
@@ -21,7 +22,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/mapper"
 	"repro/internal/sam"
-	"repro/internal/trace"
 )
 
 // NewPipeline builds the pipeline over a loaded index artifact: one
@@ -43,19 +43,23 @@ func NewPipeline(f *index.File, devices []*cl.Device, cfg core.Config) (*core.Pi
 
 // Stream describes one pass of the stream runner.
 type Stream struct {
+	// Pipeline maps the reads; the environment fault plan is armed on its
+	// devices and their fault ordinals are checkpointed.
 	Pipeline *core.Pipeline
 	Genome   *genome.Genome
-	// Devices are the pipeline's devices: the environment fault plan is
-	// armed on them and their fault ordinals are checkpointed.
-	Devices []*cl.Device
-	Opt     mapper.Options
-	Cigar   bool
-	Lenient bool
-	// Batch is the number of reads per batch; 0 maps the whole input as
-	// one batch.
+	Opt      mapper.Options
+	Cigar    bool
+	Lenient  bool
+	// Batch is the number of reads — of fragments in a paired run — per
+	// batch; 0 maps the whole input as one batch.
 	Batch     int
 	ReadsPath string
 	ReadsName string // names the input in parse errors
+	// Reads2Path, when set, is the mate-2 file of a paired run: record i
+	// of each file is fragment i, whose mates map as two adjacent reads of
+	// one batch and pair up within the Pair insert band.
+	Reads2Path string
+	Pair       mapper.PairOptions
 	// SAMPath is the output file; "" writes to stdout, which a
 	// checkpointed run cannot do (a resume truncates and appends).
 	SAMPath string
@@ -68,7 +72,6 @@ type Stream struct {
 	// Resume continues from a loaded checkpoint the caller has verified
 	// against Fingerprint; nil starts fresh.
 	Resume *checkpoint.State
-	Tracer trace.Tracer
 	// AfterBatch runs once the batch's SAM records and checkpoint are
 	// durable; returning core.Stop ends the run cleanly at that boundary.
 	AfterBatch func(*checkpoint.State) error
@@ -80,9 +83,12 @@ type Stream struct {
 // (a crash can leave extra flushed bytes past it, never fewer), seeks
 // the scanner to the checkpointed offset, fast-forwards the codec and
 // restores the fault ordinals, so its output is bit-identical to an
-// uninterrupted run's. On core.Stop the state is returned with the
-// error.
+// uninterrupted run's. A paired run does the same for both mate files.
+// On core.Stop the state is returned with the error.
 func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
+	if s.Lenient && s.Reads2Path != "" {
+		return nil, fmt.Errorf("lenient parsing does not apply to paired input (a skipped record would put the mates out of step)")
+	}
 	st := s.Resume
 	if st == nil {
 		st = &checkpoint.State{Version: checkpoint.Version, Fingerprint: s.Fingerprint, BatchSize: s.Batch}
@@ -98,8 +104,9 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 	// ordinal counters can be seated; Pipeline.Map would otherwise arm it
 	// lazily with fresh counters and the injection schedule would replay
 	// from the start instead of continuing.
-	cl.ArmEnvFaults(s.Devices)
-	for _, d := range s.Devices {
+	devices := s.Pipeline.Devices()
+	cl.ArmEnvFaults(devices)
+	for _, d := range devices {
 		if o, ok := st.FaultOrdinals[d.Name]; ok {
 			d.RestoreFaultOrdinals(o)
 		}
@@ -154,29 +161,31 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 		return err
 	}
 
-	rf, err := os.Open(s.ReadsPath)
-	if err != nil {
-		return nil, err
-	}
-	defer rf.Close()
-	if _, err := rf.Seek(st.Offset, io.SeekStart); err != nil {
-		return nil, err
-	}
-	sc := fastx.NewScanner(rf, fastx.ScanOptions{
-		Format:     fastx.FormatFASTQ,
-		Lenient:    s.Lenient,
-		Name:       s.ReadsName,
-		Tracer:     s.Tracer,
-		BaseOffset: st.Offset,
-		BaseLine:   st.Line,
-	})
-	codec := fastx.NewCodec(0)
-	codec.FastForward(st.RNGDraws)
 	batch := s.Batch
 	if batch == 0 {
 		batch = math.MaxInt
 	}
-	src := core.NewScanSource(sc, codec, batch, s.Lenient, s.Opt.MaxErrors, st.Reads)
+	// A paired run reads one record per source call from each mate file
+	// and zips them into batches of fragments.
+	perCall := batch
+	if s.Reads2Path != "" {
+		perCall = 1
+	}
+	src, rf, err := s.source(s.ReadsPath, s.ReadsName,
+		core.StreamToken{Offset: st.Offset, Line: st.Line, RNGDraws: st.RNGDraws}, perCall, st.Reads)
+	if err != nil {
+		return nil, err
+	}
+	defer rf.Close()
+	if s.Reads2Path != "" {
+		src2, rf2, err := s.source(s.Reads2Path, s.Reads2Path,
+			core.StreamToken{Offset: st.Offset2, Line: st.Line2, RNGDraws: st.RNGDraws2}, 1, 0)
+		if err != nil {
+			return nil, err
+		}
+		defer rf2.Close()
+		src = s.zipMates(src, src2, batch, st.Reads)
+	}
 
 	// baseFaults preserves the resumed run's cumulative tallies: per-batch
 	// device-fault stats accumulate on top, while the skip tallies are
@@ -190,13 +199,8 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 	}
 
 	emit := func(b core.StreamBatch, res *mapper.Result) error {
-		for i, name := range b.Names {
-			dropped, err := WriteReadAlignments(sw, s.Genome, s.Pipeline, name, b.Reads[i],
-				res.Mappings[i], s.Cigar, s.Opt.MaxErrors)
-			if err != nil {
-				return err
-			}
-			st.Dropped += dropped
+		if err := s.writeBatch(sw, b, res.Mappings, st); err != nil {
+			return err
 		}
 		if err := flush(); err != nil {
 			return err
@@ -216,7 +220,8 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 		st.Offset = b.Token.Offset
 		st.Line = b.Token.Line
 		st.RNGDraws = b.Token.RNGDraws
-		st.FaultOrdinals = snapshotOrdinals(s.Devices)
+		st.Offset2, st.Line2, st.RNGDraws2 = b.Mate2.Offset, b.Mate2.Line, b.Mate2.RNGDraws
+		st.FaultOrdinals = snapshotOrdinals(devices)
 		if err := save(); err != nil {
 			return err
 		}
@@ -241,6 +246,86 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 		return st, err
 	}
 	return st, save()
+}
+
+// source opens a reads file at a checkpointed position and returns its
+// scan source, cutting batches of batch reads, with the file to close.
+func (s Stream) source(path, name string, at core.StreamToken, batch, startRead int) (func() (core.StreamBatch, error), *os.File, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := f.Seek(at.Offset, io.SeekStart); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	sc := fastx.NewScanner(f, fastx.ScanOptions{
+		Format:     fastx.FormatFASTQ,
+		Lenient:    s.Lenient,
+		Name:       name,
+		Tracer:     s.Pipeline.Tracer(),
+		BaseOffset: at.Offset,
+		BaseLine:   at.Line,
+	})
+	// Each file gets its own seed-0 codec, so a mate's ambiguous bases
+	// resolve the same whatever the other file holds.
+	codec := fastx.NewCodec(0)
+	codec.FastForward(at.RNGDraws)
+	return core.NewScanSource(sc, codec, batch, s.Lenient, s.Opt.MaxErrors, startRead), f, nil
+}
+
+// zipMates cuts batches of up to batch fragments from two mate sources
+// that yield one record per call: mate 1 and mate 2 of each fragment
+// become two adjacent reads. A pair of records whose names (first
+// token, less a trailing /1 or /2) differ, or a file that ends before
+// the other, is an error.
+func (s Stream) zipMates(src1, src2 func() (core.StreamBatch, error), batch, startRead int) func() (core.StreamBatch, error) {
+	index, next := 0, startRead
+	return func() (core.StreamBatch, error) {
+		b := core.StreamBatch{Index: index, Start: next}
+		for frags := 0; frags < batch; frags++ {
+			m1, err := src1()
+			if err != nil {
+				return b, err
+			}
+			m2, err := src2()
+			if err != nil {
+				return b, err
+			}
+			b.Token, b.Mate2 = m1.Token, m2.Token
+			if len(m1.Reads) != len(m2.Reads) {
+				short, long := s.ReadsName, s.Reads2Path
+				if len(m1.Reads) > 0 {
+					short, long = long, short
+				}
+				return b, fmt.Errorf("paired input: %s ends before %s", short, long)
+			}
+			if len(m1.Reads) == 0 {
+				break
+			}
+			if fragmentName(m1.Names[0]) != fragmentName(m2.Names[0]) {
+				return b, fmt.Errorf("paired input: %s record %q ending at line %d is not the mate of %s record %q",
+					s.Reads2Path, m2.Names[0], m2.Token.Line, s.ReadsName, m1.Names[0])
+			}
+			b.Names = append(b.Names, m1.Names[0], m2.Names[0])
+			b.Reads = append(b.Reads, m1.Reads[0], m2.Reads[0])
+		}
+		index++
+		next += len(b.Reads)
+		return b, nil
+	}
+}
+
+// fragmentName is the fragment a mate's record names: the first
+// whitespace-delimited token, less a trailing /1 or /2.
+func fragmentName(name string) string {
+	if f := strings.Fields(name); len(f) > 0 {
+		name = f[0]
+	}
+	if strings.HasSuffix(name, "/1") || strings.HasSuffix(name, "/2") {
+		name = name[:len(name)-2]
+	}
+	return name
 }
 
 // applySkips sets st's skip tallies to the resumed baseline plus this
