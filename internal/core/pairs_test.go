@@ -1,8 +1,10 @@
-package serve
+package core_test
 
-// Paired-end runs through the stream runner: a mate pair is two adjacent
-// reads of one batch, paired after the merge. These tests read every
-// property off the SAM a paired RunStream writes — concordant origins,
+// Paired-end mapping tests. core has no paired entry point of its own: a
+// paired run is a serve.RunStream over two mate files, a mate pair being
+// two adjacent reads of one pipeline batch, paired after the merge. The
+// tests sit in the external test package so they can drive the runner,
+// and read every property off the SAM it writes — concordant origins,
 // rescue of a multi-mapping mate, byte-identical recovery from a fault
 // plan, serial/parallel identity, and one contiguous trace timeline.
 
@@ -25,6 +27,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/mapper"
 	"repro/internal/sam"
+	"repro/internal/serve"
 	"repro/internal/simulate"
 	"repro/internal/trace"
 )
@@ -72,17 +75,17 @@ func newPairedWorld(t *testing.T, refLen int, refSeed int64, n int, insert float
 // 200..700 — through RunStream and returns the SAM and the final state.
 func (w *pairedWorld) run(t *testing.T, devs []*cl.Device, cfg core.Config, opt mapper.Options, batch int, reads ...string) ([]byte, *checkpoint.State) {
 	t.Helper()
-	p, err := NewPipeline(w.file, devs, cfg)
+	p, err := serve.NewPipeline(w.file, devs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Stream{Pipeline: p, Genome: w.g, Opt: opt, Batch: batch,
+	s := serve.Stream{Pipeline: p, Genome: w.g, Opt: opt, Batch: batch,
 		ReadsPath: reads[0], ReadsName: reads[0], Pair: mapper.PairOptions{MinInsert: 200, MaxInsert: 700},
 		SAMPath: filepath.Join(t.TempDir(), "out.sam")}
 	if len(reads) > 1 {
 		s.Reads2Path = reads[1]
 	}
-	st, err := RunStream(context.Background(), s)
+	st, err := serve.RunStream(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,31 +105,50 @@ func parseSAM(t *testing.T, b []byte) []sam.Record {
 	return recs
 }
 
-// TestRunStreamPairsFindConcordantOrigins: nearly every fragment whose
-// mates are within δ is written as a proper pair at its simulated
-// origin, every proper pair's TLEN lies in the insert band, and pairing
-// rescues fragments with a mate that maps to many places on its own.
-func TestRunStreamPairsFindConcordantOrigins(t *testing.T) {
-	w := newPairedWorld(t, 80_000, 33, 200, 400, 34)
-	opt := mapper.Options{MaxErrors: 4, MaxLocations: 200}
-	devs := func() []*cl.Device { return []*cl.Device{cl.SystemOneCPU()} }
-	out, st := w.run(t, devs(), core.Config{}, opt, 64, w.mates[0], w.mates[1])
-	if st.SimSeconds <= 0 || st.EnergyJ <= 0 || st.Cost.Items != int64(2*len(w.origins)) {
-		t.Errorf("accounting: %v s, %v J, %+v", st.SimSeconds, st.EnergyJ, st.Cost)
-	}
-
-	// proper[i] holds fragment i's proper-pair records, mate 1 first.
-	proper := make([][]sam.Record, len(w.origins))
+// properPairs indexes a paired run's proper-pair records by fragment,
+// mate 1 first; a fragment with none was not written as a proper pair.
+func properPairs(t *testing.T, out []byte, fragments int) [][]sam.Record {
+	t.Helper()
+	proper := make([][]sam.Record, fragments)
 	for _, r := range parseSAM(t, out) {
 		if r.Flag&sam.FlagProperPair == 0 {
 			continue
 		}
-		var i int
-		if _, err := fmt.Sscanf(r.Name, "frag%d", &i); err != nil {
-			t.Fatal(err)
-		}
+		i := fragIndex(t, r.Name)
 		proper[i] = append(proper[i], r)
 	}
+	return proper
+}
+
+func fragIndex(t *testing.T, name string) int {
+	t.Helper()
+	var i int
+	if _, err := fmt.Sscanf(name, "frag%d", &i); err != nil {
+		t.Fatal(err)
+	}
+	return i
+}
+
+// pairedLibrary is the library both the concordance and the rescue tests
+// map: 200 fragments of insert 400 over an 80 kbp reference with repeats.
+func pairedLibrary(t *testing.T) (*pairedWorld, mapper.Options) {
+	return newPairedWorld(t, 80_000, 33, 200, 400, 34), mapper.Options{MaxErrors: 4, MaxLocations: 200}
+}
+
+func oneCPU() []*cl.Device { return []*cl.Device{cl.SystemOneCPU()} }
+
+// TestMapPairsFindsConcordantOrigins: nearly every fragment whose mates
+// are within δ is written as a proper pair at its simulated origin, every
+// proper pair's TLEN lies in the insert band, and the checkpoint's
+// concordant tally matches the SAM.
+func TestMapPairsFindsConcordantOrigins(t *testing.T) {
+	w, opt := pairedLibrary(t)
+	out, st := w.run(t, oneCPU(), core.Config{}, opt, 64, w.mates[0], w.mates[1])
+	if st.SimSeconds <= 0 || st.EnergyJ <= 0 || st.Cost.Items != int64(2*len(w.origins)) {
+		t.Errorf("accounting: %v s, %v J, %+v", st.SimSeconds, st.EnergyJ, st.Cost)
+	}
+
+	proper := properPairs(t, out, len(w.origins))
 	concordant := 0
 	for _, recs := range proper {
 		if len(recs) > 0 {
@@ -159,17 +181,22 @@ func TestRunStreamPairsFindConcordantOrigins(t *testing.T) {
 	if found < eligible*98/100 {
 		t.Fatalf("concordant recovery %d/%d below 98%%", found, eligible)
 	}
+}
 
-	// Rescue: the mates mapped single-end, each file on its own.
+// TestMapPairsRescue: a mate inside a high-copy repeat maps to many
+// places on its own; pairing with its unique partner pins it to one
+// proper pair.
+func TestMapPairsRescue(t *testing.T) {
+	w, opt := pairedLibrary(t)
+	out, _ := w.run(t, oneCPU(), core.Config{}, opt, 64, w.mates[0], w.mates[1])
+	proper := properPairs(t, out, len(w.origins))
+
+	// The mates mapped single-end, each file on its own.
 	rescued := 0
 	for m := range w.mates {
-		single, _ := w.run(t, devs(), core.Config{}, opt, 0, w.mates[m])
+		single, _ := w.run(t, oneCPU(), core.Config{}, opt, 0, w.mates[m])
 		for name, ms := range sam.GroupByRead(parseSAM(t, single)) {
-			var i int
-			if _, err := fmt.Sscanf(name, "frag%d", &i); err != nil {
-				t.Fatal(err)
-			}
-			if len(ms) > 3 && len(proper[i]) == 2 {
+			if len(ms) > 3 && len(proper[fragIndex(t, name)]) == 2 {
 				rescued++
 			}
 		}
@@ -232,50 +259,70 @@ func faultyPair(t *testing.T, w *pairedWorld) (mkDevs func() []*cl.Device, maxLo
 	}, int(ixBytes / 128)
 }
 
-// TestRunStreamPairedRecoversFromFaultPlan: with transient launch
-// failures, an injected allocation failure and a permanent device loss
-// spread across a two-device split and several batches, a paired run
-// writes SAM byte-identical to a fault-free serial single-device run, in
-// serial and parallel execution alike, with identical simulated totals
-// and recovery accounting in both modes.
-func TestRunStreamPairedRecoversFromFaultPlan(t *testing.T) {
-	w := newPairedWorld(t, 30_000, 11, 60, 300, 77)
+// faultyRun maps the fault world's pairs on the faulty two-device split
+// in the given execution mode, 16 fragments a batch.
+func faultyRun(t *testing.T, w *pairedWorld, mode cl.ExecMode) ([]byte, *checkpoint.State) {
+	t.Helper()
 	mkDevs, maxLoc := faultyPair(t, w)
-	opt := mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}
-	want, base := w.run(t, []*cl.Device{cl.SystemOneCPU()}, core.Config{Exec: cl.Serial}, opt, 16, w.mates[0], w.mates[1])
+	return w.run(t, mkDevs(), core.Config{Split: []float64{0.5, 0.5}, Exec: mode},
+		mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}, 16, w.mates[0], w.mates[1])
+}
+
+// TestMapPairsRecoversFromFaultPlan: with transient launch failures, an
+// injected allocation failure and a permanent device loss spread across
+// a two-device split and several batches, a paired run writes SAM
+// byte-identical to a fault-free serial single-device run, and accounts
+// for every kind of recovery.
+func TestMapPairsRecoversFromFaultPlan(t *testing.T) {
+	t.Setenv("REPUTE_CL_FAULTS", "")
+	w := newPairedWorld(t, 30_000, 11, 60, 300, 77)
+	_, maxLoc := faultyPair(t, w)
+	want, base := w.run(t, oneCPU(), core.Config{Exec: cl.Serial},
+		mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}, 16, w.mates[0], w.mates[1])
 	if base.Faults.Any() {
 		t.Fatalf("fault-free baseline reports recovery: %+v", base.Faults)
 	}
 
-	var states []*checkpoint.State
-	for _, mode := range []cl.ExecMode{cl.Serial, cl.Parallel} {
-		got, st := w.run(t, mkDevs(), core.Config{Split: []float64{0.5, 0.5}, Exec: mode}, opt, 16, w.mates[0], w.mates[1])
-		if !bytes.Equal(want, got) {
-			t.Errorf("exec mode %v: SAM under the fault plan differs from the fault-free SAM", mode)
-		}
-		f := st.Faults
-		if f.Retries < 1 || f.DegradedBatches < 1 || f.FailoverReads < 1 ||
-			!reflect.DeepEqual(f.FailedDevices, []string{"CPU-B"}) {
-			t.Errorf("exec mode %v: recovery not accounted: %+v", mode, f)
-		}
-		states = append(states, st)
+	got, st := faultyRun(t, w, cl.Serial)
+	if !bytes.Equal(want, got) {
+		t.Error("SAM under the fault plan differs from the fault-free SAM")
 	}
-	serial, parallel := states[0], states[1]
+	f := st.Faults
+	if f.Retries < 1 || f.DegradedBatches < 1 || f.FailoverReads < 1 ||
+		!reflect.DeepEqual(f.FailedDevices, []string{"CPU-B"}) {
+		t.Errorf("recovery not accounted: %+v", f)
+	}
+}
+
+// TestMapPairsFaultDeterminismSerialParallel: under the same fault plan,
+// a serial and a parallel paired run write identical SAM with identical
+// simulated totals and recovery accounting.
+func TestMapPairsFaultDeterminismSerialParallel(t *testing.T) {
+	t.Setenv("REPUTE_CL_FAULTS", "")
+	w := newPairedWorld(t, 30_000, 11, 60, 300, 78)
+	serialSAM, serial := faultyRun(t, w, cl.Serial)
+	parallelSAM, parallel := faultyRun(t, w, cl.Parallel)
+	if !bytes.Equal(serialSAM, parallelSAM) {
+		t.Error("serial and parallel SAM differ under the fault plan")
+	}
 	if serial.SimSeconds != parallel.SimSeconds || serial.EnergyJ != parallel.EnergyJ ||
 		serial.Cost != parallel.Cost || !reflect.DeepEqual(serial.Faults, parallel.Faults) {
 		t.Errorf("simulated results differ:\nserial   %v/%v/%+v/%+v\nparallel %v/%v/%+v/%+v",
 			serial.SimSeconds, serial.EnergyJ, serial.Cost, serial.Faults,
 			parallel.SimSeconds, parallel.EnergyJ, parallel.Cost, parallel.Faults)
 	}
+	if !serial.Faults.Any() {
+		t.Error("fault plans injected nothing — the comparison is vacuous")
+	}
 }
 
-// TestRunStreamPairedTraceTimeline: the batches of a paired run share one
+// TestMapPairsTraceTimeline: the batches of a paired run share one
 // recorder; each batch's host map span starts where the previous one
 // ended, and the whole trace validates.
-func TestRunStreamPairedTraceTimeline(t *testing.T) {
+func TestMapPairsTraceTimeline(t *testing.T) {
 	w := newPairedWorld(t, 20_000, 11, 20, 300, 5)
 	rec := trace.NewRecorder()
-	w.run(t, []*cl.Device{cl.SystemOneCPU()}, core.Config{Exec: cl.Serial, Tracer: rec},
+	w.run(t, oneCPU(), core.Config{Exec: cl.Serial, Tracer: rec},
 		mapper.Options{MaxErrors: 3, MaxLocations: 50}, 5, w.mates[0], w.mates[1])
 	if err := rec.Validate(); err != nil {
 		t.Fatal(err)
