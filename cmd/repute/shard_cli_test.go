@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -237,6 +238,32 @@ func TestMapRejectsUnusableFlags(t *testing.T) {
 			t.Errorf("map %v succeeded\n%s", tc.args, out)
 		} else if !strings.Contains(out, tc.want) {
 			t.Errorf("map %v: error does not mention %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// TestIndexBuildDigestGolden pins the bytes `index build` writes for a
+// committed FASTA fixture — several contigs with description lines,
+// lowercase runs, N runs and IUPAC codes, lines wrapped at different
+// widths, CRLF endings — whole and as 3 shards. Any change to how the
+// reference is parsed, how ambiguous bases are substituted or how the
+// artifact is laid out moves these digests.
+func TestIndexBuildDigestGolden(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args   []string
+		sha256 string
+	}{
+		{nil, "350799e5eb3bb532cf9aee86cd0625a59cc366182201936eba0cc3f50324f457"},
+		{[]string{"-shards", "3", "-overlap", "256"}, "bf22e788823a5d133d2e3a4be72426b9f20545517f42cbdedb5f7d4a9ffb4d5c"},
+	} {
+		path := filepath.Join(dir, "golden.ridx")
+		args := append([]string{"index", "build", "-ref", filepath.Join("testdata", "contigs.fa"), "-out", path}, tc.args...)
+		if out, err := runRepute(t, nil, args...); err != nil {
+			t.Fatalf("index build %v: %v\n%s", tc.args, err, out)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(readFile(t, path))); got != tc.sha256 {
+			t.Errorf("index build %v: artifact sha256 %s, want %s", tc.args, got, tc.sha256)
 		}
 	}
 }
