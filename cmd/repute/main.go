@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -199,24 +198,33 @@ func locateMode(rate int) string {
 	return fmt.Sprintf("sampled 1/%d", rate)
 }
 
+// loadReference parses the reference FASTA with the same Scanner that
+// streams the reads; a malformed file stops with a *fastx.ParseError
+// naming the file and line.
 func loadReference(path string) (*genome.Genome, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	recs, err := fastx.ReadFasta(f)
-	if err != nil {
+	sc := fastx.NewScanner(f, fastx.ScanOptions{Format: fastx.FormatFASTA, Name: path})
+	var recs []fastx.Record
+	for sc.Scan() {
+		rec := sc.Record()
+		// FASTA names may contain descriptions; keep the first token so
+		// SAM RNAMEs stay clean.
+		if fields := strings.Fields(rec.Name); len(fields) > 0 {
+			rec.Name = fields[0]
+		}
+		recs = append(recs, rec)
+	}
+	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	// FASTA names may contain descriptions; keep the first token so SAM
-	// RNAMEs stay clean.
-	for i := range recs {
-		if fields := strings.Fields(recs[i].Name); len(fields) > 0 {
-			recs[i].Name = fields[0]
-		}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("%s: no FASTA records found", path)
 	}
-	return genome.FromFasta(recs, rand.New(rand.NewSource(0)))
+	return genome.FromFasta(recs)
 }
 
 func platformDevices(name string) ([]*cl.Device, error) {

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fastx"
 	"repro/internal/sam"
 )
 
@@ -264,6 +265,36 @@ func TestIndexBuildDigestGolden(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(readFile(t, path))); got != tc.sha256 {
 			t.Errorf("index build %v: artifact sha256 %s, want %s", tc.args, got, tc.sha256)
+		}
+	}
+}
+
+// TestMalformedReferenceRefused: `index build -ref` and `map -ref` refuse
+// an empty FASTA, sequence before the first header and a stray '>'
+// inside a sequence line; a parse failure names the file and the line.
+func TestMalformedReferenceRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"empty.fa", "", ": no FASTA records"},
+		{"headless.fa", "ACGTACGT\n>chr1\nACGT\n", ": line 1: record 0: " + fastx.ReasonMissingHeader},
+		{"stray.fa", ">chr1\nACGT\nAC>GT\n", ": line 3: record 0: " + fastx.ReasonStrayHeader},
+	} {
+		ref := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(ref, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{
+			{"index", "build", "-ref", ref, "-out", filepath.Join(dir, "never.ridx")},
+			{"map", "-ref", ref, "-reads", readsPath, "-out", filepath.Join(dir, "never.sam")},
+		} {
+			out, err := runRepute(t, nil, args...)
+			if err == nil {
+				t.Errorf("%s %s: accepted\n%s", args[0], tc.name, out)
+			} else if !strings.Contains(out, ref+tc.want) {
+				t.Errorf("%s %s: error lacks %q:\n%s", args[0], tc.name, ref+tc.want, out)
+			}
 		}
 	}
 }

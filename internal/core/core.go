@@ -756,7 +756,12 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 		}
 		out := outs[u.shard]
 		sp := u.span
-		readLen := len(reads[sp.start])
+		// newBatch sizes the read buffer by the batch's longest read, so
+		// bound the batch by the span's.
+		readLen := 0
+		for _, r := range reads[sp.start:sp.end] {
+			readLen = max(readLen, len(r))
+		}
 		outPerRead := int64(opt.MaxLocations) * locationBytes
 		inPerRead := int64((readLen + 3) / 4)
 		batch := sp.end - sp.start

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/seed"
 	"repro/internal/simulate"
+	"repro/internal/trace"
 )
 
 // testWorld builds a small repetitive reference plus simulated reads.
@@ -320,6 +321,61 @@ func TestMixedLengthBatchMapsEachReadAsAlone(t *testing.T) {
 			if f.got != f.want {
 				t.Errorf("[%d bp, %d bp]: %s %d, the reads alone %d", len(reads[0]), len(reads[1]), f.name, f.got, f.want)
 			}
+		}
+	}
+}
+
+// TestBatchSizedByLongestRead: a batch's read buffer holds its longest
+// read per slot, so the batch bound must come from the span's longest
+// read, not its first. Short reads followed by one long read under a
+// tight MaxAlloc used to overflow the read buffer on a fault-free run,
+// halving the batch and counting a degraded batch.
+func TestBatchSizedByLongestRead(t *testing.T) {
+	t.Setenv("REPUTE_CL_FAULTS", "") // the property is about fault-free runs
+	ref, _ := testWorld(t, 10_000, 1, simulate.ERR012100)
+	opt := mapper.Options{MaxErrors: 2, MaxLocations: 1}
+	big, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := cl.SystemOneCPU()
+	dev.MaxAlloc = big.Index().SizeBytes()
+	const shortLen, longLen = 40, 800
+	// Enough short reads that all of them plus the long read, sized by
+	// the long read, overflow MaxAlloc; sized by a short read they fit.
+	n := int(dev.MaxAlloc/((longLen+3)/4)) + 1
+	if int64(n+1)*((shortLen+3)/4) > dev.MaxAlloc {
+		t.Fatalf("%d short reads overflow MaxAlloc %d on their own", n, dev.MaxAlloc)
+	}
+	reads := make([][]byte, 0, n+1)
+	for i := 0; i < n; i++ {
+		at := (i * 37) % (len(ref) - shortLen)
+		reads = append(reads, ref[at:at+shortLen])
+	}
+	reads = append(reads, ref[5_000:5_000+longLen])
+
+	want, err := big.Map(reads, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder()
+	tight, err := NewFromIndex(big.Index(), []*cl.Device{dev}, Config{Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tight.Map(reads, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Mappings, want.Mappings) {
+		t.Error("tight-MaxAlloc mappings differ from the baseline")
+	}
+	if got.Faults.DegradedBatches != 0 {
+		t.Errorf("fault-free run degraded %d batch(es)", got.Faults.DegradedBatches)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Name == "batch-halved" {
+			t.Errorf("fault-free run halved a batch: %+v", ev)
 		}
 	}
 }

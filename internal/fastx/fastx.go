@@ -1,6 +1,8 @@
 // Package fastx reads and writes FASTA and FASTQ files, the interchange
-// formats for references and read sets. Sequences are kept as ASCII in
-// records; CodesOf converts to base codes with the usual mapper policy of
+// formats for references and read sets. One parser, the streaming
+// Scanner, reads both the reference the index is built from and the
+// reads mapped against it. Sequences are kept as ASCII in records; one
+// Codec converts them to base codes with the usual mapper policy of
 // replacing ambiguous bases (N etc.) with deterministic pseudo-random
 // bases, as real read mappers do when building indexes.
 package fastx
@@ -10,9 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
-
-	"repro/internal/dna"
 )
 
 // Record is one FASTA/FASTQ entry. Qual is nil for FASTA records.
@@ -36,44 +35,6 @@ func appendSeq(dst, line []byte) []byte {
 		}
 	}
 	return dst
-}
-
-// ReadFasta parses all records from r.
-func ReadFasta(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var recs []Record
-	var cur *Record
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		if b[0] == '>' {
-			recs = append(recs, Record{Name: string(bytes.TrimSpace(b[1:]))})
-			cur = &recs[len(recs)-1]
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("fastx: line %d: sequence before first header", line)
-		}
-		if bytes.IndexByte(b, '>') >= 0 {
-			// A '>' after the first column is a mangled header, and a
-			// sequence containing one could not round-trip: wrapping
-			// may put it at a line start, where it reads as a header.
-			return nil, fmt.Errorf("fastx: line %d: stray '>' inside sequence line", line)
-		}
-		cur.Seq = appendSeq(cur.Seq, b)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fastx: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("fastx: no FASTA records found")
-	}
-	return recs, nil
 }
 
 // WriteFasta writes records wrapping sequence lines at width columns
@@ -101,60 +62,6 @@ func WriteFasta(w io.Writer, recs []Record, width int) error {
 	return bw.Flush()
 }
 
-// ReadFastq parses all records from r. Each record must be the standard
-// four lines: @name, sequence, +, quality.
-func ReadFastq(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var recs []Record
-	line := 0
-	next := func() ([]byte, bool) {
-		for sc.Scan() {
-			line++
-			b := bytes.TrimSpace(sc.Bytes())
-			if len(b) > 0 {
-				out := make([]byte, len(b))
-				copy(out, b)
-				return out, true
-			}
-		}
-		return nil, false
-	}
-	for {
-		hdr, ok := next()
-		if !ok {
-			break
-		}
-		if hdr[0] != '@' {
-			return nil, fmt.Errorf("fastx: line %d: expected @header, got %q", line, hdr)
-		}
-		seq, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("fastx: line %d: truncated record (missing sequence)", line)
-		}
-		plus, ok := next()
-		if !ok || plus[0] != '+' {
-			return nil, fmt.Errorf("fastx: line %d: expected + separator", line)
-		}
-		qual, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("fastx: line %d: truncated record (missing quality)", line)
-		}
-		if len(qual) != len(seq) {
-			return nil, fmt.Errorf("fastx: line %d: quality length %d != sequence length %d",
-				line, len(qual), len(seq))
-		}
-		recs = append(recs, Record{Name: string(hdr[1:]), Seq: seq, Qual: qual})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fastx: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("fastx: no FASTQ records found")
-	}
-	return recs, nil
-}
-
 // WriteFastq writes records in four-line FASTQ form. Records without
 // qualities get a constant high quality string.
 func WriteFastq(w io.Writer, recs []Record) error {
@@ -169,22 +76,4 @@ func WriteFastq(w io.Writer, recs []Record) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// CodesOf converts a record's ASCII sequence to base codes. Ambiguous
-// characters are replaced with pseudo-random bases drawn from rng, the
-// standard index-building policy; rng may be nil to reject them instead.
-func CodesOf(rec Record, rng *rand.Rand) ([]byte, error) {
-	out := make([]byte, len(rec.Seq))
-	for i, b := range rec.Seq {
-		c, ok := dna.CodeOf(b)
-		if !ok {
-			if rng == nil {
-				return nil, fmt.Errorf("fastx: record %s: invalid base %q at %d", rec.Name, b, i)
-			}
-			c = byte(rng.Intn(4))
-		}
-		out[i] = c
-	}
-	return out, nil
 }

@@ -2,14 +2,19 @@ package fastx
 
 import (
 	"bytes"
-	"math/rand"
+	"errors"
 	"strings"
 	"testing"
 )
 
+// scan parses in with a strict Scanner of the given format.
+func scan(in string, format Format) ([]Record, error) {
+	return collect(NewScanner(strings.NewReader(in), ScanOptions{Format: format}))
+}
+
 func TestReadFastaBasic(t *testing.T) {
 	in := ">chr1 test\nACGT\nACGT\n>chr2\nTTTT\n"
-	recs, err := ReadFasta(strings.NewReader(in))
+	recs, err := scan(in, FormatFASTA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,12 +29,17 @@ func TestReadFastaBasic(t *testing.T) {
 	}
 }
 
+// TestReadFastaErrors: malformed FASTA is a typed error; empty input is
+// no records and no error (the reference loader refuses it).
 func TestReadFastaErrors(t *testing.T) {
-	if _, err := ReadFasta(strings.NewReader("ACGT\n")); err == nil {
-		t.Error("sequence before header accepted")
+	for _, in := range []string{"ACGT\n", ">a\nAC>GT\n"} {
+		var pe *ParseError
+		if _, err := scan(in, FormatFASTA); !errors.As(err, &pe) {
+			t.Errorf("%q: want ParseError, got %v", in, err)
+		}
 	}
-	if _, err := ReadFasta(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
+	if recs, err := scan("", FormatFASTA); err != nil || len(recs) != 0 {
+		t.Errorf("empty input: %d records, err %v", len(recs), err)
 	}
 }
 
@@ -42,21 +52,18 @@ func TestFastaRoundTrip(t *testing.T) {
 	if err := WriteFasta(&buf, recs, 5); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFasta(&buf)
+	got, err := scan(buf.String(), FormatFASTA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		if got[i].Name != recs[i].Name || !bytes.Equal(got[i].Seq, recs[i].Seq) {
-			t.Errorf("record %d: %q/%q want %q/%q",
-				i, got[i].Name, got[i].Seq, recs[i].Name, recs[i].Seq)
-		}
+	if !recordsEqual(got, recs) {
+		t.Errorf("round trip: %+v want %+v", got, recs)
 	}
 }
 
 func TestReadFastqBasic(t *testing.T) {
 	in := "@r1\nACGT\n+\nIIII\n@r2\nGG\n+anything\n!!\n"
-	recs, err := ReadFastq(strings.NewReader(in))
+	recs, err := scan(in, FormatFASTQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,16 +77,19 @@ func TestReadFastqBasic(t *testing.T) {
 
 func TestReadFastqErrors(t *testing.T) {
 	cases := []string{
-		"",                        // empty
 		"@r1\nACGT\n+\nII\n",      // qual length mismatch
 		"@r1\nACGT\n",             // truncated
 		"r1\nACGT\n+\nIIII\n",     // missing @
 		"@r1\nACGT\nIIII\nIIII\n", // missing +
 	}
 	for i, in := range cases {
-		if _, err := ReadFastq(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted: %q", i, in)
+		var pe *ParseError
+		if _, err := scan(in, FormatFASTQ); !errors.As(err, &pe) {
+			t.Errorf("case %d: want ParseError, got %v: %q", i, err, in)
 		}
+	}
+	if recs, err := scan("", FormatFASTQ); err != nil || len(recs) != 0 {
+		t.Errorf("empty input: %d records, err %v", len(recs), err)
 	}
 }
 
@@ -92,7 +102,7 @@ func TestFastqRoundTrip(t *testing.T) {
 	if err := WriteFastq(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFastq(&buf)
+	got, err := scan(buf.String(), FormatFASTQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,34 +115,28 @@ func TestFastqRoundTrip(t *testing.T) {
 }
 
 func TestCodesOf(t *testing.T) {
-	rec := Record{Name: "r", Seq: []byte("ACGT")}
-	codes, err := CodesOf(rec, nil)
-	if err != nil {
-		t.Fatal(err)
+	c := NewCodec(0)
+	codes := c.Codes(Record{Name: "r", Seq: []byte("ACGTacgt")})
+	if want := []byte{0, 1, 2, 3, 0, 1, 2, 3}; !bytes.Equal(codes, want) {
+		t.Fatalf("codes = %v want %v", codes, want)
 	}
-	want := []byte{0, 1, 2, 3}
-	for i := range want {
-		if codes[i] != want[i] {
-			t.Fatalf("codes = %v want %v", codes, want)
-		}
+	if c.Draws() != 0 {
+		t.Errorf("unambiguous bases drew %d times", c.Draws())
 	}
 }
 
 func TestCodesOfAmbiguous(t *testing.T) {
-	rec := Record{Name: "r", Seq: []byte("ACNNT")}
-	if _, err := CodesOf(rec, nil); err == nil {
-		t.Error("nil rng accepted N")
-	}
-	codes, err := CodesOf(rec, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range codes {
-		if c > 3 {
-			t.Errorf("code %d at %d out of range", c, i)
+	c := NewCodec(1)
+	codes := c.Codes(Record{Name: "r", Seq: []byte("ACNNT")})
+	for i, code := range codes {
+		if code > 3 {
+			t.Errorf("code %d at %d out of range", code, i)
 		}
 	}
 	if codes[0] != 0 || codes[1] != 1 || codes[4] != 3 {
 		t.Errorf("unambiguous bases altered: %v", codes)
+	}
+	if c.Draws() != 2 {
+		t.Errorf("draws = %d, want one per N", c.Draws())
 	}
 }

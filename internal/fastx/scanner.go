@@ -1,11 +1,11 @@
 package fastx
 
-// Scanner is the streaming counterpart of ReadFasta/ReadFastq: it parses
-// one record at a time from an io.Reader, keeping memory bounded by the
-// longest single record instead of the whole file — the ingest model a
-// read set larger than an embedded device's RAM demands. Beyond
-// incrementality it adds the three ingest-robustness features the batch
-// parsers lack:
+// Scanner is the package's one FASTA/FASTQ parser: the index builder
+// reads the reference through it and the read stream reads FASTQ through
+// it. It parses one record at a time from an io.Reader, keeping memory
+// bounded by the longest single record instead of the whole file — the
+// ingest model a read set larger than an embedded device's RAM demands.
+// Beyond incrementality it provides:
 //
 //   - typed parse errors (ParseError) carrying file, line, record ordinal
 //     and a stable reason token;
@@ -15,9 +15,9 @@ package fastx
 //     run can reopen the file, seek, and continue parsing exactly where
 //     it stopped (internal/checkpoint, DESIGN.md §11).
 //
-// The Scanner is deliberately an independent implementation rather than a
-// wrapper around ReadFasta/ReadFastq: the fuzz targets cross-validate the
-// two against each other, so a parsing bug must strike both to go
+// The package's tests keep independent bufio-based batch parsers
+// (ReadFasta, ReadFastq) as oracles: the fuzz targets cross-validate the
+// Scanner against them, so a parsing bug must strike both to go
 // unnoticed.
 
 import (
@@ -59,7 +59,7 @@ const (
 	ReasonTruncatedRecord  = "truncated-record"  // EOF in the middle of a record
 	ReasonMissingSeparator = "missing-separator" // FASTQ third line is not '+'
 	ReasonLengthMismatch   = "length-mismatch"   // FASTQ quality length != sequence length
-	ReasonLineTooLong      = "line-too-long"     // line exceeds ScanOptions.MaxLineBytes
+	ReasonLineTooLong      = "line-too-long"     // line exceeds maxLineBytes
 	ReasonUnknownFormat    = "unknown-format"    // auto-detection found neither '>' nor '@'
 	ReasonShortRead        = "short-read"        // read too short to map (tallied by the stream source)
 	ReasonStrayHeader      = "stray-header"      // '>' after the first column of a FASTA sequence line
@@ -113,7 +113,7 @@ func (s SkipStats) Clone() SkipStats {
 }
 
 // ScanOptions configure a Scanner. The zero value is a strict
-// auto-detecting scanner with the default line-length cap.
+// auto-detecting scanner.
 type ScanOptions struct {
 	// Format fixes the record syntax; FormatAuto sniffs the first line.
 	Format Format
@@ -125,10 +125,6 @@ type ScanOptions struct {
 	// Tracer, when non-nil, receives a "record-skipped" instant on the
 	// "ingest" lane for every record a lenient scan drops.
 	Tracer trace.Tracer
-	// MaxLineBytes bounds a single input line (0 = 16 MiB). Longer lines
-	// are consumed but their record is treated as malformed — the bound
-	// that keeps a streaming parse at O(record) memory on any input.
-	MaxLineBytes int
 	// BaseOffset is added to Offset(): the absolute position of the
 	// reader's first byte when resuming mid-file.
 	BaseOffset int64
@@ -136,8 +132,10 @@ type ScanOptions struct {
 	BaseLine int
 }
 
-// defaultMaxLine bounds one line when ScanOptions.MaxLineBytes is zero.
-const defaultMaxLine = 16 << 20
+// maxLineBytes bounds a single input line, newline included. Longer
+// lines are consumed but their record is treated as malformed — the bound
+// that keeps a streaming parse at O(record) memory on any input.
+const maxLineBytes = 16 << 20
 
 // Scanner incrementally parses FASTA/FASTQ records. Use it like
 // bufio.Scanner: for sc.Scan() { rec := sc.Record() }; err := sc.Err().
@@ -165,9 +163,6 @@ type Scanner struct {
 
 // NewScanner returns a Scanner over r.
 func NewScanner(r io.Reader, opts ScanOptions) *Scanner {
-	if opts.MaxLineBytes <= 0 {
-		opts.MaxLineBytes = defaultMaxLine
-	}
 	return &Scanner{
 		br:     bufio.NewReaderSize(r, 1<<16),
 		opts:   opts,
@@ -249,7 +244,7 @@ func (s *Scanner) detectFormat() bool {
 
 // next reads one line, trims surrounding whitespace, and advances the
 // offset and line counters by the raw line (including its newline). long
-// reports that the raw line exceeded MaxLineBytes (its content is
+// reports that the raw line exceeded maxLineBytes (its content is
 // discarded but its bytes are consumed and counted).
 //
 //repute:hotpath
@@ -268,7 +263,7 @@ func (s *Scanner) next() (line []byte, size int64, long, ok bool) {
 		chunk, err := s.br.ReadSlice('\n')
 		size += int64(len(chunk))
 		if !long {
-			if len(s.buf)+len(chunk) > s.opts.MaxLineBytes {
+			if len(s.buf)+len(chunk) > maxLineBytes {
 				long = true
 				s.buf = s.buf[:0]
 			} else {
@@ -305,7 +300,7 @@ func (s *Scanner) unread(line []byte, size int64, long bool) {
 	s.lineNo--
 }
 
-// nextNonBlank skips blank lines, mirroring the batch parsers.
+// nextNonBlank skips blank lines.
 func (s *Scanner) nextNonBlank() (line []byte, size int64, long, ok bool) {
 	for {
 		line, size, long, ok = s.next()
@@ -405,8 +400,7 @@ func (s *Scanner) scanFasta() bool {
 			}
 			if bytes.IndexByte(l2, '>') >= 0 {
 				// Mangled header: a mid-line '>' cannot round-trip
-				// (wrapping may move it to a line start). Matches
-				// ReadFasta's rejection.
+				// (wrapping may move it to a line start).
 				bad = true
 				if !s.fail(ReasonStrayHeader, fmt.Sprintf("stray '>' inside sequence line: %.32q", l2)) {
 					return false
@@ -426,7 +420,7 @@ func (s *Scanner) scanFasta() bool {
 }
 
 // scanFastq parses one four-line FASTQ record: @name, sequence, +,
-// quality (blank lines between fields are skipped, as in ReadFastq).
+// quality (blank lines between fields are skipped).
 func (s *Scanner) scanFastq() bool {
 	for {
 		hdr, _, long, ok := s.nextNonBlank()

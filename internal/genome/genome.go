@@ -9,7 +9,6 @@ package genome
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/fastx"
@@ -62,18 +61,17 @@ func New(names []string, seqs [][]byte) (*Genome, error) {
 	return g, nil
 }
 
-// FromFasta loads a genome from FASTA records, converting ambiguous bases
-// with rng (nil rejects them), mirroring index-building practice.
-func FromFasta(recs []fastx.Record, rng *rand.Rand) (*Genome, error) {
+// FromFasta loads a genome from FASTA records. Ambiguous bases become the
+// pseudo-random bases of one seed-0 fastx.Codec drawn across the contigs
+// in order — the same codec the read stream uses, so a reference always
+// indexes to the same text.
+func FromFasta(recs []fastx.Record) (*Genome, error) {
+	codec := fastx.NewCodec(0)
 	names := make([]string, len(recs))
 	seqs := make([][]byte, len(recs))
 	for i, rec := range recs {
 		names[i] = rec.Name
-		codes, err := fastx.CodesOf(rec, rng)
-		if err != nil {
-			return nil, err
-		}
-		seqs[i] = codes
+		seqs[i] = codec.Codes(rec)
 	}
 	return New(names, seqs)
 }

@@ -1,7 +1,7 @@
 package genome
 
 import (
-	"math/rand"
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -129,19 +129,23 @@ func TestSpansBoundary(t *testing.T) {
 	}
 }
 
+// TestFromFasta: contigs keep their order and names, and ambiguous bases
+// take the seed-0 Codec's draws in contig order.
 func TestFromFasta(t *testing.T) {
 	recs := []fastx.Record{
-		{Name: "c1", Seq: []byte("ACGT")},
+		{Name: "c1", Seq: []byte("ACNT")},
 		{Name: "c2", Seq: []byte("GGNN")},
 	}
-	if _, err := FromFasta(recs, nil); err == nil {
-		t.Error("ambiguous bases accepted with nil rng")
-	}
-	g, err := FromFasta(recs, rand.New(rand.NewSource(1)))
+	g, err := FromFasta(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Len() != 8 || g.Contigs()[1].Name != "c2" {
 		t.Errorf("genome = %+v", g.Contigs())
+	}
+	codec := fastx.NewCodec(0)
+	want := append(codec.Codes(recs[0]), codec.Codes(recs[1])...)
+	if !bytes.Equal(g.Text(), want) {
+		t.Errorf("text = %v, want %v", g.Text(), want)
 	}
 }
