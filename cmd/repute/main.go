@@ -326,14 +326,11 @@ func runMap(args []string) error {
 	default:
 		return fmt.Errorf("unknown prefilter %q (off, gatekeeper)", *prefilterFlag)
 	}
-	cfg := core.Config{Name: name, Selector: sel, Split: split}
 	var rec *trace.Recorder
 	if *tracePath != "" || *metricsPath != "" {
-		// Assign only when recording: a typed-nil *Recorder in the
-		// interface field would not read as "tracing off".
 		rec = trace.NewRecorder()
-		cfg.Tracer = rec
 	}
+	cfg := core.Config{Name: name, Selector: sel, Split: split, Tracer: rec}
 	// finish exports whatever observability outputs were requested; every
 	// successful mapping path ends through it.
 	finish := func() error {

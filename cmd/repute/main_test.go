@@ -204,7 +204,8 @@ func readFile(t *testing.T, path string) []byte {
 
 // TestStreamedMatchesInMemory is the runner-parity check: every form of
 // `repute map` is the same stream runner, so the default whole-input
-// batch (-batch 0, to a file and to stdout), -batch 7, and -batch 7
+// batch (-batch 0, to a file and to stdout), the default batch under
+// GOMAXPROCS=1 (every kernel on the serial path), -batch 7, and -batch 7
 // -checkpoint killed and resumed (with and without an armed fault plan)
 // all write byte-identical SAM, for a whole-reference and a 4-shard
 // artifact alike. The single-end row checks every run against the first;
@@ -263,6 +264,16 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), "in 1 batch(es)") {
 				t.Errorf("%s: default run is not one whole-input batch:\n%s", name, stderr.String())
+			}
+
+			// One worker leaves the work-group scheduler nothing to
+			// parallelise: the serial path must write the same bytes.
+			serial := filepath.Join(dir, name+"-serial.sam")
+			if out, err := runRepute(t, []string{"GOMAXPROCS=1"}, append(base, "-out", serial)...); err != nil {
+				t.Fatalf("%s GOMAXPROCS=1: %v\n%s", name, err, out)
+			}
+			if !bytes.Equal(want, readFile(t, serial)) {
+				t.Errorf("%s: GOMAXPROCS=1 (serial) SAM differs from the reference SAM", name)
 			}
 
 			batched := filepath.Join(dir, name+"-b7.sam")

@@ -26,10 +26,8 @@ func allocKernel() *Kernel {
 // range is identical, and the fixed per-enqueue overhead stays within a
 // small constant budget.
 func TestEnqueueSerialAllocsPerItem(t *testing.T) {
-	prev := SetDefaultExecMode(Serial)
-	defer SetDefaultExecMode(prev)
-
 	q := NewQueue(testDevice())
+	q.SetExecMode(Serial)
 	k := allocKernel()
 	allocsAt := func(n int) float64 {
 		return testing.AllocsPerRun(100, func() {
@@ -57,10 +55,8 @@ func TestEnqueueSerialAllocsPerItem(t *testing.T) {
 // per worker, not per item: doubling the range must not change the
 // allocation count (pool setup dominates; items contribute nothing).
 func TestEnqueueParallelAllocsPerItem(t *testing.T) {
-	prev := SetDefaultExecMode(Parallel)
-	defer SetDefaultExecMode(prev)
-
 	q := NewQueue(testDevice())
+	q.SetExecMode(Parallel)
 	k := allocKernel()
 	allocsAt := func(n int) float64 {
 		return testing.AllocsPerRun(50, func() {
@@ -85,10 +81,8 @@ func TestEnqueueParallelAllocsPerItem(t *testing.T) {
 // b.ReportAllocs keeps the zero-per-item property visible in benchmark
 // output.
 func BenchmarkEnqueueSerial(b *testing.B) {
-	prev := SetDefaultExecMode(Serial)
-	defer SetDefaultExecMode(prev)
-
 	q := NewQueue(testDevice())
+	q.SetExecMode(Serial)
 	k := allocKernel()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

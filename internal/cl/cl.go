@@ -198,18 +198,13 @@ type Context struct {
 	// tracer receives alloc/free instants; nil when tracing is off. Set
 	// it before sharing the context across goroutines (SetTracer is not
 	// synchronised against in-flight allocations).
-	tracer trace.Tracer
+	tracer *trace.Recorder
 }
 
 // SetTracer installs a tracer on the context; buffer allocations, frees
 // and allocation failures emit instant events on the owning device's
-// lane. A nil or trace.Noop tracer disables tracing at zero cost.
-func (c *Context) SetTracer(t trace.Tracer) {
-	if trace.IsNoop(t) {
-		t = nil
-	}
-	c.tracer = t
-}
+// lane. A nil tracer disables tracing at zero cost.
+func (c *Context) SetTracer(t *trace.Recorder) { c.tracer = t }
 
 // NewContext returns an empty context.
 func NewContext() *Context {
@@ -412,40 +407,34 @@ type Queue struct {
 	busyTotal float64
 	costTotal Cost
 	// tracer receives enqueue/penalty spans on the device's lane; nil
-	// (the normalised form of trace.Noop) means tracing is off and the
-	// hot path pays one nil check. traceOrigin offsets the lane's
-	// timestamps so successive runs on fresh queues (successive batches
-	// of one stream) extend one timeline instead of overlapping at zero.
-	tracer      trace.Tracer
+	// means tracing is off and the hot path pays one nil check.
+	// traceOrigin offsets the lane's timestamps so successive runs on
+	// fresh queues (successive batches of one stream) extend one
+	// timeline instead of overlapping at zero.
+	tracer      *trace.Recorder
 	traceOrigin float64
 }
 
-// NewQueue creates an in-order queue on dev using the package default
-// execution mode.
+// NewQueue creates an in-order queue on dev in Auto execution mode.
 func NewQueue(dev *Device) *Queue { return &Queue{dev: dev} }
 
 // Device returns the queue's device.
 func (q *Queue) Device() *Device { return q.dev }
 
 // SetExecMode pins this queue to a host execution mode; Auto (the zero
-// value) defers to the package default.
+// value) runs parallel whenever GOMAXPROCS allows more than one worker.
 func (q *Queue) SetExecMode(m ExecMode) { q.mode = m }
 
 // SetTracer installs a tracer on the queue; enqueues and penalty charges
-// emit spans on the device's lane over simulated time. A nil or
-// trace.Noop tracer disables tracing at zero cost (asserted by
-// TestNoopTracerZeroCost and the enqueue benchmarks).
-func (q *Queue) SetTracer(t trace.Tracer) {
-	if trace.IsNoop(t) {
-		t = nil
-	}
-	q.tracer = t
-}
+// emit spans on the device's lane over simulated time. A nil tracer
+// disables tracing at zero cost (asserted by TestNoopTracerZeroCost and
+// the enqueue benchmarks).
+func (q *Queue) SetTracer(t *trace.Recorder) { q.tracer = t }
 
 // SetTraceOrigin sets the simulated-time offset added to every span this
 // queue emits. The queue's own busy clock always starts at zero; the
-// origin places it on a longer timeline (e.g. mate 2 of a paired run
-// starting where mate 1 ended).
+// origin places it on a longer timeline (e.g. the next Map call of one
+// stream starting where the previous batch ended).
 func (q *Queue) SetTraceOrigin(sec float64) { q.traceOrigin = sec }
 
 // EnqueueNDRange runs kernel over globalSize work items and records the

@@ -2,7 +2,6 @@ package cl
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,14 +26,15 @@ import (
 type ExecMode int
 
 const (
-	// Auto defers to the package default: Parallel, unless the
-	// REPUTE_CL_EXEC environment variable is set to "serial".
+	// Auto is the zero value and runs like Parallel.
 	Auto ExecMode = iota
 	// Serial runs every work item on the enqueuing goroutine in global
 	// order — the debugging escape hatch and the reference the parallel
 	// scheduler must match bit for bit.
 	Serial
-	// Parallel runs work groups on a pool of host workers.
+	// Parallel runs work groups on a pool of host workers; with
+	// GOMAXPROCS 1, or a range of one work group, it takes the serial
+	// path.
 	Parallel
 )
 
@@ -56,43 +56,6 @@ func (m ExecMode) String() string {
 // of magnitude more than unique ones).
 const workGroupSize = 64
 
-// defaultMode holds the package-wide ExecMode used by queues left on
-// Auto; stored atomically so tests may toggle it around parallel runs.
-var defaultMode atomic.Int32
-
-func init() {
-	defaultMode.Store(int32(envExecMode()))
-}
-
-// envExecMode maps the REPUTE_CL_EXEC environment variable onto an
-// ExecMode: "serial" forces the serial path, anything else (including
-// unset) defers to Auto, which resolves to Parallel. Read once at
-// process start; SetDefaultExecMode overrides it afterwards.
-func envExecMode() ExecMode {
-	if os.Getenv("REPUTE_CL_EXEC") == "serial" {
-		return Serial
-	}
-	return Auto
-}
-
-// SetDefaultExecMode replaces the package default execution mode used by
-// queues in Auto mode and returns the previous default. Auto restores
-// the built-in behaviour (parallel unless REPUTE_CL_EXEC=serial).
-func SetDefaultExecMode(m ExecMode) ExecMode {
-	return ExecMode(defaultMode.Swap(int32(m)))
-}
-
-// resolve maps Auto to the effective package default.
-func (m ExecMode) resolve() ExecMode {
-	if m != Auto {
-		return m
-	}
-	if d := ExecMode(defaultMode.Load()); d != Auto {
-		return d
-	}
-	return Parallel
-}
-
 // run executes k over globalSize work items under mode m and returns the
 // merged cost.
 func (m ExecMode) run(k *Kernel, globalSize int) (Cost, error) {
@@ -101,7 +64,7 @@ func (m ExecMode) run(k *Kernel, globalSize int) (Cost, error) {
 	if workers > groups {
 		workers = groups
 	}
-	if m.resolve() == Serial || workers <= 1 {
+	if m == Serial || workers <= 1 {
 		return runSerial(k, globalSize)
 	}
 	return runParallel(k, globalSize, workers, groups)

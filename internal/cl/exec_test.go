@@ -153,76 +153,6 @@ func TestParallelPanicSurfacesAsSingleError(t *testing.T) {
 	}
 }
 
-func TestDefaultExecModeToggle(t *testing.T) {
-	prev := SetDefaultExecMode(Serial)
-	defer SetDefaultExecMode(prev)
-	if got := (Auto).resolve(); got != Serial {
-		t.Errorf("Auto resolves to %v after SetDefaultExecMode(Serial)", got)
-	}
-	SetDefaultExecMode(Auto)
-	if got := (Auto).resolve(); got != Parallel {
-		t.Errorf("Auto resolves to %v want Parallel", got)
-	}
-	// A queue pinned explicitly ignores the default.
-	SetDefaultExecMode(Serial)
-	if got := Parallel.resolve(); got != Parallel {
-		t.Errorf("pinned Parallel resolves to %v", got)
-	}
-}
-
-func TestEnvExecMode(t *testing.T) {
-	// Only the documented value "serial" forces the serial path; empty,
-	// unrecognised or miscased values all defer to Auto, which resolves
-	// to the parallel default.
-	cases := []struct {
-		val  string
-		want ExecMode
-	}{
-		{"serial", Serial},
-		{"", Auto},
-		{"parallel", Auto},
-		{"SERIAL", Auto},
-		{"1", Auto},
-	}
-	for _, c := range cases {
-		t.Setenv("REPUTE_CL_EXEC", c.val)
-		if got := envExecMode(); got != c.want {
-			t.Errorf("REPUTE_CL_EXEC=%q: envExecMode() = %v want %v", c.val, got, c.want)
-		}
-	}
-}
-
-func TestEnvDefaultAndOverridePrecedence(t *testing.T) {
-	// Full precedence chain: queue mode > SetDefaultExecMode >
-	// REPUTE_CL_EXEC > built-in Parallel. The env variable is read once
-	// at process start (init), which storing envExecMode() reproduces.
-	t.Setenv("REPUTE_CL_EXEC", "serial")
-	prev := SetDefaultExecMode(envExecMode())
-	defer SetDefaultExecMode(prev)
-
-	if got := Auto.resolve(); got != Serial {
-		t.Errorf("env serial: Auto resolves to %v want Serial", got)
-	}
-	// An explicit queue mode beats the env default.
-	if got := Parallel.resolve(); got != Parallel {
-		t.Errorf("env serial: explicit Parallel resolves to %v", got)
-	}
-	// An explicit host override beats the env default, and the swap
-	// returns what it replaced.
-	if old := SetDefaultExecMode(Parallel); old != Serial {
-		t.Errorf("SetDefaultExecMode returned %v want Serial", old)
-	}
-	if got := Auto.resolve(); got != Parallel {
-		t.Errorf("override: Auto resolves to %v want Parallel", got)
-	}
-	// Auto clears the override back to the built-in parallel default —
-	// the env variable is not re-read.
-	SetDefaultExecMode(Auto)
-	if got := Auto.resolve(); got != Parallel {
-		t.Errorf("cleared: Auto resolves to %v want Parallel", got)
-	}
-}
-
 func TestFinishTotalsTrackAppendsAndReset(t *testing.T) {
 	// Finish/EnergyJ are O(1) running totals now; they must stay exact
 	// across many enqueues and clear on Reset.

@@ -254,7 +254,8 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 				return nil, fmt.Errorf("%w: directive %q: bad window", ErrBadFaultPlan, tok)
 			}
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 || f > 1 {
+			// Written so that NaN, which compares false both ways, fails.
+			if err != nil || !(f > 0 && f <= 1) {
 				return nil, fmt.Errorf("%w: directive %q: factor must be in (0, 1]", ErrBadFaultPlan, tok)
 			}
 			p.Throttles = append(p.Throttles, Throttle{From: from, To: to, Factor: f})

@@ -255,6 +255,8 @@ func TestParseFaultPlan(t *testing.T) {
 		"throttle5-2=0.5",   // inverted window
 		"throttle1-2=0",     // factor out of range
 		"throttle1-2=1.5",   // factor out of range
+		"throttle1-2=NaN",   // NaN factor: fails every comparison
+		"throttle1-2=nan",   // ParseFloat is case-insensitive
 		"frobnicate2=oor",   // unknown directive
 		"enq1=oor,,enq2=??", // second directive bad
 	} {
@@ -262,6 +264,49 @@ func TestParseFaultPlan(t *testing.T) {
 			t.Errorf("ParseFaultPlan(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseFaultPlan holds the plan parser to its contract on any text:
+// it never panics, and a plan it accepts can only schedule faults the
+// injector can honour — ordinals from 1, windows that do not run
+// backwards, and throttle factors in (0, 1]. A plan outside that range
+// would be admitted and then inject nothing.
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, s := range []string{
+		"enq2=oor,alloc3=alloc,throttle4-6=0.5",
+		"enq2=oor, alloc3=alloc,enq5=lost,throttle4-6=0.5",
+		"device=2,enq1=oor",
+		"device=2,enq3=lost,throttle1-2=0.05",
+		"device=2,throttle1-2=0.001,enq3=lost",
+		"enq1=oor,,enq2=??",
+		"throttle5-2=0.5",
+		"throttle1-2=NaN",
+		"throttle1-2=1e-320",
+		"device=0",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseFaultPlan(s)
+		if err != nil {
+			return
+		}
+		if p.Device < 0 {
+			t.Errorf("%q: device ordinal %d", s, p.Device)
+		}
+		for _, m := range []map[int]Code{p.FailEnqueues, p.FailAllocs} {
+			for n := range m {
+				if n < 1 {
+					t.Errorf("%q: fault ordinal %d", s, n)
+				}
+			}
+		}
+		for _, th := range p.Throttles {
+			if th.From < 1 || th.To < th.From || !(th.Factor > 0 && th.Factor <= 1) {
+				t.Errorf("%q: throttle %+v", s, th)
+			}
+		}
+	})
 }
 
 func TestEnvFaultPlan(t *testing.T) {

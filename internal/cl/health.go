@@ -26,7 +26,8 @@ import (
 
 // BreakerState is a circuit breaker's position: Closed (healthy,
 // admitting work), HalfOpen (probing — the next batch is a canary) or
-// Open (quarantined — excluded from new partitions and assignments).
+// Open (tripped — in-place retries stop, and the next scheduling
+// decision that reaches the device half-opens it for a canary).
 type BreakerState int32
 
 // Breaker states. The numeric values are the device_breaker_state gauge
@@ -49,33 +50,15 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int32(s))
 }
 
-// BreakerConfig tunes a device circuit breaker. The zero value selects
-// the documented defaults.
-type BreakerConfig struct {
-	// FailureThreshold is the decayed failure score at which the breaker
-	// opens (default 3): three transient faults in a row trip it, while
-	// isolated faults decay away between successes.
-	FailureThreshold float64
-	// SuccessDecay multiplies the failure score on every successful
-	// operation (default 0.5, must be in [0, 1)).
-	SuccessDecay float64
-	// CooldownSkips is how many times an open device must be passed over
-	// (Skipped) before it goes half-open and admits a canary (default 1).
-	CooldownSkips int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.SuccessDecay <= 0 || c.SuccessDecay >= 1 {
-		c.SuccessDecay = 0.5
-	}
-	if c.CooldownSkips <= 0 {
-		c.CooldownSkips = 1
-	}
-	return c
-}
+// Breaker tuning, the same for every device: a decayed failure score of
+// breakerTripScore opens the breaker — three transient faults in a row
+// trip it, while isolated faults decay away between successes — and
+// every successful operation multiplies the score by
+// breakerSuccessDecay.
+const (
+	breakerTripScore    = 3
+	breakerSuccessDecay = 0.5
+)
 
 // Breaker is a per-device circuit breaker: closed → open → half-open →
 // closed. Transient faults (including watchdog terminations) feed a
@@ -83,22 +66,14 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // half-open breaker re-closes on its first success (the canary passed)
 // and re-opens on its first failure. All transitions are counted-not-
 // clocked, so breaker history under a scheduled fault plan is exactly
-// reproducible.
+// reproducible. The zero value is a closed breaker; most callers arm one
+// with Device.EnableBreaker.
 type Breaker struct {
-	cfg BreakerConfig
-
 	mu       sync.Mutex
 	state    BreakerState // guarded by mu
 	score    float64      // guarded by mu; decayed failure score
-	skips    int          // guarded by mu; pass-overs while open
 	trips    int64        // guarded by mu; transitions into Open
 	readmits int64        // guarded by mu; half-open canaries that closed it
-}
-
-// NewBreaker builds a standalone breaker; most callers use
-// Device.EnableBreaker instead.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
 }
 
 // State returns the breaker's current state.
@@ -130,7 +105,7 @@ func (b *Breaker) Readmits() int64 {
 func (b *Breaker) RecordSuccess() (BreakerState, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.score *= b.cfg.SuccessDecay
+	b.score *= breakerSuccessDecay
 	if b.state == BreakerHalfOpen {
 		b.state = BreakerClosed
 		b.score = 0
@@ -160,47 +135,41 @@ func (b *Breaker) RecordFailure(err error) (BreakerState, bool) {
 	switch {
 	case b.state == BreakerOpen:
 		return b.state, false
-	case lost || b.state == BreakerHalfOpen || b.score >= b.cfg.FailureThreshold:
+	case lost || b.state == BreakerHalfOpen || b.score >= breakerTripScore:
 		b.state = BreakerOpen
-		b.skips = 0
 		b.trips++
 		return b.state, true
 	}
 	return b.state, false
 }
 
-// Skipped records that a scheduler passed over the device because the
-// breaker was open — the cooldown clock, counted in scheduling decisions
-// rather than seconds so chaos runs stay deterministic. After
-// CooldownSkips pass-overs the breaker goes half-open and the next
-// operation is the canary. Returns the resulting state and whether this
-// call transitioned it.
+// Skipped records that a scheduler reached the device while its breaker
+// was open — the cooldown, counted in scheduling decisions rather than
+// seconds so chaos runs stay deterministic. One pass-over is the whole
+// cooldown: the breaker goes half-open and the next operation is the
+// canary. Returns the resulting state and whether this call
+// transitioned it.
 func (b *Breaker) Skipped() (BreakerState, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != BreakerOpen {
 		return b.state, false
 	}
-	b.skips++
-	if b.skips >= b.cfg.CooldownSkips {
-		b.state = BreakerHalfOpen
-		b.score = 0
-		b.skips = 0
-		return b.state, true
-	}
-	return b.state, false
+	b.state = BreakerHalfOpen
+	b.score = 0
+	return b.state, true
 }
 
 // EnableBreaker arms a circuit breaker on the device (idempotent: an
 // already-armed breaker is returned unchanged, keeping its history).
 // Once armed, every enqueue and allocation on the device feeds it, and
 // health-aware schedulers (core.Pipeline.Map, the serve partition
-// allocator) exclude the device while it is open.
-func (d *Device) EnableBreaker(cfg BreakerConfig) *Breaker {
+// allocator) send it a half-open canary when they find it open.
+func (d *Device) EnableBreaker() *Breaker {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.breaker == nil {
-		d.breaker = NewBreaker(cfg)
+		d.breaker = &Breaker{}
 	}
 	return d.breaker
 }
@@ -258,7 +227,7 @@ func (d *Device) WatchdogFactor() float64 {
 // instants keep the hot path allocation-free.
 //
 //repute:hotpath
-func feedBreaker(dev *Device, opErr error, tr trace.Tracer) {
+func feedBreaker(dev *Device, opErr error, tr *trace.Recorder) {
 	b := dev.Breaker()
 	if b == nil {
 		return

@@ -46,7 +46,6 @@ func (e breakerEvent) apply(t *testing.T, b *Breaker, step int) {
 func TestBreakerLifecycle(t *testing.T) {
 	cases := []struct {
 		name   string
-		cfg    BreakerConfig
 		events []breakerEvent
 	}{
 		{
@@ -96,11 +95,9 @@ func TestBreakerLifecycle(t *testing.T) {
 		},
 		{
 			name: "cooldown skips reach half-open, canary success closes",
-			cfg:  BreakerConfig{CooldownSkips: 2},
 			events: []breakerEvent{
 				{"lost", BreakerOpen, true},
-				{"skip", BreakerOpen, false},
-				{"skip", BreakerHalfOpen, true},
+				{"skip", BreakerHalfOpen, true}, // one pass-over is the whole cooldown
 				{"ok", BreakerClosed, true},
 				{"skip", BreakerClosed, false}, // skip on a closed breaker is a no-op
 			},
@@ -118,7 +115,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := NewBreaker(tc.cfg)
+			b := &Breaker{}
 			for i, e := range tc.events {
 				e.apply(t, b, i)
 			}
@@ -127,7 +124,7 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerCounters(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
+	b := &Breaker{}
 	b.RecordFailure(&Error{Code: DeviceNotAvailable, Op: "enqueue"})
 	b.Skipped()
 	b.RecordFailure(&Error{Code: OutOfResources, Op: "enqueue"}) // canary fails
@@ -143,7 +140,7 @@ func TestBreakerCounters(t *testing.T) {
 
 func TestDeviceBreakerFedByEnqueueAndAlloc(t *testing.T) {
 	dev := SystemOneCPU()
-	dev.EnableBreaker(BreakerConfig{FailureThreshold: 1})
+	dev.EnableBreaker()
 	dev.InstallFaults(&FaultPlan{FailEnqueues: map[int]Code{1: DeviceNotAvailable}})
 	rec := trace.NewRecorder()
 	q := NewQueue(dev)
@@ -164,23 +161,32 @@ func TestDeviceBreakerFedByEnqueueAndAlloc(t *testing.T) {
 		t.Errorf("breaker-open instants = %d, want 1", opens)
 	}
 
-	// A fresh device's breaker trips on a single injected transient alloc
-	// failure at threshold 1; a structural alloc failure on another does
-	// not (it says nothing about device health).
+	// A fresh device's breaker trips on the third injected transient
+	// alloc failure in a row; three structural alloc failures on another
+	// do not (they say nothing about device health).
 	inj := SystemOneCPU()
-	inj.EnableBreaker(BreakerConfig{FailureThreshold: 1})
-	inj.InstallFaults(&FaultPlan{FailAllocs: map[int]Code{1: MemObjectAllocationFailure}})
+	inj.EnableBreaker()
+	inj.InstallFaults(&FaultPlan{FailAllocs: map[int]Code{
+		1: MemObjectAllocationFailure, 2: MemObjectAllocationFailure, 3: MemObjectAllocationFailure,
+	}})
 	ctx := NewContext()
-	if _, err := ctx.AllocBuffer(inj, 64); !IsAllocFailure(err) {
-		t.Fatalf("AllocBuffer error = %v, want alloc failure", err)
+	for i := 1; i <= 3; i++ {
+		if got := inj.BreakerState(); got != BreakerClosed {
+			t.Errorf("breaker state before injected alloc failure %d = %v, want closed", i, got)
+		}
+		if _, err := ctx.AllocBuffer(inj, 64); !IsAllocFailure(err) {
+			t.Fatalf("AllocBuffer %d error = %v, want alloc failure", i, err)
+		}
 	}
 	if got := inj.BreakerState(); got != BreakerOpen {
-		t.Errorf("breaker state after injected alloc failure = %v, want open", got)
+		t.Errorf("breaker state after three injected alloc failures = %v, want open", got)
 	}
 	str := SystemOneCPU()
-	str.EnableBreaker(BreakerConfig{FailureThreshold: 1})
-	if _, err := ctx.AllocBuffer(str, str.MaxAlloc+1); err == nil {
-		t.Fatal("oversized alloc succeeded")
+	str.EnableBreaker()
+	for i := 0; i < 3; i++ {
+		if _, err := ctx.AllocBuffer(str, str.MaxAlloc+1); err == nil {
+			t.Fatal("oversized alloc succeeded")
+		}
 	}
 	if got := str.BreakerState(); got != BreakerClosed {
 		t.Errorf("breaker state after structural alloc failure = %v, want closed", got)

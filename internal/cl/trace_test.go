@@ -17,12 +17,11 @@ func traceKernel() *Kernel {
 }
 
 // TestNoopTracerZeroCost is the tier-1 benchmark guard at the queue
-// level: with the no-op tracer installed the simulated results — cost,
-// busy seconds, energy — must be bit-identical to a run with tracing
-// off. IsNoop normalisation means both configurations execute the same
-// instructions on the hot path.
+// level: tracing observes and never charges, so the simulated results —
+// cost, busy seconds, energy — with a recorder installed must be
+// bit-identical to a run with the nil tracer (tracing off).
 func TestNoopTracerZeroCost(t *testing.T) {
-	run := func(tr trace.Tracer) (float64, Cost, float64) {
+	run := func(tr *trace.Recorder) (float64, Cost, float64) {
 		ctx := NewContext()
 		dev := testDevice()
 		q := NewQueue(dev)
@@ -43,10 +42,10 @@ func TestNoopTracerZeroCost(t *testing.T) {
 		return busy, cost, q.EnergyJ()
 	}
 	offBusy, offCost, offEnergy := run(nil)
-	noopBusy, noopCost, noopEnergy := run(trace.Noop{})
-	if offBusy != noopBusy || offCost != noopCost || offEnergy != noopEnergy {
-		t.Errorf("no-op tracer changed results: busy %v/%v cost %+v/%+v energy %v/%v",
-			offBusy, noopBusy, offCost, noopCost, offEnergy, noopEnergy)
+	onBusy, onCost, onEnergy := run(trace.NewRecorder())
+	if offBusy != onBusy || offCost != onCost || offEnergy != onEnergy {
+		t.Errorf("tracing changed results: busy %v/%v cost %+v/%+v energy %v/%v",
+			offBusy, onBusy, offCost, onCost, offEnergy, onEnergy)
 	}
 }
 
@@ -142,7 +141,7 @@ func TestQueueTraceOrigin(t *testing.T) {
 	}
 }
 
-func benchEnqueue(b *testing.B, tr trace.Tracer) {
+func benchEnqueue(b *testing.B, tr *trace.Recorder) {
 	dev := testDevice()
 	q := NewQueue(dev)
 	q.SetTracer(tr)
@@ -157,8 +156,7 @@ func benchEnqueue(b *testing.B, tr trace.Tracer) {
 	}
 }
 
-// BenchmarkEnqueueNoTracer vs BenchmarkEnqueueNoopTracer: the two must
-// be indistinguishable — SetTracer normalises Noop to nil.
-func BenchmarkEnqueueNoTracer(b *testing.B)   { benchEnqueue(b, nil) }
-func BenchmarkEnqueueNoopTracer(b *testing.B) { benchEnqueue(b, trace.Noop{}) }
-func BenchmarkEnqueueRecorder(b *testing.B)   { benchEnqueue(b, trace.NewRecorder()) }
+// BenchmarkEnqueueNoTracer is the tracing-off hot path (one nil check per
+// hook); BenchmarkEnqueueRecorder is the same enqueue with spans recorded.
+func BenchmarkEnqueueNoTracer(b *testing.B) { benchEnqueue(b, nil) }
+func BenchmarkEnqueueRecorder(b *testing.B) { benchEnqueue(b, trace.NewRecorder()) }

@@ -44,16 +44,15 @@ type Config struct {
 	// means everything on the first device. Shares are normalised.
 	Split []float64
 	// Exec pins the host execution mode of the pipeline's queues;
-	// cl.Auto (the zero value) uses the package default. Simulated
-	// results are identical either way — cl.Serial exists for debugging
-	// and for determinism regression tests.
+	// cl.Auto (the zero value) runs parallel. Simulated results are
+	// identical either way — cl.Serial exists for debugging and for
+	// determinism regression tests.
 	Exec cl.ExecMode
 	// Tracer receives spans and instants for every enqueue, penalty,
 	// buffer event, round, retry and failover, keyed on simulated time
-	// (DESIGN.md §10). nil or trace.Noop disables tracing with zero
-	// overhead on the hot path. Installing a *trace.Recorder additionally
-	// feeds its per-item op histogram.
-	Tracer trace.Tracer
+	// (DESIGN.md §10), and each work item's op count in its item-ops
+	// histogram. nil disables tracing with zero overhead on the hot path.
+	Tracer *trace.Recorder
 }
 
 // Shard binds one reference slice's FM-index to its global placement:
@@ -85,13 +84,11 @@ type Pipeline struct {
 	selector seed.Selector
 	exec     cl.ExecMode
 
-	// tracer is the normalised Config.Tracer (nil when off); itemHist is
-	// the tracer's per-item op histogram when it offers one. traceSec is
-	// the simulated time already traced by earlier Map calls on this
-	// pipeline, so successive runs (successive batches of one stream)
-	// extend one timeline; traceMu guards it across concurrent Map calls.
-	tracer   trace.Tracer
-	itemHist *trace.Histogram
+	// tracer is Config.Tracer (nil when off). traceSec is the simulated
+	// time already traced by earlier Map calls on this pipeline, so
+	// successive runs (successive batches of one stream) extend one
+	// timeline; traceMu guards it across concurrent Map calls.
+	tracer   *trace.Recorder
 	traceMu  sync.Mutex
 	traceSec float64 // guarded by traceMu
 }
@@ -153,18 +150,12 @@ func NewSharded(shards []Shard, overlap int, devices []*cl.Device, cfg Config) (
 		}
 	}
 	p := &Pipeline{name: cfg.Name, shards: shards, overlap: overlap, devices: devices,
-		split: cfg.Split, selector: cfg.Selector, exec: cfg.Exec}
+		split: cfg.Split, selector: cfg.Selector, exec: cfg.Exec, tracer: cfg.Tracer}
 	if p.selector == nil {
 		p.selector = seed.REPUTE{}
 	}
 	if p.name == "" {
 		p.name = "REPUTE"
-	}
-	if !trace.IsNoop(cfg.Tracer) {
-		p.tracer = cfg.Tracer
-		if h, ok := cfg.Tracer.(interface{ ItemOpsHistogram() *trace.Histogram }); ok {
-			p.itemHist = h.ItemOpsHistogram()
-		}
 	}
 	return p, nil
 }
@@ -180,7 +171,7 @@ func (p *Pipeline) Name() string { return p.name }
 func (p *Pipeline) Devices() []*cl.Device { return p.devices }
 
 // Tracer returns the pipeline's tracer, nil when tracing is off.
-func (p *Pipeline) Tracer() trace.Tracer { return p.tracer }
+func (p *Pipeline) Tracer() *trace.Recorder { return p.tracer }
 
 // Index exposes the whole-reference FM-index (examples inspect it). It is
 // nil for shard-dispatch pipelines, which hold per-slice indexes instead.
@@ -433,40 +424,18 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 		}
 	}
 
-	// Health-aware eligibility: a device whose circuit breaker is open is
-	// quarantined — it starts ineligible and its initial assignment
-	// redistributes to the healthy devices before the first round.
-	// Passing over an open breaker ticks its cooldown (Skipped), so a
-	// long-quarantined device eventually goes half-open and the next Map
-	// call admits it for a canary. Half-open devices are eligible: their
-	// first batch is the canary, and a canary failure reopens the breaker
-	// and fails the device over mid-run.
+	// Health-aware start: a device whose circuit breaker is open (it
+	// tripped in an earlier run) has sat out its cooldown by the time a
+	// new Map call reaches it, so Skipped half-opens it and its first
+	// batch here is the canary. A canary failure reopens the breaker and
+	// fails the device over mid-run like any other permanent fault.
 	eligible := make([]bool, len(p.devices))
-	var quarantined []unit
 	for i, dev := range p.devices {
 		eligible[i] = true
-		brk := dev.Breaker()
-		if brk == nil || brk.State() != cl.BreakerOpen {
-			continue
-		}
-		if st, changed := brk.Skipped(); changed && st == cl.BreakerHalfOpen {
-			p.instant(dev.Name, "breaker-half-open", nil)
-			continue
-		}
-		eligible[i] = false
-		p.instant(dev.Name, "quarantine-skip", func() []trace.Attr {
-			return []trace.Attr{trace.I64("unmapped_reads", int64(unitReads(assign[i])))}
-		})
-		quarantined = append(quarantined, assign[i]...)
-		assign[i] = nil
-	}
-	if len(quarantined) > 0 {
-		moved := p.redistribute(quarantined, eligible)
-		if moved == nil {
-			return nil, fmt.Errorf("core: every device is quarantined by its circuit breaker")
-		}
-		for di, units := range moved {
-			assign[di] = append(assign[di], units...)
+		if brk := dev.Breaker(); brk != nil {
+			if _, changed := brk.Skipped(); changed {
+				p.instant(dev.Name, "breaker-half-open", nil)
+			}
 		}
 	}
 	ran := make([]bool, len(p.devices))
@@ -874,8 +843,8 @@ func (p *Pipeline) runBatch(ctx *cl.Context, queue *cl.Queue, sh *Shard, reads [
 	}
 	defer outBuf.Free()
 	kern := b.Kernel()
-	if p.itemHist != nil {
-		kern = instrumentKernel(kern, p.itemHist)
+	if p.tracer != nil {
+		kern = instrumentKernel(kern, p.tracer.ItemOpsHistogram())
 	}
 	_, err = queue.EnqueueNDRange(kern, len(reads))
 	return err

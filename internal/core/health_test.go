@@ -3,20 +3,18 @@ package core
 import (
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/cl"
 	"repro/internal/mapper"
-	"repro/internal/simulate"
 	"repro/internal/trace"
 )
 
-// tripBreaker arms a breaker on dev with cfg and trips it open, the way
-// a lost device would have.
-func tripBreaker(t *testing.T, dev *cl.Device, cfg cl.BreakerConfig) *cl.Breaker {
+// tripBreaker arms a breaker on dev and trips it open, the way a lost
+// device would have.
+func tripBreaker(t *testing.T, dev *cl.Device) *cl.Breaker {
 	t.Helper()
-	b := dev.EnableBreaker(cfg)
+	b := dev.EnableBreaker()
 	if st, changed := b.RecordFailure(&cl.Error{
 		Code: cl.DeviceNotAvailable, Op: "enqueue", Device: dev.Name,
 	}); st != cl.BreakerOpen || !changed {
@@ -33,69 +31,6 @@ func countInstants(rec *trace.Recorder, name string) int {
 		}
 	}
 	return n
-}
-
-// TestMapQuarantinesOpenBreaker: a device whose breaker is open never
-// runs — its initial share redistributes to the healthy partner before
-// the first round, the mappings match a fault-free baseline, and the
-// quarantine is visible as an instant rather than a device failure.
-func TestMapQuarantinesOpenBreaker(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	ref, set, mkDevs, maxLoc := faultWorld(t, 80)
-	opt := mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}
-
-	baselineP, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := baselineP.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	devs := mkDevs()
-	// CooldownSkips 3: one Map call ticks Skipped once, so the breaker
-	// stays open for the whole run and CPU-B is fully quarantined.
-	tripBreaker(t, devs[1], cl.BreakerConfig{CooldownSkips: 3})
-	rec := trace.NewRecorder()
-	p, err := New(ref, devs, Config{Split: []float64{0.5, 0.5}, Exec: cl.Serial, Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMappings(t, baseline.Mappings, res.Mappings)
-	if res.DeviceSeconds["CPU-B"] != 0 {
-		t.Errorf("quarantined CPU-B ran anyway: %v", res.DeviceSeconds)
-	}
-	if len(res.Faults.FailedDevices) != 0 {
-		t.Errorf("quarantine recorded as device failure: %v", res.Faults.FailedDevices)
-	}
-	if n := countInstants(rec, "quarantine-skip"); n != 1 {
-		t.Errorf("quarantine-skip instants = %d, want 1", n)
-	}
-	if got := devs[1].BreakerState(); got != cl.BreakerOpen {
-		t.Errorf("breaker state after one pass-over = %v, want still open", got)
-	}
-}
-
-// TestMapAllQuarantinedErrors: when every device is quarantined the run
-// fails up front with a typed message instead of hanging.
-func TestMapAllQuarantinedErrors(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	ref, set := testWorld(t, 20_000, 20, simulate.ERR012100)
-	dev := cl.SystemOneCPU()
-	tripBreaker(t, dev, cl.BreakerConfig{CooldownSkips: 5})
-	p, err := New(ref, []*cl.Device{dev}, Config{Exec: cl.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = p.Map(set.Reads, mapper.Options{MaxErrors: 3, MaxLocations: 50})
-	if err == nil || !strings.Contains(err.Error(), "quarantined") {
-		t.Fatalf("all-quarantined Map error = %v, want quarantine message", err)
-	}
 }
 
 // TestWatchdogChaosMatchesBaseline: a throttle window deep enough to
@@ -123,7 +58,7 @@ func TestWatchdogChaosMatchesBaseline(t *testing.T) {
 	run := func(mode cl.ExecMode) (*mapper.Result, *trace.Recorder, []*cl.Device) {
 		devs := mkDevs()
 		devs[0].SetWatchdog(4)
-		devs[0].EnableBreaker(cl.BreakerConfig{})
+		devs[0].EnableBreaker()
 		// Factor 0.1 slows the compute 10×, past the 4× budget: enqueue
 		// ordinals 2 and 3 are watchdog-killed, their retries land on
 		// clean ordinals.
@@ -167,10 +102,10 @@ func TestWatchdogChaosMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestWatchdogTripsBreakerAndFailsOver: with a breaker threshold of 2, a
-// sustained throttle turns the second watchdog kill into a breaker trip;
-// the in-place retry tier stands down and the device's share fails over
-// to its partner with the mappings intact.
+// TestWatchdogTripsBreakerAndFailsOver: a sustained throttle turns the
+// third watchdog kill into a breaker trip (score 3); the in-place retry
+// tier stands down before its last retry and the device's share fails
+// over to its partner with the mappings intact.
 func TestWatchdogTripsBreakerAndFailsOver(t *testing.T) {
 	t.Setenv("REPUTE_CL_FAULTS", "")
 	ref, set, mkDevs, maxLoc := faultWorld(t, 80)
@@ -187,9 +122,10 @@ func TestWatchdogTripsBreakerAndFailsOver(t *testing.T) {
 
 	devs := mkDevs()
 	devs[0].SetWatchdog(4)
-	devs[0].EnableBreaker(cl.BreakerConfig{FailureThreshold: 2})
-	// Every enqueue in the window overruns: kill → retry → kill → breaker
-	// opens at score 2 → no third in-place retry, CPU-A fails over.
+	devs[0].EnableBreaker()
+	// Every enqueue in the window overruns: kill → retry → kill → retry →
+	// kill → breaker opens at score 3 → no third in-place retry, CPU-A
+	// fails over.
 	devs[0].InstallFaults(&cl.FaultPlan{
 		Throttles: []cl.Throttle{{From: 1, To: 8, Factor: 0.1}},
 	})
@@ -203,8 +139,11 @@ func TestWatchdogTripsBreakerAndFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMappings(t, baseline.Mappings, res.Mappings)
-	if res.Faults.WatchdogFires != 2 {
-		t.Errorf("WatchdogFires = %d, want 2 (kill, retried kill)", res.Faults.WatchdogFires)
+	if res.Faults.WatchdogFires != 3 {
+		t.Errorf("WatchdogFires = %d, want 3 (kill, two retried kills)", res.Faults.WatchdogFires)
+	}
+	if res.Faults.Retries != 2 {
+		t.Errorf("Retries = %d, want 2: the trip must stop the third in-place retry", res.Faults.Retries)
 	}
 	if len(res.Faults.FailedDevices) != 1 || res.Faults.FailedDevices[0] != "CPU-A" {
 		t.Errorf("FailedDevices = %v, want [CPU-A]", res.Faults.FailedDevices)
@@ -220,9 +159,10 @@ func TestWatchdogTripsBreakerAndFailsOver(t *testing.T) {
 	}
 }
 
-// TestShardedQuarantineMatchesSingle extends quarantine to the sharded
-// geometry: the open-breaker device's shard dispatch rehomes onto the
-// healthy device and the merged mappings equal the single-index run.
+// TestShardedQuarantineMatchesSingle extends the half-open canary to the
+// sharded geometry: the device whose breaker is open at Map start runs
+// its round-robin shards as the canary, and the merged mappings equal
+// the single-index run.
 func TestShardedQuarantineMatchesSingle(t *testing.T) {
 	t.Setenv("REPUTE_CL_FAULTS", "")
 	ref, set, mkDevs, maxLoc := faultWorld(t, 80)
@@ -238,7 +178,7 @@ func TestShardedQuarantineMatchesSingle(t *testing.T) {
 	}
 
 	devs := mkDevs()
-	tripBreaker(t, devs[1], cl.BreakerConfig{CooldownSkips: 3})
+	brk := tripBreaker(t, devs[1])
 	p, err := NewSharded(makeShards(ref, 3, 256, 0), 256, devs, Config{Exec: cl.Serial})
 	if err != nil {
 		t.Fatal(err)
@@ -248,15 +188,18 @@ func TestShardedQuarantineMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMappings(t, want.Mappings, got.Mappings)
-	if got.DeviceSeconds["CPU-B"] != 0 {
-		t.Errorf("quarantined CPU-B ran in sharded dispatch: %v", got.DeviceSeconds)
+	if got.DeviceSeconds["CPU-B"] <= 0 {
+		t.Errorf("half-open CPU-B never ran in sharded dispatch: %v", got.DeviceSeconds)
+	}
+	if st := brk.State(); st != cl.BreakerClosed {
+		t.Errorf("breaker after clean sharded canary = %v, want closed", st)
 	}
 }
 
-// TestHalfOpenCanaryReadmission: quarantine is not forever. Each Map
-// call that passes over an open breaker ticks its cooldown; once the
-// breaker goes half-open the device is eligible again, its first
-// operation is the canary, and a clean run re-closes the breaker.
+// TestHalfOpenCanaryReadmission: a breaker open when Map starts does not
+// quarantine its device for the run. Map half-opens it, the device's
+// first operation is the canary, a clean share re-closes the breaker,
+// and the mappings match a fault-free baseline with no device failure.
 func TestHalfOpenCanaryReadmission(t *testing.T) {
 	t.Setenv("REPUTE_CL_FAULTS", "")
 	ref, set, mkDevs, maxLoc := faultWorld(t, 80)
@@ -272,38 +215,28 @@ func TestHalfOpenCanaryReadmission(t *testing.T) {
 	}
 
 	devs := mkDevs()
-	brk := tripBreaker(t, devs[1], cl.BreakerConfig{CooldownSkips: 2})
+	brk := tripBreaker(t, devs[1])
 	rec := trace.NewRecorder()
 	p, err := New(ref, devs, Config{Split: []float64{0.5, 0.5}, Exec: cl.Serial, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Map 1: pass-over #1 — still open, CPU-B quarantined.
-	res1, err := p.Map(set.Reads, opt)
+	res, err := p.Map(set.Reads, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMappings(t, baseline.Mappings, res1.Mappings)
-	if got := brk.State(); got != cl.BreakerOpen {
-		t.Fatalf("breaker after first pass-over = %v, want open", got)
+	sameMappings(t, baseline.Mappings, res.Mappings)
+	if len(res.Faults.FailedDevices) != 0 {
+		t.Errorf("clean canary recorded as device failure: %v", res.Faults.FailedDevices)
 	}
-
-	// Map 2: pass-over #2 reaches CooldownSkips — half-open, CPU-B runs
-	// its canary share and the first success re-closes the breaker.
-	res2, err := p.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
+	if res.DeviceSeconds["CPU-B"] <= 0 {
+		t.Errorf("half-open CPU-B never ran its canary share: %v", res.DeviceSeconds)
 	}
-	sameMappings(t, baseline.Mappings, res2.Mappings)
 	if got := brk.State(); got != cl.BreakerClosed {
 		t.Errorf("breaker after clean canary = %v, want closed", got)
 	}
 	if got := brk.Readmits(); got != 1 {
 		t.Errorf("Readmits = %d, want 1", got)
-	}
-	if res2.DeviceSeconds["CPU-B"] <= 0 {
-		t.Errorf("readmitted CPU-B never ran: %v", res2.DeviceSeconds)
 	}
 	if n := countInstants(rec, "breaker-half-open"); n != 1 {
 		t.Errorf("breaker-half-open instants = %d, want 1", n)

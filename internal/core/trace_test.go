@@ -107,14 +107,15 @@ func TestTraceDeterminismSerialParallel(t *testing.T) {
 }
 
 // TestNoopTracerZeroCostPipeline is the pipeline-level half of the
-// benchmark guard: installing trace.Noop must leave every simulated
-// result bit-identical to a run with tracing off.
+// benchmark guard: tracing observes and never charges, so a run with a
+// recorder installed must leave every simulated result bit-identical to
+// a run with the nil tracer (tracing off).
 func TestNoopTracerZeroCostPipeline(t *testing.T) {
 	t.Setenv("REPUTE_CL_FAULTS", "")
 	ref, set := testWorld(t, 20_000, 40, simulate.ERR012100)
 	opt := mapper.Options{MaxErrors: 3, MaxLocations: 50}
 
-	run := func(tr trace.Tracer) *mapper.Result {
+	run := func(tr *trace.Recorder) *mapper.Result {
 		p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
@@ -126,10 +127,10 @@ func TestNoopTracerZeroCostPipeline(t *testing.T) {
 		return res
 	}
 	off := run(nil)
-	noop := run(trace.Noop{})
-	if off.SimSeconds != noop.SimSeconds || off.EnergyJ != noop.EnergyJ || off.Cost != noop.Cost {
-		t.Errorf("no-op tracer changed simulated results:\noff  %+v/%v/%v\nnoop %+v/%v/%v",
-			off.Cost, off.SimSeconds, off.EnergyJ, noop.Cost, noop.SimSeconds, noop.EnergyJ)
+	on := run(trace.NewRecorder())
+	if off.SimSeconds != on.SimSeconds || off.EnergyJ != on.EnergyJ || off.Cost != on.Cost {
+		t.Errorf("tracing changed simulated results:\noff %+v/%v/%v\non  %+v/%v/%v",
+			off.Cost, off.SimSeconds, off.EnergyJ, on.Cost, on.SimSeconds, on.EnergyJ)
 	}
-	sameMappings(t, off.Mappings, noop.Mappings)
+	sameMappings(t, off.Mappings, on.Mappings)
 }

@@ -124,7 +124,7 @@ type ScanOptions struct {
 	Name string
 	// Tracer, when non-nil, receives a "record-skipped" instant on the
 	// "ingest" lane for every record a lenient scan drops.
-	Tracer trace.Tracer
+	Tracer *trace.Recorder
 	// BaseOffset is added to Offset(): the absolute position of the
 	// reader's first byte when resuming mid-file.
 	BaseOffset int64
@@ -196,7 +196,7 @@ func (s *Scanner) Err() error { return s.err }
 // for records that parse but cannot be mapped (ReasonShortRead).
 func (s *Scanner) CountSkip(reason string) {
 	s.skipped.count(reason)
-	if t := s.opts.Tracer; !trace.IsNoop(t) {
+	if t := s.opts.Tracer; t != nil {
 		t.Instant("ingest", "record-skipped",
 			trace.Str("reason", reason),
 			trace.Str("file", s.opts.Name),

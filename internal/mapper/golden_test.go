@@ -82,8 +82,9 @@ func goldenOf(res *mapper.Result) goldenRow {
 // Regenerate with `go test ./internal/mapper -run Determinism -update`
 // only when a change to the numbers is intended and explained.
 func TestAllMappersSerialParallelDeterminism(t *testing.T) {
-	// Force a real worker pool even on single-core CI machines.
-	prev := runtime.GOMAXPROCS(8)
+	// Each mode sets GOMAXPROCS below: 8 forces a real worker pool even
+	// on single-core CI machines, 1 forces the serial path.
+	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
 	w := buildWorld(t, 30_000, 60, simulate.ERR012100)
@@ -104,9 +105,14 @@ func TestAllMappersSerialParallelDeterminism(t *testing.T) {
 				key := fmt.Sprintf("%s/e%d", name, delta)
 				opt := mapper.Options{MaxErrors: delta, MaxLocations: 100}
 				for _, mode := range []cl.ExecMode{cl.Serial, cl.Parallel} {
-					prevMode := cl.SetDefaultExecMode(mode)
+					// The mappers run their queues in cl.Auto, which takes
+					// the serial path when GOMAXPROCS allows one worker.
+					procs := 8
+					if mode == cl.Serial {
+						procs = 1
+					}
+					runtime.GOMAXPROCS(procs)
 					res, err := m.Map(w.set.Reads, opt)
-					cl.SetDefaultExecMode(prevMode)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,14 +2,13 @@ package serve
 
 // Partition allocator: the piece that turns the shared device pool into
 // disjoint per-job partitions. A job asks for n devices; the allocator
-// hands out n breaker-healthy free devices (closed first, then
-// half-open — canaries run only when no fully healthy device is free)
-// and marks them busy until the job releases them. Devices whose
-// circuit breaker is open are quarantined: they are never allocated,
-// and every pass-over ticks the breaker's cooldown (cl.Breaker.Skipped)
-// so a quarantined device eventually goes half-open and earns a canary
-// job. All decisions are count-driven — no clocks, no randomness — so
-// a scripted chaos run allocates identically every time.
+// hands out n free devices (closed breakers first, then half-open —
+// canaries run only when no fully healthy device is free) and marks
+// them busy until the job releases them. A free device whose circuit
+// breaker is open has sat out its cooldown: acquire half-opens it
+// (cl.Breaker.Skipped) and it competes as a canary. All decisions are
+// count-driven — no clocks, no randomness — so a scripted chaos run
+// allocates identically every time.
 
 import (
 	"sync"
@@ -29,12 +28,10 @@ func newAllocator(devices []*cl.Device) *allocator {
 	return &allocator{devices: devices, busy: make([]bool, len(devices))}
 }
 
-// acquire tries to check out n healthy free devices. On success it
-// returns the chosen pool indices and devices with ok true; when fewer
-// than n healthy devices are free it changes nothing and reports ok
-// false. Every free open-breaker device passed over gets a cooldown
-// tick, so repeated failed acquires are what eventually readmit a
-// quarantined device.
+// acquire tries to check out n free devices. On success it returns the
+// chosen pool indices and devices with ok true; when fewer than n
+// devices are free it reports ok false and checks out nothing (a free
+// open-breaker device it reached stays half-open).
 func (a *allocator) acquire(n int) (idx []int, devs []*cl.Device, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

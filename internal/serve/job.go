@@ -126,8 +126,11 @@ func (s *store) ckptPath(id string) string  { return filepath.Join(s.dir, id, "r
 // newStore opens (or creates) the spool directory and loads every
 // persisted job. Jobs that were queued, running or interrupted when the
 // previous process died are re-queued in admission order — running jobs
-// resume from their last durable checkpoint.
-func newStore(dir string) (*store, error) {
+// resume from their last durable checkpoint — unless a job asks for a
+// larger partition than the pool's devices: no acquire could ever
+// satisfy it, so it fails with an input error instead of stalling every
+// job queued behind it.
+func newStore(dir string, devices int) (*store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: spool: %w", err)
 	}
@@ -162,6 +165,15 @@ func newStore(dir string) (*store, error) {
 		}
 		switch j.State {
 		case StateQueued, StateRunning, StateInterrupted:
+			if j.Devices > devices {
+				j.State = StateFailed
+				j.Error = &JobError{Kind: "input", Message: fmt.Sprintf(
+					"job asks for %d devices, the pool has %d", j.Devices, devices)}
+				if err := s.persist(j); err != nil {
+					return nil, err
+				}
+				continue
+			}
 			j.State = StateQueued
 			resumed = append(resumed, j)
 		}

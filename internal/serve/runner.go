@@ -12,9 +12,9 @@ package serve
 // partition devices just before its attempt and unconditionally
 // disarmed after, so an injected device loss dies with the job that
 // asked for it. What outlives the job is the device's breaker state —
-// by design: a tripped breaker quarantines the device out of new
-// partitions until the allocator's cooldown ticks half-open it and a
-// canary job re-proves it (DESIGN.md §17).
+// by design: a tripped breaker stays open until the allocator next
+// reaches the device, half-opens it, and a canary job re-proves it
+// (DESIGN.md §17).
 
 import (
 	"context"
@@ -62,15 +62,11 @@ func (s *Server) runner() {
 		idx, devs, got := s.alloc.acquire(head.Devices)
 		if !got {
 			// Head-of-line blocking: the oldest job waits for devices, and
-			// younger jobs wait behind it — fairness over utilisation. If
-			// jobs are running, one of them will free devices and wake us.
-			// If nothing is running, every device the job could use is
-			// quarantined: loop again immediately — each acquire ticks the
-			// open breakers' cooldowns, so within CooldownSkips passes a
-			// device goes half-open and becomes allocatable.
-			if s.active.Load() > 0 {
-				s.waitWake()
-			}
+			// younger jobs wait behind it — fairness over utilisation. An
+			// open breaker never blocks acquire (it half-opens instead) and
+			// no queued job asks for more than the pool, so jobs are
+			// running and one of them will free devices and wake us.
+			s.waitWake()
 			continue
 		}
 		job, ok := s.store.dequeue()

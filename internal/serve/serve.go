@@ -15,9 +15,9 @@
 //     subsequent job.
 //   - Device health: every pool device carries a circuit breaker fed by
 //     the typed fault taxonomy and a simulated-time hang watchdog.
-//     Quarantined (open-breaker) devices are excluded from new
-//     partitions until a half-open canary job readmits them; jobs queue
-//     only while no healthy device is free. DESIGN.md §17.
+//     A tripped (open-breaker) device is offered to the next partition
+//     as a half-open canary, and a clean canary job readmits it; jobs
+//     queue only while too few devices are free. DESIGN.md §17.
 //   - Retry budgets: a failing job is re-queued (resuming from its own
 //     checkpoint) until its attempts exceed the budget, then fails
 //     alone with a typed error from the cl taxonomy.
@@ -185,10 +185,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.WatchdogFactor = 0
 	}
 	// Device health is always on in the service: every pool device gets
-	// a circuit breaker (default thresholds) and the hang watchdog. The
-	// allocator and the half-open canary flow handle readmission.
+	// a circuit breaker and the hang watchdog. The allocator and the
+	// half-open canary flow handle readmission.
 	for _, d := range cfg.Devices {
-		d.EnableBreaker(cl.BreakerConfig{})
+		d.EnableBreaker()
 		d.SetWatchdog(cfg.WatchdogFactor)
 	}
 
@@ -202,7 +202,7 @@ func New(cfg Config) (*Server, error) {
 	if err := checkpoint.CheckDir(cfg.Spool); err != nil {
 		return nil, err
 	}
-	st, err := newStore(cfg.Spool)
+	st, err := newStore(cfg.Spool, len(cfg.Devices))
 	if err != nil {
 		return nil, err
 	}

@@ -428,6 +428,38 @@ func TestServeDrainResume(t *testing.T) {
 	}
 }
 
+// TestServeRecoveredJobLargerThanPoolFails restarts a spool holding an
+// unfinished ?devices=2 job on a one-device pool. No partition can ever
+// run it, so the restart fails it with a typed input error naming both
+// sizes, and the queue behind it keeps moving: a new job reaches done.
+func TestServeRecoveredJobLargerThanPoolFails(t *testing.T) {
+	fx := newFixture(t, 30_000, 8)
+	spool := t.TempDir()
+	s, ts := newServer(t, fx, spool, func(c *Config) {
+		c.Devices = threeDevicePool()[:2]
+		c.StepDelay = 50 * time.Millisecond
+	})
+	old := decodeJob(t, submit(t, ts.URL, fx.fastq, "?devices=2&batch=2", nil))
+	if unfinished := s.Drain(); len(unfinished) != 1 || unfinished[0].ID != old.ID {
+		t.Fatalf("drain reported %+v, want the ?devices=2 job unfinished", unfinished)
+	}
+	ts.Close()
+
+	s2, ts2 := newServer(t, fx, spool, nil) // single-device pool
+	defer s2.Drain()
+	failed := awaitState(t, ts2.URL, old.ID, StateFailed, StateDone)
+	if failed.State != StateFailed || failed.Error == nil || failed.Error.Kind != "input" {
+		t.Fatalf("recovered oversized job = %q %+v, want failed with an input error", failed.State, failed.Error)
+	}
+	if msg := failed.Error.Message; !strings.Contains(msg, "2 devices") || !strings.Contains(msg, "has 1") {
+		t.Errorf("error message %q does not name both sizes", msg)
+	}
+	fresh := decodeJob(t, submit(t, ts2.URL, fx.fastq, "", nil))
+	if done := awaitState(t, ts2.URL, fresh.ID, StateDone, StateFailed); done.State != StateDone {
+		t.Fatalf("job behind the oversized one failed: %+v", done.Error)
+	}
+}
+
 // TestServeChaosRecoversBitIdentical arms a per-job fault plan via the
 // X-Repute-Faults header — transient OOM, allocation failure, thermal
 // throttling — and asserts the round engine recovers the job to SAM

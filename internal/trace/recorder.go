@@ -18,8 +18,11 @@ type Event struct {
 	Attrs []Attr
 }
 
-// Recorder is the recording Tracer. It keeps every event in memory and
-// exports them deterministically: events are stable-sorted by lane name,
+// Recorder receives the runtime's observability events; every hook in
+// the runtime takes a *Recorder, and nil means tracing is off. All times
+// are simulated seconds on the given lane's timeline, and it is safe for
+// concurrent use: device lanes are driven by per-device host goroutines.
+// It keeps every event in memory and exports them deterministically: events are stable-sorted by lane name,
 // preserving each lane's append order. Because every lane has exactly one
 // writer goroutine at a time (a device's host goroutine, or the pipeline
 // coordinator), per-lane order is the device's ordinal schedule — the
@@ -48,7 +51,7 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// Span implements Tracer.
+// Span records a completed span covering [start, start+dur).
 func (r *Recorder) Span(lane, name string, start, dur float64, attrs ...Attr) {
 	r.mu.Lock()
 	r.events = append(r.events, Event{
@@ -61,8 +64,10 @@ func (r *Recorder) Span(lane, name string, start, dur float64, attrs ...Attr) {
 	r.mu.Unlock()
 }
 
-// Begin implements Tracer: it opens a span whose duration is fixed by a
-// later End call, reserving the span's place in lane order now.
+// Begin opens a span whose extent is unknown up front (the pipeline's
+// per-mapping-run span around its recovery rounds); a later End call
+// fixes its duration, and Begin reserves the span's place in lane order
+// now.
 func (r *Recorder) Begin(lane, name string, start float64, attrs ...Attr) SpanID {
 	r.mu.Lock()
 	r.nextID++
@@ -79,8 +84,7 @@ func (r *Recorder) Begin(lane, name string, start float64, attrs ...Attr) SpanID
 	return id
 }
 
-// End implements Tracer: it closes a span opened by Begin. Unknown ids
-// (including the Noop tracer's 0) are ignored.
+// End closes a span opened by Begin. Unknown ids are ignored.
 func (r *Recorder) End(id SpanID, end float64, attrs ...Attr) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -100,7 +104,9 @@ func (r *Recorder) End(id SpanID, end float64, attrs ...Attr) {
 	}
 }
 
-// Instant implements Tracer: the event is pinned to the lane's frontier.
+// Instant records a point event for a decision that has no simulated
+// duration of its own (an injected fault, a batch halving, a failover),
+// pinned to the lane's frontier.
 func (r *Recorder) Instant(lane, name string, attrs ...Attr) {
 	r.mu.Lock()
 	r.events = append(r.events, Event{

@@ -11,9 +11,9 @@
 //
 //   - Zero dependency: stdlib only, importable from internal/cl without
 //     cycles (this package imports nothing from the repository).
-//   - Zero hot-path overhead when disabled: the runtime stores a nil
-//     tracer for Noop (see IsNoop), so the only cost with tracing off is
-//     one nil check per hook.
+//   - Zero hot-path overhead when disabled: every hook takes a
+//     *Recorder and nil means tracing is off, so the only cost with
+//     tracing off is one nil check per hook.
 //   - Determinism: events are keyed on lane ordinals and simulated time,
 //     never on wall clocks or map iteration, and exports order lanes and
 //     records deterministically — a serial and a parallel host run of the
@@ -68,51 +68,3 @@ func (a Attr) Value() any {
 
 // SpanID identifies a span opened by Begin; 0 is never a valid id.
 type SpanID int64
-
-// Tracer receives the runtime's observability events. All times are
-// simulated seconds on the given lane's timeline. Implementations must
-// be safe for concurrent use: device lanes are driven by per-device host
-// goroutines.
-//
-// Span records a completed span covering [start, start+dur). Begin/End
-// are for spans whose extent is unknown up front (the pipeline's
-// per-mapping-run span around its recovery rounds); Begin reserves the
-// span's place in lane order. Instant records a point event at the
-// lane's current frontier — the largest span end seen on the lane — for
-// decisions that have no simulated duration of their own (an injected
-// fault, a batch halving, a failover).
-type Tracer interface {
-	Span(lane, name string, start, dur float64, attrs ...Attr)
-	Begin(lane, name string, start float64, attrs ...Attr) SpanID
-	End(id SpanID, end float64, attrs ...Attr)
-	Instant(lane, name string, attrs ...Attr)
-}
-
-// Noop is the default tracer: it discards everything. Hook sites store
-// nil instead of a Noop (see IsNoop), so installing it is guaranteed to
-// add zero work on the hot path — asserted by the zero-cost tests and
-// the enqueue benchmarks in internal/cl.
-type Noop struct{}
-
-// Span implements Tracer.
-func (Noop) Span(lane, name string, start, dur float64, attrs ...Attr) {}
-
-// Begin implements Tracer.
-func (Noop) Begin(lane, name string, start float64, attrs ...Attr) SpanID { return 0 }
-
-// End implements Tracer.
-func (Noop) End(id SpanID, end float64, attrs ...Attr) {}
-
-// Instant implements Tracer.
-func (Noop) Instant(lane, name string, attrs ...Attr) {}
-
-// IsNoop reports whether t is nil or the built-in no-op tracer. Hook
-// sites (cl.Queue.SetTracer, core.Config.Tracer) normalise Noop to nil
-// so the disabled path is a single pointer comparison.
-func IsNoop(t Tracer) bool {
-	if t == nil {
-		return true
-	}
-	_, ok := t.(Noop)
-	return ok
-}

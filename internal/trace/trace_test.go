@@ -21,24 +21,6 @@ func TestAttrValues(t *testing.T) {
 	}
 }
 
-func TestIsNoop(t *testing.T) {
-	if !IsNoop(nil) || !IsNoop(Noop{}) {
-		t.Error("nil and Noop{} must be no-ops")
-	}
-	if IsNoop(NewRecorder()) {
-		t.Error("Recorder must not be a no-op")
-	}
-	// The Noop methods must be callable and inert.
-	var n Noop
-	id := n.Begin("l", "x", 0)
-	if id != 0 {
-		t.Errorf("Noop.Begin = %d, want 0", id)
-	}
-	n.Span("l", "x", 0, 1)
-	n.End(id, 1)
-	n.Instant("l", "x")
-}
-
 func TestRecorderSpanOrderAndLanes(t *testing.T) {
 	r := NewRecorder()
 	r.Span("dev-b", "b1", 0, 1)
