@@ -196,11 +196,11 @@ func TestShardedQuarantineMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestHalfOpenCanaryReadmission: a breaker open when Map starts does not
-// quarantine its device for the run. Map half-opens it, the device's
-// first operation is the canary, a clean share re-closes the breaker,
-// and the mappings match a fault-free baseline with no device failure.
-func TestHalfOpenCanaryReadmission(t *testing.T) {
+// mapWithOpenBreaker maps the fault world on two CPUs whose second
+// device's breaker is open when Map starts, and returns a single-device
+// fault-free baseline next to the result, the breaker and the trace.
+func mapWithOpenBreaker(t *testing.T) (baseline, res *mapper.Result, brk *cl.Breaker, rec *trace.Recorder) {
+	t.Helper()
 	t.Setenv("REPUTE_CL_FAULTS", "")
 	ref, set, mkDevs, maxLoc := faultWorld(t, 80)
 	opt := mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}
@@ -209,26 +209,50 @@ func TestHalfOpenCanaryReadmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := baselineP.Map(set.Reads, opt)
+	baseline, err = baselineP.Map(set.Reads, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	devs := mkDevs()
-	brk := tripBreaker(t, devs[1])
-	rec := trace.NewRecorder()
+	brk = tripBreaker(t, devs[1])
+	rec = trace.NewRecorder()
 	p, err := New(ref, devs, Config{Split: []float64{0.5, 0.5}, Exec: cl.Serial, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Map(set.Reads, opt)
+	res, err = p.Map(set.Reads, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return baseline, res, brk, rec
+}
+
+// TestMapQuarantinesOpenBreaker: a breaker open when Map starts is
+// passed over without a device failure or a quarantine skip. With a
+// one-skip cooldown that pass-over is the breaker's half-open step, and
+// the mappings match a fault-free baseline.
+func TestMapQuarantinesOpenBreaker(t *testing.T) {
+	baseline, res, _, rec := mapWithOpenBreaker(t)
 	sameMappings(t, baseline.Mappings, res.Mappings)
 	if len(res.Faults.FailedDevices) != 0 {
-		t.Errorf("clean canary recorded as device failure: %v", res.Faults.FailedDevices)
+		t.Errorf("open breaker recorded as device failure: %v", res.Faults.FailedDevices)
 	}
+	if n := countInstants(rec, "quarantine-skip"); n != 0 {
+		t.Errorf("quarantine-skip instants = %d, want 0", n)
+	}
+	if n := countInstants(rec, "breaker-half-open"); n != 1 {
+		t.Errorf("breaker-half-open instants = %d, want 1", n)
+	}
+}
+
+// TestHalfOpenCanaryReadmission: the device whose breaker Map half-opened
+// is not quarantined for the run. Its first operation is the canary, a
+// clean share re-closes the breaker, and the mappings match a fault-free
+// baseline.
+func TestHalfOpenCanaryReadmission(t *testing.T) {
+	baseline, res, brk, rec := mapWithOpenBreaker(t)
+	sameMappings(t, baseline.Mappings, res.Mappings)
 	if res.DeviceSeconds["CPU-B"] <= 0 {
 		t.Errorf("half-open CPU-B never ran its canary share: %v", res.DeviceSeconds)
 	}
@@ -237,9 +261,6 @@ func TestHalfOpenCanaryReadmission(t *testing.T) {
 	}
 	if got := brk.Readmits(); got != 1 {
 		t.Errorf("Readmits = %d, want 1", got)
-	}
-	if n := countInstants(rec, "breaker-half-open"); n != 1 {
-		t.Errorf("breaker-half-open instants = %d, want 1", n)
 	}
 	if n := countInstants(rec, "breaker-closed"); n != 1 {
 		t.Errorf("breaker-closed instants = %d, want 1", n)
