@@ -182,11 +182,10 @@ func syncDir(dir string) error {
 // the directory back to the old entry (or none). Equal states produce
 // byte-identical files.
 func Save(path string, st *State) error {
-	b, err := json.MarshalIndent(st, "", "  ")
+	b, err := encode(st)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	b = append(b, '\n')
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -216,19 +215,57 @@ func Save(path string, st *State) error {
 	return nil
 }
 
-// Load reads a checkpoint written by Save.
+// Load reads a checkpoint written by Save. It refuses a state Save cannot
+// have written, naming the field, so a corrupted file fails the resume at
+// once instead of seeding it: a negative count or offset, or more
+// ambiguity draws than input bytes before the offset (each draw replaces
+// one base), which would have the codec fast-forward for hours.
 func Load(path string) (*State, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	st := &State{}
-	if err := json.Unmarshal(b, st); err != nil {
+	st, err := decode(b)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
-	if st.Version != Version {
-		return nil, fmt.Errorf("checkpoint: %s: format version %d, this build reads %d",
-			path, st.Version, Version)
-	}
 	return st, nil
+}
+
+// encode is the file body Save writes.
+func encode(st *State) ([]byte, error) {
+	b, err := json.MarshalIndent(st, "", "  ")
+	return append(b, '\n'), err
+}
+
+// decode parses a file body and refuses a state Save cannot have written.
+func decode(b []byte) (*State, error) {
+	st := &State{}
+	if err := json.Unmarshal(b, st); err != nil {
+		return nil, err
+	}
+	return st, st.validate()
+}
+
+// validate checks the invariants every state Save writes holds.
+func (st *State) validate() error {
+	if st.Version != Version {
+		return fmt.Errorf("format version %d, this build reads %d", st.Version, Version)
+	}
+	names := []string{"batches", "reads", "offset", "line", "offset2", "line2",
+		"sam_bytes", "mapped", "locations", "dropped", "concordant"}
+	for i, v := range []int64{int64(st.Batches), int64(st.Reads), st.Offset, int64(st.Line),
+		st.Offset2, int64(st.Line2), st.SAMBytes, int64(st.Mapped), int64(st.Locations),
+		int64(st.Dropped), int64(st.Concordant)} {
+		if v < 0 {
+			return fmt.Errorf("%s is %d, want >= 0", names[i], v)
+		}
+	}
+	if st.RNGDraws > uint64(st.Offset) {
+		return fmt.Errorf("rng_draws %d exceeds offset %d", st.RNGDraws, st.Offset)
+	}
+	if st.RNGDraws2 > uint64(st.Offset2) {
+		return fmt.Errorf("rng_draws2 %d exceeds offset2 %d", st.RNGDraws2, st.Offset2)
+	}
+	return nil
 }

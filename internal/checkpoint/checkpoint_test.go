@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cl"
@@ -71,6 +72,116 @@ func TestLoadRejectsUnknownVersion(t *testing.T) {
 	if _, err := Load(path); err == nil {
 		t.Error("newer format version must be rejected")
 	}
+}
+
+// TestLoadRejectsImpossibleState corrupts one field of a valid state at
+// a time: Load must refuse every state Save cannot have written and name
+// the field, and accept the boundary cases Save can write.
+func TestLoadRejectsImpossibleState(t *testing.T) {
+	valid := func() *State {
+		return &State{Version: Version, Fingerprint: "f", BatchSize: 100, Batches: 1,
+			Reads: 100, Offset: 25_000, Line: 400, RNGDraws: 3, Offset2: 25_000, Line2: 400,
+			SAMBytes: 30_000, Mapped: 90, Locations: 300, Dropped: 1, Concordant: 40}
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*State)
+		field   string // "" means the state is valid
+	}{
+		{"valid", func(*State) {}, ""},
+		{"draws equal offset", func(st *State) { st.RNGDraws, st.RNGDraws2 = 25_000, 25_000 }, ""},
+		{"fresh", func(st *State) { *st = State{Version: Version} }, ""},
+		{"negative batches", func(st *State) { st.Batches = -1 }, "batches"},
+		{"negative reads", func(st *State) { st.Reads = -50 }, "reads"},
+		{"negative offset", func(st *State) { st.Offset, st.RNGDraws = -1, 0 }, "offset"},
+		{"negative line", func(st *State) { st.Line = -1 }, "line"},
+		{"negative offset2", func(st *State) { st.Offset2 = -7 }, "offset2"},
+		{"negative line2", func(st *State) { st.Line2 = -2 }, "line2"},
+		{"negative sam_bytes", func(st *State) { st.SAMBytes = -1 }, "sam_bytes"},
+		{"negative mapped", func(st *State) { st.Mapped = -1 }, "mapped"},
+		{"negative locations", func(st *State) { st.Locations = -1 }, "locations"},
+		{"negative dropped", func(st *State) { st.Dropped = -1 }, "dropped"},
+		{"negative concordant", func(st *State) { st.Concordant = -1 }, "concordant"},
+		{"draws past offset", func(st *State) { st.RNGDraws = 18_000_000_000_000_000_000 }, "rng_draws"},
+		{"draws2 past offset2", func(st *State) { st.RNGDraws2 = 25_001 }, "rng_draws2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			st := valid()
+			tc.corrupt(st)
+			if err := Save(path, st); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(path)
+			switch {
+			case tc.field == "" && err != nil:
+				t.Errorf("valid state refused: %v", err)
+			case tc.field == "":
+			case err == nil:
+				t.Errorf("state with a corrupt %s accepted", tc.field)
+			case !strings.Contains(err.Error(), ": "+tc.field+" "):
+				t.Errorf("error %q does not name %s", err, tc.field)
+			}
+		})
+	}
+}
+
+// FuzzCheckpointLoad holds the decoder Load runs on a file's bytes to
+// three properties: it never panics, every state it accepts satisfies the
+// invariants Save's states hold, and encoding (the bytes Save writes) a
+// decoded state is a fixed point — encode, decode again and encode again
+// give the same bytes. The seeds are checkpoints `repute map -batch N
+// -checkpoint` saved mid-run (killed with REPUTE_KILL_AFTER_BATCH):
+// fault-free, under the CI chaos plan (fault ordinals), paired, and a
+// lenient run failing over a lost device (skip reasons, failed devices).
+func FuzzCheckpointLoad(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "*.ckpt"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seed checkpoints in testdata: %v", err)
+	}
+	for _, path := range seeds {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := decode(b); err != nil {
+			f.Fatalf("seed %s refused: %v", path, err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"version": 1, "reads": -50}`))
+	f.Add([]byte(`{"version": 1, "offset": 10, "rng_draws": 18000000000000000000}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := decode(b)
+		if err != nil {
+			return
+		}
+		if st.Version != Version {
+			t.Fatalf("accepted version %d", st.Version)
+		}
+		for _, v := range []int64{int64(st.Batches), int64(st.Reads), st.Offset, int64(st.Line),
+			st.Offset2, int64(st.Line2), st.SAMBytes, int64(st.Mapped), int64(st.Locations),
+			int64(st.Dropped), int64(st.Concordant)} {
+			if v < 0 {
+				t.Fatalf("accepted a negative count or offset: %+v", st)
+			}
+		}
+		if st.RNGDraws > uint64(st.Offset) || st.RNGDraws2 > uint64(st.Offset2) {
+			t.Fatalf("accepted more draws than input bytes: %+v", st)
+		}
+		b1, err := encode(st)
+		if err != nil {
+			t.Fatalf("accepted state does not encode: %v", err)
+		}
+		st2, err := decode(b1)
+		if err != nil {
+			t.Fatalf("encoded state refused: %v\n%s", err, b1)
+		}
+		b2, err := encode(st2)
+		if err != nil || !bytes.Equal(b1, b2) {
+			t.Fatalf("encoding is not a fixed point (%v):\n%s\n%s", err, b1, b2)
+		}
+	})
 }
 
 func TestVerifyMismatchIsTyped(t *testing.T) {

@@ -56,7 +56,7 @@ func TestEnqueueSerialAllocsPerItem(t *testing.T) {
 // allocation count (pool setup dominates; items contribute nothing).
 func TestEnqueueParallelAllocsPerItem(t *testing.T) {
 	q := NewQueue(testDevice())
-	q.SetExecMode(Parallel)
+	q.SetExecMode(Auto)
 	k := allocKernel()
 	allocsAt := func(n int) float64 {
 		return testing.AllocsPerRun(50, func() {

@@ -26,27 +26,21 @@ import (
 type ExecMode int
 
 const (
-	// Auto is the zero value and runs like Parallel.
+	// Auto, the zero value, runs work groups on a pool of host workers;
+	// with GOMAXPROCS 1, or a range of one work group, it takes the
+	// serial path.
 	Auto ExecMode = iota
 	// Serial runs every work item on the enqueuing goroutine in global
 	// order — the debugging escape hatch and the reference the parallel
 	// scheduler must match bit for bit.
 	Serial
-	// Parallel runs work groups on a pool of host workers; with
-	// GOMAXPROCS 1, or a range of one work group, it takes the serial
-	// path.
-	Parallel
 )
 
 func (m ExecMode) String() string {
-	switch m {
-	case Serial:
+	if m == Serial {
 		return "serial"
-	case Parallel:
-		return "parallel"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
 // workGroupSize is the scheduler's dispatch granularity: consecutive

@@ -48,7 +48,7 @@ func TestParallelMatchesSerialBitIdentical(t *testing.T) {
 	}
 
 	qp := NewQueue(dev)
-	qp.SetExecMode(Parallel)
+	qp.SetExecMode(Auto)
 	outP := make([]int64, n)
 	evP, err := qp.EnqueueNDRange(skewKernel(outP), n)
 	if err != nil {
@@ -88,7 +88,7 @@ func TestNewStatePerWorkerIsolation(t *testing.T) {
 		},
 	}
 	q := NewQueue(testDevice())
-	q.SetExecMode(Parallel)
+	q.SetExecMode(Auto)
 	const n = 5000
 	ev, err := q.EnqueueNDRange(k, n)
 	if err != nil {
@@ -127,7 +127,7 @@ func TestSerialModeCreatesOneState(t *testing.T) {
 
 func TestParallelPanicSurfacesAsSingleError(t *testing.T) {
 	forceWorkers(t, 8)
-	for _, mode := range []ExecMode{Serial, Parallel} {
+	for _, mode := range []ExecMode{Serial, Auto} {
 		q := NewQueue(testDevice())
 		q.SetExecMode(mode)
 		k := &Kernel{Name: "boom", Body: func(wi *WorkItem, _ any) {
@@ -190,7 +190,7 @@ func TestFinishTotalsTrackAppendsAndReset(t *testing.T) {
 }
 
 func TestExecModeString(t *testing.T) {
-	if Auto.String() != "auto" || Serial.String() != "serial" || Parallel.String() != "parallel" {
+	if Auto.String() != "auto" || Serial.String() != "serial" {
 		t.Error("ExecMode strings wrong")
 	}
 }

@@ -321,11 +321,13 @@ func unitReads(units []unit) int {
 
 // outcome is one device's report at a round barrier: the units it did
 // not finish, the permanent failure that stopped it (nil when it finished
-// them all), and the recovery work it performed.
+// them all), the recovery work it performed, and the simulated busy time
+// the round added to its queue.
 type outcome struct {
 	unmapped []unit
 	err      error
 	stats    mapper.FaultStats
+	busy     float64
 }
 
 // Map implements mapper.Mapper. Each device's share runs in its own host
@@ -334,10 +336,10 @@ type outcome struct {
 //
 // The barrier is also the recovery point: a device that fails permanently
 // (CL_DEVICE_NOT_AVAILABLE, a deterministic kernel fault, an infeasible
-// allocation) reports its unfinished spans, and Map redistributes them
-// across the surviving devices in another round. Transient faults never
-// reach the barrier — mapOnDevice retries them in place. Map fails only
-// when no device can finish the workload.
+// allocation) reports its unfinished spans, and the next round deals them
+// over the surviving devices by the same rule that placed the first.
+// Transient faults never reach the barrier — mapOnDevice retries them in
+// place. Map fails only when no device can finish the workload.
 //
 // Recovery changes where and when work runs, never what it computes:
 // mappings and Cost are identical to a fault-free run (the determinism
@@ -404,71 +406,55 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 			outs[s] = make([][]mapper.Mapping, len(reads))
 		}
 	}
-	// Initial assignment: shard s's read range splits by the configured
-	// shares, or lands whole on device s mod D when no share is positive.
-	// An empty span is never assigned, so an empty read set runs nothing.
-	assign := make([][]unit, len(p.devices))
-	shares := apportion(len(reads), p.split)
-	for s := range p.shards {
-		counts := shares
-		if counts == nil {
-			counts = make([]int, len(p.devices))
-			counts[s%len(p.devices)] = len(reads)
-		}
-		offset := 0
-		for di, n := range counts {
-			if n > 0 {
-				assign[di] = append(assign[di], unit{shard: s, span: pending{offset, offset + n}})
-				offset += n
-			}
-		}
-	}
-
 	// Health-aware start: a device whose circuit breaker is open (it
 	// tripped in an earlier run) has sat out its cooldown by the time a
 	// new Map call reaches it, so Skipped half-opens it and its first
 	// batch here is the canary. A canary failure reopens the breaker and
 	// fails the device over mid-run like any other permanent fault.
-	eligible := make([]bool, len(p.devices))
-	for i, dev := range p.devices {
-		eligible[i] = true
+	for _, dev := range p.devices {
 		if brk := dev.Breaker(); brk != nil {
 			if _, changed := brk.Skipped(); changed {
 				p.instant(dev.Name, "breaker-half-open", nil)
 			}
 		}
 	}
+
+	// Every round deals its units through the one placement rule: round 1
+	// each shard's whole read range, later rounds what failed devices left
+	// behind. An empty span is never placed, so an empty read set runs
+	// nothing.
+	units := make([]unit, len(p.shards))
+	for s := range units {
+		units[s] = unit{shard: s, span: pending{0, len(reads)}}
+	}
+	failed := make([]bool, len(p.devices))
 	ran := make([]bool, len(p.devices))
 	var devErrs []error
 	for round := 1; ; round++ {
+		assign := p.deal(units, failed)
+		if assign == nil {
+			return nil, fmt.Errorf("core: no device completed the workload: %w", errors.Join(devErrs...))
+		}
 		outcomes := make([]outcome, len(p.devices))
-		busyBefore := make([]float64, len(p.devices))
 		var wg sync.WaitGroup
-		for di := range p.devices {
-			if len(assign[di]) == 0 {
+		for di, us := range assign {
+			if len(us) == 0 {
 				continue
 			}
 			ran[di] = true
-			busyBefore[di], _ = queues[di].Finish()
 			wg.Add(1)
-			go func(di int) {
+			go func() {
 				defer wg.Done()
-				outcomes[di] = p.mapOnDevice(ctx, queues[di], assign[di], reads, outs, opt)
-			}(di)
+				outcomes[di] = p.mapOnDevice(ctx, queues[di], us, reads, outs, opt)
+			}()
 		}
 		wg.Wait()
 
 		// Rounds are sequential, devices within a round concurrent: the
 		// round's makespan is the max per-device busy delta.
 		roundMax := 0.0
-		for di := range p.devices {
-			if len(assign[di]) == 0 {
-				continue
-			}
-			busy, _ := queues[di].Finish()
-			if d := busy - busyBefore[di]; d > roundMax {
-				roundMax = d
-			}
+		for _, o := range outcomes {
+			roundMax = max(roundMax, o.busy)
 		}
 		p.span("host", traceBase+res.SimSeconds, roundMax, func() (string, []trace.Attr) {
 			return fmt.Sprintf("round %d", round), []trace.Attr{trace.F64("makespan_sec", roundMax)}
@@ -477,39 +463,30 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 
 		// Collect outcomes in device order so stats and error lists are
 		// deterministic.
-		var redo []unit
+		units = nil
 		for di, dev := range p.devices {
-			if len(assign[di]) == 0 {
-				continue
-			}
 			o := &outcomes[di]
 			res.Faults.Add(o.stats)
-			assign[di] = nil
 			if o.err == nil {
 				continue
 			}
-			eligible[di] = false
+			failed[di] = true
 			res.Faults.FailedDevices = append(res.Faults.FailedDevices, dev.Name)
 			devErrs = append(devErrs, fmt.Errorf("device %s: %w", dev.Name, o.err))
-			redo = append(redo, o.unmapped...)
+			units = append(units, o.unmapped...)
 			p.instant(dev.Name, "device-failed", func() []trace.Attr {
 				return []trace.Attr{trace.Str("error", o.err.Error()),
 					trace.I64("unmapped_reads", int64(unitReads(o.unmapped)))}
 			})
 		}
-		if len(redo) == 0 {
+		if len(units) == 0 {
 			break
 		}
-		n := unitReads(redo)
+		n := unitReads(units)
 		res.Faults.FailoverReads += n
 		p.instant("host", "failover", func() []trace.Attr {
 			return []trace.Attr{trace.I64("reads", int64(n)), trace.I64("round", int64(round))}
 		})
-		assign = p.redistribute(redo, eligible)
-		if assign == nil {
-			return nil, fmt.Errorf("core: no device completed the workload: %w",
-				errors.Join(devErrs...))
-		}
 	}
 
 	// Aggregate in device order over every queue that ran.
@@ -594,91 +571,77 @@ func (p *Pipeline) validateLengths(reads [][]byte, opt mapper.Options) error {
 	return nil
 }
 
-// redistribute deals the redo units out across the eligible devices,
-// shard by shard: each shard's spans split by the surviving shares, so a
-// lost device's reference slice re-dispatches (with its unfinished
-// reads) onto every survivor. Returns nil when no device is eligible.
-func (p *Pipeline) redistribute(redo []unit, eligible []bool) [][]unit {
-	sort.Slice(redo, func(i, j int) bool {
-		if redo[i].shard != redo[j].shard {
-			return redo[i].shard < redo[j].shard
+// shares is the placement rule: the weights shard s's reads split by
+// across the devices. The configured split applies over the devices that
+// have not failed. With no positive live share the shard goes whole to
+// device s mod D while nothing has failed (always so for several shards,
+// which take no split), and spreads evenly over the survivors once a
+// device has failed. Every weight is zero when every device has failed.
+func (p *Pipeline) shares(s int, failed []bool) []float64 {
+	w := make([]float64, len(p.devices))
+	positive, anyFailed := false, false
+	for i := range w {
+		switch {
+		case failed[i]:
+			anyFailed = true
+		case p.split != nil:
+			w[i] = p.split[i]
+			positive = positive || w[i] > 0
 		}
-		return redo[i].span.start < redo[j].span.start
+	}
+	switch {
+	case positive:
+	case !anyFailed:
+		w[s%len(w)] = 1
+	default:
+		for i := range w {
+			if !failed[i] {
+				w[i] = 1
+			}
+		}
+	}
+	return w
+}
+
+// deal places units on the devices, shard by shard: each device takes
+// apportion(reads, shares(shard, failed)) of the shard's read-dispatches,
+// dealt in device order over the shard's spans in read order, so a span
+// splits at a device boundary and a lost device's reference slice
+// re-dispatches (with its unfinished reads) onto every survivor. No empty
+// span is placed. Returns nil when every device has failed.
+func (p *Pipeline) deal(units []unit, failed []bool) [][]unit {
+	sort.Slice(units, func(i, j int) bool {
+		if units[i].shard != units[j].shard {
+			return units[i].shard < units[j].shard
+		}
+		return units[i].span.start < units[j].span.start
 	})
 	assign := make([][]unit, len(p.devices))
-	for lo := 0; lo < len(redo); {
-		hi := lo
-		for hi < len(redo) && redo[hi].shard == redo[lo].shard {
+	for lo := 0; lo < len(units); {
+		s, hi := units[lo].shard, lo
+		for hi < len(units) && units[hi].shard == s {
 			hi++
 		}
-		spans := make([]pending, 0, hi-lo)
-		for _, u := range redo[lo:hi] {
-			spans = append(spans, u.span)
-		}
-		counts := p.sharesAmong(unitReads(redo[lo:hi]), eligible)
+		counts := apportion(unitReads(units[lo:hi]), p.shares(s, failed))
 		if counts == nil {
 			return nil
 		}
-		for di, sps := range partitionSpans(spans, counts) {
-			for _, sp := range sps {
-				assign[di] = append(assign[di], unit{shard: redo[lo].shard, span: sp})
+		di, left := 0, counts[0] // left: reads device di still takes
+		for _, u := range units[lo:hi] {
+			for pos := u.span.start; pos < u.span.end; {
+				for left == 0 {
+					di++
+					left = counts[di]
+				}
+				take := min(u.span.end-pos, left)
+				assign[di] = append(assign[di], unit{s, pending{pos, pos + take}})
+				pos += take
+				left -= take
 			}
 		}
 		lo = hi
 	}
 	return assign
-}
-
-// sharesAmong splits total reads across the devices still eligible,
-// reusing the configured split weights. When the survivors' configured
-// shares sum to zero (nil split, or only zero-share devices survive) the
-// reads spread evenly. Returns nil when no device is eligible.
-func (p *Pipeline) sharesAmong(total int, eligible []bool) []int {
-	weights := make([]float64, len(p.devices))
-	even := make([]float64, len(p.devices))
-	for i, ok := range eligible {
-		if !ok {
-			continue
-		}
-		even[i] = 1
-		if p.split != nil {
-			weights[i] = p.split[i]
-		}
-	}
-	if counts := apportion(total, weights); counts != nil {
-		return counts
-	}
-	return apportion(total, even)
-}
-
-// partitionSpans deals the sorted spans out by per-device read counts,
-// splitting a span at a device boundary when needed.
-func partitionSpans(spans []pending, counts []int) [][]pending {
-	out := make([][]pending, len(counts))
-	si := 0
-	pos := 0
-	if len(spans) > 0 {
-		pos = spans[0].start
-	}
-	for di, want := range counts {
-		for want > 0 && si < len(spans) {
-			sp := spans[si]
-			if pos < sp.start {
-				pos = sp.start
-			}
-			take := sp.end - pos
-			if take > want {
-				take = want
-			}
-			out[di] = append(out[di], pending{pos, pos + take})
-			pos += take
-			want -= take
-			if pos >= sp.end {
-				si++
-			}
-		}
-	}
-	return out
 }
 
 // mapOnDevice runs one device's assigned units on its queue, batching
@@ -692,6 +655,11 @@ func partitionSpans(spans []pending, counts []int) [][]pending {
 // unfinished units for failover.
 func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, reads [][]byte, outs [][][]mapper.Mapping, opt mapper.Options) (o outcome) {
 	dev := queue.Device()
+	before, _ := queue.Finish()
+	defer func() {
+		after, _ := queue.Finish()
+		o.busy = after - before
+	}()
 	var ixBuf *cl.Buffer // the resident shard's index, nil before the first unit
 	resident := 0
 	defer func() {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -564,6 +566,163 @@ func TestSharesRemainderGoesToLargestShare(t *testing.T) {
 			if counts[i] != tc.want[i] {
 				t.Errorf("shares(%v, %d) = %v want %v", tc.split, tc.total, counts, tc.want)
 				break
+			}
+		}
+	}
+}
+
+// TestDealPlacement is the property test of the placement rule. It draws
+// device and shard counts, splits (nil, all-zero, mixed zeros), failed
+// masks and unit lists — each shard's whole read range as in round 1, or
+// scattered spans as a failed device leaves behind — and checks every
+// placement deal makes against the rule stated independently here.
+func TestDealPlacement(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		nDev, nShards, nReads := 1+rng.Intn(5), 1+rng.Intn(4), rng.Intn(60)
+		var split []float64
+		switch rng.Intn(3) {
+		case 1:
+			split = make([]float64, nDev)
+		case 2:
+			split = make([]float64, nDev)
+			for i := range split {
+				if rng.Intn(2) == 0 {
+					split[i] = float64(1+rng.Intn(4)) / 4
+				}
+			}
+		}
+		failed := make([]bool, nDev)
+		live := nDev
+		if rng.Intn(3) > 0 {
+			for i := range failed {
+				if failed[i] = rng.Intn(5) < 2; failed[i] {
+					live--
+				}
+			}
+		}
+		anyFailed, allFailed := live < nDev, live == 0
+		// units, and the read indices each shard must see placed once.
+		var units []unit
+		want := make([][]int, nShards)
+		for s := range want {
+			if !anyFailed || rng.Intn(4) == 0 {
+				units = append(units, unit{s, pending{0, nReads}})
+				for r := 0; r < nReads; r++ {
+					want[s] = append(want[s], r)
+				}
+				continue
+			}
+			for start := 0; start < nReads; {
+				end := min(nReads, start+1+rng.Intn(12))
+				if rng.Intn(2) == 0 {
+					units = append(units, unit{s, pending{start, end}})
+					for r := start; r < end; r++ {
+						want[s] = append(want[s], r)
+					}
+				}
+				start = end
+			}
+		}
+		rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
+		shards := map[int]bool{}
+		for _, u := range units {
+			shards[u.shard] = true
+		}
+
+		p := &Pipeline{devices: make([]*cl.Device, nDev), split: split}
+		desc := fmt.Sprintf("trial %d: %d devices, split %v, failed %v, units %v",
+			trial, nDev, split, failed, units)
+		assign := p.deal(append([]unit(nil), units...), failed)
+		if allFailed && len(units) > 0 {
+			if assign != nil {
+				t.Fatalf("%s: every device failed, deal placed %v", desc, assign)
+			}
+			continue
+		}
+		if len(assign) != nDev {
+			t.Fatalf("%s: assignment for %d devices", desc, len(assign))
+		}
+
+		// got[s][d]: the reads of shard s device d was dealt, in order.
+		got := make([][][]int, nShards)
+		for s := range got {
+			got[s] = make([][]int, nDev)
+		}
+		for d, us := range assign {
+			if len(us) > 0 && failed[d] {
+				t.Fatalf("%s: units %v placed on failed device %d", desc, us, d)
+			}
+			for i, u := range us {
+				if u.span.end <= u.span.start {
+					t.Fatalf("%s: empty span %v placed on device %d", desc, u, d)
+				}
+				if i > 0 && u.shard < us[i-1].shard {
+					t.Fatalf("%s: device %d's units are out of shard order: %v", desc, d, us)
+				}
+				for r := u.span.start; r < u.span.end; r++ {
+					got[u.shard][d] = append(got[u.shard][d], r)
+				}
+			}
+		}
+
+		for s := range want {
+			// Dealt in device order, each device's reads in read order:
+			// the concatenation is the shard's read list, each read once.
+			var all []int
+			for d := range got[s] {
+				all = append(all, got[s][d]...)
+			}
+			if !reflect.DeepEqual(all, want[s]) {
+				t.Fatalf("%s: shard %d dealt %v, want each of %v once in read order", desc, s, got[s], want[s])
+			}
+			if !shards[s] {
+				continue
+			}
+			// The rule, stated independently of shares.
+			weights := make([]float64, nDev)
+			positive := false
+			for d := range weights {
+				if !failed[d] && split != nil {
+					weights[d] = split[d]
+					positive = positive || split[d] > 0
+				}
+			}
+			switch {
+			case positive:
+			case !anyFailed:
+				weights[s%nDev] = 1
+			default:
+				for d := range weights {
+					if !failed[d] {
+						weights[d] = 1
+					}
+				}
+			}
+			if sh := p.shares(s, failed); !reflect.DeepEqual(sh, weights) {
+				t.Fatalf("%s: shares(%d) = %v, want %v", desc, s, sh, weights)
+			}
+			counts := apportion(len(want[s]), weights)
+			lo, hi := len(want[s]), 0
+			for d := range got[s] {
+				if len(got[s][d]) != counts[d] {
+					t.Fatalf("%s: device %d got %d reads of shard %d, want apportion's %d",
+						desc, d, len(got[s][d]), s, counts[d])
+				}
+				if !failed[d] {
+					lo, hi = min(lo, counts[d]), max(hi, counts[d])
+				}
+			}
+			switch {
+			case positive:
+			case !anyFailed:
+				if len(got[s][s%nDev]) != len(want[s]) {
+					t.Fatalf("%s: shard %d not whole on device %d: %v", desc, s, s%nDev, got[s])
+				}
+			default:
+				if hi-lo >= live {
+					t.Fatalf("%s: shard %d spread unevenly over the survivors: %v", desc, s, got[s])
+				}
 			}
 		}
 	}

@@ -41,7 +41,7 @@ func TestSerialParallelDeterminism(t *testing.T) {
 				return res
 			}
 			serial := run(cl.Serial)
-			parallel := run(cl.Parallel)
+			parallel := run(cl.Auto)
 
 			if serial.SimSeconds != parallel.SimSeconds {
 				t.Errorf("SimSeconds differ: serial %v parallel %v",

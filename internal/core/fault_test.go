@@ -157,7 +157,7 @@ func TestFaultDeterminismSerialParallel(t *testing.T) {
 		return res
 	}
 	serial := run(cl.Serial)
-	parallel := run(cl.Parallel)
+	parallel := run(cl.Auto)
 
 	if serial.SimSeconds != parallel.SimSeconds {
 		t.Errorf("SimSeconds differ: serial %v parallel %v",

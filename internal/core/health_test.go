@@ -77,7 +77,7 @@ func TestWatchdogChaosMatchesBaseline(t *testing.T) {
 		return res, rec, devs
 	}
 	serial, rec, devs := run(cl.Serial)
-	parallel, _, _ := run(cl.Parallel)
+	parallel, _, _ := run(cl.Auto)
 
 	sameMappings(t, baseline.Mappings, serial.Mappings)
 	sameMappings(t, baseline.Mappings, parallel.Mappings)

@@ -301,7 +301,7 @@ func TestMapPairsFaultDeterminismSerialParallel(t *testing.T) {
 	t.Setenv("REPUTE_CL_FAULTS", "")
 	w := newPairedWorld(t, 30_000, 11, 60, 300, 78)
 	serialSAM, serial := faultyRun(t, w, cl.Serial)
-	parallelSAM, parallel := faultyRun(t, w, cl.Parallel)
+	parallelSAM, parallel := faultyRun(t, w, cl.Auto)
 	if !bytes.Equal(serialSAM, parallelSAM) {
 		t.Error("serial and parallel SAM differ under the fault plan")
 	}

@@ -36,7 +36,7 @@ func TestPrefilterEquivalenceSingleDevice(t *testing.T) {
 	ref, set := testWorld(t, 60_000, 120, simulate.ERR012100)
 	offOpt, onOpt := prefilterOpt(3, 100)
 
-	for _, mode := range []cl.ExecMode{cl.Serial, cl.Parallel} {
+	for _, mode := range []cl.ExecMode{cl.Serial, cl.Auto} {
 		pOff, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: mode})
 		if err != nil {
 			t.Fatal(err)

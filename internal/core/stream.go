@@ -21,7 +21,7 @@ import (
 // Stop is the sentinel an emit callback returns to end a MapStream run
 // cleanly at a batch boundary — the graceful-shutdown path (SIGINT after
 // a final checkpoint). MapStream stops consuming, cancels the producer,
-// and returns the results aggregated so far together with Stop.
+// and returns the last token it consumed together with Stop.
 var Stop = errors.New("core: map stream stopped")
 
 // StreamToken records the ingest-side state at the moment a batch was
@@ -55,21 +55,6 @@ type StreamBatch struct {
 	Mate2 StreamToken
 }
 
-// StreamResult aggregates a MapStream run. The embedded Result carries
-// the cumulative timing, energy, cost and fault accounting but a nil
-// Mappings slice — per-read mappings are handed to the emit callback
-// batch by batch and never accumulated, which is the point of streaming.
-type StreamResult struct {
-	mapper.Result
-	// Reads, Mapped and Locations are the per-read tallies Result's
-	// Mappings-derived accessors would normally provide.
-	Reads     int
-	Mapped    int
-	Locations int
-	// Batches counts the batches mapped.
-	Batches int
-}
-
 // streamAhead bounds how many parsed batches may wait for the mappers;
 // with capacity 1 the producer parses exactly one batch ahead.
 const streamAhead = 1
@@ -77,11 +62,15 @@ const streamAhead = 1
 // MapStream consumes batches from src until src returns an empty batch
 // or an error, mapping each through Map and handing the batch plus its
 // per-batch result to emit, in input order. src runs in its own
-// goroutine, at most streamAhead batches ahead of the mappers.
+// goroutine, at most streamAhead batches ahead of the mappers. MapStream
+// keeps no cross-batch aggregate: emit tallies what it needs. It returns
+// the token of the last batch it consumed, so after a clean end the final
+// empty batch's token carries the skip totals of records dropped after
+// the last mapped batch.
 //
 // ctx bounds the whole run: when it is cancelled (a per-job deadline, a
 // caller tearing the stream down mid-Map), MapStream stops before the
-// next batch and returns ctx.Err() with the aggregate so far. The
+// next batch and returns ctx.Err() with the last token consumed. The
 // producer goroutine is cancelled on every exit path — emit errors and
 // context cancellation included — never left blocked on the batch
 // channel; TestMapStreamProducerExits pins this with goroutine-count
@@ -89,15 +78,15 @@ const streamAhead = 1
 //
 // emit is called after the batch's mappings are complete; returning an
 // error stops the run (the sentinel Stop marks a deliberate graceful
-// stop and is returned as-is). emit may be nil when only the aggregate
-// matters.
+// stop and is returned as-is). emit may be nil when only the final
+// token matters.
 //
 // Because each batch runs through the same Map call an in-memory run
 // would use — same kernels, same fault recovery, same trace timeline via
 // the pipeline's trace origin — a streamed run's mappings, metrics and
 // simulated totals are bit-identical to mapping the same batches from
 // memory (asserted by TestMapStreamMatchesInMemory).
-func (p *Pipeline) MapStream(ctx context.Context, src func() (StreamBatch, error), opt mapper.Options, emit func(StreamBatch, *mapper.Result) error) (*StreamResult, error) {
+func (p *Pipeline) MapStream(ctx context.Context, src func() (StreamBatch, error), opt mapper.Options, emit func(StreamBatch, *mapper.Result) error) (StreamToken, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -136,60 +125,37 @@ func (p *Pipeline) MapStream(ctx context.Context, src func() (StreamBatch, error
 		}
 	}()
 
-	sr := &StreamResult{Result: mapper.Result{DeviceSeconds: map[string]float64{}}}
+	var last StreamToken
 	for pr := range ch {
 		if err := ctx.Err(); err != nil {
-			return sr, err
+			return last, err
 		}
 		if pr.err != nil {
-			return sr, pr.err
+			return last, pr.err
 		}
 		b := pr.b
-		// The token's skip tallies are cumulative, so the latest batch —
-		// including the final empty one — carries the stream's total.
-		sr.Faults.SkippedRecords = b.Token.Skipped.Records
-		sr.Faults.SkipReasons = b.Token.Skipped.Clone().Reasons
+		last = b.Token
 		if len(b.Reads) == 0 {
 			break
 		}
 		res, err := p.Map(b.Reads, opt)
 		if err != nil {
-			return sr, err
+			return last, err
 		}
-		sr.Batches++
-		sr.Reads += len(b.Reads)
-		for _, ms := range res.Mappings {
-			if len(ms) > 0 {
-				sr.Mapped++
-			}
-			sr.Locations += len(ms)
-		}
-		sr.SimSeconds += res.SimSeconds
-		sr.EnergyJ += res.EnergyJ
-		for dev, sec := range res.DeviceSeconds {
-			sr.DeviceSeconds[dev] += sec
-		}
-		sr.Cost.Add(res.Cost)
-		skipped, reasons := sr.Faults.SkippedRecords, sr.Faults.SkipReasons
-		sr.Faults.Add(res.Faults)
-		sr.Faults.SkippedRecords, sr.Faults.SkipReasons = skipped, reasons
 		p.instant("host", "stream-batch", func() []trace.Attr {
 			return []trace.Attr{trace.I64("batch", int64(b.Index)),
 				trace.I64("start", int64(b.Start)), trace.I64("reads", int64(len(b.Reads)))}
 		})
 		if emit != nil {
 			if err := emit(b, res); err != nil {
-				return sr, err
+				return last, err
 			}
 		}
 	}
 	// The producer exits (closing ch) on cancellation as well as on EOF;
 	// a run that ended because ctx fired must report the cancellation even
 	// when the consumer never saw another batch.
-	if err := ctx.Err(); err != nil {
-		return sr, err
-	}
-	return sr, nil
+	return last, ctx.Err()
 }
 
 // NewScanSource adapts a fastx.Scanner plus Codec into a MapStream

@@ -35,9 +35,9 @@ func sliceSource(reads [][]byte, batch int) func() (StreamBatch, error) {
 
 // TestMapStreamMatchesInMemory is the streaming-equivalence contract:
 // MapStream over batched reads produces the same mappings as one
-// in-memory Map over the whole set, and the same aggregate accounting,
-// trace and metrics as an in-memory run batched identically — serial and
-// parallel (CI runs this under -race).
+// in-memory Map over the whole set, and the same per-batch accounting
+// (tallied in emit), trace and metrics as an in-memory run batched
+// identically — serial and parallel (CI runs this under -race).
 func TestMapStreamMatchesInMemory(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -45,7 +45,7 @@ func TestMapStreamMatchesInMemory(t *testing.T) {
 	opt := mapper.Options{MaxErrors: 4, MaxLocations: 100}
 	const batch = 13
 
-	for _, mode := range []cl.ExecMode{cl.Serial, cl.Parallel} {
+	for _, mode := range []cl.ExecMode{cl.Serial, cl.Auto} {
 		t.Run(mode.String(), func(t *testing.T) {
 			// Whole-set baseline: mappings are per-read, so batch size
 			// must not affect them.
@@ -91,20 +91,29 @@ func TestMapStreamMatchesInMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			var streamMaps [][]mapper.Mapping
-			sr, err := ps.MapStream(context.Background(), sliceSource(set.Reads, batch), opt,
+			sr := &mapper.Result{DeviceSeconds: map[string]float64{}}
+			batches := 0
+			_, err = ps.MapStream(context.Background(), sliceSource(set.Reads, batch), opt,
 				func(b StreamBatch, res *mapper.Result) error {
 					streamMaps = append(streamMaps, res.Mappings...)
+					batches++
+					sr.SimSeconds += res.SimSeconds
+					sr.EnergyJ += res.EnergyJ
+					for dev, sec := range res.DeviceSeconds {
+						sr.DeviceSeconds[dev] += sec
+					}
+					sr.Cost.Add(res.Cost)
 					return nil
 				})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			if sr.Reads != len(set.Reads) {
-				t.Errorf("streamed %d reads, want %d", sr.Reads, len(set.Reads))
+			if len(streamMaps) != len(set.Reads) {
+				t.Errorf("streamed %d reads, want %d", len(streamMaps), len(set.Reads))
 			}
-			if want := (len(set.Reads) + batch - 1) / batch; sr.Batches != want {
-				t.Errorf("streamed %d batches, want %d", sr.Batches, want)
+			if want := (len(set.Reads) + batch - 1) / batch; batches != want {
+				t.Errorf("streamed %d batches, want %d", batches, want)
 			}
 			if !reflect.DeepEqual(streamMaps, whole.Mappings) {
 				t.Error("streamed mappings differ from whole-set in-memory Map")
@@ -122,10 +131,6 @@ func TestMapStreamMatchesInMemory(t *testing.T) {
 			if !reflect.DeepEqual(sr.DeviceSeconds, memAgg.DeviceSeconds) {
 				t.Errorf("device seconds differ:\nstream %v\nmemory %v",
 					sr.DeviceSeconds, memAgg.DeviceSeconds)
-			}
-			if sr.Mapped != whole.MappedReads() || sr.Locations != whole.TotalLocations() {
-				t.Errorf("tallies differ: stream %d/%d, whole %d/%d",
-					sr.Mapped, sr.Locations, whole.MappedReads(), whole.TotalLocations())
 			}
 
 			// Metrics snapshots must match byte-for-byte. The stream's
@@ -147,8 +152,8 @@ func TestMapStreamMatchesInMemory(t *testing.T) {
 }
 
 // TestMapStreamStop checks the graceful-stop contract: emit returning
-// Stop ends the run at a batch boundary with the partial aggregate and
-// the sentinel itself.
+// Stop ends the run at that batch boundary, mapping no further batch, and
+// returns the sentinel itself.
 func TestMapStreamStop(t *testing.T) {
 	ref, set := testWorld(t, 20_000, 30, simulate.ERR012100)
 	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
@@ -156,10 +161,11 @@ func TestMapStreamStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := mapper.Options{MaxErrors: 4, MaxLocations: 50}
-	batches := 0
-	sr, err := p.MapStream(context.Background(), sliceSource(set.Reads, 10), opt,
+	batches, reads := 0, 0
+	_, err = p.MapStream(context.Background(), sliceSource(set.Reads, 10), opt,
 		func(b StreamBatch, res *mapper.Result) error {
 			batches++
+			reads += len(res.Mappings)
 			if batches == 2 {
 				return Stop
 			}
@@ -168,15 +174,15 @@ func TestMapStreamStop(t *testing.T) {
 	if err != Stop {
 		t.Fatalf("err = %v, want Stop", err)
 	}
-	if sr.Batches != 2 || sr.Reads != 20 {
-		t.Errorf("partial aggregate: %d batches / %d reads, want 2 / 20", sr.Batches, sr.Reads)
+	if batches != 2 || reads != 20 {
+		t.Errorf("emitted %d batches / %d reads, want 2 / 20", batches, reads)
 	}
 }
 
 // TestMapStreamScanSourceLenient runs a dirty FASTQ through the full
 // scanner → codec → MapStream path and checks that skipped records (both
-// malformed and unmappably short) land in the stream result's FaultStats
-// and in the metrics registry.
+// malformed and unmappably short) land in the skip totals of the token
+// MapStream returns and in the metrics registry.
 func TestMapStreamScanSourceLenient(t *testing.T) {
 	ref, set := testWorld(t, 20_000, 24, simulate.ERR012100)
 	var fq strings.Builder
@@ -206,26 +212,28 @@ func TestMapStreamScanSourceLenient(t *testing.T) {
 		fastx.ScanOptions{Format: fastx.FormatFASTQ, Lenient: true, Name: "dirty.fq", Tracer: rec})
 	src := NewScanSource(sc, fastx.NewCodec(0), 7, true, opt.MaxErrors, 0)
 
-	sr, err := p.MapStream(context.Background(), src, opt, nil)
+	reads := 0
+	last, err := p.MapStream(context.Background(), src, opt,
+		func(b StreamBatch, res *mapper.Result) error {
+			reads += len(b.Reads)
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Reads != len(set.Reads) {
-		t.Errorf("mapped %d reads, want %d", sr.Reads, len(set.Reads))
+	if reads != len(set.Reads) {
+		t.Errorf("mapped %d reads, want %d", reads, len(set.Reads))
 	}
-	if sr.Faults.SkippedRecords != 3 {
-		t.Errorf("SkippedRecords = %d, want 3 (%v)", sr.Faults.SkippedRecords, sr.Faults.SkipReasons)
+	if last.Skipped.Records != 3 {
+		t.Errorf("skipped records = %d, want 3 (%v)", last.Skipped.Records, last.Skipped.Reasons)
 	}
 	want := map[string]int{
 		fastx.ReasonLengthMismatch: 1,
 		fastx.ReasonShortRead:      1,
 		fastx.ReasonMissingHeader:  1,
 	}
-	if !reflect.DeepEqual(sr.Faults.SkipReasons, want) {
-		t.Errorf("SkipReasons = %v, want %v", sr.Faults.SkipReasons, want)
-	}
-	if !sr.Faults.Any() {
-		t.Error("FaultStats.Any() must report skipped records")
+	if !reflect.DeepEqual(last.Skipped.Reasons, want) {
+		t.Errorf("skip reasons = %v, want %v", last.Skipped.Reasons, want)
 	}
 	snap := rec.Metrics()
 	if got := snap.Counters["records_skipped_total"]; got != 3 {
@@ -322,12 +330,17 @@ func TestMapStreamProducerExits(t *testing.T) {
 	t.Run("pre-cancelled context", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		sr, err := p.MapStream(ctx, sliceSource(set.Reads, 5), opt, nil)
+		batches := 0
+		_, err := p.MapStream(ctx, sliceSource(set.Reads, 5), opt,
+			func(b StreamBatch, res *mapper.Result) error {
+				batches++
+				return nil
+			})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if sr.Batches != 0 {
-			t.Errorf("pre-cancelled run mapped %d batches, want 0", sr.Batches)
+		if batches != 0 {
+			t.Errorf("pre-cancelled run mapped %d batches, want 0", batches)
 		}
 		if n := countStreamGoroutines(); n > 0 {
 			t.Errorf("%d producer goroutine(s) alive after pre-cancelled run", n)

@@ -56,7 +56,7 @@ func TestTraceDeterminismSerialParallel(t *testing.T) {
 	}
 
 	serialTrace, serialMetrics, rec := run(cl.Serial)
-	parallelTrace, parallelMetrics, _ := run(cl.Parallel)
+	parallelTrace, parallelMetrics, _ := run(cl.Auto)
 
 	if !bytes.Equal(serialTrace, parallelTrace) {
 		t.Errorf("serial and parallel Chrome traces differ (%d vs %d bytes)",

@@ -104,7 +104,7 @@ func TestAllMappersSerialParallelDeterminism(t *testing.T) {
 			for _, delta := range []int{0, 4} {
 				key := fmt.Sprintf("%s/e%d", name, delta)
 				opt := mapper.Options{MaxErrors: delta, MaxLocations: 100}
-				for _, mode := range []cl.ExecMode{cl.Serial, cl.Parallel} {
+				for _, mode := range []cl.ExecMode{cl.Serial, cl.Auto} {
 					// The mappers run their queues in cl.Auto, which takes
 					// the serial path when GOMAXPROCS allows one worker.
 					procs := 8

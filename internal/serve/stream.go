@@ -231,17 +231,14 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 		return nil
 	}
 
-	sr, err := s.Pipeline.MapStream(ctx, src, s.Opt, emit)
+	last, err := s.Pipeline.MapStream(ctx, src, s.Opt, emit)
 	if err != nil {
 		return st, err
 	}
 	// Trailing lenient skips (between the last full batch and EOF) arrive
-	// with the final empty batch; MapStream reports this process's total
-	// scanner tallies in sr.Faults, so fold them onto the resumed baseline.
-	applySkips(st, baseFaults, fastx.SkipStats{
-		Records: sr.Faults.SkippedRecords,
-		Reasons: sr.Faults.SkipReasons,
-	})
+	// with the final empty batch, whose token carries this process's
+	// scanner totals; fold them onto the resumed baseline.
+	applySkips(st, baseFaults, last.Skipped)
 	if err := flush(); err != nil {
 		return st, err
 	}
