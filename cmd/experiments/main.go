@@ -7,8 +7,10 @@
 //
 // -run is a comma-separated list of table1, table2, table3, table4, fig3,
 // fig4 and prefilter (the pre-alignment filter's selector×δ sweep), or
-// "all" for the six paper experiments. The paper's shape checks over what
-// ran are printed last; -out also writes a markdown report, paper vs measured.
+// "all" for the six paper experiments. Each experiment prints its markdown
+// section, paper vs measured, as it finishes, and the paper's shape checks
+// over what ran come last; -out writes the report header followed by
+// exactly what was printed after the first line.
 package main
 
 import (
@@ -52,20 +54,25 @@ func run(w io.Writer, scaleName string, seed int64, runList, outPath string) err
 	if err != nil {
 		return err
 	}
-	report := &bench.Report{Scale: sc, Seed: seed, Started: time.Now()}
+	started := time.Now()
+	var (
+		t1, t2, t3 *bench.Comparison
+		t4         *bench.EnergyTable
+		f3, f4     *bench.Series
+	)
 	// Everything -run can name, in the order it runs. The prefilter sweep is
-	// no part of the paper's report, so its result only reaches the console.
+	// no part of the paper's shape checks.
 	experiments := []struct {
 		name  string
 		paper bool // selected by "all"
 		run   func(*bench.Dataset) (renderer, error)
 	}{
-		{"table1", true, into(&report.T1, bench.Table1)},
-		{"table2", true, into(&report.T2, bench.Table2)},
-		{"table3", true, into(&report.T3, bench.Table3)},
-		{"table4", true, into(&report.T4, bench.Table4)},
-		{"fig3", true, into(&report.F3, bench.RunFig3)},
-		{"fig4", true, into(&report.F4, bench.RunFig4)},
+		{"table1", true, into(&t1, bench.Table1)},
+		{"table2", true, into(&t2, bench.Table2)},
+		{"table3", true, into(&t3, bench.Table3)},
+		{"table4", true, into(&t4, bench.Table4)},
+		{"fig3", true, into(&f3, bench.RunFig3)},
+		{"fig4", true, into(&f4, bench.RunFig4)},
 		{"prefilter", false, into(new(*bench.PrefilterBench), bench.RunPrefilterBench)},
 	}
 	want := map[string]bool{}
@@ -83,6 +90,9 @@ func run(w io.Writer, scaleName string, seed int64, runList, outPath string) err
 		}
 	}
 	fmt.Fprintf(w, "running at scale %q (ref %d bp, %d reads/set)...\n", sc.Name, sc.RefLen, sc.ReadsPerSet)
+	// The report body is the console's, teed, so the two cannot drift.
+	var body bytes.Buffer
+	con := io.MultiWriter(w, &body)
 	ds, err := bench.BuildDataset(sc, seed)
 	if err != nil {
 		return err
@@ -95,16 +105,16 @@ func run(w io.Writer, scaleName string, seed int64, runList, outPath string) err
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		res.Render(w)
-		fmt.Fprintln(w)
+		res.Render(con)
 	}
-	report.Duration = time.Since(report.Started)
-	bench.RenderChecks(w, bench.CheckShapes(report.T1, report.T2, report.T3, report.T4, report.F3, report.F4))
+	fmt.Fprint(con, "\n## Shape checks\n\n```\n")
+	bench.RenderChecks(con, bench.CheckShapes(t1, t2, t3, t4, f3, f4))
+	fmt.Fprint(con, "```\n")
 	if outPath == "" {
 		return nil
 	}
 	var md bytes.Buffer
-	report.WriteMarkdown(&md)
-	fmt.Fprintf(w, "\nwriting markdown report to %s\n", outPath)
+	bench.WriteReportHeader(&md, sc, seed, time.Since(started))
+	md.Write(body.Bytes())
 	return os.WriteFile(outPath, md.Bytes(), 0o644)
 }

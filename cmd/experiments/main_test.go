@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,5 +51,36 @@ func TestRunAllIsTheSixPaperExperiments(t *testing.T) {
 	}
 	if strings.Contains(all.String(), "Pre-alignment filter") {
 		t.Error("-run all ran the prefilter sweep")
+	}
+}
+
+// TestReportIsConsoleBody: the -out report is the report header followed
+// by exactly what the console printed after its first line — one
+// rendering, teed, so the two cannot drift apart.
+func TestReportIsConsoleBody(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs in -short mode")
+	}
+	out := filepath.Join(t.TempDir(), "r.md")
+	var console bytes.Buffer
+	if err := run(&console, "tiny", 1, "all", out); err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(console.String(), "\n")
+	head, ok := strings.CutSuffix(string(report), body)
+	if !ok {
+		t.Fatalf("report does not end with the console body\nreport:\n%s\nconsole:\n%s", report, console.String())
+	}
+	if !strings.HasPrefix(head, "# EXPERIMENTS — paper vs measured\n") || strings.Contains(head, "###") {
+		t.Errorf("report head is not the header alone:\n%s", head)
+	}
+	for _, want := range []string{"### Table I:", "_26.7 / 100.0_", "### Table IV:", "Paper Fig. 4 shape:", "## Shape checks\n\n```\n[", "[PASS] T1: REPUTE-cpu beats RazerS3 everywhere\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("console body lacks %q", want)
+		}
 	}
 }

@@ -370,6 +370,21 @@ func TestStreamedChaosHonoursDevice(t *testing.T) {
 	}
 }
 
+// TestChaosRejectsDeviceBeyondGroup: a device=K directive beyond the
+// run's device group is refused with a nonzero exit naming it — not a
+// chaos run that maps every read and injects nothing.
+func TestChaosRejectsDeviceBeyondGroup(t *testing.T) {
+	sam := filepath.Join(t.TempDir(), "a.sam")
+	out, err := runRepute(t, []string{"REPUTE_CL_FAULTS=device=9,enq1=lost"},
+		"map", "-index", indexPath, "-reads", readsPath, "-out", sam)
+	if err == nil {
+		t.Fatalf("device=9 on a 1-device run exited 0:\n%s", out)
+	}
+	if !strings.Contains(out, "device=9") {
+		t.Errorf("error does not name device=9:\n%s", out)
+	}
+}
+
 // TestKillAndResume kills a checkpointed run after every possible batch
 // boundary and checks the resumed output is bit-identical to an
 // uninterrupted run. 60 reads at batch 7 is 9 batches.

@@ -2,8 +2,9 @@
 // Figs 3/4 of the paper's evaluation section on synthetic workloads at a
 // configurable scale, on the simulated OpenCL platforms from internal/cl,
 // checks the paper's qualitative claims against them (CheckShapes) and
-// renders the paper-vs-measured report; the pre-alignment filter's
-// selector×δ sweep rides along because it, too, is all simulated clock.
+// renders each result once, in markdown, beside the paper's numbers; the
+// pre-alignment filter's selector×δ sweep rides along because it, too, is
+// all simulated clock.
 // cmd/experiments is its CLI. Wall-clock and per-layer measurement is not
 // done here: that is the benchmark/ harness at the module root.
 package bench

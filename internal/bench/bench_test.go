@@ -69,7 +69,7 @@ func TestComparisonSmoke(t *testing.T) {
 	ds := tinyDS(t)
 	suite := NewSuite(ds)
 	cols := []Column{{100, 3}, {150, 5}}
-	cmp, err := RunComparison("smoke", suite, SystemOneSpecs(false), cols, MetricAll)
+	cmp, err := RunComparison("smoke", &PaperTable1, suite, SystemOneSpecs(false), cols, MetricAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,10 @@ func TestComparisonSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	cmp.Render(&buf)
 	out := buf.String()
-	if !strings.Contains(out, "REPUTE-cpu") || !strings.Contains(out, "T(s)") {
-		t.Errorf("render missing content:\n%s", out)
+	for _, want := range []string{"### smoke", "| REPUTE-cpu |", "T(s)", "_26.7 / 100.0_"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -129,8 +131,10 @@ func TestEnergySmoke(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	(&EnergyTable{Cols: []Column{{100, 3}}, Sections: []EnergySection{*sec}}).Render(&buf)
-	if !strings.Contains(buf.String(), "P(W)") {
-		t.Error("energy render missing header")
+	for _, want := range []string{"P(W)", "**System 2**", "| REPUTE-HiKey |", "_8.0 / 78.6_"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("energy render lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -204,7 +208,9 @@ func TestFig4Smoke(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	s.Render(&buf)
-	if !strings.Contains(buf.String(), "Smin=12") {
-		t.Error("fig4 render missing labels")
+	for _, want := range []string{"| Smin=12 |", "T(s)", "Paper Fig. 4 shape:"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("fig4 render lacks %q:\n%s", want, buf.String())
+		}
 	}
 }

@@ -30,7 +30,7 @@ func filterSpecs(specs []Spec, drop ...string) []Spec {
 func Table1(ds *Dataset) (*Comparison, error) {
 	suite := NewSuite(ds)
 	return RunComparison(
-		"Table I: mapping on the CPU (homogeneous scenario)",
+		"Table I: mapping on the CPU (homogeneous scenario)", &PaperTable1,
 		suite, SystemOneSpecs(false), PaperColumns, MetricAll)
 }
 
@@ -40,7 +40,7 @@ func Table2(ds *Dataset) (*Comparison, error) {
 	suite := NewSuite(ds)
 	specs := filterSpecs(SystemOneSpecs(true), "CORAL-cpu", "REPUTE-cpu")
 	return RunComparison(
-		"Table II: mapping on the CPU + 2 GPUs (heterogeneous scenario)",
+		"Table II: mapping on the CPU + 2 GPUs (heterogeneous scenario)", &PaperTable2,
 		suite, specs, PaperColumns, MetricAnyBest)
 }
 
@@ -50,7 +50,7 @@ func Table2(ds *Dataset) (*Comparison, error) {
 func Table3(ds *Dataset) (*Comparison, error) {
 	suite := NewSuite(ds)
 	return RunComparison(
-		"Table III: mapping on the HiKey970 SoC (embedded scenario)",
+		"Table III: mapping on the HiKey970 SoC (embedded scenario)", &PaperTable3,
 		suite, SystemTwoSpecs(), PaperColumns, MetricAnyBest)
 }
 

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"repro/internal/cl"
 	"repro/internal/core"
@@ -23,24 +21,9 @@ type Series struct {
 	Title  string
 	XLabel string
 	Points []SeriesPoint
-}
-
-// Render prints the series as a table plus a proportional ASCII bar chart.
-func (s *Series) Render(w io.Writer) {
-	fmt.Fprintf(w, "%s\n%-18s %10s\n", s.Title, s.XLabel, "T(s)")
-	maxT := 0.0
-	for _, p := range s.Points {
-		if p.TimeS > maxT {
-			maxT = p.TimeS
-		}
-	}
-	for _, p := range s.Points {
-		bar := 0
-		if maxT > 0 {
-			bar = int(40 * p.TimeS / maxT)
-		}
-		fmt.Fprintf(w, "%-18s %10.2f  %s\n", p.Label, p.TimeS, strings.Repeat("#", bar))
-	}
+	// Shape is the paper's sentence on the figure's shape, rendered
+	// under the series.
+	Shape string
 }
 
 // RunFig3 reproduces Fig. 3: mapping time for different CPU/GPU workload
@@ -57,6 +40,7 @@ func RunFig3(ds *Dataset) (*Series, error) {
 	s := &Series{
 		Title:  "Fig. 3: time vs reads offloaded per GPU (n=150, δ=5, Smin=22)",
 		XLabel: "reads per GPU",
+		Shape:  "Paper Fig. 3 shape: time falls as reads move to the GPUs, then flattens/rises as a GPU becomes the bottleneck.",
 	}
 	n := len(set.Reads)
 	opt := mapper.Options{MaxErrors: 5, MaxLocations: 100, MinSeedLen: 22}
@@ -99,6 +83,7 @@ func RunFig4(ds *Dataset) (*Series, error) {
 	s := &Series{
 		Title:  "Fig. 4: time vs minimum k-mer length (n=100, δ=4, CPU 82% / GPU 9%+9%)",
 		XLabel: "min k-mer length",
+		Shape:  "Paper Fig. 4 shape: U-curve — small Smin pays in DP filtration time, large Smin pays in candidate verification.",
 	}
 	// Small Smin pays in DP exploration (the left rise), large Smin pays
 	// in candidate verification (the right rise at 20, as in the paper).

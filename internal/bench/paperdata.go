@@ -1,8 +1,7 @@
 package bench
 
-// Paper-reported numbers (DATE 2020, Tables I-IV), embedded so the
-// experiment tooling can print paper-vs-measured comparisons and the
-// markdown report can record them. A value of -1 marks entries the paper
+// Paper-reported numbers (DATE 2020, Tables I-IV), embedded so each
+// result renders beside the paper's cells. A value of -1 marks entries the paper
 // leaves blank or merges (BWA-MEM is reported once per read length).
 
 // PaperCell mirrors CellTA for paper data.

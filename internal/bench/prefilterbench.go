@@ -173,19 +173,6 @@ func sameReadMappings(a, b []mapper.Mapping) bool {
 	return true
 }
 
-// Render prints the ablation table.
-func (b *PrefilterBench) Render(w io.Writer) {
-	fmt.Fprintf(w, "Pre-alignment filter ablation (%s scale, %d bp reads)\n", b.Scale, b.ReadLen)
-	fmt.Fprintf(w, "%-9s %-3s %10s %10s %9s %9s %9s %6s %10s %10s %8s\n",
-		"selector", "δ", "cands", "rejected", "frac", "f.acc", "f.accRate", "f.rej", "off", "on", "speedup")
-	for _, r := range b.Rows {
-		fmt.Fprintf(w, "%-9s %-3d %10d %10d %8.1f%% %9d %8.1f%% %6d %9.3fs %9.3fs %7.2fx\n",
-			r.Selector, r.Delta, r.Candidates, r.Rejected, 100*r.FilteredFraction,
-			r.FalseAccepts, 100*r.FalseAcceptRate, r.FalseRejects,
-			r.SimSecondsOff, r.SimSecondsOn, r.Speedup)
-	}
-}
-
 // WriteJSON writes the measurements as indented JSON.
 func (b *PrefilterBench) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

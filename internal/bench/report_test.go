@@ -2,16 +2,24 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
 )
 
-// fabricate builds a minimal but well-formed report so the renderer can
-// be tested without an hour-long run.
-func fabricate() *Report {
-	mkCmp := func(title string, rows []string, metric Metric) *Comparison {
-		c := &Comparison{Title: title, Metric: metric, Cols: PaperColumns, Rows: rows}
+// fabricated holds one result of each paper experiment.
+type fabricated struct {
+	t1, t2, t3 *Comparison
+	t4         *EnergyTable
+	f3, f4     *Series
+}
+
+// fabricate builds minimal but well-formed results so the renderers and
+// the shape checks can be tested without an hour-long run.
+func fabricate() fabricated {
+	mkCmp := func(title string, paper *PaperComparison, rows []string, metric Metric) *Comparison {
+		c := &Comparison{Title: title, Metric: metric, Cols: PaperColumns, Rows: rows, Paper: paper}
 		c.Cells = make([][]CellTA, len(rows))
 		for i := range rows {
 			c.Cells[i] = make([]CellTA, len(PaperColumns))
@@ -21,9 +29,9 @@ func fabricate() *Report {
 		}
 		return c
 	}
-	t1 := mkCmp("Table I", []string{"RazerS3", "Hobbes3", "Yara", "BWA-MEM", "GEM", "CORAL-cpu", "REPUTE-cpu"}, MetricAll)
-	t2 := mkCmp("Table II", []string{"RazerS3", "Hobbes3", "Yara", "BWA-MEM", "GEM", "CORAL-all", "REPUTE-all"}, MetricAnyBest)
-	t3 := mkCmp("Table III", []string{"RazerS3", "Hobbes3", "CORAL-HiKey", "REPUTE-HiKey"}, MetricAnyBest)
+	t1 := mkCmp("Table I", &PaperTable1, []string{"RazerS3", "Hobbes3", "Yara", "BWA-MEM", "GEM", "CORAL-cpu", "REPUTE-cpu"}, MetricAll)
+	t2 := mkCmp("Table II", &PaperTable2, []string{"RazerS3", "Hobbes3", "Yara", "BWA-MEM", "GEM", "CORAL-all", "REPUTE-all"}, MetricAnyBest)
+	t3 := mkCmp("Table III", &PaperTable3, []string{"RazerS3", "Hobbes3", "CORAL-HiKey", "REPUTE-HiKey"}, MetricAnyBest)
 	t4 := &EnergyTable{
 		Cols: EnergyColumns,
 		Sections: []EnergySection{
@@ -33,32 +41,39 @@ func fabricate() *Report {
 				Cells: [][]EnergyCell{{{PowerW: 8, EnergyJ: 80, TimeS: 17}, {PowerW: 8, EnergyJ: 210, TimeS: 50}}}},
 		},
 	}
-	f3 := &Series{Title: "Fig. 3", XLabel: "reads per GPU",
+	f3 := &Series{Title: "Fig. 3", XLabel: "reads per GPU", Shape: "Paper Fig. 3 shape: falls, then flattens.",
 		Points: []SeriesPoint{{X: 0, TimeS: 5, Label: "0"}, {X: 100, TimeS: 3, Label: "100"}, {X: 200, TimeS: 4, Label: "200"}}}
-	f4 := &Series{Title: "Fig. 4", XLabel: "Smin",
+	f4 := &Series{Title: "Fig. 4", XLabel: "Smin", Shape: "Paper Fig. 4 shape: U-curve.",
 		Points: []SeriesPoint{{X: 8, TimeS: 4, Label: "Smin=8"}, {X: 12, TimeS: 3, Label: "Smin=12"}, {X: 20, TimeS: 5, Label: "Smin=20"}}}
-	return &Report{
-		Scale: Tiny, Seed: 1, Started: time.Now(), Duration: time.Minute,
-		T1: t1, T2: t2, T3: t3, T4: t4, F3: f3, F4: f4,
-	}
+	return fabricated{t1: t1, t2: t2, t3: t3, t4: t4, f3: f3, f4: f4}
 }
 
+// TestWriteMarkdownStructure: the report header and the one rendering of
+// each result make a markdown report with the paper's cells beside the
+// measured ones and the paper's shape sentence under each figure.
 func TestWriteMarkdownStructure(t *testing.T) {
 	r := fabricate()
 	var buf bytes.Buffer
-	r.WriteMarkdown(&buf)
+	WriteReportHeader(&buf, Tiny, 1, time.Minute)
+	for _, res := range []interface{ Render(io.Writer) }{r.t1, r.t2, r.t3, r.t4, r.f3, r.f4} {
+		res.Render(&buf)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"# EXPERIMENTS — paper vs measured",
+		"wall time 1m0s",
 		"### Table I",
 		"### Table II",
 		"### Table III",
 		"### Table IV",
-		"Fig. 3",
-		"Fig. 4",
-		"## Shape checks",
-		"REPUTE-cpu", "REPUTE-HiKey",
+		"### Fig. 3",
+		"### Fig. 4",
+		"| reads per GPU | T(s) |",
+		"Paper Fig. 3 shape: falls, then flattens.",
+		"Paper Fig. 4 shape: U-curve.",
+		"| REPUTE-cpu |", "| REPUTE-HiKey |",
 		"simulated seconds",
+		"_455.0 / 1550_", // paper Table IV, System 1 REPUTE-all
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q", want)
@@ -70,9 +85,37 @@ func TestWriteMarkdownStructure(t *testing.T) {
 	}
 }
 
+// TestRenderKeepsSmallScaleDigits: seconds and joules print to three
+// significant digits, so the millisecond cells of a reduced-scale run do
+// not read as zero.
+func TestRenderKeepsSmallScaleDigits(t *testing.T) {
+	var buf bytes.Buffer
+	(&Comparison{Title: "small", Cols: []Column{{100, 3}}, Rows: []string{"REPUTE-cpu"},
+		Cells: [][]CellTA{{{TimeS: 0.0034, AccPct: 99.5}}}}).Render(&buf)
+	(&EnergyTable{Cols: []Column{{100, 3}}, Sections: []EnergySection{{System: "System 2", IdleW: 3.5,
+		Rows: []string{"REPUTE-HiKey"}, Cells: [][]EnergyCell{{{PowerW: 4.2, EnergyJ: 0.041, TimeS: 0.06}}}}}}).Render(&buf)
+	(&Series{Title: "sweep", XLabel: "x", Points: []SeriesPoint{{TimeS: 0.000123, Label: "a"}}}).Render(&buf)
+	out := buf.String()
+	for _, want := range []string{"| 0.0034 / 99.5 |", "| 4.2 / 0.041 <br>", "| a | 0.000123 |"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
+	}
+	for _, zero := range []string{" 0.00 ", " 0.0 ", "/ 0.0 "} {
+		if strings.Contains(out, zero) {
+			t.Errorf("render prints a nonzero measurement as %q:\n%s", zero, out)
+		}
+	}
+	for x, want := range map[float64]string{0: "0", 0.0034: "0.0034", 26.7: "26.7", 321.4: "321", 1540.7: "1540", 4e-05: "0.00004"} {
+		if got := sig3(x); got != want {
+			t.Errorf("sig3(%v) = %q, want %q", x, got, want)
+		}
+	}
+}
+
 func TestShapeChecksOnFabricatedReport(t *testing.T) {
 	r := fabricate()
-	checks := CheckShapes(r.T1, r.T2, r.T3, r.T4, r.F3, r.F4)
+	checks := CheckShapes(r.t1, r.t2, r.t3, r.t4, r.f3, r.f4)
 	if len(checks) < 10 {
 		t.Fatalf("only %d checks", len(checks))
 	}

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"repro/internal/eval"
 	"repro/internal/mapper"
@@ -38,12 +36,16 @@ type Comparison struct {
 	Cols   []Column
 	Rows   []string
 	Cells  [][]CellTA
+	// Paper is the paper's table this one reproduces, rendered beside
+	// it; nil for a comparison the paper has no table for.
+	Paper *PaperComparison
 }
 
 // RunComparison maps every spec over every column, measuring simulated
-// time and accuracy against the gold spec under the given metric.
-func RunComparison(title string, suite *Suite, specs []Spec, cols []Column, metric Metric) (*Comparison, error) {
-	cmp := &Comparison{Title: title, Metric: metric, Cols: cols}
+// time and accuracy against the gold spec under the given metric; paper
+// (or nil) is the table the result renders beside.
+func RunComparison(title string, paper *PaperComparison, suite *Suite, specs []Spec, cols []Column, metric Metric) (*Comparison, error) {
+	cmp := &Comparison{Title: title, Metric: metric, Cols: cols, Paper: paper}
 	for _, s := range specs {
 		cmp.Rows = append(cmp.Rows, s.Label)
 	}
@@ -118,30 +120,6 @@ func (c *Comparison) Cell(rowLabel string, col Column) (CellTA, bool) {
 	return CellTA{}, false
 }
 
-// Render prints the comparison as an aligned text table, paper-style:
-// T(s) and A(%) per configuration.
-func (c *Comparison) Render(w io.Writer) {
-	fmt.Fprintf(w, "%s\naccuracy metric: %s\n", c.Title, c.Metric)
-	fmt.Fprintf(w, "%-14s", "mapper")
-	for _, col := range c.Cols {
-		fmt.Fprintf(w, " | %-17s", col.String())
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s", "")
-	for range c.Cols {
-		fmt.Fprintf(w, " | %8s %8s", "T(s)", "A(%)")
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, strings.Repeat("-", 14+len(c.Cols)*20))
-	for i, row := range c.Rows {
-		fmt.Fprintf(w, "%-14s", row)
-		for _, cell := range c.Cells[i] {
-			fmt.Fprintf(w, " | %8.3f %8.2f", cell.TimeS, cell.AccPct)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
 // EnergyCell is one Table IV measurement: wall power (idle included, as a
 // meter would read) and marginal energy (the paper's (P-idle)×T).
 type EnergyCell struct {
@@ -195,30 +173,4 @@ func RunEnergy(system string, idleW float64, suite *Suite, specs []Spec, cols []
 		}
 	}
 	return sec, nil
-}
-
-// Render prints the energy table paper-style.
-func (t *EnergyTable) Render(w io.Writer) {
-	fmt.Fprintln(w, "Table IV: power and energy consumption (§III-D)")
-	fmt.Fprintf(w, "%-14s", "mapper")
-	for _, col := range t.Cols {
-		fmt.Fprintf(w, " | %-17s", col.String())
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s", "")
-	for range t.Cols {
-		fmt.Fprintf(w, " | %8s %8s", "P(W)", "E(J)")
-	}
-	fmt.Fprintln(w)
-	for _, sec := range t.Sections {
-		fmt.Fprintf(w, "--- %s (idle %.1f W) %s\n", sec.System, sec.IdleW,
-			strings.Repeat("-", 20))
-		for i, row := range sec.Rows {
-			fmt.Fprintf(w, "%-14s", row)
-			for _, cell := range sec.Cells[i] {
-				fmt.Fprintf(w, " | %8.1f %8.1f", cell.PowerW, cell.EnergyJ)
-			}
-			fmt.Fprintln(w)
-		}
-	}
 }

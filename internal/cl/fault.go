@@ -66,7 +66,7 @@ type FaultPlan struct {
 	// only the Kth device (1-based) of the group. The injector itself
 	// ignores the field — it is addressing metadata for the installer
 	// (serve arms a job's plan only on the selected member of the job's
-	// partition; ArmEnvFaults arms only the Kth device of its group),
+	// partition; ArmFaults arms only the Kth device of its group),
 	// which is what lets a multi-device chaos run lose one
 	// device while its partition partners stay healthy.
 	Device int
@@ -302,18 +302,22 @@ func EnvFaultPlan() *FaultPlan {
 	return p
 }
 
-// ArmEnvFaults is the chaos hook: it arms EnvFaultPlan on every device of
-// the group that has no plan of its own — only on the Kth when the plan
-// says device=K — so setting the variable turns any run over those
-// devices into a fault-recovery run (CI drives the whole core suite
-// through the recovery paths this way). Already-armed devices keep their
-// plan and their ordinals, which makes the call idempotent: whoever arms
-// first — a checkpointed runner that must seat resumed ordinals before
-// the first enqueue, or Pipeline.Map itself — wins.
-func ArmEnvFaults(devices []*Device) {
-	plan := EnvFaultPlan()
+// ArmFaults is the one device=K rule: it arms plan on every device of the
+// group that has no plan of its own — only on the Kth when the plan says
+// device=K — and refuses, with ErrBadFaultPlan, a K beyond the group
+// rather than arm nothing. A nil plan arms nothing. Already-armed devices
+// keep their plan and their ordinals, which makes the call idempotent:
+// whoever arms first — a checkpointed runner that must seat resumed
+// ordinals before the first enqueue, or Pipeline.Map itself — wins. With
+// EnvFaultPlan it is the chaos hook: setting REPUTE_CL_FAULTS turns any
+// run over those devices into a fault-recovery run (CI drives the whole
+// core suite through the recovery paths this way).
+func ArmFaults(plan *FaultPlan, devices []*Device) error {
 	if plan == nil {
-		return
+		return nil
+	}
+	if plan.Device > len(devices) {
+		return fmt.Errorf("%w: device=%d exceeds the %d-device group", ErrBadFaultPlan, plan.Device, len(devices))
 	}
 	for i, d := range devices {
 		if plan.Device > 0 && plan.Device != i+1 {
@@ -323,4 +327,5 @@ func ArmEnvFaults(devices []*Device) {
 			d.InstallFaults(plan)
 		}
 	}
+	return nil
 }

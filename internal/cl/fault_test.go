@@ -328,6 +328,61 @@ func TestEnvFaultPlan(t *testing.T) {
 	EnvFaultPlan()
 }
 
+// TestArmFaults is the device=K rule: a plan arms every unarmed device of
+// the group, or only the Kth, and a K beyond the group is refused rather
+// than arming nothing; an already-armed device keeps its plan and ordinals.
+func TestArmFaults(t *testing.T) {
+	plan := func(k int) *FaultPlan {
+		return &FaultPlan{FailEnqueues: map[int]Code{1: OutOfResources}, Device: k}
+	}
+	for _, tc := range []struct {
+		name    string
+		plan    *FaultPlan
+		prearm  int    // 1-based device armed beforehand, 0 for none
+		armed   string // FaultsInstalled per device after the call
+		wantErr string
+	}{
+		{"nil plan", nil, 0, "---", ""},
+		{"every device", plan(0), 0, "xxx", ""},
+		{"device=1", plan(1), 0, "x--", ""},
+		{"device=3", plan(3), 0, "--x", ""},
+		{"device=4 beyond the group", plan(4), 0, "---", "device=4 exceeds the 3-device group"},
+		{"device=9 beyond the group", plan(9), 2, "-x-", "device=9 exceeds the 3-device group"},
+		{"prearmed device keeps its plan", plan(0), 2, "xxx", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			devs := []*Device{testDevice(), testDevice(), testDevice()}
+			if tc.prearm > 0 {
+				devs[tc.prearm-1].InstallFaults(plan(0))
+				devs[tc.prearm-1].RestoreFaultOrdinals(FaultOrdinals{Enqueues: 5})
+			}
+			err := ArmFaults(tc.plan, devs)
+			if tc.wantErr == "" && err != nil {
+				t.Fatalf("ArmFaults: %v", err)
+			}
+			if tc.wantErr != "" && (!errors.Is(err, ErrBadFaultPlan) || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("ArmFaults error = %v, want ErrBadFaultPlan naming %q", err, tc.wantErr)
+			}
+			got := ""
+			for _, d := range devs {
+				if d.FaultsInstalled() {
+					got += "x"
+				} else {
+					got += "-"
+				}
+			}
+			if got != tc.armed {
+				t.Errorf("armed %s, want %s", got, tc.armed)
+			}
+			if tc.prearm > 0 {
+				if o, _ := devs[tc.prearm-1].FaultOrdinals(); o.Enqueues != 5 {
+					t.Errorf("prearmed device's ordinals reset to %+v", o)
+				}
+			}
+		})
+	}
+}
+
 func TestEventsReturnsCopy(t *testing.T) {
 	dev := testDevice()
 	q := NewQueue(dev)

@@ -358,7 +358,9 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 	}
 	// Chaos hook: REPUTE_CL_FAULTS turns any pipeline run into a
 	// fault-recovery run.
-	cl.ArmEnvFaults(p.devices)
+	if err := cl.ArmFaults(cl.EnvFaultPlan(), p.devices); err != nil {
+		return nil, err
+	}
 	res := &mapper.Result{
 		Mappings:      make([][]mapper.Mapping, len(reads)),
 		DeviceSeconds: map[string]float64{},

@@ -2,12 +2,13 @@ package serve
 
 // Job model and the on-disk job store. Every job owns one spool
 // directory (reads.fq upload, out.sam output, run.ckpt checkpoint,
-// job.json metadata); job.json is persisted atomically on every state
-// transition, so a killed server restarted over the same spool sees
-// every job exactly as it last durably was and re-queues the unfinished
-// ones in admission order.
+// trace.json of the latest finished attempt, job.json metadata); job.json
+// is persisted atomically on every state transition, so a killed server
+// restarted over the same spool sees every job exactly as it last durably
+// was and re-queues the unfinished ones in admission order.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"sync"
 
 	"repro/internal/cl"
+	"repro/internal/trace"
 )
 
 // JobState is a job's position in its lifecycle. The machine is
@@ -122,6 +124,7 @@ func (s *store) jobDir(id string) string    { return filepath.Join(s.dir, id) }
 func (s *store) readsPath(id string) string { return filepath.Join(s.dir, id, "reads.fq") }
 func (s *store) samPath(id string) string   { return filepath.Join(s.dir, id, "out.sam") }
 func (s *store) ckptPath(id string) string  { return filepath.Join(s.dir, id, "run.ckpt") }
+func (s *store) tracePath(id string) string { return filepath.Join(s.dir, id, "trace.json") }
 
 // newStore opens (or creates) the spool directory and loads every
 // persisted job. Jobs that were queued, running or interrupted when the
@@ -198,14 +201,36 @@ func (s *store) persist(j *Job) error {
 		return fmt.Errorf("serve: job %s: %w", j.ID, err)
 	}
 	b = append(b, '\n')
-	path := filepath.Join(s.jobDir(j.ID), "job.json")
+	if err := writeAtomic(filepath.Join(s.jobDir(j.ID), "job.json"), b); err != nil {
+		return fmt.Errorf("serve: job %s: %w", j.ID, err)
+	}
+	return nil
+}
+
+// writeTrace replaces a job's trace.json with rec's Chrome trace. Only the
+// worker running the job's attempt writes it, so it needs no lock.
+func (s *store) writeTrace(id string, rec *trace.Recorder) error {
+	var b bytes.Buffer
+	err := trace.WriteChromeTrace(&b, rec)
+	if err == nil {
+		err = writeAtomic(s.tracePath(id), b.Bytes())
+	}
+	if err != nil {
+		return fmt.Errorf("serve: job %s: trace: %w", id, err)
+	}
+	return nil
+}
+
+// writeAtomic replaces path with b through a tmp file and a rename, so a
+// reader or a restart never sees a torn file.
+func writeAtomic(path string, b []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("serve: job %s: %w", j.ID, err)
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("serve: job %s: %w", j.ID, err)
+		return err
 	}
 	return nil
 }

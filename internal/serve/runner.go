@@ -117,9 +117,12 @@ func (s *Server) wakeUp() {
 // with the typed cl error.
 func (s *Server) runJob(job Job, devs []*cl.Device) {
 	rec := trace.NewRecorder()
-	s.setRecorder(job.ID, rec)
-
 	err := s.runAttempt(job, rec, devs)
+	// The attempt's trace replaces the previous one in the job's spool
+	// directory, where /trace/{id} serves it from.
+	if terr := s.store.writeTrace(job.ID, rec); terr != nil && err == nil {
+		err = terr
+	}
 
 	// The attempt's metrics fold into the service registry exactly once
 	// per attempt, whatever the outcome — a failed attempt's retries and
@@ -222,7 +225,7 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		s.reg.Counter(metricJobsResumed).Add(1)
 	}
 
-	// Per-job chaos: install the job's fault plan with fresh ordinals
+	// Per-job chaos: arm the job's fault plan with fresh ordinals
 	// (RunStream seats the checkpointed ones on resume) on the job's own
 	// partition only — a device=K directive narrows it further to the Kth
 	// partition member, which is how a chaos run loses one device while
@@ -230,28 +233,20 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 	// injected fault plan must never outlive the job that carried it.
 	// (The breaker state a plan tripped intentionally does outlive it;
 	// readmission goes through the allocator's half-open canary.)
-	if job.Faults != "" {
-		plan, perr := cl.ParseFaultPlan(job.Faults)
-		if perr != nil {
-			return fmt.Errorf("%w: %w", errBadInput, perr)
-		}
-		armed := devs
-		if plan.Device > 0 {
-			if plan.Device > len(devs) {
-				return fmt.Errorf("%w: fault directive device=%d exceeds the job's %d-device partition",
-					errBadInput, plan.Device, len(devs))
-			}
-			armed = devs[plan.Device-1 : plan.Device]
-		}
-		for _, d := range armed {
-			d.InstallFaults(plan)
-		}
-	}
 	defer func() {
 		for _, d := range devs {
 			d.InstallFaults(nil)
 		}
 	}()
+	if job.Faults != "" {
+		plan, err := cl.ParseFaultPlan(job.Faults)
+		if err == nil {
+			err = cl.ArmFaults(plan, devs)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %w", errBadInput, err)
+		}
+	}
 
 	ctx := context.Background()
 	if job.DeadlineMS > 0 {

@@ -32,13 +32,14 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -129,9 +130,6 @@ type Server struct {
 	stopCh     chan struct{}
 	wake       chan struct{}
 	runnerDone chan struct{}
-
-	mu        sync.Mutex
-	recorders map[string]*trace.Recorder // guarded by mu; per-job, in-memory only
 }
 
 // New builds a Server over a loaded index artifact and starts its
@@ -219,7 +217,6 @@ func New(cfg Config) (*Server, error) {
 		stopCh:     make(chan struct{}),
 		wake:       make(chan struct{}, 1),
 		runnerDone: make(chan struct{}),
-		recorders:  map[string]*trace.Recorder{},
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -260,23 +257,6 @@ func (s *Server) Drain() []Job {
 		}
 	}
 	return unfinished
-}
-
-// setRecorder publishes a job's in-memory trace recorder (latest
-// attempt wins). Recorders are not persisted: after a restart,
-// /trace/{id} for an old job is a 404.
-func (s *Server) setRecorder(id string, rec *trace.Recorder) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recorders[id] = rec
-}
-
-// recorder fetches a job's trace recorder.
-func (s *Server) recorder(id string) (*trace.Recorder, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.recorders[id]
-	return rec, ok
 }
 
 // ready is the readiness predicate: not draining and room in the queue.
@@ -562,16 +542,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTrace is GET /trace/{id}: the job's latest attempt as a Chrome
-// trace-event file. Recorders live in memory only, so jobs from before
-// a restart answer 404.
+// handleTrace is GET /trace/{id}: the job's latest finished attempt as a
+// Chrome trace-event file, served from the job's spool directory like its
+// SAM, so it survives restarts. A job with no finished attempt is a 404.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.recorder(id)
+	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no trace for job (traces are in-memory and per-process)"})
+		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
 		return
 	}
+	f, err := os.Open(s.store.tracePath(j.ID))
+	if errors.Is(err, fs.ErrNotExist) {
+		writeJSON(w, http.StatusNotFound, apiError{Error: "no trace for job (no attempt has finished)"})
+		return
+	}
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		return
+	}
+	defer f.Close()
 	w.Header().Set("Content-Type", "application/json")
-	trace.WriteChromeTrace(w, rec) //nolint:errcheck // client gone is not our error
+	io.Copy(w, f) //nolint:errcheck // client gone is not our error
 }

@@ -428,6 +428,44 @@ func TestServeDrainResume(t *testing.T) {
 	}
 }
 
+// TestServeTraceSurvivesRestart: a job's trace lives in its spool
+// directory, so after drain and a restart over the same spool /trace/{id}
+// answers 200 with the bytes the first server served.
+func TestServeTraceSurvivesRestart(t *testing.T) {
+	fx := newFixture(t, 30_000, 8)
+	spool := t.TempDir()
+	getTrace := func(url, id string) []byte {
+		t.Helper()
+		resp, err := http.Get(url + "/trace/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(b, []byte("traceEvents")) {
+			t.Fatalf("GET trace = %d: %.200s", resp.StatusCode, b)
+		}
+		return b
+	}
+
+	s, ts := newServer(t, fx, spool, nil)
+	j := decodeJob(t, submit(t, ts.URL, fx.fastq, "", nil))
+	if done := awaitState(t, ts.URL, j.ID, StateDone, StateFailed); done.State != StateDone {
+		t.Fatalf("job failed: %+v", done.Error)
+	}
+	before := getTrace(ts.URL, j.ID)
+	if unfinished := s.Drain(); len(unfinished) != 0 {
+		t.Fatalf("drain left %+v", unfinished)
+	}
+	ts.Close()
+
+	s2, ts2 := newServer(t, fx, spool, nil)
+	defer s2.Drain()
+	if after := getTrace(ts2.URL, j.ID); !bytes.Equal(before, after) {
+		t.Errorf("trace after restart differs (%d vs %d bytes)", len(after), len(before))
+	}
+}
+
 // TestServeRecoveredJobLargerThanPoolFails restarts a spool holding an
 // unfinished ?devices=2 job on a one-device pool. No partition can ever
 // run it, so the restart fails it with a typed input error naming both

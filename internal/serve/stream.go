@@ -105,7 +105,9 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 	// lazily with fresh counters and the injection schedule would replay
 	// from the start instead of continuing.
 	devices := s.Pipeline.Devices()
-	cl.ArmEnvFaults(devices)
+	if err := cl.ArmFaults(cl.EnvFaultPlan(), devices); err != nil {
+		return nil, err
+	}
 	for _, d := range devices {
 		if o, ok := st.FaultOrdinals[d.Name]; ok {
 			d.RestoreFaultOrdinals(o)

@@ -409,7 +409,7 @@ func TestRecorderConcurrentLanes(t *testing.T) {
 }
 
 func TestRegistryApply(t *testing.T) {
-	// Two source registries standing in for two jobs' recorders.
+	// Two source registries standing in for two jobs' attempt metrics.
 	job := func(retries int64, busy float64, obs []float64) Snapshot {
 		r := NewRegistry()
 		r.Counter("retries_total/oor").Add(retries)
