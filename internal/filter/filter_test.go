@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -193,9 +194,13 @@ func TestFilterCostScales(t *testing.T) {
 func TestFilterZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pattern := randSeq(rng, 150)
+	// Odd windows hold a planted match, so the walk runs too.
 	wins := make([][]byte, 16)
 	for i := range wins {
 		wins[i] = randSeq(rng, 150+2*3)
+		if i%2 == 1 {
+			wins[i] = window(rng, mutate(rng, pattern, 3), 150, 3)
+		}
 	}
 	var st State
 	st.Prepare(pattern, 3)
@@ -209,4 +214,160 @@ func TestFilterZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state Prepare+Accept allocates %.1f times per run, want 0", allocs)
 	}
+}
+
+// TestFilterShiftSetIsTight plants alignments on the outermost
+// diagonals the window allows: a body with exactly δ pattern bases
+// deleted (n−δ long) or δ window bases inserted (n+δ long), placed
+// flush left or flush right in an n+2δ window, with the edits at the
+// end it is flush against or at random. A body of n−δ bases flush
+// right starts at 3δ, so its leading columns sit on diagonal 3δ, the
+// top of S; flush left its trailing ones sit on −δ, the bottom. The
+// random oracle rarely builds either.
+func TestFilterShiftSetIsTight(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var st State
+	for _, delta := range []int{1, 2, 3, 5} {
+		for n := 20; n <= 150; n++ {
+			for trial := 0; trial < 8; trial++ {
+				pattern := randSeq(rng, n)
+				body := append([]byte(nil), pattern...)
+				insert, flushRight := trial&1 == 1, trial&2 == 2
+				for k := 0; k < delta; k++ {
+					// trial 0–3: edits bunched at the end the body is
+					// flush against; 4–7: anywhere.
+					i := rng.Intn(len(body))
+					if trial < 4 {
+						i = 0
+						if flushRight {
+							i = len(body) - 1
+						}
+					}
+					if insert {
+						body = append(body[:i], append([]byte{byte(rng.Intn(dna.Alphabet))}, body[i:]...)...)
+					} else {
+						body = append(body[:i], body[i+1:]...)
+					}
+				}
+				pad := randSeq(rng, n+2*delta-len(body))
+				win := append(append([]byte(nil), pad...), body...)
+				if !flushRight {
+					win = append(append([]byte(nil), body...), pad...)
+				}
+				if _, ok := align.Verify(pattern, win, delta); !ok {
+					continue
+				}
+				st.Prepare(pattern, delta)
+				if ok, _ := st.Accept(win); !ok {
+					t.Fatalf("false reject: delta=%d n=%d insert=%t flushRight=%t pattern=%v window=%v",
+						delta, n, insert, flushRight, pattern, win)
+				}
+			}
+		}
+	}
+}
+
+// TestFilterRejectsNearMisses holds the filter to the false accepts a
+// repetitive reference produces: 100-base patterns with δ+1 … 3δ+1
+// random substitutions, padded into n+2δ windows, that Myers rejects.
+// Nearly every base of such a window still matches at shift 0, so the
+// amended popcount passes it; only the walk, which pays an obstacle at
+// each substituted column no shift runs across, rejects it.
+func TestFilterRejectsNearMisses(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const n = 100
+	for _, delta := range []int{1, 2, 3} {
+		var st State
+		accepted, trials := 0, 0
+		for trials < 2000 {
+			pattern := randSeq(rng, n)
+			body := append([]byte(nil), pattern...)
+			subs := delta + 1 + rng.Intn(2*delta+1)
+			for _, i := range rng.Perm(n)[:subs] {
+				body[i] = (body[i] + byte(1+rng.Intn(dna.Alphabet-1))) % dna.Alphabet
+			}
+			win := append(append(randSeq(rng, delta), body...), randSeq(rng, delta)...)
+			if _, ok := align.Verify(pattern, win, delta); ok {
+				continue
+			}
+			trials++
+			st.Prepare(pattern, delta)
+			if ok, _ := st.Accept(win); ok {
+				accepted++
+			}
+		}
+		frac := float64(accepted) / float64(trials)
+		if frac > 0.05 {
+			t.Errorf("delta=%d: accepted %.1f%% of near-miss windows, want <= 5%%", delta, 100*frac)
+		}
+		t.Logf("delta=%d near-miss accepts: %.1f%%", delta, 100*frac)
+	}
+}
+
+// TestFilterAcceptsAtExactDistance checks the walk's lower bound where
+// it is tight: for a candidate whose least verifying budget is δ*, the
+// filter prepared at δ* must accept δ*'s window. At any larger budget
+// the bound has slack; here one obstacle too many is a false reject.
+func TestFilterAcceptsAtExactDistance(t *testing.T) {
+	const maxDelta = 8
+	rng := rand.New(rand.NewSource(7))
+	var st State
+	for trial := 0; trial < 4000; trial++ {
+		n := 10 + rng.Intn(140)
+		pattern := randSeq(rng, n)
+		body := mutate(rng, pattern, rng.Intn(maxDelta+1))
+		wide := append(append(randSeq(rng, maxDelta), body...), randSeq(rng, maxDelta)...)
+		// The mapper's window for a candidate at the body's start.
+		at := func(delta int) []byte {
+			return wide[maxDelta-delta : min(maxDelta+n+delta, len(wide))]
+		}
+		for delta := 0; delta <= maxDelta; delta++ {
+			win := at(delta)
+			if len(win) < n-delta {
+				continue
+			}
+			if _, ok := align.Verify(pattern, win, delta); !ok {
+				continue
+			}
+			st.Prepare(pattern, delta)
+			if ok, _ := st.Accept(win); !ok {
+				t.Fatalf("false reject at the exact distance %d: n=%d pattern=%v window=%v",
+					delta, n, pattern, win)
+			}
+			break
+		}
+	}
+}
+
+// FuzzFilterVsVerify holds the zero-false-reject contract over
+// arbitrary (pattern, window, δ ≤ 8): every window Verify accepts, cut
+// to the n+2δ bases the mapper's window spans, the filter accepts.
+func FuzzFilterVsVerify(f *testing.F) {
+	f.Add([]byte("ACGTACGTTGCAACGTAGCT"), []byte("ACGTACGTTGCAACGTAGCT"), uint8(0))
+	f.Add([]byte("ACGTACGTTGCAACGTAGCT"), []byte("GGACGTACTTGCAACGAGCTAA"), uint8(2))
+	f.Add([]byte("TTTTTTTTTTAAAAAAAAAACCCCCCCCCC"), []byte("TTTTTTTTTAAAAAAAAAACCCCCCCCCCGG"), uint8(3))
+	f.Add(bytes.Repeat([]byte("ACGGT"), 30), append([]byte("CC"), bytes.Repeat([]byte("ACGT"), 37)...), uint8(8))
+	var st State
+	f.Fuzz(func(t *testing.T, p, w []byte, d uint8) {
+		delta := int(d % 9)
+		pattern, win := make([]byte, len(p)), make([]byte, len(w))
+		for i, b := range p {
+			pattern[i] = b & 3
+		}
+		for i, b := range w {
+			win[i] = b & 3
+		}
+		n := len(pattern)
+		win = win[:min(len(win), n+2*delta)]
+		if len(win) < n-delta {
+			return
+		}
+		if _, ok := align.Verify(pattern, win, delta); !ok {
+			return
+		}
+		st.Prepare(pattern, delta)
+		if ok, _ := st.Accept(win); !ok {
+			t.Fatalf("false reject: delta=%d pattern=%v window=%v", delta, pattern, win)
+		}
+	})
 }

@@ -48,7 +48,7 @@ type State struct {
 	rev  []byte
 	locs []int32
 	win  []byte       // prefilter window scratch
-	fs   filter.State // prefilter shifted-Hamming scratch
+	fs   filter.State // prefilter scratch: shifted match masks and the walk's slab
 }
 
 // Generate runs gen over both strands of read — the read itself, then
@@ -181,9 +181,11 @@ func (b *Batch) seed(st *State, read []byte, cost *cl.Cost) []Candidate {
 	return dd
 }
 
-// filter runs the GateKeeper-style shifted-Hamming test
-// (internal/filter) over each candidate's verification window and
-// compacts the survivors in place.
+// filter runs the pre-alignment filter (internal/filter) over each
+// candidate's verification window — GateKeeper's amended shifted masks
+// over the 4δ+1 diagonals Verify can reach, then a SneakySnake edit
+// lower bound on the windows that pass — and compacts the survivors in
+// place. It never drops a window Verify would accept.
 func (b *Batch) filter(st *State, read []byte, cands []Candidate, cost *cl.Cost) []Candidate {
 	n, maxErr := len(read), b.MaxErrors
 	kept := 0
