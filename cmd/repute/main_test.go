@@ -453,6 +453,40 @@ func TestKillAndResumeUnderFaults(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesShortSAM: a SAM file shorter than the prefix its
+// checkpoint binds (output lost after the save — a power cut before the
+// bytes reached the disk) must stop the resume with an error naming the
+// file and both sizes, not be zero-extended into a SAM with a hole.
+func TestResumeRefusesShortSAM(t *testing.T) {
+	dir := t.TempDir()
+	sam := filepath.Join(dir, "run.sam")
+	ckpt := filepath.Join(dir, "run.ckpt")
+	if out, err := runRepute(t, []string{"REPUTE_KILL_AFTER_BATCH=3"},
+		mapArgs(sam, "-checkpoint", ckpt)...); err == nil {
+		t.Fatalf("kill hook did not fire\n%s", out)
+	}
+	st, err := checkpoint.Load(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := st.SAMBytes / 2
+	if err := os.Truncate(sam, short); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runRepute(t, nil, mapArgs(sam, "-checkpoint", ckpt, "-resume")...)
+	if err == nil {
+		t.Fatalf("resume over a %d-byte SAM bound to %d bytes succeeded", short, st.SAMBytes)
+	}
+	for _, want := range []string{sam, fmt.Sprint(short), fmt.Sprint(st.SAMBytes)} {
+		if !strings.Contains(out, want) {
+			t.Errorf("error does not name %q:\n%s", want, out)
+		}
+	}
+	if b := readFile(t, sam); int64(len(b)) != short || bytes.IndexByte(b, 0) >= 0 {
+		t.Errorf("refused resume rewrote the SAM: %d bytes, NUL at %d", len(b), bytes.IndexByte(b, 0))
+	}
+}
+
 // TestStaleCheckpointRejected: resuming with different mapping options
 // must fail with the fingerprint mismatch, not silently mix outputs.
 func TestStaleCheckpointRejected(t *testing.T) {

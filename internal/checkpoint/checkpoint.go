@@ -2,9 +2,9 @@
 // batch boundary the host records how far it got — input byte offset,
 // ambiguity-draw count, SAM output size, cumulative stats, and the
 // fault-injection ordinals of every device — in a small deterministic
-// JSON file, written atomically (temp file + rename) so a kill at any
-// instant leaves either the previous checkpoint or the new one, never a
-// torn file.
+// JSON file, replaced durably (internal/durable) so a kill or a power
+// cut at any instant leaves either the previous checkpoint or the new
+// one, never a torn file.
 //
 // A checkpoint is only valid against the exact reference index and
 // mapping options that produced it: both are folded into a fingerprint,
@@ -21,10 +21,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/cl"
+	"repro/internal/durable"
 	"repro/internal/mapper"
 )
 
@@ -56,9 +57,10 @@ type State struct {
 	Offset2   int64  `json:"offset2,omitempty"`
 	Line2     int    `json:"line2,omitempty"`
 	RNGDraws2 uint64 `json:"rng_draws2,omitempty"`
-	// SAMBytes is the size of the valid SAM prefix; resume truncates the
-	// output here before appending (a kill between the SAM flush and the
-	// checkpoint rename leaves a longer file, never a shorter one).
+	// SAMBytes is the size of the valid SAM prefix, fsynced before the
+	// save; resume truncates the output here before appending (a kill
+	// between the SAM fsync and the checkpoint rename leaves a longer
+	// file) and refuses a shorter one.
 	SAMBytes int64 `json:"sam_bytes"`
 	// Mapped, Locations, Dropped and Concordant (fragments written as a
 	// proper pair) carry the cumulative summary tallies.
@@ -155,61 +157,19 @@ func CheckDir(dir string) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives power
-// loss; filesystems that reject directory fsync (some network mounts)
-// are tolerated, matching the usual write-ahead-log practice.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil && (os.IsPermission(err) || os.IsNotExist(err)) {
-		return err
-	}
-	// EINVAL/ENOTSUP from Sync on exotic filesystems: the rename itself
-	// still happened; treat as best-effort.
-	return nil
-}
-
-// Save writes the checkpoint atomically and durably: marshal, write to
-// a temp file in the same directory, fsync, rename over path, then
-// fsync the parent directory so the new directory entry itself is on
-// disk — without that last step a power cut after the rename can roll
-// the directory back to the old entry (or none). Equal states produce
-// byte-identical files.
+// Save writes the checkpoint through durable.WriteFile: a kill or a
+// power cut at any instant leaves the previous checkpoint or this one,
+// and once Save returns the new one survives a power cut. Equal states
+// produce byte-identical files.
 func Save(path string, st *State) error {
 	b, err := encode(st)
+	if err == nil {
+		err = durable.WriteFile(path, func(w io.Writer) error {
+			_, err := w.Write(b)
+			return err
+		})
+	}
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil

@@ -37,6 +37,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/durable"
 	"repro/internal/fmindex"
 	"repro/internal/genome"
 )
@@ -259,34 +260,14 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// Save writes the artifact to path atomically (temp file + rename).
+// Save writes the artifact to path through durable.WriteFile, so a
+// crash leaves the old artifact or the new one and a saved one survives
+// a power cut.
 func Save(path string, f *File) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".index-*")
-	if err != nil {
+	return durable.WriteFile(path, func(w io.Writer) error {
+		_, err := f.WriteTo(w)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := f.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
+	})
 }
 
 // sectionReader walks the container structure shared by Load and

@@ -8,15 +8,17 @@ package serve
 // was and re-queues the unfinished ones in admission order.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/cl"
+	"repro/internal/durable"
 	"repro/internal/trace"
 )
 
@@ -97,6 +99,19 @@ type Job struct {
 	Resumable bool `json:"resumable,omitempty"`
 }
 
+// valid reports whether a job loaded from spool directory dir is one the
+// store can have written: named for its directory and its admission
+// sequence, in one of the five states, with no negative upload size or
+// batch. A negative size would shrink the in-flight byte budget and let
+// admission exceed MaxInflightBytes.
+func (j *Job) valid(dir string) bool {
+	known := j.State == StateQueued || j.State == StateRunning || terminal(j.State)
+	return known && j.ID == dir && j.ID == jobID(j.Seq) && j.Bytes >= 0 && j.Batch >= 0
+}
+
+// jobID names the job admitted with sequence number seq.
+func jobID(seq int) string { return fmt.Sprintf("job-%06d", seq) }
+
 // store is the shared job table. All fields are mutated only under mu;
 // methods return Job copies so handlers never alias store-owned state.
 type store struct {
@@ -117,6 +132,10 @@ type store struct {
 func terminal(st JobState) bool {
 	return st == StateDone || st == StateFailed || st == StateInterrupted
 }
+
+// uploadPrefix starts the name of an upload's temp file in the spool
+// root, where it waits for admission before it becomes a job's reads.fq.
+const uploadPrefix = ".upload-"
 
 // jobDir is the job's spool directory; readsPath, samPath and ckptPath
 // are the fixed artifact names inside it.
@@ -148,6 +167,13 @@ func newStore(dir string, devices int) (*store, error) {
 	}
 	var resumed []*Job
 	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), uploadPrefix) {
+			// An upload the previous process died spooling: no job owns it.
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("serve: spool: %w", err)
+			}
+			continue
+		}
 		if !e.IsDir() {
 			continue
 		}
@@ -156,8 +182,8 @@ func newStore(dir string, devices int) (*store, error) {
 			continue // half-created spool entry from a crash mid-admission
 		}
 		j := &Job{}
-		if err := json.Unmarshal(b, j); err != nil || j.ID != e.Name() {
-			continue
+		if err := json.Unmarshal(b, j); err != nil || !j.valid(e.Name()) {
+			continue // corrupt: the store never writes such a job.json
 		}
 		if j.Devices < 1 {
 			j.Devices = 1 // spool entries written before partitions existed
@@ -192,16 +218,17 @@ func newStore(dir string, devices int) (*store, error) {
 	return s, nil
 }
 
-// persist writes a job's metadata atomically (tmp + rename). Callers hold
-// s.mu: every writer of one job shares the one job.json.tmp, and the
-// lock is what makes the file's history follow the job's state machine.
+// persist replaces a job's job.json through durable.WriteFile. Callers
+// hold s.mu: every writer of one job shares the one job.json.tmp, and
+// the lock is what makes the file's history follow the job's state
+// machine.
 func (s *store) persist(j *Job) error {
-	b, err := json.MarshalIndent(j, "", "  ")
+	err := durable.WriteFile(filepath.Join(s.jobDir(j.ID), "job.json"), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(j)
+	})
 	if err != nil {
-		return fmt.Errorf("serve: job %s: %w", j.ID, err)
-	}
-	b = append(b, '\n')
-	if err := writeAtomic(filepath.Join(s.jobDir(j.ID), "job.json"), b); err != nil {
 		return fmt.Errorf("serve: job %s: %w", j.ID, err)
 	}
 	return nil
@@ -210,27 +237,11 @@ func (s *store) persist(j *Job) error {
 // writeTrace replaces a job's trace.json with rec's Chrome trace. Only the
 // worker running the job's attempt writes it, so it needs no lock.
 func (s *store) writeTrace(id string, rec *trace.Recorder) error {
-	var b bytes.Buffer
-	err := trace.WriteChromeTrace(&b, rec)
-	if err == nil {
-		err = writeAtomic(s.tracePath(id), b.Bytes())
-	}
+	err := durable.WriteFile(s.tracePath(id), func(w io.Writer) error {
+		return trace.WriteChromeTrace(w, rec)
+	})
 	if err != nil {
 		return fmt.Errorf("serve: job %s: trace: %w", id, err)
-	}
-	return nil
-}
-
-// writeAtomic replaces path with b through a tmp file and a rename, so a
-// reader or a restart never sees a torn file.
-func writeAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
 	}
 	return nil
 }
@@ -260,7 +271,7 @@ func (s *store) admit(template Job, size int64, maxQueue int, maxBytes int64) (J
 	j := template
 	j.Seq = s.nextSeq
 	s.nextSeq++
-	j.ID = fmt.Sprintf("job-%06d", j.Seq)
+	j.ID = jobID(j.Seq)
 	j.State = StateQueued
 	j.Bytes = size
 	s.reserved++

@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cl"
+	"repro/internal/durable"
 	"repro/internal/genome"
 	"repro/internal/index"
 	"repro/internal/mapper"
@@ -390,18 +391,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer file.Close()
-	tmp, err := os.CreateTemp(s.cfg.Spool, ".upload-*")
+	tmp, err := os.CreateTemp(s.cfg.Spool, uploadPrefix+"*")
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
-	tmpName := tmp.Name()
-	size, err := io.Copy(tmp, file)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
+	discard := func() {
+		tmp.Close()
+		os.Remove(tmp.Name())
 	}
+	size, err := io.Copy(tmp, file)
 	if err != nil {
-		os.Remove(tmpName)
+		discard()
 		status := http.StatusInternalServerError
 		if _, ok := err.(*http.MaxBytesError); ok {
 			status = http.StatusRequestEntityTooLarge
@@ -412,15 +413,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	admitted, depth, ok := s.store.admit(job, size, s.cfg.MaxQueue, s.cfg.MaxInflightBytes)
 	if !ok {
-		os.Remove(tmpName)
+		discard()
 		s.rejectOverload(w, depth)
 		return
 	}
 	// The job becomes visible to the dispatcher only at enqueue, after
-	// its directory, reads.fq and first job.json exist (DESIGN.md §14).
+	// its directory, reads.fq and first job.json exist (DESIGN.md §14) —
+	// all three durable, the directory synced into the spool root before
+	// the upload is committed into it, so a 202 survives a power cut.
 	err = os.MkdirAll(s.store.jobDir(admitted.ID), 0o755)
 	if err == nil {
-		err = os.Rename(tmpName, s.store.readsPath(admitted.ID))
+		err = durable.SyncDir(s.cfg.Spool)
+	}
+	if err == nil {
+		err = durable.Commit(tmp, s.store.readsPath(admitted.ID))
 	}
 	if err != nil {
 		s.store.release(admitted)
@@ -428,7 +434,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		err = s.store.enqueue(admitted)
 	}
 	if err != nil {
-		os.Remove(tmpName)
+		discard()
 		os.RemoveAll(s.store.jobDir(admitted.ID))
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/fmindex"
@@ -53,7 +54,7 @@ type fixture struct {
 	reads [][]byte
 }
 
-func newFixture(t *testing.T, refLen, nReads int) *fixture {
+func newFixture(t testing.TB, refLen, nReads int) *fixture {
 	t.Helper()
 	ref := simulate.Reference(simulate.Chr21Like(refLen, 11))
 	set, err := simulate.Reads(ref, nReads, simulate.ERR012100, 12)
@@ -425,6 +426,48 @@ func TestServeDrainResume(t *testing.T) {
 	snap := metricsSnapshot(t, ts2.URL)
 	if snap.Counters["serve_jobs_resumed_total"] == 0 {
 		t.Errorf("resume not counted: %v", snap.Counters)
+	}
+}
+
+// TestServeResumeRefusesShortSAM: a drained job whose out.sam lost bytes
+// its checkpoint binds (a power cut before they reached the disk) must
+// fail on restart with the error naming the file and both sizes, never
+// finish over a zero-filled hole.
+func TestServeResumeRefusesShortSAM(t *testing.T) {
+	fx := newFixture(t, 30_000, 20)
+	spool := t.TempDir()
+	s, ts := newServer(t, fx, spool, func(c *Config) { c.StepDelay = 25 * time.Millisecond })
+	j := decodeJob(t, submit(t, ts.URL, fx.fastq, "?batch=4", nil))
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if cur, _ := s.store.get(j.ID); cur.Reads > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job made no progress")
+		}
+	}
+	if unfinished := s.Drain(); len(unfinished) != 1 || unfinished[0].State != StateInterrupted {
+		t.Fatalf("drain reported %+v, want the job interrupted", unfinished)
+	}
+	ts.Close()
+	st, err := checkpoint.Load(s.store.ckptPath(j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(s.store.samPath(j.ID), 10); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newServer(t, fx, spool, func(c *Config) { c.RetryBudget = -1 })
+	defer s2.Drain()
+	failed := awaitState(t, ts2.URL, j.ID, StateFailed, StateDone)
+	if failed.State != StateFailed || failed.Error == nil {
+		t.Fatalf("job resumed over a short SAM ended %q, want failed", failed.State)
+	}
+	for _, want := range []string{s.store.samPath(j.ID), "is 10 bytes", fmt.Sprintf("%d-byte", st.SAMBytes)} {
+		if !strings.Contains(failed.Error.Message, want) {
+			t.Errorf("error %q does not name %q", failed.Error.Message, want)
+		}
 	}
 }
 

@@ -1,0 +1,188 @@
+package serve
+
+// The spool's two decoders of untrusted bytes: job.json recovery at
+// restart (newStore) and the multipart submit handler. Both fuzz targets
+// hold the store to what the server itself could have written, and the
+// sweep test to what a server killed mid-upload leaves behind.
+
+import (
+	"bytes"
+	"encoding/json"
+	"mime/multipart"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/cl"
+)
+
+// TestNewSweepsStaleUploads: an upload temp file left in the spool root
+// by a server killed while spooling belongs to no job; a restart removes
+// it and keeps everything else.
+func TestNewSweepsStaleUploads(t *testing.T) {
+	fx := newFixture(t, 20_000, 2)
+	spool := t.TempDir()
+	stale := filepath.Join(spool, uploadPrefix+"x")
+	if err := os.WriteFile(stale, fx.fastq, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(spool, "notes.txt")
+	if err := os.WriteFile(other, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newServer(t, fx, spool, nil)
+	defer s.Drain()
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale upload survived the restart: %v", err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Errorf("the sweep removed a file that is not an upload: %v", err)
+	}
+}
+
+// FuzzSpoolRecover writes arbitrary bytes as a job's job.json and opens
+// the spool. Recovery must not panic, and every job it loads must be one
+// the store can have written: one of the five states, no negative size
+// or batch, at least one device, and the ID of its directory — with the
+// in-flight byte budget it recounts never negative.
+func FuzzSpoolRecover(f *testing.F) {
+	const id = "job-000003"
+	seedStore := &store{dir: f.TempDir()}
+	if err := os.Mkdir(seedStore.jobDir(id), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateInterrupted} {
+		j := Job{ID: id, Seq: 3, State: st, Batch: 32, Bytes: 2048, Devices: 2,
+			Partition: []string{"cpu0", "gpu0"}, Attempts: 1, Reads: 64, Mapped: 60,
+			Locations: 71, SimSeconds: 0.25, Resumable: st == StateInterrupted}
+		if st == StateFailed {
+			j.Error = &JobError{Kind: "cl", Code: "CL_DEVICE_NOT_AVAILABLE", DeviceLost: true, Message: "device lost"}
+		}
+		seedStore.mu.Lock()
+		err := seedStore.persist(&j)
+		seedStore.mu.Unlock()
+		if err != nil {
+			f.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(seedStore.jobDir(id), "job.json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"id":"job-000003","seq":3,"state":"queued","bytes":-4096,"devices":1}`))
+	f.Add([]byte(`{"id":"job-000003","seq":3,"state":"paused"}`))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, "job.json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := newStore(dir, 2)
+		if err != nil {
+			t.Fatalf("newStore: %v", err)
+		}
+		for name, j := range s.jobs {
+			switch j.State {
+			case StateQueued, StateRunning, StateDone, StateFailed, StateInterrupted:
+			default:
+				t.Errorf("loaded job in state %q", j.State)
+			}
+			if j.Bytes < 0 || j.Batch < 0 || j.Devices < 1 || j.ID != name || name != id {
+				t.Errorf("loaded job %q from %s: bytes %d, batch %d, devices %d", j.ID, id, j.Bytes, j.Batch, j.Devices)
+			}
+		}
+		if n, inflight := s.depth(); n < 0 || inflight < 0 {
+			t.Errorf("recovered depth %d, in-flight bytes %d", n, inflight)
+		}
+	})
+}
+
+// FuzzSubmit drives POST /jobs with arbitrary query strings, content
+// types and bodies. The handler must not panic or answer 5xx (no spool
+// write can fail here, and the server is not draining), and every
+// request it does not accept must leave the spool as it found it — no
+// upload temp file, no job directory — and the queue depth and
+// in-flight bytes at zero.
+func FuzzSubmit(f *testing.F) {
+	fx := newFixture(f, 20_000, 2)
+	// upload is the multipart body of a reads field holding n copies of
+	// the fixture's FASTQ, and its content type.
+	upload := func(n int) ([]byte, string) {
+		var body bytes.Buffer
+		mw := multipart.NewWriter(&body)
+		fw, err := mw.CreateFormFile("reads", "reads.fq")
+		if err != nil {
+			f.Fatal(err)
+		}
+		fw.Write(bytes.Repeat(fx.fastq, n))
+		mw.Close()
+		return body.Bytes(), mw.FormDataContentType()
+	}
+	one, form := upload(1)
+	f.Add("", form, one)
+	f.Add("batch=2&cigar=true&prefilter=gatekeeper", form, one)
+	f.Add("devices=2", form, one)
+	f.Add("batch=-1", form, one)
+	f.Add("", form, one[:len(one)/2])
+	f.Add("", "text/plain", fx.fastq)
+	over, form := upload(5 << 10 / len(fx.fastq)) // over the in-flight budget: 429
+	f.Add("", form, over)
+	huge, form := upload(10 << 10 / len(fx.fastq)) // over the upload cap: 413
+	f.Add("", form, huge)
+
+	f.Fuzz(func(t *testing.T, query, contentType string, b []byte) {
+		spool := t.TempDir()
+		s, err := New(Config{Index: fx.file, Devices: []*cl.Device{cl.SystemOneCPU()}, Spool: spool,
+			MaxUploadBytes: 8 << 10, MaxInflightBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Drain()
+		req, err := http.NewRequest("POST", "http://repute/jobs", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.URL.RawQuery = query
+		req.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if req.MultipartForm != nil {
+			req.MultipartForm.RemoveAll()
+		}
+
+		if rec.Code >= 500 {
+			t.Fatalf("POST /jobs?%s = %d: %s", query, rec.Code, rec.Body)
+		}
+		if rec.Code == http.StatusAccepted {
+			var j Job
+			if err := json.Unmarshal(rec.Body.Bytes(), &j); err != nil {
+				t.Fatalf("202 body: %v", err)
+			}
+			for _, p := range []string{s.store.readsPath(j.ID), filepath.Join(s.store.jobDir(j.ID), "job.json")} {
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("accepted job's spool entry incomplete: %v", err)
+				}
+			}
+			return
+		}
+		ents, err := os.ReadDir(spool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if e.IsDir() || strings.HasPrefix(e.Name(), uploadPrefix) {
+				t.Errorf("rejected submit (%d) left %s in the spool", rec.Code, e.Name())
+			}
+		}
+		if n, inflight := s.store.depth(); n != 0 || inflight != 0 {
+			t.Errorf("rejected submit (%d) left depth %d, in-flight bytes %d", rec.Code, n, inflight)
+		}
+	})
+}

@@ -80,7 +80,8 @@ type Stream struct {
 // RunStream maps the reads file batch by batch and returns the final
 // state — the run's cumulative tallies, simulated totals and resume
 // point. A resumed run truncates the SAM file to the checkpointed prefix
-// (a crash can leave extra flushed bytes past it, never fewer), seeks
+// (a crash can leave extra bytes past it; the prefix is fsynced before
+// each save, so a shorter file means lost output and is refused), seeks
 // the scanner to the checkpointed offset, fast-forwards the codec and
 // restores the fault ordinals, so its output is bit-identical to an
 // uninterrupted run's. A paired run does the same for both mate files.
@@ -135,6 +136,14 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 			return nil, err
 		}
 		defer out.Close()
+		fi, err := out.Stat()
+		if err != nil {
+			return nil, err
+		}
+		if fi.Size() < st.SAMBytes {
+			return nil, fmt.Errorf("checkpoint: %s is %d bytes, shorter than the %d-byte SAM prefix the checkpoint binds; refusing to resume over lost output",
+				s.SAMPath, fi.Size(), st.SAMBytes)
+		}
 		if err := out.Truncate(st.SAMBytes); err != nil {
 			return nil, err
 		}
@@ -150,13 +159,17 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 		}
 	}
 	// flush pushes the records written so far to the file and, for a
-	// checkpointed run, makes them the SAM prefix the next save binds.
+	// checkpointed run, fsyncs them and makes them the SAM prefix the next
+	// save binds: a checkpoint never names bytes the disk does not hold.
 	flush := func() error {
 		if err := sw.Flush(); err != nil {
 			return err
 		}
 		if s.CkptPath == "" {
 			return nil
+		}
+		if err := out.Sync(); err != nil {
+			return err
 		}
 		pos, err := out.Seek(0, io.SeekCurrent)
 		st.SAMBytes = pos
