@@ -92,9 +92,6 @@ subcommands:
 }
 
 func runIndex(args []string) error {
-	// Nested subcommands `build` and `info`; the original flag form
-	// (`repute index -ref ... -out ...`) predates them and stays as an
-	// alias for `build`.
 	if len(args) > 0 {
 		switch args[0] {
 		case "build":
@@ -103,7 +100,7 @@ func runIndex(args []string) error {
 			return runIndexInfo(args[1:])
 		}
 	}
-	return runIndexBuild(args)
+	return fmt.Errorf("index: want a subcommand, build or info")
 }
 
 func runIndexBuild(args []string) error {
@@ -380,7 +377,7 @@ func runMap(args []string) error {
 		Cigar: *cigarFlag, Lenient: *lenientFlag, Batch: *batchFlag,
 		ReadsPath: *readsPath, ReadsName: *readsPath, Reads2Path: *reads2Path,
 		Pair:    mapper.PairOptions{MinInsert: int32(*minInsert), MaxInsert: int32(*maxInsert)},
-		SAMPath: *outPath, CkptPath: *ckptFlag,
+		SAMPath: *outPath, CkptPath: *ckptFlag, Resume: *resumeFlag,
 	}
 	if *ckptFlag != "" {
 		// Fail on an unusable checkpoint directory now, before any
@@ -404,7 +401,7 @@ func runMap(args []string) error {
 		}
 		run.Fingerprint = checkpoint.FingerprintDigest(f.Digest(), opt, extra...)
 	}
-	if err := runMapStream(run, *resumeFlag); err != nil {
+	if err := runMapStream(run); err != nil {
 		return err
 	}
 	return finish()

@@ -154,7 +154,7 @@ func testMain(m *testing.M) int {
 	}
 
 	indexPath = filepath.Join(dir, "ref.rix")
-	if out, err := exec.Command(binPath, "index", "-ref", refPath, "-out", indexPath).CombinedOutput(); err != nil {
+	if out, err := exec.Command(binPath, "index", "build", "-ref", refPath, "-out", indexPath).CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "index: %v\n%s", err, out)
 		return 1
 	}

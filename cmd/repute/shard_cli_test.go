@@ -181,14 +181,16 @@ func TestShardedRejectsSplit(t *testing.T) {
 }
 
 // TestMapRequiresOneIndexSource: -index and -ref are mutually exclusive
-// and one is required.
+// and one is required; building an index takes the build subcommand.
 func TestMapRequiresOneIndexSource(t *testing.T) {
-	if out, err := runRepute(t, nil, "map", "-reads", readsPath); err == nil {
-		t.Fatalf("map with no index source succeeded\n%s", out)
-	}
-	if out, err := runRepute(t, nil, "map", "-index", indexPath, "-ref", refPath,
-		"-reads", readsPath); err == nil {
-		t.Fatalf("map with both -index and -ref succeeded\n%s", out)
+	for _, args := range [][]string{
+		{"map", "-reads", readsPath},                                                 // no index source
+		{"map", "-index", indexPath, "-ref", refPath, "-reads", readsPath},           // both
+		{"index", "-ref", refPath, "-out", filepath.Join(t.TempDir(), "never.ridx")}, // no subcommand
+	} {
+		if out, err := runRepute(t, nil, args...); err == nil {
+			t.Errorf("%v succeeded\n%s", args, out)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package main
 
 // The CLI's side of the stream runner (serve.RunStream, DESIGN.md §11):
-// loading the -resume checkpoint, the graceful-stop signal handler, the
-// kill/delay test hooks, and the stderr summary.
+// the graceful-stop signal handler, the kill/delay test hooks, and the
+// stderr summary.
 
 import (
 	"context"
@@ -21,18 +21,7 @@ import (
 )
 
 // runMapStream runs one `repute map` pass through the stream runner.
-func runMapStream(run serve.Stream, resume bool) error {
-	if resume {
-		st, err := checkpoint.Load(run.CkptPath)
-		if err != nil {
-			return err
-		}
-		if err := st.Verify(run.Fingerprint); err != nil {
-			return err
-		}
-		run.Resume = st
-	}
-
+func runMapStream(run serve.Stream) error {
 	// Graceful shutdown: the first SIGINT/SIGTERM requests a stop at the
 	// next batch boundary (AfterBatch returns core.Stop once that
 	// boundary's checkpoint is durable); a second signal falls back to

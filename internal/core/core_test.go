@@ -28,183 +28,6 @@ func testWorld(t *testing.T, refLen, nReads int, prof simulate.ReadProfile) ([]b
 	return ref, set
 }
 
-func TestPipelineFindsPlantedReads(t *testing.T) {
-	ref, set := testWorld(t, 60_000, 120, simulate.ERR012100)
-	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Name: "REPUTE-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := mapper.Options{MaxErrors: 5, MaxLocations: 100}
-	res, err := p.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := 0
-	for i, ms := range res.Mappings {
-		o := set.Origins[i]
-		if int(o.Edits) > opt.MaxErrors {
-			continue // too many errors to be findable; not counted
-		}
-		ok := false
-		for _, m := range ms {
-			if m.Strand == o.Strand && abs32(m.Pos-o.Pos) <= int32(opt.MaxErrors) {
-				ok = true
-				break
-			}
-		}
-		if ok {
-			found++
-		} else {
-			t.Logf("read %d origin %d%c edits %d not found (%d mappings)",
-				i, o.Pos, o.Strand, o.Edits, len(ms))
-		}
-	}
-	eligible := 0
-	for _, o := range set.Origins {
-		if int(o.Edits) <= opt.MaxErrors {
-			eligible++
-		}
-	}
-	if found < eligible*99/100 {
-		t.Fatalf("sensitivity %d/%d below 99%%", found, eligible)
-	}
-	if res.SimSeconds <= 0 || res.EnergyJ <= 0 {
-		t.Errorf("accounting empty: %v s, %v J", res.SimSeconds, res.EnergyJ)
-	}
-}
-
-func abs32(x int32) int32 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func TestPipelineDistancesAreSound(t *testing.T) {
-	// Every reported mapping must actually align at the claimed distance.
-	ref, set := testWorld(t, 40_000, 60, simulate.SRR826460)
-	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := mapper.Options{MaxErrors: 6, MaxLocations: 50}
-	res, err := p.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := p.Index().Text()
-	checked := 0
-	for i, ms := range res.Mappings {
-		for _, m := range ms {
-			if m.Dist > uint8(opt.MaxErrors) {
-				t.Fatalf("read %d mapping dist %d > %d", i, m.Dist, opt.MaxErrors)
-			}
-			pattern := set.Reads[i]
-			if m.Strand == mapper.Reverse {
-				pattern = dna.ReverseComplement(pattern)
-			}
-			lo := int(m.Pos) - 1
-			if lo < 0 {
-				lo = 0
-			}
-			hi := int(m.Pos) + len(pattern) + opt.MaxErrors
-			if hi > text.Len() {
-				hi = text.Len()
-			}
-			win := text.Slice(lo, hi)
-			if _, ok := verifyOracle(pattern, win, int(m.Dist)); !ok {
-				t.Fatalf("read %d claims pos %d dist %d strand %c but window does not align",
-					i, m.Pos, m.Dist, m.Strand)
-			}
-			checked++
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no mappings produced at all")
-	}
-}
-
-// verifyOracle is a tiny DP check used only in tests.
-func verifyOracle(p, w []byte, k int) (int, bool) {
-	prev := make([]int, len(w)+1)
-	cur := make([]int, len(w)+1)
-	for i := 1; i <= len(p); i++ {
-		cur[0] = i
-		for j := 1; j <= len(w); j++ {
-			cost := 1
-			if p[i-1] == w[j-1] {
-				cost = 0
-			}
-			best := prev[j-1] + cost
-			if prev[j]+1 < best {
-				best = prev[j] + 1
-			}
-			if cur[j-1]+1 < best {
-				best = cur[j-1] + 1
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-	}
-	bestD := len(p) + len(w)
-	for j := 1; j <= len(w); j++ {
-		if prev[j] < bestD {
-			bestD = prev[j]
-		}
-	}
-	return bestD, bestD <= k
-}
-
-func TestPipelineMultiDeviceSplitAgreesWithSingle(t *testing.T) {
-	ref, set := testWorld(t, 30_000, 80, simulate.ERR012100)
-	opt := mapper.Options{MaxErrors: 4, MaxLocations: 50}
-
-	single, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resS, err := single.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sys := cl.SystemOne()
-	multi, err := New(ref, sys.Devices, Config{Split: []float64{0.5, 0.25, 0.25}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resM, err := multi.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range resS.Mappings {
-		a, b := resS.Mappings[i], resM.Mappings[i]
-		if len(a) != len(b) {
-			t.Fatalf("read %d: %d vs %d mappings across splits", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("read %d mapping %d differs: %+v vs %+v", i, j, a[j], b[j])
-			}
-		}
-	}
-	if len(resM.DeviceSeconds) != 3 {
-		t.Errorf("multi-device run used %d devices want 3", len(resM.DeviceSeconds))
-	}
-	// Makespan must be the max device time, not the sum.
-	var sum, max float64
-	for _, s := range resM.DeviceSeconds {
-		sum += s
-		if s > max {
-			max = s
-		}
-	}
-	if resM.SimSeconds != max || (len(resM.DeviceSeconds) > 1 && resM.SimSeconds >= sum) {
-		t.Errorf("SimSeconds %v, max %v, sum %v", resM.SimSeconds, max, sum)
-	}
-}
-
 func TestPipelineBatchingUnderTinyAllocLimit(t *testing.T) {
 	ref, set := testWorld(t, 20_000, 40, simulate.ERR012100)
 	opt := mapper.Options{MaxErrors: 3, MaxLocations: 1000}
@@ -270,60 +93,6 @@ func TestPipelineInfeasibleSminSurfacesError(t *testing.T) {
 	}
 	if _, err := coral.Map(set.Reads, mapper.Options{MaxErrors: 3, MinSeedLen: 30}); err != nil {
 		t.Errorf("CORAL refused Smin 30: %v", err)
-	}
-}
-
-// TestMixedLengthBatchMapsEachReadAsAlone: Smin and the kernel's private
-// bytes are per read, not reads[0]'s. At δ = 5, [100 bp, 40 bp] used to
-// fail the whole call — the 40 bp read cannot host 6 seeds of the 100 bp
-// read's Smin 9 — and [40 bp, 100 bp] seeded the 100 bp read with the
-// 40 bp read's Smin 6. Both orders must map, and seed, every read as it
-// is mapped and seeded alone.
-func TestMixedLengthBatchMapsEachReadAsAlone(t *testing.T) {
-	ref, _ := testWorld(t, 50_000, 1, simulate.ERR012100)
-	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	long := append([]byte(nil), ref[12_000:12_100]...)
-	long[30], long[70] = (long[30]+1)%4, (long[70]+2)%4
-	short := append([]byte(nil), ref[31_000:31_040]...)
-	short[20] = (short[20] + 1) % 4
-	opt := mapper.Options{MaxErrors: 5, MaxLocations: 100}
-	alone := map[int]*mapper.Result{}
-	for _, r := range [][]byte{long, short} {
-		res, err := p.Map([][]byte{r}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Mappings[0]) == 0 {
-			t.Fatalf("%d bp read maps nowhere alone; the check is vacuous", len(r))
-		}
-		alone[len(r)] = res
-	}
-	for _, reads := range [][][]byte{{long, short}, {short, long}} {
-		res, err := p.Map(reads, opt)
-		if err != nil {
-			t.Errorf("[%d bp, %d bp]: %v", len(reads[0]), len(reads[1]), err)
-			continue
-		}
-		for i, r := range reads {
-			if !reflect.DeepEqual(res.Mappings[i], alone[len(r)].Mappings[0]) {
-				t.Errorf("[%d bp, %d bp]: read %d maps to %v, alone to %v",
-					len(reads[0]), len(reads[1]), i, res.Mappings[i], alone[len(r)].Mappings[0])
-			}
-		}
-		for _, f := range []struct {
-			name      string
-			got, want int64
-		}{
-			{"FMSteps", res.Cost.FMSteps, alone[100].Cost.FMSteps + alone[40].Cost.FMSteps},
-			{"DPCells", res.Cost.DPCells, alone[100].Cost.DPCells + alone[40].Cost.DPCells},
-		} {
-			if f.got != f.want {
-				t.Errorf("[%d bp, %d bp]: %s %d, the reads alone %d", len(reads[0]), len(reads[1]), f.name, f.got, f.want)
-			}
-		}
 	}
 }
 
@@ -407,75 +176,6 @@ func TestPipelineValidatesInputs(t *testing.T) {
 	}
 	if _, err := p.Map([][]byte{{9, 9}}, mapper.Options{MaxErrors: 1}); err == nil {
 		t.Error("invalid codes accepted")
-	}
-}
-
-func TestCORALSelectorPipeline(t *testing.T) {
-	ref, set := testWorld(t, 40_000, 60, simulate.ERR012100)
-	rep, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Name: "REPUTE"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cor, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Name: "CORAL", Selector: seed.CORAL{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := mapper.Options{MaxErrors: 4, MaxLocations: 100}
-	r1, err := rep.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := cor.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The heuristic cannot beat the DP optimum on filtration work:
-	// CORAL verifies at least as many windows in aggregate.
-	if r2.Cost.VerifyWords < r1.Cost.VerifyWords {
-		t.Errorf("CORAL verify words %d < REPUTE %d — heuristic beating the optimum",
-			r2.Cost.VerifyWords, r1.Cost.VerifyWords)
-	}
-	if r1.MappedReads() == 0 || r2.MappedReads() == 0 {
-		t.Error("a pipeline mapped nothing")
-	}
-}
-
-func TestSampledIndexMapsIdentically(t *testing.T) {
-	// The §IV memory trade-off must not change results: pipelines over a
-	// full-SA index and a sampled one report identical mappings.
-	ref, set := testWorld(t, 30_000, 50, simulate.ERR012100)
-	opt := mapper.Options{MaxErrors: 4, MaxLocations: 100}
-	full, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := NewFromIndex(fmindex.Build(ref, fmindex.Options{SASampleRate: 32}),
-		[]*cl.Device{cl.SystemOneCPU()}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := full.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := sampled.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rf.Mappings {
-		if len(rf.Mappings[i]) != len(rs.Mappings[i]) {
-			t.Fatalf("read %d: %d vs %d mappings", i, len(rf.Mappings[i]), len(rs.Mappings[i]))
-		}
-		for j := range rf.Mappings[i] {
-			if rf.Mappings[i][j] != rs.Mappings[i][j] {
-				t.Fatalf("read %d mapping %d differs: %+v vs %+v",
-					i, j, rf.Mappings[i][j], rs.Mappings[i][j])
-			}
-		}
-	}
-	if rs.Cost.LocateSteps <= rf.Cost.LocateSteps {
-		t.Errorf("sampled locate steps %d not above full %d",
-			rs.Cost.LocateSteps, rf.Cost.LocateSteps)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -123,61 +121,6 @@ func TestMapRecoversFromFaultPlan(t *testing.T) {
 	if res.SimSeconds <= 0 || res.EnergyJ <= 0 {
 		t.Errorf("SimSeconds/EnergyJ = %v/%v", res.SimSeconds, res.EnergyJ)
 	}
-}
-
-// TestFaultDeterminismSerialParallel extends the serial/parallel
-// bit-identity guarantee to runs with an active FaultPlan: injection is
-// schedule-based, so both execution modes observe the same faults and
-// produce identical results and recovery accounting.
-func TestFaultDeterminismSerialParallel(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	ref, set, mkDevs, maxLoc := faultWorld(t, 120)
-	opt := mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}
-
-	run := func(mode cl.ExecMode) *mapper.Result {
-		devs := mkDevs() // fresh devices: fresh fault ordinals per run
-		devs[0].InstallFaults(&cl.FaultPlan{
-			FailEnqueues: map[int]cl.Code{2: cl.OutOfResources},
-			FailAllocs:   map[int]cl.Code{4: cl.MemObjectAllocationFailure},
-			Throttles:    []cl.Throttle{{From: 3, To: 5, Factor: 0.5}},
-		})
-		devs[1].InstallFaults(&cl.FaultPlan{
-			FailEnqueues: map[int]cl.Code{3: cl.DeviceNotAvailable},
-		})
-		p, err := New(ref, devs, Config{Split: []float64{0.5, 0.5}, Exec: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Map(set.Reads, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(cl.Serial)
-	parallel := run(cl.Auto)
-
-	if serial.SimSeconds != parallel.SimSeconds {
-		t.Errorf("SimSeconds differ: serial %v parallel %v",
-			serial.SimSeconds, parallel.SimSeconds)
-	}
-	if serial.EnergyJ != parallel.EnergyJ {
-		t.Errorf("EnergyJ differs: serial %v parallel %v",
-			serial.EnergyJ, parallel.EnergyJ)
-	}
-	if serial.Cost != parallel.Cost {
-		t.Errorf("Cost differs:\nserial   %+v\nparallel %+v", serial.Cost, parallel.Cost)
-	}
-	if !reflect.DeepEqual(serial.Faults, parallel.Faults) {
-		t.Errorf("FaultStats differ:\nserial   %+v\nparallel %+v",
-			serial.Faults, parallel.Faults)
-	}
-	if !serial.Faults.Any() {
-		t.Error("fault plan injected nothing — the comparison is vacuous")
-	}
-	sameMappings(t, serial.Mappings, parallel.Mappings)
 }
 
 // TestFailoverMapsAllReads kills one of two devices on its very first

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/cl"
@@ -31,75 +29,6 @@ func countInstants(rec *trace.Recorder, name string) int {
 		}
 	}
 	return n
-}
-
-// TestWatchdogChaosMatchesBaseline: a throttle window deep enough to
-// overrun the watchdog budget kills two enqueues mid-run; both are
-// retried in place and the mappings stay bit-identical to a fault-free
-// baseline, serially and in parallel, with the kills visible only in
-// FaultStats.WatchdogFires. The armed breaker absorbs the two transient
-// kills without tripping (score 2 < threshold 3, then decay).
-func TestWatchdogChaosMatchesBaseline(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	ref, set, mkDevs, maxLoc := faultWorld(t, 80)
-	opt := mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}
-
-	baselineP, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := baselineP.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(mode cl.ExecMode) (*mapper.Result, *trace.Recorder, []*cl.Device) {
-		devs := mkDevs()
-		devs[0].SetWatchdog(4)
-		devs[0].EnableBreaker()
-		// Factor 0.1 slows the compute 10×, past the 4× budget: enqueue
-		// ordinals 2 and 3 are watchdog-killed, their retries land on
-		// clean ordinals.
-		devs[0].InstallFaults(&cl.FaultPlan{
-			Throttles: []cl.Throttle{{From: 2, To: 3, Factor: 0.1}},
-		})
-		rec := trace.NewRecorder()
-		p, err := New(ref, devs, Config{Split: []float64{0.5, 0.5}, Exec: mode, Tracer: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Map(set.Reads, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, rec, devs
-	}
-	serial, rec, devs := run(cl.Serial)
-	parallel, _, _ := run(cl.Auto)
-
-	sameMappings(t, baseline.Mappings, serial.Mappings)
-	sameMappings(t, baseline.Mappings, parallel.Mappings)
-	if serial.Faults.WatchdogFires != 2 {
-		t.Errorf("WatchdogFires = %d, want 2", serial.Faults.WatchdogFires)
-	}
-	if serial.Faults.Retries < 2 {
-		t.Errorf("watchdog kills were not retried: %+v", serial.Faults)
-	}
-	if len(serial.Faults.FailedDevices) != 0 {
-		t.Errorf("recovered watchdog kills failed the device: %v", serial.Faults.FailedDevices)
-	}
-	if !reflect.DeepEqual(serial.Faults, parallel.Faults) {
-		t.Errorf("FaultStats differ:\nserial   %+v\nparallel %+v",
-			serial.Faults, parallel.Faults)
-	}
-	if n := countInstants(rec, "watchdog-fired"); n != 2 {
-		t.Errorf("watchdog-fired instants = %d, want 2", n)
-	}
-	if got := devs[0].BreakerState(); got != cl.BreakerClosed {
-		t.Errorf("breaker after two absorbed kills = %v, want closed", got)
-	}
 }
 
 // TestWatchdogTripsBreakerAndFailsOver: a sustained throttle turns the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -37,245 +36,6 @@ func makeShards(ref []byte, k, overlap, rate int) []Shard {
 		}
 	}
 	return shards
-}
-
-// TestGeometryEquivalence is the one-geometry property as a single table:
-// a whole index is just the one shard that owns [0, n), so NewFromIndex
-// and NewSharded over that single shard are the same pipeline — mappings,
-// Cost, SimSeconds, EnergyJ and DeviceSeconds equal bit for bit, Split
-// included — and K = 3 shards report the same mappings, across the
-// pre-alignment filter, device counts and host execution modes.
-func TestGeometryEquivalence(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	ref, set := testWorld(t, 20_000, 40, simulate.ERR012100)
-	ix := fmindex.Build(ref, fmindex.Options{})
-	n := int64(len(ref))
-	three := makeShards(ref, 3, 256, 0)
-	constructors := []struct {
-		name     string
-		oneShard bool
-		build    func([]*cl.Device, Config) (*Pipeline, error)
-	}{
-		{"NewFromIndex", true, func(d []*cl.Device, c Config) (*Pipeline, error) { return NewFromIndex(ix, d, c) }},
-		{"NewSharded-1", true, func(d []*cl.Device, c Config) (*Pipeline, error) {
-			return NewSharded([]Shard{{Index: ix, OwnEnd: n, SliceEnd: n}}, 0, d, c)
-		}},
-		{"NewSharded-3", false, func(d []*cl.Device, c Config) (*Pipeline, error) { return NewSharded(three, 256, d, c) }},
-	}
-	off, on := prefilterOpt(4, 50)
-
-	var want [][]mapper.Mapping // the table's first cell; every other cell must match it
-	for _, opt := range []mapper.Options{off, on} {
-		for _, devices := range []int{1, 3} {
-			for _, exec := range []cl.ExecMode{cl.Serial, cl.Auto} {
-				var first *mapper.Result // the first one-shard constructor's result for this cell
-				for _, c := range constructors {
-					devs := []*cl.Device{cl.SystemOneCPU()}
-					cfg := Config{Exec: exec}
-					if devices == 3 {
-						devs = cl.SystemOne().Devices
-						if c.oneShard {
-							cfg.Split = []float64{0.5, 0.25, 0.25}
-						}
-					}
-					p, err := c.build(devs, cfg)
-					if err != nil {
-						t.Fatalf("%s prefilter=%s devices=%d: %v", c.name, opt.Prefilter, devices, err)
-					}
-					if p.Sharded() == c.oneShard || (p.Index() == ix) != c.oneShard {
-						t.Errorf("%s misreports its geometry", c.name)
-					}
-					got, err := p.Map(set.Reads, opt)
-					if err != nil {
-						t.Fatalf("%s prefilter=%s devices=%d exec=%v: %v", c.name, opt.Prefilter, devices, exec, err)
-					}
-					if want == nil {
-						want = got.Mappings
-					}
-					sameMappings(t, want, got.Mappings)
-					if got.SimSeconds <= 0 || got.EnergyJ <= 0 {
-						t.Errorf("%s: accounting empty: %v s, %v J", c.name, got.SimSeconds, got.EnergyJ)
-					}
-					if !c.oneShard {
-						continue
-					}
-					if first == nil {
-						first = got
-						continue
-					}
-					if got.Cost != first.Cost || got.SimSeconds != first.SimSeconds || got.EnergyJ != first.EnergyJ ||
-						!reflect.DeepEqual(got.DeviceSeconds, first.DeviceSeconds) {
-						t.Errorf("prefilter=%s devices=%d exec=%v: one-shard constructors disagree:\n%+v %v s %v J %v\n%+v %v s %v J %v",
-							opt.Prefilter, devices, exec,
-							first.Cost, first.SimSeconds, first.EnergyJ, first.DeviceSeconds,
-							got.Cost, got.SimSeconds, got.EnergyJ, got.DeviceSeconds)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestShardedMatchesSingle is the shard-vs-whole equivalence property:
-// shard dispatch (per-shard search + global merge) must report the exact
-// mappings of the single-index pipeline, across shard counts, locate
-// modes and device counts, serially and in parallel.
-func TestShardedMatchesSingle(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	ref, set := testWorld(t, 30_000, 80, simulate.ERR012100)
-	opt := mapper.Options{MaxErrors: 4, MaxLocations: 50}
-
-	single, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := single.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		name    string
-		k, rate int
-		devices func() []*cl.Device
-		exec    cl.ExecMode
-	}{
-		{"2shards-1dev-serial", 2, 0, func() []*cl.Device { return []*cl.Device{cl.SystemOneCPU()} }, cl.Serial},
-		{"3shards-3devs", 3, 0, func() []*cl.Device { return cl.SystemOne().Devices }, cl.Auto},
-		{"5shards-3devs-sampled", 5, 32, func() []*cl.Device { return cl.SystemOne().Devices }, cl.Auto},
-		{"4shards-2devs", 4, 0, func() []*cl.Device {
-			a, b := cl.SystemOneCPU(), cl.SystemOneCPU()
-			a.Name, b.Name = "CPU-A", "CPU-B"
-			return []*cl.Device{a, b}
-		}, cl.Auto},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			shards := makeShards(ref, tc.k, 256, tc.rate)
-			p, err := NewSharded(shards, 256, tc.devices(), Config{Exec: tc.exec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !p.Sharded() || p.Index() != nil {
-				t.Fatal("sharded pipeline misreports its geometry")
-			}
-			got, err := p.Map(set.Reads, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMappings(t, want.Mappings, got.Mappings)
-			if got.SimSeconds <= 0 || got.EnergyJ <= 0 {
-				t.Errorf("accounting empty: %v s, %v J", got.SimSeconds, got.EnergyJ)
-			}
-		})
-	}
-}
-
-// TestShardedBestModeMatchesSingle checks the merge's best-stratum
-// composition: per-shard best filtering followed by the global best
-// re-filter must equal single-index best mapping.
-func TestShardedBestModeMatchesSingle(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	ref, set := testWorld(t, 30_000, 60, simulate.ERR012100)
-	opt := mapper.Options{MaxErrors: 4, MaxLocations: 50, Best: true}
-
-	single, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := single.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewSharded(makeShards(ref, 3, 256, 0), 256, cl.SystemOne().Devices, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMappings(t, want.Mappings, got.Mappings)
-}
-
-// TestShardedUnderFaultsMatchesSingle arms a chaos plan on every device
-// of a sharded run: transient retries, allocation degradation and a
-// permanent device loss re-dispatching that device's shards must leave
-// the merged mappings untouched.
-func TestShardedUnderFaultsMatchesSingle(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	ref, set, mkDevs, maxLoc := faultWorld(t, 100)
-	opt := mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}
-
-	single, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := single.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Shard indexes are roughly half the whole index; the faultWorld
-	// MaxAlloc clamp still forces several batches per shard.
-	devs := mkDevs()
-	devs[0].InstallFaults(&cl.FaultPlan{
-		FailEnqueues: map[int]cl.Code{2: cl.OutOfResources},
-		FailAllocs:   map[int]cl.Code{4: cl.MemObjectAllocationFailure},
-	})
-	// Device B dies at its third launch: its shard's remaining reads must
-	// fail over to device A, which re-loads B's reference slice.
-	devs[1].InstallFaults(&cl.FaultPlan{
-		FailEnqueues: map[int]cl.Code{3: cl.DeviceNotAvailable},
-	})
-	p, err := NewSharded(makeShards(ref, 2, 256, 0), 256, devs, Config{Exec: cl.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMappings(t, want.Mappings, got.Mappings)
-	f := got.Faults
-	if f.Retries < 1 {
-		t.Errorf("transient retry not accounted: %+v", f)
-	}
-	if len(f.FailedDevices) != 1 || f.FailedDevices[0] != "CPU-B" {
-		t.Errorf("FailedDevices = %v, want [CPU-B]", f.FailedDevices)
-	}
-	if f.FailoverReads < 1 {
-		t.Errorf("shard failover not accounted: %+v", f)
-	}
-}
-
-// TestShardedEnvChaosMatchesSingle runs shard dispatch under the ambient
-// REPUTE_CL_FAULTS plan the CI chaos job uses.
-func TestShardedEnvChaosMatchesSingle(t *testing.T) {
-	t.Setenv("REPUTE_CL_FAULTS", "")
-	ref, set := testWorld(t, 30_000, 60, simulate.ERR012100)
-	opt := mapper.Options{MaxErrors: 3, MaxLocations: 50}
-	single, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := single.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Setenv("REPUTE_CL_FAULTS", "enq2=oor,alloc3=alloc,throttle2-4=0.5")
-	p, err := NewSharded(makeShards(ref, 3, 256, 0), 256, cl.SystemOne().Devices, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Map(set.Reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMappings(t, want.Mappings, got.Mappings)
-	if !got.Faults.Any() {
-		t.Error("chaos plan armed but no faults accounted")
-	}
 }
 
 // TestShardedOverlapValidation: an overlap too small for the read length

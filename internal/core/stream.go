@@ -85,7 +85,7 @@ const streamAhead = 1
 // would use — same kernels, same fault recovery, same trace timeline via
 // the pipeline's trace origin — a streamed run's mappings, metrics and
 // simulated totals are bit-identical to mapping the same batches from
-// memory (asserted by TestMapStreamMatchesInMemory).
+// memory (asserted by the equivalence harness's batching axis).
 func (p *Pipeline) MapStream(ctx context.Context, src func() (StreamBatch, error), opt mapper.Options, emit func(StreamBatch, *mapper.Result) error) (StreamToken, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -30,124 +29,6 @@ func sliceSource(reads [][]byte, batch int) func() (StreamBatch, error) {
 		}
 		idx++
 		return b, nil
-	}
-}
-
-// TestMapStreamMatchesInMemory is the streaming-equivalence contract:
-// MapStream over batched reads produces the same mappings as one
-// in-memory Map over the whole set, and the same per-batch accounting
-// (tallied in emit), trace and metrics as an in-memory run batched
-// identically — serial and parallel (CI runs this under -race).
-func TestMapStreamMatchesInMemory(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	ref, set := testWorld(t, 40_000, 60, simulate.ERR012100)
-	opt := mapper.Options{MaxErrors: 4, MaxLocations: 100}
-	const batch = 13
-
-	for _, mode := range []cl.ExecMode{cl.Serial, cl.Auto} {
-		t.Run(mode.String(), func(t *testing.T) {
-			// Whole-set baseline: mappings are per-read, so batch size
-			// must not affect them.
-			pw, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			whole, err := pw.Map(set.Reads, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Batched in-memory baseline: same batch boundaries as the
-			// stream, so launch-overhead accounting and traces line up.
-			recMem := trace.NewRecorder()
-			pm, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: mode, Tracer: recMem})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var memMaps [][]mapper.Mapping
-			memAgg := &mapper.Result{DeviceSeconds: map[string]float64{}}
-			for start := 0; start < len(set.Reads); start += batch {
-				end := start + batch
-				if end > len(set.Reads) {
-					end = len(set.Reads)
-				}
-				res, err := pm.Map(set.Reads[start:end], opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				memMaps = append(memMaps, res.Mappings...)
-				memAgg.SimSeconds += res.SimSeconds
-				memAgg.EnergyJ += res.EnergyJ
-				for dev, sec := range res.DeviceSeconds {
-					memAgg.DeviceSeconds[dev] += sec
-				}
-				memAgg.Cost.Add(res.Cost)
-			}
-
-			recStream := trace.NewRecorder()
-			ps, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: mode, Tracer: recStream})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var streamMaps [][]mapper.Mapping
-			sr := &mapper.Result{DeviceSeconds: map[string]float64{}}
-			batches := 0
-			_, err = ps.MapStream(context.Background(), sliceSource(set.Reads, batch), opt,
-				func(b StreamBatch, res *mapper.Result) error {
-					streamMaps = append(streamMaps, res.Mappings...)
-					batches++
-					sr.SimSeconds += res.SimSeconds
-					sr.EnergyJ += res.EnergyJ
-					for dev, sec := range res.DeviceSeconds {
-						sr.DeviceSeconds[dev] += sec
-					}
-					sr.Cost.Add(res.Cost)
-					return nil
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if len(streamMaps) != len(set.Reads) {
-				t.Errorf("streamed %d reads, want %d", len(streamMaps), len(set.Reads))
-			}
-			if want := (len(set.Reads) + batch - 1) / batch; batches != want {
-				t.Errorf("streamed %d batches, want %d", batches, want)
-			}
-			if !reflect.DeepEqual(streamMaps, whole.Mappings) {
-				t.Error("streamed mappings differ from whole-set in-memory Map")
-			}
-			if !reflect.DeepEqual(streamMaps, memMaps) {
-				t.Error("streamed mappings differ from batched in-memory Map")
-			}
-			if sr.SimSeconds != memAgg.SimSeconds || sr.EnergyJ != memAgg.EnergyJ {
-				t.Errorf("aggregate accounting differs: stream %v s / %v J, memory %v s / %v J",
-					sr.SimSeconds, sr.EnergyJ, memAgg.SimSeconds, memAgg.EnergyJ)
-			}
-			if sr.Cost != memAgg.Cost {
-				t.Errorf("cost differs:\nstream %+v\nmemory %+v", sr.Cost, memAgg.Cost)
-			}
-			if !reflect.DeepEqual(sr.DeviceSeconds, memAgg.DeviceSeconds) {
-				t.Errorf("device seconds differ:\nstream %v\nmemory %v",
-					sr.DeviceSeconds, memAgg.DeviceSeconds)
-			}
-
-			// Metrics snapshots must match byte-for-byte. The stream's
-			// extra "stream-batch" host instants are deliberately not
-			// derived into any metric, so the registries coincide.
-			var memJSON, streamJSON bytes.Buffer
-			if err := recMem.Metrics().WriteJSON(&memJSON); err != nil {
-				t.Fatal(err)
-			}
-			if err := recStream.Metrics().WriteJSON(&streamJSON); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(memJSON.Bytes(), streamJSON.Bytes()) {
-				t.Errorf("metrics snapshots differ:\nmemory %s\nstream %s",
-					memJSON.String(), streamJSON.String())
-			}
-		})
 	}
 }
 

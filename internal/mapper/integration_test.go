@@ -241,13 +241,16 @@ func TestSAMRoundTripAccuracyPipeline(t *testing.T) {
 
 	toSAM := func(res *mapper.Result) map[string][]mapper.Mapping {
 		var buf bytes.Buffer
-		sw, err := sam.NewWriter(&buf, "ref", len(w.ref))
+		sw, err := sam.NewMultiWriter(&buf, []sam.RefSeq{{Name: "ref", Length: len(w.ref)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, ms := range res.Mappings {
-			name := fmt.Sprintf("r%04d", i)
-			if err := sw.WriteRead(name, nil, ms); err != nil {
+			alns := make([]sam.Alignment, len(ms))
+			for j, m := range ms {
+				alns[j] = sam.Alignment{RName: "ref", Pos: m.Pos, Strand: m.Strand, Dist: m.Dist, MAPQ: 255}
+			}
+			if err := sw.WriteAlignments(fmt.Sprintf("r%04d", i), nil, alns); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -43,21 +43,21 @@ func goldenSAM(t *testing.T) []byte {
 	}
 
 	var buf bytes.Buffer
-	sw, err := sam.NewWriter(&buf, "sim21", len(ref))
+	sw, err := sam.NewMultiWriter(&buf, []sam.RefSeq{{Name: "sim21", Length: len(ref)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, ms := range res.Mappings {
-		cigars := make([]string, len(ms))
+		alns := make([]sam.Alignment, len(ms))
 		for j, m := range ms {
 			cg, err := p.CigarFor(set.Reads[i], m, opt.MaxErrors)
 			if err != nil {
 				t.Fatalf("read %d mapping %d: %v", i, j, err)
 			}
-			cigars[j] = cg.String()
+			alns[j] = sam.Alignment{RName: "sim21", Pos: m.Pos, Strand: m.Strand, Dist: m.Dist, Cigar: cg.String(), MAPQ: 255}
 		}
 		name := fmt.Sprintf("sim_read_%03d", i)
-		if err := sw.WriteReadCigars(name, []byte(dna.Decode(set.Reads[i])), ms, cigars); err != nil {
+		if err := sw.WriteAlignments(name, []byte(dna.Decode(set.Reads[i])), alns); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -43,15 +43,9 @@ type RefSeq struct {
 	Length int
 }
 
-// NewWriter writes the header for a single-reference file and returns the
-// writer.
-func NewWriter(w io.Writer, refName string, refLen int) (*Writer, error) {
-	return NewMultiWriter(w, []RefSeq{{Name: refName, Length: refLen}})
-}
-
 // NewMultiWriter writes a header with one @SQ line per reference sequence
-// (multi-contig genomes). The first contig becomes the default RNAME for
-// WriteRead; use WriteAlignments for per-record contigs.
+// and returns the writer. The first contig becomes WritePair's default
+// RNAME; WriteAlignments names each record's contig.
 func NewMultiWriter(w io.Writer, refs []RefSeq) (*Writer, error) {
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("sam: no reference sequences")
@@ -74,8 +68,7 @@ func NewMultiWriter(w io.Writer, refs []RefSeq) (*Writer, error) {
 // NewAppendWriter returns a Writer that emits alignment records without
 // a header — for appending to a SAM file whose header (and a prefix of
 // records) an earlier, interrupted run already wrote. defaultRef becomes
-// the default RNAME for WriteRead, matching the original writer's first
-// contig.
+// WritePair's default RNAME, matching the original writer's first contig.
 func NewAppendWriter(w io.Writer, defaultRef string) *Writer {
 	return &Writer{bw: bufio.NewWriter(w), refName: defaultRef}
 }
@@ -170,39 +163,6 @@ func (w *Writer) WriteAlignments(name string, seq []byte, alns []Alignment) erro
 		if i > 0 {
 			r.flag |= FlagSecondary
 			r.seq = nil // secondary records omit the sequence
-		}
-		if err := w.write(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteRead emits all mappings of one read (first as primary, rest as
-// secondary), or an unmapped record when ms is empty. seq is the ASCII
-// sequence (may be empty to write '*').
-func (w *Writer) WriteRead(name string, seq []byte, ms []mapper.Mapping) error {
-	return w.WriteReadCigars(name, seq, ms, nil)
-}
-
-// WriteReadCigars is WriteRead with per-mapping CIGAR strings (use
-// align.Cigar.String() or any SAM-valid value). cigars may be nil or
-// shorter than ms; missing entries are written as "*".
-func (w *Writer) WriteReadCigars(name string, seq []byte, ms []mapper.Mapping, cigars []string) error {
-	if len(ms) == 0 {
-		return w.write(unmapped(name, seq))
-	}
-	for i, m := range ms {
-		r := record{name: name, rname: w.refName, pos: m.Pos + 1, mapq: 255, seq: seq, nm: int(m.Dist)}
-		if m.Strand == mapper.Reverse {
-			r.flag |= FlagReverse
-		}
-		if i > 0 {
-			r.flag |= FlagSecondary
-			r.seq = nil // secondary records omit the sequence
-		}
-		if i < len(cigars) {
-			r.cigar = cigars[i]
 		}
 		if err := w.write(r); err != nil {
 			return err

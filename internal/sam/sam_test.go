@@ -10,20 +10,40 @@ import (
 	"repro/internal/mapper"
 )
 
-func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "chr21", 46_709_983)
+// newWriter writes a one-contig header for contig c of length n.
+func newWriter(t *testing.T, w io.Writer, c string, n int) *Writer {
+	t.Helper()
+	sw, err := NewMultiWriter(w, []RefSeq{{Name: c, Length: n}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sw
+}
+
+// alignments places mappings on contig c with MAPQ 255 (unavailable) and
+// cigars[i] as mapping i's CIGAR where one is given.
+func alignments(c string, ms []mapper.Mapping, cigars ...string) []Alignment {
+	alns := make([]Alignment, len(ms))
+	for i, m := range ms {
+		alns[i] = Alignment{RName: c, Pos: m.Pos, Strand: m.Strand, Dist: m.Dist, MAPQ: 255}
+		if i < len(cigars) {
+			alns[i].Cigar = cigars[i]
+		}
+	}
+	return alns
+}
+
+func TestRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	w := newWriter(t, &buf, "chr21", 46_709_983)
 	ms := []mapper.Mapping{
 		{Pos: 99, Strand: mapper.Forward, Dist: 2},
 		{Pos: 500, Strand: mapper.Reverse, Dist: 3},
 	}
-	if err := w.WriteRead("r1", []byte("ACGT"), ms); err != nil {
+	if err := w.WriteAlignments("r1", []byte("ACGT"), alignments("chr21", ms)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRead("r2", []byte("GGGG"), nil); err != nil {
+	if err := w.WriteAlignments("r2", []byte("GGGG"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -85,15 +105,12 @@ func TestParseSkipsHeadersAndBlank(t *testing.T) {
 
 func TestGroupByRead(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "c", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.WriteRead("a", nil, []mapper.Mapping{
+	w := newWriter(t, &buf, "c", 1000)
+	w.WriteAlignments("a", nil, alignments("c", []mapper.Mapping{
 		{Pos: 30, Strand: mapper.Forward, Dist: 1},
 		{Pos: 10, Strand: mapper.Reverse, Dist: 2},
-	})
-	w.WriteRead("b", nil, nil) // unmapped
+	}))
+	w.WriteAlignments("b", nil, nil) // unmapped
 	w.Flush()
 	recs, err := Parse(&buf)
 	if err != nil {
@@ -115,16 +132,15 @@ func TestGroupByRead(t *testing.T) {
 	}
 }
 
+// TestWriteReadCigars: each alignment carries its own CIGAR, and one
+// without writes "*".
 func TestWriteReadCigars(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "c", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.WriteReadCigars("r", []byte("ACGT"), []mapper.Mapping{
+	w := newWriter(t, &buf, "c", 1000)
+	w.WriteAlignments("r", []byte("ACGT"), alignments("c", []mapper.Mapping{
 		{Pos: 5, Strand: mapper.Forward, Dist: 1},
 		{Pos: 50, Strand: mapper.Forward, Dist: 2},
-	}, []string{"2M1I1M"})
+	}, "2M1I1M"))
 	w.Flush()
 	out := buf.String()
 	if !strings.Contains(out, "\t2M1I1M\t") {
@@ -140,10 +156,7 @@ func TestWriteReadCigars(t *testing.T) {
 
 func TestWritePair(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "c", 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWriter(t, &buf, "c", 100000)
 	p := mapper.Pair{
 		First:      mapper.Mapping{Pos: 1000, Strand: mapper.Forward, Dist: 1},
 		Second:     mapper.Mapping{Pos: 1300, Strand: mapper.Reverse, Dist: 0},
@@ -192,11 +205,8 @@ func TestWritePair(t *testing.T) {
 
 func TestPositionsAreOneBasedOnDisk(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "c", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.WriteRead("r", nil, []mapper.Mapping{{Pos: 0, Strand: mapper.Forward}})
+	w := newWriter(t, &buf, "c", 100)
+	w.WriteAlignments("r", nil, alignments("c", []mapper.Mapping{{Pos: 0, Strand: mapper.Forward}}))
 	w.Flush()
 	if !strings.Contains(buf.String(), "\tc\t1\t") {
 		t.Errorf("position 0 not written as 1:\n%s", buf.String())
@@ -213,10 +223,7 @@ func TestAppendWriterContinuesFile(t *testing.T) {
 	}
 
 	var whole bytes.Buffer
-	w, err := NewWriter(&whole, "chr1", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWriter(t, &whole, "chr1", 1000)
 	for i := 0; i < 4; i++ {
 		if err := w.WriteAlignments(fmt.Sprintf("r%d", i), []byte("ACGT"), alns); err != nil {
 			t.Fatal(err)
@@ -227,10 +234,7 @@ func TestAppendWriterContinuesFile(t *testing.T) {
 	}
 
 	var split bytes.Buffer
-	w1, err := NewWriter(&split, "chr1", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1 := newWriter(t, &split, "chr1", 1000)
 	for i := 0; i < 2; i++ {
 		if err := w1.WriteAlignments(fmt.Sprintf("r%d", i), []byte("ACGT"), alns); err != nil {
 			t.Fatal(err)
@@ -260,10 +264,7 @@ func TestAppendWriterContinuesFile(t *testing.T) {
 // the longest record, mapped, secondary, unmapped and mate records are
 // all formatted without a heap allocation.
 func TestWriteRecordsDoesNotAllocate(t *testing.T) {
-	w, err := NewWriter(io.Discard, "chr21", 46_709_983)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWriter(t, io.Discard, "chr21", 46_709_983)
 	seq := bytes.Repeat([]byte("ACGT"), 25)
 	alns := []Alignment{
 		{RName: "chr21", Pos: 12_345_678, Strand: mapper.Reverse, Dist: 3, MAPQ: 40, Cigar: "100M"},

@@ -9,8 +9,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -178,8 +180,18 @@ func newStore(dir string, devices int) (*store, error) {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(dir, e.Name(), "job.json"))
+		var seq int
+		if _, serr := fmt.Sscanf(e.Name(), "job-%d", &seq); serr == nil && jobID(seq) == e.Name() &&
+			errors.Is(err, fs.ErrNotExist) {
+			// A crash between the submit handler's MkdirAll and the first
+			// persist: no 202 named this job, so nothing can ask for it.
+			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("serve: spool: %w", err)
+			}
+			continue
+		}
 		if err != nil {
-			continue // half-created spool entry from a crash mid-admission
+			continue // not a job directory, or its job.json cannot be read
 		}
 		j := &Job{}
 		if err := json.Unmarshal(b, j); err != nil || !j.valid(e.Name()) {

@@ -216,12 +216,7 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		),
 	}
 	if _, serr := os.Stat(run.CkptPath); serr == nil {
-		if run.Resume, err = checkpoint.Load(run.CkptPath); err != nil {
-			return err
-		}
-		if err := run.Resume.Verify(run.Fingerprint); err != nil {
-			return err
-		}
+		run.Resume = true
 		s.reg.Counter(metricJobsResumed).Add(1)
 	}
 

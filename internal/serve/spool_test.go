@@ -20,13 +20,24 @@ import (
 )
 
 // TestNewSweepsStaleUploads: an upload temp file left in the spool root
-// by a server killed while spooling belongs to no job; a restart removes
-// it and keeps everything else.
+// by a server killed while spooling belongs to no job, and neither does a
+// job directory a crash left before its first job.json; a restart removes
+// both and keeps everything else — a corrupt job.json included.
 func TestNewSweepsStaleUploads(t *testing.T) {
 	fx := newFixture(t, 20_000, 2)
 	spool := t.TempDir()
 	stale := filepath.Join(spool, uploadPrefix+"x")
 	if err := os.WriteFile(stale, fx.fastq, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(spool, "job-000007")
+	corrupt := filepath.Join(spool, "job-000008")
+	for _, dir := range []string{orphan, corrupt, filepath.Join(spool, "notes")} {
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(corrupt, "job.json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	other := filepath.Join(spool, "notes.txt")
@@ -35,11 +46,15 @@ func TestNewSweepsStaleUploads(t *testing.T) {
 	}
 	s, _ := newServer(t, fx, spool, nil)
 	defer s.Drain()
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Errorf("stale upload survived the restart: %v", err)
+	for _, gone := range []string{stale, orphan} {
+		if _, err := os.Stat(gone); !os.IsNotExist(err) {
+			t.Errorf("%s survived the restart: %v", filepath.Base(gone), err)
+		}
 	}
-	if _, err := os.Stat(other); err != nil {
-		t.Errorf("the sweep removed a file that is not an upload: %v", err)
+	for _, kept := range []string{other, filepath.Join(corrupt, "job.json"), filepath.Join(spool, "notes")} {
+		if _, err := os.Stat(kept); err != nil {
+			t.Errorf("the sweep removed %s, which is not a stale upload or an orphaned job: %v", kept, err)
+		}
 	}
 }
 

@@ -69,9 +69,9 @@ type Stream struct {
 	// stamped into a fresh run's checkpoints.
 	CkptPath    string
 	Fingerprint string
-	// Resume continues from a loaded checkpoint the caller has verified
-	// against Fingerprint; nil starts fresh.
-	Resume *checkpoint.State
+	// Resume continues from the checkpoint at CkptPath, which must carry
+	// Fingerprint; false starts fresh.
+	Resume bool
 	// AfterBatch runs once the batch's SAM records and checkpoint are
 	// durable; returning core.Stop ends the run cleanly at that boundary.
 	AfterBatch func(*checkpoint.State) error
@@ -90,10 +90,17 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 	if s.Lenient && s.Reads2Path != "" {
 		return nil, fmt.Errorf("lenient parsing does not apply to paired input (a skipped record would put the mates out of step)")
 	}
-	st := s.Resume
-	if st == nil {
-		st = &checkpoint.State{Version: checkpoint.Version, Fingerprint: s.Fingerprint, BatchSize: s.Batch}
-	} else if st.BatchSize != s.Batch {
+	st := &checkpoint.State{Version: checkpoint.Version, Fingerprint: s.Fingerprint, BatchSize: s.Batch}
+	if s.Resume {
+		var err error
+		if st, err = checkpoint.Load(s.CkptPath); err != nil {
+			return nil, err
+		}
+		if err := st.Verify(s.Fingerprint); err != nil {
+			return nil, err
+		}
+	}
+	if st.BatchSize != s.Batch {
 		return nil, fmt.Errorf("checkpoint: batch size %d differs from this run's %d (batch boundaries would shift)",
 			st.BatchSize, s.Batch)
 	}
@@ -124,7 +131,7 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 	out := os.Stdout
 	switch {
 	case s.SAMPath == "":
-	case s.Resume == nil:
+	case !s.Resume:
 		var err error
 		if out, err = os.Create(s.SAMPath); err != nil {
 			return nil, err
@@ -152,7 +159,7 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 		}
 	}
 	sw := sam.NewAppendWriter(out, refs[0].Name)
-	if s.Resume == nil {
+	if !s.Resume {
 		var err error
 		if sw, err = sam.NewMultiWriter(out, refs); err != nil {
 			return nil, err
