@@ -411,6 +411,13 @@ func (w *equivWorld) check(t *testing.T, c config) (outside, differing, checked 
 		if got != want || o.cost.Items != int64(len(reads)*shards) || o.sim <= 0 || o.energy <= 0 {
 			t.Errorf("%v: cost %+v (%v s, %v J), reference %+v", c, o.cost, o.sim, o.energy, ref.cost)
 		}
+		// Conservation of the filter's counters: nothing without the
+		// prefilter; with it, each candidate is filtered, falsely
+		// accepted or verified at most once.
+		if f := o.cost; c[axPrefilter] == 0 && (f.FilterWords != 0 || f.Filtered != 0 || f.FalseAccepts != 0) ||
+			c[axPrefilter] == 1 && f.Filtered+f.FalseAccepts+f.Verified > f.Candidates {
+			t.Errorf("%v: filter counters %+v not conserved", c, f)
+		}
 		if o.rec == nil {
 			continue
 		}

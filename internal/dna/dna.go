@@ -8,7 +8,10 @@
 // long-lived data such as the reference text inside the FM-index.
 package dna
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Base codes. The ordering is lexicographic so that suffix arrays and
 // FM-index C arrays built over codes order the same way as over ASCII.
@@ -97,9 +100,9 @@ func ReverseComplement(codes []byte) []byte {
 }
 
 // ReverseComplementInto writes the reverse complement of src into dst,
-// which must have the same length as src. dst and src may not overlap
-// unless they are identical slices of even armless use; callers on hot
-// paths reuse dst across reads.
+// which must have the same length as src. dst may be src itself (the
+// complement is then taken in place); any other overlap of the two is
+// unsupported. Callers on hot paths reuse dst across reads.
 func ReverseComplementInto(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("dna: ReverseComplementInto length mismatch")
@@ -183,6 +186,57 @@ func (p PackedSeq) SliceInto(dst []byte, lo, hi int) []byte {
 		dst[i] = p.At(lo)
 	}
 	return dst
+}
+
+// Planes writes [lo, hi) as two bit planes: bit k of low[k/64] is the
+// low bit of base lo+k's code and bit k of high[k/64] its high bit. It
+// fills the ⌈(hi−lo)/64⌉ words of each that low and high must hold and
+// leaves every bit past hi−lo zero. Each 32-base half-word is one
+// 64-bit load and an even-bit compaction per plane, so a 64-base word
+// costs two loads and no per-base step.
+//
+//repute:hotpath
+func (p PackedSeq) Planes(lo, hi int, low, high []uint64) {
+	if lo < 0 || hi > p.n || lo > hi {
+		//repute:allow hotalloc -- the out-of-range panic, never taken by a valid call
+		panic(fmt.Sprintf("dna: Planes[%d:%d) out of range 0..%d", lo, hi, p.n))
+	}
+	words := (hi - lo + 63) / 64
+	low, high = low[:words], high[:words]
+	for k := range low {
+		a, b := p.load32(lo+64*k), p.load32(lo+64*k+32)
+		low[k] = evenBits(a) | evenBits(b)<<32
+		high[k] = evenBits(a>>1) | evenBits(b>>1)<<32
+	}
+	if r := uint(hi-lo) & 63; r != 0 {
+		low[words-1] &= 1<<r - 1
+		high[words-1] &= 1<<r - 1
+	}
+}
+
+// load32 returns the 64 code bits of bases i … i+31, base i in the low
+// two; bases past the packed bytes read as zero.
+func (p PackedSeq) load32(i int) uint64 {
+	j, sh := i>>2, uint(i&3)*2
+	var v, next uint64
+	if j+8 < len(p.data) {
+		v, next = binary.LittleEndian.Uint64(p.data[j:]), uint64(p.data[j+8])
+	} else {
+		for t := j; t < len(p.data); t++ {
+			v |= uint64(p.data[t]) << (8 * uint(t-j))
+		}
+	}
+	return v>>sh | next<<(64-sh)
+}
+
+// evenBits compacts the 32 even-position bits of x into its low half.
+func evenBits(x uint64) uint64 {
+	x &= 0x5555555555555555
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0x00000000ffffffff
 }
 
 // GCContent reports the fraction of G or C bases, 0 for empty input.

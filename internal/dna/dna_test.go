@@ -116,6 +116,19 @@ func TestReverseComplementInto(t *testing.T) {
 	}
 }
 
+// TestReverseComplementIntoInPlace checks the one overlap the contract
+// allows: dst and src the same slice.
+func TestReverseComplementIntoInPlace(t *testing.T) {
+	for _, s := range []string{"", "A", "ACGTA", "ACGGTTCA"} {
+		codes := MustEncode(s)
+		want := ReverseComplement(codes)
+		ReverseComplementInto(codes, codes)
+		if !bytes.Equal(codes, want) {
+			t.Errorf("in place over %q = %q want %q", s, Decode(codes), Decode(want))
+		}
+	}
+}
+
 func TestReverseComplementIntoLengthMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -191,6 +204,40 @@ func TestSliceIntoMatchesAt(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { p.SliceInto(buf, 3, 40) }); n != 0 {
 		t.Errorf("SliceInto allocates %v times per run", n)
+	}
+}
+
+// TestPlanesMatchesAt checks both bit planes against At for every
+// [lo, hi) of a sequence whose length is not a whole packed byte, that
+// every bit past hi−lo in the words Planes fills is zero, and that it
+// stays allocation-free.
+func TestPlanesMatchesAt(t *testing.T) {
+	codes := make([]byte, 203)
+	for i := range codes {
+		codes[i] = byte(i*7+i/3+i*i/11) & 3
+	}
+	p := Pack(codes)
+	low, high := make([]uint64, 4), make([]uint64, 4)
+	for lo := 0; lo <= len(codes); lo++ {
+		for hi := lo; hi <= len(codes); hi++ {
+			for k := range low {
+				low[k], high[k] = ^uint64(0), ^uint64(0)
+			}
+			p.Planes(lo, hi, low, high)
+			for k := 0; k < 64*((hi-lo+63)/64); k++ {
+				var want byte
+				if k < hi-lo {
+					want = p.At(lo + k)
+				}
+				got := byte(low[k/64]>>(k%64)&1 | high[k/64]>>(k%64)&1<<1)
+				if got != want {
+					t.Fatalf("Planes(%d,%d) base %d = %d want %d", lo, hi, k, got, want)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { p.Planes(3, 200, low, high) }); n != 0 {
+		t.Errorf("Planes allocates %v times per run", n)
 	}
 }
 

@@ -76,10 +76,12 @@
 // # Cost
 //
 // Filter words count 64-bit word updates, the unit align.BandWords
-// counts for the Myers kernel: Prepare charges one per (base, pattern
-// word); Accept charges one per (shift, pattern word) mask plus the
-// window register build, and one more per (shift, mask word) the walk
-// reads.
+// counts for the Myers kernel, in GateKeeper's register model: Prepare
+// charges one per (base, pattern word) of four one-hot pattern
+// registers; Accept charges one per (shift, pattern word) mask plus
+// the build of four one-hot window registers, and one more per (shift,
+// mask word) the walk reads. The host holds two bit planes instead
+// (see State); the charge models the device, not the host.
 package filter
 
 import (
@@ -103,55 +105,59 @@ func Shifts(delta int) int { return 4*delta + 1 }
 // performs zero allocations. A State is prepared once per (pattern,
 // delta) and then accepts or rejects any number of candidate windows.
 // It is not safe for concurrent use; each host worker owns one.
+//
+// Pattern and window are held as bit planes: bit i of a low (high)
+// plane is the low (high) bit of base i's code, so two bases are equal
+// iff both planes agree. The window registers are aligned for the
+// first shift s = −δ — window position j occupies bit j+δ — so the
+// mask at shift s reads each register 64 bits at a time from bit s+δ
+// and never moves it; in marks, per shift, the pattern bits that meet
+// a window base.
 type State struct {
-	n        int    // pattern length
-	delta    int    // error budget δ
-	wp       int    // 64-bit words covering the n pattern bits
-	tailMask uint64 // valid pattern bits in the last word
+	n     int // pattern length
+	delta int // error budget δ
+	wp    int // 64-bit words covering the n pattern bits
 
-	peq   [4][]uint64 // per-code pattern equality bitvectors (wp words)
-	v     [4][]uint64 // per-code shifted window registers (vw words)
-	masks []uint64    // unamended match masks, shift-major (Shifts(δ) × wp words)
-	acc   []uint64    // OR-accumulated solid-match mask (wp words)
+	pl, ph []uint64 // pattern planes (wp words)
+	wl, wh []uint64 // window planes (wp + 4δ/64 + 1 words)
+	in     []uint64 // in-window pattern bits, shift-major (Shifts(δ) × wp words)
+	inLen  int      // window bases in was built for; −1 after Prepare
+	masks  []uint64 // unamended match masks, shift-major (Shifts(δ) × wp words)
+	acc    []uint64 // OR-accumulated solid-match mask (wp words)
 }
 
-// growWords returns buf resized to w words, reusing its backing array
-// when capacity allows.
-func growWords(buf []uint64, w int) []uint64 {
-	if cap(buf) < w {
-		return make([]uint64, w)
-	}
-	return buf[:w]
-}
-
-// Prepare builds the pattern equality bitvectors for one pattern (a
-// code sequence, dna.A..dna.T) and error budget. It returns the
-// filter-word cost charged to the simulated device: one unit per
-// 64-bit word-lane written, mirroring how VerifyWords counts Myers
-// block updates rather than machine instructions.
+// Prepare builds the pattern planes for one pattern (a code sequence,
+// dna.A..dna.T) and error budget. It returns the filter-word cost
+// charged to the simulated device: one unit per (base, pattern word)
+// lane of GateKeeper's one-hot pattern registers, mirroring how
+// VerifyWords counts Myers block updates rather than machine
+// instructions.
+//
+//repute:hotpath
 func (st *State) Prepare(pattern []byte, delta int) int64 {
 	n := len(pattern)
-	wp := (n + 63) / 64
-	if wp == 0 {
-		wp = 1
+	wp := max((n+63)/64, 1)
+	st.n, st.delta, st.wp, st.inLen = n, delta, wp, -1
+	// A shift reads register words w+s/64 and w+s/64+1 for s ≤ 4δ.
+	vr := wp + 4*delta/64 + 1
+	if cap(st.pl) < wp {
+		st.pl, st.ph, st.acc = make([]uint64, wp), make([]uint64, wp), make([]uint64, wp)
 	}
-	st.n, st.delta, st.wp = n, delta, wp
-	if r := n % 64; r == 0 && n > 0 {
-		st.tailMask = ^uint64(0)
-	} else {
-		st.tailMask = (uint64(1) << uint(r)) - 1
+	if cap(st.wl) < vr {
+		st.wl, st.wh = make([]uint64, vr), make([]uint64, vr)
 	}
-	for c := 0; c < dna.Alphabet; c++ {
-		st.peq[c] = growWords(st.peq[c], wp)
-		for w := 0; w < wp; w++ {
-			st.peq[c][w] = 0
-		}
+	if cap(st.masks) < Shifts(delta)*wp {
+		st.masks, st.in = make([]uint64, Shifts(delta)*wp), make([]uint64, Shifts(delta)*wp)
 	}
+	st.pl, st.ph, st.acc = st.pl[:wp], st.ph[:wp], st.acc[:wp]
+	st.wl, st.wh = st.wl[:vr], st.wh[:vr]
+	st.masks, st.in = st.masks[:Shifts(delta)*wp], st.in[:Shifts(delta)*wp]
+	clear(st.pl)
+	clear(st.ph)
 	for i, c := range pattern {
-		st.peq[c][i/64] |= 1 << uint(i%64)
+		st.pl[i>>6] |= uint64(c&1) << (uint(i) & 63)
+		st.ph[i>>6] |= uint64(c>>1&1) << (uint(i) & 63)
 	}
-	st.masks = growWords(st.masks, Shifts(delta)*wp)
-	st.acc = growWords(st.acc, wp)
 	return int64(dna.Alphabet * wp)
 }
 
@@ -161,84 +167,142 @@ func (st *State) Prepare(pattern []byte, delta int) int64 {
 // may contain a match within the prepared error budget, plus the
 // filter-word cost of the decision. A window too short to contain any
 // match (the verifier's own skip condition) is rejected at zero cost.
+//
+//repute:hotpath
 func (st *State) Accept(window []byte) (bool, int64) {
-	n, delta, wp := st.n, st.delta, st.wp
 	L := len(window)
-	if n == 0 {
-		return true, 0
+	if ok, done := st.trivial(L); done {
+		return ok, 0
 	}
-	if L < n-delta {
-		return false, 0
+	m := st.loaded(L)
+	clear(st.wl)
+	clear(st.wh)
+	for j, c := range window[:m] {
+		i := uint(j + st.delta)
+		st.wl[i>>6] |= uint64(c&1) << (i & 63)
+		st.wh[i>>6] |= uint64(c>>1&1) << (i & 63)
 	}
-	// A threshold of 2δ+1 ≥ n accepts every window; skip the scan.
-	if Threshold(delta) >= n {
-		return true, 0
-	}
+	return st.decide(L)
+}
 
-	// Window registers aligned for the first shift s = −δ: register
-	// bit i holds W[i−δ], i.e. window position j occupies bit j+δ.
-	vw := (L + delta + 63) / 64
-	if vw < wp {
-		vw = wp
+// AcceptPacked is Accept over the window text[lo, hi), read straight
+// from the packed text as two bit planes.
+//
+//repute:hotpath
+func (st *State) AcceptPacked(text dna.PackedSeq, lo, hi int) (bool, int64) {
+	L := hi - lo
+	if ok, done := st.trivial(L); done {
+		return ok, 0
 	}
-	for c := 0; c < dna.Alphabet; c++ {
-		st.v[c] = growWords(st.v[c], vw)
-		for w := 0; w < vw; w++ {
-			st.v[c][w] = 0
+	m := st.loaded(L)
+	// Load from δ bases before the window, so that window base j lands
+	// on bit j+δ; the bases before it fall outside in. Only a window
+	// within δ of the text start still needs moving up.
+	from := max(lo-st.delta, 0)
+	k := (lo + m - from + 63) / 64
+	text.Planes(from, lo+m, st.wl[:k], st.wh[:k])
+	clear(st.wl[k:])
+	clear(st.wh[k:])
+	if d := st.delta - (lo - from); d > 0 {
+		shiftUp(st.wl, d)
+		shiftUp(st.wh, d)
+	}
+	return st.decide(L)
+}
+
+// trivial reports whether a window of L bases is decided without a
+// scan (done), and the verdict then.
+func (st *State) trivial(L int) (ok, done bool) {
+	switch {
+	case st.n == 0:
+		return true, true
+	case L < st.n-st.delta:
+		return false, true
+	case Threshold(st.delta) >= st.n:
+		// A threshold of 2δ+1 ≥ n accepts every window.
+		return true, true
+	}
+	return false, false
+}
+
+// loaded returns how many of a window's L bases the registers hold —
+// every base any shift reads — and, unless in already describes that
+// many, rebuilds in: at shift s, pattern bit i (i < n) meets window
+// base i+s−δ, which must lie in [0, m).
+func (st *State) loaded(L int) int {
+	m := min(L, 64*len(st.wl)-st.delta)
+	if m == st.inLen {
+		return m
+	}
+	st.inLen = m
+	for s := range Shifts(st.delta) {
+		lo, hi := st.delta-s, min(st.delta+m-s, st.n)
+		for w := range st.wp {
+			// Bits [lo, hi) clipped to word w: the bits below b but not a.
+			a, b := min(max(lo-64*w, 0), 64), min(max(hi-64*w, 0), 64)
+			st.in[s*st.wp+w] = ^uint64(0) >> uint(64-b) &^ (^uint64(0) >> uint(64-a))
 		}
 	}
-	for j, c := range window {
-		idx := j + delta
-		st.v[c][idx/64] |= 1 << uint(idx%64)
-	}
-	for w := 0; w < wp; w++ {
-		st.acc[w] = 0
-	}
+	return m
+}
 
+// shiftUp moves register r up by d bits; bits pushed past its end are
+// dropped.
+func shiftUp(r []uint64, d int) {
+	q, b := d/64, uint(d%64)
+	for w := len(r) - 1; w >= 0; w-- {
+		var x uint64
+		if w >= q {
+			x = r[w-q] << b
+		}
+		if w > q && b != 0 {
+			x |= r[w-q-1] >> (64 - b)
+		}
+		r[w] = x
+	}
+}
+
+// decide builds the amended masks from the loaded registers, applies
+// the first cut, and walks the windows that pass it.
+func (st *State) decide(L int) (bool, int64) {
+	n, delta, wp := st.n, st.delta, st.wp
+	pl, ph, acc := st.pl[:wp], st.ph[:wp], st.acc[:wp]
+	regL, regH, in, masks := st.wl, st.wh, st.in, st.masks
+	clear(acc)
 	shifts := Shifts(delta)
 	for s := 0; s < shifts; s++ {
-		// Match mask for this shift: bit i set iff P[i] == W[i+s].
-		m := st.masks[s*wp : (s+1)*wp]
-		for w := 0; w < wp; w++ {
-			m[w] = (st.peq[0][w] & st.v[0][w]) |
-				(st.peq[1][w] & st.v[1][w]) |
-				(st.peq[2][w] & st.v[2][w]) |
-				(st.peq[3][w] & st.v[3][w])
-		}
-		m[wp-1] &= st.tailMask
-		// Amendment: keep only solid matches (a matching neighbour at
-		// the same shift); isolated single-base matches are accidental.
-		for w := 0; w < wp; w++ {
-			mw := m[w]
-			left := mw << 1
+		// Match mask for this shift: bit i set iff P[i] == W[i+s−δ],
+		// read from bit i+s of each register by a funnel shift.
+		q, r := s>>6, uint(s)&63
+		m, i := masks[s*wp:s*wp+wp], in[s*wp:s*wp+wp]
+		// Amendment, one word behind: keep only solid matches (a
+		// matching neighbour at the same shift); isolated single-base
+		// matches are accidental. prev is word w−1, carry word w−2's
+		// top bit.
+		var prev, carry uint64
+		for w := range m {
+			k := q + w
+			l := regL[k]>>r | regL[k+1]<<(63-r)<<1
+			h := regH[k]>>r | regH[k+1]<<(63-r)<<1
+			mw := i[w] &^ ((pl[w] ^ l) | (ph[w] ^ h))
+			m[w] = mw
 			if w > 0 {
-				left |= m[w-1] >> 63
+				acc[w-1] |= prev & (prev<<1 | carry | prev>>1 | mw<<63)
+				carry = prev >> 63
 			}
-			right := mw >> 1
-			if w+1 < wp {
-				right |= m[w+1] << 63
-			}
-			st.acc[w] |= mw & (left | right)
+			prev = mw
 		}
-		if s+1 == shifts {
-			break
-		}
-		// Advance every window register one position: s → s+1.
-		for c := 0; c < dna.Alphabet; c++ {
-			vc := st.v[c]
-			for w := 0; w < vw-1; w++ {
-				vc[w] = vc[w]>>1 | vc[w+1]<<63
-			}
-			vc[vw-1] >>= 1
-		}
+		acc[wp-1] |= prev & (prev<<1 | carry | prev>>1)
 	}
 
 	unmatched := n
-	for w := 0; w < wp; w++ {
-		unmatched -= bits.OnesCount64(st.acc[w])
+	for _, a := range acc {
+		unmatched -= bits.OnesCount64(a)
 	}
 	// Cost: one filter word per (shift, pattern word) lane plus the
-	// window register build.
+	// build of GateKeeper's four one-hot window registers, each of vw
+	// words — the device's register model, not the host's planes.
+	vw := max(wp, (L+delta+63)/64)
 	words := int64(shifts*wp) + int64(dna.Alphabet*vw)
 	if unmatched > Threshold(delta) {
 		return false, words

@@ -202,6 +202,7 @@ func TestFilterZeroAllocSteadyState(t *testing.T) {
 			wins[i] = window(rng, mutate(rng, pattern, 3), 150, 3)
 		}
 	}
+	text := dna.Pack(bytes.Join(wins, nil))
 	var st State
 	st.Prepare(pattern, 3)
 	st.Accept(wins[0]) // warm the scratch
@@ -213,6 +214,15 @@ func TestFilterZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Prepare+Accept allocates %.1f times per run, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		st.Prepare(pattern, 3)
+		lo := (i % len(wins)) * len(wins[0])
+		st.AcceptPacked(text, lo, lo+len(wins[0]))
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Prepare+AcceptPacked allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -369,5 +379,136 @@ func FuzzFilterVsVerify(f *testing.F) {
 		if ok, _ := st.Accept(win); !ok {
 			t.Fatalf("false reject: delta=%d pattern=%v window=%v", delta, pattern, win)
 		}
+	})
+}
+
+// naiveAccept is the filter math of the package doc computed base by
+// base: a mask per shift in {−δ … 3δ}, the amended popcount, then the
+// SneakySnake walk over the unamended masks.
+func naiveAccept(pattern, win []byte, delta int) bool {
+	n := len(pattern)
+	if n == 0 || Threshold(delta) >= n {
+		return len(win) >= n-delta
+	}
+	if len(win) < n-delta {
+		return false
+	}
+	match := func(s, p int) bool { j := p + s; return j >= 0 && j < len(win) && pattern[p] == win[j] }
+	unmatched := 0
+	for p := 0; p < n; p++ {
+		solid := false
+		for s := -delta; s <= 3*delta; s++ {
+			solid = solid || match(s, p) && (p > 0 && match(s, p-1) || p+1 < n && match(s, p+1))
+		}
+		if !solid {
+			unmatched++
+		}
+	}
+	if unmatched > Threshold(delta) {
+		return false
+	}
+	for pos, obstacles := 0, 0; ; obstacles++ {
+		reach := pos
+		for s := -delta; s <= 3*delta; s++ {
+			end := pos
+			for end < n && match(s, end) {
+				end++
+			}
+			reach = max(reach, end)
+		}
+		if reach >= n {
+			return true
+		}
+		if obstacles == delta {
+			return false
+		}
+		if pos = reach + 1; pos >= n {
+			return true
+		}
+	}
+}
+
+// TestAcceptMatchesNaive holds both loaders to naiveAccept with one
+// State re-prepared for every pattern. In each group the window length
+// n+2δ stays the same while n and δ change, so a mask a State keeps
+// from one Prepare to the next is caught if it goes stale.
+func TestAcceptMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	var st State
+	for trial := 0; trial < 400; trial++ {
+		L := 20 + rng.Intn(180)
+		for delta := 0; delta <= 10 && L-2*delta > 0; delta++ {
+			n := L - 2*delta
+			pattern := randSeq(rng, n)
+			win := window(rng, mutate(rng, pattern, rng.Intn(3*delta+2)), n, delta)[:L]
+			want := naiveAccept(pattern, win, delta)
+			st.Prepare(pattern, delta)
+			if got, _ := st.Accept(win); got != want {
+				t.Fatalf("Accept = %t, naive %t: delta=%d pattern=%v window=%v", got, want, delta, pattern, win)
+			}
+			if got, _ := st.AcceptPacked(dna.Pack(win), 0, L); got != want {
+				t.Fatalf("AcceptPacked = %t, naive %t: delta=%d pattern=%v window=%v", got, want, delta, pattern, win)
+			}
+		}
+	}
+}
+
+// checkPackedVsBytes fails t unless AcceptPacked over text[lo, hi)
+// gives Accept's verdict and charge for the same window.
+func checkPackedVsBytes(t *testing.T, st *State, pattern, text []byte, delta, lo, hi int) {
+	t.Helper()
+	st.Prepare(pattern, delta)
+	okB, wB := st.Accept(text[lo:hi])
+	okP, wP := st.AcceptPacked(dna.Pack(text), lo, hi)
+	if okP != okB || wP != wB {
+		t.Fatalf("AcceptPacked = (%t, %d), Accept = (%t, %d): delta=%d lo=%d hi=%d len=%d pattern=%v text=%v",
+			okP, wP, okB, wB, delta, lo, hi, len(text), pattern, text)
+	}
+}
+
+// TestAcceptPackedMatchesAccept holds the packed loader to the byte
+// loader: the same verdict and the same words charged, for windows
+// starting anywhere in a packed byte, ending at a text end that is not
+// a whole byte, patterns of one, two and three or more words, and
+// δ up to 20, where 4δ ≥ 64 and a shift crosses a whole register word.
+func TestAcceptPackedMatchesAccept(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var st State
+	for trial := 0; trial < 6000; trial++ {
+		delta := trial % 21
+		n := 1 + rng.Intn(64) + 64*(trial/21%3) // 1, 2 or 3+ words
+		pattern := randSeq(rng, n)
+		body := randSeq(rng, n)
+		if trial%2 == 0 {
+			body = mutate(rng, pattern, rng.Intn(delta+1))
+		}
+		win := window(rng, body, n, delta)
+		if trial%7 == 0 {
+			win = win[:rng.Intn(len(win)+1)] // short, or clipped at a text end
+		}
+		pre, post := randSeq(rng, rng.Intn(8)), randSeq(rng, rng.Intn(3)*rng.Intn(8))
+		text := append(append(append([]byte(nil), pre...), win...), post...)
+		checkPackedVsBytes(t, &st, pattern, text, delta, len(pre), len(pre)+len(win))
+	}
+}
+
+// FuzzAcceptPackedVsAccept is TestAcceptPackedMatchesAccept over
+// arbitrary (pattern, text, δ ≤ 20, window).
+func FuzzAcceptPackedVsAccept(f *testing.F) {
+	f.Add([]byte("ACGTACGTTGCAACGTAGCT"), []byte("GACGTACGTTGCAACGTAGCTA"), uint8(0), uint16(1), uint16(20))
+	f.Add([]byte("ACGTACGTTGCAACGTAGCT"), []byte("TTGGACGTACTTGCAACGAGCTAAG"), uint8(2), uint16(3), uint16(24))
+	f.Add(bytes.Repeat([]byte("ACGGT"), 30), append([]byte("CCA"), bytes.Repeat([]byte("ACGT"), 45)...), uint8(20), uint16(2), uint16(183))
+	var st State
+	f.Fuzz(func(t *testing.T, p, x []byte, d uint8, l, h uint16) {
+		pattern, text := make([]byte, len(p)), make([]byte, len(x))
+		for i, b := range p {
+			pattern[i] = b & 3
+		}
+		for i, b := range x {
+			text[i] = b & 3
+		}
+		lo := int(l) % (len(text) + 1)
+		hi := lo + int(h)%(len(text)-lo+1)
+		checkPackedVsBytes(t, &st, pattern, text, int(d%21), lo, hi)
 	})
 }

@@ -47,8 +47,7 @@ type State struct {
 	vs   VerifyState
 	rev  []byte
 	locs []int32
-	win  []byte       // prefilter window scratch
-	fs   filter.State // prefilter scratch: shifted match masks and the walk's slab
+	fs   filter.State // prefilter scratch: pattern and window planes, match masks
 }
 
 // Generate runs gen over both strands of read — the read itself, then
@@ -206,10 +205,7 @@ func (b *Batch) filter(st *State, read []byte, cands []Candidate, cost *cl.Cost)
 			cost.FilterWords += st.fs.Prepare(st.Pattern(read, c.Strand), maxErr)
 			prepared = c.Strand
 		}
-		if cap(st.win) < hi-lo {
-			st.win = make([]byte, hi-lo)
-		}
-		ok, fw := st.fs.Accept(b.Text.SliceInto(st.win, lo, hi))
+		ok, fw := st.fs.AcceptPacked(b.Text, lo, hi)
 		cost.FilterWords += fw
 		if !ok {
 			cost.Filtered++
