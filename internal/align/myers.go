@@ -40,9 +40,10 @@ type Verifier struct {
 	// pattern: block b's mask for base c is at [4b+c]. They hold at least
 	// two blocks, so that a scan can address the first two as an array.
 	peq, rpeq []uint64
-	// pv and mv are the vertical delta vectors of the blocks past the
-	// second; the first two are locals of the scan.
-	pv, mv []uint64
+	// blocks holds every block's vertical delta vectors between calls of
+	// the column loops; oneBlock and twoBlocks keep those they step in
+	// registers.
+	blocks []block
 	// cols adds up the block-columns of every scan's band, counted per
 	// phase before it runs; noExit turns the hopeless exit off, so that
 	// the two agree. Both are for tests.
@@ -64,8 +65,7 @@ func (v *Verifier) Reset(pattern []byte) {
 	if cap(v.peq) < size {
 		v.peq = make([]uint64, size)
 		v.rpeq = make([]uint64, size)
-		v.pv = make([]uint64, max(w-2, 0))
-		v.mv = make([]uint64, max(w-2, 0))
+		v.blocks = make([]block, max(w, 2))
 	}
 	v.peq, v.rpeq = v.peq[:size], v.rpeq[:size]
 	clear(v.peq)
@@ -95,18 +95,97 @@ func step(pv, mv, eq, hp, hm uint64) (pvOut, mvOut, hpOut, hmOut uint64) {
 	return mhs | ^(xv | phs), phs & xv, ph >> 63, mh >> 63
 }
 
-// tail advances blocks from…to (from >= 2) by one column; eq is the match
-// masks from block from's entry for the column's base on. It is kept out
-// of line so that scan's loop, which every pattern of up to 128 rows
-// never leaves, has no slice state to keep live.
+// block is one 64-row block's vertical delta vectors.
+type block struct{ pv, mv uint64 }
+
+// cursor is where a column loop stands: the index of the next text
+// column, the columns left in the phase and the bottom-row score.
+type cursor struct{ i, left, score int }
+
+// phase is what the column loops read: the text and its direction, the
+// first two blocks' match masks, and what scan's banding rule set for the
+// current phase — blocks lo…hi step, a column whose score is <= report is
+// reported, and one whose score − left > hopeless ends the scan. The loops
+// take it by pointer, so its fields are memory operands and the registers
+// are left to the state.
+type phase struct {
+	text                     []byte
+	stride                   int
+	eq                       [8]uint64
+	lo, hi, report, hopeless int
+}
+
+// ends reports whether a column loop returns after the column that left
+// it at score with left columns to go in the phase: the column is
+// reportable, the phase is over, or the scan is hopeless.
+func (ph *phase) ends(score, left int) bool {
+	return score <= ph.report || left == 0 || score-left > ph.hopeless
+}
+
+// oneBlock runs the columns of a phase in which block 0 or block 1 steps
+// alone (block 1 under a block that has left) until the phase ends, a
+// column is reportable or the scan is hopeless. Its state comes and goes
+// by value and it makes no call: the Go compiler allocates registers for
+// a whole loop, so one call anywhere in it, even on a path never taken,
+// would send the state to the stack on every column.
 //
-//go:noinline
-func (v *Verifier) tail(eq []uint64, from, to int, hp, hm uint64) (hpOut, hmOut uint64) {
-	pv, mv := v.pv[from-2:to-1], v.mv[from-2:to-1]
-	for b := range pv {
-		pv[b], mv[b], hp, hm = step(pv[b], mv[b], eq[4*b], hp, hm)
+//repute:hotpath
+func oneBlock(v block, at cursor, ph *phase) (block, cursor) {
+	pv, mv, i, left, score := v.pv, v.mv, at.i, at.left, at.score
+	eq := (*[4]uint64)(ph.eq[4*ph.lo:])
+	for {
+		c := int(ph.text[i] & 3)
+		i += ph.stride
+		left--
+		var hp, hm uint64
+		pv, mv, hp, hm = step(pv, mv, eq[c], uint64(ph.lo), 0)
+		score += int(hp) - int(hm)
+		if ph.ends(score, left) {
+			return block{pv, mv}, cursor{i, left, score}
+		}
 	}
-	return hp, hm
+}
+
+// twoBlocks is oneBlock for a phase in which blocks 0 and 1 step.
+// Four vectors and the cursor leave the compiler short of registers, so
+// a few values still pass through the stack each column.
+//
+//repute:hotpath
+func twoBlocks(v0, v1 block, at cursor, ph *phase) (block, block, cursor) {
+	pv0, mv0, pv1, mv1, i, left, score := v0.pv, v0.mv, v1.pv, v1.mv, at.i, at.left, at.score
+	for {
+		c := int(ph.text[i] & 3)
+		i += ph.stride
+		left--
+		var hp, hm uint64
+		pv0, mv0, hp, hm = step(pv0, mv0, ph.eq[c], 0, 0)
+		pv1, mv1, hp, hm = step(pv1, mv1, ph.eq[4+c], hp, hm)
+		score += int(hp) - int(hm)
+		if ph.ends(score, left) {
+			return block{pv0, mv0}, block{pv1, mv1}, cursor{i, left, score}
+		}
+	}
+}
+
+// allBlocks is oneBlock for a phase in which a block past the second
+// steps. It steps the blocks in place; peq holds every block's masks.
+//
+//repute:hotpath
+func allBlocks(blocks []block, peq []uint64, at cursor, ph *phase) cursor {
+	hin := uint64(min(ph.lo, 1))
+	for {
+		c := int(ph.text[at.i] & 3)
+		at.i += ph.stride
+		at.left--
+		hp, hm := hin, uint64(0)
+		for b := ph.lo; b <= ph.hi; b++ {
+			blocks[b].pv, blocks[b].mv, hp, hm = step(blocks[b].pv, blocks[b].mv, peq[4*b+c], hp, hm)
+		}
+		at.score += int(hp) - int(hm)
+		if ph.ends(at.score, at.left) {
+			return at
+		}
+	}
 }
 
 // scan runs the semi-global scan of the pattern whose masks are peq over
@@ -132,33 +211,38 @@ func (v *Verifier) tail(eq []uint64, from, to int, hp, hm uint64) (hpOut, hmOut 
 // score exceeds maxDist by more than the columns left: it falls by at
 // most one per column, so no later column can be reported.
 //
+// scan itself only drives the phases. It sets each phase's bounds, counts
+// its block-columns and sets its report and hopeless thresholds, for every
+// column loop alike. It hands the phase's columns to oneBlock or
+// twoBlocks while only blocks 0 and 1 step, which is every phase of a
+// pattern of up to 128 rows, and to allBlocks once a later block runs.
+//
 //repute:hotpath
 func (v *Verifier) scan(peq []uint64, text []byte, first, stride, maxDist int, fn func(end, dist int)) (bestEnd, bestDist int) {
 	w, n := v.words, len(text)
 	if n < v.m-maxDist {
 		return -1, -1 // too short to hold m − maxDist of the pattern's rows
 	}
-	lead := (*[8]uint64)(peq)
-	pv0, pv1 := v.top, ^uint64(0)
-	var mv0, mv1 uint64
-	if w > 2 {
-		for b := range v.pv[:w-2] {
-			v.pv[b], v.mv[b] = ^uint64(0), 0
-		}
+	blocks := v.blocks[:max(w, 2)]
+	blocks[0] = block{pv: v.top}
+	for b := range blocks[1:] {
+		blocks[1+b] = block{pv: ^uint64(0)}
 	}
-	// Blocks lo…hi run; score is the last row of block hi. Block hi+1
+	// Blocks lo…hi run; at.score is the last row of block hi. Block hi+1
 	// runs from column enter, block lo up to column leave.
 	lo, hi := 0, 0
-	score, enter, leave := v.m-64*(w-1), v.m-maxDist-64*(w-1), n+maxDist-64*(w-1)
+	at := cursor{i: first, score: v.m - 64*(w-1)}
+	enter, leave := v.m-maxDist-64*(w-1), n+maxDist-64*(w-1)
 	for hi < w-1 && enter <= 1 {
-		hi, score, enter = hi+1, score+64, enter+64
+		hi, at.score, enter = hi+1, at.score+64, enter+64
 	}
+	ph := phase{text: text, stride: stride, eq: [8]uint64(peq)}
 	bestEnd, bestDist = -1, maxDist+1
-	j, i := 0, first
 scan:
-	for j < n {
-		// One phase: the columns over which lo and hi hold. Until the last
-		// block runs, no column is reportable and none is hopeless.
+	for j := 0; j < n; {
+		// One phase: the columns up to stop over which lo and hi hold.
+		// Until the last block runs, no column is reportable and none is
+		// hopeless.
 		stop := n
 		if hi < w-1 {
 			stop = min(stop, enter-1)
@@ -167,54 +251,39 @@ scan:
 			stop = min(stop, leave)
 		}
 		v.cols += (stop - j) * (hi - lo + 1)
-		report, hopeless := -1, math.MaxInt
+		ph.lo, ph.hi, ph.report, ph.hopeless = lo, hi, -1, math.MaxInt
 		if hi == w-1 {
-			report = maxDist
+			ph.report = maxDist
 			if !v.noExit {
-				hopeless = maxDist
+				// score + j > maxDist + n, with j = stop − left.
+				ph.hopeless = maxDist + n - stop
 			}
 		}
-		hin := uint64(min(lo, 1)) // +1 under a block that has left
-		run0, run1, runTail, from := lo == 0, lo <= 1 && hi >= 1, hi >= 2, max(lo, 2)
-		for j < stop {
-			// The inner loop runs to the next reported column or the
-			// phase's end. The first two blocks' vectors — all there is for
-			// a pattern of up to 128 rows — are scalars, so on that path the
-			// loop indexes no slice but the text and makes no call.
-			for {
-				c := int(text[i] & 3)
-				i += stride
-				j++
-				hp, hm := hin, uint64(0)
-				if run0 {
-					pv0, mv0, hp, hm = step(pv0, mv0, lead[c], 0, 0)
-				}
-				if run1 {
-					pv1, mv1, hp, hm = step(pv1, mv1, lead[4+c], hp, hm)
-				}
-				if runTail {
-					hp, hm = v.tail(peq[4*from+c:], from, hi, hp, hm)
-				}
-				score += int(hp) - int(hm)
-				if score <= report || j == stop {
-					break
-				}
-				if score-(n-j) > hopeless {
-					break scan
-				}
+		for at.left = stop - j; at.left > 0; {
+			switch {
+			case hi >= 2:
+				at = allBlocks(blocks[:hi+1], peq, at, &ph)
+			case lo == hi:
+				blocks[lo], at = oneBlock(blocks[lo], at, &ph)
+			default:
+				blocks[0], blocks[1], at = twoBlocks(blocks[0], blocks[1], at, &ph)
 			}
-			if score > report {
+			j = stop - at.left
+			if at.score > ph.report {
+				if at.left > 0 {
+					break scan // hopeless
+				}
 				continue
 			}
 			if fn != nil {
-				fn(j, score)
+				fn(j, at.score)
 			}
-			if score < bestDist {
-				bestEnd, bestDist = j, score
+			if at.score < bestDist {
+				bestEnd, bestDist = j, at.score
 			}
 		}
 		if hi < w-1 && j == enter-1 {
-			hi, score, enter = hi+1, score+64, enter+64
+			hi, at.score, enter = hi+1, at.score+64, enter+64
 		}
 		if lo < hi && j == leave {
 			lo, leave = lo+1, leave+64

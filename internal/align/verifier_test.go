@@ -140,19 +140,34 @@ func plant(rng *rand.Rand, hit []byte, n int) []byte {
 
 // TestBandWordsMatchesScan holds BandWords to the block-columns the scan
 // computes when the hopeless exit is off, so that it runs every window to
-// the last column.
+// the last column: the forward scan over text[:n] at budget k, and the
+// reverse start-recovery pass — the reversed pattern's masks, stride −1
+// over text[:n] from its last column — at the same budget, which is what
+// BWA-MEM charges as BandWords(m, dist, end). The pattern lengths cross
+// the 64-, 128- and 192-row edges, so the one- and two-block loops and the
+// loop over every block are all counted.
 func TestBandWordsMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	text := randSeq(rng, 400)
 	v := Verifier{noExit: true}
+	ms := []int{63, 64, 65, 127, 128, 129, 191, 192, 193}
 	for m := 1; m <= 260; m += 1 + m/8 {
+		ms = append(ms, m)
+	}
+	for _, m := range ms {
 		v.Reset(randSeq(rng, m))
 		for _, k := range []int{0, 1, 2, 5, 7, 13, 20, 63, 64, 65, m - 1, m, m + 3} {
 			for n := range min(m+2*k+70, len(text)) + 1 {
+				want := BandWords(m, k, n)
 				v.cols = 0
 				v.scan(v.peq, text[:n], 0, 1, k, nil)
-				if want := BandWords(m, k, n); v.cols != want {
+				if v.cols != want {
 					t.Fatalf("m=%d k=%d n=%d: scan computed %d block-columns, BandWords %d", m, k, n, v.cols, want)
+				}
+				v.cols = 0
+				v.scan(v.rpeq, text[:n], n-1, -1, k, nil)
+				if v.cols != want {
+					t.Fatalf("m=%d k=%d end=%d: reverse pass computed %d block-columns, BandWords %d", m, k, n, v.cols, want)
 				}
 			}
 		}
@@ -200,6 +215,14 @@ func FuzzVerifierVsDP(f *testing.F) {
 	f.Add([]byte("ACGTACGT"), []byte("TTACGAACGTTT"), uint8(2))
 	f.Add([]byte{0}, []byte{}, uint8(0))
 	f.Add(make([]byte, 130), make([]byte, 140), uint8(200))
+	// Patterns on both sides of the split between the one- and two-block
+	// loops and the loop over every block, each window holding a 3-edit
+	// copy at its start and a 15-edit copy at its end.
+	rng := rand.New(rand.NewSource(20))
+	for _, m := range []int{64, 65, 100, 128, 129} {
+		p := randSeq(rng, m)
+		f.Add(p, slices.Concat(mutate(rng, p, 3), mutate(rng, p, 15)), uint8(15))
+	}
 	var v Verifier
 	f.Fuzz(func(t *testing.T, rawP, rawW []byte, k uint8) {
 		if len(rawP) == 0 {

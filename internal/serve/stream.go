@@ -12,11 +12,13 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cl"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/fastx"
 	"repro/internal/genome"
 	"repro/internal/index"
@@ -137,6 +139,14 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 			return nil, err
 		}
 		defer out.Close()
+		// A checkpoint save fsyncs its own directory, which makes a new SAM
+		// entry beside it durable too; a SAM elsewhere needs its own, or a
+		// power cut could leave a checkpoint naming a file that is gone.
+		if dir := filepath.Dir(s.SAMPath); s.CkptPath != "" && dir != filepath.Dir(s.CkptPath) {
+			if err := durable.SyncDir(dir); err != nil {
+				return nil, err
+			}
+		}
 	default:
 		var err error
 		if out, err = os.OpenFile(s.SAMPath, os.O_RDWR, 0); err != nil {
