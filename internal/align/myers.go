@@ -44,9 +44,9 @@ type Verifier struct {
 	// the column loops; oneBlock and twoBlocks keep those they step in
 	// registers.
 	blocks []block
-	// cols adds up the block-columns of every scan's band, counted per
-	// phase before it runs; noExit turns the hopeless exit off, so that
-	// the two agree. Both are for tests.
+	// cols adds up the block-columns the column loops stepped, counted
+	// after each loop call returns; noExit turns the hopeless exit off, so
+	// that they step the whole band. Both are for tests.
 	cols   int
 	noExit bool
 }
@@ -211,11 +211,12 @@ func allBlocks(blocks []block, peq []uint64, at cursor, ph *phase) cursor {
 // score exceeds maxDist by more than the columns left: it falls by at
 // most one per column, so no later column can be reported.
 //
-// scan itself only drives the phases. It sets each phase's bounds, counts
-// its block-columns and sets its report and hopeless thresholds, for every
-// column loop alike. It hands the phase's columns to oneBlock or
-// twoBlocks while only blocks 0 and 1 step, which is every phase of a
-// pattern of up to 128 rows, and to allBlocks once a later block runs.
+// scan itself only drives the phases. It sets each phase's bounds and its
+// report and hopeless thresholds, for every column loop alike, and counts
+// the block-columns each loop call stepped. It hands the phase's columns
+// to oneBlock or twoBlocks while only blocks 0 and 1 step, which is every
+// phase of a pattern of up to 128 rows, and to allBlocks once a later
+// block runs.
 //
 //repute:hotpath
 func (v *Verifier) scan(peq []uint64, text []byte, first, stride, maxDist int, fn func(end, dist int)) (bestEnd, bestDist int) {
@@ -250,7 +251,6 @@ scan:
 		if lo < hi {
 			stop = min(stop, leave)
 		}
-		v.cols += (stop - j) * (hi - lo + 1)
 		ph.lo, ph.hi, ph.report, ph.hopeless = lo, hi, -1, math.MaxInt
 		if hi == w-1 {
 			ph.report = maxDist
@@ -260,13 +260,17 @@ scan:
 			}
 		}
 		for at.left = stop - j; at.left > 0; {
+			left := at.left
 			switch {
 			case hi >= 2:
 				at = allBlocks(blocks[:hi+1], peq, at, &ph)
+				v.cols += (left - at.left) * (hi - lo + 1)
 			case lo == hi:
 				blocks[lo], at = oneBlock(blocks[lo], at, &ph)
+				v.cols += left - at.left
 			default:
 				blocks[0], blocks[1], at = twoBlocks(blocks[0], blocks[1], at, &ph)
+				v.cols += (left - at.left) * 2
 			}
 			j = stop - at.left
 			if at.score > ph.report {

@@ -421,11 +421,14 @@ func (w *equivWorld) check(t *testing.T, c config) (outside, differing, checked 
 		if o.rec == nil {
 			continue
 		}
-		// A watchdog kill discards its launch's cost after its items ran.
-		if m := o.rec.Metrics(); m.Counters["candidates_total"] != o.cost.Candidates ||
+		// The per-item histogram adds up to the queues' totals. A watchdog
+		// kill discards its launch's cost after its items ran.
+		m := o.rec.Metrics()
+		ops := m.Histograms["item_ops"]
+		if m.Counters["candidates_total"] != o.cost.Candidates ||
 			m.Counters["verified_total"] != o.cost.Verified ||
-			o.faults.WatchdogFires == 0 && m.Histograms["item_ops"].Count != o.cost.Items {
-			t.Errorf("%v: trace tallies %v, item_ops %d, against %+v", c, m.Counters, m.Histograms["item_ops"].Count, o.cost)
+			o.faults.WatchdogFires == 0 && (ops.Count != o.cost.Items || ops.Sum != float64(o.cost.Ops())) {
+			t.Errorf("%v: trace tallies %v, item_ops %+v, against %+v (%d ops)", c, m.Counters, ops, o.cost, o.cost.Ops())
 		}
 	}
 	// (3) Serial vs Auto; the recovery the fault plan must cause; and the

@@ -1,8 +1,6 @@
 package mapper
 
 import (
-	"slices"
-
 	"repro/internal/cl"
 	"repro/internal/dna"
 	"repro/internal/filter"
@@ -149,13 +147,6 @@ func (b *Batch) Fused(item func(st *State, read []byte, cost *cl.Cost) []Mapping
 			wi.Charge(st.cost)
 		},
 	}
-}
-
-// ShortestRead is the length of the batch's shortest read: a mapper
-// whose filter is sized by read length sizes it for this one, so that it
-// stays lossless for every read.
-func (b *Batch) ShortestRead() int {
-	return len(slices.MinFunc(b.Reads, func(x, y []byte) int { return len(x) - len(y) }))
 }
 
 // Kernel returns the batch's kernel running the shared stages.

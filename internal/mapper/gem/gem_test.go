@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cl"
-	"repro/internal/dna"
 	"repro/internal/mapper"
 )
 
@@ -76,59 +75,6 @@ func TestAdaptiveRegionsShorterInUniqueSequence(t *testing.T) {
 	if avgLen(repeatRegs) <= avgLen(uniqueRegs) {
 		t.Errorf("repeat regions (%.1f) not longer than unique regions (%.1f)",
 			avgLen(repeatRegs), avgLen(uniqueRegs))
-	}
-}
-
-func TestBestStratumAndCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ref := randText(rng, 15_000)
-	m, err := New(ref, cl.SystemOneHost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := 6000
-	read := append([]byte(nil), ref[pos:pos+100]...)
-	read[30] = (read[30] + 1) % 4
-	res, err := m.Map([][]byte{read}, mapper.Options{MaxErrors: 4, MaxLocations: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := res.Mappings[0]
-	if len(ms) == 0 || len(ms) > bestStratumCap {
-		t.Fatalf("mappings = %+v", ms)
-	}
-	for _, mp := range ms {
-		if mp.Dist != ms[0].Dist {
-			t.Errorf("mixed strata: %+v", ms)
-		}
-	}
-	if ms[0].Pos != int32(pos) || ms[0].Dist != 1 {
-		t.Errorf("best = %+v want pos %d dist 1", ms[0], pos)
-	}
-}
-
-func TestReverseStrand(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ref := randText(rng, 12_000)
-	m, err := New(ref, cl.SystemOneHost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := 2000
-	read := dna.ReverseComplement(ref[pos : pos+120])
-	res, err := m.Map([][]byte{read}, mapper.Options{MaxErrors: 3, MaxLocations: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Mappings[0]) == 0 || res.Mappings[0][0].Strand != mapper.Reverse ||
-		res.Mappings[0][0].Pos != int32(pos) {
-		t.Fatalf("reverse mappings = %+v", res.Mappings[0])
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, cl.SystemOneHost()); err == nil {
-		t.Error("empty reference accepted")
 	}
 }
 

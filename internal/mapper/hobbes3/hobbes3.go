@@ -144,14 +144,23 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
 	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
-		q := m.chooseQ(b.ShortestRead(), b.MaxErrors)
-		ix, err := m.grams.Get(q)
-		if err != nil {
-			return nil, err
+		// Each read is filtered with the signature length its own length
+		// allows, so a read maps in any batch as it does alone.
+		gens := make([]generator, m.grams.MaxQ()+1)
+		for _, r := range b.Reads {
+			if q := m.chooseQ(len(r), b.MaxErrors); gens[q].ix == nil {
+				ix, err := m.grams.Get(q)
+				if err != nil {
+					return nil, err
+				}
+				gens[q] = generator{ix: ix, q: q, k: b.MaxErrors + 1}
+			}
 		}
 		b.Name, b.PrivateBytes = "hobbes3", 1024
 		b.NewScratch = func() any { return new(scratch) }
-		b.Generate = generator{ix: ix, q: q, k: b.MaxErrors + 1}.generate
+		b.Generate = func(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
+			gens[m.chooseQ(len(pattern), b.MaxErrors)].generate(st, pattern, strand, cost)
+		}
 		return b.Kernel(), nil
 	})
 }

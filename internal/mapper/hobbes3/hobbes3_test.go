@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cl"
-	"repro/internal/dna"
 	"repro/internal/mapper"
 )
 
@@ -89,68 +88,6 @@ func bruteSignatures(freqs []int32, k, q int) int64 {
 	}
 	rec(0, k, 0)
 	return best
-}
-
-func TestLosslessPigeonhole(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	ref := randText(rng, 25_000)
-	m, err := New(ref, cl.SystemOneHost(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 40; trial++ {
-		pos := rng.Intn(len(ref) - 100)
-		read := append([]byte(nil), ref[pos:pos+100]...)
-		// Plant exactly δ substitutions spread across the read.
-		const d = 4
-		for e := 0; e < d; e++ {
-			p := e*25 + rng.Intn(20)
-			read[p] = (read[p] + 1 + byte(rng.Intn(3))) % 4
-		}
-		res, err := m.Map([][]byte{read}, mapper.Options{MaxErrors: d, MaxLocations: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, mp := range res.Mappings[0] {
-			if mp.Strand == mapper.Forward && mp.Pos >= int32(pos-d) && mp.Pos <= int32(pos+d) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("trial %d: planted location %d missed", trial, pos)
-		}
-	}
-}
-
-func TestReverseStrand(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ref := randText(rng, 10_000)
-	m, err := New(ref, cl.SystemOneHost(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := 4321
-	read := dna.ReverseComplement(ref[pos : pos+100])
-	res, err := m.Map([][]byte{read}, mapper.Options{MaxErrors: 2, MaxLocations: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, mp := range res.Mappings[0] {
-		if mp.Strand == mapper.Reverse && mp.Pos == int32(pos) && mp.Dist == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("reverse-strand read not mapped: %+v", res.Mappings[0])
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, cl.SystemOneHost(), 0); err == nil {
-		t.Error("empty reference accepted")
-	}
 }
 
 // TestGeneratorAllocFree is the runtime half of the hotalloc contract

@@ -37,9 +37,8 @@ func New(ref []byte, dev *cl.Device, maxQ int) (*Mapper, error) {
 // Name implements mapper.Mapper.
 func (m *Mapper) Name() string { return "RazerS3" }
 
-// chooseQ picks the largest usable gram length for reads of at least
-// readLen bases: the q-gram lemma threshold must stay comfortably
-// positive (>= 2) for the shortest.
+// chooseQ picks the largest usable gram length for a read of readLen
+// bases: the q-gram lemma threshold must stay comfortably positive (>= 2).
 func (m *Mapper) chooseQ(readLen, errors int) int {
 	q := m.grams.MaxQ()
 	for q > 1 && threshold(readLen, errors, q) < 2 {
@@ -94,14 +93,23 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 // Map implements mapper.Mapper.
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
 	return mapper.Run(m.dev, m.text, reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
-		q := m.chooseQ(b.ShortestRead(), b.MaxErrors)
-		ix, err := m.grams.Get(q)
-		if err != nil {
-			return nil, err
+		// Each read is filtered with the gram its own length allows, so a
+		// read maps in any batch as it does alone.
+		gens := make([]generator, m.grams.MaxQ()+1)
+		for _, r := range b.Reads {
+			if q := m.chooseQ(len(r), b.MaxErrors); gens[q].ix == nil {
+				ix, err := m.grams.Get(q)
+				if err != nil {
+					return nil, err
+				}
+				gens[q] = generator{ix: ix, q: q, maxErr: b.MaxErrors}
+			}
 		}
 		b.Name, b.PrivateBytes = "razers3", 512
 		b.NewScratch = func() any { return new(scratch) }
-		b.Generate = generator{ix: ix, q: q, maxErr: b.MaxErrors}.generate
+		b.Generate = func(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
+			gens[m.chooseQ(len(pattern), b.MaxErrors)].generate(st, pattern, strand, cost)
+		}
 		return b.Kernel(), nil
 	})
 }

@@ -442,10 +442,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.reg.Counter(metricJobsAdmitted).Add(1)
 	s.updateGauges()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.wakeUp()
 	writeJSON(w, http.StatusAccepted, admitted)
 }
 
