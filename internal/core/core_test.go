@@ -430,7 +430,7 @@ func TestDealPlacement(t *testing.T) {
 
 // cannedSelector replays one recorded selection per strand, so the
 // generator's own work — budgeted locate-and-append — is measured
-// without seed.Selector's per-call DP tables (ROADMAP item 1).
+// without seed.Selector's per-call DP tables (ROADMAP item 2(a)).
 type cannedSelector struct {
 	byFirstBase [4]seed.Selection
 }

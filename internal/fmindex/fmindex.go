@@ -182,8 +182,17 @@ func matchCount(word uint64, b byte, lanes uint64) int {
 //repute:hotpath
 func (ix *Index) occAt(b byte, i int) int {
 	blk := &ix.rank[i/occCheckpoint]
+	return int(blk.occ[b]) + ix.occIn(blk, b, i)
+}
+
+// occIn returns the number of occurrences of base b among the rows of
+// blk, the rank block holding row i, below i, excluding the sentinel
+// placeholder: occAt less the block's checkpoint count.
+//
+//repute:hotpath
+func (ix *Index) occIn(blk *rankBlock, b byte, i int) int {
 	r := uint(i) % occCheckpoint // rows of this block below i
-	cnt := int(blk.occ[b])
+	cnt := 0
 	w := r / wordRows
 	for k := uint(0); k < w; k++ {
 		cnt += matchCount(blk.bwt[k], b, lowBits)
@@ -206,6 +215,26 @@ func (ix *Index) occAt(b byte, i int) int {
 //repute:hotpath
 func (ix *Index) ExtendLeft(c byte, lo, hi int) (int, int) {
 	return ix.cArr[c] + ix.occAt(c, lo), ix.cArr[c] + ix.occAt(c, hi)
+}
+
+// ExtendLeftBase is the part of ExtendLeft(c, lo, hi) that comes from the
+// checkpoint counts of the rank blocks holding rows lo and hi: on an
+// index larger than the cache, the two loads that miss. ExtendLeftRest
+// finishes the step from it inside those same blocks, so several
+// independent searches that take every base before any rest overlap
+// their misses, and each gets ExtendLeft's interval.
+//
+//repute:hotpath
+func (ix *Index) ExtendLeftBase(c byte, lo, hi int) (baseLo, baseHi int) {
+	return ix.cArr[c] + int(ix.rank[lo/occCheckpoint].occ[c]), ix.cArr[c] + int(ix.rank[hi/occCheckpoint].occ[c])
+}
+
+// ExtendLeftRest completes ExtendLeft(c, lo, hi) from
+// ExtendLeftBase(c, lo, hi).
+//
+//repute:hotpath
+func (ix *Index) ExtendLeftRest(c byte, lo, hi, baseLo, baseHi int) (int, int) {
+	return baseLo + ix.occIn(&ix.rank[lo/occCheckpoint], c, lo), baseHi + ix.occIn(&ix.rank[hi/occCheckpoint], c, hi)
 }
 
 // Range runs a full backward search for pattern p (base codes) and

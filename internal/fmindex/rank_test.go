@@ -29,7 +29,8 @@ func bwtCodes(ix *Index) []byte {
 }
 
 // checkOccAt compares occAt with a byte-at-a-time count for every base
-// and every i in [0, len(bw)].
+// and every i in [0, len(bw)], and the split step ExtendLeftBase then
+// ExtendLeftRest with ExtendLeft over [i, len(bw)).
 func checkOccAt(t *testing.T, ix *Index, bw []byte) {
 	t.Helper()
 	var want [4]int
@@ -38,6 +39,12 @@ func checkOccAt(t *testing.T, ix *Index, bw []byte) {
 			if got := ix.occAt(b, i); got != want[b] {
 				t.Fatalf("m=%d sentinel row %d (base %d): occAt(%d, %d) = %d want %d",
 					len(bw), ix.sentinelRow, ix.sentinelBase, b, i, got, want[b])
+			}
+			baseLo, baseHi := ix.ExtendLeftBase(b, i, len(bw))
+			lo, hi := ix.ExtendLeftRest(b, i, len(bw), baseLo, baseHi)
+			if wlo, whi := ix.ExtendLeft(b, i, len(bw)); lo != wlo || hi != whi {
+				t.Fatalf("m=%d sentinel row %d: split step of %d over [%d, %d) = [%d, %d) want [%d, %d)",
+					len(bw), ix.sentinelRow, b, i, len(bw), lo, hi, wlo, whi)
 			}
 		}
 		if i < len(bw) && i != ix.sentinelRow {

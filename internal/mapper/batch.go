@@ -46,6 +46,9 @@ type State struct {
 	rev  []byte
 	locs []int32
 	fs   filter.State // prefilter scratch: pattern and window planes, match masks
+	// fetched is what the window fetch pass loaded, kept so the loads
+	// are not optimised away.
+	fetched byte
 }
 
 // Generate runs gen over both strands of read — the read itself, then
@@ -157,6 +160,7 @@ func (b *Batch) Kernel() *cl.Kernel { return b.Fused(b.mapRead) }
 //repute:hotpath
 func (b *Batch) mapRead(st *State, read []byte, cost *cl.Cost) []Mapping {
 	cands := b.seed(st, read, cost)
+	st.fetch(b.Text, len(read), b.MaxErrors, cands)
 	if b.Prefilter == PrefilterGateKeeper {
 		cands = b.filter(st, read, cands, cost)
 	}
@@ -169,6 +173,24 @@ func (b *Batch) seed(st *State, read []byte, cost *cl.Cost) []Candidate {
 	dd := DedupCandidates(st.Generate(b.Generate, read, cost), int32(b.MaxErrors))
 	cost.Candidates = int64(len(dd))
 	return dd
+}
+
+// fetch loads the first and last packed byte of every candidate's window
+// in one short loop, before the first stage that scans the windows. The
+// loads are independent, so the CPU overlaps their cache misses, and the
+// scans that follow hit cache; the bytes feed st.fetched so the loads
+// stay.
+//
+//repute:hotpath
+func (st *State) fetch(text dna.PackedSeq, n, maxErr int, cands []Candidate) {
+	packed := text.Bytes()
+	var x byte
+	for _, c := range cands {
+		if lo, hi, ok := Window(c.Pos, n, maxErr, text.Len()); ok {
+			x ^= packed[lo>>2] ^ packed[(hi-1)>>2]
+		}
+	}
+	st.fetched = x
 }
 
 // filter runs the pre-alignment filter (internal/filter) over each
@@ -184,9 +206,8 @@ func (b *Batch) filter(st *State, read []byte, cands []Candidate, cost *cl.Cost)
 		// The window is exactly the one verification would scan;
 		// windows too short to hold any match are dropped here the
 		// way Verify itself would skip them.
-		lo := max(int(c.Pos)-maxErr, 0)
-		hi := min(int(c.Pos)+n+maxErr, b.Text.Len())
-		if hi-lo < n-maxErr {
+		lo, hi, ok := Window(c.Pos, n, maxErr, b.Text.Len())
+		if !ok {
 			cost.Filtered++
 			continue
 		}

@@ -134,9 +134,9 @@ func (e extender) mapRead(st *mapper.State, read []byte, cost *cl.Cost) []mapper
 			continue
 		}
 		sc.seen = slices.Insert(sc.seen, at, key)
-		lo := max(int(cand.Pos)-e.maxErr, 0)
-		hi := min(int(cand.Pos)+n+e.maxErr, text.Len())
-		if hi-lo < n-e.maxErr {
+		cost.Candidates++
+		lo, hi, inText := mapper.Window(cand.Pos, n, e.maxErr, text.Len())
+		if !inText {
 			continue
 		}
 		if cap(sc.window) < hi-lo {
@@ -152,7 +152,11 @@ func (e extender) mapRead(st *mapper.State, read []byte, cost *cl.Cost) []mapper
 			verStrand = strand
 		}
 		match, ok := sc.ver.Verify(win, e.maxErr)
-		if !ok || uint8(match.Dist) >= best.Dist {
+		if !ok {
+			continue
+		}
+		cost.Verified++
+		if uint8(match.Dist) >= best.Dist {
 			continue
 		}
 		// Recover the start with a Myers reverse pass.

@@ -76,14 +76,15 @@ func goldenOf(res *mapper.Result) goldenRow {
 // path: every mapper — REPUTE and CORAL via core plus the five baselines —
 // at δ ∈ {0, 4}, under serial and parallel host execution, must reproduce
 // the golden row recorded in testdata (mappings digest, weighted cost,
-// simulated seconds and joules). Equality with one golden under both
-// modes is also the serial ≡ parallel guarantee: kernel bodies own no
-// shared mutable captures, so the host schedule cannot change results.
-// Regenerate with `go test ./internal/mapper -run Determinism -update`
+// simulated seconds and joules). Its GOMAXPROCS-8 pass is serial too:
+// 60 reads fit one 64-item work group, and one group runs on the serial
+// path, so this pins behaviour, not serial ≡ parallel. TestMapperEquivalence
+// holds serial ≡ parallel, on batches of more than one group. Regenerate with `go test ./internal/mapper -run Determinism -update`
 // only when a change to the numbers is intended and explained.
 func TestAllMappersSerialParallelDeterminism(t *testing.T) {
-	// Each mode sets GOMAXPROCS below: 8 forces a real worker pool even
-	// on single-core CI machines, 1 forces the serial path.
+	// Each mode sets GOMAXPROCS below: 8 would allow a worker pool even
+	// on single-core CI machines (60 reads, one group, take the serial
+	// path anyway), 1 forces the serial path.
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 

@@ -8,6 +8,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/align"
 	"repro/internal/cl"
@@ -185,26 +186,51 @@ type Candidate struct {
 // from the same alignment vote for positions that differ by the indel
 // offset, so tol is normally δ.
 //
+// The sort is by one integer key per candidate, written over the
+// candidate's own eight bytes, so it runs in place with no comparator
+// call. Candidates with equal keys are equal, so the order is the
+// (Strand, Pos) order whatever the sort's stability.
+//
 //repute:hotpath
 func DedupCandidates(cands []Candidate, tol int32) []Candidate {
 	if len(cands) == 0 {
 		return cands
 	}
-	slices.SortFunc(cands, func(a, b Candidate) int {
-		if a.Strand != b.Strand {
-			return int(a.Strand) - int(b.Strand)
-		}
-		return cmp.Compare(a.Pos, b.Pos)
-	})
-	out := cands[:1]
-	for _, c := range cands[1:] {
-		last := out[len(out)-1]
-		if c.Strand == last.Strand && c.Pos-last.Pos <= tol {
-			continue
-		}
-		out = append(out, c)
+	keys := unsafe.Slice((*uint64)(unsafe.Pointer(&cands[0])), len(cands))
+	for i, c := range cands {
+		// Flipping the sign bit makes the unsigned order of the
+		// position bits the signed order of the positions.
+		keys[i] = uint64(c.Strand)<<32 | uint64(uint32(c.Pos)^1<<31)
 	}
-	return out
+	slices.Sort(keys)
+	// Slot w is written only after key w has been read: w ≤ i.
+	w := 0
+	for i, k := range keys {
+		c := Candidate{Pos: int32(uint32(k) ^ 1<<31), Strand: byte(k >> 32)}
+		if i > 0 {
+			last := cands[w-1]
+			if c.Strand == last.Strand && c.Pos-last.Pos <= tol {
+				continue
+			}
+		}
+		cands[w] = c
+		w++
+	}
+	return cands[:w]
+}
+
+// A Candidate must be exactly one key wide for DedupCandidates to sort
+// keys in its place; any other size fails to compile here.
+var _ [0]struct{} = [unsafe.Sizeof(Candidate{}) - 8]struct{}{}
+
+// Window is the verification window of a candidate at pos for a read of
+// n bases and at most maxErr edits: [pos−maxErr, pos+n+maxErr) clamped to
+// a text of textLen bases. ok is false when the clamped window is shorter
+// than any match (n−maxErr bases); the candidate is then skipped.
+func Window(pos int32, n, maxErr, textLen int) (lo, hi int, ok bool) {
+	lo = max(int(pos)-maxErr, 0)
+	hi = min(int(pos)+n+maxErr, textLen)
+	return lo, hi, hi-lo >= n-maxErr
 }
 
 // VerifyState carries what verification reuses across reads: the window
@@ -242,15 +268,8 @@ func (vs *VerifyState) Verify(text dna.PackedSeq, read []byte, cands []Candidate
 	// the reverse complement) once however many candidates it has.
 	fwdReady, revReady := false, false
 	for _, c := range cands {
-		lo := int(c.Pos) - maxDist
-		hi := int(c.Pos) + n + maxDist
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > text.Len() {
-			hi = text.Len()
-		}
-		if hi-lo < n-maxDist {
+		lo, hi, ok := Window(c.Pos, n, maxDist, text.Len())
+		if !ok {
 			continue
 		}
 		ver := &vs.fwd

@@ -1,6 +1,8 @@
 package mapper
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,6 +39,96 @@ func TestDedupCandidates(t *testing.T) {
 	}
 	if out := DedupCandidates(nil, 3); len(out) != 0 {
 		t.Errorf("nil input gave %v", out)
+	}
+}
+
+// dedupByComparator is DedupCandidates as a comparator sort by (Strand,
+// Pos) followed by the same collapse: the oracle for the integer-key sort.
+func dedupByComparator(cands []Candidate, tol int32) []Candidate {
+	if len(cands) == 0 {
+		return cands
+	}
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if a.Strand != b.Strand {
+			return int(a.Strand) - int(b.Strand)
+		}
+		return cmp.Compare(a.Pos, b.Pos)
+	})
+	out := cands[:1]
+	for _, c := range cands[1:] {
+		last := out[len(out)-1]
+		if c.Strand == last.Strand && c.Pos-last.Pos <= tol {
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestDedupCandidatesVsComparator holds the in-place integer-key sort to
+// the comparator oracle on random candidate sets: both strands, negative
+// and extreme positions, exact duplicates, clustered votes, tol 0…8, and
+// no allocation.
+func TestDedupCandidatesVsComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 2000; trial++ {
+		tol := int32(trial % 9)
+		cands := make([]Candidate, rng.Intn(300))
+		for i := range cands {
+			c := Candidate{Pos: int32(rng.Intn(400) - 100), Strand: Forward}
+			switch rng.Intn(8) {
+			case 0:
+				c.Pos = int32(rng.Uint32())
+			case 1:
+				c.Pos = []int32{math.MinInt32, math.MaxInt32, -1, 0}[rng.Intn(4)]
+			case 2:
+				if i > 0 {
+					c = cands[rng.Intn(i)] // exact duplicate
+				}
+			}
+			if rng.Intn(2) == 0 {
+				c.Strand = Reverse
+			}
+			cands[i] = c
+		}
+		want := dedupByComparator(slices.Clone(cands), tol)
+		if got := DedupCandidates(cands, tol); !slices.Equal(got, want) {
+			t.Fatalf("trial %d tol %d:\ngot  %v\nwant %v", trial, tol, got, want)
+		}
+	}
+	cands := make([]Candidate, 200)
+	for i := range cands {
+		cands[i] = Candidate{Pos: int32(rng.Intn(1000)), Strand: Forward + byte(i%2)*(Reverse-Forward)}
+	}
+	work := make([]Candidate, len(cands))
+	if n := testing.AllocsPerRun(20, func() { DedupCandidates(work[:copy(work, cands)], 5) }); n != 0 {
+		t.Errorf("DedupCandidates allocates %v times per call", n)
+	}
+}
+
+// TestWindow pins the one window rule: [pos−δ, pos+n+δ) clamped to the
+// text, refused when shorter than n−δ.
+func TestWindow(t *testing.T) {
+	for _, tc := range []struct {
+		pos             int32
+		n, maxErr, tlen int
+		lo, hi          int
+		ok              bool
+	}{
+		{pos: 50, n: 20, maxErr: 2, tlen: 1000, lo: 48, hi: 72, ok: true},
+		{pos: 1, n: 20, maxErr: 3, tlen: 1000, lo: 0, hi: 24, ok: true},
+		{pos: -5, n: 20, maxErr: 3, tlen: 1000, lo: 0, hi: 18, ok: true},
+		{pos: -6, n: 20, maxErr: 3, tlen: 1000, lo: 0, hi: 17, ok: true},
+		{pos: -7, n: 20, maxErr: 3, tlen: 1000, lo: 0, hi: 16, ok: false},
+		{pos: 985, n: 20, maxErr: 3, tlen: 1000, lo: 982, hi: 1000, ok: true},
+		{pos: 987, n: 20, maxErr: 3, tlen: 1000, lo: 984, hi: 1000, ok: false},
+		{pos: 0, n: 20, maxErr: 0, tlen: 10, lo: 0, hi: 10, ok: false},
+	} {
+		lo, hi, ok := Window(tc.pos, tc.n, tc.maxErr, tc.tlen)
+		if lo != tc.lo || hi != tc.hi || ok != tc.ok {
+			t.Errorf("Window(%d, %d, %d, %d) = %d, %d, %v want %d, %d, %v",
+				tc.pos, tc.n, tc.maxErr, tc.tlen, lo, hi, ok, tc.lo, tc.hi, tc.ok)
+		}
 	}
 }
 

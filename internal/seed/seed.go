@@ -148,13 +148,7 @@ func (w *freqWalker) extend(l int) bool {
 //
 //repute:hotpath
 func searchSeed(ix *fmindex.Index, read []byte, start, end int) (lo, hi, steps int) {
-	lo, hi = ix.Start()
-	if t := min(ix.Depth(), end-start); t > 0 {
-		if tlo, thi := ix.Lookup(read[end-t : end]); tlo < thi {
-			lo, hi, steps = tlo, thi, t
-			end -= t
-		}
-	}
+	lo, hi, end, steps = searchFrom(ix, read, start, end)
 	for i := end - 1; i >= start; i-- {
 		lo, hi = ix.ExtendLeft(read[i], lo, hi)
 		steps++
@@ -163,6 +157,22 @@ func searchSeed(ix *fmindex.Index, read []byte, start, end int) (lo, hi, steps i
 		}
 	}
 	return lo, hi, steps
+}
+
+// searchFrom is where a backward search for read[start:end] begins: the
+// interval of its last min(Depth(), end−start) bases from the k-mer
+// table, charged as the steps they stand for, when they occur; else
+// Start() and no steps. The search walks on from read[next-1].
+//
+//repute:hotpath
+func searchFrom(ix *fmindex.Index, read []byte, start, end int) (lo, hi, next, steps int) {
+	lo, hi = ix.Start()
+	if t := min(ix.Depth(), end-start); t > 0 {
+		if tlo, thi := ix.Lookup(read[end-t : end]); tlo < thi {
+			return tlo, thi, end - t, t
+		}
+	}
+	return lo, hi, end, 0
 }
 
 // totalOf sums candidate counts.
@@ -210,21 +220,19 @@ type Uniform struct{}
 // Name implements Selector.
 func (Uniform) Name() string { return "uniform" }
 
-// Select implements Selector.
+// Select implements Selector. Its δ+1 backward searches are independent,
+// so it runs them side by side (searchLanes): on a large index each step
+// is a cache miss, and the misses of different seeds then overlap. Seeds
+// and FMSteps are what a searchSeed per seed gives.
 func (Uniform) Select(ix *fmindex.Index, read []byte, p Params) (Selection, error) {
 	if err := p.validate(len(read)); err != nil {
 		return Selection{}, err
 	}
-	n := len(read)
 	parts := p.Errors + 1
 	seeds := make([]Seed, parts)
 	steps := 0
-	for i := 0; i < parts; i++ {
-		start := i * n / parts
-		end := (i + 1) * n / parts
-		lo, hi, st := searchSeed(ix, read, start, end)
-		steps += st
-		seeds[i] = Seed{Start: start, End: end, Lo: lo, Hi: hi}
+	for first := 0; first < parts; first += maxLanes {
+		steps += searchLanes(ix, read, seeds, first, min(first+maxLanes, parts))
 	}
 	return Selection{
 		Seeds:           seeds,
@@ -232,4 +240,60 @@ func (Uniform) Select(ix *fmindex.Index, read []byte, p Params) (Selection, erro
 		FMSteps:         steps,
 		PeakMemBytes:    parts * 16,
 	}, nil
+}
+
+// maxLanes is how many seeds searchLanes steps together: one group
+// covers every δ up to 15, and a longer partition runs group by group.
+const maxLanes = 16
+
+// lane is one seed's backward search in flight: the seed, the read
+// position its next step prepends, its interval, and that step's
+// checkpoint part.
+type lane struct {
+	seed, i        int
+	lo, hi         int
+	baseLo, baseHi int
+}
+
+// searchLanes fills seeds[first:last] with the uniform partition's seeds
+// — seed k is read[k·n/parts : (k+1)·n/parts) for parts = len(seeds) —
+// and returns the FM steps searchSeed charges for them. It takes every
+// seed's k-mer lookup first, then one step of every seed still searching
+// per round, loading each one's checkpoint counts (ExtendLeftBase) before
+// it ranks inside any block (ExtendLeftRest).
+//
+//repute:hotpath
+func searchLanes(ix *fmindex.Index, read []byte, seeds []Seed, first, last int) (steps int) {
+	var lanes [maxLanes]lane
+	n, parts, live := len(read), len(seeds), 0
+	for k := first; k < last; k++ {
+		start, end := k*n/parts, (k+1)*n/parts
+		lo, hi, next, st := searchFrom(ix, read, start, end)
+		steps += st
+		seeds[k] = Seed{Start: start, End: end, Lo: lo, Hi: hi}
+		if next > start {
+			lanes[live] = lane{seed: k, i: next - 1, lo: lo, hi: hi}
+			live++
+		}
+	}
+	for live > 0 {
+		for j := range lanes[:live] {
+			l := &lanes[j]
+			l.baseLo, l.baseHi = ix.ExtendLeftBase(read[l.i], l.lo, l.hi)
+		}
+		steps += live
+		kept := 0
+		for _, l := range lanes[:live] {
+			l.lo, l.hi = ix.ExtendLeftRest(read[l.i], l.lo, l.hi, l.baseLo, l.baseHi)
+			s := &seeds[l.seed]
+			s.Lo, s.Hi = l.lo, l.hi
+			if l.lo < l.hi && l.i > s.Start {
+				l.i--
+				lanes[kept] = l
+				kept++
+			}
+		}
+		live = kept
+	}
+	return steps
 }
