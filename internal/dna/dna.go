@@ -204,7 +204,7 @@ func (p PackedSeq) Planes(lo, hi int, low, high []uint64) {
 	words := (hi - lo + 63) / 64
 	low, high = low[:words], high[:words]
 	for k := range low {
-		a, b := p.load32(lo+64*k), p.load32(lo+64*k+32)
+		a, b := p.Codes32(lo+64*k), p.Codes32(lo+64*k+32)
 		low[k] = evenBits(a) | evenBits(b)<<32
 		high[k] = evenBits(a>>1) | evenBits(b>>1)<<32
 	}
@@ -214,19 +214,20 @@ func (p PackedSeq) Planes(lo, hi int, low, high []uint64) {
 	}
 }
 
-// load32 returns the 64 code bits of bases i … i+31, base i in the low
-// two; bases past the packed bytes read as zero.
-func (p PackedSeq) load32(i int) uint64 {
+// Codes32 returns the 64 code bits of bases i … i+31, base i in the low
+// two; bases past the packed bytes read as zero. It is small enough to
+// inline: away from the text's end, one unaligned 64-bit load and one
+// byte load.
+func (p PackedSeq) Codes32(i int) uint64 {
 	j, sh := i>>2, uint(i&3)*2
-	var v, next uint64
 	if j+8 < len(p.data) {
-		v, next = binary.LittleEndian.Uint64(p.data[j:]), uint64(p.data[j+8])
-	} else {
-		for t := j; t < len(p.data); t++ {
-			v |= uint64(p.data[t]) << (8 * uint(t-j))
-		}
+		return binary.LittleEndian.Uint64(p.data[j:])>>sh | uint64(p.data[j+8])<<(64-sh)
 	}
-	return v>>sh | next<<(64-sh)
+	var v uint64
+	for t := len(p.data) - 1; t >= j; t-- {
+		v = v<<8 | uint64(p.data[t])
+	}
+	return v >> sh
 }
 
 // evenBits compacts the 32 even-position bits of x into its low half.

@@ -241,6 +241,31 @@ func TestPlanesMatchesAt(t *testing.T) {
 	}
 }
 
+// TestCodes32MatchesAt checks every base of every Codes32 word against
+// At, over sequences that end inside, at and one base past a packed
+// byte: bases past the sequence read as zero.
+func TestCodes32MatchesAt(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 32, 33, 64, 203} {
+		codes := make([]byte, n)
+		for i := range codes {
+			codes[i] = byte(i*7+i/3+i*i/11) & 3
+		}
+		p := Pack(codes)
+		for i := range n {
+			w := p.Codes32(i)
+			for k := range 32 {
+				var want byte
+				if i+k < n {
+					want = p.At(i + k)
+				}
+				if got := byte(w >> (2 * k) & 3); got != want {
+					t.Fatalf("n %d: Codes32(%d) base %d = %d want %d", n, i, k, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPackedSliceOutOfRange(t *testing.T) {
 	p := Pack(MustEncode("ACGT"))
 	for _, rng := range [][2]int{{-1, 2}, {0, 5}, {3, 2}} {

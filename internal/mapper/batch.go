@@ -46,9 +46,6 @@ type State struct {
 	rev  []byte
 	locs []int32
 	fs   filter.State // prefilter scratch: pattern and window planes, match masks
-	// fetched is what the window fetch pass loaded, kept so the loads
-	// are not optimised away.
-	fetched byte
 }
 
 // Generate runs gen over both strands of read — the read itself, then
@@ -160,7 +157,6 @@ func (b *Batch) Kernel() *cl.Kernel { return b.Fused(b.mapRead) }
 //repute:hotpath
 func (b *Batch) mapRead(st *State, read []byte, cost *cl.Cost) []Mapping {
 	cands := b.seed(st, read, cost)
-	st.fetch(b.Text, len(read), b.MaxErrors, cands)
 	if b.Prefilter == PrefilterGateKeeper {
 		cands = b.filter(st, read, cands, cost)
 	}
@@ -175,39 +171,25 @@ func (b *Batch) seed(st *State, read []byte, cost *cl.Cost) []Candidate {
 	return dd
 }
 
-// fetch loads the first and last packed byte of every candidate's window
-// in one short loop, before the first stage that scans the windows. The
-// loads are independent, so the CPU overlaps their cache misses, and the
-// scans that follow hit cache; the bytes feed st.fetched so the loads
-// stay.
-//
-//repute:hotpath
-func (st *State) fetch(text dna.PackedSeq, n, maxErr int, cands []Candidate) {
-	packed := text.Bytes()
-	var x byte
-	for _, c := range cands {
-		if lo, hi, ok := Window(c.Pos, n, maxErr, text.Len()); ok {
-			x ^= packed[lo>>2] ^ packed[(hi-1)>>2]
-		}
-	}
-	st.fetched = x
-}
-
 // filter runs the pre-alignment filter (internal/filter) over each
 // candidate's verification window — GateKeeper's amended shifted masks
 // over the 4δ+1 diagonals Verify can reach, then a SneakySnake edit
 // lower bound on the windows that pass — and compacts the survivors in
-// place. It never drops a window Verify would accept.
+// place. It never drops a window Verify would accept. Like Verify, it
+// decides each window class once (windowClasses) and charges every
+// member the words its window's decision took.
 func (b *Batch) filter(st *State, read []byte, cands []Candidate, cost *cl.Cost) []Candidate {
-	n, maxErr := len(read), b.MaxErrors
+	maxErr := b.MaxErrors
+	wc := &st.vs.classes
+	wc.assign(b.Text, len(read), maxErr, cands)
 	kept := 0
 	prepared := byte(0xFF) // no pattern prepared yet
-	for _, c := range cands {
+	for i, c := range cands {
 		// The window is exactly the one verification would scan;
 		// windows too short to hold any match are dropped here the
 		// way Verify itself would skip them.
-		lo, hi, ok := Window(c.Pos, n, maxErr, b.Text.Len())
-		if !ok {
+		k := wc.of[i]
+		if k < 0 {
 			cost.Filtered++
 			continue
 		}
@@ -217,9 +199,13 @@ func (b *Batch) filter(st *State, read []byte, cands []Candidate, cost *cl.Cost)
 			cost.FilterWords += st.fs.Prepare(st.Pattern(read, c.Strand), maxErr)
 			prepared = c.Strand
 		}
-		ok, fw := st.fs.AcceptPacked(b.Text, lo, hi)
-		cost.FilterWords += fw
-		if !ok {
+		cls := &wc.classes[k]
+		if !cls.decided {
+			ok, fw := st.fs.AcceptPacked(b.Text, int(cls.lo), int(cls.lo+cls.n))
+			cls.decided, cls.ok, cls.at = true, ok, int32(fw)
+		}
+		cost.FilterWords += int64(cls.at)
+		if !cls.ok {
 			cost.Filtered++
 			continue
 		}

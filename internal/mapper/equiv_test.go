@@ -488,6 +488,43 @@ func TestMapperEquivalence(t *testing.T) {
 	}
 }
 
+// TestRepeatWindowsShareVerdicts shows that window classes act on the
+// planted-repeat reference: REPUTE's seeds for the read sets at δ 2 are
+// located and verified, and some windows take the verdict of an earlier
+// identical window: the copies of the planted motif.
+func TestRepeatWindowsShareVerdicts(t *testing.T) {
+	w := sharedMapperWorld()
+	const δ = 2
+	var shared [2]int
+	for f, ref := range w.refs {
+		ix, text := w.mappers[f][mREPUTE].(*core.Pipeline).Index(), dna.Pack(ref)
+		var vs mapper.VerifyState
+		for _, set := range w.sets[f] {
+			for _, read := range set.reads {
+				var cands []mapper.Candidate
+				for _, strand := range []byte{mapper.Forward, mapper.Reverse} {
+					p := pattern(read, strand)
+					sel, err := seed.REPUTE{}.Select(ix, p, seed.Params{Errors: δ, MinSeedLen: core.DefaultMinSeedLen(len(p), δ)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, s := range sel.Seeds {
+						for _, pos := range ix.Locate(s.Lo, s.Hi, 0, nil) {
+							cands = append(cands, mapper.Candidate{Pos: pos - int32(s.Start), Strand: strand})
+						}
+					}
+				}
+				vs.Verify(text, read, mapper.DedupCandidates(cands, δ), δ, 0)
+				shared[f] += vs.SharedWindows()
+			}
+		}
+	}
+	t.Logf("windows sharing an earlier window's verdict: %d without the repeat, %d with it", shared[0], shared[1])
+	if shared[1] == 0 {
+		t.Error("no window on the planted-repeat reference took an earlier identical window's verdict")
+	}
+}
+
 // FuzzMapperEquivalence decodes a configuration from the fuzz input with
 // the all-pairs set's decoder and holds it to the same properties.
 func FuzzMapperEquivalence(f *testing.F) {

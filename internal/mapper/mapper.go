@@ -234,8 +234,10 @@ func Window(pos int32, n, maxErr, textLen int) (lo, hi int, ok bool) {
 }
 
 // VerifyState carries what verification reuses across reads: the window
-// and reverse-complement buffers and one Myers verifier per strand.
+// classes, the window and reverse-complement buffers and one Myers
+// verifier per strand.
 type VerifyState struct {
+	classes windowClasses
 	window  []byte
 	revComp []byte
 	fwd     align.Verifier
@@ -258,56 +260,71 @@ type VerifyCost struct {
 // reads on the reverse strand are verified against the reverse-complement
 // pattern so the reported position stays in forward coordinates.
 //
+// The scan runs once per window class (windowClasses): a candidate whose
+// window equals an earlier one's takes that match, shifted to its own
+// window, and is charged its window as if scanned.
+//
 //repute:hotpath
 func (vs *VerifyState) Verify(text dna.PackedSeq, read []byte, cands []Candidate, maxDist, maxLoc int) ([]Mapping, VerifyCost) {
-	var out []Mapping
 	var cost VerifyCost
 	n := len(read)
-	// Each strand's verifier is bound to this read by the first candidate
+	wc := &vs.classes
+	wc.assign(text, n, maxDist, cands)
+	// Each strand's verifier is bound to this read by the first window
 	// that needs it, so a read pays for a strand's match masks (and for
 	// the reverse complement) once however many candidates it has.
 	fwdReady, revReady := false, false
-	for _, c := range cands {
-		lo, hi, ok := Window(c.Pos, n, maxDist, text.Len())
-		if !ok {
+	for i, c := range cands {
+		k := wc.of[i]
+		if k < 0 {
 			continue
 		}
-		ver := &vs.fwd
-		if c.Strand == Reverse {
-			ver = &vs.rev
-			if !revReady {
-				if cap(vs.revComp) < n {
-					vs.revComp = make([]byte, n)
-				}
-				vs.revComp = vs.revComp[:n]
-				dna.ReverseComplementInto(vs.revComp, read)
-				ver.Reset(vs.revComp)
-				revReady = true
-			}
-		} else if !fwdReady {
-			ver.Reset(read)
-			fwdReady = true
-		}
-		if cap(vs.window) < hi-lo {
-			vs.window = make([]byte, hi-lo)
-		}
-		win := text.SliceInto(vs.window, lo, hi)
+		cls := &wc.classes[k]
 		cost.Windows++
-		cost.VerifyWords += int64(align.BandWords(n, maxDist, len(win)))
-		m, ok := ver.Verify(win, maxDist)
-		if !ok {
-			continue
+		cost.VerifyWords += int64(align.BandWords(n, maxDist, int(cls.n)))
+		if !cls.decided {
+			ver := &vs.fwd
+			if c.Strand == Reverse {
+				ver = &vs.rev
+				if !revReady {
+					if cap(vs.revComp) < n {
+						vs.revComp = make([]byte, n)
+					}
+					vs.revComp = vs.revComp[:n]
+					dna.ReverseComplementInto(vs.revComp, read)
+					ver.Reset(vs.revComp)
+					revReady = true
+				}
+			} else if !fwdReady {
+				ver.Reset(read)
+				fwdReady = true
+			}
+			if cap(vs.window) < int(cls.n) {
+				vs.window = make([]byte, cls.n)
+			}
+			lo := int(cls.lo)
+			m, ok := ver.Verify(text.SliceInto(vs.window, lo, lo+int(cls.n)), maxDist)
+			cls.decided, cls.ok, cls.at, cls.dist = true, ok, int32(m.Start), uint8(m.Dist)
 		}
-		cost.Matched++
-		//repute:allow hotalloc -- verified mappings are the output, retained by the caller
-		out = append(out, Mapping{
-			Pos:    int32(lo + m.Start),
-			Strand: c.Strand,
-			Dist:   uint8(m.Dist),
-		})
+		if cls.ok {
+			cost.Matched++
+		}
 	}
-	out = Finalize(out, false, maxLoc)
-	return out, cost
+	if cost.Matched == 0 {
+		return nil, cost
+	}
+	// Each member's match is its class's, shifted to its own window.
+	//repute:allow hotalloc -- verified mappings are the output, retained by the caller
+	out, w := make([]Mapping, cost.Matched), 0
+	for i, c := range cands {
+		if k := wc.of[i]; k >= 0 && wc.classes[k].ok {
+			lo, _, _ := Window(c.Pos, n, maxDist, text.Len())
+			cls := &wc.classes[k]
+			out[w] = Mapping{Pos: int32(lo) + cls.at, Strand: c.Strand, Dist: cls.dist}
+			w++
+		}
+	}
+	return Finalize(out, false, maxLoc), cost
 }
 
 // Finalize deduplicates, optionally keeps only the best stratum, sorts,
