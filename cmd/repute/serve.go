@@ -12,6 +12,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -37,7 +38,6 @@ func runServe(args []string) error {
 	watchdog := fs.Float64("watchdog", 0, "hang-watchdog factor: terminate an enqueue overrunning this multiple of its cost-model expectation (0 = default 8, negative = off)")
 	errorsFlag := fs.Int("e", 5, "maximum edit distance δ")
 	maxLoc := fs.Int("max-locations", 100, "first-n locations reported per read")
-	stepDelay := fs.Int("step-delay-ms", 0, "test hook: sleep this long after every batch")
 	fs.Parse(args)
 	if *indexPath == "" || *spool == "" {
 		return fmt.Errorf("serve: -index and -spool are required")
@@ -59,6 +59,13 @@ func runServe(args []string) error {
 	if err != nil {
 		return fmt.Errorf("%w (rebuild with `repute index build`)", err)
 	}
+	// Bind before the service starts, so the log names the address
+	// actually bound (-addr 127.0.0.1:0 picks a free port).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close() //nolint:errcheck // Shutdown closes it too; this covers the early returns
 	srv, err := serve.New(serve.Config{
 		Index:            f,
 		Devices:          devices,
@@ -72,7 +79,8 @@ func runServe(args []string) error {
 		WatchdogFactor:   *watchdog,
 		MaxErrors:        *errorsFlag,
 		MaxLocations:     *maxLoc,
-		StepDelay:        time.Duration(*stepDelay) * time.Millisecond,
+		// The per-batch delay hook `repute map` reads too.
+		StepDelay: time.Duration(envInt("REPUTE_STREAM_BATCH_DELAY_MS")) * time.Millisecond,
 	})
 	if err != nil {
 		return err
@@ -81,14 +89,12 @@ func runServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "serve: re-queued %d unfinished job(s) from %s\n", n, *spool)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	d := f.Digest()
+	fmt.Fprintf(os.Stderr, "serve: listening on %s (index digest %x, platform %s)\n",
+		ln.Addr(), d[:8], *platform)
+	hs := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
-	go func() {
-		d := f.Digest()
-		fmt.Fprintf(os.Stderr, "serve: listening on %s (index digest %x, platform %s)\n",
-			*addr, d[:8], *platform)
-		errCh <- hs.ListenAndServe()
-	}()
+	go func() { errCh <- hs.Serve(ln) }()
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

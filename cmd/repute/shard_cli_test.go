@@ -1,13 +1,10 @@
 package main
 
-// End-to-end tests of the index artifact workflow: `index build` with and
-// without sharding, `index info`, corruption detection at load time, and
-// the acceptance property that mapping against a sharded artifact, a
-// whole-reference artifact and an in-memory rebuild (-ref) all emit
-// byte-identical SAM.
+// End-to-end tests of the index artifact workflow and the map flags:
+// `index info`, the bytes `index build` writes, and the index sources,
+// flag values and references `map` refuses before it maps a read.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -20,93 +17,10 @@ import (
 	"repro/internal/sam"
 )
 
-// buildShardedIndex builds a 3-shard artifact for the shared test
-// reference and returns its path.
-func buildShardedIndex(t *testing.T, dir string) string {
-	t.Helper()
-	path := filepath.Join(dir, "sharded.ridx")
-	out, err := runRepute(t, nil, "index", "build", "-ref", refPath, "-out", path,
-		"-shards", "3", "-overlap", "256")
-	if err != nil {
-		t.Fatalf("index build -shards 3: %v\n%s", err, out)
-	}
-	return path
-}
-
-// TestShardedArtifactMatchesWholeAndRef: the same reads mapped against
-// (a) the whole-reference artifact, (b) a 3-shard artifact and (c) an
-// in-memory rebuild from FASTA must produce byte-identical SAM, with and
-// without streaming, including CIGAR recovery.
-func TestShardedArtifactMatchesWholeAndRef(t *testing.T) {
-	dir := t.TempDir()
-	sharded := buildShardedIndex(t, dir)
-
-	whole := filepath.Join(dir, "whole.sam")
-	if out, err := runRepute(t, nil, "map", "-index", indexPath, "-reads", readsPath,
-		"-cigar", "-out", whole); err != nil {
-		t.Fatalf("whole-index map: %v\n%s", err, out)
-	}
-	shardSam := filepath.Join(dir, "shard.sam")
-	if out, err := runRepute(t, nil, "map", "-index", sharded, "-reads", readsPath,
-		"-cigar", "-out", shardSam); err != nil {
-		t.Fatalf("sharded map: %v\n%s", err, out)
-	}
-	refSam := filepath.Join(dir, "ref.sam")
-	if out, err := runRepute(t, nil, "map", "-ref", refPath, "-reads", readsPath,
-		"-cigar", "-out", refSam); err != nil {
-		t.Fatalf("-ref rebuild map: %v\n%s", err, out)
-	}
-	wholeB := readFile(t, whole)
-	if !bytes.Equal(wholeB, readFile(t, shardSam)) {
-		t.Error("sharded SAM differs from whole-index SAM")
-	}
-	if !bytes.Equal(wholeB, readFile(t, refSam)) {
-		t.Error("-ref rebuild SAM differs from whole-index SAM")
-	}
-
-	streamSam := filepath.Join(dir, "stream.sam")
-	if out, err := runRepute(t, nil, "map", "-index", sharded, "-reads", readsPath,
-		"-cigar", "-batch", "7", "-out", streamSam); err != nil {
-		t.Fatalf("streamed sharded map: %v\n%s", err, out)
-	}
-	if !bytes.Equal(wholeB, readFile(t, streamSam)) {
-		t.Error("streamed sharded SAM differs from whole-index SAM")
-	}
-}
-
-// TestShardedKillAndResume: kill/resume bit-identity holds for sharded
-// artifacts too — the checkpoint fingerprint comes from the container
-// digest instead of re-hashing the index.
-func TestShardedKillAndResume(t *testing.T) {
-	dir := t.TempDir()
-	sharded := buildShardedIndex(t, dir)
-	args := func(out, ckpt string, extra ...string) []string {
-		return append([]string{"map", "-index", sharded, "-reads", readsPath,
-			"-batch", "7", "-out", out, "-checkpoint", ckpt}, extra...)
-	}
-	baseline := filepath.Join(dir, "baseline.sam")
-	if out, err := runRepute(t, nil, args(baseline, filepath.Join(dir, "b.ckpt"))...); err != nil {
-		t.Fatalf("baseline: %v\n%s", err, out)
-	}
-	sam := filepath.Join(dir, "killed.sam")
-	ckpt := filepath.Join(dir, "killed.ckpt")
-	out, err := runRepute(t, []string{"REPUTE_KILL_AFTER_BATCH=2"}, args(sam, ckpt)...)
-	if err == nil {
-		t.Fatalf("kill hook did not fire\n%s", out)
-	}
-	if out, err := runRepute(t, nil, args(sam, ckpt, "-resume")...); err != nil {
-		t.Fatalf("resume: %v\n%s", err, out)
-	}
-	if !bytes.Equal(readFile(t, sam), readFile(t, baseline)) {
-		t.Error("resumed sharded SAM differs from uninterrupted run")
-	}
-}
-
 // TestIndexInfo: the summary prints the shard table, section checksums
 // and the container digest without loading the payloads.
 func TestIndexInfo(t *testing.T) {
-	dir := t.TempDir()
-	sharded := buildShardedIndex(t, dir)
+	sharded := shardsPath
 	out, err := runRepute(t, nil, "index", "info", "-index", sharded)
 	if err != nil {
 		t.Fatalf("index info: %v\n%s", err, out)
@@ -128,48 +42,11 @@ func TestIndexInfo(t *testing.T) {
 	}
 }
 
-// TestCorruptIndexRejected flips single bytes across the artifact and
-// asserts map refuses each copy loudly instead of mapping against
-// corrupted data.
-func TestCorruptIndexRejected(t *testing.T) {
-	dir := t.TempDir()
-	blob, err := os.ReadFile(indexPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, at := range []int{len(blob) / 4, len(blob) / 2, len(blob) - 10} {
-		corrupt := filepath.Join(dir, fmt.Sprintf("corrupt-%d.ridx", at))
-		mut := append([]byte(nil), blob...)
-		mut[at] ^= 0x40
-		if err := os.WriteFile(corrupt, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err := runRepute(t, nil, "map", "-index", corrupt, "-reads", readsPath,
-			"-out", filepath.Join(dir, "never.sam"))
-		if err == nil {
-			t.Fatalf("byte %d flipped but map succeeded", at)
-		}
-		if !strings.Contains(out, "corrupt") && !strings.Contains(out, "invalid index container") {
-			t.Errorf("byte %d: error does not name the corruption:\n%s", at, out)
-		}
-	}
-	// Truncation is also rejected.
-	trunc := filepath.Join(dir, "trunc.ridx")
-	if err := os.WriteFile(trunc, blob[:len(blob)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if out, err := runRepute(t, nil, "map", "-index", trunc, "-reads", readsPath,
-		"-out", filepath.Join(dir, "never.sam")); err == nil {
-		t.Fatalf("truncated index accepted\n%s", out)
-	}
-}
-
 // TestShardedRejectsSplit: read-split shares contradict shard dispatch
 // and must be refused up front.
 func TestShardedRejectsSplit(t *testing.T) {
 	dir := t.TempDir()
-	sharded := buildShardedIndex(t, dir)
-	out, err := runRepute(t, nil, "map", "-index", sharded, "-reads", readsPath,
+	out, err := runRepute(t, nil, "map", "-index", shardsPath, "-reads", readsPath,
 		"-platform", "system1", "-split", "0.5,0.3,0.2",
 		"-out", filepath.Join(dir, "never.sam"))
 	if err == nil {

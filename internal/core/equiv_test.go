@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -18,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/align"
+	"repro/internal/allpairs"
 	"repro/internal/cl"
 	"repro/internal/dna"
 	"repro/internal/fmindex"
@@ -50,21 +50,13 @@ const (
 	ciFaultPlan                                  = "enq2=oor,alloc3=alloc,throttle4-6=0.5"
 )
 
-var axisSize = [nAxes]int{4, 3, 3, 2, 2, 3, 2, 2, 3, 4, 2}
+var space = allpairs.Space{Sizes: []int{4, 3, 3, 2, 2, 3, 2, 2, 3, 4, 2}}
 
 type config [nAxes]int
 
 // decodeConfig is the one decoder of configurations, shared by the
-// all-pairs set and the fuzz target: byte i picks axis i's value.
-func decodeConfig(b []byte) config {
-	var c config
-	for i := range c {
-		if i < len(b) {
-			c[i] = int(b[i]) % axisSize[i]
-		}
-	}
-	return c
-}
+// all-pairs set and the fuzz target.
+func decodeConfig(b []byte) config { return config(space.Decode(b)) }
 
 func (c config) with(ax, v int) config { c[ax] = v; return c }
 
@@ -75,47 +67,6 @@ func (c config) options() mapper.Options {
 
 func (c config) selector() seed.Selector {
 	return []seed.Selector{seed.REPUTE{}, seed.CORAL{}, seed.Uniform{}}[c[axSelector]]
-}
-
-// pair is axis i at value a together with axis j at value b.
-type pair struct{ i, a, j, b int }
-
-// uncovered lists, in axis order, the pairs no configuration of set holds.
-func uncovered(set []config) []pair {
-	var out []pair
-	for i := 0; i < nAxes; i++ {
-		for j := i + 1; j < nAxes; j++ {
-			for a := 0; a < axisSize[i]; a++ {
-				for b := 0; b < axisSize[j]; b++ {
-					if !slices.ContainsFunc(set, func(c config) bool { return c[i] == a && c[j] == b }) {
-						out = append(out, pair{i, a, j, b})
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// allPairs draws configurations until every pair of axis values is in
-// one: each step pins the first uncovered pair in 30 seeded random draws
-// and keeps the draw that leaves the fewest pairs uncovered.
-func allPairs(seed int64) []config {
-	rng := rand.New(rand.NewSource(seed))
-	var set []config
-	for missing := uncovered(nil); len(missing) > 0; missing = uncovered(set) {
-		p, best, left := missing[0], config{}, len(missing)
-		for k := 0; k < 30; k++ {
-			b := make([]byte, nAxes)
-			rng.Read(b)
-			c := decodeConfig(b).with(p.i, p.a).with(p.j, p.b)
-			if n := len(uncovered(append(slices.Clip(set), c))); n < left {
-				best, left = c, n
-			}
-		}
-		set = append(set, best)
-	}
-	return set
 }
 
 // equivWorld is what every configuration shares: a reference with
@@ -514,12 +465,13 @@ func (w *equivWorld) expectRecovery(t *testing.T, c config, o *runOutcome) {
 // whole mappings may differ (DESIGN.md §12), and the count must be > 0.
 func TestEquivalence(t *testing.T) {
 	w := newEquivWorld(t)
-	set := allPairs(1)
-	if missing := uncovered(set); len(missing) > 0 {
+	set := space.Draw(1)
+	if missing := space.Uncovered(set); len(missing) > 0 {
 		t.Fatalf("no configuration holds the axis-value pairs %v", missing)
 	}
 	outside, differing, checked := 0, 0, 0
-	for _, c := range set {
+	for _, d := range set {
+		c := config(d)
 		o, d, n := w.check(t, c)
 		outside, differing, checked = outside+o, differing+d, checked+n
 	}

@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"errors"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -17,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/align"
+	"repro/internal/allpairs"
 	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/dna"
@@ -52,21 +52,13 @@ const (
 	readsIndels, readsSubs, readsMixed                                  = 0, 1, 2
 )
 
-var axisSize = [nAxes]int{nMappers, 4, 2, 2, 2, 3, 2, 2}
+var space = allpairs.Space{Sizes: []int{nMappers, 4, 2, 2, 2, 3, 2, 2}}
 
 type config [nAxes]int
 
 // decodeConfig is the one decoder of configurations, shared by the
-// all-pairs set and the fuzz target: byte i picks axis i's value.
-func decodeConfig(b []byte) config {
-	var c config
-	for i := range c {
-		if i < len(b) {
-			c[i] = int(b[i]) % axisSize[i]
-		}
-	}
-	return c
-}
+// all-pairs set and the fuzz target.
+func decodeConfig(b []byte) config { return config(space.Decode(b)) }
 
 func (c config) with(ax, v int) config { c[ax] = v; return c }
 
@@ -75,54 +67,10 @@ func (c config) options() mapper.Options {
 		Best: c[axBest] == 1, Prefilter: []string{mapper.PrefilterOff, mapper.PrefilterGateKeeper}[c[axPrefilter]]}
 }
 
-// pair is axis i at value a together with axis j at value b.
-type pair struct{ i, a, j, b int }
-
-// uncovered lists, in axis order, the pairs no configuration of set holds.
-func uncovered(set []config) []pair {
-	var out []pair
-	for i := 0; i < nAxes; i++ {
-		for j := i + 1; j < nAxes; j++ {
-			for a := 0; a < axisSize[i]; a++ {
-				for b := 0; b < axisSize[j]; b++ {
-					if !slices.ContainsFunc(set, func(c config) bool { return c[i] == a && c[j] == b }) {
-						out = append(out, pair{i, a, j, b})
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // pinned seeds the all-pairs set and the fuzz corpus: the lossless
 // filters at δ = 8 on mixed lengths, where a gram sized for another read
 // of the batch loses a 60 bp read or, on the repeat, adds a mapping.
 var pinned = [][]byte{{mRazerS3, 3, 0, 0, 1, readsMixed, 0, 0}, {mHobbes3, 3, 0, 0, 0, readsMixed, 1, 0}}
-
-// allPairs draws configurations until every pair of axis values is in
-// one: each step pins the first uncovered pair in 30 seeded random draws
-// and keeps the draw that leaves the fewest pairs uncovered.
-func allPairs(seed int64) []config {
-	rng := rand.New(rand.NewSource(seed))
-	var set []config
-	for _, b := range pinned {
-		set = append(set, decodeConfig(b))
-	}
-	for missing := uncovered(set); len(missing) > 0; missing = uncovered(set) {
-		p, best, left := missing[0], config{}, len(missing)
-		for k := 0; k < 30; k++ {
-			b := make([]byte, nAxes)
-			rng.Read(b)
-			c := decodeConfig(b).with(p.i, p.a).with(p.j, p.b)
-			if n := len(uncovered(append(slices.Clip(set), c))); n < left {
-				best, left = c, n
-			}
-		}
-		set = append(set, best)
-	}
-	return set
-}
 
 // readSet is one workload: its reads, where they were sampled, and every
 // oracle occurrence of each read within the largest δ, per strand.
@@ -459,8 +407,8 @@ func (w *mapperWorld) check(t *testing.T, c config) (excluded, checked, found, e
 // whose best stratum is one site (where copies tie, any is a best).
 func TestMapperEquivalence(t *testing.T) {
 	w := sharedMapperWorld()
-	set := allPairs(1)
-	if missing := uncovered(set); len(missing) > 0 {
+	set := space.Draw(1, pinned...)
+	if missing := space.Uncovered(set); len(missing) > 0 {
 		t.Fatalf("no configuration holds the axis-value pairs %v", missing)
 	}
 	// (8) Every constructor refuses an empty reference; every mapper maps
@@ -475,7 +423,8 @@ func TestMapperEquivalence(t *testing.T) {
 	}
 	excluded, checked := 0, 0
 	var found, eligible [nMappers]int
-	for _, c := range set {
+	for _, d := range set {
+		c := config(d)
 		e, k, f, n := w.check(t, c)
 		excluded, checked = excluded+e, checked+k
 		found[c[axMapper]], eligible[c[axMapper]] = found[c[axMapper]]+f, eligible[c[axMapper]]+n

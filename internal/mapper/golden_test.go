@@ -8,11 +8,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/cl"
 	"repro/internal/mapper"
 	"repro/internal/simulate"
 )
@@ -73,21 +71,13 @@ func goldenOf(res *mapper.Result) goldenRow {
 }
 
 // TestAllMappersSerialParallelDeterminism is the behaviour pin of the map
-// path: every mapper — REPUTE and CORAL via core plus the five baselines —
-// at δ ∈ {0, 4}, under serial and parallel host execution, must reproduce
-// the golden row recorded in testdata (mappings digest, weighted cost,
-// simulated seconds and joules). Its GOMAXPROCS-8 pass is serial too:
-// 60 reads fit one 64-item work group, and one group runs on the serial
-// path, so this pins behaviour, not serial ≡ parallel. TestMapperEquivalence
-// holds serial ≡ parallel, on batches of more than one group. Regenerate with `go test ./internal/mapper -run Determinism -update`
-// only when a change to the numbers is intended and explained.
+// path: every mapper — REPUTE and CORAL via core plus the five baselines
+// — at δ ∈ {0, 4} must reproduce the golden row recorded in testdata
+// (mappings digest, weighted cost, simulated seconds and joules), mapping
+// each row once; TestMapperEquivalence holds serial ≡ parallel. Regenerate
+// with `go test ./internal/mapper -run Determinism -update` only when a
+// change to the numbers is intended and explained.
 func TestAllMappersSerialParallelDeterminism(t *testing.T) {
-	// Each mode sets GOMAXPROCS below: 8 would allow a worker pool even
-	// on single-core CI machines (60 reads, one group, take the serial
-	// path anyway), 1 forces the serial path.
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
 	w := buildWorld(t, 30_000, 60, simulate.ERR012100)
 	golden := map[string]goldenRow{}
 	if !*updateGolden {
@@ -104,30 +94,20 @@ func TestAllMappersSerialParallelDeterminism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, delta := range []int{0, 4} {
 				key := fmt.Sprintf("%s/e%d", name, delta)
-				opt := mapper.Options{MaxErrors: delta, MaxLocations: 100}
-				for _, mode := range []cl.ExecMode{cl.Serial, cl.Auto} {
-					// The mappers run their queues in cl.Auto, which takes
-					// the serial path when GOMAXPROCS allows one worker.
-					procs := 8
-					if mode == cl.Serial {
-						procs = 1
-					}
-					runtime.GOMAXPROCS(procs)
-					res, err := m.Map(w.set.Reads, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := goldenOf(res)
-					if *updateGolden && mode == cl.Serial {
-						golden[key] = got
-					}
-					want, ok := golden[key]
-					if !ok {
-						t.Fatalf("%s: no golden row (run with -update)", key)
-					}
-					if got != want {
-						t.Errorf("%s exec mode %v:\n got  %+v\n want %+v", key, mode, got, want)
-					}
+				res, err := m.Map(w.set.Reads, mapper.Options{MaxErrors: delta, MaxLocations: 100})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := goldenOf(res)
+				if *updateGolden {
+					golden[key] = got
+				}
+				want, ok := golden[key]
+				if !ok {
+					t.Fatalf("%s: no golden row (run with -update)", key)
+				}
+				if got != want {
+					t.Errorf("%s:\n got  %+v\n want %+v", key, got, want)
 				}
 			}
 		})
