@@ -319,10 +319,11 @@ func viaMap(t *testing.T, c config) []byte {
 			busy = append(busy, line)
 		}
 	}
-	// (The 1,2,1 split gives the one or two reads of a -batch 1 batch to
-	// device 2 alone.)
+	// (The 1,2,1 split, by largest remainder, gives the one read of a
+	// -batch 1 batch to device 2 and a pair's two reads to devices 1 and 2;
+	// every device gets reads once a batch holds one read per device.)
 	perBatch := batchSizes[c[axBatch]] * (1 + c[axReads])
-	allBusy := c[axIndex] == indexShards || perBatch == 0 || perBatch >= 4
+	allBusy := c[axIndex] == indexShards || perBatch == 0 || perBatch >= devices
 	if !strings.Contains(stderr.String(), fmt.Sprintf("in %d batch(es)", c.batches())) ||
 		len(busy) == 0 || len(busy) > devices || allBusy && len(busy) != devices || !slices.IsSorted(busy) {
 		t.Errorf("summary: want %d batches and %d busy lines in name order:\n%s", c.batches(), devices, stderr.String())

@@ -14,9 +14,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -265,9 +267,11 @@ func minSeedLen(explicit, readLen, errors int) int {
 }
 
 // apportion splits total into per-device counts proportional to the
-// positive weights. The rounding remainder goes to the device with the
-// largest weight — never to one whose weight is zero or negative.
-// Returns nil when no weight is positive.
+// positive weights, by largest remainder: each positive weight gets
+// ⌊total·w/Σw⌋, and the reads left over go one each to the largest
+// fractional parts — ties to the larger weight, then the lower index. A
+// weight that is zero or negative gets nothing. Returns nil when no
+// weight is positive.
 func apportion(total int, weights []float64) []int {
 	sum := 0.0
 	for _, w := range weights {
@@ -279,19 +283,28 @@ func apportion(total int, weights []float64) []int {
 		return nil
 	}
 	counts := make([]int, len(weights))
-	assigned := 0
-	largest, largestWeight := 0, 0.0
+	frac := make([]float64, len(weights))
+	var order []int
+	left := total
 	for i, w := range weights {
 		if w <= 0 {
 			continue
 		}
-		if w > largestWeight {
-			largest, largestWeight = i, w
-		}
-		counts[i] = int(float64(total) * w / sum)
-		assigned += counts[i]
+		share := float64(total) * w / sum
+		counts[i] = int(share)
+		frac[i] = share - float64(counts[i])
+		left -= counts[i]
+		order = append(order, i)
 	}
-	counts[largest] += total - assigned
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := cmp.Compare(frac[b], frac[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(weights[b], weights[a])
+	})
+	for _, i := range order[:left] {
+		counts[i]++
+	}
 	return counts
 }
 
@@ -837,8 +850,9 @@ func instrumentKernel(k *cl.Kernel, h *trace.Histogram) *cl.Kernel {
 }
 
 // generator is REPUTE's candidate generator (mapper.Generator): the
-// configured selector places the seeds of one strand, and their
-// occurrences are located up to the strand's candidate budget.
+// configured selector places the seeds of one strand, in the worker's
+// seed.Scratch, and their occurrences are located up to the strand's
+// candidate budget.
 type generator struct {
 	ix       *fmindex.Index
 	selector seed.Selector
@@ -850,7 +864,7 @@ type generator struct {
 func (g *generator) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
 	params := g.params
 	params.MinSeedLen = minSeedLen(params.MinSeedLen, len(pattern), params.Errors)
-	sel, err := g.selector.Select(g.ix, pattern, params)
+	sel, err := st.Scratch.(*seed.Scratch).Select(g.selector, g.ix, pattern, params)
 	if err != nil {
 		// Static kernels cannot recover; surface as a launch
 		// failure like a real kernel fault would.
@@ -886,6 +900,7 @@ func (p *Pipeline) newBatch(sh *Shard, reads [][]byte, out [][]mapper.Mapping, o
 	return &mapper.Batch{
 		Name:         p.name,
 		PrivateBytes: int64(private),
+		NewScratch:   func() any { return new(seed.Scratch) },
 		Generate:     gen.generate,
 		Text:         sh.Index.Text(),
 		SliceStart:   sh.SliceStart, OwnStart: sh.OwnStart, OwnEnd: sh.OwnEnd,

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cl"
 	"repro/internal/dna"
-	"repro/internal/fmindex"
 	"repro/internal/mapper"
 	"repro/internal/seed"
 	"repro/internal/simulate"
@@ -247,19 +246,27 @@ func TestSharesSumToTotal(t *testing.T) {
 	}
 }
 
-func TestSharesRemainderGoesToLargestShare(t *testing.T) {
+// TestSharesLargestRemainder pins apportion's rounding: floors first,
+// then the leftover reads one each by largest fractional part.
+func TestSharesLargestRemainder(t *testing.T) {
 	for _, tc := range []struct {
 		split []float64
 		total int
 		want  []int
 	}{
-		// A zero-share device must receive no reads — the remainder
-		// belongs to the largest share, not unconditionally to device 0.
+		// A zero-share device receives no reads, remainder or not.
 		{[]float64{0, 1, 0}, 7, []int{0, 7, 0}},
-		{[]float64{0, 0.5, 0.5}, 5, []int{0, 3, 2}},
-		// Largest-share device takes the rounding leftovers.
-		{[]float64{0.2, 0.6, 0.2}, 7, []int{1, 5, 1}},
 		{[]float64{1, 0, 0}, 4, []int{4, 0, 0}},
+		// Equal fractional parts: the lower index takes the leftover.
+		{[]float64{0, 0.5, 0.5}, 5, []int{0, 3, 2}},
+		{[]float64{0.2, 0.6, 0.2}, 7, []int{2, 4, 1}},
+		{[]float64{1, 1, 1}, 2, []int{1, 1, 0}},
+		// The largest fractional part first, not the largest weight.
+		{[]float64{1, 2, 1}, 1, []int{0, 1, 0}},
+		{[]float64{1, 2, 1}, 2, []int{1, 1, 0}},
+		{[]float64{1, 2, 1}, 3, []int{1, 1, 1}},
+		// Equal fractional parts: the larger weight takes the leftover.
+		{[]float64{1, 3}, 2, []int{0, 2}},
 	} {
 		counts := apportion(tc.total, tc.split)
 		for i := range counts {
@@ -428,51 +435,24 @@ func TestDealPlacement(t *testing.T) {
 	}
 }
 
-// cannedSelector replays one recorded selection per strand, so the
-// generator's own work — budgeted locate-and-append — is measured
-// without seed.Selector's per-call DP tables (ROADMAP item 2(a)).
-type cannedSelector struct {
-	byFirstBase [4]seed.Selection
-}
-
-func (cannedSelector) Name() string { return "canned" }
-
-func (c cannedSelector) Select(_ *fmindex.Index, read []byte, _ seed.Params) (seed.Selection, error) {
-	return c.byFirstBase[read[0]], nil
-}
-
 // TestGeneratorAllocFree is the runtime half of the hotalloc contract
 // for REPUTE's generator: after warm-up one work item's candidate
-// generation (both strands) allocates nothing beyond what the selector
-// itself does.
+// generation (both strands) — the DP seed selection in the worker's
+// seed.Scratch, and the budgeted locate-and-append — allocates nothing.
 func TestGeneratorAllocFree(t *testing.T) {
 	ref, set := testWorld(t, 40_000, 20, simulate.ERR012100)
 	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := p.Index()
-	params := seed.Params{Errors: 4, MinSeedLen: DefaultMinSeedLen(100, 4)}
-	// A read whose strands start with different bases tells them apart.
-	var read []byte
-	for _, r := range set.Reads {
-		if rc := dna.ReverseComplement(r); rc[0] != r[0] {
-			read = r
-			break
-		}
-	}
-	var canned cannedSelector
-	for _, pattern := range [][]byte{read, dna.ReverseComplement(read)} {
-		sel, err := seed.REPUTE{}.Select(ix, pattern, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		canned.byFirstBase[pattern[0]] = sel
-	}
-	gen := &generator{ix: ix, selector: canned, params: params, maxCand: 200}
-	st := &mapper.State{}
+	// The batch a Map would launch: its generator, and a worker's state
+	// built as the kernel builds it.
+	b := p.newBatch(&p.shards[0], set.Reads, make([][]mapper.Mapping, len(set.Reads)),
+		mapper.Options{MaxErrors: 4, MaxLocations: 100})
+	st := &mapper.State{Scratch: b.NewScratch()}
+	read := set.Reads[0]
 	var cost cl.Cost
-	item := func() { st.Generate(gen.generate, read, &cost) }
+	item := func() { st.Generate(b.Generate, read, &cost) }
 	item()
 	if len(st.Cands) == 0 {
 		t.Fatal("generator found no candidates; the check is vacuous")

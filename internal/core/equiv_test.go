@@ -268,7 +268,7 @@ func (w *equivWorld) premise(c config) []bool {
 	for _, s := range w.shards[c[axGeom]] {
 		ixs = append(ixs, s.Index)
 	}
-	opt, st := c.options(), &mapper.State{}
+	opt, st := c.options(), &mapper.State{Scratch: new(seed.Scratch)}
 	holds := make([]bool, len(w.reads[c[axLengths]]))
 	for r, read := range w.reads[c[axLengths]] {
 		holds[r] = true

@@ -2,6 +2,7 @@ package seed
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fmindex"
 )
@@ -18,13 +19,9 @@ type REPUTE struct{}
 // Name implements Selector.
 func (REPUTE) Name() string { return "repute-dp" }
 
-// Select implements Selector.
-func (REPUTE) Select(ix *fmindex.Index, read []byte, p Params) (Selection, error) {
-	smin := p.MinSeedLen
-	if smin < 1 {
-		smin = 1
-	}
-	return dpSelect(ix, read, p.Errors, smin)
+// Select implements Selector, with memory of its own.
+func (s REPUTE) Select(ix *fmindex.Index, read []byte, p Params) (Selection, error) {
+	return new(Scratch).Select(s, ix, read, p)
 }
 
 // OSS is the full Optimal Seed Solver: the same dynamic program with no
@@ -36,9 +33,34 @@ type OSS struct{}
 // Name implements Selector.
 func (OSS) Name() string { return "oss-full" }
 
-// Select implements Selector.
-func (OSS) Select(ix *fmindex.Index, read []byte, p Params) (Selection, error) {
-	return dpSelect(ix, read, p.Errors, 1)
+// Select implements Selector, with memory of its own.
+func (s OSS) Select(ix *fmindex.Index, read []byte, p Params) (Selection, error) {
+	return new(Scratch).Select(s, ix, read, p)
+}
+
+// Scratch is the memory of the DP selectors, REPUTE and OSS, reused by
+// every selection made through it: the opt and backtracking rows, the
+// seeds and the shared walks. A host worker keeps one, so that after
+// warm-up a selection allocates nothing. It is not safe for concurrent
+// use.
+type Scratch struct {
+	opt   []int32
+	bt    []uint16
+	seeds []Seed
+	walk  walker
+}
+
+// Select runs sel on read. The DP selectors run in sc, and the Seeds
+// they return are sc's until its next selection; any other selector runs
+// as its own Select does.
+func (sc *Scratch) Select(sel Selector, ix *fmindex.Index, read []byte, p Params) (Selection, error) {
+	switch sel.(type) {
+	case REPUTE:
+		return sc.dpSelect(ix, read, p.Errors, max(p.MinSeedLen, 1))
+	case OSS:
+		return sc.dpSelect(ix, read, p.Errors, 1)
+	}
+	return sel.Select(ix, read, p)
 }
 
 // dpSelect runs the divider DP shared by REPUTE and OSS.
@@ -64,8 +86,11 @@ func (OSS) Select(ix *fmindex.Index, read []byte, p Params) (Selection, error) {
 // opt is non-increasing in v and a seed's count in its length, so no
 // divider in (lb, u] can do better (without a cascade, count(lb) is 0).
 // The pull walk: the walk from e is extended only to the longest seed the
-// scan reads.
-func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, error) {
+// scan reads. Shared walks: a step an earlier end's walk took from the
+// same interval at the same read position is not ranked again (walker).
+//
+//repute:hotpath
+func (sc *Scratch) dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, error) {
 	p := Params{Errors: errors, MinSeedLen: smin}
 	n := len(read)
 	if err := p.validate(n); err != nil {
@@ -76,28 +101,28 @@ func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, erro
 		return Selection{}, fmt.Errorf(
 			"seed: read length %d < %d seeds × Smin %d", n, parts, smin)
 	}
+	seeds := slices.Grow(sc.seeds[:0], parts)[:parts]
+	sc.seeds = seeds
 
-	sel := Selection{}
 	if errors == 0 {
 		lo, hi, st := searchSeed(ix, read, 0, n)
-		sel.Seeds = []Seed{{Start: 0, End: n, Lo: lo, Hi: hi}}
-		sel.TotalCandidates = sel.Seeds[0].Count()
-		sel.FMSteps = st
-		sel.PeakMemBytes = 16
-		return sel, nil
+		seeds[0] = Seed{Start: 0, End: n, Lo: lo, Hi: hi}
+		return Selection{Seeds: seeds, TotalCandidates: seeds[0].Count(), FMSteps: st, PeakMemBytes: 16}, nil
 	}
 
 	w := n - parts*smin // exploration window; offsets v, u are in [0, w]
 	const inf = int32(1<<31 - 1)
 
 	// opt rows for j = 1..parts at stride w+1; bt rows for j = 2..parts.
-	opt := make([]int32, parts*(w+1))
+	// Every bt entry is written before it is read.
+	opt := slices.Grow(sc.opt[:0], parts*(w+1))[:parts*(w+1)]
 	for i := range opt {
 		opt[i] = inf
 	}
-	bt := make([]uint16, (parts-1)*(w+1))
-	walker := &freqWalker{ix: ix, read: read, table: min(ix.Depth(), smin),
-		counts: make([]int32, smin+w)}
+	bt := slices.Grow(sc.bt[:0], (parts-1)*(w+1))[:(parts-1)*(w+1)]
+	sc.opt, sc.bt = opt, bt
+	walker := &sc.walk
+	walker.begin(ix, read, min(ix.Depth(), smin))
 	row := func(j int) []int32 { return opt[(j-1)*(w+1) : j*(w+1)] }
 
 	cells := 0
@@ -162,28 +187,29 @@ func dpSelect(ix *fmindex.Index, read []byte, errors, smin int) (Selection, erro
 		}
 	}
 
-	// Backtrack from the full read.
-	ends := make([]int, parts+1)
-	ends[parts] = n
-	v := w
+	// Backtrack from the full read: seed j-1 ends where seed j starts.
+	end, v := n, w
 	for j := parts; j >= 2; j-- {
 		u := int(bt[(j-2)*(w+1)+v])
-		ends[j-1] = (j-1)*smin + u
-		v = u
+		seeds[j-1] = Seed{Start: (j-1)*smin + u, End: end}
+		end, v = seeds[j-1].Start, u
 	}
-	ends[0] = 0
-
-	seeds := make([]Seed, parts)
-	for i := 0; i < parts; i++ {
-		lo, hi, st := searchSeed(ix, read, ends[i], ends[i+1])
-		walker.fmSteps += st
-		seeds[i] = Seed{Start: ends[i], End: ends[i+1], Lo: lo, Hi: hi}
+	seeds[0] = Seed{Start: 0, End: end}
+	steps := walker.fmSteps
+	for i := range seeds {
+		s := &seeds[i]
+		var st int
+		s.Lo, s.Hi, st = searchSeed(ix, read, s.Start, s.End)
+		steps += st
 	}
 
-	sel.Seeds = seeds
-	sel.TotalCandidates = totalOf(seeds)
-	sel.FMSteps = walker.fmSteps
-	sel.DPCells = cells
-	sel.PeakMemBytes = len(opt)*4 + len(bt)*2 + len(walker.counts)*4
-	return sel, nil
+	return Selection{
+		Seeds:           seeds,
+		TotalCandidates: totalOf(seeds),
+		FMSteps:         steps,
+		DPCells:         cells,
+		// The kernel's walk keeps the count of every length it reached,
+		// smin+w of them; the shared intervals are host-only.
+		PeakMemBytes: len(opt)*4 + len(bt)*2 + (smin+w)*4,
+	}, nil
 }

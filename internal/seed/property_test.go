@@ -133,8 +133,8 @@ func TestSeedCountNonIncreasingInLength(t *testing.T) {
 // for every a ≤ b ≤ c ≤ d. The occurrences of read[a:c] and of read[b:d]
 // both embed in those of read[b:c], and read[a:d] occurs exactly where
 // both do, so |A ∩ B| ≥ |A| + |B| − |S|. Counts come from searchSeed, and
-// every count the walker returns from an end d, whatever its table
-// lookup, must equal them. Texts are random, periodic and repetitive,
+// every count the shared walks return from the ends d in turn, whatever
+// their table lookup, must equal them. Texts are random, periodic and repetitive,
 // sized for k-mer table depths 0 to 5; reads are up to 40 bases, with
 // and without substitutions.
 func TestCountQuadrangle(t *testing.T) {
@@ -172,9 +172,10 @@ func TestCountQuadrangle(t *testing.T) {
 						f[x][y] = max(hi-lo, 0)
 					}
 				}
-				for d := 1; d <= n; d++ {
-					for tbl := 0; tbl <= min(ix.Depth(), d); tbl++ {
-						w := &freqWalker{ix: ix, read: read, table: tbl, counts: make([]int32, n)}
+				var w walker
+				for tbl := 0; tbl <= min(ix.Depth(), n); tbl++ {
+					w.begin(ix, read, tbl)
+					for d := max(tbl, 1); d <= n; d++ {
 						w.reset(d)
 						for l := max(tbl, 1); l <= d; l++ {
 							if got := int(w.count(l)); got != f[d-l][d] {

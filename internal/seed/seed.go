@@ -23,6 +23,7 @@ package seed
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fmindex"
 )
@@ -79,22 +80,47 @@ type Selector interface {
 	Select(ix *fmindex.Index, read []byte, p Params) (Selection, error)
 }
 
-// freqWalker is the leftward frequency walk from one end position of the
-// read, kept as resumable state — the interval of read[end-k:end] for the
-// length k reached so far and the count of every length on the way — so
-// that it is extended only as far as the DP asks. It charges one FM step
-// per extension until the interval is empty; every longer seed then has
-// no occurrence and costs nothing.
-type freqWalker struct {
+// walker is the leftward frequency walks of one selection: the walk from
+// an end e, kept as resumable state — the interval of read[e-k:e] for the
+// length k reached so far — so that it is extended only as far as the DP
+// asks, and a memo the walks of every end share (DESIGN.md §4 "Shared
+// walks"). at[s] holds an interval stored for start s, of read[s:e] for
+// some end e, and at[s].linked says at[s-1] is ExtendLeft(read[s-1], at[s]).
+// The current walk always holds the interval stored at its start, so a
+// step whose link is set takes at[s-1] without a rank: ExtendLeft depends
+// only on the base and the interval. One walk is in flight at a time.
+//
+// Every step is charged one FM step until the interval is empty, whether
+// it ranked or took a link; every longer seed then has no occurrence and
+// costs nothing. The memo is host-only: what a walk charges and returns is
+// what a walk of its own would.
+type walker struct {
 	ix   *fmindex.Index
 	read []byte
 	// table is how many bases the first lookup takes from the k-mer
 	// table, min(Depth(), Smin): the DP never asks for a shorter seed.
-	table   int
-	end, k  int
-	lo, hi  int
-	counts  []int32 // counts[l-1] is the count of read[end-l:end], table ≤ l ≤ k
-	fmSteps int
+	table  int
+	at     []link // n+2 entries: starts 0..n, and a link slot past the end
+	end, k int
+	lo, hi int // at[end-k], the interval of read[end-k:end]
+	// fmSteps is what the walks charge; ranks counts the ExtendLeft calls
+	// they made (ranks ≤ fmSteps), for the tests.
+	fmSteps, ranks int
+}
+
+// link is a stored interval and whether the one stored left of it is its
+// step (see walker).
+type link struct {
+	lo, hi int32
+	linked bool
+}
+
+// begin starts the walks over read: nothing is stored or linked yet.
+func (w *walker) begin(ix *fmindex.Index, read []byte, table int) {
+	w.ix, w.read, w.table = ix, read, table
+	w.fmSteps, w.ranks = 0, 0
+	w.at = slices.Grow(w.at[:0], len(read)+2)[:len(read)+2]
+	clear(w.at)
 }
 
 // reset starts the walk from end at the interval of its last `table`
@@ -104,36 +130,57 @@ type freqWalker struct {
 // the kernel's step-by-step walk takes before its interval empties.
 //
 //repute:hotpath
-func (w *freqWalker) reset(end int) {
+func (w *walker) reset(end int) {
 	w.end, w.k = end, 0
 	w.lo, w.hi = w.ix.Start()
 	if t := w.table; t > 0 {
 		if lo, hi := w.ix.Lookup(w.read[end-t : end]); lo < hi {
 			w.lo, w.hi, w.k = lo, hi, t
-			w.counts[t-1] = int32(hi - lo)
 			w.fmSteps += t
 		}
 	}
+	w.put(end-w.k, w.lo, w.hi)
 }
 
-// count returns the candidate count of the seed read[end-l:end].
+// put stores the interval at start s. Storing a different one than is
+// there breaks the link from s to s-1 and the one from s+1 to s.
 //
 //repute:hotpath
-func (w *freqWalker) count(l int) int32 {
+func (w *walker) put(s, lo, hi int) {
+	if a := &w.at[s]; int(a.lo) != lo || int(a.hi) != hi {
+		*a = link{lo: int32(lo), hi: int32(hi)}
+		w.at[s+1].linked = false
+	}
+}
+
+// count returns the candidate count of the seed read[end-l:end], for
+// l ≥ table.
+//
+//repute:hotpath
+func (w *walker) count(l int) int32 {
 	if l > w.k && !w.extend(l) {
 		return 0
 	}
-	return w.counts[l-1]
+	a := w.at[w.end-l]
+	return max(a.hi-a.lo, 0)
 }
 
 // extend walks on towards length l and reports whether it got there
 // before the interval emptied.
 //
 //repute:hotpath
-func (w *freqWalker) extend(l int) bool {
+func (w *walker) extend(l int) bool {
 	for w.k < l && w.lo < w.hi {
-		w.lo, w.hi = w.ix.ExtendLeft(w.read[w.end-1-w.k], w.lo, w.hi)
-		w.counts[w.k] = int32(max(w.hi-w.lo, 0))
+		s := w.end - w.k
+		if a := &w.at[s]; a.linked {
+			b := w.at[s-1]
+			w.lo, w.hi = int(b.lo), int(b.hi)
+		} else {
+			w.lo, w.hi = w.ix.ExtendLeft(w.read[s-1], w.lo, w.hi)
+			w.ranks++
+			w.put(s-1, w.lo, w.hi)
+			a.linked = true
+		}
 		w.k++
 		w.fmSteps++
 	}
