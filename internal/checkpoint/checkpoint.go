@@ -177,9 +177,10 @@ func Save(path string, st *State) error {
 
 // Load reads a checkpoint written by Save. It refuses a state Save cannot
 // have written, naming the field, so a corrupted file fails the resume at
-// once instead of seeding it: a negative count or offset, or more
-// ambiguity draws than input bytes before the offset (each draw replaces
-// one base), which would have the codec fast-forward for hours.
+// once instead of seeding it: a negative count, offset or sim_seconds (a
+// restarted service job reports it as its progress), or more ambiguity
+// draws than input bytes before the offset (each draw replaces one base),
+// which would have the codec fast-forward for hours.
 func Load(path string) (*State, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -220,6 +221,9 @@ func (st *State) validate() error {
 		if v < 0 {
 			return fmt.Errorf("%s is %d, want >= 0", names[i], v)
 		}
+	}
+	if st.SimSeconds < 0 {
+		return fmt.Errorf("sim_seconds is %g, want >= 0", st.SimSeconds)
 	}
 	if st.RNGDraws > uint64(st.Offset) {
 		return fmt.Errorf("rng_draws %d exceeds offset %d", st.RNGDraws, st.Offset)

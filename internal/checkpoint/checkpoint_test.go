@@ -102,6 +102,7 @@ func TestLoadRejectsImpossibleState(t *testing.T) {
 		{"negative locations", func(st *State) { st.Locations = -1 }, "locations"},
 		{"negative dropped", func(st *State) { st.Dropped = -1 }, "dropped"},
 		{"negative concordant", func(st *State) { st.Concordant = -1 }, "concordant"},
+		{"negative sim_seconds", func(st *State) { st.SimSeconds = -0.5 }, "sim_seconds"},
 		{"draws past offset", func(st *State) { st.RNGDraws = 18_000_000_000_000_000_000 }, "rng_draws"},
 		{"draws2 past offset2", func(st *State) { st.RNGDraws2 = 25_001 }, "rng_draws2"},
 	} {
@@ -165,6 +166,9 @@ func FuzzCheckpointLoad(f *testing.F) {
 			if v < 0 {
 				t.Fatalf("accepted a negative count or offset: %+v", st)
 			}
+		}
+		if st.SimSeconds < 0 {
+			t.Fatalf("accepted negative sim_seconds: %+v", st)
 		}
 		if st.RNGDraws > uint64(st.Offset) || st.RNGDraws2 > uint64(st.Offset2) {
 			t.Fatalf("accepted more draws than input bytes: %+v", st)

@@ -2,10 +2,13 @@ package serve
 
 // Job model and the on-disk job store. Every job owns one spool
 // directory (reads.fq upload, out.sam output, run.ckpt checkpoint,
-// trace.json of the latest finished attempt, job.json metadata); job.json
-// is persisted atomically on every state transition, so a killed server
-// restarted over the same spool sees every job exactly as it last durably
-// was and re-queues the unfinished ones in admission order.
+// trace.json of the latest finished attempt, job.json metadata). Each
+// fact about a job is durable in one place: job.json is replaced only
+// when the job's state changes, and its progress lives in run.ckpt,
+// which the stream runner saves at every batch boundary. A killed
+// server restarted over the same spool re-queues the unfinished jobs in
+// admission order with their progress read back from run.ckpt
+// (DESIGN.md §14).
 
 import (
 	"encoding/json"
@@ -19,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cl"
 	"repro/internal/durable"
 	"repro/internal/trace"
@@ -103,12 +107,13 @@ type Job struct {
 
 // valid reports whether a job loaded from spool directory dir is one the
 // store can have written: named for its directory and its admission
-// sequence, in one of the five states, with no negative upload size or
-// batch. A negative size would shrink the in-flight byte budget and let
-// admission exceed MaxInflightBytes.
+// sequence, in one of the five states, with no negative upload size,
+// batch or tally. A negative size would shrink the in-flight byte budget
+// and let admission exceed MaxInflightBytes.
 func (j *Job) valid(dir string) bool {
 	known := j.State == StateQueued || j.State == StateRunning || terminal(j.State)
-	return known && j.ID == dir && j.ID == jobID(j.Seq) && j.Bytes >= 0 && j.Batch >= 0
+	tallies := j.Reads >= 0 && j.Mapped >= 0 && j.Locations >= 0 && j.SimSeconds >= 0
+	return known && tallies && j.ID == dir && j.ID == jobID(j.Seq) && j.Bytes >= 0 && j.Batch >= 0
 }
 
 // jobID names the job admitted with sequence number seq.
@@ -149,11 +154,13 @@ func (s *store) tracePath(id string) string { return filepath.Join(s.dir, id, "t
 
 // newStore opens (or creates) the spool directory and loads every
 // persisted job. Jobs that were queued, running or interrupted when the
-// previous process died are re-queued in admission order — running jobs
-// resume from their last durable checkpoint — unless a job asks for a
-// larger partition than the pool's devices: no acquire could ever
-// satisfy it, so it fails with an input error instead of stalling every
-// job queued behind it.
+// previous process died are re-queued in admission order, with their
+// progress restored from run.ckpt — they resume from that checkpoint —
+// unless a job asks for a larger partition than the pool's devices: no
+// acquire could ever satisfy it, so it fails with an input error instead
+// of stalling every job queued behind it. That failure is the one write
+// a restart makes: a re-queued job's job.json stays as it is, because a
+// second restart reads the same state from it.
 func newStore(dir string, devices int) (*store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: spool: %w", err)
@@ -198,7 +205,7 @@ func newStore(dir string, devices int) (*store, error) {
 			continue // corrupt: the store never writes such a job.json
 		}
 		if j.Devices < 1 {
-			j.Devices = 1 // spool entries written before partitions existed
+			j.Devices = 1 // spool entries written before partitions existed; fixed at every start
 		}
 		s.jobs[j.ID] = j
 		if j.Seq >= s.nextSeq {
@@ -216,6 +223,7 @@ func newStore(dir string, devices int) (*store, error) {
 				continue
 			}
 			j.State = StateQueued
+			s.restoreProgress(j)
 			resumed = append(resumed, j)
 		}
 	}
@@ -223,11 +231,21 @@ func newStore(dir string, devices int) (*store, error) {
 	for _, j := range resumed {
 		s.queue = append(s.queue, j.ID)
 		s.inflightBytes += j.Bytes
-		if err := s.persist(j); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
+}
+
+// restoreProgress copies an unfinished job's progress from its run.ckpt
+// when one loads. job.json holds the tallies only as of the job's last
+// state change; the checkpoint holds them as of the last batch the job
+// made durable, which is where the job resumes.
+func (s *store) restoreProgress(j *Job) {
+	st, err := checkpoint.Load(s.ckptPath(j.ID))
+	if err != nil {
+		return // no batch is durable yet, or the resume will report the file
+	}
+	j.Reads, j.Mapped, j.Locations, j.SimSeconds = st.Reads, st.Mapped, st.Locations, st.SimSeconds
+	j.Resumable = true
 }
 
 // persist replaces a job's job.json through durable.WriteFile. Callers
@@ -341,9 +359,10 @@ func (s *store) peek() (Job, bool) {
 	return *s.jobs[s.queue[0]], true
 }
 
-// dequeue pops the oldest queued job and marks it running. ok is false
-// when the queue is empty.
-func (s *store) dequeue() (Job, bool) {
+// dequeue pops the oldest queued job and marks it running on the pool
+// devices named by partition, counting the attempt. ok is false when the
+// queue is empty.
+func (s *store) dequeue(partition []string) (Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.queue) == 0 {
@@ -353,29 +372,34 @@ func (s *store) dequeue() (Job, bool) {
 	s.queue = s.queue[1:]
 	j := s.jobs[id]
 	j.State = StateRunning
+	j.Partition = partition
 	j.Attempts++
 	cp := *j
-	s.persist(&cp) //nolint:errcheck // running is re-derived on restart
+	// A restart re-queues a running job as it does a queued one, so losing
+	// this write loses only the attempt count and partition it adds: the
+	// job resumes from its checkpoint either way, with one more attempt
+	// of retry budget.
+	s.persist(&cp) //nolint:errcheck
 	return cp, true
 }
 
 // requeue puts a running job back at the tail of the queue (retry after
-// a failed attempt).
-func (s *store) requeue(id string) (Job, error) {
+// a failed attempt). It writes nothing: a restart re-queues a running
+// job too, and dequeue has already made its attempt count durable.
+func (s *store) requeue(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return Job{}, fmt.Errorf("serve: requeue: no job %s", id)
+	if j, ok := s.jobs[id]; ok {
+		j.State = StateQueued
+		s.queue = append(s.queue, id)
 	}
-	j.State = StateQueued
-	s.queue = append(s.queue, id)
-	cp := *j
-	return cp, s.persist(&cp)
 }
 
-// update applies fn to the job under the store lock and persists the
-// result, returning the updated copy.
+// update applies fn to the job under the store lock, returning the
+// updated copy, and persists the result when fn changed the job's state.
+// A change that keeps the state — a batch's progress — stays in memory:
+// run.ckpt already holds it durably, and a restart restores it from
+// there (restoreProgress).
 func (s *store) update(id string, fn func(*Job)) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -383,12 +407,15 @@ func (s *store) update(id string, fn func(*Job)) (Job, error) {
 	if !ok {
 		return Job{}, fmt.Errorf("serve: update: no job %s", id)
 	}
-	wasTerminal := terminal(j.State)
+	was := j.State
 	fn(j)
-	if !wasTerminal && terminal(j.State) {
+	if !terminal(was) && terminal(j.State) {
 		s.inflightBytes -= j.Bytes
 	}
 	cp := *j
+	if j.State == was {
+		return cp, nil
+	}
 	return cp, s.persist(&cp)
 }
 

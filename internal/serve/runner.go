@@ -69,16 +69,15 @@ func (s *Server) runner() {
 			s.waitWake()
 			continue
 		}
-		job, ok := s.store.dequeue()
-		if !ok {
-			s.alloc.release(idx)
-			continue
-		}
 		names := make([]string, len(devs))
 		for i, d := range devs {
 			names[i] = d.Name
 		}
-		s.store.update(job.ID, func(j *Job) { j.Partition = names }) //nolint:errcheck
+		job, ok := s.store.dequeue(names)
+		if !ok {
+			s.alloc.release(idx)
+			continue
+		}
 		s.active.Add(1)
 		s.updateGauges()
 		wg.Add(1)
@@ -156,7 +155,7 @@ func (s *Server) runJob(job Job, devs []*cl.Device) {
 		// Bad input never improves on retry; everything else may (transient
 		// resource pressure, injected chaos) and earns the budget.
 		if job.Attempts <= s.cfg.RetryBudget && !errors.Is(err, errBadInput) {
-			s.store.requeue(job.ID) //nolint:errcheck
+			s.store.requeue(job.ID)
 			s.reg.Counter(metricJobsRetried).Add(1)
 			return
 		}
@@ -250,6 +249,8 @@ func (s *Server) runAttempt(job Job, rec *trace.Recorder, devs []*cl.Device) err
 		defer cancel()
 	}
 	run.AfterBatch = func(st *checkpoint.State) error {
+		// Progress only: the job stays running, so this writes nothing —
+		// the batch's run.ckpt is its durable copy.
 		s.store.update(job.ID, func(j *Job) { //nolint:errcheck
 			j.Reads = st.Reads
 			j.Mapped = st.Mapped

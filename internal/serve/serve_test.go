@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -426,6 +427,82 @@ func TestServeDrainResume(t *testing.T) {
 	snap := metricsSnapshot(t, ts2.URL)
 	if snap.Counters["serve_jobs_resumed_total"] == 0 {
 		t.Errorf("resume not counted: %v", snap.Counters)
+	}
+}
+
+// TestServeDrainAfterLastBatch drains a single-batch job while it sleeps
+// in StepDelay after its only batch, so it is interrupted after its last
+// checkpoint. Until then job.json holds dequeue's running write and none
+// of the batch's progress, which lives in run.ckpt alone. A restart over
+// the drained spool, and one over the spool a SIGKILL during the sleep
+// leaves (dequeue's job.json put back), must each report the job done
+// with every read and the baseline SAM; the second reads the progress
+// from run.ckpt only.
+func TestServeDrainAfterLastBatch(t *testing.T) {
+	fx := newFixture(t, 30_000, 12)
+	spool := t.TempDir()
+	s, ts := newServer(t, fx, spool, func(c *Config) { c.StepDelay = 500 * time.Millisecond })
+	j := decodeJob(t, submit(t, ts.URL, fx.fastq, "?batch=512", nil))
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if cur, _ := s.store.get(j.ID); cur.Reads == len(fx.reads) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job did not finish its batch")
+		}
+	}
+	dir := s.store.jobDir(j.ID)
+	running, err := os.ReadFile(filepath.Join(dir, "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk Job
+	if err := json.Unmarshal(running, &onDisk); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk.State != StateRunning || onDisk.Attempts != 1 || len(onDisk.Partition) != 1 || onDisk.Reads != 0 {
+		t.Fatalf("job.json after the only batch = %+v, want dequeue's running write without progress", onDisk)
+	}
+	unfinished := s.Drain()
+	if len(unfinished) != 1 || unfinished[0].State != StateInterrupted || unfinished[0].Reads != len(fx.reads) {
+		t.Fatalf("drain reported %+v, want the job interrupted after all %d reads", unfinished, len(fx.reads))
+	}
+	ts.Close()
+	drained := map[string][]byte{}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if drained[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want := fx.baselineSAM(t, false, 5, 100)
+	for _, tc := range []struct {
+		name string
+		job  []byte
+	}{{"drained", drained["job.json"]}, {"killed", running}} {
+		for name, b := range drained {
+			if name == "job.json" {
+				b = tc.job
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s2, ts2 := newServer(t, fx, spool, nil)
+		done := awaitState(t, ts2.URL, j.ID, StateDone, StateFailed)
+		if done.State != StateDone || done.Reads != len(fx.reads) {
+			t.Errorf("%s: restarted job %q with %d reads (error %+v), want done with %d",
+				tc.name, done.State, done.Reads, done.Error, len(fx.reads))
+		}
+		if got := fetchSAM(t, ts2.URL, j.ID); !bytes.Equal(got, want) {
+			t.Errorf("%s: SAM differs from the uninterrupted baseline (%d vs %d bytes)", tc.name, len(got), len(want))
+		}
+		s2.Drain()
+		ts2.Close()
 	}
 }
 

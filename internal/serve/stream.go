@@ -129,8 +129,12 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 		refs[i] = sam.RefSeq{Name: c.Name, Length: c.Length}
 	}
 	// Fresh runs write a headered SAM file (or stdout); resumes truncate
-	// to the checkpointed prefix and append header-less records.
+	// to the checkpointed prefix and append header-less records. pending
+	// says the disk lacks something only the closing flush and save would
+	// put there: a fresh run's header and first checkpoint, or a resume's
+	// cut of a torn tail; each batch's save clears it.
 	out := os.Stdout
+	pending := !s.Resume
 	switch {
 	case s.SAMPath == "":
 	case !s.Resume:
@@ -164,6 +168,7 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 		if err := out.Truncate(st.SAMBytes); err != nil {
 			return nil, err
 		}
+		pending = fi.Size() > st.SAMBytes
 		if _, err := out.Seek(st.SAMBytes, io.SeekStart); err != nil {
 			return nil, err
 		}
@@ -257,6 +262,7 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 		if err := save(); err != nil {
 			return err
 		}
+		pending = false
 		if s.AfterBatch != nil {
 			return s.AfterBatch(st)
 		}
@@ -269,8 +275,14 @@ func RunStream(ctx context.Context, s Stream) (*checkpoint.State, error) {
 	}
 	// Trailing lenient skips (between the last full batch and EOF) arrive
 	// with the final empty batch, whose token carries this process's
-	// scanner totals; fold them onto the resumed baseline.
+	// scanner totals; fold them onto the resumed baseline. They are the
+	// one tally that can move after the last batch, so without them or a
+	// pending header or cut the last save already holds the final state.
+	skipped := st.Faults.SkippedRecords
 	applySkips(st, baseFaults, last.Skipped)
+	if !pending && st.Faults.SkippedRecords == skipped {
+		return st, nil
+	}
 	if err := flush(); err != nil {
 		return st, err
 	}
