@@ -31,10 +31,10 @@ import (
 	"repro/internal/trace"
 )
 
-// locationBytes is the per-reported-location size of the fixed output
-// slots (pos int32 + strand/dist packed), matching the paper's first-n
-// output policy.
-const locationBytes = 8
+// outBytes is the size of a read's fixed output slot: the first-n
+// policy's MaxLoc locations of 8 bytes each (pos int32 + strand/dist
+// packed), matching the paper's first-n output policy.
+func outBytes(opt mapper.Options) int64 { return int64(opt.Policy().MaxLoc) * 8 }
 
 // Config tunes a Pipeline.
 type Config struct {
@@ -708,21 +708,14 @@ func (p *Pipeline) mapOnDevice(ctx *cl.Context, queue *cl.Queue, units []unit, r
 		}
 		out := outs[u.shard]
 		sp := u.span
-		// newBatch sizes the read buffer by the batch's longest read, so
-		// bound the batch by the span's.
+		// Each static buffer — the output slots and the packed reads —
+		// must fit one allocation. newBatch sizes the read buffer by the
+		// batch's longest read, so bound the batch by the span's.
 		readLen := 0
 		for _, r := range reads[sp.start:sp.end] {
 			readLen = max(readLen, len(r))
 		}
-		outPerRead := int64(opt.MaxLocations) * locationBytes
-		inPerRead := int64((readLen + 3) / 4)
-		batch := sp.end - sp.start
-		if limit := dev.MaxAlloc / outPerRead; int64(batch) > limit {
-			batch = int(limit)
-		}
-		if limit := dev.MaxAlloc / inPerRead; int64(batch) > limit {
-			batch = int(limit)
-		}
+		batch := int(min(int64(sp.end-sp.start), dev.MaxAlloc/outBytes(opt), dev.MaxAlloc/int64((readLen+3)/4)))
 		if batch < 1 {
 			o.err = fmt.Errorf("a single read's buffers exceed the allocation limit")
 			o.unmapped = append([]unit{u}, units[ui+1:]...)
@@ -851,13 +844,12 @@ func instrumentKernel(k *cl.Kernel, h *trace.Histogram) *cl.Kernel {
 
 // generator is REPUTE's candidate generator (mapper.Generator): the
 // configured selector places the seeds of one strand, in the worker's
-// seed.Scratch, and their occurrences are located up to the strand's
-// candidate budget.
+// seed.Scratch, and their occurrences are located in seed order, up to
+// the strand's locate budget.
 type generator struct {
 	ix       *fmindex.Index
 	selector seed.Selector
 	params   seed.Params // MinSeedLen 0: each pattern's own default
-	maxCand  int         // located candidates per strand (first-n policy: the verification slots are static)
 }
 
 //repute:hotpath
@@ -872,16 +864,15 @@ func (g *generator) generate(st *mapper.State, pattern []byte, strand byte, cost
 	}
 	cost.FMSteps += int64(sel.FMSteps)
 	cost.DPCells += int64(sel.DPCells)
-	remaining := g.maxCand
 	for _, s := range sel.Seeds {
-		remaining -= st.Locate(g.ix, s.Lo, s.Hi, remaining, s.Start, strand, cost)
+		st.Locate(g.ix, s.Lo, s.Hi, s.Start, strand, cost)
 	}
 }
 
 // newBatch describes one batch of reads against one shard to the shared
 // kernel builder: the selector-driven generator, the shard's slice and
-// ownership geometry, the static buffer sizes, and REPUTE's first-n
-// report policy.
+// ownership geometry, the static buffer sizes, and the all-mapper
+// first-n policy.
 func (p *Pipeline) newBatch(sh *Shard, reads [][]byte, out [][]mapper.Mapping, opt mapper.Options) *mapper.Batch {
 	params := seed.Params{
 		Errors:      opt.MaxErrors,
@@ -896,7 +887,7 @@ func (p *Pipeline) newBatch(sh *Shard, reads [][]byte, out [][]mapper.Mapping, o
 		smin := minSeedLen(opt.MinSeedLen, len(r), opt.MaxErrors)
 		private = max(private, seed.DPPeakMem(len(r), opt.MaxErrors, smin, p.selector))
 	}
-	gen := &generator{ix: sh.Index, selector: p.selector, params: params, maxCand: 2 * opt.MaxLocations}
+	gen := &generator{ix: sh.Index, selector: p.selector, params: params}
 	return &mapper.Batch{
 		Name:         p.name,
 		PrivateBytes: int64(private),
@@ -906,8 +897,8 @@ func (p *Pipeline) newBatch(sh *Shard, reads [][]byte, out [][]mapper.Mapping, o
 		SliceStart:   sh.SliceStart, OwnStart: sh.OwnStart, OwnEnd: sh.OwnEnd,
 		Reads: reads, Out: out,
 		MaxErrors: opt.MaxErrors, Prefilter: opt.Prefilter,
-		Policy:   mapper.Policy{VerifyCap: opt.MaxLocations, BestOnly: opt.Best, MaxLoc: opt.MaxLocations},
+		Policy:   opt.Policy(),
 		InBytes:  int64((readLen + 3) / 4),
-		OutBytes: int64(opt.MaxLocations) * locationBytes,
+		OutBytes: outBytes(opt),
 	}
 }

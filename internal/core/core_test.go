@@ -446,10 +446,10 @@ func TestGeneratorAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The batch a Map would launch: its generator, and a worker's state
-	// built as the kernel builds it.
+	// built by its kernel (scratch and locate budget).
 	b := p.newBatch(&p.shards[0], set.Reads, make([][]mapper.Mapping, len(set.Reads)),
 		mapper.Options{MaxErrors: 4, MaxLocations: 100})
-	st := &mapper.State{Scratch: b.NewScratch()}
+	st := b.Kernel().NewState().(*mapper.State)
 	read := set.Reads[0]
 	var cost cl.Cost
 	item := func() { st.Generate(b.Generate, read, &cost) }

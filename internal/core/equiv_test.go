@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -268,12 +267,13 @@ func (w *equivWorld) premise(c config) []bool {
 	for _, s := range w.shards[c[axGeom]] {
 		ixs = append(ixs, s.Index)
 	}
+	// A State not built by a kernel has no locate budget.
 	opt, st := c.options(), &mapper.State{Scratch: new(seed.Scratch)}
 	holds := make([]bool, len(w.reads[c[axLengths]]))
 	for r, read := range w.reads[c[axLengths]] {
 		holds[r] = true
 		for _, ix := range ixs {
-			gen := &generator{ix: ix, selector: c.selector(), params: seed.Params{Errors: opt.MaxErrors}, maxCand: math.MaxInt32}
+			gen := &generator{ix: ix, selector: c.selector(), params: seed.Params{Errors: opt.MaxErrors}}
 			var cost cl.Cost
 			holds[r] = holds[r] && len(st.Generate(gen.generate, read, &cost)) <= opt.MaxLocations
 		}

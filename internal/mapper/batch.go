@@ -14,8 +14,15 @@ import (
 // strand per work item, so it allocates only into st (Scratch included).
 type Generator func(st *State, pattern []byte, strand byte, cost *cl.Cost)
 
-// Policy is what a mapper reports of the candidates that verified.
+// Policy is a mapper's first-n rule: how many candidates it locates,
+// verifies and reports. Every cap takes the first n in a stated order,
+// as a kernel filling static output slots must (DESIGN.md §4).
 type Policy struct {
+	// Locate is the number of suffix-array rows located per strand
+	// (0 = no cap), enforced by State.Locate. Rows are taken in the
+	// order the generator offers its seeds, and within a seed in SA
+	// order.
+	Locate int
 	// VerifyCap is the first-n cap on verified matches, applied in
 	// position order before the ownership filter (0 = none).
 	VerifyCap int
@@ -23,6 +30,17 @@ type Policy struct {
 	BestOnly bool
 	// MaxLoc caps the final report (0 = none).
 	MaxLoc int
+}
+
+// BestStratumCap bounds the co-optimal locations a best-stratum mapper
+// reports per read, modelling the output limits of GEM
+// (best+subdominant) and Yara (strata count).
+const BestStratumCap = 5
+
+// BestStratum returns p for a mapper that verifies every located
+// candidate and reports only the lowest stratum, at most BestStratumCap.
+func (p Policy) BestStratum() Policy {
+	return Policy{Locate: p.Locate, BestOnly: true, MaxLoc: min(p.MaxLoc, BestStratumCap)}
 }
 
 // State is one host worker's private memory for the mapping kernels: the
@@ -46,20 +64,26 @@ type State struct {
 	rev  []byte
 	locs []int32
 	fs   filter.State // prefilter scratch: pattern and window planes, match masks
+	// budget is the kernel's Policy.Locate; left is what the current
+	// strand has not yet located of it.
+	budget, left int
 }
 
 // Generate runs gen over both strands of read — the read itself, then
-// its reverse complement — and returns the candidates it appended.
+// its reverse complement, each with a fresh locate budget — and returns
+// the candidates it appended.
 //
 //repute:hotpath
 func (st *State) Generate(gen Generator, read []byte, cost *cl.Cost) []Candidate {
 	st.Cands = st.Cands[:0]
+	st.left = st.budget
 	gen(st, read, Forward, cost)
 	if cap(st.rev) < len(read) {
 		st.rev = make([]byte, len(read))
 	}
 	st.rev = st.rev[:len(read)]
 	dna.ReverseComplementInto(st.rev, read)
+	st.left = st.budget
 	gen(st, st.rev, Reverse, cost)
 	return st.Cands
 }
@@ -73,23 +97,31 @@ func (st *State) Pattern(read []byte, strand byte) []byte {
 	return read
 }
 
-// Locate resolves at most budget of the suffix-array rows [lo, hi) of ix,
-// appends each as the candidate read start it implies for a seed at read
-// offset off, charges the locate work, and returns the rows it took.
+// Locate resolves the lowest suffix-array rows of [lo, hi) of ix that
+// the strand's locate budget has left, appends each as the candidate
+// read start it implies for a seed at read offset off, and charges the
+// locate work. An empty or inverted interval takes nothing.
 //
 //repute:hotpath
-func (st *State) Locate(ix *fmindex.Index, lo, hi, budget, off int, strand byte, cost *cl.Cost) int {
-	c := min(hi-lo, budget)
-	if c <= 0 {
-		return 0
+func (st *State) Locate(ix *fmindex.Index, lo, hi, off int, strand byte, cost *cl.Cost) {
+	c := hi - lo
+	if st.budget > 0 {
+		c = min(c, st.left)
 	}
+	if c <= 0 {
+		return
+	}
+	st.left -= c
 	st.locs = ix.Locate(lo, lo+c, 0, st.locs[:0])
 	cost.LocateSteps += int64(float64(c) * (1 + ix.LocateSteps()))
 	for _, pos := range st.locs {
 		st.Cands = append(st.Cands, Candidate{Pos: pos - int32(off), Strand: strand})
 	}
-	return c
 }
+
+// Exhausted reports whether the strand's locate budget is spent, so
+// that Locate would take no further row.
+func (st *State) Exhausted() bool { return st.budget > 0 && st.left <= 0 }
 
 // Batch is the kernel builder for one batch of reads against one
 // reference text: a mapper described as data plus one Generator. One batch
@@ -134,7 +166,7 @@ func (b *Batch) Fused(item func(st *State, read []byte, cost *cl.Cost) []Mapping
 		Name:                b.Name + "-map",
 		PrivateBytesPerItem: b.PrivateBytes,
 		NewState: func() any {
-			st := &State{}
+			st := &State{budget: b.Policy.Locate}
 			if b.NewScratch != nil {
 				st.Scratch = b.NewScratch()
 			}
@@ -269,7 +301,7 @@ func Run(dev *cl.Device, text dna.PackedSeq, reads [][]byte, opt Options, build 
 		Text: text, OwnEnd: int64(text.Len()),
 		Reads: reads, Out: res.Mappings,
 		MaxErrors: opt.MaxErrors, Prefilter: opt.Prefilter,
-		Policy: Policy{VerifyCap: opt.MaxLocations, BestOnly: opt.Best, MaxLoc: opt.MaxLocations},
+		Policy: opt.Policy(),
 	})
 	if err != nil {
 		return nil, err

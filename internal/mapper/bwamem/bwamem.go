@@ -101,8 +101,8 @@ func (m *Mapper) generate(st *mapper.State, pattern []byte, strand byte, cost *c
 	// BWA-MEM re-seeds roughly every ~20 bp along the read.
 	sc.seeds = m.seedsOf(sc.seeds[:0], pattern, len(pattern)/20+1, cost)
 	for _, sd := range sc.seeds {
-		if c := sd.hi - sd.lo; c <= maxHitsPerSeed {
-			st.Locate(m.ix, sd.lo, sd.hi, c, sd.start, strand, cost)
+		if sd.hi-sd.lo <= maxHitsPerSeed {
+			st.Locate(m.ix, sd.lo, sd.hi, sd.start, strand, cost)
 		}
 	}
 }
@@ -176,6 +176,8 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 			return nil, fmt.Errorf("bwamem: prefilter %q is not supported: chain extension has no Myers verification stage to filter for", b.Prefilter)
 		}
 		b.Name, b.PrivateBytes = "bwamem", 2048
+		// The per-seed maxHitsPerSeed skip is BWA-MEM's only locate bound.
+		b.Policy.Locate = 0
 		b.NewScratch = func() any { return new(scratch) }
 		return b.Fused(extender{m: m, maxErr: b.MaxErrors}.mapRead), nil
 	})

@@ -224,9 +224,10 @@ func (w *mapperWorld) serial(t *testing.T, c config) *outcome {
 //     MaxLocations candidates over both strands, so neither the per-strand
 //     locate budget nor the verify cap truncates;
 //   - Yara, substitution-only seeds: a read of the substitution-only set
-//     whose approximate seeds stay inside the per-strand budget of
-//     8·MaxLocations and whose best stratum fits the report cap of
-//     min(MaxLocations, 5) (yara's bestStratumCap);
+//     whose approximate seeds stay inside yara's per-strand locate budget
+//     (yara.LocateScale times the best-stratum policy's) and whose best
+//     stratum fits that policy's report cap, min(MaxLocations,
+//     mapper.BestStratumCap);
 //   - GEM and BWA-MEM make no such promise.
 func (w *mapperWorld) premise(c config, r, ends, bestEnds int) bool {
 	opt, read := c.options(), w.sets[c[axRef]][c[axReads]].reads[r]
@@ -253,8 +254,9 @@ func (w *mapperWorld) premise(c config, r, ends, bestEnds int) bool {
 	case mREPUTE, mCORAL:
 		return located(mapper.Forward)+located(mapper.Reverse) <= opt.MaxLocations
 	case mYara:
-		return c[axReads] == readsSubs && bestEnds <= min(opt.MaxLocations, 5) &&
-			max(located(mapper.Forward), located(mapper.Reverse)) <= 8*opt.MaxLocations
+		pol := opt.Policy().BestStratum()
+		return c[axReads] == readsSubs && bestEnds <= pol.MaxLoc &&
+			max(located(mapper.Forward), located(mapper.Reverse)) <= yara.LocateScale*pol.Locate
 	}
 	return false
 }

@@ -17,10 +17,6 @@ import (
 // (GEM's region granularity).
 const regionThreshold = 20
 
-// bestStratumCap bounds the co-optimal locations reported per read,
-// modelling GEM's default best+subdominant output limits.
-const bestStratumCap = 5
-
 // regionMaxHits discards regions that stayed too frequent even at full
 // length (reads inside unresolvable repeats): GEM treats such regions as
 // non-filtering rather than flooding verification with their hits.
@@ -77,25 +73,19 @@ func (m *Mapper) regionsOf(regs []region, pattern []byte, itemCost *cl.Cost) []r
 	return regs
 }
 
-// generator is the adaptive-region filter (mapper.Generator).
-type generator struct {
-	m       *Mapper
-	maxCand int // located candidates per strand
-}
-
 // scratch is the generator's worker-private memory.
 type scratch struct{ regs []region }
 
+// generate is the adaptive-region filter (mapper.Generator).
+//
 //repute:hotpath
-func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
+func (m *Mapper) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
 	sc := st.Scratch.(*scratch)
-	sc.regs = g.m.regionsOf(sc.regs[:0], pattern, cost)
-	remaining := g.maxCand
+	sc.regs = m.regionsOf(sc.regs[:0], pattern, cost)
 	for _, r := range sc.regs {
-		if r.hi-r.lo > regionMaxHits {
-			continue
+		if r.hi-r.lo <= regionMaxHits {
+			st.Locate(m.ix, r.lo, r.hi, r.start, strand, cost)
 		}
-		remaining -= st.Locate(g.m.ix, r.lo, r.hi, remaining, r.start, strand, cost)
 	}
 }
 
@@ -104,10 +94,10 @@ func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error)
 	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
 		b.Name, b.PrivateBytes = "gem", 512
 		b.NewScratch = func() any { return new(scratch) }
-		b.Generate = generator{m: m, maxCand: 2 * b.Policy.MaxLoc}.generate
+		b.Generate = m.generate
 		// GEM verifies every candidate and reports the best stratum,
 		// capped like the real tool's best+subdominant output.
-		b.Policy = mapper.Policy{BestOnly: true, MaxLoc: min(b.Policy.MaxLoc, bestStratumCap)}
+		b.Policy = b.Policy.BestStratum()
 		return b.Kernel(), nil
 	})
 }

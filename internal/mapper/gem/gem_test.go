@@ -89,7 +89,7 @@ func TestGeneratorAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := ref[4000:4100]
-	gen := generator{m: m, maxCand: 200}.generate
+	gen := m.generate
 	st := &mapper.State{Scratch: new(scratch)}
 	var cost cl.Cost
 	item := func() { st.Generate(gen, read, &cost) }

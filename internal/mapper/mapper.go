@@ -74,6 +74,12 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// Policy is the all-mapper first-n rule for o: locate 2·MaxLocations
+// rows per strand, verify and report the first MaxLocations.
+func (o Options) Policy() Policy {
+	return Policy{Locate: 2 * o.MaxLocations, VerifyCap: o.MaxLocations, BestOnly: o.Best, MaxLoc: o.MaxLocations}
+}
+
 // Result is the output of mapping a read set.
 type Result struct {
 	// Mappings[i] are read i's reported locations, deduplicated, sorted

@@ -14,12 +14,6 @@ import (
 	"repro/internal/mapper"
 )
 
-// bestStratumCap models Yara's strata-count output limit: at most this many co-optimal locations are emitted per read, as the real
-// tool's stratum limits do. Multi-mapping reads therefore cover only a
-// sliver of the gold standard's (up to 100) locations — the §III-A
-// behaviour Table I shows.
-const bestStratumCap = 5
-
 // Mapper is a Yara-style mapper bound to a reference.
 type Mapper struct {
 	ix  *fmindex.Index
@@ -45,25 +39,22 @@ func (m *Mapper) Name() string { return "Yara" }
 // column where Yara runs 38 → 321 s and REPUTE's 13× headline comes from.
 const nSeeds = 3
 
+// LocateScale is Yara's locate budget as a multiple of the all-mapper
+// first-n policy's.
+const LocateScale = 4
+
 // generator is the approximate-seed filter (mapper.Generator).
 type generator struct {
 	ix      *fmindex.Index
 	seedErr int
-	// maxCand is the per-strand candidate budget. Yara enumerates every
-	// approximate-seed occurrence (it reports all strata), so it is
-	// generous — this is what blows its time up at high δ on repetitive
-	// references.
-	maxCand int
 }
 
 //repute:hotpath
 func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost *cl.Cost) {
 	n := len(pattern)
-	remaining, start := g.maxCand, 0
-	locate := func(h fmindex.ApproxHit) {
-		remaining -= st.Locate(g.ix, h.Lo, h.Hi, remaining, start, strand, cost)
-	}
-	for si := 0; si < nSeeds && remaining > 0; si++ {
+	start := 0
+	locate := func(h fmindex.ApproxHit) { st.Locate(g.ix, h.Lo, h.Hi, start, strand, cost) }
+	for si := 0; si < nSeeds && !st.Exhausted(); si++ {
 		start = si * n / nSeeds
 		cost.FMSteps += int64(g.ix.RangeApprox(pattern[start:(si+1)*n/nSeeds], g.seedErr, locate))
 	}
@@ -73,12 +64,16 @@ func (g generator) generate(st *mapper.State, pattern []byte, strand byte, cost 
 func (m *Mapper) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, error) {
 	return mapper.Run(m.dev, m.ix.Text(), reads, opt, func(b *mapper.Batch) (*cl.Kernel, error) {
 		b.Name, b.PrivateBytes = "yara", 512
-		b.Generate = generator{ix: m.ix, seedErr: b.MaxErrors / nSeeds, maxCand: 8 * b.Policy.MaxLoc}.generate
+		b.Generate = generator{ix: m.ix, seedErr: b.MaxErrors / nSeeds}.generate
 		// Every stratum is verified; only the lowest one is reported,
-		// capped like the real tool's strata limits.
-		b.Policy.VerifyCap = 0
-		b.Policy.BestOnly = true
-		b.Policy.MaxLoc = min(b.Policy.MaxLoc, bestStratumCap)
+		// capped like the real tool's strata limits, so multi-mapping
+		// reads cover only a sliver of the gold standard's locations —
+		// the §III-A behaviour Table I shows. Yara enumerates every
+		// approximate-seed occurrence, so its locate budget is
+		// LocateScale times the all-mapper one: what blows its time up
+		// at high δ on repetitive references.
+		b.Policy = b.Policy.BestStratum()
+		b.Policy.Locate *= LocateScale
 		return b.Kernel(), nil
 	})
 }

@@ -32,8 +32,8 @@ func TestBestStratumCapApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Mappings[0]); got != bestStratumCap {
-		t.Errorf("reported %d locations want stratum cap %d", got, bestStratumCap)
+	if got := len(res.Mappings[0]); got != mapper.BestStratumCap {
+		t.Errorf("reported %d locations want stratum cap %d", got, mapper.BestStratumCap)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestGeneratorAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := ref[4000:4100]
-	gen := generator{ix: m.ix, seedErr: 1, maxCand: 800}.generate
+	gen := generator{ix: m.ix, seedErr: 1}.generate
 	st := &mapper.State{}
 	var cost cl.Cost
 	item := func() { st.Generate(gen, read, &cost) }
