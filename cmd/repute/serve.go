@@ -35,7 +35,6 @@ func runServe(args []string) error {
 	batch := fs.Int("batch", 512, "default streaming batch size (jobs may override with ?batch=)")
 	retries := fs.Int("retry-budget", 2, "re-queue a failing job this many times before failing it")
 	maxConcurrent := fs.Int("max-concurrent", 0, "jobs running at once over disjoint device partitions (0 = min(4, pool size); 1 = strict serial FIFO)")
-	watchdog := fs.Float64("watchdog", 0, "hang-watchdog factor: terminate an enqueue overrunning this multiple of its cost-model expectation (0 = default 8, negative = off)")
 	errorsFlag := fs.Int("e", 5, "maximum edit distance δ")
 	maxLoc := fs.Int("max-locations", 100, "first-n locations reported per read")
 	fs.Parse(args)
@@ -76,7 +75,6 @@ func runServe(args []string) error {
 		DefaultBatch:     *batch,
 		RetryBudget:      *retries,
 		MaxConcurrent:    *maxConcurrent,
-		WatchdogFactor:   *watchdog,
 		MaxErrors:        *errorsFlag,
 		MaxLocations:     *maxLoc,
 		// The per-batch delay hook `repute map` reads too.

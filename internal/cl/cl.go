@@ -155,15 +155,9 @@ type Device struct {
 	// faults is the armed fault-injection plan plus its ordinal
 	// counters; nil (the default) injects nothing. See InstallFaults.
 	faults *faultState // guarded by mu
-	// breaker is the device's circuit breaker; nil (the default) means
-	// health tracking is off. See EnableBreaker. The Breaker carries its
-	// own lock — mu only guards the pointer.
-	breaker *Breaker // guarded by mu
-	// watchdogK is the hang-watchdog multiple: an enqueue whose simulated
-	// duration exceeds watchdogK × the unthrottled cost-model expectation
-	// fails with CommandTerminated. 0 (the default) disarms. See
-	// SetWatchdog.
-	watchdogK float64 // guarded by mu
+	// breaker is the device's circuit breaker, closed at creation; it
+	// carries its own lock.
+	breaker Breaker
 }
 
 // Occupancy returns how many work items one CU co-executes for a kernel
@@ -485,19 +479,20 @@ func (q *Queue) EnqueueNDRange(k *Kernel, globalSize int) (Event, error) {
 		Cost:       total,
 		SimSeconds: q.dev.simSeconds(k, total, throttle),
 	}
-	// Hang watchdog: compare the (possibly throttled) duration against
-	// the cost model's unthrottled expectation for the same work. An
+	// Hang watchdog: compare a throttled duration against watchdogMultiple
+	// × the cost model's unthrottled expectation for the same work (an
+	// unthrottled enqueue is its own expectation and cannot overrun). An
 	// overrun means the runtime would have killed the command at the
 	// budget: the device is charged exactly the budget, no event or cost
 	// is recorded (the retry re-executes the idempotent kernel), and the
 	// caller gets the typed transient timeout.
-	if wk := q.dev.WatchdogFactor(); wk > 0 {
-		if budget := wk * q.dev.simSeconds(k, total, 1); ev.SimSeconds > budget {
+	if throttle < 1 {
+		if budget := watchdogMultiple * q.dev.simSeconds(k, total, 1); ev.SimSeconds > budget {
 			q.ChargePenalty(budget)
 			werr := &Error{
 				Code: CommandTerminated, Op: "enqueue", Device: q.dev.Name, Kernel: k.Name,
-				Detail: fmt.Sprintf("watchdog: %.3gs exceeds %g× expected %.3gs",
-					ev.SimSeconds, wk, budget/wk),
+				Detail: fmt.Sprintf("watchdog: %.3gs exceeds %d× expected %.3gs",
+					ev.SimSeconds, watchdogMultiple, budget/watchdogMultiple),
 			}
 			if t := q.tracer; t != nil {
 				//repute:allow hotalloc -- tracing-enabled path only, one instant per watchdog kill

@@ -29,7 +29,7 @@ const (
 	InvalidMemObject           Code = -38
 	InvalidGlobalWorkSize      Code = -63
 	// CommandTerminated is the synthetic status the hang watchdog raises
-	// when an enqueue overruns its simulated-time budget (Device.SetWatchdog).
+	// when an enqueue overruns its simulated-time budget.
 	// The value is ARM's cl_arm_terminate extension code
 	// CL_COMMAND_TERMINATED_ITSELF_WITH_FAILURE_ARM — the one real OpenCL
 	// status that means "the runtime killed a running command" — so the
@@ -161,8 +161,8 @@ func IsDeviceLost(err error) bool {
 }
 
 // IsWatchdogTimeout reports whether err is a hang-watchdog termination —
-// the synthetic CommandTerminated fault a Device.SetWatchdog budget
-// overrun raises. Watchdog kills are transient (IsTransient is also
+// the synthetic CommandTerminated fault a watchdog budget overrun
+// raises. Watchdog kills are transient (IsTransient is also
 // true), so the retry/failover machinery needs no special case; this
 // predicate exists for accounting (FaultStats.WatchdogFires) and for
 // breaker policies that weight hangs differently from resource squeezes.

@@ -8,14 +8,15 @@ package cl
 // blows past the cost model's expectation) into an ordinary typed fault
 // the existing retry/failover machinery already knows how to recover.
 //
-// Everything here is deterministic by construction: breaker transitions
-// are driven by the per-device operation sequence (the same ordinal
-// schedule fault plans count on) and by explicit Skipped() cooldown
-// ticks — never by wall-clock time or randomness — so a chaos run
-// produces the same breaker history every time (pipedeterminism-clean).
+// Every device has both from creation. Everything here is deterministic
+// by construction: breaker transitions are driven by the per-device
+// operation sequence (the same ordinal schedule fault plans count on)
+// and by the scheduling decisions of Admit — never by wall-clock time or
+// randomness — so a chaos run produces the same breaker history every
+// time (pipedeterminism-clean).
 //
-// DESIGN.md §17 documents the state machine and the watchdog threshold
-// derivation.
+// DESIGN.md §17 documents the state machine, the cooldown back-off and
+// the watchdog threshold.
 
 import (
 	"fmt"
@@ -26,8 +27,8 @@ import (
 
 // BreakerState is a circuit breaker's position: Closed (healthy,
 // admitting work), HalfOpen (probing — the next batch is a canary) or
-// Open (tripped — in-place retries stop, and the next scheduling
-// decision that reaches the device half-opens it for a canary).
+// Open (tripped — in-place retries stop, and schedulers pass the device
+// over until its cooldown is over; see Admit).
 type BreakerState int32
 
 // Breaker states. The numeric values are the device_breaker_state gauge
@@ -50,14 +51,20 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int32(s))
 }
 
-// Breaker tuning, the same for every device: a decayed failure score of
+// Health tuning, the same for every device: a decayed failure score of
 // breakerTripScore opens the breaker — three transient faults in a row
 // trip it, while isolated faults decay away between successes — and
 // every successful operation multiplies the score by
-// breakerSuccessDecay.
+// breakerSuccessDecay. The cooldown, in scheduling decisions, is one
+// after a trip from closed and doubles with each failed canary, up to
+// breakerMaxCooldown. An enqueue is killed by the hang watchdog when its
+// simulated duration exceeds watchdogMultiple × the cost model's
+// unthrottled expectation.
 const (
 	breakerTripScore    = 3
 	breakerSuccessDecay = 0.5
+	breakerMaxCooldown  = 64
+	watchdogMultiple    = 8
 )
 
 // Breaker is a per-device circuit breaker: closed → open → half-open →
@@ -66,12 +73,13 @@ const (
 // half-open breaker re-closes on its first success (the canary passed)
 // and re-opens on its first failure. All transitions are counted-not-
 // clocked, so breaker history under a scheduled fault plan is exactly
-// reproducible. The zero value is a closed breaker; most callers arm one
-// with Device.EnableBreaker.
+// reproducible. The zero value is a closed breaker.
 type Breaker struct {
 	mu       sync.Mutex
 	state    BreakerState // guarded by mu
 	score    float64      // guarded by mu; decayed failure score
+	cooldown int          // guarded by mu; decisions an open breaker sits out; 0 while closed
+	waited   int          // guarded by mu; decisions that reached it since it opened
 	trips    int64        // guarded by mu; transitions into Open
 	readmits int64        // guarded by mu; half-open canaries that closed it
 }
@@ -109,6 +117,7 @@ func (b *Breaker) RecordSuccess() (BreakerState, bool) {
 	if b.state == BreakerHalfOpen {
 		b.state = BreakerClosed
 		b.score = 0
+		b.cooldown = 0
 		b.readmits++
 		return b.state, true
 	}
@@ -118,10 +127,11 @@ func (b *Breaker) RecordSuccess() (BreakerState, bool) {
 // RecordFailure feeds one failed device operation. Device loss trips the
 // breaker immediately; transient faults (resource squeezes, watchdog
 // terminations) raise the decaying score and trip it at the threshold; a
-// failure in HalfOpen means the canary died and the breaker re-opens.
-// Non-transient, non-loss errors (host-program bugs like invalid work
-// sizes) say nothing about device health and are ignored. Returns the
-// resulting state and whether this call transitioned it.
+// failure in HalfOpen means the canary died and the breaker re-opens
+// for twice the cooldown it last sat out. Non-transient, non-loss errors
+// (host-program bugs like invalid work sizes) say nothing about device
+// health and are ignored. Returns the resulting state and whether this
+// call transitioned it.
 func (b *Breaker) RecordFailure(err error) (BreakerState, bool) {
 	lost := IsDeviceLost(err)
 	if !lost && !IsTransient(err) {
@@ -137,22 +147,33 @@ func (b *Breaker) RecordFailure(err error) (BreakerState, bool) {
 		return b.state, false
 	case lost || b.state == BreakerHalfOpen || b.score >= breakerTripScore:
 		b.state = BreakerOpen
+		b.cooldown = min(max(2*b.cooldown, 1), breakerMaxCooldown)
+		b.waited = 0
 		b.trips++
 		return b.state, true
 	}
 	return b.state, false
 }
 
-// Skipped records that a scheduler reached the device while its breaker
-// was open — the cooldown, counted in scheduling decisions rather than
-// seconds so chaos runs stay deterministic. One pass-over is the whole
-// cooldown: the breaker goes half-open and the next operation is the
-// canary. Returns the resulting state and whether this call
-// transitioned it.
-func (b *Breaker) Skipped() (BreakerState, bool) {
+// Skipped records one scheduling decision that reached the device while
+// its breaker was open — the cooldown is counted in these decisions
+// rather than in seconds, so chaos runs stay deterministic. The decision
+// that completes the cooldown half-opens the breaker and the device's
+// next operation is the canary; earlier ones leave it open. Returns the
+// resulting state and whether this call transitioned it.
+func (b *Breaker) Skipped() (BreakerState, bool) { return b.pass(false) }
+
+// admit half-opens an open breaker at once, mid-cooldown.
+func (b *Breaker) admit() (BreakerState, bool) { return b.pass(true) }
+
+// pass is Skipped, or admit when force is set.
+func (b *Breaker) pass(force bool) (BreakerState, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != BreakerOpen {
+		return b.state, false
+	}
+	if b.waited++; b.waited < b.cooldown && !force {
 		return b.state, false
 	}
 	b.state = BreakerHalfOpen
@@ -160,66 +181,49 @@ func (b *Breaker) Skipped() (BreakerState, bool) {
 	return b.state, true
 }
 
-// EnableBreaker arms a circuit breaker on the device (idempotent: an
-// already-armed breaker is returned unchanged, keeping its history).
-// Once armed, every enqueue and allocation on the device feeds it, and
-// health-aware schedulers (core.Pipeline.Map, the serve partition
-// allocator) send it a half-open canary when they find it open.
-func (d *Device) EnableBreaker() *Breaker {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.breaker == nil {
-		d.breaker = &Breaker{}
+// Breaker returns the device's circuit breaker.
+func (d *Device) Breaker() *Breaker { return &d.breaker }
+
+// BreakerState returns the device's breaker state.
+func (d *Device) BreakerState() BreakerState { return d.breaker.State() }
+
+// Admit is the one admission rule of both schedulers (core.Pipeline.Map
+// and the serve partition allocator): one scheduling decision over the
+// candidate devices devs, need of which must take work. It returns each device's breaker state after the decision; a device
+// left Open is passed over, a Closed or HalfOpen one may take work. An
+// open device counts the decision toward its cooldown (Skipped) and is
+// half-opened, as a canary, once the cooldown is over. When fewer than
+// need devices would be admitted, the open ones are half-opened at once,
+// in order, until need are (or none is left open): a quarantined device
+// never stalls a scheduler that has nothing else. A non-nil tr gets a
+// "breaker-half-open" instant on each device the decision half-opened.
+func Admit(devs []*Device, need int, tr *trace.Recorder) []BreakerState {
+	states := make([]BreakerState, len(devs))
+	admitted := 0
+	decide := func(i int, step func() (BreakerState, bool)) {
+		var opened bool
+		if states[i], opened = step(); opened && tr != nil {
+			tr.Instant(devs[i].Name, "breaker-half-open")
+		}
+		if states[i] != BreakerOpen {
+			admitted++
+		}
 	}
-	return d.breaker
-}
-
-// Breaker returns the device's circuit breaker, or nil when none is
-// armed.
-func (d *Device) Breaker() *Breaker {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.breaker
-}
-
-// BreakerState returns the device's breaker state; a device without a
-// breaker is always Closed (healthy).
-func (d *Device) BreakerState() BreakerState {
-	b := d.Breaker()
-	if b == nil {
-		return BreakerClosed
+	for i, d := range devs {
+		decide(i, d.breaker.Skipped)
 	}
-	return b.State()
-}
-
-// SetWatchdog arms the hang watchdog: an enqueue whose simulated
-// duration exceeds factor × the cost model's unthrottled expectation for
-// the same kernel and cost fails with CommandTerminated after charging
-// the full budget as device time — the simulated analogue of a runtime
-// killing a kernel that blew its timeout. factor <= 0 disarms. The
-// threshold derives from the device's own cost model, so it is exact and
-// deterministic: only genuinely slowed execution (a throttle window, a
-// contended lane) can overrun it.
-func (d *Device) SetWatchdog(factor float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if factor <= 0 {
-		factor = 0
+	for i, d := range devs {
+		if admitted < need && states[i] == BreakerOpen {
+			decide(i, d.breaker.admit)
+		}
 	}
-	d.watchdogK = factor
+	return states
 }
 
-// WatchdogFactor returns the armed watchdog multiple (0 = disarmed).
-func (d *Device) WatchdogFactor() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.watchdogK
-}
-
-// feedBreaker feeds one operation outcome to dev's breaker (no-op when
-// none is armed) and, on a state transition, emits a "breaker-open" or
-// "breaker-closed" instant on the device's lane so quarantine and
-// readmission are visible in traces and derivable as metrics
+// feedBreaker feeds one operation outcome to dev's breaker and, on a
+// state transition, emits a "breaker-open" or "breaker-closed" instant
+// on the device's lane so quarantine and readmission are visible in
+// traces and derivable as metrics
 // (device_quarantined_total, device_readmitted_total). The enqueue path
 // feeds both outcomes; the alloc path feeds failures only, so the
 // successful bookkeeping allocations between kernel launches cannot
@@ -228,10 +232,7 @@ func (d *Device) WatchdogFactor() float64 {
 //
 //repute:hotpath
 func feedBreaker(dev *Device, opErr error, tr *trace.Recorder) {
-	b := dev.Breaker()
-	if b == nil {
-		return
-	}
+	b := &dev.breaker
 	var (
 		state   BreakerState
 		changed bool

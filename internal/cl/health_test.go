@@ -3,6 +3,7 @@ package cl
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -10,7 +11,7 @@ import (
 
 // breakerEvent is one step of a table-driven breaker scenario.
 type breakerEvent struct {
-	op         string // "ok", "transient", "lost", "launch", "skip"
+	op         string // "ok", "transient", "lost", "watchdog", "launch", "skip", "admit"
 	wantState  BreakerState
 	wantChange bool
 }
@@ -34,6 +35,8 @@ func (e breakerEvent) apply(t *testing.T, b *Breaker, step int) {
 		state, changed = b.RecordFailure(&Error{Code: OutOfResources, Op: "launch", Kernel: "k"})
 	case "skip":
 		state, changed = b.Skipped()
+	case "admit":
+		state, changed = b.admit()
 	default:
 		t.Fatalf("step %d: unknown op %q", step, e.op)
 	}
@@ -108,8 +111,35 @@ func TestBreakerLifecycle(t *testing.T) {
 				{"lost", BreakerOpen, true},
 				{"skip", BreakerHalfOpen, true},
 				{"transient", BreakerOpen, true},
+				{"skip", BreakerOpen, false}, // the failed canary doubled the cooldown
 				{"skip", BreakerHalfOpen, true},
 				{"ok", BreakerClosed, true},
+			},
+		},
+		{
+			name:   "failed canaries double the cooldown up to the cap",
+			events: slices.Concat(lost, failedCanaries(1, 2, 4, 8, 16, 32, 64, 64)),
+		},
+		{
+			name: "readmission resets the cooldown to one decision",
+			events: slices.Concat(lost, failedCanaries(1, 2, 4), sitOut(8), []breakerEvent{{"ok", BreakerClosed, true}},
+				lost, sitOut(1)),
+		},
+		{
+			name: "a forced admission half-opens mid-cooldown",
+			events: []breakerEvent{
+				{"admit", BreakerClosed, false}, // no-op on a closed breaker
+				{"lost", BreakerOpen, true},
+				{"skip", BreakerHalfOpen, true},
+				{"transient", BreakerOpen, true}, // cooldown 2
+				{"admit", BreakerHalfOpen, true}, // before its first skip
+				{"transient", BreakerOpen, true}, // a failed canary all the same: cooldown 4
+				{"skip", BreakerOpen, false},
+				{"skip", BreakerOpen, false},
+				{"skip", BreakerOpen, false},
+				{"skip", BreakerHalfOpen, true},
+				{"ok", BreakerClosed, true},
+				{"admit", BreakerClosed, false},
 			},
 		},
 	}
@@ -123,12 +153,37 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// lost is a closed breaker's trip by device loss.
+var lost = []breakerEvent{{"lost", BreakerOpen, true}}
+
+// sitOut is an open breaker's cooldown of c decisions: passed over until
+// the last one half-opens it.
+func sitOut(c int) []breakerEvent {
+	evs := make([]breakerEvent, c)
+	for i := range evs {
+		evs[i] = breakerEvent{"skip", BreakerOpen, false}
+	}
+	evs[c-1] = breakerEvent{"skip", BreakerHalfOpen, true}
+	return evs
+}
+
+// failedCanaries sits out each cooldown in turn and fails the canary
+// that ends it.
+func failedCanaries(cooldowns ...int) []breakerEvent {
+	var evs []breakerEvent
+	for _, c := range cooldowns {
+		evs = append(append(evs, sitOut(c)...), breakerEvent{"transient", BreakerOpen, true})
+	}
+	return evs
+}
+
 func TestBreakerCounters(t *testing.T) {
 	b := &Breaker{}
 	b.RecordFailure(&Error{Code: DeviceNotAvailable, Op: "enqueue"})
 	b.Skipped()
 	b.RecordFailure(&Error{Code: OutOfResources, Op: "enqueue"}) // canary fails
 	b.Skipped()
+	b.Skipped()       // the second decision of the doubled cooldown
 	b.RecordSuccess() // canary passes
 	if got := b.Trips(); got != 2 {
 		t.Errorf("Trips() = %d, want 2", got)
@@ -140,7 +195,6 @@ func TestBreakerCounters(t *testing.T) {
 
 func TestDeviceBreakerFedByEnqueueAndAlloc(t *testing.T) {
 	dev := SystemOneCPU()
-	dev.EnableBreaker()
 	dev.InstallFaults(&FaultPlan{FailEnqueues: map[int]Code{1: DeviceNotAvailable}})
 	rec := trace.NewRecorder()
 	q := NewQueue(dev)
@@ -165,7 +219,6 @@ func TestDeviceBreakerFedByEnqueueAndAlloc(t *testing.T) {
 	// alloc failure in a row; three structural alloc failures on another
 	// do not (they say nothing about device health).
 	inj := SystemOneCPU()
-	inj.EnableBreaker()
 	inj.InstallFaults(&FaultPlan{FailAllocs: map[int]Code{
 		1: MemObjectAllocationFailure, 2: MemObjectAllocationFailure, 3: MemObjectAllocationFailure,
 	}})
@@ -182,7 +235,6 @@ func TestDeviceBreakerFedByEnqueueAndAlloc(t *testing.T) {
 		t.Errorf("breaker state after three injected alloc failures = %v, want open", got)
 	}
 	str := SystemOneCPU()
-	str.EnableBreaker()
 	for i := 0; i < 3; i++ {
 		if _, err := ctx.AllocBuffer(str, str.MaxAlloc+1); err == nil {
 			t.Fatal("oversized alloc succeeded")
@@ -196,9 +248,9 @@ func TestDeviceBreakerFedByEnqueueAndAlloc(t *testing.T) {
 func TestWatchdogFiresOnThrottledEnqueue(t *testing.T) {
 	// SystemOne's CPU has no launch overhead and no transfer link, so a
 	// throttled enqueue overruns the unthrottled expectation by exactly
-	// 1/factor: factor 0.1 against watchdog 4 fires, factor 0.5 does not.
+	// 1/factor: factor 0.1 against the 8× watchdog fires, factor 0.5 does
+	// not.
 	dev := SystemOneCPU()
-	dev.SetWatchdog(4)
 	dev.InstallFaults(&FaultPlan{Throttles: []Throttle{{From: 1, To: 1, Factor: 0.1}}})
 	rec := trace.NewRecorder()
 	q := NewQueue(dev)
@@ -214,10 +266,10 @@ func TestWatchdogFiresOnThrottledEnqueue(t *testing.T) {
 	if errors.Is(err, DeviceNotAvailable) {
 		t.Error("watchdog timeout must not classify as device loss")
 	}
-	// The kill charges exactly the budget: 4× the unthrottled duration.
+	// The kill charges exactly the budget: 8× the unthrottled duration.
 	expected := dev.simSeconds(itemKernel(), Cost{Items: 1024}, 1)
 	busy, _ := q.Finish()
-	if want := 4 * expected; math.Abs(busy-want) > 1e-12 {
+	if want := watchdogMultiple * expected; math.Abs(busy-want) > 1e-12 {
 		t.Errorf("busy after watchdog kill = %g, want the %g budget", busy, want)
 	}
 	if len(q.Events()) != 0 {
@@ -240,7 +292,6 @@ func TestWatchdogFiresOnThrottledEnqueue(t *testing.T) {
 
 	// A mild throttle within the watchdog multiple never fires.
 	mild := SystemOneCPU()
-	mild.SetWatchdog(4)
 	mild.InstallFaults(&FaultPlan{Throttles: []Throttle{{From: 1, To: 1, Factor: 0.5}}})
 	if _, err := NewQueue(mild).EnqueueNDRange(itemKernel(), 1024); err != nil {
 		t.Fatalf("mild throttle enqueue failed: %v", err)
@@ -263,5 +314,95 @@ func TestParseFaultPlanDeviceDirective(t *testing.T) {
 	}
 	if _, err := ParseFaultPlan("device=x"); !errors.Is(err, ErrBadFaultPlan) {
 		t.Errorf("device=x error = %v, want ErrBadFaultPlan", err)
+	}
+}
+
+// breakerModel is FuzzBreaker's reference: the DESIGN.md §17 rules
+// written out, with the cooldown 2^(failed canaries in a row), capped.
+type breakerModel struct {
+	state                  BreakerState
+	score                  float64
+	failedCanaries, waited int
+	trips, readmits        int64
+}
+
+func (m *breakerModel) step(op string) {
+	switch {
+	case op == "ok":
+		m.score /= 2
+		if m.state == BreakerHalfOpen {
+			m.state, m.score, m.failedCanaries = BreakerClosed, 0, 0
+			m.readmits++
+		}
+	case op == "transient" || op == "lost":
+		if op == "transient" {
+			m.score++
+		}
+		if m.state != BreakerOpen && (op == "lost" || m.state == BreakerHalfOpen || m.score >= 3) {
+			if m.state == BreakerHalfOpen {
+				m.failedCanaries++
+			}
+			m.state, m.waited = BreakerOpen, 0
+			m.trips++
+		}
+	case m.state != BreakerOpen: // skip and admit leave a closed or half-open breaker alone
+	case op == "admit" || m.waited+1 >= 1<<min(m.failedCanaries, 6):
+		m.state, m.score = BreakerHalfOpen, 0
+	default:
+		m.waited++
+	}
+}
+
+// FuzzBreaker drives a Breaker and the reference model with the same
+// random sequence of lost/transient/ok/skip/admit events and requires the
+// same state, transition flag and counters after every event.
+func FuzzBreaker(f *testing.F) {
+	f.Add([]byte{1, 3, 1, 3, 3, 1, 3, 3, 3, 3, 2, 1, 3})
+	f.Add([]byte{0, 0, 0, 4, 1, 3, 0, 4, 1, 2, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		b, m := &Breaker{}, &breakerModel{}
+		for i, o := range ops {
+			op := [...]string{"transient", "lost", "ok", "skip", "admit"}[o%5]
+			before := m.state
+			m.step(op)
+			breakerEvent{op, m.state, m.state != before}.apply(t, b, i)
+			if b.Trips() != m.trips || b.Readmits() != m.readmits {
+				t.Fatalf("step %d (%s): trips %d readmits %d, model %d %d", i, op, b.Trips(), b.Readmits(), m.trips, m.readmits)
+			}
+		}
+	})
+}
+
+// TestAdmit: one decision passes over an open device in its cooldown and
+// counts the pass, half-opens it when too few devices are left without
+// it, and traces each half-open.
+func TestAdmit(t *testing.T) {
+	a, b, c := SystemOneCPU(), SystemOneCPU(), SystemOneCPU()
+	a.Name, b.Name, c.Name = "a", "b", "c"
+	for _, d := range []*Device{b, c} { // open with a cooldown of two decisions
+		for _, e := range slices.Concat(lost, failedCanaries(1)) {
+			e.apply(t, d.Breaker(), 0)
+		}
+	}
+	rec := trace.NewRecorder()
+	for _, step := range []struct {
+		devs []*Device
+		need int
+		want []BreakerState
+	}{
+		{[]*Device{a, b, c}, 1, []BreakerState{BreakerClosed, BreakerOpen, BreakerOpen}}, // each counts its first pass
+		{[]*Device{a, b}, 1, []BreakerState{BreakerClosed, BreakerHalfOpen}},             // b's second pass ends its cooldown
+		{[]*Device{a, c}, 3, []BreakerState{BreakerClosed, BreakerHalfOpen}},             // so does c's; it could not be left out anyway
+	} {
+		if got := Admit(step.devs, step.need, rec); !slices.Equal(got, step.want) {
+			t.Fatalf("Admit(need %d) = %v, want %v", step.need, got, step.want)
+		}
+	}
+	b.Breaker().RecordFailure(&Error{Code: DeviceNotAvailable}) // cooldown 4
+	if got := Admit([]*Device{b, c}, 2, rec); !slices.Equal(got, []BreakerState{BreakerHalfOpen, BreakerHalfOpen}) {
+		t.Fatalf("Admit(need 2) = %v, want b half-opened at once", got)
+	}
+	if n := len(slices.DeleteFunc(rec.Events(), func(e trace.Event) bool { return e.Name != "breaker-half-open" })); n != 3 {
+		t.Errorf("breaker-half-open instants = %d, want 3", n)
 	}
 }

@@ -421,28 +421,21 @@ func (p *Pipeline) Map(reads [][]byte, opt mapper.Options) (*mapper.Result, erro
 			outs[s] = make([][]mapper.Mapping, len(reads))
 		}
 	}
-	// Health-aware start: a device whose circuit breaker is open (it
-	// tripped in an earlier run) has sat out its cooldown by the time a
-	// new Map call reaches it, so Skipped half-opens it and its first
-	// batch here is the canary. A canary failure reopens the breaker and
-	// fails the device over mid-run like any other permanent fault.
-	for _, dev := range p.devices {
-		if brk := dev.Breaker(); brk != nil {
-			if _, changed := brk.Skipped(); changed {
-				p.instant(dev.Name, "breaker-half-open", nil)
-			}
-		}
-	}
-
 	// Every round deals its units through the one placement rule: round 1
 	// each shard's whole read range, later rounds what failed devices left
 	// behind. An empty span is never placed, so an empty read set runs
-	// nothing.
+	// nothing. The call starts with one admission decision (cl.Admit): a
+	// device whose breaker stays open sits it out in the failed set, and
+	// one it half-opens runs its first batch as the canary — a canary
+	// failure fails it over mid-run like any other permanent fault.
 	units := make([]unit, len(p.shards))
 	for s := range units {
 		units[s] = unit{shard: s, span: pending{0, len(reads)}}
 	}
 	failed := make([]bool, len(p.devices))
+	for i, st := range cl.Admit(p.devices, 1, p.tracer) {
+		failed[i] = st == cl.BreakerOpen
+	}
 	ran := make([]bool, len(p.devices))
 	var devErrs []error
 	for round := 1; ; round++ {

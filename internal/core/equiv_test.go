@@ -162,9 +162,7 @@ func (c config) devices() []*cl.Device {
 		if plan, err := cl.ParseFaultPlan(ciFaultPlan); err != nil || cl.ArmFaults(plan, devs) != nil {
 			panic("arming " + ciFaultPlan)
 		}
-	case planWatchdog: // a 10× slowdown past a 4× budget kills device 0's first launch and its retry
-		devs[0].SetWatchdog(4)
-		devs[0].EnableBreaker()
+	case planWatchdog: // a 10× slowdown past the 8× watchdog budget kills device 0's first launch and its retry
 		devs[0].InstallFaults(&cl.FaultPlan{Throttles: []cl.Throttle{{From: 1, To: 2, Factor: 0.1}}})
 	}
 	return devs

@@ -8,16 +8,26 @@ import (
 	"repro/internal/trace"
 )
 
-// tripBreaker arms a breaker on dev and trips it open, the way a lost
-// device would have.
+// tripBreaker trips dev's breaker open, the way a lost device would
+// have.
 func tripBreaker(t *testing.T, dev *cl.Device) *cl.Breaker {
 	t.Helper()
-	b := dev.EnableBreaker()
+	b := dev.Breaker()
 	if st, changed := b.RecordFailure(&cl.Error{
 		Code: cl.DeviceNotAvailable, Op: "enqueue", Device: dev.Name,
 	}); st != cl.BreakerOpen || !changed {
 		t.Fatalf("tripping breaker on %s: state %v changed %v", dev.Name, st, changed)
 	}
+	return b
+}
+
+// failCanary trips dev's breaker and fails its canary, leaving it open
+// with a cooldown of two decisions, none of them taken yet.
+func failCanary(t *testing.T, dev *cl.Device) *cl.Breaker {
+	t.Helper()
+	b := tripBreaker(t, dev)
+	b.Skipped()
+	b.RecordFailure(&cl.Error{Code: cl.DeviceNotAvailable, Op: "enqueue", Device: dev.Name})
 	return b
 }
 
@@ -50,8 +60,6 @@ func TestWatchdogTripsBreakerAndFailsOver(t *testing.T) {
 	}
 
 	devs := mkDevs()
-	devs[0].SetWatchdog(4)
-	devs[0].EnableBreaker()
 	// Every enqueue in the window overruns: kill → retry → kill → retry →
 	// kill → breaker opens at score 3 → no third in-place retry, CPU-A
 	// fails over.
@@ -158,9 +166,9 @@ func mapWithOpenBreaker(t *testing.T) (baseline, res *mapper.Result, brk *cl.Bre
 }
 
 // TestMapQuarantinesOpenBreaker: a breaker open when Map starts is
-// passed over without a device failure or a quarantine skip. With a
-// one-skip cooldown that pass-over is the breaker's half-open step, and
-// the mappings match a fault-free baseline.
+// passed over without a device failure or a quarantine skip. A first
+// trip's cooldown is one decision, so that pass-over is the breaker's
+// half-open step, and the mappings match a fault-free baseline.
 func TestMapQuarantinesOpenBreaker(t *testing.T) {
 	baseline, res, _, rec := mapWithOpenBreaker(t)
 	sameMappings(t, baseline.Mappings, res.Mappings)
@@ -193,5 +201,75 @@ func TestHalfOpenCanaryReadmission(t *testing.T) {
 	}
 	if n := countInstants(rec, "breaker-closed"); n != 1 {
 		t.Errorf("breaker-closed instants = %d, want 1", n)
+	}
+}
+
+// TestMapSitsOutCooldown: a device whose canary failed sits out the
+// doubled cooldown. The first Map passes it over, placing its share on
+// its partner with no failure or failover; the second half-opens it, and
+// its clean canary readmits it. Both match a fault-free baseline.
+func TestMapSitsOutCooldown(t *testing.T) {
+	t.Setenv("REPUTE_CL_FAULTS", "")
+	ref, set, mkDevs, maxLoc := faultWorld(t, 80)
+	opt := mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}
+	single, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := single.Map(set.Reads, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	devs := mkDevs()
+	brk := failCanary(t, devs[1])
+	p, err := New(ref, devs, Config{Split: []float64{0.5, 0.5}, Exec: cl.Serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call, want := range []cl.BreakerState{cl.BreakerOpen, cl.BreakerClosed} {
+		res, err := p.Map(set.Reads, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMappings(t, baseline.Mappings, res.Mappings)
+		if ran := res.DeviceSeconds["CPU-B"] > 0; ran != (call == 1) || res.Faults.Any() {
+			t.Errorf("call %d: CPU-B ran %v, faults %+v", call+1, ran, res.Faults)
+		}
+		if st := brk.State(); st != want {
+			t.Errorf("call %d: breaker %v, want %v", call+1, st, want)
+		}
+	}
+}
+
+// TestMapAdmitsOpenDeviceAlone: a one-device pipeline whose device is
+// open mid-cooldown still maps — the call half-opens it at once, since
+// no other device can take the reads — and the clean canary readmits it.
+func TestMapAdmitsOpenDeviceAlone(t *testing.T) {
+	t.Setenv("REPUTE_CL_FAULTS", "")
+	ref, set, _, maxLoc := faultWorld(t, 80)
+	opt := mapper.Options{MaxErrors: 3, MaxLocations: maxLoc}
+	single, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Exec: cl.Serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := single.Map(set.Reads, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dev := cl.SystemOneCPU()
+	brk := failCanary(t, dev)
+	p, err := New(ref, []*cl.Device{dev}, Config{Exec: cl.Serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Map(set.Reads, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMappings(t, baseline.Mappings, res.Mappings)
+	if st := brk.State(); st != cl.BreakerClosed {
+		t.Errorf("breaker after the forced canary = %v, want closed", st)
 	}
 }

@@ -4,9 +4,10 @@ package serve
 // disjoint per-job partitions. A job asks for n devices; the allocator
 // hands out n free devices (closed breakers first, then half-open —
 // canaries run only when no fully healthy device is free) and marks
-// them busy until the job releases them. A free device whose circuit
-// breaker is open has sat out its cooldown: acquire half-opens it
-// (cl.Breaker.Skipped) and it competes as a canary. All decisions are
+// them busy until the job releases them. Which free devices may take
+// the job is the one admission rule of cl.Admit: a free device whose
+// breaker is open is passed over until its cooldown is over, unless
+// fewer than n free devices are admitted without it. All decisions are
 // count-driven — no clocks, no randomness — so a scripted chaos run
 // allocates identically every time.
 
@@ -31,24 +32,25 @@ func newAllocator(devices []*cl.Device) *allocator {
 // acquire tries to check out n free devices. On success it returns the
 // chosen pool indices and devices with ok true; when fewer than n
 // devices are free it reports ok false and checks out nothing (a free
-// open-breaker device it reached stays half-open).
+// open-breaker device the decision half-opened stays half-open).
 func (a *allocator) acquire(n int) (idx []int, devs []*cl.Device, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var closed, half []int
+	var free []int
+	var cand []*cl.Device
 	for i, d := range a.devices {
-		if a.busy[i] {
-			continue
+		if !a.busy[i] {
+			free = append(free, i)
+			cand = append(cand, d)
 		}
-		st := d.BreakerState()
-		if st == cl.BreakerOpen {
-			st, _ = d.Breaker().Skipped()
-		}
+	}
+	var closed, half []int
+	for k, st := range cl.Admit(cand, n, nil) {
 		switch st {
 		case cl.BreakerClosed:
-			closed = append(closed, i)
+			closed = append(closed, free[k])
 		case cl.BreakerHalfOpen:
-			half = append(half, i)
+			half = append(half, free[k])
 		}
 	}
 	if len(closed)+len(half) < n {

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -331,5 +332,52 @@ func TestServeDevicesParamValidation(t *testing.T) {
 	}
 	if done := awaitState(t, ts.URL, ok.ID, StateDone, StateFailed); done.State != StateDone {
 		t.Fatalf("job failed: %+v", done.Error)
+	}
+}
+
+// openMidCooldown trips d's breaker and fails its canary, leaving it open
+// with a cooldown of two allocator decisions, none of them taken yet.
+func openMidCooldown(t *testing.T, d *cl.Device) {
+	t.Helper()
+	lost := &cl.Error{Code: cl.DeviceNotAvailable, Op: "enqueue", Device: d.Name}
+	b := d.Breaker()
+	b.RecordFailure(lost)
+	b.Skipped()
+	if st, _ := b.RecordFailure(lost); st != cl.BreakerOpen {
+		t.Fatalf("%s after a failed canary: %v, want open", d.Name, st)
+	}
+}
+
+// TestAllocatorAdmitsOpenDeviceAlone: a one-device pool whose device is
+// open mid-cooldown grants a devices=1 job at once, on the device
+// half-opened as its canary — a quarantine never stalls the queue.
+func TestAllocatorAdmitsOpenDeviceAlone(t *testing.T) {
+	pool := threeDevicePool()[:1]
+	openMidCooldown(t, pool[0])
+	idx, devs, ok := newAllocator(pool).acquire(1)
+	if !ok || !slices.Equal(idx, []int{0}) || devs[0] != pool[0] {
+		t.Fatalf("acquire(1) = %v %v %v, want pool-0", idx, devs, ok)
+	}
+	if st := pool[0].BreakerState(); st != cl.BreakerHalfOpen {
+		t.Errorf("granted pool-0 is %v, want half-open", st)
+	}
+}
+
+// TestAllocatorPassesOverOpenDevice: while the closed device is free, a
+// devices=1 job gets it and the open one is passed over; that pass
+// counts toward its cooldown, so the next decision half-opens it.
+func TestAllocatorPassesOverOpenDevice(t *testing.T) {
+	pool := threeDevicePool()[:2]
+	openMidCooldown(t, pool[1])
+	a := newAllocator(pool)
+	for pass, want := range []cl.BreakerState{cl.BreakerOpen, cl.BreakerHalfOpen} {
+		idx, _, ok := a.acquire(1)
+		if !ok || !slices.Equal(idx, []int{0}) {
+			t.Fatalf("pass %d: acquire(1) = %v %v, want the closed pool-0", pass+1, idx, ok)
+		}
+		if st := pool[1].BreakerState(); st != want {
+			t.Fatalf("pass %d: pool-1 is %v, want %v", pass+1, st, want)
+		}
+		a.release(idx)
 	}
 }

@@ -12,9 +12,9 @@ package serve
 // partition devices just before its attempt and unconditionally
 // disarmed after, so an injected device loss dies with the job that
 // asked for it. What outlives the job is the device's breaker state —
-// by design: a tripped breaker stays open until the allocator next
-// reaches the device, half-opens it, and a canary job re-proves it
-// (DESIGN.md §17).
+// by design: a tripped breaker stays open until its cooldown of
+// allocator decisions is over, then half-opens, and a canary job
+// re-proves it (DESIGN.md §17).
 
 import (
 	"context"
@@ -63,9 +63,10 @@ func (s *Server) runner() {
 		if !got {
 			// Head-of-line blocking: the oldest job waits for devices, and
 			// younger jobs wait behind it — fairness over utilisation. An
-			// open breaker never blocks acquire (it half-opens instead) and
-			// no queued job asks for more than the pool, so jobs are
-			// running and one of them will free devices and wake us.
+			// open breaker never blocks acquire (cl.Admit half-opens it when
+			// too few free devices are left without it) and no queued job
+			// asks for more than the pool, so jobs are running and one of
+			// them will free devices and wake us.
 			s.waitWake()
 			continue
 		}

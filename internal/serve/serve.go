@@ -15,9 +15,10 @@
 //     subsequent job.
 //   - Device health: every pool device carries a circuit breaker fed by
 //     the typed fault taxonomy and a simulated-time hang watchdog.
-//     A tripped (open-breaker) device is offered to the next partition
-//     as a half-open canary, and a clean canary job readmits it; jobs
-//     queue only while too few devices are free. DESIGN.md §17.
+//     A tripped (open-breaker) device is passed over until its cooldown
+//     is over, then offered to the next partition as a half-open canary,
+//     and a clean canary job readmits it; jobs queue only while too few
+//     devices are free. DESIGN.md §17.
 //   - Retry budgets: a failing job is re-queued (resuming from its own
 //     checkpoint) until its attempts exceed the budget, then fails
 //     alone with a typed error from the cl taxonomy.
@@ -97,11 +98,6 @@ type Config struct {
 	// device partitions (default min(4, len(Devices))). 1 restores the
 	// strict one-at-a-time FIFO.
 	MaxConcurrent int
-	// WatchdogFactor is the hang-watchdog multiple armed on every pool
-	// device: an enqueue overrunning factor × its cost-model expectation
-	// is terminated with a typed transient fault. 0 selects the default
-	// of 8; negative disables the watchdog.
-	WatchdogFactor float64
 	// MaxErrors and MaxLocations are the mapping options (defaults 5 and
 	// 100, matching `repute map`).
 	MaxErrors    int
@@ -176,19 +172,6 @@ func New(cfg Config) (*Server, error) {
 		if cfg.MaxConcurrent > 4 {
 			cfg.MaxConcurrent = 4
 		}
-	}
-	switch {
-	case cfg.WatchdogFactor == 0:
-		cfg.WatchdogFactor = 8
-	case cfg.WatchdogFactor < 0:
-		cfg.WatchdogFactor = 0
-	}
-	// Device health is always on in the service: every pool device gets
-	// a circuit breaker and the hang watchdog. The allocator and the
-	// half-open canary flow handle readmission.
-	for _, d := range cfg.Devices {
-		d.EnableBreaker()
-		d.SetWatchdog(cfg.WatchdogFactor)
 	}
 
 	g, err := genome.FromContigs(cfg.Index.Meta.Contigs)
