@@ -9,12 +9,6 @@
 //     draw from the global math/rand source, or let map iteration order
 //     reach outputs or serialized state — the serial/parallel and
 //     kill-and-resume bit-identity guarantees depend on it.
-//   - lockguard: struct fields annotated "guarded by <mu>" may only be
-//     accessed while the named mutex is held.
-//   - errwrap: every error constructed in internal/cl must be a typed
-//     *cl.Error / Code sentinel, or wrap one with %w — a bare
-//     fmt.Errorf starves the fault-recovery classification
-//     (IsTransient / IsAllocFailure / IsDeviceLost).
 //   - hotalloc: the one allocation rule. Functions annotated
 //     //repute:hotpath — and everything they transitively call in the
 //     same package — must not allocate outside owned scratch (the
@@ -26,7 +20,8 @@
 // Suppressions use //repute:allow <analyzer> -- <reason> on the
 // offending line or the line above; the reason is mandatory
 // (internal/analysis/directives.go). DESIGN.md §8 documents each
-// analyzer's contract.
+// analyzer's contract, and the rules retired analyzers once checked
+// with the -race and typed-error tests that hold them now.
 package clvet
 
 import (
@@ -39,25 +34,22 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		PipeDeterminism,
-		LockGuard,
-		ErrWrap,
 		HotAlloc,
 		Directive,
 	}
 }
 
 // Directive checks the annotation grammar: a directive-shaped comment
-// outside it would otherwise be ignored silently — a stale
-// pipeline-package marker opting a package out of pipedeterminism, a
-// misspelt allow suppressing nothing.
+// outside it would otherwise be ignored silently — a misspelt hotpath
+// dropping a root from hotalloc, a misspelt allow suppressing nothing.
 var Directive = &analysis.Analyzer{
 	Name: "directive",
-	Doc: "check that //repute: comments use a known verb (hotpath, allow, pipeline-package) " +
+	Doc: "check that //repute: comments use a known verb (hotpath, allow) " +
 		"and that no directive with a retired clvet or pipevet prefix is left",
 	Run: func(pass *analysis.Pass) error {
 		for _, c := range analysis.NewDirectives(pass).Malformed() {
-			pass.Reportf(c.Pos(), "unknown directive %q; the grammar is //repute:hotpath, "+
-				"//repute:allow <analyzer> -- <reason> and //repute:pipeline-package", c.Text)
+			pass.Reportf(c.Pos(), "unknown directive %q; the grammar is //repute:hotpath "+
+				"and //repute:allow <analyzer> -- <reason>", c.Text)
 		}
 		return nil
 	},
@@ -73,17 +65,13 @@ var pipelineDirs = map[string]bool{
 	"mapper": true, "seed": true, "align": true, "filter": true, "fmindex": true,
 }
 
-// isPipelinePackage reports whether the pass's package is in
-// pipedeterminism scope: one of the named internal packages, or any
-// package carrying the //repute:pipeline-package marker.
-func isPipelinePackage(pass *analysis.Pass, dirs *analysis.Directives) bool {
+// inPipelineScope reports whether the pass's package is in
+// pipedeterminism scope: one of the named internal packages.
+func inPipelineScope(pass *analysis.Pass) bool {
 	path := pass.Pkg.Path()
 	base := path
 	if i := strings.LastIndex(path, "/"); i >= 0 {
 		base = path[i+1:]
 	}
-	if pipelineDirs[base] && strings.Contains(path, "internal/") {
-		return true
-	}
-	return dirs.PipelinePackage()
+	return pipelineDirs[base] && strings.Contains(path, "internal/")
 }

@@ -7,20 +7,10 @@ import (
 	"repro/internal/analysis/clvet"
 )
 
+// TestPipeDeterminism loads its testdata as internal/core, a package
+// in the analyzer's built-in scope.
 func TestPipeDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.PipeDeterminism, "pipedeterminism")
-}
-
-func TestLockGuard(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.LockGuard, "lockguard")
-}
-
-func TestLockGuardBreaker(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.LockGuard, "breakerguard")
-}
-
-func TestErrWrap(t *testing.T) {
-	analysistest.Run(t, "testdata", clvet.ErrWrap, "errwrap")
+	analysistest.Run(t, "testdata", clvet.PipeDeterminism, "internal/core")
 }
 
 func TestHotAlloc(t *testing.T) {
@@ -51,7 +41,7 @@ func TestDirective(t *testing.T) {
 }
 
 func TestAnalyzers(t *testing.T) {
-	want := []string{"pipedeterminism", "lockguard", "errwrap", "hotalloc", "directive"}
+	want := []string{"pipedeterminism", "hotalloc", "directive"}
 	var got []string
 	for _, a := range clvet.Analyzers() {
 		got = append(got, a.Name)

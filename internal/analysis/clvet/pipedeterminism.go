@@ -17,7 +17,7 @@ import (
 //
 // Three sources of nondeterminism are flagged in pipeline packages
 // (core, cl, checkpoint, fastx, trace, index, sam, mapper, seed, align,
-// filter, fmindex, or any package marked //repute:pipeline-package):
+// filter, fmindex):
 //
 //   - wall-clock calls (time.Now, Since, Until, Sleep, After, Tick,
 //     NewTimer, NewTicker, AfterFunc): simulated time comes from the cost model;
@@ -48,10 +48,10 @@ var timeDenylist = map[string]bool{
 }
 
 func runPipeDeterminism(pass *analysis.Pass) error {
-	dirs := analysis.NewDirectives(pass)
-	if !isPipelinePackage(pass, dirs) {
+	if !inPipelineScope(pass) {
 		return nil
 	}
+	dirs := analysis.NewDirectives(pass)
 	for _, f := range pass.Files {
 		analysis.WalkParents(f, func(n ast.Node, parents []ast.Node) {
 			switch n := n.(type) {

@@ -1,13 +1,13 @@
-// Testdata for the directive analyzer: the grammar is //repute:hotpath,
-// //repute:allow <analyzer> -- <reason> and //repute:pipeline-package;
-// anything else that looks like a directive is reported, because an
-// ignored directive fails open — this package's retired pipeline-package
-// marker, for one, no longer puts it in pipedeterminism scope.
+// Testdata for the directive analyzer: the grammar is //repute:hotpath
+// and //repute:allow <analyzer> -- <reason>; anything else that looks
+// like a directive is reported, because an ignored directive fails
+// open — a retired pipeline-package marker, for one, puts no package in
+// pipedeterminism scope.
 package directive
 
 //pipevet:pipeline-package // want `unknown directive "//pipevet:pipeline-package`
 
-//repute:pipeline-package
+//repute:pipeline-package // want `unknown directive "//repute:pipeline-package`
 
 //repute:hotpath
 func hot(buf []byte) []byte {

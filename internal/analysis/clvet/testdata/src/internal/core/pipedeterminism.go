@@ -1,9 +1,8 @@
 // Testdata for the pipedeterminism analyzer: pipeline packages must
 // not let wall clocks, global math/rand, or map iteration order reach
-// outputs or serialized state.
-//
-//repute:pipeline-package
-package pipedeterminism
+// outputs or serialized state. The directory is internal/core, so the
+// package is in the analyzer's built-in pipeline scope.
+package core
 
 import (
 	"fmt"

@@ -9,22 +9,12 @@ package analysis
 //	    hot-path root for allocation analysis (hotalloc follows its
 //	    same-package transitive callees).
 //
-//	// ... guarded by <path> ...
-//	    in a struct field's doc or trailing comment — declares that the
-//	    field may only be accessed while the named mutex is held. The
-//	    path is resolved against sibling fields ("mu", "ctx.mu").
-//
 //	//repute:allow <analyzer> -- <reason>
 //	    on the offending line, or the line directly above — suppresses
 //	    one analyzer's diagnostics on that line. The reason is
 //	    mandatory: an allow without one is itself reported by the named
 //	    analyzer and is NOT honored, so suppressions always carry their
 //	    justification in the source.
-//
-//	//repute:pipeline-package
-//	    anywhere in a package — opts the package into the pipeline
-//	    scope used by pipedeterminism (testdata and future packages
-//	    outside the built-in internal/ set).
 //
 // Any other //repute: verb, and the retired clvet and pipevet
 // prefixes, are collected as malformed (a misspelt or stale marker would
@@ -33,7 +23,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
 	"strings"
 )
@@ -41,23 +30,7 @@ import (
 var (
 	directiveRe = regexp.MustCompile(`^//(repute|clvet|pipevet):(\S*)\s*(.*)$`)
 	allowRe     = regexp.MustCompile(`^([a-z][a-z0-9_,]*)\s*(?:--\s*(.*))?$`)
-	guardRe     = regexp.MustCompile(`guarded by\s+([A-Za-z_][A-Za-z0-9_.]*)`)
 )
-
-// GuardAnnotation is one parsed "guarded by" field annotation, before
-// path validation (lockguard resolves and validates the path).
-type GuardAnnotation struct {
-	// Struct is the struct type declaring the field.
-	Struct *ast.StructType
-	// Name is the annotated field's name identifier.
-	Name *ast.Ident
-	// Obj is the field's object.
-	Obj *types.Var
-	// Path is the dot-split guard path ("ctx.mu" -> ["ctx", "mu"]).
-	Path []string
-	// Pos locates the annotation comment for diagnostics.
-	Pos token.Pos
-}
 
 type allowKey struct {
 	analyzer string
@@ -70,8 +43,6 @@ type Directives struct {
 	fset    *token.FileSet
 	allows  map[allowKey]bool
 	missing map[string][]token.Pos // analyzer -> unjustified allow positions
-	guards  []GuardAnnotation
-	marker  bool
 	// malformed are the directive-shaped comments outside the grammar.
 	malformed []*ast.Comment
 }
@@ -89,7 +60,6 @@ func NewDirectives(pass *Pass) *Directives {
 				d.parseComment(c)
 			}
 		}
-		d.collectGuards(pass, f)
 	}
 	return d
 }
@@ -106,8 +76,6 @@ func (d *Directives) parseComment(c *ast.Comment) {
 		d.malformed = append(d.malformed, c)
 	case verb == "hotpath" && rest == "":
 		// Read off the declaration's doc comment by HotpathRoot.
-	case verb == "pipeline-package" && rest == "":
-		d.marker = true
 	case verb == "allow" && allow != nil:
 		reason := strings.TrimSpace(allow[2])
 		pos := d.fset.Position(c.Pos())
@@ -121,50 +89,6 @@ func (d *Directives) parseComment(c *ast.Comment) {
 	default:
 		d.malformed = append(d.malformed, c)
 	}
-}
-
-// collectGuards scans f's struct types for "guarded by" annotations on
-// field doc or trailing comments.
-func (d *Directives) collectGuards(pass *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		st, ok := n.(*ast.StructType)
-		if !ok || st.Fields == nil {
-			return true
-		}
-		for _, field := range st.Fields.List {
-			path, pos := guardOf(field)
-			if path == nil {
-				continue
-			}
-			for _, name := range field.Names {
-				obj, _ := pass.TypesInfo.Defs[name].(*types.Var)
-				if obj == nil {
-					continue
-				}
-				d.guards = append(d.guards, GuardAnnotation{
-					Struct: st, Name: name, Obj: obj, Path: path, Pos: pos,
-				})
-			}
-		}
-		return true
-	})
-}
-
-// guardOf extracts a field's guard path from its comments, if any.
-func guardOf(field *ast.Field) ([]string, token.Pos) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if m := guardRe.FindStringSubmatch(c.Text); m != nil {
-				// A sentence-final period is prose, not path.
-				path := strings.TrimRight(m[1], ".")
-				return strings.Split(path, "."), c.Pos()
-			}
-		}
-	}
-	return nil, token.NoPos
 }
 
 // Allowed reports whether a diagnostic of the named analyzer at pos is
@@ -187,16 +111,9 @@ func (d *Directives) ReportUnjustified(pass *Pass, analyzer string) {
 	}
 }
 
-// GuardAnnotations returns the parsed "guarded by" field annotations.
-func (d *Directives) GuardAnnotations() []GuardAnnotation { return d.guards }
-
 // Malformed returns the directive-shaped comments outside the grammar:
 // unknown //repute: verbs and the retired clvet and pipevet prefixes.
 func (d *Directives) Malformed() []*ast.Comment { return d.malformed }
-
-// PipelinePackage reports whether the package carries the
-// //repute:pipeline-package scope marker.
-func (d *Directives) PipelinePackage() bool { return d.marker }
 
 // HotpathRoot reports whether fd's doc comment carries the
 // //repute:hotpath directive.

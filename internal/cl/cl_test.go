@@ -87,8 +87,8 @@ func TestAllocRejectsOversize(t *testing.T) {
 	if !errors.As(err, &ae) {
 		t.Fatalf("want AllocError, got %v", err)
 	}
-	if _, err := ctx.AllocBuffer(dev, 0); err == nil {
-		t.Error("zero-size alloc accepted")
+	if _, err := ctx.AllocBuffer(dev, 0); !errors.As(err, &ae) {
+		t.Errorf("zero-size alloc: want AllocError, got %v", err)
 	}
 }
 
@@ -200,11 +200,12 @@ func TestKernelPanicBecomesError(t *testing.T) {
 			panic("kernel fault")
 		}
 	}}
-	if _, err := q.EnqueueNDRange(k, 10); err == nil {
-		t.Error("panicking kernel returned no error")
+	// A panic is a permanent launch failure, not a transient one.
+	if _, err := q.EnqueueNDRange(k, 10); CodeOf(err) != OutOfResources || IsTransient(err) {
+		t.Errorf("panicking kernel: error %v, want a permanent CL_OUT_OF_RESOURCES launch failure", err)
 	}
-	if _, err := q.EnqueueNDRange(k, -1); err == nil {
-		t.Error("negative global size accepted")
+	if _, err := q.EnqueueNDRange(k, -1); !errors.Is(err, InvalidGlobalWorkSize) {
+		t.Errorf("negative global size: error %v, want CL_INVALID_GLOBAL_WORK_SIZE", err)
 	}
 }
 

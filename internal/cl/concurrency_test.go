@@ -84,3 +84,32 @@ func TestQueuesOnSeparateDevicesIndependent(t *testing.T) {
 		t.Errorf("1-CU device (%v s) not slower than 4-CU device (%v s)", b2, b1)
 	}
 }
+
+// TestInstallFaultsWhileEnqueueing arms and disarms a device's fault plan
+// while another goroutine enqueues on it — two Map calls sharing a device,
+// one arming it (ArmFaults) while the other's kernels run. The device's
+// mutex publishes the plan to the enqueue path; under -race this test
+// fails when either side reads or writes it without that lock.
+func TestInstallFaultsWhileEnqueueing(t *testing.T) {
+	dev := testDevice()
+	q := NewQueue(dev)
+	k := itemKernel()
+	// Throttles only, at a factor the watchdog tolerates: every enqueue
+	// succeeds whether or not the plan is armed when it starts.
+	plan := &FaultPlan{Throttles: []Throttle{{From: 1, To: 1 << 20, Factor: 0.5}}}
+	const rounds = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for r := 0; r < rounds; r++ {
+			dev.InstallFaults(plan)
+			dev.InstallFaults(nil)
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		if _, err := q.EnqueueNDRange(k, 4); err != nil {
+			t.Fatalf("enqueue %d: %v", r, err)
+		}
+	}
+	<-done
+}

@@ -260,17 +260,18 @@ func TestParseFaultPlan(t *testing.T) {
 		"frobnicate2=oor",   // unknown directive
 		"enq1=oor,,enq2=??", // second directive bad
 	} {
-		if _, err := ParseFaultPlan(bad); err == nil {
-			t.Errorf("ParseFaultPlan(%q) accepted", bad)
+		if _, err := ParseFaultPlan(bad); !errors.Is(err, ErrBadFaultPlan) {
+			t.Errorf("ParseFaultPlan(%q) error = %v, want ErrBadFaultPlan", bad, err)
 		}
 	}
 }
 
 // FuzzParseFaultPlan holds the plan parser to its contract on any text:
-// it never panics, and a plan it accepts can only schedule faults the
-// injector can honour — ordinals from 1, windows that do not run
-// backwards, and throttle factors in (0, 1]. A plan outside that range
-// would be admitted and then inject nothing.
+// it never panics, every plan it rejects is rejected with ErrBadFaultPlan,
+// and a plan it accepts can only schedule faults the injector can honour
+// — ordinals from 1, windows that do not run backwards, and throttle
+// factors in (0, 1]. A plan outside that range would be admitted and
+// then inject nothing.
 func FuzzParseFaultPlan(f *testing.F) {
 	for _, s := range []string{
 		"enq2=oor,alloc3=alloc,throttle4-6=0.5",
@@ -289,6 +290,9 @@ func FuzzParseFaultPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := ParseFaultPlan(s)
 		if err != nil {
+			if !errors.Is(err, ErrBadFaultPlan) {
+				t.Errorf("%q: error %v does not wrap ErrBadFaultPlan", s, err)
+			}
 			return
 		}
 		if p.Device < 0 {

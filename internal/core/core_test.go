@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cl"
 	"repro/internal/dna"
@@ -459,5 +461,54 @@ func TestGeneratorAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, item); n != 0 {
 		t.Errorf("generator allocates %v times per work item", n)
+	}
+}
+
+// TestConcurrentMapOneTracedPipeline runs two Map calls on two
+// goroutines over one traced pipeline. Each reads and then advances the
+// pipeline's traced timeline, which traceMu guards. The second call
+// starts once the first has had four times a warm-up call's duration to
+// finish, and takes no lock before it reads the timeline, so a read
+// without traceMu meets the first call's write with no happens-before
+// edge between them, which is what -race reports (time.Sleep orders
+// nothing). Every call must map alike and leave a valid trace.
+func TestConcurrentMapOneTracedPipeline(t *testing.T) {
+	ref, set := testWorld(t, 20_000, 4, simulate.ERR012100)
+	rec := trace.NewRecorder()
+	p, err := New(ref, []*cl.Device{cl.SystemOneCPU()}, Config{Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := mapper.Options{MaxErrors: 3, MaxLocations: 100}
+	start := time.Now()
+	want, err := p.Map(set.Reads, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := 4*time.Since(start) + 10*time.Millisecond
+	var res [2]*mapper.Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g == 1 {
+				time.Sleep(wait)
+			}
+			res[g], errs[g] = p.Map(set.Reads, opt)
+		}()
+	}
+	wg.Wait()
+	for g := range res {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !reflect.DeepEqual(res[g].Mappings, want.Mappings) {
+			t.Errorf("call %d on the shared pipeline mapped differently", g)
+		}
+	}
+	if err := rec.Validate(); err != nil {
+		t.Error(err)
 	}
 }

@@ -3,6 +3,7 @@ package qgram
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/dna"
@@ -155,5 +156,47 @@ func TestCacheClampsAndBuildsOnce(t *testing.T) {
 	}
 	if _, err := c.Get(MaxQ + 1); err == nil {
 		t.Error("out-of-range gram length accepted")
+	}
+}
+
+// TestCacheConcurrentGet is the cache's lock discipline under -race:
+// concurrent mappers ask for the same and for different gram lengths,
+// and every caller of one length gets the one index built for it.
+func TestCacheConcurrentGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	text := make([]byte, 4000)
+	for i := range text {
+		text[i] = byte(rng.Intn(4))
+	}
+	c := NewCache(text, 0)
+	qs := []int{3, 4, 5}
+	const workers = 8
+	got := make([][]*Index, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([]*Index, len(qs))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range qs {
+				// Each worker starts at a different length, so the same
+				// and different lengths are asked for at once.
+				k := (i + w) % len(qs)
+				ix, err := c.Get(qs[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][k] = ix
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k, q := range qs {
+		for w := range got {
+			if got[w][k] == nil || got[w][k] != got[0][k] || got[w][k].q != q {
+				t.Fatalf("Get(%d): worker %d got a different index than worker 0", q, w)
+			}
+		}
 	}
 }

@@ -167,7 +167,7 @@ func newStore(dir string, devices int) (*store, error) {
 	}
 	s := &store{dir: dir, jobs: map[string]*Job{}}
 	// The store is still single-owner here, but taking the lock anyway
-	// keeps the guarded-field discipline uniform (and lockguard-checkable).
+	// keeps the guarded-field discipline uniform.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ents, err := os.ReadDir(dir)
