@@ -495,7 +495,8 @@ func (q *Queue) EnqueueNDRange(k *Kernel, globalSize int) (Event, error) {
 					ev.SimSeconds, watchdogMultiple, budget/watchdogMultiple),
 			}
 			if t := q.tracer; t != nil {
-				//repute:allow hotalloc -- tracing-enabled path only, one instant per watchdog kill
+				// The attributes allocate on the tracing-enabled path only,
+				// once per watchdog kill.
 				t.Instant(q.dev.Name, "watchdog-fired",
 					trace.Str("kernel", k.Name),
 					trace.F64("budget_sec", budget),
@@ -511,7 +512,8 @@ func (q *Queue) EnqueueNDRange(k *Kernel, globalSize int) (Event, error) {
 	q.busyTotal += ev.SimSeconds
 	q.costTotal.Add(ev.Cost)
 	if t := q.tracer; t != nil {
-		//repute:allow hotalloc -- tracing-enabled path only; the zero-cost contract is tracer-off
+		// The attributes allocate on the tracing-enabled path only; the
+		// zero-cost contract is tracer-off.
 		attrs := []trace.Attr{
 			trace.I64("global_size", int64(globalSize)),
 			trace.F64("energy_j", ev.SimSeconds*q.dev.PowerW),

@@ -189,6 +189,7 @@ func (b *Batch) Kernel() *cl.Kernel { return b.Fused(b.mapRead) }
 //repute:hotpath
 func (b *Batch) mapRead(st *State, read []byte, cost *cl.Cost) []Mapping {
 	cands := b.seed(st, read, cost)
+	st.vs.classes.assign(b.Text, len(read), b.MaxErrors, cands)
 	if b.Prefilter == PrefilterGateKeeper {
 		cands = b.filter(st, read, cands, cost)
 	}
@@ -208,12 +209,13 @@ func (b *Batch) seed(st *State, read []byte, cost *cl.Cost) []Candidate {
 // over the 4δ+1 diagonals Verify can reach, then a SneakySnake edit
 // lower bound on the windows that pass — and compacts the survivors in
 // place. It never drops a window Verify would accept. Like Verify, it
-// decides each window class once (windowClasses) and charges every
-// member the words its window's decision took.
+// decides each window class once (windowClasses, assigned to cands by
+// the caller) and charges every member the words its window's decision
+// took. Each survivor's class is compacted with it, for the verify
+// stage.
 func (b *Batch) filter(st *State, read []byte, cands []Candidate, cost *cl.Cost) []Candidate {
 	maxErr := b.MaxErrors
 	wc := &st.vs.classes
-	wc.assign(b.Text, len(read), maxErr, cands)
 	kept := 0
 	prepared := byte(0xFF) // no pattern prepared yet
 	for i, c := range cands {
@@ -232,18 +234,19 @@ func (b *Batch) filter(st *State, read []byte, cands []Candidate, cost *cl.Cost)
 			prepared = c.Strand
 		}
 		cls := &wc.classes[k]
-		if !cls.decided {
+		if !cls.filtered {
 			ok, fw := st.fs.AcceptPacked(b.Text, int(cls.lo), int(cls.lo+cls.n))
-			cls.decided, cls.ok, cls.at = true, ok, int32(fw)
+			cls.filtered, cls.pass, cls.words = true, ok, int32(fw)
 		}
-		cost.FilterWords += int64(cls.at)
-		if !cls.ok {
+		cost.FilterWords += int64(cls.words)
+		if !cls.pass {
 			cost.Filtered++
 			continue
 		}
-		cands[kept] = c
+		cands[kept], wc.of[kept] = c, k
 		kept++
 	}
+	wc.of = wc.of[:kept]
 	return cands[:kept]
 }
 
@@ -252,7 +255,7 @@ func (b *Batch) filter(st *State, read []byte, cands []Candidate, cost *cl.Cost)
 // range, and finalizes by the report policy — so a shard merge only ever
 // sees globally-coordinated, owner-filtered mappings.
 func (b *Batch) verify(st *State, read []byte, cands []Candidate, cost *cl.Cost) []Mapping {
-	ms, vc := st.vs.Verify(b.Text, read, cands, b.MaxErrors, b.Policy.VerifyCap)
+	ms, vc := st.vs.verify(b.Text, read, cands, b.MaxErrors, b.Policy.VerifyCap)
 	// Globalize and owner-filter in place: positions shift by a constant
 	// so the sorted order Verify established survives, and compaction
 	// writes only into slots already held.

@@ -14,13 +14,18 @@ import (
 // takes that verdict. Each member is still charged as if it had been
 // scanned, so the simulated device runs every window.
 //
+// A work item assigns classes once, after dedup; the filter compacts
+// each survivor's class with it, so the verify stage reads the same
+// classes with no second pass.
+//
 // Classes are found by open addressing. Hashes only pick slots:
 // membership compares L, the strand and every code word, re-read from
 // the text at the first member's window, so two windows share a class
 // only when they are equal.
 type windowClasses struct {
 	// of is each candidate's class, or -1 for a candidate without a
-	// window.
+	// window: of[i] is cands[i]'s for the candidates the stage at hand
+	// scans.
 	of []int32
 	// classes are numbered in the order of their first members.
 	classes []windowClass
@@ -28,17 +33,21 @@ type windowClasses struct {
 	slots []int32
 }
 
-// windowClass is one class: its first member's window and, once a stage
-// has decided it, that stage's verdict.
+// windowClass is one class: its first member's window and, once each
+// stage has decided it, that stage's verdict. The two verdicts are kept
+// apart: the filter decides a class before Myers does, and a window the
+// filter accepts may still fail to verify.
 type windowClass struct {
-	lo, n   int32 // the first member's window start and length
-	strand  byte
-	decided bool
-	ok      bool  // the filter accepts the window, or Myers matched in it
-	dist    uint8 // Myers: the match's distance
-	// at is the Myers match's start in the window, or the filter's
-	// charged words.
-	at int32
+	lo, n  int32 // the first member's window start and length
+	strand byte
+	// filtered is set once the filter has decided the class: pass is
+	// whether it accepts the window, words the words the decision took.
+	filtered, pass bool
+	// verified is set once Myers has scanned the class: ok is whether it
+	// matched, at the match's start in the window and dist its distance.
+	verified, ok bool
+	dist         uint8
+	words, at    int32
 }
 
 // hashMul is 2⁶⁴ over the golden ratio, an odd multiplier that spreads
@@ -87,7 +96,7 @@ func (wc *windowClasses) assign(text dna.PackedSeq, n, maxErr int, cands []Candi
 				k = int32(len(classes))
 				classes = classes[:k+1]
 				cls := &classes[k]
-				cls.lo, cls.n, cls.strand, cls.decided = int32(lo), int32(L), c.Strand, false
+				cls.lo, cls.n, cls.strand, cls.filtered, cls.verified = int32(lo), int32(L), c.Strand, false, false
 				slots[s] = k + 1
 			} else if cls := &classes[k]; int(cls.n) != L || cls.strand != c.Strand || !sameCodes(text, int(cls.lo), lo, L) {
 				if step == 0 {

@@ -216,7 +216,9 @@ func TestFilterClassesVsAcceptPacked(t *testing.T) {
 				wantKept = append(wantKept, c)
 			}
 			var got cl.Cost
-			kept := b.filter(&st, cc.read, slices.Clone(cc.cands[:k]), &got)
+			cands := slices.Clone(cc.cands[:k])
+			st.vs.classes.assign(cc.text, n, delta, cands)
+			kept := b.filter(&st, cc.read, cands, &got)
 			if !slices.Equal(kept, wantKept) || got != want {
 				t.Fatalf("trial %d, first %d candidates: classes keep %v %+v, each alone %v %+v",
 					trial, k, kept, got, wantKept, want)
@@ -225,23 +227,94 @@ func TestFilterClassesVsAcceptPacked(t *testing.T) {
 	}
 }
 
-// TestClassPassAllocFree pins the class pass, the filter and a Verify
-// with nothing to report at zero allocations once the state has grown.
+// TestClassHandoff holds the kernel's one class pass per read to a
+// class pass per stage: the verify stage over Batch.filter's survivors,
+// which reads the classes the filter compacted with them, must give what
+// a fresh VerifyState.Verify of the same survivors gives, in mappings and
+// in VerifyCost. Each case runs whole, then on only the candidates the
+// filter accepts and only those it rejects (all-accepted and
+// all-rejected reads); the cases must include windows the filter accepts
+// and Myers rejects, so a verify stage that read the filter's verdict
+// would fail here.
+func TestClassHandoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var st State
+	falseAccepts, allRejected := int64(0), 0
+	for trial := range 300 {
+		n, delta := []int{20, 40, 64, 100, 150}[trial%5], trial%8
+		cc := genClassCase(rng, n, delta)
+		b := &Batch{Text: cc.text, MaxErrors: delta, Prefilter: PrefilterGateKeeper}
+		st.rev = dna.ReverseComplement(cc.read)
+		handoff := func(cands []Candidate) []Candidate {
+			t.Helper()
+			var cost cl.Cost
+			cands = slices.Clone(cands)
+			st.vs.classes.assign(cc.text, n, delta, cands)
+			kept := b.filter(&st, cc.read, cands, &cost)
+			got, gotCost := st.vs.verify(cc.text, cc.read, kept, delta, 0)
+			want, wantCost := new(VerifyState).Verify(cc.text, cc.read, kept, delta, 0)
+			if !slices.Equal(got, want) || gotCost != wantCost {
+				t.Fatalf("trial %d, %d of %d candidates kept: handoff gives %v %+v, fresh Verify %v %+v",
+					trial, len(kept), len(cands), got, gotCost, want, wantCost)
+			}
+			falseAccepts += int64(len(kept)) - wantCost.Matched
+			return kept
+		}
+		kept := handoff(cc.cands)
+		var rejected []Candidate
+		for _, c := range cc.cands {
+			if !slices.Contains(kept, c) {
+				rejected = append(rejected, c)
+			}
+		}
+		if got := handoff(kept); len(got) != len(kept) {
+			t.Fatalf("trial %d: the filter's survivors lose %d on a second pass", trial, len(kept)-len(got))
+		}
+		if got := handoff(rejected); len(got) != 0 {
+			t.Fatalf("trial %d: %d rejected candidates pass on a second pass", trial, len(got))
+		}
+		if len(kept) == 0 {
+			allRejected++
+		}
+	}
+	if falseAccepts == 0 {
+		t.Error("no case has a window the filter accepts and Myers rejects")
+	}
+	t.Logf("%d false accepts; %d cases the filter rejects whole", falseAccepts, allRejected)
+}
+
+// TestClassPassAllocFree pins the class pass, the filter, a Verify with
+// nothing to report and the kernel's whole work item with the prefilter
+// (one class pass per read) at zero allocations once the state has grown.
 func TestClassPassAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cc := genClassCase(rng, 150, 7)
 	for len(cc.cands) < 200 {
 		cc.cands = append(cc.cands, cc.cands...)
 	}
-	b := &Batch{Text: cc.text, MaxErrors: cc.delta, Prefilter: PrefilterGateKeeper}
+	b := &Batch{
+		Text: cc.text, OwnEnd: int64(cc.text.Len()), MaxErrors: cc.delta, Prefilter: PrefilterGateKeeper,
+		Generate: func(st *State, _ []byte, strand byte, _ *cl.Cost) {
+			for _, c := range cc.cands {
+				if c.Strand == strand {
+					st.Cands = append(st.Cands, c)
+				}
+			}
+		},
+	}
 	st := &State{rev: dna.ReverseComplement(cc.read)}
 	unmatched := randCodes(rng, len(cc.read)) // matches no window at δ 7
 	var cost cl.Cost
 	work := make([]Candidate, len(cc.cands))
 	for name, f := range map[string]func(){
 		"class pass": func() { st.vs.classes.assign(cc.text, len(cc.read), cc.delta, cc.cands) },
-		"filter":     func() { b.filter(st, cc.read, work[:copy(work, cc.cands)], &cost) },
-		"verify":     func() { st.vs.Verify(cc.text, unmatched, cc.cands, cc.delta, 0) },
+		"filter": func() {
+			cands := work[:copy(work, cc.cands)]
+			st.vs.classes.assign(cc.text, len(cc.read), cc.delta, cands)
+			b.filter(st, cc.read, cands, &cost)
+		},
+		"verify":  func() { st.vs.Verify(cc.text, unmatched, cc.cands, cc.delta, 0) },
+		"mapRead": func() { b.mapRead(st, unmatched, &cost) },
 	} {
 		f()
 		if n := testing.AllocsPerRun(20, f); n != 0 {

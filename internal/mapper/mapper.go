@@ -7,6 +7,7 @@ package mapper
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -194,8 +195,8 @@ type Candidate struct {
 //
 // The sort is by one integer key per candidate, written over the
 // candidate's own eight bytes, so it runs in place with no comparator
-// call. Candidates with equal keys are equal, so the order is the
-// (Strand, Pos) order whatever the sort's stability.
+// call and no scratch (sortKeys). Candidates with equal keys are equal,
+// so the order is the (Strand, Pos) order whatever the sort's stability.
 //
 //repute:hotpath
 func DedupCandidates(cands []Candidate, tol int32) []Candidate {
@@ -208,7 +209,7 @@ func DedupCandidates(cands []Candidate, tol int32) []Candidate {
 		// position bits the signed order of the positions.
 		keys[i] = uint64(c.Strand)<<32 | uint64(uint32(c.Pos)^1<<31)
 	}
-	slices.Sort(keys)
+	sortKeys(keys)
 	// Slot w is written only after key w has been read: w ≤ i.
 	w := 0
 	for i, k := range keys {
@@ -228,6 +229,91 @@ func DedupCandidates(cands []Candidate, tol int32) []Candidate {
 // A Candidate must be exactly one key wide for DedupCandidates to sort
 // keys in its place; any other size fails to compile here.
 var _ [0]struct{} = [unsafe.Sizeof(Candidate{}) - 8]struct{}{}
+
+// sortKeys sorts keys in place by a radix sort (radixSort) that starts
+// at the highest bit on which they differ: a read's candidates share
+// the strand bits and most position bits, so its keys take a few 8-bit
+// levels, not eight. It returns the keys the radix levels distributed,
+// len(keys) per level; the rest of the work is insertion sort.
+func sortKeys(keys []uint64) int {
+	or, and := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or, and = or|k, and&k
+	}
+	// Bits at and above top are the same in every key.
+	top := bits.Len64(or ^ and)
+	if top == 0 {
+		return 0
+	}
+	return radixSort(keys, uint(max(top-8, 0)))
+}
+
+// insertionCutoff is the largest run radixSort leaves to insertion sort:
+// on runs this short, clearing and scanning 256 counts costs more than
+// the moves.
+const insertionCutoff = 32
+
+// radixSort sorts keys whose bits at and above shift+8 are all equal:
+// an in-place most-significant-digit radix sort (American flag sort).
+// It counts the 8-bit digit at shift, cycles every key into its digit's
+// bucket by swaps, and sorts each bucket on the next 8 bits down. The
+// counts live on the stack, one set per level, and no level recurses
+// below bit 0. It returns the keys it distributed over all levels.
+func radixSort(keys []uint64, shift uint) int {
+	if len(keys) <= insertionCutoff {
+		insertionSort(keys)
+		return 0
+	}
+	var count, next [256]int
+	for _, k := range keys {
+		count[byte(k>>shift)]++
+	}
+	sum := 0
+	for d, c := range count {
+		next[d] = sum
+		sum += c
+	}
+	// Bucket d holds keys[next[d]:end] once every key before next[d]
+	// in it is placed; each swap places one key for good.
+	end := 0
+	for d, c := range count {
+		end += c
+		for i := next[d]; i < end; i = next[d] {
+			k := keys[i]
+			for b := byte(k >> shift); int(b) != d; b = byte(k >> shift) {
+				j := next[b]
+				next[b]++
+				keys[j], k = k, keys[j]
+			}
+			keys[i] = k
+			next[d]++
+		}
+	}
+	moved := len(keys)
+	if shift == 0 {
+		return moved
+	}
+	lower := uint(max(int(shift)-8, 0))
+	start := 0
+	for _, c := range count {
+		if c > 1 {
+			moved += radixSort(keys[start:start+c], lower)
+		}
+		start += c
+	}
+	return moved
+}
+
+// insertionSort sorts a short run of keys in place.
+func insertionSort(keys []uint64) {
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+}
 
 // Window is the verification window of a candidate at pos for a read of
 // n bases and at most maxErr edits: [pos−maxErr, pos+n+maxErr) clamped to
@@ -272,10 +358,19 @@ type VerifyCost struct {
 //
 //repute:hotpath
 func (vs *VerifyState) Verify(text dna.PackedSeq, read []byte, cands []Candidate, maxDist, maxLoc int) ([]Mapping, VerifyCost) {
+	vs.classes.assign(text, len(read), maxDist, cands)
+	return vs.verify(text, read, cands, maxDist, maxLoc)
+}
+
+// verify is Verify past the class pass: it scans the classes the last
+// pass left for cands (vs.classes.of[i] is cands[i]'s), which the
+// kernel's filter stage may have compacted with its survivors.
+//
+//repute:hotpath
+func (vs *VerifyState) verify(text dna.PackedSeq, read []byte, cands []Candidate, maxDist, maxLoc int) ([]Mapping, VerifyCost) {
 	var cost VerifyCost
 	n := len(read)
 	wc := &vs.classes
-	wc.assign(text, n, maxDist, cands)
 	// Each strand's verifier is bound to this read by the first window
 	// that needs it, so a read pays for a strand's match masks (and for
 	// the reverse complement) once however many candidates it has.
@@ -288,7 +383,7 @@ func (vs *VerifyState) Verify(text dna.PackedSeq, read []byte, cands []Candidate
 		cls := &wc.classes[k]
 		cost.Windows++
 		cost.VerifyWords += int64(align.BandWords(n, maxDist, int(cls.n)))
-		if !cls.decided {
+		if !cls.verified {
 			ver := &vs.fwd
 			if c.Strand == Reverse {
 				ver = &vs.rev
@@ -310,7 +405,7 @@ func (vs *VerifyState) Verify(text dna.PackedSeq, read []byte, cands []Candidate
 			}
 			lo := int(cls.lo)
 			m, ok := ver.Verify(text.SliceInto(vs.window, lo, lo+int(cls.n)), maxDist)
-			cls.decided, cls.ok, cls.at, cls.dist = true, ok, int32(m.Start), uint8(m.Dist)
+			cls.verified, cls.ok, cls.at, cls.dist = true, ok, int32(m.Start), uint8(m.Dist)
 		}
 		if cls.ok {
 			cost.Matched++

@@ -1,7 +1,9 @@
 package mapper
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -65,45 +67,122 @@ func dedupByComparator(cands []Candidate, tol int32) []Candidate {
 	return out
 }
 
+// dedupShapes builds n candidates of each key shape the radix sort has
+// to get right: a random mix (both strands, negative and extreme
+// positions, exact duplicates), all keys equal, keys that differ only
+// in the lowest bit or only in the strand, negative positions, the
+// int32 extremes, one far outlier among clustered keys, and pairs that
+// share every digit but the lowest and arrive out of order.
+func dedupShapes(rng *rand.Rand, n int) map[string][]Candidate {
+	strand := func() byte { return Forward + byte(rng.Intn(2))*(Reverse-Forward) }
+	shapes := map[string][]Candidate{}
+	// f draws candidate i given the ones before it.
+	add := func(name string, f func(i int, prev []Candidate) Candidate) {
+		cands := make([]Candidate, 0, n)
+		for i := range n {
+			cands = append(cands, f(i, cands))
+		}
+		shapes[name] = cands
+	}
+	add("mix", func(i int, prev []Candidate) Candidate {
+		c := Candidate{Pos: int32(rng.Intn(400) - 100), Strand: strand()}
+		switch rng.Intn(8) {
+		case 0:
+			c.Pos = int32(rng.Uint32())
+		case 1:
+			c.Pos = []int32{math.MinInt32, math.MaxInt32, -1, 0}[rng.Intn(4)]
+		case 2:
+			if i > 0 {
+				c = prev[rng.Intn(i)] // exact duplicate
+			}
+		}
+		return c
+	})
+	add("equal", func(int, []Candidate) Candidate { return Candidate{Pos: 777, Strand: Reverse} })
+	add("lowest bit", func(int, []Candidate) Candidate { return Candidate{Pos: 1000 + int32(rng.Intn(2)), Strand: Forward} })
+	add("strand only", func(int, []Candidate) Candidate { return Candidate{Pos: -5, Strand: strand()} })
+	add("negative", func(int, []Candidate) Candidate {
+		return Candidate{Pos: -1 - int32(rng.Intn(5000)), Strand: strand()}
+	})
+	add("extremes", func(int, []Candidate) Candidate {
+		return Candidate{Pos: []int32{math.MinInt32, math.MinInt32 + 1, math.MaxInt32 - 1, math.MaxInt32}[rng.Intn(4)], Strand: strand()}
+	})
+	add("outlier", func(i int, _ []Candidate) Candidate {
+		if i == n/2 {
+			return Candidate{Pos: math.MaxInt32 - 7, Strand: Forward}
+		}
+		return Candidate{Pos: 500_000 + int32(rng.Intn(64)), Strand: Forward}
+	})
+	add("pairs", func(i int, _ []Candidate) Candidate { return Candidate{Pos: int32(i/2*256 + 1 - i%2), Strand: Reverse} })
+	return shapes
+}
+
 // TestDedupCandidatesVsComparator holds the in-place integer-key sort to
-// the comparator oracle on random candidate sets: both strands, negative
-// and extreme positions, exact duplicates, clustered votes, tol 0…8, and
-// no allocation.
+// the comparator oracle on every dedupShapes shape, at sizes that reach
+// either side of the insertion-sort cutoff and one and two radix levels
+// (4 000 is two strands at a 2 000-row locate budget), with tol 0…8;
+// and pins it at no allocation at the largest size.
 func TestDedupCandidatesVsComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 2000; trial++ {
-		tol := int32(trial % 9)
-		cands := make([]Candidate, rng.Intn(300))
-		for i := range cands {
-			c := Candidate{Pos: int32(rng.Intn(400) - 100), Strand: Forward}
-			switch rng.Intn(8) {
-			case 0:
-				c.Pos = int32(rng.Uint32())
-			case 1:
-				c.Pos = []int32{math.MinInt32, math.MaxInt32, -1, 0}[rng.Intn(4)]
-			case 2:
-				if i > 0 {
-					c = cands[rng.Intn(i)] // exact duplicate
+	sizes := []int{0, 1, insertionCutoff - 1, insertionCutoff, insertionCutoff + 1, 256, 4000}
+	for trial := range 60 {
+		for _, n := range sizes {
+			for name, cands := range dedupShapes(rng, n) {
+				tol := int32(trial % 9)
+				want := dedupByComparator(slices.Clone(cands), tol)
+				if got := DedupCandidates(slices.Clone(cands), tol); !slices.Equal(got, want) {
+					t.Fatalf("trial %d, %s, %d keys, tol %d:\ngot  %v\nwant %v", trial, name, n, tol, got, want)
 				}
 			}
-			if rng.Intn(2) == 0 {
-				c.Strand = Reverse
-			}
-			cands[i] = c
-		}
-		want := dedupByComparator(slices.Clone(cands), tol)
-		if got := DedupCandidates(cands, tol); !slices.Equal(got, want) {
-			t.Fatalf("trial %d tol %d:\ngot  %v\nwant %v", trial, tol, got, want)
 		}
 	}
-	cands := make([]Candidate, 200)
-	for i := range cands {
-		cands[i] = Candidate{Pos: int32(rng.Intn(1000)), Strand: Forward + byte(i%2)*(Reverse-Forward)}
-	}
+	cands := dedupShapes(rng, sizes[len(sizes)-1])["mix"]
 	work := make([]Candidate, len(cands))
 	if n := testing.AllocsPerRun(20, func() { DedupCandidates(work[:copy(work, cands)], 5) }); n != 0 {
 		t.Errorf("DedupCandidates allocates %v times per call", n)
 	}
+}
+
+// TestSortKeysLevels pins the radix sort's work: keys that differ only
+// in their lowest 8 bits take one level, distributing each key once,
+// however high their common bits reach; runs up to insertionCutoff keys
+// take none.
+func TestSortKeysLevels(t *testing.T) {
+	for _, n := range []int{2, insertionCutoff, insertionCutoff + 1, 256} {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(Reverse)<<32 | 1<<31 | uint64(255-i%256)
+		}
+		want := n
+		if n <= insertionCutoff {
+			want = 0
+		}
+		if got := sortKeys(keys); got != want || !slices.IsSorted(keys) {
+			t.Errorf("%d keys: distributed %d keys, want %d; sorted %v", n, got, want, slices.IsSorted(keys))
+		}
+	}
+}
+
+// FuzzDedupCandidates holds DedupCandidates to the comparator oracle on
+// candidates decoded from the input, five bytes each: a little-endian
+// position and a strand bit.
+func FuzzDedupCandidates(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0, 2, 0, 0, 0, 1}, uint8(1))
+	f.Add(bytes.Repeat([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 0, 0, 0, 0x80, 0}, 40), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, tol uint8) {
+		var cands []Candidate
+		for ; len(raw) >= 5; raw = raw[5:] {
+			c := Candidate{Pos: int32(binary.LittleEndian.Uint32(raw)), Strand: Forward}
+			if raw[4]&1 == 1 {
+				c.Strand = Reverse
+			}
+			cands = append(cands, c)
+		}
+		want := dedupByComparator(slices.Clone(cands), int32(tol%9))
+		if got := DedupCandidates(cands, int32(tol%9)); !slices.Equal(got, want) {
+			t.Fatalf("got  %v\nwant %v", got, want)
+		}
+	})
 }
 
 // TestWindow pins the one window rule: [pos−δ, pos+n+δ) clamped to the
