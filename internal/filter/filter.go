@@ -80,8 +80,11 @@
 // charges one per (base, pattern word) of four one-hot pattern
 // registers; Accept charges one per (shift, pattern word) mask plus
 // the build of four one-hot window registers, and one more per (shift,
-// mask word) the walk reads. The host holds two bit planes instead
-// (see State); the charge models the device, not the host.
+// mask word) the walk reads. The host holds two bit planes instead of
+// four one-hot registers, and builds the masks as GateKeeper's shift
+// register does: its window register words move down one bit per
+// shift (see State). The charge models the device, not the host, so a
+// change to the host's registers moves no charged word.
 package filter
 
 import (
@@ -109,21 +112,26 @@ func Shifts(delta int) int { return 4*delta + 1 }
 // Pattern and window are held as bit planes: bit i of a low (high)
 // plane is the low (high) bit of base i's code, so two bases are equal
 // iff both planes agree. The window registers are aligned for the
-// first shift s = −δ — window position j occupies bit j+δ — so the
-// mask at shift s reads each register 64 bits at a time from bit s+δ
-// and never moves it; in marks, per shift, the pattern bits that meet
-// a window base.
+// first shift s = −δ — window position j occupies bit j+δ — so mask
+// bit i at shift s reads register bit i+s+δ. decide takes the pattern
+// a pair of words at a time: it copies the three register words the
+// pair's first shift reads into locals and moves them down one bit per
+// shift, as GateKeeper's shift register does, reloading them every 64
+// shifts. in marks, per shift, the pattern bits that meet a window
+// base. The per-word buffers cover whole pairs (ws words); an odd wp's
+// spare word is zero in the pattern planes and in in, so its masks are
+// zero.
 type State struct {
 	n     int // pattern length
 	delta int // error budget δ
-	wp    int // 64-bit words covering the n pattern bits
+	wp    int // 64-bit words covering the n pattern bits; ws rounds it up to whole pairs
 
-	pl, ph []uint64 // pattern planes (wp words)
-	wl, wh []uint64 // window planes (wp + 4δ/64 + 1 words)
-	in     []uint64 // in-window pattern bits, shift-major (Shifts(δ) × wp words)
-	inLen  int      // window bases in was built for; −1 after Prepare
-	masks  []uint64 // unamended match masks, shift-major (Shifts(δ) × wp words)
-	acc    []uint64 // OR-accumulated solid-match mask (wp words)
+	pl, ph []uint64    // pattern planes (ws words)
+	wl, wh []uint64    // window registers (ws + 4δ/64 + 1 words)
+	in     [][2]uint64 // in-window pattern bits of a word pair, pair-major (ws/2 × Shifts(δ))
+	inLen  int         // window bases in was built for; −1 after Prepare
+	masks  [][2]uint64 // unamended match masks, laid out as in
+	pairs  []uint64    // bit i set iff bits i and i+1 match at one shift (ws words)
 }
 
 // Prepare builds the pattern planes for one pattern (a code sequence,
@@ -137,21 +145,24 @@ type State struct {
 func (st *State) Prepare(pattern []byte, delta int) int64 {
 	n := len(pattern)
 	wp := max((n+63)/64, 1)
+	ws := wp + wp&1
 	st.n, st.delta, st.wp, st.inLen = n, delta, wp, -1
-	// A shift reads register words w+s/64 and w+s/64+1 for s ≤ 4δ.
-	vr := wp + 4*delta/64 + 1
-	if cap(st.pl) < wp {
-		st.pl, st.ph, st.acc = make([]uint64, wp), make([]uint64, wp), make([]uint64, wp)
+	// The last pair's shift s ≤ 4δ reads register words up to
+	// ws−2 + s/64 + 2.
+	vr := ws + 4*delta/64 + 1
+	if cap(st.pl) < ws {
+		st.pl, st.ph, st.pairs = make([]uint64, ws), make([]uint64, ws), make([]uint64, ws)
 	}
 	if cap(st.wl) < vr {
 		st.wl, st.wh = make([]uint64, vr), make([]uint64, vr)
 	}
-	if cap(st.masks) < Shifts(delta)*wp {
-		st.masks, st.in = make([]uint64, Shifts(delta)*wp), make([]uint64, Shifts(delta)*wp)
+	ms := Shifts(delta) * ws / 2
+	if cap(st.masks) < ms {
+		st.masks, st.in = make([][2]uint64, ms), make([][2]uint64, ms)
 	}
-	st.pl, st.ph, st.acc = st.pl[:wp], st.ph[:wp], st.acc[:wp]
+	st.pl, st.ph, st.pairs = st.pl[:ws], st.ph[:ws], st.pairs[:ws]
 	st.wl, st.wh = st.wl[:vr], st.wh[:vr]
-	st.masks, st.in = st.masks[:Shifts(delta)*wp], st.in[:Shifts(delta)*wp]
+	st.masks, st.in = st.masks[:ms], st.in[:ms]
 	clear(st.pl)
 	clear(st.ph)
 	for i, c := range pattern {
@@ -237,10 +248,10 @@ func (st *State) loaded(L int) int {
 	st.inLen = m
 	for s := range Shifts(st.delta) {
 		lo, hi := st.delta-s, min(st.delta+m-s, st.n)
-		for w := range st.wp {
+		for w := range st.wp + st.wp&1 {
 			// Bits [lo, hi) clipped to word w: the bits below b but not a.
 			a, b := min(max(lo-64*w, 0), 64), min(max(hi-64*w, 0), 64)
-			st.in[s*st.wp+w] = ^uint64(0) >> uint(64-b) &^ (^uint64(0) >> uint(64-a))
+			st.in[w/2*Shifts(st.delta)+s][w%2] = ^uint64(0) >> uint(64-b) &^ (^uint64(0) >> uint(64-a))
 		}
 	}
 	return m
@@ -266,38 +277,37 @@ func shiftUp(r []uint64, d int) {
 // the first cut, and walks the windows that pass it.
 func (st *State) decide(L int) (bool, int64) {
 	n, delta, wp := st.n, st.delta, st.wp
-	pl, ph, acc := st.pl[:wp], st.ph[:wp], st.acc[:wp]
-	regL, regH, in, masks := st.wl, st.wh, st.in, st.masks
-	clear(acc)
-	shifts := Shifts(delta)
-	for s := 0; s < shifts; s++ {
-		// Match mask for this shift: bit i set iff P[i] == W[i+s−δ],
-		// read from bit i+s of each register by a funnel shift.
-		q, r := s>>6, uint(s)&63
-		m, i := masks[s*wp:s*wp+wp], in[s*wp:s*wp+wp]
-		// Amendment, one word behind: keep only solid matches (a
-		// matching neighbour at the same shift); isolated single-base
-		// matches are accidental. prev is word w−1, carry word w−2's
-		// top bit.
-		var prev, carry uint64
-		for w := range m {
-			k := q + w
-			l := regL[k]>>r | regL[k+1]<<(63-r)<<1
-			h := regH[k]>>r | regH[k+1]<<(63-r)<<1
-			mw := i[w] &^ ((pl[w] ^ l) | (ph[w] ^ h))
-			m[w] = mw
-			if w > 0 {
-				acc[w-1] |= prev & (prev<<1 | carry | prev>>1 | mw<<63)
-				carry = prev >> 63
-			}
-			prev = mw
+	ws, shifts := wp+wp&1, Shifts(delta)
+	pl, ph, pairs := st.pl[:ws], st.ph[:ws], st.pairs[:ws]
+	for k := 0; k < ws; k += 2 {
+		pat := [4]uint64{pl[k], pl[k+1], ph[k], ph[k+1]}
+		in, masks := st.in[k/2*shifts:][:shifts], st.masks[k/2*shifts:][:shifts]
+		var p0, p1 uint64
+		for s := 0; s < shifts; s += 64 {
+			// Shift s−δ reads register bits from 64k+s on.
+			q := k + s/64
+			b0, b1 := pairMasks(in[s:min(s+64, shifts)], masks[s:], &pat,
+				st.wl[q], st.wl[q+1], st.wl[q+2], st.wh[q], st.wh[q+1], st.wh[q+2])
+			p0, p1 = p0|b0, p1|b1
 		}
-		acc[wp-1] |= prev & (prev<<1 | carry | prev>>1)
+		pairs[k], pairs[k+1] = p0, p1
+	}
+	// The matching pairs that straddle two word pairs.
+	for k := 2; k < wp; k += 2 {
+		below, above := st.masks[(k/2-1)*shifts:][:shifts], st.masks[k/2*shifts:][:shifts]
+		for s := range below {
+			pairs[k-1] |= below[s][1] & (above[s][0] << 63)
+		}
 	}
 
+	// Amendment: a match survives only when it is solid (a neighbour
+	// at the same shift matches too, so it lies in a matching pair);
+	// isolated single-base matches are accidental.
 	unmatched := n
-	for _, a := range acc {
-		unmatched -= bits.OnesCount64(a)
+	var carry uint64
+	for _, p := range pairs {
+		unmatched -= bits.OnesCount64(p | p<<1 | carry)
+		carry = p >> 63
 	}
 	// Cost: one filter word per (shift, pattern word) lane plus the
 	// build of GateKeeper's four one-hot window registers, each of vw
@@ -311,23 +321,42 @@ func (st *State) decide(L int) (bool, int64) {
 	return ok, words + walked
 }
 
+// pairMasks writes the match masks of one pair of pattern words (low
+// and high planes in pat: low 0, low 1, high 0, high 1) for up to 64
+// consecutive shifts, and returns the pair's matching pairs: bit i of
+// p0 (p1) is set when bits i and i+1 of word 0 (1) match at one of
+// them. l0…l2 and h0…h2 are the register words the first shift
+// reads; each shift moves them down one bit.
+func pairMasks(in, masks [][2]uint64, pat *[4]uint64, l0, l1, l2, h0, h1, h2 uint64) (p0, p1 uint64) {
+	masks = masks[:len(in)]
+	for s := range in {
+		m0 := in[s][0] &^ ((pat[0] ^ l0) | (pat[2] ^ h0))
+		m1 := in[s][1] &^ ((pat[1] ^ l1) | (pat[3] ^ h1))
+		masks[s] = [2]uint64{m0, m1}
+		p0 |= m0 & (m0>>1 | m1<<63)
+		p1 |= m1 & (m1 >> 1)
+		l0, l1, l2 = l0>>1|l1<<63, l1>>1|l2<<63, l2>>1
+		h0, h1, h2 = h0>>1|h1<<63, h1>>1|h2<<63, h2>>1
+	}
+	return p0, p1
+}
+
 // walk runs the SneakySnake walk over the prepared masks: it reports
 // whether column n is reachable with at most δ obstacles, and the mask
 // words it read.
 func (st *State) walk(shifts int) (bool, int64) {
-	n, wp := st.n, st.wp
+	n, wp, masks := st.n, st.wp, st.masks
 	var read int64
 	pos, obstacles := 0, 0
 	for {
 		// The furthest column any shift's run of matches from pos reaches.
 		reach := pos
 		for s := 0; s < shifts && reach < n; s++ {
-			m := st.masks[s*wp : (s+1)*wp]
 			end := pos
 			for w := end / 64; w < wp; w++ {
 				read++
 				off := end % 64
-				run := bits.TrailingZeros64(^(m[w] >> uint(off)))
+				run := bits.TrailingZeros64(^(masks[w/2*shifts+s][w%2] >> uint(off)))
 				end += run
 				if run < 64-off {
 					break

@@ -191,6 +191,10 @@ func TestFilterCostScales(t *testing.T) {
 // TestFilterZeroAllocSteadyState pins the hot path at zero allocations
 // once the scratch has grown to the working size — the same contract
 // the simulated kernels are held to by clvet and AllocsPerRun pins.
+// One State is also taken through patterns of three, one and two words
+// at δ 2, 20 and 2: warm, it allocates nothing and keeps naiveAccept's
+// verdicts and words, so no padding or spare register word a smaller
+// Prepare leaves behind goes stale.
 func TestFilterZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pattern := randSeq(rng, 150)
@@ -223,6 +227,47 @@ func TestFilterZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Prepare+AcceptPacked allocates %.1f times per run, want 0", allocs)
+	}
+
+	type run struct {
+		pattern, win []byte
+		packed       dna.PackedSeq
+		delta, lo    int
+		want         bool
+		words        int64
+	}
+	var runs []run
+	for _, n := range []int{150, 60, 100} { // 3, 1 and 2 words
+		pattern := randSeq(rng, n)
+		for _, delta := range []int{2, 20, 2} {
+			for _, body := range [][]byte{randSeq(rng, n), mutate(rng, pattern, delta)} {
+				win := window(rng, body, n, delta)[:n+2*delta]
+				pre := randSeq(rng, rng.Intn(2*delta+8))
+				r := run{pattern: pattern, win: win, packed: dna.Pack(append(pre, win...)), delta: delta, lo: len(pre)}
+				r.want, r.words = naiveAccept(pattern, win, delta)
+				runs = append(runs, r)
+			}
+		}
+	}
+	wrong := 0
+	check := func() {
+		r := &runs[i%len(runs)]
+		i++
+		st.Prepare(r.pattern, r.delta)
+		ok, w := st.Accept(r.win)
+		okP, wP := st.AcceptPacked(r.packed, r.lo, r.lo+len(r.win))
+		if ok != r.want || okP != r.want || w != r.words || wP != r.words {
+			wrong++
+		}
+	}
+	for range runs {
+		check() // warm the scratch for every shape
+	}
+	if allocs := testing.AllocsPerRun(5*len(runs), check); allocs != 0 {
+		t.Errorf("Prepare+Accept+AcceptPacked across 3→1→2 words and δ 2→20→2 allocates %.1f times per run, want 0", allocs)
+	}
+	if wrong != 0 {
+		t.Errorf("%d of %d runs across 3→1→2 words and δ 2→20→2 differ from naiveAccept", wrong, 6*len(runs)+1)
 	}
 }
 
@@ -382,18 +427,27 @@ func FuzzFilterVsVerify(f *testing.F) {
 	})
 }
 
-// naiveAccept is the filter math of the package doc computed base by
-// base: a mask per shift in {−δ … 3δ}, the amended popcount, then the
-// SneakySnake walk over the unamended masks.
-func naiveAccept(pattern, win []byte, delta int) bool {
-	n := len(pattern)
-	if n == 0 || Threshold(delta) >= n {
-		return len(win) >= n-delta
+// naiveAccept is the filter of the package doc computed base by base:
+// a mask per shift in {−δ … 3δ}, the amended popcount, then the
+// SneakySnake walk over the unamended masks. It also returns the
+// filter words the doc charges: Shifts(δ)·wp + 4·vw for the first cut,
+// with vw = max(wp, ⌈(L+δ)/64⌉) words per one-hot window register, and
+// one more per (shift, mask word) the walk reads, where a shift's run
+// from column pos is read from the word holding pos to the word holding
+// its first mismatch, and no shift is read once some run reaches n.
+func naiveAccept(pattern, win []byte, delta int) (bool, int64) {
+	n, L := len(pattern), len(win)
+	switch {
+	case n == 0:
+		return true, 0
+	case L < n-delta:
+		return false, 0
+	case Threshold(delta) >= n:
+		return true, 0
 	}
-	if len(win) < n-delta {
-		return false
-	}
-	match := func(s, p int) bool { j := p + s; return j >= 0 && j < len(win) && pattern[p] == win[j] }
+	wp := (n + 63) / 64
+	words := int64(Shifts(delta)*wp + dna.Alphabet*max(wp, (L+delta+63)/64))
+	match := func(s, p int) bool { j := p + s; return j >= 0 && j < L && pattern[p] == win[j] }
 	unmatched := 0
 	for p := 0; p < n; p++ {
 		solid := false
@@ -405,52 +459,93 @@ func naiveAccept(pattern, win []byte, delta int) bool {
 		}
 	}
 	if unmatched > Threshold(delta) {
-		return false
+		return false, words
 	}
 	for pos, obstacles := 0, 0; ; obstacles++ {
 		reach := pos
-		for s := -delta; s <= 3*delta; s++ {
+		for s := -delta; s <= 3*delta && reach < n; s++ {
 			end := pos
 			for end < n && match(s, end) {
 				end++
 			}
+			words += int64(min(end/64, wp-1) - pos/64 + 1)
 			reach = max(reach, end)
 		}
 		if reach >= n {
-			return true
+			return true, words
 		}
 		if obstacles == delta {
-			return false
+			return false, words
 		}
 		if pos = reach + 1; pos >= n {
-			return true
+			return true, words
 		}
 	}
 }
 
-// TestAcceptMatchesNaive holds both loaders to naiveAccept with one
-// State re-prepared for every pattern. In each group the window length
-// n+2δ stays the same while n and δ change, so a mask a State keeps
-// from one Prepare to the next is caught if it goes stale.
+// checkNaive fails t unless Accept over text[lo, hi) and AcceptPacked
+// over the same window of the packed text, after one Prepare, give
+// naiveAccept's verdict and words.
+func checkNaive(t *testing.T, st *State, pattern, text []byte, delta, lo, hi int) {
+	t.Helper()
+	want, words := naiveAccept(pattern, text[lo:hi], delta)
+	st.Prepare(pattern, delta)
+	if got, w := st.Accept(text[lo:hi]); got != want || w != words {
+		t.Fatalf("Accept = (%t, %d), naive (%t, %d): delta=%d pattern=%v window=%v",
+			got, w, want, words, delta, pattern, text[lo:hi])
+	}
+	if got, w := st.AcceptPacked(dna.Pack(text), lo, hi); got != want || w != words {
+		t.Fatalf("AcceptPacked = (%t, %d), naive (%t, %d): delta=%d lo=%d pattern=%v window=%v",
+			got, w, want, words, delta, lo, pattern, text[lo:hi])
+	}
+}
+
+// TestAcceptMatchesNaive is the charge oracle: both loaders give
+// naiveAccept's verdict and words, with one State re-prepared for
+// every pattern, for patterns of one, two and three or more words and
+// δ up to 20, where 4δ ≥ 64 and a shift crosses a register word. In
+// each group the window length n+2δ stays the same while n and δ
+// change, so a mask a State keeps from one Prepare to the next is
+// caught if it goes stale; every fourth group cuts its windows to
+// n−δ … n+2δ bases. The packed window starts up to 2δ+7 bases into
+// its text, so it is loaded both from δ bases before it and moved up.
 func TestAcceptMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	var st State
 	for trial := 0; trial < 400; trial++ {
-		L := 20 + rng.Intn(180)
-		for delta := 0; delta <= 10 && L-2*delta > 0; delta++ {
+		L := 20 + rng.Intn(240)
+		for delta := 0; delta <= 20 && L-2*delta > 0; delta++ {
 			n := L - 2*delta
 			pattern := randSeq(rng, n)
 			win := window(rng, mutate(rng, pattern, rng.Intn(3*delta+2)), n, delta)[:L]
-			want := naiveAccept(pattern, win, delta)
-			st.Prepare(pattern, delta)
-			if got, _ := st.Accept(win); got != want {
-				t.Fatalf("Accept = %t, naive %t: delta=%d pattern=%v window=%v", got, want, delta, pattern, win)
+			if trial%4 == 3 {
+				win = win[:min(max(n-delta, 0)+rng.Intn(3*delta+1), L)]
 			}
-			if got, _ := st.AcceptPacked(dna.Pack(win), 0, L); got != want {
-				t.Fatalf("AcceptPacked = %t, naive %t: delta=%d pattern=%v window=%v", got, want, delta, pattern, win)
-			}
+			pre := randSeq(rng, rng.Intn(2*delta+8))
+			text := append(append(pre, win...), randSeq(rng, rng.Intn(8))...)
+			checkNaive(t, &st, pattern, text, delta, len(pre), len(pre)+len(win))
 		}
 	}
+}
+
+// FuzzAcceptVsNaive is TestAcceptMatchesNaive over arbitrary (pattern,
+// window, δ ≤ 20), the window placed d/21 bases into its packed text.
+func FuzzAcceptVsNaive(f *testing.F) {
+	f.Add([]byte("ACGTACGTTGCAACGTAGCT"), []byte("GGACGTACTTGCAACGAGCTAA"), uint8(2))
+	f.Add(bytes.Repeat([]byte("ACGGT"), 30), append([]byte("CC"), bytes.Repeat([]byte("ACGT"), 37)...), uint8(8+21*3))
+	f.Add(bytes.Repeat([]byte("TTAGC"), 28), append(bytes.Repeat([]byte("TTAGC"), 28), []byte("GATTACA")...), uint8(20+21*11))
+	var st State
+	f.Fuzz(func(t *testing.T, p, w []byte, d uint8) {
+		delta, lo := int(d%21), int(d/21)
+		pattern, text := make([]byte, min(len(p), 300)), make([]byte, lo+min(len(w), 400))
+		for i := range pattern {
+			pattern[i] = p[i] & 3
+		}
+		for i := range text[lo:] {
+			text[lo+i] = w[i] & 3
+		}
+		checkNaive(t, &st, pattern, text, delta, lo, len(text))
+	})
 }
 
 // checkPackedVsBytes fails t unless AcceptPacked over text[lo, hi)
